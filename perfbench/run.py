@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark of the stdpairs library: four workloads, one process, no threads.
 
-    python3 perfbench/run.py --workload ideals --seed 20250808 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload ideals --seed 20250808 --seconds 30 --trace 0
 
 Run from the root of a checkout; the library is imported from ``src/``.
 The last line of standard output is one JSON object with the keys
@@ -29,6 +29,7 @@ from time import perf_counter
 
 import inputs
 import oracles
+from calibrate import Clock
 from layers import PER_LAYER, Tracer
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -36,9 +37,7 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".perfbench_out")
 
-# Input generation is repeated and its median reported as ``setup_s``.
-SETUP_REPEATS = 15
-# A warm session is one pass; the best of two cold-started passes is reported.
+# A warm session is one pass; two cold-started passes are pooled.
 SESSION_PASSES = 2
 IDEALS_BOX = 3
 PRINCIPAL_MARGIN = 2
@@ -69,30 +68,33 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def timed_setup(outcome, make, repeats):
-    """Run ``make`` ``repeats`` times; record the median time, return the last result."""
-    times = []
-    result = None
-    for _ in range(repeats):
-        gc.collect()
-        start = perf_counter()
-        result = make()
-        times.append(perf_counter() - start)
-    outcome.setup_s = statistics.median(times)
-    return result
-
-
 class Outcome:
-    """What one workload run measured and found."""
+    """What one workload run measured and found.
+
+    A sample is ``(raw seconds, index of the kernel sample after it)``; see
+    ``calibrate.Clock``.  ``ops`` holds one list of samples per operation
+    (its repeats when cold, one sample per query on ``session``), ``setup``
+    one per part of the set-up.
+    """
 
     def __init__(self):
-        self.setup_s = 0.0
-        self.op_seconds = []  # one time per operation (best of the repeats when cold)
+        self.clock = Clock()
+        self.setup = {}
+        self.ops = []
+        self.labels = []
         self.attempted = 0
         self.failed = 0
         self.problems = []
         self.peak_rss_mb = 0.0
         self.notes = {}
+
+    def setup_part(self, part, make):
+        """Run and time ``make`` as one sample of set-up part ``part``."""
+        start = perf_counter()
+        result = make()
+        elapsed = perf_counter() - start
+        self.setup.setdefault(part, []).append((elapsed, self.clock.lap(elapsed)))
+        return result
 
 
 def schedule(repeats):
@@ -104,17 +106,21 @@ def schedule(repeats):
     return rounds
 
 
-def run_cold(sp, outcome, ops, extract):
-    """Time each ``(label, fn, repeats)`` cold, keeping its least time.
+def run_cold(sp, outcome, make_inputs, ops, extract):
+    """Time each ``(label, fn, repeats)`` cold, keeping the median of its times.
 
+    Input generation, ``make_inputs``, is timed again before every operation,
+    so that the set-up samples spread over the run as the operations do.
     Every operation runs in round 0, whose results are kept for the checks:
     returns ``label -> extract(result)``; a failed operation maps to None.
     """
-    best = [math.inf] * len(ops)
+    samples = [[] for _ in ops]
     kept = {}
     for rnd, members in enumerate(schedule([k for _, _, k in ops])):
         for i in members:
             label, fn, _ = ops[i]
+            gc.collect()
+            outcome.setup_part("inputs", make_inputs)
             clear_solver_cache(sp)
             gc.collect()
             outcome.attempted += 1
@@ -123,18 +129,22 @@ def run_cold(sp, outcome, ops, extract):
                 result = fn()
             except Exception:  # one failed operation must not end the run
                 outcome.failed += 1
+                outcome.clock.lap(perf_counter() - start)
                 traceback.print_exc(file=sys.stderr)
                 if rnd == 0:
                     kept[label] = None
                 continue
-            best[i] = min(best[i], perf_counter() - start)
+            elapsed = perf_counter() - start
+            samples[i].append((elapsed, outcome.clock.lap(elapsed)))
             if rnd == 0:
                 kept[label] = extract(result)
             del result
-    outcome.op_seconds = [t for t in best if t < math.inf]
+    outcome.clock.finish()
     outcome.peak_rss_mb = peak_rss_mb()
-    for (label, _, k), t in zip(ops, best):
-        print(f"perfbench: {label}: best of {k} {t * 1000:.1f} ms", file=sys.stderr)
+    for (label, _, _), op in zip(ops, samples):
+        if op:
+            outcome.ops.append(op)
+            outcome.labels.append(label)
     return kept
 
 
@@ -146,7 +156,8 @@ def matrix(sp, cols):
 # workloads
 
 def workload_ideals(sp, seed, outcome):
-    specs = timed_setup(outcome, lambda: inputs.ideals_inputs(seed), SETUP_REPEATS)
+    make_inputs = lambda: inputs.ideals_inputs(seed)
+    specs = make_inputs()
 
     def op(cols, gens):
         def fn():
@@ -164,7 +175,7 @@ def workload_ideals(sp, seed, outcome):
         )
 
     ops = [(label, op(cols, gens), k) for label, cols, gens, k in specs]
-    kept = run_cold(sp, outcome, ops, extract)
+    kept = run_cold(sp, outcome, make_inputs, ops, extract)
     for label, cols, gens, _ in specs:
         if kept.get(label) is None:
             continue
@@ -184,7 +195,8 @@ def principal_box(cols, b):
 
 
 def workload_principal(sp, seed, outcome):
-    specs = timed_setup(outcome, lambda: inputs.principal_inputs(seed), SETUP_REPEATS)
+    make_inputs = lambda: inputs.principal_inputs(seed)
+    specs = make_inputs()
 
     def op(cols, gens):
         def fn():
@@ -193,7 +205,7 @@ def workload_principal(sp, seed, outcome):
         return fn
 
     ops = [(label, op(cols, gens), k) for label, cols, gens, k in specs]
-    kept = run_cold(sp, outcome, ops, lambda cover: [(p.base, p.face) for p in cover.pairs()])
+    kept = run_cold(sp, outcome, make_inputs, ops, lambda cover: [(p.base, p.face) for p in cover.pairs()])
     for label, cols, gens, _ in specs:
         if kept.get(label) is None:
             continue
@@ -203,7 +215,8 @@ def workload_principal(sp, seed, outcome):
 
 
 def workload_monoids(sp, seed, outcome):
-    specs = timed_setup(outcome, lambda: inputs.monoids_inputs(seed), SETUP_REPEATS)
+    make_inputs = lambda: inputs.monoids_inputs(seed)
+    specs = make_inputs()
     bottom = sp.BOTTOM
 
     def extract(Q):
@@ -212,7 +225,7 @@ def workload_monoids(sp, seed, outcome):
         return faces, {f: list(supports[f].data) for f in faces}, Q.mingens.columns()
 
     ops = [(label, (lambda cols=cols: sp.AffineMonoid(matrix(sp, cols))), k) for label, cols, k in specs]
-    kept = run_cold(sp, outcome, ops, extract)
+    kept = run_cold(sp, outcome, make_inputs, ops, extract)
     for label, cols, _ in specs:
         if kept.get(label) is None:
             continue
@@ -236,12 +249,20 @@ class SessionIdeal:
         sp.save(self.I, path)
 
 
-def build_session(sp, seed):
-    """Compute and save the session's ideals, then draw the query stream."""
+def build_session(sp, seed, outcome):
+    """Compute and save the session's ideals, then draw the query stream.
+
+    Each ideal, and the stream, is timed as one part of the set-up.
+    """
     ideals = [
-        SessionIdeal(sp, label, cols, gens, os.path.join(OUT, f"session-{k}.txt"))
+        outcome.setup_part(label, lambda: SessionIdeal(sp, label, cols, gens, os.path.join(OUT, f"session-{k}.txt")))
         for k, (label, cols, gens) in enumerate(inputs.session_ideals())
     ]
+    queries = outcome.setup_part("queries", lambda: draw_queries(sp, seed, ideals))
+    return ideals, queries
+
+
+def draw_queries(sp, seed, ideals):
     kinds, rng = inputs.session_kinds()
     queries = []
     loads = 0
@@ -261,7 +282,7 @@ def build_session(sp, seed):
             args = (shifted_pair(sp, rng, s), shifted_pair(sp, rng, s))
         queries.append((kind, s, args))
     random.Random(seed).shuffle(queries)
-    return ideals, queries
+    return queries
 
 
 def shifted_pair(sp, rng, s):
@@ -318,8 +339,7 @@ def query_key(kind, s, args):
 
 
 def run_stream(sp, outcome, queries):
-    """Time every query once; return (times, answers)."""
-    times = []
+    """Time every query once, each an operation of ``outcome``; return the answers."""
     answers = []
     for kind, s, args in queries:
         outcome.attempted += 1
@@ -328,31 +348,29 @@ def run_stream(sp, outcome, queries):
             result = run_query(sp, kind, s, args)
         except Exception:  # one failed operation must not end the run
             outcome.failed += 1
+            outcome.clock.lap(perf_counter() - start)
             traceback.print_exc(file=sys.stderr)
             continue
-        times.append(perf_counter() - start)
+        elapsed = perf_counter() - start
+        outcome.ops.append([(elapsed, outcome.clock.lap(elapsed))])
         if kind == "load":
             result = load_matches(s, result)
         answers.append((kind, s, args, result))
-    return times, answers
+    return answers
 
 
 def workload_session(sp, seed, outcome):
-    """SESSION_PASSES whole sessions, each set up cold; the fastest stream is reported."""
+    """SESSION_PASSES whole sessions, each set up cold; their query times are pooled."""
     os.makedirs(OUT, exist_ok=True)
-    setups = []
     passes = []
     for _ in range(SESSION_PASSES):
         clear_solver_cache(sp)
         gc.collect()
-        start = perf_counter()
-        ideals, queries = build_session(sp, seed)
-        setups.append(perf_counter() - start)
+        ideals, queries = build_session(sp, seed, outcome)
         gc.collect()
-        passes.append((ideals, *run_stream(sp, outcome, queries)))
+        passes.append((ideals, run_stream(sp, outcome, queries)))
+    outcome.clock.finish()
     outcome.peak_rss_mb = peak_rss_mb()
-    outcome.setup_s = statistics.median(setups)
-    outcome.op_seconds = min((times for _, times, _ in passes), key=sum)
 
     seen = set()
     repeated = 0
@@ -361,7 +379,7 @@ def workload_session(sp, seed, outcome):
         repeated += key in seen
         seen.add(key)
     outcome.notes["repeated_query_share"] = repeated / len(queries)
-    for ideals, _, answers in passes:
+    for ideals, answers in passes:
         outcome.problems.extend(check_session(ideals, answers))
 
 
@@ -435,10 +453,21 @@ def percentile(values, q):
     return ordered[rank - 1]
 
 
+def scaled(outcome, samples):
+    """Sample times in reference seconds (``calibrate.py``)."""
+    return [raw * outcome.clock.scale_at(k) for raw, k in samples]
+
+
+def op_times(outcome):
+    """One time per operation: the median of its scaled samples."""
+    return [statistics.median(scaled(outcome, op)) for op in outcome.ops]
+
+
 def end_to_end(outcome):
-    times = outcome.op_seconds
+    times = op_times(outcome)
+    setup = sum(statistics.median(scaled(outcome, part)) for part in outcome.setup.values())
     metrics = {
-        "setup_s": (outcome.setup_s, "s"),
+        "setup_s": (setup, "s"),
         "ops_per_s": (len(times) / sum(times) if times else 0.0, "1/s"),
         "op_p50_ms": (statistics.median(times) * 1000.0 if times else 0.0, "ms"),
         "op_p99_ms": (percentile(times, 99) * 1000.0 if times else 0.0, "ms"),
@@ -451,7 +480,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=inputs.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=int, default=25)
+    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seconds < 1:
@@ -474,6 +503,12 @@ def main(argv=None):
         print(f"perfbench: {args.workload}: {problem}", file=sys.stderr)
 
     e2e = end_to_end(outcome)
+    for label, op, t in zip(outcome.labels, outcome.ops, op_times(outcome)):
+        raw = statistics.median(r for r, _ in op)
+        print(f"perfbench: {label}: median of {len(op)}: {t * 1000:.1f} ms ({raw * 1000:.1f} ms raw)", file=sys.stderr)
+    outcome.notes["scale"] = outcome.clock.scale()
+    outcome.notes["kernel_samples"] = len(outcome.clock.kernel_s)
+    outcome.notes["wall_s"] = wall
     if tracer is None:
         metrics = {name: {"value": value, "unit": unit} for name, (value, unit) in e2e.items()}
     else:
@@ -489,7 +524,7 @@ def main(argv=None):
                     "absent": tracer.absent,
                     "per_layer": values,
                     "end_to_end": {k: v for k, (v, _) in e2e.items()},
-                    "timed_s": sum(outcome.op_seconds),
+                    "timed_raw_s": sum(r for op in outcome.ops for r, _ in op),
                     "wall_s": wall,
                     "notes": outcome.notes,
                 },
