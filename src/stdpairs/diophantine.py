@@ -162,9 +162,6 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
 
-    def with_sorted_cols(self) -> "IntMatrix":
-        return IntMatrix.from_cols(sorted(self.columns()), rows=self.rows)
-
     def is_empty(self) -> bool:
         return self.rows == 0 or self.cols == 0
 
@@ -748,11 +745,11 @@ def _coords_in_basis(basis: list, targets: list, dim: int) -> list:
     for t in targets:
         rhs = [t[r] for r in row_idx]
         z = [sum(inv[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-        assert all(v.denominator == 1 for v in z)
+        if any(v.denominator != 1 for v in z):
+            raise ArithmeticError(f"{t} has no integer coordinates in the basis")
         z = tuple(int(v) for v in z)
-        assert all(
-            sum(basis[i][r] * z[i] for i in range(k)) == t[r] for r in range(dim)
-        )
+        if any(sum(basis[i][r] * z[i] for i in range(k)) != t[r] for r in range(dim)):
+            raise ArithmeticError(f"{t} does not lie in the span of the basis")
         out.append(z)
     return out
 

@@ -3,15 +3,7 @@
 from __future__ import annotations
 
 from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_is_zero
-from .polyhedral import (
-    BOTTOM,
-    Face,
-    face_closure,
-    face_lattice,
-    facet_data,
-    is_pointed,
-    support_vectors_of_face,
-)
+from .polyhedral import BOTTOM, Face, _closure, _lattice, _support_rows, facet_data, is_pointed
 
 
 class NotPointedError(ValueError):
@@ -22,8 +14,10 @@ class AffineMonoid:
     """The monoid of all nonnegative integer combinations of the columns of A.
 
     The constructor rejects non-pointed input, since every algorithm built
-    on top assumes pointedness.  Faces, support vectors and minimal
-    generators are derived eagerly; the object is immutable afterwards and
+    on top assumes pointedness.  The facets of the cone are enumerated once,
+    here; the faces, their support vectors and every later face closure are
+    derived from those stored facets.  Faces, supports and minimal
+    generators are computed eagerly; the object is immutable afterwards and
     safe to share between threads.
     """
 
@@ -34,9 +28,11 @@ class AffineMonoid:
             raise NotPointedError("generating matrix spans a cone containing a line")
         self._gens = gens
         self._facets, self._equations = facet_data(gens)
-        self._faces = face_lattice(gens)
+        self._faces = _lattice(self._facets, gens.cols)
         self._supports = {
-            f: support_vectors_of_face(gens, f) for f in self._faces if f != BOTTOM
+            f: _support_rows(self._facets, self._equations, gens.rows, f)
+            for f in self._faces
+            if f != BOTTOM
         }
         self._mingens = self._compute_mingens()
         self._hash_string = "monoid " + self._mingens.to_token()
@@ -120,7 +116,7 @@ class AffineMonoid:
         return index
 
     def face_closure(self, indices) -> Face:
-        return face_closure(self._gens, indices)
+        return _closure(self._facets, self._gens.cols, indices)
 
     def support_of(self, indices) -> IntMatrix:
         """Support vectors of the smallest face containing ``indices``."""
@@ -128,7 +124,8 @@ class AffineMonoid:
         if indices in self._supports:
             return self._supports[indices]
         if indices == BOTTOM:
-            return self._supports.get((), support_vectors_of_face(self._gens, BOTTOM))
+            # the least face lies on every facet, so it has BOTTOM's support
+            return self._supports[self._faces[1]]
         return self._supports[self.face_closure(indices)]
 
     def prime_ideal(self, face: Face):

@@ -12,6 +12,14 @@ linear span of A.  For cones of less than full dimension the normal list
 additionally carries a pair of rows ``+phi/-phi`` for each generator of
 the orthogonal complement of the span, so the uniform test "``q`` lies on
 the face iff every listed normal vanishes on it" keeps working.
+
+Everything else is derived from the facets: a face is an intersection of
+facet zero sets, its support vectors are the normals of the facets
+containing it, and the closure of a column set is the intersection of the
+facets containing it.  The private helpers below take an already
+enumerated ``(facets, equations)`` pair, so an ``AffineMonoid`` enumerates
+its facets once and derives its faces, supports and closures from them;
+each public function here enumerates the facets of its argument once.
 """
 
 from __future__ import annotations
@@ -49,12 +57,7 @@ def facet_normals(A: IntMatrix) -> IntMatrix:
     sorted lexicographically.  An empty matrix yields no rows.
     """
     facets, equations = facet_data(A)
-    rows = [phi for phi, _ in facets]
-    for e in equations:
-        rows.append(e)
-        rows.append(tuple(-x for x in e))
-    rows.sort()
-    return IntMatrix.from_rows(rows, cols=A.rows)
+    return _support_rows(facets, equations, A.rows, BOTTOM)
 
 
 def face_lattice(A: IntMatrix) -> tuple:
@@ -63,8 +66,31 @@ def face_lattice(A: IntMatrix) -> tuple:
     Every face is an intersection of facets, and its index tuple is the
     intersection of their zero sets; the family is closed by construction.
     """
-    n = A.cols
     facets, _ = facet_data(A)
+    return _lattice(facets, A.cols)
+
+
+def face_closure(A: IntMatrix, indices) -> Face:
+    """The smallest face of ``cone(A)`` whose column set contains ``indices``."""
+    facets, _ = facet_data(A)
+    return _closure(facets, A.cols, indices)
+
+
+def support_vectors_of_face(A: IntMatrix, face: Face) -> IntMatrix:
+    """Normals of all facets containing ``face`` (plus span equations), by row.
+
+    The full column set of a full-dimensional cone has no such facet and
+    yields an empty matrix.  BOTTOM behaves like the zero face: every facet
+    contains it.
+    """
+    facets, equations = facet_data(A)
+    if face != BOTTOM and face not in _lattice(facets, A.cols):
+        raise ValueError(f"{face} is not a face of the cone")
+    return _support_rows(facets, equations, A.rows, face)
+
+
+def _lattice(facets: list, n: int) -> tuple:
+    """The face lattice of a cone on ``n`` columns with the given facets."""
     top = frozenset(range(n))
     family = {top}
     changed = True
@@ -81,10 +107,9 @@ def face_lattice(A: IntMatrix) -> tuple:
     return tuple(sorted(faces, key=face_sort_key))
 
 
-def face_closure(A: IntMatrix, indices) -> Face:
-    """The smallest face of ``cone(A)`` whose column set contains ``indices``."""
-    facets, _ = facet_data(A)
-    current = frozenset(range(A.cols))
+def _closure(facets: list, n: int, indices) -> Face:
+    """The intersection of the facets containing ``indices`` (all ``n`` columns if none)."""
+    current = frozenset(range(n))
     target = frozenset(indices)
     for _, zs in facets:
         if target <= zs:
@@ -92,24 +117,15 @@ def face_closure(A: IntMatrix, indices) -> Face:
     return tuple(sorted(current))
 
 
-def support_vectors_of_face(A: IntMatrix, face: Face) -> IntMatrix:
-    """Normals of all facets containing ``face`` (plus span equations), by row.
-
-    The full column set of a full-dimensional cone has no such facet and
-    yields an empty matrix.  BOTTOM behaves like the zero face: every facet
-    contains it.
-    """
-    lattice = face_lattice(A)
-    if face != BOTTOM and face not in lattice:
-        raise ValueError(f"{face} is not a face of the cone")
-    facets, equations = facet_data(A)
+def _support_rows(facets: list, equations: list, dim: int, face: Face) -> IntMatrix:
+    """Sorted normals of the facets containing ``face``, plus ``+e/-e`` per equation."""
     wanted = frozenset() if face == BOTTOM else frozenset(face)
     rows = [phi for phi, zs in facets if wanted <= zs]
     for e in equations:
         rows.append(e)
         rows.append(tuple(-x for x in e))
     rows.sort()
-    return IntMatrix.from_rows(rows, cols=A.rows)
+    return IntMatrix.from_rows(rows, cols=dim)
 
 
 def is_pointed(A: IntMatrix) -> bool:

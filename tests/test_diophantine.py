@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from stdpairs.diophantine import (
     IntMatrix,
     SolutionSet,
+    _coords_in_basis,
     hilbert_kernel,
     min_nonneg_solutions,
     rational_kernel_basis,
@@ -21,6 +22,11 @@ def test_min_solutions_examples():
     assert list(min_nonneg_solutions(M, (3, 2))) == [(1, 1)]
     assert list(min_nonneg_solutions(M, (0, 0))) == [(0, 0)]
     assert list(min_nonneg_solutions(M, (1, 1))) == []
+
+
+def test_coords_in_basis_rejects_non_integer_coordinates():
+    with pytest.raises(ArithmeticError, match=r"\(1,\)"):
+        _coords_in_basis([(2,)], [(1,)], 1)
 
 
 def test_min_solutions_dimension_mismatch():

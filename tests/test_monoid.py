@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
+import stdpairs.polyhedral as polyhedral
 from stdpairs.diophantine import IntMatrix
 from stdpairs.monoid import AffineMonoid, NotPointedError
-from stdpairs.polyhedral import BOTTOM
+from stdpairs.polyhedral import BOTTOM, face_closure, face_lattice, is_pointed, support_vectors_of_face
 
 from oracles import monoid_box
 
@@ -22,6 +24,59 @@ def test_constructor_derives_face_lattice():
     Q = paper_monoid()
     assert Q.faces == (BOTTOM, (), (0,), (1,), (0, 1))
     assert set(Q.supports.keys()) == {(), (0,), (1,), (0, 1)}
+
+
+def test_support_of_bottom_is_zero_face_support():
+    for Q in (paper_monoid(), AffineMonoid(IntMatrix.zero(2, 0))):
+        assert Q.support_of(BOTTOM) == Q.supports[()]
+    # with a zero column the least face is (0,), not ()
+    A = IntMatrix.from_rows([[0, 1, 2], [0, 1, 1]])
+    Q = AffineMonoid(A)
+    assert Q.faces[1] == (0,)
+    assert Q.support_of(BOTTOM) == support_vectors_of_face(A, BOTTOM)
+
+
+def test_facets_enumerated_once_per_monoid(monkeypatch):
+    calls = []
+    original = polyhedral._facets_of_cone
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polyhedral, "_facets_of_cone", counting)
+    Q = AffineMonoid(IntMatrix.from_rows([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
+    assert len(calls) == 1
+    Q.faces
+    Q.supports
+    for face in Q.faces:
+        Q.support_of(face)
+    Q.support_of((0, 2))
+    for r in range(5):
+        for s in combinations(range(4), r):
+            Q.face_closure(s)
+    assert len(calls) == 1
+
+
+def test_stored_face_data_matches_module_functions():
+    rng = random.Random(2024)
+    checked = 0
+    while checked < 8:
+        d, n = rng.randint(1, 4), rng.randint(1, 6)
+        A = IntMatrix.from_cols(
+            [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(n)], rows=d
+        )
+        if not is_pointed(A):
+            continue
+        checked += 1
+        Q = AffineMonoid(A)
+        assert Q.faces == face_lattice(A)
+        for f in Q.faces:
+            if f != BOTTOM:
+                assert Q.supports[f] == support_vectors_of_face(A, f)
+        for r in range(n + 1):
+            for s in combinations(range(n), r):
+                assert Q.face_closure(s) == face_closure(A, s)
 
 
 def test_empty_monoid():
