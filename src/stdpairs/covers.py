@@ -130,6 +130,8 @@ class PolyMonomialIdeal:
         for e in exps:
             if len(e) != nvars:
                 raise ValueError("exponent dimension mismatch")
+            if any(x < 0 for x in e):
+                raise ValueError("exponents must be nonnegative")
         self.exponents = tuple(minimal_elements(exps))
 
     def is_empty(self) -> bool:
@@ -150,6 +152,14 @@ def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
     candidate bases live in the box bounded by the generator exponents
     (a base reaching the bound off V is absorbed by a larger pair), and
     properness reduces to comparison with the V-saturated generators.
+
+    A candidate (u, V) is maximal iff no one-variable extension
+    (u with u_i = 0, V + {i}), i not in V, is a candidate.  If a candidate
+    (u', V') strictly contains (u, V), then V' is strictly larger than V;
+    for any i in V' \\ V the extension lies inside (u', V') (so it is
+    proper), its free set lies inside V' (so it is admissible), its base
+    stays in the box, and it contains (u, V).  So m set lookups per
+    candidate replace a comparison with every other candidate.
     """
     m = J.nvars
     if J.is_unit():
@@ -157,7 +167,7 @@ def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
     if J.is_empty():
         return (PolyStdPair((0,) * m, tuple(range(m))),)
     bound = [max(e[i] for e in J.exponents) for i in range(m)]
-    candidates: list = []
+    candidates: set = set()
     for mask in product((False, True), repeat=m):
         free = tuple(i for i in range(m) if mask[i])
         fset = set(free)
@@ -169,12 +179,15 @@ def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
         ranges = [range(1) if i in fset else range(bound[i]) for i in range(m)]
         for u in product(*ranges):
             if not any(vec_leq(s, u) for s in saturated):
-                candidates.append(PolyStdPair(u, free))
+                candidates.add((u, free))
     maximal = [
-        p for p in candidates
-        if not any(q != p and q.contains(p) for q in candidates)
+        (u, free) for u, free in candidates
+        if not any(
+            (u[:i] + (0,) + u[i + 1:], tuple(sorted(free + (i,)))) in candidates
+            for i in range(m) if i not in free
+        )
     ]
-    return tuple(sorted(maximal, key=lambda p: (p.base, p.free)))
+    return tuple(PolyStdPair(u, free) for u, free in sorted(maximal))
 
 
 # ---------------------------------------------------------------------------

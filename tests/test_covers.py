@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -71,6 +72,51 @@ def test_poly_standard_pairs_against_brute_force():
         got = sorted((p.base, p.free) for p in poly_standard_pairs(J))
         expected = brute_poly_standard_pairs(J.exponents, m, 4)
         assert got == expected
+
+
+def test_poly_monomial_ideal_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        PolyMonomialIdeal(2, [(1, 2), (0, -3)])
+    with pytest.raises(ValueError):
+        PolyMonomialIdeal(2, [(-1, 2)])
+
+
+def literal_maximal_pairs(exponents, m):
+    """Proper pairs over the exponent box no other proper pair contains().
+
+    Each pair is compared with every pair whose free set includes its own
+    (contains() is false for all others).
+    """
+    bound = [max((e[i] for e in exponents), default=1) for i in range(m)]
+    proper = {}  # free set -> proper pairs on it
+    for mask in product((False, True), repeat=m):
+        ranges = [range(1) if mask[i] else range(bound[i]) for i in range(m)]
+        V = tuple(i for i in range(m) if mask[i])
+        for u in product(*ranges):
+            if all(any(e[i] > u[i] for i in range(m) if not mask[i]) for e in exponents):
+                proper.setdefault(V, []).append(PolyStdPair(u, V))
+    return sorted(
+        (p.base, p.free)
+        for V, ps in proper.items() for p in ps
+        if not any(
+            q != p and q.contains(p)
+            for W, qs in proper.items() if set(V) <= set(W) for q in qs
+        )
+    )
+
+
+def test_poly_standard_pairs_equal_literal_maximal_pairs():
+    rng = random.Random(20260418)
+    ideals = [(m, []) for m in range(1, 6)] + [(1, [(k,)]) for k in range(1, 5)]
+    while len(ideals) < 50:
+        m = rng.randint(2, 5)
+        gens = [tuple(rng.randint(0, 4) for _ in range(m)) for _ in range(rng.randint(1, 4))]
+        if all(any(g) for g in gens):
+            ideals.append((m, gens))
+    for m, gens in ideals:
+        J = PolyMonomialIdeal(m, gens)
+        got = [(p.base, p.free) for p in poly_standard_pairs(J)]
+        assert got == literal_maximal_pairs(J.exponents, m), gens
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +320,25 @@ def test_standard_cover_box_soundness_and_completeness(paper_monoid):
     cols = Q.gens.columns()
     box = monoid_box(cols, 6)
     caps = [max(b[r] for b in box) for r in range(2)]
+    members = ideal_members(I.gens.columns(), cols, caps)
+    for p in cover.pairs():
+        assert is_proper(p)
+    for b in box:
+        if b in members:
+            continue
+        assert any(not p.is_element(b).is_empty() for p in cover.pairs())
+
+
+def test_standard_cover_quadratic_filter_regression():
+    # instance 21 of random_instances(60, seed=1): a quadratic maximality
+    # filter in poly_standard_pairs made this cover take minutes
+    Q = AffineMonoid(IntMatrix.from_rows([[1, 0, 2, 4], [4, 3, 0, 3], [4, 1, 1, 4]]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(10, 17, 17)]))
+    cover = standard_cover(I)
+    assert len(cover.pairs()) == 113
+    cols = Q.gens.columns()
+    box = monoid_box(cols, 3)
+    caps = [max(b[r] for b in box) for r in range(3)]
     members = ideal_members(I.gens.columns(), cols, caps)
     for p in cover.pairs():
         assert is_proper(p)
