@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import add, le
 from typing import Iterable, Iterator, Sequence
 
 IntVector = tuple  # tuple[int, ...]; kept loose so plain tuples interoperate
@@ -335,7 +336,8 @@ def _cone_rays(rows: list, dim: int) -> list:
 
 @dataclass
 class _MatrixData:
-    """Per-matrix cache: Smith form, kernel lattice, echelon walk data, rays."""
+    """Per-matrix cache: Smith form, kernel lattice, echelon walk data, rays,
+    tier-1 completion data."""
 
     M: IntMatrix
     hilbert: tuple | None = None
@@ -345,6 +347,7 @@ class _MatrixData:
     _echelon: tuple | None = None
     _rays: list | None = None
     _subsets: tuple | None = None
+    _tier1: tuple | None = None
 
     def snf(self):
         if self._snf is None:
@@ -371,6 +374,16 @@ class _MatrixData:
             determined = [[r for r in range(self.M.cols) if level[r] == i] for i in range(k + 1)]
             self._echelon = (cols, pivots, determined)
         return self._echelon
+
+    def completion_data(self):
+        """Columns, their Gram matrix, and the tier-1 seed: the kernel basis
+        padded with a zero slack coordinate, as a ``_coordinate_index``."""
+        if self._tier1 is None:
+            cols = self.M.columns()
+            gram = [tuple(vec_dot(a, c) for c in cols) for a in cols]
+            seed = [h + (0,) for h in hilbert_kernel(self.M)]
+            self._tier1 = (cols, gram, _coordinate_index(seed, self.M.cols + 1))
+        return self._tier1
 
     def kernel_rays(self):
         """Extreme rays of ``{x >= 0 : M x = 0}``, as x-vectors."""
@@ -549,12 +562,17 @@ def _fraction_inverse(a: list):
 
 
 _MATRIX_CACHE: dict = {}
+_MATRIX_CACHE_CAP = 1024
 
 
 def _matrix_data(M: IntMatrix) -> _MatrixData:
+    """The cached data of M.  Past ``_MATRIX_CACHE_CAP`` matrices the oldest
+    insertion is evicted; hits do not reorder, so they cost one lookup."""
     data = _MATRIX_CACHE.get(M)
     if data is None:
         data = _MATRIX_CACHE[M] = _MatrixData(M)
+        if len(_MATRIX_CACHE) > _MATRIX_CACHE_CAP:
+            del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
     return data
 
 
@@ -811,53 +829,93 @@ def _hilbert_basis_geometric(M: IntMatrix) -> list:
     return minimal_elements(to_x(z) for z in candidates)
 
 
-def _completion(columns: list, nrows: int, cap_index: int | None = None, seed: list | None = None, budget: int | None = None):
+def _coordinate_index(vectors: Iterable[IntVector], ncols: int) -> list:
+    """``index[j][v]``: the tuple of given vectors whose coordinate j equals v, for v > 0."""
+    index: list = [{} for _ in range(ncols)]
+    for x in vectors:
+        for j, v in enumerate(x):
+            if v:
+                index[j][v] = index[j].get(v, ()) + (x,)
+    return index
+
+
+def _completion(gram: list, cap_index: int, seed: list, budget: int):
     """Contejean-Devie completion: minimal nonzero solutions of a homogeneous system.
 
-    Breadth-first by 1-norm; a frontier vector extends along coordinate j
-    only when its defect has negative scalar product with column j, and
-    anything dominating a known minimal solution is pruned.  ``seed``
-    supplies already-known minimal solutions (they prune but are not
-    re-reported).  ``cap_index`` caps that coordinate at 1.  Returns None
-    when more than ``budget`` nodes are generated; the caller then switches
-    to the lattice-geometric solver, which has predictable cost.
+    The system ``sum_l x_l c_l = 0`` is given by the Gram matrix
+    ``gram[l][j] = c_l . c_j`` of its columns.  The search runs breadth-first
+    by 1-norm from the unit vectors.  A vector x whose defect
+    ``v = sum_l x_l c_l`` is zero is a minimal solution and is not extended;
+    otherwise x extends to ``x + e_j`` only when ``v . c_j < 0``, never past 1
+    in coordinate ``cap_index``, and a new vector that dominates a known
+    minimal solution is pruned.  ``seed`` is the ``_coordinate_index`` of
+    already-known nonzero solutions (they prune but are not reported).
+
+    Each node carries ``d = (v . c_l)_l`` and ``|v|^2`` instead of v: moving to
+    ``x + e_j`` adds ``gram[j]`` to d and ``2 d_j + gram[j][j]`` to ``|v|^2``,
+    so the extension test is ``d_j < 0`` and the zero test ``|v|^2 == 0``.
+
+    Dominance is tested in one bucket of an index by (coordinate, value),
+    which rests on two invariants:
+
+    * no frontier vector is dominated by a known solution: it was tested
+      against every solution of smaller 1-norm when it was generated, and a
+      unit vector in the frontier has a nonzero column, so no solution lies
+      below it; and
+    * a vector of the same 1-norm is ``<=`` it only when equal to it;
+
+    so a solution ``b <= y = x + e_j`` is not ``<= x``, which forces
+    ``b[j] == y[j]``.  Solutions are recorded as soon as they are generated.
+
+    Budget: the unit vectors and every new vector that survives pruning
+    count as generated nodes.  The result is None as soon as more than
+    ``budget`` nodes are generated; the count only grows, so this is the
+    same decision as counting to the end.  The caller then switches to the
+    lattice-geometric solver, which has predictable cost.  Otherwise the
+    result is the sorted list of the solutions found.
     """
-    ncols = len(columns)
-    if ncols == 0:
-        return []
-    zero_val = (0,) * nrows
-    basis: list = list(seed) if seed else []
+    ncols = len(gram)
+    if ncols > budget:
+        return None
     found: list = []
+    index = [dict(col) for col in seed]  # the seed, then every solution found
     frontier: dict = {}
     for j in range(ncols):
-        e = tuple(1 if i == j else 0 for i in range(ncols))
-        if not any(vec_leq(b, e) and b != e for b in basis):
-            frontier[e] = columns[j]
-    visited = len(frontier)
+        e = (0,) * j + (1,) + (0,) * (ncols - j - 1)
+        if gram[j][j]:
+            frontier[e] = (gram[j], gram[j][j])
+        elif e not in seed[j].get(1, ()):  # a zero column: e is a solution
+            found.append(e)
+            index[j][1] = index[j].get(1, ()) + (e,)
+    visited = ncols
     while frontier:
-        for x in sorted(k for k, v in frontier.items() if v == zero_val):
-            if not any(vec_leq(b, x) for b in basis):
-                basis.append(x)
-                found.append(x)
         nxt: dict = {}
-        for x, v in frontier.items():
-            if v == zero_val:
-                continue
-            for j in range(ncols):
-                if cap_index is not None and j == cap_index and x[j] >= 1:
+        for x, (d, sq) in frontier.items():
+            for j, dj in enumerate(d):
+                if dj >= 0 or (j == cap_index and x[j]):
                     continue
-                if vec_dot(v, columns[j]) < 0:
-                    y = x[:j] + (x[j] + 1,) + x[j + 1:]
-                    if y in nxt:
-                        continue
-                    if any(vec_leq(b, y) for b in basis):
-                        continue
-                    nxt[y] = vec_add(v, columns[j])
-        visited += len(nxt)
-        if budget is not None and visited > budget:
-            return None
+                yj = x[j] + 1
+                y = x[:j] + (yj,) + x[j + 1:]
+                if y in nxt:
+                    continue
+                for b in index[j].get(yj, ()):
+                    if all(map(le, b, y)):
+                        break  # y dominates a known solution
+                else:
+                    visited += 1
+                    if visited > budget:
+                        return None
+                    g = gram[j]
+                    ysq = sq + 2 * dj + g[j]
+                    if ysq:
+                        nxt[y] = (tuple(map(add, d, g)), ysq)
+                    else:
+                        found.append(y)
+                        for i, v in enumerate(y):
+                            if v:
+                                index[i][v] = index[i].get(v, ()) + (y,)
         frontier = nxt
-    return sorted(found) if seed else sorted(basis)
+    return sorted(found)
 
 
 _CD_BUDGET = 500
@@ -898,8 +956,9 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
 
     Three exact tiers, routed by work budgets:
 
-    1. completion on the homogenized system, seeded with the cached kernel
-       basis and capped at 1 in the slack coordinate (fast when minimal
+    1. completion on the homogenized system ``[M | -b]``, seeded with the
+       cached kernel basis and capped at 1 in the slack coordinate, which
+       gives up after ``_CD_BUDGET`` search nodes (fast when minimal
        solutions are small);
     2. lattice walk of the box below (sum of kernel rays) + (componentwise
        vertex ceiling), which bounds every minimal solution because a
@@ -924,11 +983,12 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
 
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    columns = M.columns()
-    columns.append(tuple(-e for e in b))
+    columns, gram, seed = data.completion_data()
     slack = M.cols
-    seed = [h + (0,) for h in hilbert_kernel(M)]
-    quick = _completion(columns, M.rows, cap_index=slack, seed=seed, budget=_CD_BUDGET)
+    cross = [-vec_dot(c, b) for c in columns]  # c_l . (-b), the slack column's row
+    hgram = [row + (g,) for row, g in zip(gram, cross)]
+    hgram.append(tuple(cross) + (vec_dot(b, b),))
+    quick = _completion(hgram, slack, seed, _CD_BUDGET)
     if quick is not None:
         return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
 

@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 from stdpairs.diophantine import (
     IntMatrix,
     SolutionSet,
+    _completion,
+    _coordinate_index,
     _coords_in_basis,
     hilbert_kernel,
     min_nonneg_solutions,
     rational_kernel_basis,
     rational_rank,
+    vec_add,
+    vec_dot,
+    vec_leq,
 )
 
 from oracles import brute_hilbert, brute_min_solutions
@@ -180,3 +185,121 @@ def test_matrix_shapes_and_ops():
     assert M.take_cols([1]).data == ((2,), (2,))
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
+
+
+def _reference_completion(columns: list, nrows: int, cap_index: int | None = None, seed: list | None = None, budget: int | None = None):
+    """The tier-1 completion as it was before indexed pruning, Gram-tracked
+    defects and the early budget exit: a literal copy kept as the reference."""
+    ncols = len(columns)
+    if ncols == 0:
+        return []
+    zero_val = (0,) * nrows
+    basis: list = list(seed) if seed else []
+    found: list = []
+    frontier: dict = {}
+    for j in range(ncols):
+        e = tuple(1 if i == j else 0 for i in range(ncols))
+        if not any(vec_leq(b, e) and b != e for b in basis):
+            frontier[e] = columns[j]
+    visited = len(frontier)
+    while frontier:
+        for x in sorted(k for k, v in frontier.items() if v == zero_val):
+            if not any(vec_leq(b, x) for b in basis):
+                basis.append(x)
+                found.append(x)
+        nxt: dict = {}
+        for x, v in frontier.items():
+            if v == zero_val:
+                continue
+            for j in range(ncols):
+                if cap_index is not None and j == cap_index and x[j] >= 1:
+                    continue
+                if vec_dot(v, columns[j]) < 0:
+                    y = x[:j] + (x[j] + 1,) + x[j + 1:]
+                    if y in nxt:
+                        continue
+                    if any(vec_leq(b, y) for b in basis):
+                        continue
+                    nxt[y] = vec_add(v, columns[j])
+        visited += len(nxt)
+        if budget is not None and visited > budget:
+            return None
+        frontier = nxt
+    return sorted(found) if seed else sorted(basis)
+
+
+def _homogenized_systems(rng, count):
+    """Seeded ``(M, b)`` pairs: signed matrices, and nonnegative ones with a
+    negated copy of some columns, as pair differences build them."""
+    systems = []
+    for k in range(count):
+        r = rng.randint(1, 3)
+        if k % 2:
+            c = rng.randint(2, 5)
+            rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+        else:
+            pos = [[rng.randint(0, 4) for _ in range(r)] for _ in range(rng.randint(2, 4))]
+            cols = pos + [tuple(-e for e in col) for col in rng.sample(pos, rng.randint(1, len(pos)))]
+            rows = [[col[i] for col in cols] for i in range(r)]
+        systems.append((IntMatrix.from_rows(rows), tuple(rng.randint(0, 6) for _ in range(r))))
+    return systems
+
+
+def test_completion_matches_reference():
+    """Same list, or None on the same inputs, as the reference completion:
+    kernel-basis and empty seeds, slack capped at 1, budgets 0..500 that
+    overflow at the start, in the middle or at the end of a level."""
+    rng = random.Random(5)
+    overflowed = finished = 0
+    for M, b in _homogenized_systems(rng, 40):
+        columns = M.columns() + [tuple(-e for e in b)]
+        ncols = len(columns)
+        gram = [tuple(vec_dot(p, q) for q in columns) for p in columns]
+        slack = M.cols
+        for seed in ([h + (0,) for h in hilbert_kernel(M)], []):
+            index = _coordinate_index(seed, ncols)
+
+            def both(budget):
+                expected = _reference_completion(columns, M.rows, cap_index=slack, seed=seed, budget=budget)
+                assert _completion(gram, slack, index, budget) == expected, (M, b, seed, budget)
+                return expected
+
+            # the least budget that suffices is the number of nodes generated
+            if both(500) is None:
+                overflowed += 1
+                nodes = 501
+            else:
+                finished += 1
+                low, high = 0, 500
+                while low < high:
+                    mid = (low + high) // 2
+                    if both(mid) is None:
+                        low = mid + 1
+                    else:
+                        high = mid
+                nodes = low
+                assert both(nodes - 1) is None
+            for budget in {0, ncols - 1, ncols, nodes - 2, nodes, *rng.sample(range(501), 5)}:
+                if 0 <= budget <= 500:
+                    both(budget)
+    assert overflowed and finished
+
+
+def test_matrix_cache_is_bounded():
+    import stdpairs.diophantine as dio
+
+    dio._MATRIX_CACHE.clear()
+    first = IntMatrix.from_rows([[2, 3, -4], [1, 0, 1]])
+    second = IntMatrix.from_rows([[1, -1]])
+    answer = list(min_nonneg_solutions(first, (5, 2)))
+    min_nonneg_solutions(second, (1,))
+    min_nonneg_solutions(first, (5, 2))  # a hit does not make it younger
+    for k in range(dio._MATRIX_CACHE_CAP - 1):
+        min_nonneg_solutions(IntMatrix.from_rows([[k + 2, -1]]), (1,))
+        assert len(dio._MATRIX_CACHE) <= dio._MATRIX_CACHE_CAP
+    assert len(dio._MATRIX_CACHE) == dio._MATRIX_CACHE_CAP
+    assert first not in dio._MATRIX_CACHE and second in dio._MATRIX_CACHE
+    assert list(min_nonneg_solutions(first, (5, 2))) == answer
+    assert first in dio._MATRIX_CACHE and second not in dio._MATRIX_CACHE
+    assert len(dio._MATRIX_CACHE) == dio._MATRIX_CACHE_CAP
+    dio._MATRIX_CACHE.clear()
