@@ -10,8 +10,9 @@ fractions (no overflow anywhere):
 
 * a saturated basis of the integer kernel lattice comes from the Smith
   normal form of M;
-* the extreme rays of the nonnegative solution cone come from enumerating
-  active constraint subsets in kernel coordinates;
+* the extreme rays of the nonnegative solution cone come from a
+  fraction-free double description in kernel coordinates, the same engine
+  that finds the facets of a cone as the extreme rays of its dual;
 * a pulling triangulation of the rays reduces the Hilbert basis to the
   lattice points of finitely many half-open parallelepipeds, enumerated
   exactly via Smith-form residue classes (a minimal lattice point has all
@@ -23,7 +24,9 @@ fractions (no overflow anywhere):
 Easy instances short-circuit through a budgeted Contejean-Devie style
 completion seeded with the cached kernel basis; the triangulation pipeline
 takes over whenever the completion frontier grows past its budget, so the
-worst case stays predictable.  Kernel data is cached per matrix.
+worst case stays predictable.  Kernel data and the answers for up to
+``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
+``_MATRIX_CACHE_CAP`` matrices.
 """
 
 from __future__ import annotations
@@ -307,33 +310,6 @@ def integer_kernel_basis(M: IntMatrix) -> list:
     return basis
 
 
-def _cone_rays(rows: list, dim: int) -> list:
-    """Primitive extreme rays of the pointed cone ``{y : row . y >= 0}``.
-
-    Every extreme ray has an active constraint set of rank dim-1, so all
-    candidate directions arise as one-dimensional kernels of row subsets.
-    """
-    if dim == 0:
-        return []
-    rays = set()
-    for subset in combinations(range(len(rows)), dim - 1):
-        sub = IntMatrix.from_rows([rows[j] for j in subset], cols=dim)
-        kernel = rational_kernel_basis(sub)
-        if len(kernel) != 1:
-            continue
-        y = kernel[0]
-        values = [vec_dot(r, y) for r in rows]
-        if all(v >= 0 for v in values):
-            pass
-        elif all(v <= 0 for v in values):
-            y = tuple(-a for a in y)
-        else:
-            continue
-        if any(values):
-            rays.add(primitive(y))
-    return sorted(rays)
-
-
 @dataclass
 class _MatrixData:
     """Per-matrix cache: Smith form, kernel lattice, echelon walk data, rays,
@@ -389,12 +365,9 @@ class _MatrixData:
         """Extreme rays of ``{x >= 0 : M x = 0}``, as x-vectors."""
         if self._rays is None:
             basis = self.kernel_basis()
-            k = len(basis)
-            c = self.M.cols
-            rows = [tuple(basis[i][j] for i in range(k)) for j in range(c)]
             rays = []
-            for y in _cone_rays(rows, k):
-                x = tuple(sum(basis[i][j] * y[i] for i in range(k)) for j in range(c))
+            for y in _kernel_cone_rays(basis, self.M.cols):
+                x = tuple(sum(a * b for a, b in zip(y, col)) for col in zip(*basis))
                 rays.append(primitive(x))
             self._rays = sorted(set(rays))
         return self._rays
@@ -563,16 +536,23 @@ def _fraction_inverse(a: list):
 
 _MATRIX_CACHE: dict = {}
 _MATRIX_CACHE_CAP = 1024
+_SOLUTIONS_CAP = 4096  # memoised right-hand sides per cached matrix
+
+
+def _bounded_put(cache: dict, key, value, cap: int) -> None:
+    """Insert into ``cache``, evicting the oldest insertion past ``cap``
+    entries; hits do not reorder, so they cost one lookup."""
+    cache[key] = value
+    if len(cache) > cap:
+        del cache[next(iter(cache))]
 
 
 def _matrix_data(M: IntMatrix) -> _MatrixData:
-    """The cached data of M.  Past ``_MATRIX_CACHE_CAP`` matrices the oldest
-    insertion is evicted; hits do not reorder, so they cost one lookup."""
+    """The cached data of M, among at most ``_MATRIX_CACHE_CAP`` matrices."""
     data = _MATRIX_CACHE.get(M)
     if data is None:
-        data = _MATRIX_CACHE[M] = _MatrixData(M)
-        if len(_MATRIX_CACHE) > _MATRIX_CACHE_CAP:
-            del _MATRIX_CACHE[next(iter(_MATRIX_CACHE))]
+        data = _MatrixData(M)
+        _bounded_put(_MATRIX_CACHE, M, data, _MATRIX_CACHE_CAP)
     return data
 
 
@@ -580,134 +560,120 @@ def _facets_of_cone(cols: list, dim: int) -> tuple:
     """Facets and span equations of the cone generated by ``cols`` in R^dim.
 
     Returns ``(facets, equations)``: one ``(primitive inner normal,
-    frozenset of generator positions on the facet)`` per facet, plus a
-    primitive basis of the orthogonal complement of the linear span.  Every
-    facet contains rank-1 many independent generators, so candidate normals
-    arise from generator subsets.
+    frozenset of generator positions on the facet)`` per facet, sorted by
+    normal, plus a primitive basis of the orthogonal complement of the
+    linear span.  The normals are the extreme rays of the dual cone inside
+    the span, ``{phi : phi . c >= 0 for every column, phi . e = 0 for every
+    equation}``, found by double description with the columns, the
+    equations and the negated equations as constraints.  These have full
+    column rank, and the dual cone is pointed because the cone spans the
+    span.  A ray lies in the span, so it is nonzero on some column; when
+    the span is {0} the equations cut the dual cone down to {0}, which has
+    no rays and so no facets.
     """
-    if not cols:
-        return [], rational_kernel_basis(IntMatrix.zero(0, dim))
-    matrix = IntMatrix.from_cols(cols, rows=dim)
-    equations = rational_kernel_basis(matrix.transpose())
-    r = rational_rank(matrix)
-    facets: dict = {}
-    if r >= 1:
-        for subset in combinations(range(len(cols)), r - 1):
-            constraint_rows = [cols[j] for j in subset] + list(equations)
-            kernel = rational_kernel_basis(IntMatrix.from_rows(constraint_rows, cols=dim))
-            if len(kernel) != 1:
-                continue
-            phi = primitive(kernel[0])
-            values = [vec_dot(phi, c) for c in cols]
-            if all(v >= 0 for v in values):
-                pass
-            elif all(v <= 0 for v in values):
-                phi = tuple(-x for x in phi)
-                values = [-v for v in values]
-            else:
-                continue
-            if not any(values):
-                continue
-            facets[phi] = frozenset(j for j, v in enumerate(values) if v == 0)
-    return sorted(facets.items()), equations
+    equations = rational_kernel_basis(IntMatrix.from_rows(cols, cols=dim))
+    constraints = list(cols) + equations + [tuple(-x for x in e) for e in equations]
+    facets = []
+    for phi in _extreme_rays_dd(constraints, dim):
+        facets.append((phi, frozenset(j for j, c in enumerate(cols) if vec_dot(phi, c) == 0)))
+    return facets, equations
+
+
+def _fraction_free_reduce(a: list, ncols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows of ``a``, in place.
+
+    Pivots are searched column by column among the first ``ncols``
+    columns, on the first remaining row with a nonzero entry.  Returns
+    ``(pivot columns, d)`` where d is the last pivot (1 if there is none):
+    then the first ``len(pivots)`` rows of ``a`` are d times the reduced row
+    echelon form of those rows, and d is, up to sign, the determinant of the
+    pivot block.  Every division below is exact, so all entries stay
+    integers.
+    """
+    pivots: list = []
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][col]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        pr = a[r]
+        pv = pr[col]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[col]
+                a[i] = [(pv * x - f * y) // prev for x, y in zip(row, pr)]
+        prev = pv
+        pivots.append(col)
+    return pivots, prev
 
 
 def _extreme_rays_dd(constraints: list, dim: int) -> list:
-    """Extreme rays of the pointed cone ``{y : c . y >= 0}`` by double description.
+    """Sorted primitive extreme rays of the cone ``{y : c . y >= 0}`` by double description.
 
-    Starts from an invertible constraint subsystem (whose cone is simplicial
-    with the inverse's columns as rays) and cuts by the remaining
-    constraints, combining algebraically adjacent positive/negative ray
-    pairs.  Requires the constraints to have full column rank.
+    The constraints must have full column rank (else ``ValueError``), which
+    makes the cone pointed.  Everything is integer arithmetic:
+
+    * Start: fraction-free Gauss-Jordan elimination of ``[C^T | I]`` picks
+      the first ``dim`` independent constraints B and leaves
+      ``det(B) B^-1`` in the right block; its columns, signed by the
+      determinant, are the rays of the simplicial cone ``{B y >= 0}``.
+    * Cut: each remaining constraint keeps the rays on its nonnegative side
+      and replaces every adjacent pair of rays on opposite strict sides by
+      the primitive ray where their edge meets its hyperplane.
+    * Adjacency: each ray carries its zero set over the processed
+      constraints as a bitmask.  Two extreme rays are adjacent iff their
+      common zero set has at least ``dim - 2`` members and lies in no other
+      ray's zero set (the combinatorial test of Fukuda and Prodon, 1996).
+
+    The result is empty when the cone is {0}.
     """
-    idx = _independent_rows(IntMatrix.from_rows(constraints, cols=dim), dim)
-    if len(idx) < dim:
+    m = len(constraints)
+    work = [[c[j] for c in constraints] + [int(i == j) for i in range(dim)] for j in range(dim)]
+    pivots, det = _fraction_free_reduce(work, m)
+    if len(pivots) < dim:
         raise ValueError("constraint matrix does not have full column rank")
-    inv = _fraction_inverse([[Fraction(constraints[i][j]) for j in range(dim)] for i in idx])
-    rays = []
-    for j in range(dim):
-        col = [inv[r][j] for r in range(dim)]
-        den = 1
-        for v in col:
-            den = den * v.denominator // gcd(den, v.denominator)
-        rays.append(primitive(tuple(int(v * den) for v in col)))
-    chosen = set(idx)
-    processed = list(idx)
-
-    def adjacent(r1, r2):
-        common = [
-            constraints[i]
-            for i in processed
-            if vec_dot(constraints[i], r1) == 0 and vec_dot(constraints[i], r2) == 0
-        ]
-        return _fraction_rank([[Fraction(x) for x in row] for row in common]) == dim - 2
-
+    sign = 1 if det > 0 else -1
+    start = sum(1 << i for i in pivots)
+    rays = [
+        (primitive(tuple(sign * x for x in row[m:])), start & ~(1 << i))
+        for row, i in zip(work, pivots)
+    ]
+    chosen = set(pivots)
     for i, c in enumerate(constraints):
         if i in chosen:
             continue
-        values = {r: vec_dot(c, r) for r in rays}
-        if all(v >= 0 for v in values.values()):
-            processed.append(i)
-            continue
-        keep = [r for r in rays if values[r] >= 0]
-        new = set(keep)
-        pos = [r for r in rays if values[r] > 0]
-        neg = [r for r in rays if values[r] < 0]
-        for rp in pos:
-            for rn in neg:
-                if adjacent(rp, rn):
-                    combo = tuple(
-                        values[rp] * b - values[rn] * a for a, b in zip(rp, rn)
-                    )
-                    new.add(primitive(combo))
-        rays = sorted(new)
-        processed.append(i)
-    return sorted(set(rays))
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for r, z in rays:
+            v = vec_dot(c, r)
+            if v > 0:
+                kept.append((r, z))
+                pos.append((r, z, v))
+            elif v < 0:
+                neg.append((r, z, v))
+            else:
+                kept.append((r, z | bit))
+        for rp, zp, vp in pos:
+            for rn, zn, vn in neg:
+                common = zp & zn
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(common & z == common and z != zp and z != zn for _, z in rays):
+                    continue
+                combo = tuple(vp * b - vn * a for a, b in zip(rp, rn))
+                kept.append((primitive(combo), common | bit))
+        rays = kept
+    return sorted(r for r, _ in rays)
 
 
 def _facet_zero_sets(gens: list) -> list:
-    """Generator index sets of the facets of a pointed cone.
-
-    Works in coordinates of the linear span, where the dual cone is pointed
-    and its extreme rays (found by double description) are the facet
-    normals.
-    """
-    basis = []
-    basis_rows: list = []
-    for g in gens:
-        trial = basis_rows + [[Fraction(x) for x in g]]
-        if _fraction_rank(trial) > len(basis_rows):
-            basis_rows = trial
-            basis.append(g)
-    r = len(basis)
-    if r <= 1:
-        return []
-    coords = []
-    rows = []
-    row_idx = []
-    dim = len(gens[0])
-    for j in range(dim):
-        trial = rows + [[Fraction(basis[i][j]) for i in range(r)]]
-        if _fraction_rank(trial) > len(rows):
-            rows = trial
-            row_idx.append(j)
-        if len(rows) == r:
-            break
-    inv = _fraction_inverse(rows)
-    for g in gens:
-        rhs = [g[j] for j in row_idx]
-        z = [sum(inv[i][j] * rhs[j] for j in range(r)) for i in range(r)]
-        den = 1
-        for v in z:
-            den = den * v.denominator // gcd(den, v.denominator)
-        coords.append(tuple(int(v * den) for v in z))
-    normals = _extreme_rays_dd(coords, r)
-    out = set()
-    for phi in normals:
-        values = [vec_dot(phi, cv) for cv in coords]
-        if all(v >= 0 for v in values) and any(values):
-            out.add(frozenset(j for j, v in enumerate(values) if v == 0))
-    return sorted(out, key=sorted)
+    """Generator index sets of the facets of the cone over ``gens``."""
+    facets, _ = _facets_of_cone(gens, len(gens[0]))
+    return sorted({zs for _, zs in facets}, key=sorted)
 
 
 def _pulling_triangulation(cols: list, dim: int) -> list:
@@ -798,6 +764,16 @@ def _parallelepiped_points(generators: list) -> list:
     return sorted(points)
 
 
+def _kernel_cone_rays(basis: list, ncols: int) -> list:
+    """Extreme rays of ``{y : sum_i y_i basis_i >= 0}``, the nonnegative
+    kernel cone in the coordinates of a kernel basis of a matrix with
+    ``ncols`` columns.  Its constraints (one per column) have full column
+    rank because the basis is independent."""
+    if not basis:
+        return []
+    return _extreme_rays_dd(list(zip(*basis)), len(basis))
+
+
 def _hilbert_basis_geometric(M: IntMatrix) -> list:
     """Hilbert basis of ``{x in N^c : M x = 0}`` by triangulation.
 
@@ -809,10 +785,7 @@ def _hilbert_basis_geometric(M: IntMatrix) -> list:
     c = M.cols
     basis = integer_kernel_basis(M)
     k = len(basis)
-    if k == 0:
-        return []
-    rows = [tuple(basis[i][j] for i in range(k)) for j in range(c)]
-    rays_y = _cone_rays(rows, k)
+    rays_y = _kernel_cone_rays(basis, c)
     if not rays_y:
         return []
     span = _saturated_span_basis(rays_y, k)
@@ -978,7 +951,7 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     if cached is not None:
         return cached
     result = _min_nonneg_uncached(M, data, b)
-    data.solutions[b] = result
+    _bounded_put(data.solutions, b, result, _SOLUTIONS_CAP)
     return result
 
 

@@ -5,13 +5,14 @@ them, so the whole face lattice is a family of index tuples ordered by
 containment.  ``BOTTOM`` is a sentinel below everything, printed as
 ``(-1,)``; the empty tuple is the zero face of a pointed cone.
 
-Facets of ``cone(A)`` are found by exact enumeration: each facet contains
-rank(A)-1 independent generator columns, so candidate normals come from
-the one-dimensional orthogonal complements of column subsets inside the
-linear span of A.  For cones of less than full dimension the normal list
-additionally carries a pair of rows ``+phi/-phi`` for each generator of
-the orthogonal complement of the span, so the uniform test "``q`` lies on
-the face iff every listed normal vanishes on it" keeps working.
+The facet normals of ``cone(A)`` are the extreme rays of its dual cone
+inside the linear span of A, found exactly by the integer double
+description of ``diophantine._extreme_rays_dd``; a facet's zero set is the
+set of columns its normal vanishes on.  For cones of less than full
+dimension the normal list additionally carries a pair of rows
+``+phi/-phi`` for each generator of the orthogonal complement of the
+span, so the uniform test "``q`` lies on the face iff every listed normal
+vanishes on it" keeps working.
 
 Everything else is derived from the facets: a face is an intersection of
 facet zero sets, its support vectors are the normals of the facets

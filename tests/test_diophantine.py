@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,12 @@ from stdpairs.diophantine import (
     _completion,
     _coordinate_index,
     _coords_in_basis,
+    _extreme_rays_dd,
+    _facets_of_cone,
+    _MatrixData,
     hilbert_kernel,
     min_nonneg_solutions,
+    primitive,
     rational_kernel_basis,
     rational_rank,
     vec_add,
@@ -303,3 +308,173 @@ def test_matrix_cache_is_bounded():
     assert first in dio._MATRIX_CACHE and second not in dio._MATRIX_CACHE
     assert len(dio._MATRIX_CACHE) == dio._MATRIX_CACHE_CAP
     dio._MATRIX_CACHE.clear()
+
+
+def test_solution_memo_is_bounded(monkeypatch):
+    import stdpairs.diophantine as dio
+
+    monkeypatch.setattr(dio, "_SOLUTIONS_CAP", 4)
+    dio._MATRIX_CACHE.clear()
+    M = IntMatrix.from_rows([[2, 3, -4], [1, 0, 1]])
+    rhs = [(5, 2), (3, 1), (7, 3), (4, 4), (6, 1), (9, 2)]
+    answers = [list(min_nonneg_solutions(M, b)) for b in rhs[:2]]
+    memo = dio._matrix_data(M).solutions
+    min_nonneg_solutions(M, rhs[0])  # a hit does not make it younger
+    for b in rhs[2:]:
+        min_nonneg_solutions(M, b)
+        assert len(memo) <= 4
+    assert list(memo) == rhs[2:]
+    assert [list(min_nonneg_solutions(M, b)) for b in rhs[:2]] == answers
+    assert list(memo) == rhs[4:] + rhs[:2]
+    dio._MATRIX_CACHE.clear()
+
+
+def _reference_cone_rays(rows: list, dim: int) -> list:
+    """Primitive extreme rays of the pointed cone ``{y : row . y >= 0}``.
+
+    Every extreme ray has an active constraint set of rank dim-1, so all
+    candidate directions arise as one-dimensional kernels of row subsets.
+    """
+    if dim == 0:
+        return []
+    rays = set()
+    for subset in combinations(range(len(rows)), dim - 1):
+        sub = IntMatrix.from_rows([rows[j] for j in subset], cols=dim)
+        kernel = rational_kernel_basis(sub)
+        if len(kernel) != 1:
+            continue
+        y = kernel[0]
+        values = [vec_dot(r, y) for r in rows]
+        if all(v >= 0 for v in values):
+            pass
+        elif all(v <= 0 for v in values):
+            y = tuple(-a for a in y)
+        else:
+            continue
+        if any(values):
+            rays.add(primitive(y))
+    return sorted(rays)
+
+
+def _reference_kernel_rays(M: IntMatrix) -> list:
+    """``_MatrixData.kernel_rays`` as it was over ``_reference_cone_rays``."""
+    basis = _MatrixData(M).kernel_basis()
+    k = len(basis)
+    c = M.cols
+    rows = [tuple(basis[i][j] for i in range(k)) for j in range(c)]
+    rays = []
+    for y in _reference_cone_rays(rows, k):
+        x = tuple(sum(basis[i][j] * y[i] for i in range(k)) for j in range(c))
+        rays.append(primitive(x))
+    return sorted(set(rays))
+
+
+def _reference_facets_of_cone(cols: list, dim: int) -> tuple:
+    """Facets and span equations of the cone generated by ``cols`` in R^dim.
+
+    Returns ``(facets, equations)``: one ``(primitive inner normal,
+    frozenset of generator positions on the facet)`` per facet, plus a
+    primitive basis of the orthogonal complement of the linear span.  Every
+    facet contains rank-1 many independent generators, so candidate normals
+    arise from generator subsets.
+    """
+    if not cols:
+        return [], rational_kernel_basis(IntMatrix.zero(0, dim))
+    matrix = IntMatrix.from_cols(cols, rows=dim)
+    equations = rational_kernel_basis(matrix.transpose())
+    r = rational_rank(matrix)
+    facets: dict = {}
+    if r >= 1:
+        for subset in combinations(range(len(cols)), r - 1):
+            constraint_rows = [cols[j] for j in subset] + list(equations)
+            kernel = rational_kernel_basis(IntMatrix.from_rows(constraint_rows, cols=dim))
+            if len(kernel) != 1:
+                continue
+            phi = primitive(kernel[0])
+            values = [vec_dot(phi, c) for c in cols]
+            if all(v >= 0 for v in values):
+                pass
+            elif all(v <= 0 for v in values):
+                phi = tuple(-x for x in phi)
+                values = [-v for v in values]
+            else:
+                continue
+            if not any(values):
+                continue
+            facets[phi] = frozenset(j for j, v in enumerate(values) if v == 0)
+    return sorted(facets.items()), equations
+
+
+def _assert_rays_and_facets_match_reference(cols: list, dim: int) -> tuple:
+    facets = _facets_of_cone(cols, dim)
+    assert facets == _reference_facets_of_cone(cols, dim), (cols, dim)
+    M = IntMatrix.from_cols(cols, rows=dim)
+    rays = _MatrixData(M).kernel_rays()
+    assert rays == _reference_kernel_rays(M), (cols, dim)
+    return facets, rays
+
+
+def test_rays_and_facets_match_reference():
+    """Double description gives the same facets and kernel rays as the
+    subset enumerators on seeded random matrices, including non-pointed
+    and lower-dimensional cones and zero and duplicate columns."""
+    rng = random.Random(6)
+    non_pointed = lower_dimensional = zero_cols = duplicates = 0
+    for _ in range(240):
+        d, n = rng.randint(1, 4), rng.randint(1, 7)
+        cols = [tuple(rng.randint(-1, 4) for _ in range(d)) for _ in range(n)]
+        if rng.random() < 0.3:
+            cols.insert(rng.randint(0, len(cols)), (0,) * d)
+        if rng.random() < 0.3:
+            cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
+        (_, equations), rays = _assert_rays_and_facets_match_reference(cols, d)
+        nonzero = [j for j, c in enumerate(cols) if any(c)]
+        non_pointed += any(r[j] for r in rays for j in nonzero)
+        lower_dimensional += bool(equations)
+        zero_cols += len(nonzero) < len(cols)
+        duplicates += len(set(cols)) < len(cols)
+    assert min(non_pointed, lower_dimensional, zero_cols, duplicates) >= 20
+
+
+@pytest.mark.parametrize(
+    "cols, dim",
+    [
+        ([(1, 0), (0, 1)], 2),  # trivial kernel (k = 0)
+        ([(1,), (1,)], 1),  # kernel cone cut down to {0}
+        ([(1, 2), (2, 4)], 2),  # rank-1 cones
+        ([(1, 2), (-1, -2)], 2),
+        ([(0, 0, 1), (0, 0, 2), (0, 0, 0)], 3),
+        ([(0, 0), (0, 0)], 2),  # all-zero columns
+        ([(0, 0), (1, 0), (0, 1), (0, 0)], 2),
+        ([], 3),
+        ([(1, 0), (0, 1), (-1, -1)], 2),  # the kernel cone is a ray
+        ([(1, 0), (0, 1), (-1, -1), (1, 1)], 2),
+    ],
+)
+def test_rays_and_facets_edge_cases(cols, dim):
+    _assert_rays_and_facets_match_reference(cols, dim)
+
+
+def test_double_description_examples():
+    assert _extreme_rays_dd([(1, 0), (0, 1)], 2) == [(0, 1), (1, 0)]
+    assert _extreme_rays_dd([(2,), (3,), (0,)], 1) == [(1,)]
+    assert _extreme_rays_dd([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3) == [
+        (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)
+    ]
+    # cones that the cuts reduce to {0}
+    assert _extreme_rays_dd([(1,), (-1,)], 1) == []
+    assert _extreme_rays_dd([(1, 0), (0, 1), (-1, -1)], 2) == []
+
+
+@pytest.mark.parametrize(
+    "constraints, dim",
+    [
+        ([(1, 1), (2, 2)], 2),
+        ([(1, 0, 0), (0, 1, 0), (1, 1, 0), (-1, 0, 0)], 3),
+        ([(0, 0)], 2),
+        ([], 1),
+    ],
+)
+def test_double_description_needs_full_column_rank(constraints, dim):
+    with pytest.raises(ValueError, match="full column rank"):
+        _extreme_rays_dd(constraints, dim)

@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stdpairs.diophantine import IntMatrix, vec_dot
 from stdpairs.polyhedral import (
     BOTTOM,
     face_closure,
     face_lattice,
+    facet_data,
     facet_normals,
     is_pointed,
     support_vectors_of_face,
@@ -117,3 +120,33 @@ def test_empty_matrix():
     E = IntMatrix.zero(2, 0)
     assert facet_normals(E).rows == 4  # two equation pairs spanning R^2
     assert face_lattice(E) == (BOTTOM, ())
+
+
+column_lists = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.tuples(*[st.integers(-1, 4)] * d), min_size=1, max_size=6)
+)
+
+
+@given(column_lists, st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_facet_data_permutes_with_columns(cols, rnd):
+    """Column j of the permuted matrix is column perm[j] of the original:
+    every zero set is carried along and the normals stay as they are."""
+    perm = list(range(len(cols)))
+    rnd.shuffle(perm)
+    facets, equations = facet_data(IntMatrix.from_cols(cols))
+    moved, moved_equations = facet_data(IntMatrix.from_cols([cols[p] for p in perm]))
+    assert moved_equations == equations
+    assert [phi for phi, _ in moved] == [phi for phi, _ in facets]
+    for (_, zs), (_, moved_zs) in zip(facets, moved):
+        assert moved_zs == frozenset(j for j, p in enumerate(perm) if p in zs)
+
+
+@given(column_lists, st.data())
+@settings(max_examples=80, deadline=None)
+def test_duplicate_column_lies_on_the_facets_of_its_twin(cols, data):
+    twin = data.draw(st.integers(0, len(cols) - 1))
+    facets, equations = facet_data(IntMatrix.from_cols(cols))
+    grown, grown_equations = facet_data(IntMatrix.from_cols(cols + [cols[twin]]))
+    assert grown_equations == equations
+    assert grown == [(phi, zs | {len(cols)} if twin in zs else zs) for phi, zs in facets]
