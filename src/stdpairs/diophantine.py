@@ -5,8 +5,10 @@ reduces its questions (membership in a monoid, properness of a pair,
 intersection of translated submonoids, ...) to finding the componentwise
 minimal nonnegative integer solutions of a linear system ``M x = b``.
 
-The solver works lattice-geometrically, entirely over Python integers and
-fractions (no overflow anywhere):
+The solver works lattice-geometrically, entirely over Python integers, so
+nothing overflows and nothing is rounded.  Every rank, rational kernel,
+inverse and lattice coordinate comes from one fraction-free (Bareiss)
+elimination, ``_fraction_free_reduce``:
 
 * a saturated basis of the integer kernel lattice comes from the Smith
   normal form of M;
@@ -32,8 +34,7 @@ worst case stays predictable.  Kernel data and the answers for up to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from operator import add, le
 from typing import Iterable, Iterator, Sequence
@@ -135,10 +136,6 @@ class IntMatrix:
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
         return tuple(sum(r[j] * x[j] for j in range(self.cols)) for r in self.data)
-
-    def mul_fractions(self, x: Sequence) -> list:
-        """Matrix times a vector of fractions (exact)."""
-        return [sum(r[j] * x[j] for j in range(self.cols)) for r in self.data]
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -373,20 +370,38 @@ class _MatrixData:
         return self._rays
 
     def feasible_subsets(self):
-        """Row basis plus invertible column subsets, for vertex enumeration."""
+        """Row basis plus ``(S, d B^-1, d)`` for every column subset S whose
+        square block B (row basis by S) is invertible, for vertex enumeration."""
         if self._subsets is None:
             M = self.M
-            rank = rational_rank(M)
-            row_basis = _independent_rows(M, rank)
-            reduced = [tuple(M.data[i]) for i in row_basis]
+            # the pivot columns of M^T are the first independent rows of M
+            row_basis, _ = _fraction_free_reduce([list(c) for c in M.columns()], M.rows)
+            reduced = [M.data[i] for i in row_basis]
             subsets = []
-            for S in combinations(range(M.cols), rank):
-                square = [[Fraction(reduced[i][j]) for j in S] for i in range(rank)]
-                inv = _fraction_inverse(square)
-                if inv is not None:
-                    subsets.append((S, inv))
+            for S in combinations(range(M.cols), len(row_basis)):
+                inverse = _integer_inverse([[row[j] for j in S] for row in reduced])
+                if inverse is not None:
+                    subsets.append((S, *inverse))
             self._subsets = (row_basis, subsets)
         return self._subsets
+
+    def vertices(self, b) -> list:
+        """The vertices of ``{x >= 0 : M x = b}`` as pairs ``(d x, d)``, d > 0,
+        one per feasible subset in subset order (repeats kept)."""
+        row_basis, subsets = self.feasible_subsets()
+        rb = [b[i] for i in row_basis]
+        out = []
+        for S, inverse, d in subsets:
+            xs = [vec_dot(row, rb) for row in inverse]
+            if any(v < 0 for v in xs):
+                continue
+            if any(sum(row[j] * v for j, v in zip(S, xs)) != d * bi for row, bi in zip(self.M.data, b)):
+                continue
+            num = [0] * self.M.cols
+            for j, v in zip(S, xs):
+                num[j] = v
+            out.append((num, d))
+        return out
 
 
 def _column_echelon(cols: list, dim: int) -> tuple:
@@ -418,25 +433,8 @@ def _column_echelon(cols: list, dim: int) -> tuple:
     return [tuple(c) for c in cols], pivots
 
 
-def _independent_rows(M: IntMatrix, rank: int) -> list:
-    rows = []
-    a: list = []
-    for i in range(M.rows):
-        trial = a + [[Fraction(x) for x in M.data[i]]]
-        if _fraction_rank(trial) > len(a):
-            a = trial
-            rows.append(i)
-        if len(rows) == rank:
-            break
-    return rows
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _ceil_fraction(v) -> int:
-    return -((-v.numerator) // v.denominator)
 
 
 def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None):
@@ -499,41 +497,6 @@ def _particular_solution(data: _MatrixData, b):
     return V.mul(tuple(w))
 
 
-def _fraction_rank(rows: list) -> int:
-    a = [r[:] for r in rows]
-    rank = 0
-    ncols = len(a[0]) if a else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pr = a[rank]
-        for i in range(len(a)):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col] / pr[col]
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        rank += 1
-    return rank
-
-
-def _fraction_inverse(a: list):
-    n = len(a)
-    work = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if pivot is None:
-            return None
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
-
-
 _MATRIX_CACHE: dict = {}
 _MATRIX_CACHE_CAP = 1024
 _SOLUTIONS_CAP = 4096  # memoised right-hand sides per cached matrix
@@ -580,15 +543,17 @@ def _facets_of_cone(cols: list, dim: int) -> tuple:
 
 
 def _fraction_free_reduce(a: list, ncols: int) -> tuple:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows of ``a``, in place.
+    """Integer Gauss-Jordan elimination (Bareiss) of the rows of ``a``, in place.
 
     Pivots are searched column by column among the first ``ncols``
     columns, on the first remaining row with a nonzero entry.  Returns
     ``(pivot columns, d)`` where d is the last pivot (1 if there is none):
-    then the first ``len(pivots)`` rows of ``a`` are d times the reduced row
-    echelon form of those rows, and d is, up to sign, the determinant of the
-    pivot block.  Every division below is exact, so all entries stay
-    integers.
+    then every row of ``a`` is d times the row that elimination over Q,
+    with pivots scaled to 1, leaves in its place.  So the first
+    ``len(pivots)`` rows are d times the reduced row echelon form, the
+    other rows are zero in the first ``ncols`` columns, and d is, up to
+    sign, the determinant of the pivot block.  Every division below is
+    exact, so all entries stay integers.
     """
     pivots: list = []
     prev = 1
@@ -609,6 +574,22 @@ def _fraction_free_reduce(a: list, ncols: int) -> tuple:
         prev = pv
         pivots.append(col)
     return pivots, prev
+
+
+def _integer_inverse(rows: Sequence[Sequence[int]]):
+    """``(d A^-1, d)`` with ``d = |det A| > 0`` for a nonsingular square
+    integer matrix A given by its rows, or None when A is singular.
+
+    One fraction-free pass over ``[A | I]`` leaves ``e [I | A^-1]`` with
+    ``e = +-det A``; the sign is then made positive.
+    """
+    k = len(rows)
+    work = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(rows)]
+    pivots, d = _fraction_free_reduce(work, k)
+    if len(pivots) < k:
+        return None
+    sign = 1 if d > 0 else -1
+    return [[sign * x for x in row[k:]] for row in work], sign * d
 
 
 def _extreme_rays_dd(constraints: list, dim: int) -> list:
@@ -685,7 +666,7 @@ def _pulling_triangulation(cols: list, dim: int) -> list:
 
     def recurse(indices):
         sub = [cols[i] for i in indices]
-        if _fraction_rank([list(map(Fraction, v)) for v in sub]) == len(indices):
+        if rational_rank(IntMatrix.from_rows(sub, cols=dim)) == len(indices):
             return {tuple(indices)}
         out = set()
         for zero_set in _facet_zero_sets(sub):
@@ -700,41 +681,31 @@ def _pulling_triangulation(cols: list, dim: int) -> list:
 
 
 def _saturated_span_basis(cols: list, dim: int) -> list:
-    """A lattice basis of ``span_Q(cols) intersect Z^dim``."""
-    matrix = IntMatrix.from_cols(cols, rows=dim)
-    U, D, _ = smith_normal_form(matrix)
-    u_inv = _fraction_inverse([[Fraction(x) for x in row] for row in U.data])
-    basis = []
-    for i in range(min(dim, matrix.cols)):
-        if D.data[i][i] != 0:
-            col = tuple(int(u_inv[r][i]) for r in range(dim))
-            basis.append(col)
-    return basis
+    """A lattice basis of ``span_Q(cols) intersect Z^dim``: the integer
+    kernel of the span's equations."""
+    equations = rational_kernel_basis(IntMatrix.from_rows(cols, cols=dim))
+    return integer_kernel_basis(IntMatrix.from_rows(equations, cols=dim))
 
 
 def _coords_in_basis(basis: list, targets: list, dim: int) -> list:
-    """Exact integer coordinates of targets in a saturated basis."""
+    """Exact integer coordinates of targets in a basis of independent vectors.
+
+    One fraction-free pass over the rows of ``[basis | targets]`` leaves
+    ``d [I | Z]`` above ``[0 | W]``: a target lies in the span iff its
+    column of W is zero, and its coordinates are then its column of Z.
+    """
     k = len(basis)
-    rows = []
-    row_idx = []
-    for r in range(dim):
-        trial = rows + [[Fraction(basis[i][r]) for i in range(k)]]
-        if _fraction_rank(trial) > len(rows):
-            rows = trial
-            row_idx.append(r)
-        if len(rows) == k:
-            break
-    inv = _fraction_inverse(rows)
+    work = [[v[r] for v in basis] + [t[r] for t in targets] for r in range(dim)]
+    _, d = _fraction_free_reduce(work, k)
+    top, rest = work[:k], work[k:]
     out = []
-    for t in targets:
-        rhs = [t[r] for r in row_idx]
-        z = [sum(inv[i][j] * rhs[j] for j in range(k)) for i in range(k)]
-        if any(v.denominator != 1 for v in z):
-            raise ArithmeticError(f"{t} has no integer coordinates in the basis")
-        z = tuple(int(v) for v in z)
-        if any(sum(basis[i][r] * z[i] for i in range(k)) != t[r] for r in range(dim)):
+    for j, t in enumerate(targets, k):
+        if any(row[j] for row in rest):
             raise ArithmeticError(f"{t} does not lie in the span of the basis")
-        out.append(z)
+        z = [divmod(row[j], d) for row in top]
+        if any(rem for _, rem in z):
+            raise ArithmeticError(f"{t} has no integer coordinates in the basis")
+        out.append(tuple(q for q, _ in z))
     return out
 
 
@@ -748,15 +719,12 @@ def _parallelepiped_points(generators: list) -> list:
     k = len(generators)
     R = IntMatrix.from_cols(generators, rows=k)
     U, D, _ = smith_normal_form(R)
-    u_inv = _fraction_inverse([[Fraction(x) for x in row] for row in U.data])
-    r_inv = _fraction_inverse([[Fraction(x) for x in row] for row in R.data])
+    u_inv, _ = _integer_inverse(U.data)  # U is unimodular, so d = 1
+    r_inv, r_det = _integer_inverse(R.data)
     points = set()
-    from itertools import product as iproduct
-
-    for t in iproduct(*(range(abs(D.data[i][i])) for i in range(k))):
-        w = [int(sum(u_inv[r][i] * t[i] for i in range(k))) for r in range(k)]
-        coeffs = [sum(r_inv[i][j] * w[j] for j in range(k)) for i in range(k)]
-        floors = [c.numerator // c.denominator for c in coeffs]
+    for t in product(*(range(abs(D.data[i][i])) for i in range(k))):
+        w = [vec_dot(row, t) for row in u_inv]
+        floors = [vec_dot(row, w) // r_det for row in r_inv]
         p = tuple(
             w[r] - sum(generators[i][r] * floors[i] for i in range(k)) for r in range(k)
         )
@@ -968,23 +936,11 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
     x0 = _particular_solution(data, b)
     if x0 is None:
         return SolutionSet.of(M.cols, [])
-    row_basis, subsets = data.feasible_subsets()
-    rb = [b[i] for i in row_basis]
-    vertices = []
-    for S, inv in subsets:
-        xs = [sum(row[i] * rb[i] for i in range(len(rb))) for row in inv]
-        if any(v < 0 for v in xs):
-            continue
-        x = [Fraction(0)] * M.cols
-        for j, v in zip(S, xs):
-            x[j] = v
-        if M.mul_fractions(x) != list(b):
-            continue
-        vertices.append(x)
+    vertices = data.vertices(b)
     if not vertices:
         return SolutionSet.of(M.cols, [])  # the polyhedron has no vertex, so it is empty
     rays = data.kernel_rays()
-    vertex_cap = [max(_ceil_fraction(v[j]) for v in vertices) for j in range(M.cols)]
+    vertex_cap = [max(_ceil_div(num[j], d) for num, d in vertices) for j in range(M.cols)]
     bound = tuple(sum(r[j] for r in rays) + vertex_cap[j] for j in range(M.cols))
     points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET)
     if points is not None:
@@ -996,64 +952,32 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
 
 
 def rational_rank(M: IntMatrix) -> int:
-    """Rank of the matrix over the rationals (exact Gaussian elimination)."""
-    a = [[Fraction(x) for x in row] for row in M.data]
-    rank = 0
-    for col in range(M.cols):
-        pivot = next((i for i in range(rank, M.rows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pr = a[rank]
-        for i in range(M.rows):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col] / pr[col]
-                a[i] = [x - f * y for x, y in zip(a[i], pr)]
-        rank += 1
-        if rank == M.rows:
-            break
-    return rank
+    """Rank of the matrix over the rationals: the pivot count of one
+    fraction-free elimination."""
+    return len(_fraction_free_reduce([list(row) for row in M.data], M.cols)[0])
 
 
 def rational_kernel_basis(M: IntMatrix) -> list:
     """A canonical primitive integer basis of ``{x in Q^c : M x = 0}``.
 
-    Computed from the reduced row echelon form: one basis vector per free
-    column, denominators cleared, content reduced, first nonzero entry made
-    positive, rows sorted.  This spans the kernel over Q (which is all the
+    Computed from d times the reduced row echelon form: one basis vector
+    per free column, content reduced, first nonzero entry made positive,
+    rows sorted.  This spans the kernel over Q (which is all the
     face-membership tests need); it is not required to be a lattice basis.
     """
-    m, n = M.rows, M.cols
-    a = [[Fraction(x) for x in row] for row in M.data]
-    pivots: list = []
-    rank = 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[rank], a[pivot] = a[pivot], a[rank]
-        pv = a[rank][col]
-        a[rank] = [x / pv for x in a[rank]]
-        for i in range(m):
-            if i != rank and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [j for j in range(n) if j not in pivots]
+    n = M.cols
+    a = [list(row) for row in M.data]
+    pivots, d = _fraction_free_reduce(a, n)
     basis = []
-    for j in free:
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][j]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        iv = [int(x * denom) for x in v]
-        iv = list(primitive(iv))
-        lead = next((x for x in iv if x != 0), 0)
-        if lead < 0:
-            iv = [-x for x in iv]
-        basis.append(tuple(iv))
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [0] * n
+        v[j] = d
+        for row, pc in zip(a, pivots):
+            v[pc] = -row[j]
+        v = primitive(v)
+        if next(x for x in v if x) < 0:
+            v = tuple(-x for x in v)
+        basis.append(v)
     return sorted(basis)

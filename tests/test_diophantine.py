@@ -1,5 +1,10 @@
+import ast
 import random
-from itertools import combinations
+import re
+from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,12 +18,17 @@ from stdpairs.diophantine import (
     _coords_in_basis,
     _extreme_rays_dd,
     _facets_of_cone,
+    _hilbert_basis_geometric,
+    _integer_inverse,
     _MatrixData,
+    _parallelepiped_points,
+    _saturated_span_basis,
     hilbert_kernel,
     min_nonneg_solutions,
     primitive,
     rational_kernel_basis,
     rational_rank,
+    smith_normal_form,
     vec_add,
     vec_dot,
     vec_leq,
@@ -478,3 +488,367 @@ def test_double_description_examples():
 def test_double_description_needs_full_column_rank(constraints, dim):
     with pytest.raises(ValueError, match="full column rank"):
         _extreme_rays_dd(constraints, dim)
+
+
+# The exact linear algebra as it was done with Fraction elimination: literal
+# copies of the deleted routines, kept as references for the integer core.
+
+
+def _reference_fraction_rank(rows: list) -> int:
+    a = [r[:] for r in rows]
+    rank = 0
+    ncols = len(a[0]) if a else 0
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        pr = a[rank]
+        for i in range(len(a)):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col] / pr[col]
+                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        rank += 1
+    return rank
+
+
+def _reference_independent_rows(M: IntMatrix, rank: int) -> list:
+    rows = []
+    a: list = []
+    for i in range(M.rows):
+        trial = a + [[Fraction(x) for x in M.data[i]]]
+        if _reference_fraction_rank(trial) > len(a):
+            a = trial
+            rows.append(i)
+        if len(rows) == rank:
+            break
+    return rows
+
+
+def _reference_fraction_inverse(a: list):
+    n = len(a)
+    work = [row[:] + [Fraction(1 if i == j else 0) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        pv = work[col][col]
+        work[col] = [x / pv for x in work[col]]
+        for i in range(n):
+            if i != col and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def _reference_rational_rank(M: IntMatrix) -> int:
+    """Rank of the matrix over the rationals (exact Gaussian elimination)."""
+    a = [[Fraction(x) for x in row] for row in M.data]
+    rank = 0
+    for col in range(M.cols):
+        pivot = next((i for i in range(rank, M.rows) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        pr = a[rank]
+        for i in range(M.rows):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col] / pr[col]
+                a[i] = [x - f * y for x, y in zip(a[i], pr)]
+        rank += 1
+        if rank == M.rows:
+            break
+    return rank
+
+
+def _reference_rational_kernel_basis(M: IntMatrix) -> list:
+    """A canonical primitive integer basis of ``{x in Q^c : M x = 0}``."""
+    m, n = M.rows, M.cols
+    a = [[Fraction(x) for x in row] for row in M.data]
+    pivots: list = []
+    rank = 0
+    for col in range(n):
+        pivot = next((i for i in range(rank, m) if a[i][col] != 0), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        pv = a[rank][col]
+        a[rank] = [x / pv for x in a[rank]]
+        for i in range(m):
+            if i != rank and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        pivots.append(col)
+        rank += 1
+    free = [j for j in range(n) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [Fraction(0)] * n
+        v[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][j]
+        denom = 1
+        for x in v:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        iv = [int(x * denom) for x in v]
+        iv = list(primitive(iv))
+        lead = next((x for x in iv if x != 0), 0)
+        if lead < 0:
+            iv = [-x for x in iv]
+        basis.append(tuple(iv))
+    return sorted(basis)
+
+
+def _reference_vertices(M: IntMatrix, b) -> tuple:
+    """The row basis and the vertices of ``{x >= 0 : M x = b}`` as the tier-2
+    set-up (``feasible_subsets``) and vertex test found them."""
+    rank = _reference_rational_rank(M)
+    row_basis = _reference_independent_rows(M, rank)
+    reduced = [tuple(M.data[i]) for i in row_basis]
+    subsets = []
+    for S in combinations(range(M.cols), rank):
+        square = [[Fraction(reduced[i][j]) for j in S] for i in range(rank)]
+        inv = _reference_fraction_inverse(square)
+        if inv is not None:
+            subsets.append((S, inv))
+    rb = [b[i] for i in row_basis]
+    vertices = []
+    for S, inv in subsets:
+        xs = [sum(row[i] * rb[i] for i in range(len(rb))) for row in inv]
+        if any(v < 0 for v in xs):
+            continue
+        x = [Fraction(0)] * M.cols
+        for j, v in zip(S, xs):
+            x[j] = v
+        if [sum(r[j] * x[j] for j in range(M.cols)) for r in M.data] != list(b):
+            continue
+        vertices.append(x)
+    return row_basis, vertices
+
+
+def _reference_saturated_span_basis(cols: list, dim: int) -> list:
+    """A lattice basis of ``span_Q(cols) intersect Z^dim``."""
+    matrix = IntMatrix.from_cols(cols, rows=dim)
+    U, D, _ = smith_normal_form(matrix)
+    u_inv = _reference_fraction_inverse([[Fraction(x) for x in row] for row in U.data])
+    basis = []
+    for i in range(min(dim, matrix.cols)):
+        if D.data[i][i] != 0:
+            col = tuple(int(u_inv[r][i]) for r in range(dim))
+            basis.append(col)
+    return basis
+
+
+def _reference_coords_in_basis(basis: list, targets: list, dim: int) -> list:
+    """Exact integer coordinates of targets in a saturated basis."""
+    k = len(basis)
+    rows = []
+    row_idx = []
+    for r in range(dim):
+        trial = rows + [[Fraction(basis[i][r]) for i in range(k)]]
+        if _reference_fraction_rank(trial) > len(rows):
+            rows = trial
+            row_idx.append(r)
+        if len(rows) == k:
+            break
+    inv = _reference_fraction_inverse(rows)
+    out = []
+    for t in targets:
+        rhs = [t[r] for r in row_idx]
+        z = [sum(inv[i][j] * rhs[j] for j in range(k)) for i in range(k)]
+        if any(v.denominator != 1 for v in z):
+            raise ArithmeticError(f"{t} has no integer coordinates in the basis")
+        z = tuple(int(v) for v in z)
+        if any(sum(basis[i][r] * z[i] for i in range(k)) != t[r] for r in range(dim)):
+            raise ArithmeticError(f"{t} does not lie in the span of the basis")
+        out.append(z)
+    return out
+
+
+def _reference_parallelepiped_points(generators: list) -> list:
+    """Lattice points in the half-open parallelepiped of a nonsingular basis."""
+    k = len(generators)
+    R = IntMatrix.from_cols(generators, rows=k)
+    U, D, _ = smith_normal_form(R)
+    u_inv = _reference_fraction_inverse([[Fraction(x) for x in row] for row in U.data])
+    r_inv = _reference_fraction_inverse([[Fraction(x) for x in row] for row in R.data])
+    points = set()
+    for t in product(*(range(abs(D.data[i][i])) for i in range(k))):
+        w = [int(sum(u_inv[r][i] * t[i] for i in range(k))) for r in range(k)]
+        coeffs = [sum(r_inv[i][j] * w[j] for j in range(k)) for i in range(k)]
+        floors = [c.numerator // c.denominator for c in coeffs]
+        p = tuple(
+            w[r] - sum(generators[i][r] * floors[i] for i in range(k)) for r in range(k)
+        )
+        points.add(p)
+    return sorted(points)
+
+
+def _random_int_matrices(rng, count: int, max_rows: int = 5, max_cols: int = 6) -> list:
+    """Seeded matrices: every other one has entries -3..3, the rest are
+    products of r x k and k x c factors with entries -2..2, so of rank at
+    most k (often below min(r, c)); some get a zero row or column appended."""
+    matrices = []
+    for n in range(count):
+        r, c = rng.randint(1, max_rows), rng.randint(1, max_cols)
+        if n % 2:
+            k = rng.randint(1, 3)
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(-2, 2) for _ in range(c)] for _ in range(k)]
+            rows = [[vec_dot(a, col) for col in zip(*right)] for a in left]
+        else:
+            rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+        if rng.random() < 0.15:
+            rows.append([0] * c)
+        if rng.random() < 0.15:
+            rows = [row + [0] for row in rows]
+        matrices.append(IntMatrix.from_rows(rows))
+    return matrices
+
+
+_EDGE_MATRICES = [
+    IntMatrix.zero(0, 0),
+    IntMatrix.zero(0, 3),
+    IntMatrix.zero(3, 0),
+    IntMatrix.zero(1, 1),
+    IntMatrix.zero(2, 3),
+    IntMatrix.zero(4, 2),
+    IntMatrix.from_rows([[1, 2, 3], [2, 4, 6], [-1, -2, -3]]),
+    IntMatrix.from_rows([[0, 0, 5], [0, 0, 7]]),
+    IntMatrix.from_rows([[2, -3]]),
+]
+
+
+def test_rank_and_rational_kernel_match_reference():
+    """The integer elimination gives exactly the rank and the canonical
+    rational kernel basis that Fraction elimination gave."""
+    matrices = _EDGE_MATRICES + _random_int_matrices(random.Random(71), 400)
+    deficient = 0
+    for M in matrices:
+        rank = rational_rank(M)
+        assert rank == _reference_rational_rank(M), M
+        assert rational_kernel_basis(M) == _reference_rational_kernel_basis(M), M
+        deficient += rank < min(M.rows, M.cols)
+    assert deficient >= 100
+
+
+def test_integer_inverse_matches_reference():
+    """``(d A^-1, d)`` with d > 0 is the Fraction inverse scaled by d, and
+    singular matrices have no inverse."""
+    rng = random.Random(72)
+    squares = [[], [[0]], [[3]], [[-2]], [[1, 2], [2, 4]], [[0, 1], [1, 0]]]
+    for M in _random_int_matrices(rng, 600, max_rows=5, max_cols=5):
+        k = min(M.rows, M.cols)
+        squares.append([list(row[:k]) for row in M.data[:k]])
+    singular = 0
+    for a in squares:
+        expected = _reference_fraction_inverse([[Fraction(x) for x in row] for row in a])
+        got = _integer_inverse(a)
+        if expected is None:
+            assert got is None, a
+            singular += 1
+            continue
+        scaled, d = got
+        assert d > 0
+        assert [[Fraction(x, d) for x in row] for row in scaled] == expected, a
+    assert singular >= 50 and len(squares) - singular >= 200
+
+
+def test_vertices_match_reference():
+    """The integer vertex set-up keeps the row basis and finds the same
+    vertices, in the same order, as the Fraction inverses did."""
+    rng = random.Random(73)
+    with_vertices = without = 0
+    for M in _EDGE_MATRICES + _random_int_matrices(rng, 300, max_rows=4, max_cols=6):
+        data = _MatrixData(M)
+        for _ in range(3):
+            b = tuple(rng.randint(-2, 6) for _ in range(M.rows))
+            row_basis, expected = _reference_vertices(M, b)
+            assert data.feasible_subsets()[0] == row_basis, M
+            got = [[Fraction(x, d) for x in num] for num, d in data.vertices(b)]
+            assert got == expected, (M, b)
+            with_vertices += bool(expected)
+            without += not expected
+    assert with_vertices >= 100 and without >= 100
+
+
+def test_coords_in_basis_matches_reference():
+    """Same coordinates for targets in the lattice, and an ArithmeticError
+    for targets off it, as the Fraction version; the saturated span basis
+    spans the same lattice as the Smith-form one."""
+    rng = random.Random(74)
+    errors = 0
+    for M in _random_int_matrices(rng, 300, max_rows=5, max_cols=5):
+        cols, dim = M.columns(), M.rows
+        span = _saturated_span_basis(cols, dim)
+        reference_span = _reference_saturated_span_basis(cols, dim)
+        assert len(span) == len(reference_span) == rational_rank(M)
+        if not span:
+            continue
+        # each basis has integer coordinates in the other: the same lattice
+        _reference_coords_in_basis(span, reference_span, dim)
+        _reference_coords_in_basis(reference_span, span, dim)
+        targets = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(3)] + cols
+        for t in targets:
+            try:
+                expected = _reference_coords_in_basis(reference_span, [t], dim)
+            except ArithmeticError:
+                errors += 1
+                with pytest.raises(ArithmeticError, match=re.escape(str(t))):
+                    _coords_in_basis(reference_span, [t], dim)
+            else:
+                assert _coords_in_basis(reference_span, [t], dim) == expected
+        assert _coords_in_basis(span, cols, dim) == _reference_coords_in_basis(span, cols, dim)
+    assert errors >= 100
+
+
+def test_coords_in_basis_rejects_targets_outside_the_span():
+    with pytest.raises(ArithmeticError, match=r"\(0, 1\) does not lie in the span"):
+        _coords_in_basis([(1, 0)], [(3, 0), (0, 1)], 2)
+    with pytest.raises(ArithmeticError, match=r"\(1, 1, 0\) does not lie in the span"):
+        _coords_in_basis([(1, 0, 0), (0, 0, 2)], [(1, 1, 0)], 3)
+
+
+def test_parallelepiped_points_match_reference():
+    rng = random.Random(75)
+    checked = 0
+    while checked < 150:
+        k = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(k)) for _ in range(k)]
+        inverse = _integer_inverse([list(g) for g in gens])
+        if inverse is None or inverse[1] > 300:
+            continue
+        assert _parallelepiped_points(gens) == _reference_parallelepiped_points(gens), gens
+        checked += 1
+
+
+def test_hilbert_basis_geometric_against_brute_force():
+    """Tier 3 on its own equals the brute-force Hilbert basis within the box."""
+    box = 10
+    matrices = _random_int_matrices(random.Random(76), 60, max_rows=3, max_cols=4)
+    nonempty = 0
+    for M in matrices + [IntMatrix.from_rows([[2, -3]]), IntMatrix.from_rows([[1, 1, -2]])]:
+        got = _hilbert_basis_geometric(M)
+        rows = [list(row) for row in M.data]
+        assert sorted(x for x in got if max(x) <= box) == brute_hilbert(rows, box), M
+        nonempty += bool(got)
+    assert nonempty >= 15
+
+
+def test_library_does_not_import_fractions():
+    """Every exact step is integer arithmetic: no module of the package
+    imports ``fractions``."""
+    import stdpairs
+
+    modules = sorted(Path(stdpairs.__file__).parent.glob("*.py"))
+    assert len(modules) >= 10
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert all(name.split(".")[0] != "fractions" for name in names), path.name
