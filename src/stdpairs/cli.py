@@ -123,6 +123,8 @@ def cmd_pair(args) -> int:
         obj = load(path)
         if not isinstance(obj, Cover):
             raise ValueError(f"{path} does not contain a cover")
+        if args.verify:
+            verify(obj)
         pairs = obj.pairs()
         if len(pairs) != 1:
             raise ValueError(f"{path} must contain exactly one pair, found {len(pairs)}")

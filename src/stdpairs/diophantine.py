@@ -19,9 +19,10 @@ elimination, ``_fraction_free_reduce``:
   lattice points of finitely many half-open parallelepipeds, enumerated
   exactly via Smith-form residue classes (a minimal lattice point has all
   simplex coefficients below one);
-* inhomogeneous systems are homogenized with one slack coordinate: the
+* inhomogeneous systems are homogenized with one slack coordinate t: the
   minimal solutions of ``M x = b`` are the height-one Hilbert basis
-  elements of ``[M | -b]``.
+  elements of the cone ``{(x, t) >= 0 : M x = t b}``, whose extreme rays
+  give both the box of the lattice walk and the triangulation.
 
 Easy instances short-circuit through a budgeted Contejean-Devie style
 completion seeded with the cached kernel basis; the triangulation pipeline
@@ -34,7 +35,7 @@ worst case stays predictable.  Kernel data and the answers for up to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 from math import gcd
 from operator import add, le
 from typing import Iterable, Iterator, Sequence
@@ -298,13 +299,12 @@ def smith_normal_form(M: IntMatrix) -> tuple:
 
 def integer_kernel_basis(M: IntMatrix) -> list:
     """A saturated lattice basis of ``{x in Z^c : M x = 0}`` (columns of V)."""
-    _, D, V = smith_normal_form(M)
-    basis = []
-    for j in range(M.cols):
-        d = D.data[j][j] if j < M.rows else 0
-        if d == 0:
-            basis.append(V.col(j))
-    return basis
+    return _MatrixData(M).kernel_basis()
+
+
+def _combination(basis: list, y) -> IntVector:
+    """``sum_i y_i basis_i``: a vector from its coordinates in a basis."""
+    return tuple(sum(a * b for a, b in zip(y, col)) for col in zip(*basis))
 
 
 @dataclass
@@ -319,7 +319,6 @@ class _MatrixData:
     _kernel: list | None = None
     _echelon: tuple | None = None
     _rays: list | None = None
-    _subsets: tuple | None = None
     _tier1: tuple | None = None
 
     def snf(self):
@@ -329,7 +328,8 @@ class _MatrixData:
 
     def kernel_basis(self):
         if self._kernel is None:
-            self._kernel = integer_kernel_basis(self.M)
+            _, D, V = self.snf()  # the columns of V over zero entries of D
+            self._kernel = [V.col(j) for j in range(D.cols) if j >= D.rows or D.data[j][j] == 0]
         return self._kernel
 
     def echelon(self):
@@ -362,46 +362,9 @@ class _MatrixData:
         """Extreme rays of ``{x >= 0 : M x = 0}``, as x-vectors."""
         if self._rays is None:
             basis = self.kernel_basis()
-            rays = []
-            for y in _kernel_cone_rays(basis, self.M.cols):
-                x = tuple(sum(a * b for a, b in zip(y, col)) for col in zip(*basis))
-                rays.append(primitive(x))
-            self._rays = sorted(set(rays))
+            rays = _kernel_cone_rays(basis, self.M.cols)
+            self._rays = sorted(set(primitive(_combination(basis, y)) for y in rays))
         return self._rays
-
-    def feasible_subsets(self):
-        """Row basis plus ``(S, d B^-1, d)`` for every column subset S whose
-        square block B (row basis by S) is invertible, for vertex enumeration."""
-        if self._subsets is None:
-            M = self.M
-            # the pivot columns of M^T are the first independent rows of M
-            row_basis, _ = _fraction_free_reduce([list(c) for c in M.columns()], M.rows)
-            reduced = [M.data[i] for i in row_basis]
-            subsets = []
-            for S in combinations(range(M.cols), len(row_basis)):
-                inverse = _integer_inverse([[row[j] for j in S] for row in reduced])
-                if inverse is not None:
-                    subsets.append((S, *inverse))
-            self._subsets = (row_basis, subsets)
-        return self._subsets
-
-    def vertices(self, b) -> list:
-        """The vertices of ``{x >= 0 : M x = b}`` as pairs ``(d x, d)``, d > 0,
-        one per feasible subset in subset order (repeats kept)."""
-        row_basis, subsets = self.feasible_subsets()
-        rb = [b[i] for i in row_basis]
-        out = []
-        for S, inverse, d in subsets:
-            xs = [vec_dot(row, rb) for row in inverse]
-            if any(v < 0 for v in xs):
-                continue
-            if any(sum(row[j] * v for j, v in zip(S, xs)) != d * bi for row, bi in zip(self.M.data, b)):
-                continue
-            num = [0] * self.M.cols
-            for j, v in zip(S, xs):
-                num[j] = v
-            out.append((num, d))
-        return out
 
 
 def _column_echelon(cols: list, dim: int) -> tuple:
@@ -742,32 +705,30 @@ def _kernel_cone_rays(basis: list, ncols: int) -> list:
     return _extreme_rays_dd(list(zip(*basis)), len(basis))
 
 
-def _hilbert_basis_geometric(M: IntMatrix) -> list:
-    """Hilbert basis of ``{x in N^c : M x = 0}`` by triangulation.
+def _hilbert_basis_geometric(basis: list, rays: list) -> list:
+    """Hilbert basis of ``L intersect N^n`` by triangulation, for a saturated
+    lattice L with basis ``basis``, given the extreme rays of
+    ``{y : sum_i y_i basis_i >= 0}`` in its coordinates.
 
-    Working in coordinates of the saturated kernel lattice: enumerate the
-    extreme rays of the nonnegativity cone, triangulate them, and collect
-    the lattice points of each maximal simplex's half-open parallelepiped.
-    Every minimal element appears among those candidates and the rays.
+    In the saturated lattice of the rays' span: triangulate the rays,
+    pulled by the 1-norm of their vectors (so the triangulation depends on
+    the cone, not on the basis, and short rays keep the parallelepipeds
+    small), and collect the lattice points of each maximal simplex's
+    half-open parallelepiped.  Every minimal element appears among those
+    candidates and the rays.
     """
-    c = M.cols
-    basis = integer_kernel_basis(M)
-    k = len(basis)
-    rays_y = _kernel_cone_rays(basis, c)
-    if not rays_y:
+    if not rays:
         return []
-    span = _saturated_span_basis(rays_y, k)
-    rays_z = _coords_in_basis(span, rays_y, k)
+    vectors = {y: _combination(basis, y) for y in rays}
+    rays = sorted(rays, key=lambda y: (sum(vectors[y]), vectors[y]))
+    k = len(basis)
+    span = _saturated_span_basis(rays, k)
+    rays_z = _coords_in_basis(span, rays, k)
     candidates = set(rays_z)
     for simplex in _pulling_triangulation(rays_z, len(span)):
         candidates.update(_parallelepiped_points([rays_z[i] for i in simplex]))
     candidates.discard((0,) * len(span))
-
-    def to_x(z):
-        y = [sum(span[i][j] * z[i] for i in range(len(span))) for j in range(k)]
-        return tuple(sum(basis[i][j] * y[i] for i in range(k)) for j in range(c))
-
-    return minimal_elements(to_x(z) for z in candidates)
+    return minimal_elements(_combination(basis, _combination(span, z)) for z in candidates)
 
 
 def _coordinate_index(vectors: Iterable[IntVector], ncols: int) -> list:
@@ -885,7 +846,8 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
             if points is not None:
                 data.hilbert = tuple(minimal_elements(x for x in points if x != zero))
             else:
-                data.hilbert = tuple(_hilbert_basis_geometric(M))
+                basis = data.kernel_basis()
+                data.hilbert = tuple(_hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols)))
     return SolutionSet.of(M.cols, data.hilbert)
 
 
@@ -904,8 +866,9 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     2. lattice walk of the box below (sum of kernel rays) + (componentwise
        vertex ceiling), which bounds every minimal solution because a
        height-one point of the homogenized cone is a sub-one combination
-       of kernel rays plus a convex combination of vertices;
-    3. triangulation of the homogenized cone with exact parallelepiped
+       of kernel rays plus a convex combination of vertices, all of them
+       rays of that cone (``_homogenized_cone``);
+    3. triangulation of the same rays with exact parallelepiped
        enumeration, whose candidate count is the sum of simplex
        determinants.
     """
@@ -936,19 +899,41 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
     x0 = _particular_solution(data, b)
     if x0 is None:
         return SolutionSet.of(M.cols, [])
-    vertices = data.vertices(b)
-    if not vertices:
-        return SolutionSet.of(M.cols, [])  # the polyhedron has no vertex, so it is empty
-    rays = data.kernel_rays()
-    vertex_cap = [max(_ceil_div(num[j], d) for num, d in vertices) for j in range(M.cols)]
-    bound = tuple(sum(r[j] for r in rays) + vertex_cap[j] for j in range(M.cols))
+    basis, rays, bound = _homogenized_cone(data, x0)
+    if bound is None:
+        return SolutionSet.of(M.cols, [])  # no ray with t > 0: the polyhedron is empty
     points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET)
     if points is not None:
         return SolutionSet.of(M.cols, minimal_elements(points))
 
-    homogenized = M.hstack(IntMatrix.from_cols([tuple(-e for e in b)], rows=M.rows))
-    basis = _hilbert_basis_geometric(homogenized)
-    return SolutionSet.of(M.cols, [x[:slack] for x in basis if x[slack] == 1])
+    hilbert = _hilbert_basis_geometric(basis, rays)
+    return SolutionSet.of(M.cols, [x[:slack] for x in hilbert if x[slack] == 1])
+
+
+def _homogenized_cone(data: _MatrixData, x0) -> tuple:
+    """The rays of ``{(x, t) >= 0 : M x = t b}``, where ``M x0 = b``, and the
+    box of the lattice walk.
+
+    ``(x, t) - t (x0, 1)`` lies in ``ker_Z M x {0}``, so the kernel basis
+    padded with ``t = 0`` plus ``(x0, 1)`` is a basis of the saturated
+    integer kernel of ``[M | -b]``.  Returns it, the rays in its
+    coordinates, and the box, which is None when no ray has ``t > 0`` (the
+    polyhedron is empty).  The rays with ``t = 0`` are the kernel rays and
+    those with ``t > 0`` are ``(d v, d)`` for the vertices v, so coordinate
+    j is bounded by the sum of the kernel rays plus the largest
+    ``ceil(r_j / t)``.
+    """
+    basis = [h + (0,) for h in data.kernel_basis()] + [tuple(x0) + (1,)]
+    rays = _kernel_cone_rays(basis, len(basis[0]))
+    xt = [_combination(basis, y) for y in rays]
+    vertices = [r for r in xt if r[-1]]
+    if not vertices:
+        return basis, rays, None
+    bound = tuple(
+        sum(r[j] for r in xt if not r[-1]) + max(_ceil_div(r[j], r[-1]) for r in vertices)
+        for j in range(len(x0))
+    )
+    return basis, rays, bound
 
 
 def rational_rank(M: IntMatrix) -> int:

@@ -94,6 +94,15 @@ def test_pair_divides(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "[[0 0 0]]"
 
 
+def test_pair_divides_verify_rejects_base_outside_monoid(tmp_path, capsys):
+    path = tmp_path / "bad_cover.txt"
+    path.write_text("STDPAIRS v1\nMONOID\n1 2\n2 3\nCOVER\n1\n;1\n")
+    assert main(["pair", "divides", str(path), str(path)]) == 0
+    capsys.readouterr()
+    assert main(["pair", "divides", str(path), str(path), "--verify"]) == 2
+    assert "base (1,) is outside the monoid" in capsys.readouterr().err
+
+
 def test_export_m2(tmp_path, capsys):
     Q = sp.AffineMonoid(IntMatrix.from_rows([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
     I = sp.MonomialIdeal(Q, IntMatrix.from_rows([[2, 2, 2], [0, 1, 2], [2, 2, 2]]))

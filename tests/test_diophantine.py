@@ -3,7 +3,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import ceil, gcd
 from pathlib import Path
 
 import pytest
@@ -19,11 +19,15 @@ from stdpairs.diophantine import (
     _extreme_rays_dd,
     _facets_of_cone,
     _hilbert_basis_geometric,
+    _homogenized_cone,
     _integer_inverse,
+    _kernel_cone_rays,
     _MatrixData,
     _parallelepiped_points,
+    _particular_solution,
     _saturated_span_basis,
     hilbert_kernel,
+    integer_kernel_basis,
     min_nonneg_solutions,
     primitive,
     rational_kernel_basis,
@@ -168,6 +172,9 @@ def test_solver_tiers_agree(monkeypatch):
         b = tuple(rng.randint(0, 5) for _ in range(r))
         cases.append((rows, b))
     cases.append(([[3, 1, 1, 2, -3, -1, -1, -2], [2, 1, 3, 3, -2, -1, -3, -3]], (5, 8)))
+    cases.append(([[1, 1]], (-1,)))  # lattice points, but no ray with t > 0
+    cases.append(([[2, 3]], (1,)))  # a vertex, but no nonnegative integer point
+    cases.append(([[1, -1, 0], [0, 1, -1]], (2, 1)))  # unbounded: rays with t = 0
 
     def run():
         dio._MATRIX_CACHE.clear()
@@ -756,20 +763,40 @@ def test_integer_inverse_matches_reference():
 
 
 def test_vertices_match_reference():
-    """The integer vertex set-up keeps the row basis and finds the same
-    vertices, in the same order, as the Fraction inverses did."""
+    """The rays with t > 0 of the homogenized cone give the same distinct
+    vertices as the Fraction subset inverses, its rays with t = 0 are the
+    kernel rays, and the tier-2 box is the sum of the kernel rays plus the
+    componentwise vertex ceiling (None without a vertex)."""
     rng = random.Random(73)
     with_vertices = without = 0
     for M in _EDGE_MATRICES + _random_int_matrices(rng, 300, max_rows=4, max_cols=6):
         data = _MatrixData(M)
         for _ in range(3):
             b = tuple(rng.randint(-2, 6) for _ in range(M.rows))
-            row_basis, expected = _reference_vertices(M, b)
-            assert data.feasible_subsets()[0] == row_basis, M
-            got = [[Fraction(x, d) for x in num] for num, d in data.vertices(b)]
+            _, expected = _reference_vertices(M, b)
+            expected = sorted(set(map(tuple, expected)))
+            x0 = _particular_solution(data, b)
+            if x0 is None:  # tier 2 stops before the cone; build it from another basis
+                basis = integer_kernel_basis(M.hstack(IntMatrix.from_cols([[-x for x in b]], rows=M.rows)))
+                rays_y = _kernel_cone_rays(basis, M.cols + 1)
+            else:
+                basis, rays_y, bound = _homogenized_cone(data, x0)
+            rays = [tuple(sum(y * v[j] for y, v in zip(ray, basis)) for j in range(M.cols + 1)) for ray in rays_y]
+            got = sorted({tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]})
             assert got == expected, (M, b)
-            with_vertices += bool(expected)
-            without += not expected
+            if not expected:
+                without += 1
+                assert x0 is None or bound is None, (M, b)
+                continue
+            with_vertices += 1
+            kernel_rays = _reference_kernel_rays(M)
+            assert sorted(r[:-1] for r in rays if not r[-1]) == kernel_rays, (M, b)
+            if x0 is not None:
+                expected_bound = tuple(
+                    sum(r[j] for r in kernel_rays) + max(ceil(v[j]) for v in expected)
+                    for j in range(M.cols)
+                )
+                assert bound == expected_bound, (M, b)
     assert with_vertices >= 100 and without >= 100
 
 
@@ -829,7 +856,8 @@ def test_hilbert_basis_geometric_against_brute_force():
     matrices = _random_int_matrices(random.Random(76), 60, max_rows=3, max_cols=4)
     nonempty = 0
     for M in matrices + [IntMatrix.from_rows([[2, -3]]), IntMatrix.from_rows([[1, 1, -2]])]:
-        got = _hilbert_basis_geometric(M)
+        basis = _MatrixData(M).kernel_basis()
+        got = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols))
         rows = [list(row) for row in M.data]
         assert sorted(x for x in got if max(x) <= box) == brute_hilbert(rows, box), M
         nonempty += bool(got)
