@@ -197,9 +197,9 @@ class _Reader:
 def load(path: str):
     """Load an AffineMonoid, MonomialIdeal, or Cover from an archive file."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    while lines and not lines[-1].strip():
-        lines.pop()
+        lines = fh.read().split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final newline; blank lines before it are rows of r x 0 matrices
     reader = _Reader(lines)
     tag = reader.take("format tag").strip()
     if tag != FORMAT_TAG:

@@ -6,19 +6,21 @@ intersection of translated submonoids, ...) to finding the componentwise
 minimal nonnegative integer solutions of a linear system ``M x = b``.
 
 The solver works lattice-geometrically, entirely over Python integers, so
-nothing overflows and nothing is rounded.  Every rank, rational kernel,
-inverse and lattice coordinate comes from one fraction-free (Bareiss)
-elimination, ``_fraction_free_reduce``:
+nothing overflows and nothing is rounded.  Two exact reductions carry it:
+one fraction-free (Bareiss) elimination, ``_fraction_free_reduce``, gives
+every rank, rational kernel, inverse and lattice coordinate, and one
+unimodular column echelon, ``_column_echelon``, every lattice step:
 
-* a saturated basis of the integer kernel lattice comes from the Smith
-  normal form of M;
+* one echelon pass over ``[M; I]`` per matrix gives particular solutions
+  of ``M x = b`` by forward substitution and a saturated basis of the
+  integer kernel lattice, already in the echelon form the box walk needs;
 * the extreme rays of the nonnegative solution cone come from a
   fraction-free double description in kernel coordinates, the same engine
   that finds the facets of a cone as the extreme rays of its dual;
 * a pulling triangulation of the rays reduces the Hilbert basis to the
   lattice points of finitely many half-open parallelepipeds, enumerated
-  exactly via Smith-form residue classes (a minimal lattice point has all
-  simplex coefficients below one);
+  exactly via the residue classes of an echelon basis of each simplex's
+  lattice (a minimal lattice point has all simplex coefficients below one);
 * inhomogeneous systems are homogenized with one slack coordinate t: the
   minimal solutions of ``M x = b`` are the height-one Hilbert basis
   elements of the cone ``{(x, t) >= 0 : M x = t b}``, whose extreme rays
@@ -226,79 +228,9 @@ def minimal_elements(vectors: Iterable[IntVector]) -> list:
     return sorted(out)
 
 
-def smith_normal_form(M: IntMatrix) -> tuple:
-    """Unimodular U, V and diagonal D with ``U M V = D``.
-
-    The diagonal entries are not forced into divisibility order; only the
-    diagonal shape matters for kernels and particular solutions.
-    """
-    m, n = M.rows, M.cols
-    D = [list(r) for r in M.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_op(i, k, q):  # row_i -= q * row_k
-        D[i] = [a - q * b for a, b in zip(D[i], D[k])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
-
-    def col_op(j, k, q):  # col_j -= q * col_k
-        for r in range(m):
-            D[r][j] -= q * D[r][k]
-        for r in range(n):
-            V[r][j] -= q * V[r][k]
-
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if D[i][j] != 0 and (pivot is None or abs(D[i][j]) < abs(D[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            D[i], D[t] = D[t], D[i]
-            U[i], U[t] = U[t], U[i]
-        if j != t:
-            for r in range(m):
-                D[r][j], D[r][t] = D[r][t], D[r][j]
-            for r in range(n):
-                V[r][j], V[r][t] = V[r][t], V[r][j]
-        while True:
-            moved = False
-            for i in range(m):
-                if i != t and D[i][t] != 0:
-                    q = D[i][t] // D[t][t]
-                    row_op(i, t, q)
-                    if D[i][t] != 0:  # remainder is a smaller pivot
-                        D[i], D[t] = D[t], D[i]
-                        U[i], U[t] = U[t], U[i]
-                        moved = True
-            for j in range(n):
-                if j != t and D[t][j] != 0:
-                    q = D[t][j] // D[t][t]
-                    col_op(j, t, q)
-                    if D[t][j] != 0:
-                        for r in range(m):
-                            D[r][j], D[r][t] = D[r][t], D[r][j]
-                        for r in range(n):
-                            V[r][j], V[r][t] = V[r][t], V[r][j]
-                        moved = True
-            if not moved and all(D[i][t] == 0 for i in range(m) if i != t) and all(
-                D[t][j] == 0 for j in range(n) if j != t
-            ):
-                break
-        t += 1
-    return (
-        IntMatrix(m, m, tuple(tuple(r) for r in U)),
-        IntMatrix(m, n, tuple(tuple(r) for r in D)),
-        IntMatrix(n, n, tuple(tuple(r) for r in V)),
-    )
-
-
 def integer_kernel_basis(M: IntMatrix) -> list:
-    """A saturated lattice basis of ``{x in Z^c : M x = 0}`` (columns of V)."""
+    """A saturated lattice basis of ``{x in Z^c : M x = 0}``, in column
+    echelon form (``_MatrixData.reduction``)."""
     return _MatrixData(M).kernel_basis()
 
 
@@ -309,42 +241,44 @@ def _combination(basis: list, y) -> IntVector:
 
 @dataclass
 class _MatrixData:
-    """Per-matrix cache: Smith form, kernel lattice, echelon walk data, rays,
-    tier-1 completion data."""
+    """Per-matrix cache: one column echelon reduction (particular solutions,
+    kernel lattice, echelon walk data), tier-1 completion data."""
 
     M: IntMatrix
     hilbert: tuple | None = None
     solutions: dict = field(default_factory=dict)
-    _snf: tuple | None = None
-    _kernel: list | None = None
+    _reduction: tuple | None = None
     _echelon: tuple | None = None
-    _rays: list | None = None
     _tier1: tuple | None = None
 
-    def snf(self):
-        if self._snf is None:
-            self._snf = smith_normal_form(self.M)
-        return self._snf
+    def reduction(self):
+        """``(columns, pivot rows, r)`` of one unimodular column echelon pass
+        over ``[M; I]``, whose column j is ``M[:, j]`` over ``e_j``.
+
+        The first r columns have their pivots among M's rows.  The others
+        are zero on M, so their tails (the rows of I) are a saturated basis
+        of ``ker_Z M``; the pass reduces them on those rows too, so the tails
+        are in column echelon form on the x-coordinates.
+        """
+        if self._reduction is None:
+            m, n = self.M.rows, self.M.cols
+            stacked = [self.M.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+            cols, pivots = _column_echelon(stacked, m + n)
+            self._reduction = (cols, pivots, sum(p < m for p in pivots))
+        return self._reduction
 
     def kernel_basis(self):
-        if self._kernel is None:
-            _, D, V = self.snf()  # the columns of V over zero entries of D
-            self._kernel = [V.col(j) for j in range(D.cols) if j >= D.rows or D.data[j][j] == 0]
-        return self._kernel
+        return self.echelon()[0]
 
     def echelon(self):
         """Echelon kernel columns, pivot rows, and per-level determined rows."""
         if self._echelon is None:
-            cols, pivots = _column_echelon(self.kernel_basis(), self.M.cols)
-            k = len(cols)
-            level = []
-            for r in range(self.M.cols):
-                last = 0
-                for j in range(k):
-                    if cols[j][r] != 0:
-                        last = j + 1
-                level.append(last)
-            determined = [[r for r in range(self.M.cols) if level[r] == i] for i in range(k + 1)]
+            m, n = self.M.rows, self.M.cols
+            full, full_pivots, r = self.reduction()
+            cols = [c[m:] for c in full[r:]]
+            pivots = [p - m for p in full_pivots[r:]]
+            level = [max((j + 1 for j, c in enumerate(cols) if c[row]), default=0) for row in range(n)]
+            determined = [[row for row in range(n) if level[row] == i] for i in range(len(cols) + 1)]
             self._echelon = (cols, pivots, determined)
         return self._echelon
 
@@ -359,16 +293,24 @@ class _MatrixData:
         return self._tier1
 
     def kernel_rays(self):
-        """Extreme rays of ``{x >= 0 : M x = 0}``, as x-vectors."""
-        if self._rays is None:
-            basis = self.kernel_basis()
-            rays = _kernel_cone_rays(basis, self.M.cols)
-            self._rays = sorted(set(primitive(_combination(basis, y)) for y in rays))
-        return self._rays
+        """Extreme rays of ``{x >= 0 : M x = 0}``, as sorted primitive x-vectors.
+
+        The kernel basis is saturated, so a primitive ray in its coordinates
+        maps to a primitive x-vector."""
+        basis = self.kernel_basis()
+        return sorted(_combination(basis, y) for y in _kernel_cone_rays(basis, self.M.cols))
 
 
 def _column_echelon(cols: list, dim: int) -> tuple:
-    """Unimodular column operations to echelon form; returns (cols, pivot rows)."""
+    """Unimodular column operations to echelon form with positive pivots;
+    returns (cols, pivot rows).
+
+    The pass goes row by row and changes only the columns from its current
+    lead on.  In each row it reduces them by the one of least absolute
+    value there, rounding quotients to the nearest integer, until one
+    column is left nonzero in that row: least-remainder Euclid steps keep
+    the entries small.
+    """
     cols = [list(c) for c in cols]
     k = len(cols)
     pivots = []
@@ -376,19 +318,20 @@ def _column_echelon(cols: list, dim: int) -> tuple:
     for row in range(dim):
         if lead == k:
             break
-        j = next((j for j in range(lead, k) if cols[j][row] != 0), None)
-        if j is None:
-            continue
-        cols[lead], cols[j] = cols[j], cols[lead]
         while True:
-            others = [j for j in range(lead + 1, k) if cols[j][row] != 0]
-            if not others:
+            nonzero = [j for j in range(lead, k) if cols[j][row]]
+            if len(nonzero) <= 1:
                 break
-            for j in others:
-                q = cols[j][row] // cols[lead][row]
-                cols[j] = [a - q * b for a, b in zip(cols[j], cols[lead])]
-                if cols[j][row] != 0:
-                    cols[lead], cols[j] = cols[j], cols[lead]
+            i = min(nonzero, key=lambda j: abs(cols[j][row]))
+            p = cols[i]
+            for j in nonzero:
+                if j != i:
+                    q = (2 * cols[j][row] + p[row]) // (2 * p[row])
+                    cols[j] = [a - q * b for a, b in zip(cols[j], p)]
+        if not nonzero:
+            continue
+        j = nonzero[0]
+        cols[lead], cols[j] = cols[j], cols[lead]
         if cols[lead][row] < 0:
             cols[lead] = [-a for a in cols[lead]]
         pivots.append(row)
@@ -443,21 +386,27 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None):
 
 
 def _particular_solution(data: _MatrixData, b):
-    """Some integer solution of ``M x = b`` (sign unrestricted), or None."""
-    U, D, V = data.snf()
-    m, n = data.M.rows, data.M.cols
-    z = U.mul(b)
-    w = [0] * n
-    for i in range(m):
-        d = D.data[i][i] if i < n else 0
-        if d == 0:
-            if z[i] != 0:
-                return None
-        else:
-            if z[i] % d != 0:
-                return None
-            w[i] = z[i] // d
-    return V.mul(tuple(w))
+    """Some integer solution of ``M x = b`` (sign unrestricted), or None.
+
+    Forward substitution on the columns of ``data.reduction()`` with a
+    pivot among M's rows: each pivot row fixes its column's coefficient
+    as an exact quotient of the residual, since later columns vanish
+    there.  A remainder, or a residual left once every pivot is used,
+    means there is no integer solution.
+    """
+    cols, pivots, r = data.reduction()
+    m = data.M.rows
+    residual = list(b)
+    x = [0] * data.M.cols
+    for col, p in zip(cols[:r], pivots):
+        q, rem = divmod(residual[p], col[p])
+        if rem:
+            return None
+        residual = [a - q * c for a, c in zip(residual, col)]
+        x = [a + q * c for a, c in zip(x, col[m:])]
+    if any(residual):
+        return None
+    return tuple(x)
 
 
 _MATRIX_CACHE: dict = {}
@@ -675,18 +624,17 @@ def _coords_in_basis(basis: list, targets: list, dim: int) -> list:
 def _parallelepiped_points(generators: list) -> list:
     """Lattice points in the half-open parallelepiped of a nonsingular basis.
 
-    The quotient group carried by the Smith form enumerates one point per
-    residue class: each representative is folded into the parallelepiped by
-    subtracting the integer parts of its generator coordinates.
+    A column echelon form of the generators is a lower-triangular basis H
+    of their lattice with a positive diagonal, so the vectors w with
+    ``0 <= w_i < H[i][i]`` are one point per residue class.  Each is folded
+    into the parallelepiped by subtracting the integer parts of its
+    generator coordinates.
     """
     k = len(generators)
-    R = IntMatrix.from_cols(generators, rows=k)
-    U, D, _ = smith_normal_form(R)
-    u_inv, _ = _integer_inverse(U.data)  # U is unimodular, so d = 1
-    r_inv, r_det = _integer_inverse(R.data)
+    H, _ = _column_echelon(generators, k)
+    r_inv, r_det = _integer_inverse([[g[r] for g in generators] for r in range(k)])
     points = set()
-    for t in product(*(range(abs(D.data[i][i])) for i in range(k))):
-        w = [vec_dot(row, t) for row in u_inv]
+    for w in product(*(range(H[i][i]) for i in range(k))):
         floors = [vec_dot(row, w) // r_det for row in r_inv]
         p = tuple(
             w[r] - sum(generators[i][r] * floors[i] for i in range(k)) for r in range(k)
@@ -836,18 +784,18 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     """
     data = _matrix_data(M)
     if data.hilbert is None:
-        rays = data.kernel_rays()
+        basis = data.kernel_basis()
+        rays = _kernel_cone_rays(basis, M.cols)
         if not rays:
             data.hilbert = ()
         else:
-            bound = tuple(sum(r[j] for r in rays) for j in range(M.cols))
+            bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
             zero = (0,) * M.cols
             points = _box_solutions(data, zero, bound, budget=_BOX_BUDGET)
             if points is not None:
                 data.hilbert = tuple(minimal_elements(x for x in points if x != zero))
             else:
-                basis = data.kernel_basis()
-                data.hilbert = tuple(_hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols)))
+                data.hilbert = tuple(_hilbert_basis_geometric(basis, rays))
     return SolutionSet.of(M.cols, data.hilbert)
 
 

@@ -98,6 +98,27 @@ def test_load_rejects_unknown_section(tmp_path):
         load(path)
 
 
+def test_zero_column_roundtrips(tmp_path, paper_monoid):
+    """An r x 0 matrix is written as r blank rows, and a document that
+    ends with one still loads."""
+    trivial = sp.AffineMonoid(IntMatrix.zero(2, 0))
+    path = str(tmp_path / "trivial.txt")
+    save(trivial, path)
+    loaded = load(path)
+    assert isinstance(loaded, sp.AffineMonoid)
+    assert loaded.gens == IntMatrix.zero(2, 0)
+    assert loaded == trivial
+
+    empty = sp.MonomialIdeal(paper_monoid, IntMatrix.zero(2, 0))
+    path = str(tmp_path / "empty.txt")
+    save(empty, path)
+    loaded = load(path)
+    assert isinstance(loaded, sp.MonomialIdeal)
+    assert loaded.is_empty()
+    assert loaded.gens == IntMatrix.zero(2, 0)
+    assert loaded == empty
+
+
 def test_dedup_monoids(paper_monoid):
     again = sp.AffineMonoid(IntMatrix.from_rows([[2, 1], [2, 0]]))
     assert dedup([paper_monoid, again]) == [paper_monoid]
