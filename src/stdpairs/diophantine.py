@@ -24,7 +24,12 @@ unimodular column echelon, ``_column_echelon``, every lattice step:
 * inhomogeneous systems are homogenized with one slack coordinate t: the
   minimal solutions of ``M x = b`` are the height-one Hilbert basis
   elements of the cone ``{(x, t) >= 0 : M x = t b}``, whose extreme rays
-  give both the box of the lattice walk and the triangulation.
+  give both the box of the lattice walk and the triangulation;
+* the lattice walk yields the minimal solutions directly: a solution is
+  minimal iff it lies above no element of the Hilbert basis H of
+  ``ker M intersect N^n`` (another solution below it differs from it by a
+  nonzero element of that monoid), so the walk skips each coefficient
+  whose partial solution already lies above some h in H on h's support.
 
 Easy instances short-circuit through a budgeted Contejean-Devie style
 completion seeded with the cached kernel basis; the triangulation pipeline
@@ -242,13 +247,16 @@ def _combination(basis: list, y) -> IntVector:
 @dataclass
 class _MatrixData:
     """Per-matrix cache: one column echelon reduction (particular solutions,
-    kernel lattice, echelon walk data), tier-1 completion data."""
+    kernel lattice, echelon walk data), the box walk's per-level tests,
+    tier-1 completion data."""
 
     M: IntMatrix
     hilbert: tuple | None = None
     solutions: dict = field(default_factory=dict)
     _reduction: tuple | None = None
     _echelon: tuple | None = None
+    _walk: list | None = None
+    _prune: tuple | None = None
     _tier1: tuple | None = None
 
     def reduction(self):
@@ -281,6 +289,46 @@ class _MatrixData:
             determined = [[row for row in range(n) if level[row] == i] for i in range(len(cols) + 1)]
             self._echelon = (cols, pivots, determined)
         return self._echelon
+
+    def walk_plan(self):
+        """Per level i of the box walk: the pivot row of kernel column i and
+        its entry, the other rows the level determines split by the sign of
+        their entry (negative ones negated), and the column's nonzero
+        entries."""
+        if self._walk is None:
+            cols, pivots, determined = self.echelon()
+            plan = []
+            for i, (col, p) in enumerate(zip(cols, pivots)):
+                rows = [(r, col[r]) for r in determined[i + 1] if r != p]
+                plan.append((
+                    p,
+                    col[p],
+                    [(r, c) for r, c in rows if c > 0],
+                    [(r, -c) for r, c in rows if c < 0],
+                    [(r, c) for r, c in enumerate(col) if c],
+                ))
+            self._walk = plan
+        return self._walk
+
+    def prune_plan(self, above):
+        """The vectors h of ``above`` (nonzero kernel vectors) grouped by the
+        walk level that determines the last row of their support: per level i,
+        ``(fixed, rows)`` with ``fixed`` the ``(row, h_row)`` fixed before it
+        and ``rows`` the ``(row, h_row, column i's entry)`` it determines.
+        Cached for the last ``above`` asked for."""
+        if self._prune is None or self._prune[0] is not above:
+            cols, _, determined = self.echelon()
+            level = {r: i for i, rows in enumerate(determined) for r in rows}
+            plan = [[] for _ in cols]
+            for h in above:
+                support = [r for r, v in enumerate(h) if v]
+                top = max(level[r] for r in support)
+                plan[top - 1].append((
+                    [(r, h[r]) for r in support if level[r] < top],
+                    [(r, h[r], cols[top - 1][r]) for r in support if level[r] == top],
+                ))
+            self._prune = (above, plan)
+        return self._prune[1]
 
     def completion_data(self):
         """Columns, their Gram matrix, and the tier-1 seed: the kernel basis
@@ -343,44 +391,93 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None):
-    """Solutions ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound``.
+def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, above=()):
+    """Solutions ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound`` that
+    lie above no vector of ``above``.
 
-    Returns None when more than ``budget`` recursion nodes are visited.
+    The walk fixes one echelon coefficient per level.  Each level takes the
+    coefficient range that keeps every row it determines in ``[0, bound]``
+    and skips the coefficients whose child lies above some h in ``above``
+    on h's support, tested at the level that determines the last row of
+    that support; deeper levels never change those rows.  With ``above``
+    the Hilbert basis of ``ker M intersect N^n``, the walk yields exactly
+    the minimal solutions in the box: a solution x is not minimal iff
+    ``x >= h`` for some such h, since then ``x - h`` is a smaller solution
+    (in the box too), and ``x - y`` is a nonzero element of that monoid,
+    so above some h, for any other solution ``y <= x``.
+
+    Budget: each visited node counts the span of its pivot row's range.
+    Returns None when the count passes ``budget``.  Pruning only drops
+    nodes, so a pruned walk overflows only where the unpruned one does.
     """
-    cols, pivots, determined = data.echelon()
-    k = len(cols)
-
-    for r in determined[0]:
+    plan = data.walk_plan()
+    prune = data.prune_plan(above)
+    for r in data.echelon()[2][0]:
         if not 0 <= x0[r] <= bound[r]:
             return []
+    k = len(plan)
     out = []
-    visited = [0]
+    visited = 0
 
-    def rec(i: int, x: list):
-        if visited[0] is None:
-            return
-        if i == k:
-            out.append(tuple(x))
-            return
-        p = pivots[i]
-        coeff = cols[i][p]
-        lo = _ceil_div(-x[p], coeff)
+    def rec(i: int, x: list) -> bool:
+        """Walk below x at level i; False once the budget is spent."""
+        nonlocal visited
+        p, coeff, pos, neg, col = plan[i]
+        lo = -(x[p] // coeff)
         hi = (bound[p] - x[p]) // coeff
-        col = cols[i]
-        span = hi - lo + 1
-        if span > 0:
-            visited[0] += span
-            if budget is not None and visited[0] > budget:
-                visited[0] = None
-                return
-        for y in range(lo, hi + 1):
-            nxt = [a + y * b for a, b in zip(x, col)]
-            if all(0 <= nxt[r] <= bound[r] for r in determined[i + 1]):
-                rec(i + 1, nxt)
+        if hi < lo:
+            return True
+        visited += hi - lo + 1
+        if budget is not None and visited > budget:
+            return False
+        for r, c in pos:
+            a = -(x[r] // c)
+            b = (bound[r] - x[r]) // c
+            if a > lo:
+                lo = a
+            if b < hi:
+                hi = b
+        for r, c in neg:
+            a = -((bound[r] - x[r]) // c)
+            b = x[r] // c
+            if a > lo:
+                lo = a
+            if b < hi:
+                hi = b
+        if hi < lo:
+            return True
+        skips = []
+        for fixed, rows in prune[i]:
+            for r, v in fixed:
+                if x[r] < v:
+                    break
+            else:
+                a, b = lo, hi
+                for r, v, c in rows:
+                    if c > 0:
+                        a = max(a, -((x[r] - v) // c))
+                    else:
+                        b = min(b, (x[r] - v) // -c)
+                if a <= b:
+                    skips.append((a, b))
+        skips.sort()
+        skips.append((hi + 1, hi))
+        y = lo
+        for a, b in skips:
+            for z in range(y, a):
+                nxt = x[:]
+                for r, c in col:
+                    nxt[r] += z * c
+                if i + 1 == k:
+                    out.append(tuple(nxt))
+                elif not rec(i + 1, nxt):
+                    return False
+            y = max(y, b + 1)
+        return True
 
-    rec(0, list(x0))
-    if visited[0] is None:
+    if k == 0:
+        return [tuple(x0)]
+    if not rec(0, list(x0)):
         return None
     return out
 
@@ -779,8 +876,10 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
 
     Every minimal element lies in a half-open parallelepiped of a
     triangulated simplicial subcone, hence below the componentwise sum of
-    all extreme rays.  The box below that sum is walked first; if it is too
-    large, the parallelepipeds are enumerated directly.  Cached per matrix.
+    all extreme rays.  The box below that sum is walked first, unpruned
+    (the basis is what it looks for), and its minimal nonzero points kept;
+    if it is too large, the parallelepipeds are enumerated directly.
+    Cached per matrix.
     """
     data = _matrix_data(M)
     if data.hilbert is None:
@@ -815,7 +914,12 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
        vertex ceiling), which bounds every minimal solution because a
        height-one point of the homogenized cone is a sub-one combination
        of kernel rays plus a convex combination of vertices, all of them
-       rays of that cone (``_homogenized_cone``);
+       rays of that cone (``_homogenized_cone``).  The walk is pruned by
+       the cached kernel Hilbert basis H and yields exactly the minimal
+       solutions: a solution x is not minimal iff ``x >= h`` for some h
+       in H, because ``x - y`` is a nonzero element of ``ker M intersect
+       N^n`` for any other solution ``y <= x``; it gives up after
+       ``_BOX_BUDGET`` units of pivot-row range;
     3. triangulation of the same rays with exact parallelepiped
        enumeration, whose candidate count is the sum of simplex
        determinants.
@@ -850,9 +954,9 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
     basis, rays, bound = _homogenized_cone(data, x0)
     if bound is None:
         return SolutionSet.of(M.cols, [])  # no ray with t > 0: the polyhedron is empty
-    points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET)
+    points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET, above=data.hilbert)
     if points is not None:
-        return SolutionSet.of(M.cols, minimal_elements(points))
+        return SolutionSet.of(M.cols, points)
 
     hilbert = _hilbert_basis_geometric(basis, rays)
     return SolutionSet.of(M.cols, [x[:slack] for x in hilbert if x[slack] == 1])

@@ -23,12 +23,15 @@ from stdpairs.diophantine import (
     _integer_inverse,
     _kernel_cone_rays,
     _MatrixData,
+    _box_solutions,
+    _ceil_div,
     _parallelepiped_points,
     _particular_solution,
     _saturated_span_basis,
     hilbert_kernel,
     integer_kernel_basis,
     min_nonneg_solutions,
+    minimal_elements,
     primitive,
     rational_kernel_basis,
     rational_rank,
@@ -1014,3 +1017,186 @@ def test_library_does_not_import_fractions():
             else:
                 continue
             assert all(name.split(".")[0] != "fractions" for name in names), path.name
+
+
+def _reference_box_solutions(data: _MatrixData, x0, bound, budget: int | None = None):
+    """The box walk without the prune and the interval bounds: every
+    solution ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound``, or None
+    when more than ``budget`` recursion nodes are visited."""
+    cols, pivots, determined = data.echelon()
+    k = len(cols)
+
+    for r in determined[0]:
+        if not 0 <= x0[r] <= bound[r]:
+            return []
+    out = []
+    visited = [0]
+
+    def rec(i: int, x: list):
+        if visited[0] is None:
+            return
+        if i == k:
+            out.append(tuple(x))
+            return
+        p = pivots[i]
+        coeff = cols[i][p]
+        lo = _ceil_div(-x[p], coeff)
+        hi = (bound[p] - x[p]) // coeff
+        col = cols[i]
+        span = hi - lo + 1
+        if span > 0:
+            visited[0] += span
+            if budget is not None and visited[0] > budget:
+                visited[0] = None
+                return
+        for y in range(lo, hi + 1):
+            nxt = [a + y * b for a, b in zip(x, col)]
+            if all(0 <= nxt[r] <= bound[r] for r in determined[i + 1]):
+                rec(i + 1, nxt)
+
+    rec(0, list(x0))
+    if visited[0] is None:
+        return None
+    return out
+
+
+def _pair_difference_system(rng):
+    """``[A | -A]`` with A nonnegative, as pair differences build it, and a
+    right-hand side ``A u``."""
+    r = rng.randint(1, 3)
+    a_cols = [tuple(rng.randint(0, 3) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+    M = IntMatrix.from_cols(a_cols + [tuple(-e for e in c) for c in a_cols], rows=r)
+    u = [rng.randint(0, 2) for _ in a_cols]
+    return M, tuple(sum(k * c[i] for k, c in zip(u, a_cols)) for i in range(r))
+
+
+def _box_walk_systems(rng, count):
+    """Seeded walks ``(M, b, x0, bound)``, ``M x0 = b``, cycling through
+    ``[A | -A]`` systems; signed matrices with a zero column and a duplicate
+    column; independent columns (a trivial kernel); and signed matrices
+    whose particular solution is shifted by a kernel vector, mostly out of
+    the box.  The box is tier 2's box when there is one, else (and for every
+    fourth system) a random one."""
+    walks = []
+    while len(walks) < count:
+        kind = len(walks) % 4
+        if kind == 0:
+            M, b = _pair_difference_system(rng)
+        else:
+            r = rng.randint(1, 3)
+            c = rng.randint(1, r) if kind == 2 else rng.randint(2, 4)
+            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(c)]
+            if kind == 1:
+                cols.insert(rng.randint(0, c), (0,) * r)
+                cols.insert(rng.randint(0, c + 1), rng.choice(cols))
+            M = IntMatrix.from_cols(cols, rows=r)
+            b = M.mul(tuple(rng.randint(0, 2) for _ in range(M.cols)))
+        data = _MatrixData(M)
+        x0 = _particular_solution(data, b)
+        if kind == 3 and data.kernel_basis():
+            shift = rng.choice((-4, 4))
+            x0 = vec_add(x0, tuple(shift * e for e in data.kernel_basis()[0]))
+        bound = _homogenized_cone(data, x0)[2]
+        if bound is None or len(walks) % 4 == 3:
+            bound = tuple(rng.randint(0, 5) for _ in range(M.cols))
+        walks.append((M, b, x0, bound))
+    return walks
+
+
+def _node_count(walk, data, x0, bound, high: int) -> int:
+    """The least budget at which ``walk`` does not overflow (at most ``high``):
+    the number of nodes it visits."""
+    low = 0
+    while low < high:
+        mid = (low + high) // 2
+        if walk(data, x0, bound, mid) is None:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+def test_box_walk_yields_the_minimal_box_solutions():
+    """The pruned walk is the minimal elements of the reference walk, for
+    any box; with nothing to prune it is the reference walk itself."""
+    kinds = {"pair_difference": 0, "zero_column": 0, "trivial_kernel": 0, "x0_outside": 0}
+    for n, (M, b, x0, bound) in enumerate(_box_walk_systems(random.Random(61), 240)):
+        data = _MatrixData(M)
+        hilbert = hilbert_kernel(M).vectors
+        every = _reference_box_solutions(data, x0, bound)
+        assert _box_solutions(data, x0, bound, above=()) == every, (M, x0, bound)
+        pruned = _box_solutions(data, x0, bound, above=hilbert)
+        assert sorted(pruned) == minimal_elements(every), (M, x0, bound)
+        assert all(M.mul(x) == b for x in pruned)
+        kinds["pair_difference"] += n % 4 == 0 and len(pruned) < len(every)
+        kinds["zero_column"] += n % 4 == 1 and any(x for x in every)
+        kinds["trivial_kernel"] += not data.kernel_basis()
+        kinds["x0_outside"] += not all(0 <= a <= c for a, c in zip(x0, bound))
+    assert all(kinds.values()), kinds
+
+
+def test_box_walk_budget():
+    """Budgets from 0 up to the reference walk's node count: the unpruned
+    walk overflows exactly where the reference does, and the pruned walk
+    only where the reference does, else it yields the minimal solutions."""
+    saved = 0
+    for M, b, x0, bound in _box_walk_systems(random.Random(62), 80):
+        data = _MatrixData(M)
+        hilbert = hilbert_kernel(M).vectors
+        expected = minimal_elements(_reference_box_solutions(data, x0, bound))
+        nodes = _node_count(_reference_box_solutions, data, x0, bound, 10**6)
+        pruned_nodes = _node_count(
+            lambda *args: _box_solutions(*args, above=hilbert), data, x0, bound, nodes
+        )
+        assert pruned_nodes <= nodes
+        saved += pruned_nodes < nodes
+        budgets = range(nodes + 1) if nodes <= 120 else {0, 1, nodes // 2, nodes - 1, nodes}
+        for budget in budgets:
+            reference = _reference_box_solutions(data, x0, bound, budget)
+            assert _box_solutions(data, x0, bound, budget) == reference, (M, x0, bound, budget)
+            pruned = _box_solutions(data, x0, bound, budget, above=hilbert)
+            assert (pruned is None) == (budget < pruned_nodes)
+            if pruned is None:
+                assert reference is None, (M, x0, bound, budget)
+            else:
+                assert sorted(pruned) == expected, (M, x0, bound, budget)
+    assert saved
+
+
+def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
+    """With tier 1 off and the box budget at 0 or 30, tier 3 takes over
+    from the pruned walk and the answers stay the reference ones."""
+    import stdpairs.diophantine as dio
+
+    rng = random.Random(63)
+    cases = []
+    while len(cases) < 60:
+        M, b = _pair_difference_system(rng)
+        if any(b):
+            data = _MatrixData(M)
+            x0 = _particular_solution(data, b)
+            bound = _homogenized_cone(data, x0)[2]
+            cases.append((M, b, minimal_elements(_reference_box_solutions(data, x0, bound))))
+    tiers = {"tier2": 0, "tier3": 0}
+    box_walk, triangulation = dio._box_solutions, dio._hilbert_basis_geometric
+
+    def count_box_walk(*args, **kwargs):
+        points = box_walk(*args, **kwargs)
+        tiers["tier2"] += points is not None and any(args[1])  # x0 != 0: not hilbert_kernel's walk
+        return points
+
+    def count_triangulation(*args):
+        tiers["tier3"] += 1
+        return triangulation(*args)
+
+    monkeypatch.setattr(dio, "_box_solutions", count_box_walk)
+    monkeypatch.setattr(dio, "_hilbert_basis_geometric", count_triangulation)
+    monkeypatch.setattr(dio, "_CD_BUDGET", 0)
+    for box_budget in (30, 0):
+        monkeypatch.setattr(dio, "_BOX_BUDGET", box_budget)
+        tiers.update(tier2=0, tier3=0)
+        dio._MATRIX_CACHE.clear()
+        for M, b, expected in cases:
+            assert list(min_nonneg_solutions(M, b)) == expected, (M, b, box_budget)
+        assert tiers["tier3"] and (tiers["tier2"] or not box_budget), (box_budget, tiers)
+    dio._MATRIX_CACHE.clear()
