@@ -272,12 +272,7 @@ def minimal_holes(a: IntVector, face: Face, monoid: AffineMonoid) -> tuple:
     system = support.matmul(monoid.gens)
     rhs = support.mul(a)
     sols = min_nonneg_solutions(system, rhs)
-    candidates = sorted({monoid.gens.mul(x) for x in sols})
-    out: list = []
-    for q in candidates:
-        if not any(monoid.contains(vec_sub(q, p)) for p in candidates if p != q):
-            out.append(q)
-    return tuple(sorted(out))
+    return tuple(monoid.minimal(monoid.gens.mul(x) for x in sols))
 
 
 def czero_to_cone(cover: Cover, I: MonomialIdeal) -> Cover:

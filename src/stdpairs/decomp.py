@@ -204,12 +204,8 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
                 walk(pos, vec_add(point, off_cols[k]), nxt)
 
     walk(0, (0,) * monoid.dim, [0] * len(normals))
-    outside = sorted(outside)
-    keep = [
-        q for q in outside
-        if not any(p != q and monoid.contains(vec_sub(q, p)) for p in outside)
-    ]
-    return MonomialIdeal(monoid, IntMatrix.from_cols(keep, rows=monoid.dim), _trusted=True)
+    # the ideal keeps only the minimal ones (AffineMonoid.minimal)
+    return MonomialIdeal(monoid, IntMatrix.from_cols(sorted(outside), rows=monoid.dim), _trusted=True)
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> list:

@@ -23,29 +23,17 @@ class MonomialIdeal:
             gens = IntMatrix.from_rows(gens)
         if gens.rows != ambient.dim and gens.cols > 0:
             raise ValueError(f"generators have dim {gens.rows}, ambient has {ambient.dim}")
-        cols = []
-        for c in gens.columns():
-            if vec_is_zero(c):
-                raise ValueError("zero generator: the unit ideal is not a proper monomial ideal")
-            if c not in cols:
-                cols.append(c)
+        cols = list(dict.fromkeys(gens.columns()))
+        if any(map(vec_is_zero, cols)):
+            raise ValueError("zero generator: the unit ideal is not a proper monomial ideal")
         if not _trusted:
             for c in cols:
                 if ambient.is_element(c).is_empty():
                     raise ValueError(f"generator {c} is not an element of the ambient monoid")
         self._ambient = ambient
-        self._gens = IntMatrix.from_cols(self._minimalize(ambient, cols), rows=ambient.dim)
+        self._gens = IntMatrix.from_cols(ambient.minimal(cols), rows=ambient.dim)
         self._hash_string = ambient.hash_string + " ideal " + self._gens.to_token()
         self._cache: dict = {}
-
-    @staticmethod
-    def _minimalize(ambient: AffineMonoid, cols: list) -> list:
-        keep = []
-        for i, c in enumerate(cols):
-            others = cols[:i] + cols[i + 1:]
-            if not any(ambient.contains(vec_sub(c, h)) for h in others):
-                keep.append(c)
-        return sorted(keep)
 
     @property
     def ambient(self) -> AffineMonoid:

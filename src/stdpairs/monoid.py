@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_is_zero
-from .polyhedral import BOTTOM, Face, _closure, _lattice, _support_rows, facet_data, is_pointed
+from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_sub
+from .polyhedral import BOTTOM, Face, _closure, _lattice, _pointed, _support_rows, facet_data
 
 
 class NotPointedError(ValueError):
@@ -13,41 +13,35 @@ class NotPointedError(ValueError):
 class AffineMonoid:
     """The monoid of all nonnegative integer combinations of the columns of A.
 
-    The constructor rejects non-pointed input, since every algorithm built
-    on top assumes pointedness.  The facets of the cone are enumerated once,
-    here; the faces, their support vectors and every later face closure are
-    derived from those stored facets.  Faces, supports and minimal
-    generators are computed eagerly; the object is immutable afterwards and
-    safe to share between threads.
+    The facets of the cone are enumerated once, here.  Pointedness, which
+    every algorithm built on top assumes, is read from them (non-pointed
+    input is rejected), and so are the faces, their support vectors and
+    every later face closure.  The minimal generators come from solves over
+    A itself, the matrix that membership queries use later.  All of this
+    is computed eagerly; the object is immutable afterwards and safe to
+    share between threads.
     """
 
     def __init__(self, gens: IntMatrix):
         if not isinstance(gens, IntMatrix):
             gens = IntMatrix.from_rows(gens)
-        if not is_pointed(gens):
-            raise NotPointedError("generating matrix spans a cone containing a line")
         self._gens = gens
         self._facets, self._equations = facet_data(gens)
+        if not _pointed(gens, self._facets):
+            raise NotPointedError("generating matrix spans a cone containing a line")
         self._faces = _lattice(self._facets, gens.cols)
         self._supports = {
             f: _support_rows(self._facets, self._equations, gens.rows, f)
             for f in self._faces
             if f != BOTTOM
         }
-        self._mingens = self._compute_mingens()
+        # c = A e_j is a minimal generator iff each of its minimal
+        # factorizations is a unit vector: no minimal one uses a zero
+        # column, so any other writes c as a sum of other generators (and
+        # a zero column's only one is 0)
+        keep = [c for c in set(gens.columns()) if all(sum(x) == 1 for x in self.is_element(c))]
+        self._mingens = IntMatrix.from_cols(sorted(keep), rows=gens.rows)
         self._hash_string = "monoid " + self._mingens.to_token()
-
-    def _compute_mingens(self) -> IntMatrix:
-        cols = []
-        for c in self._gens.columns():
-            if not vec_is_zero(c) and c not in cols:
-                cols.append(c)
-        keep = []
-        for i, c in enumerate(cols):
-            others = IntMatrix.from_cols(cols[:i] + cols[i + 1:], rows=self._gens.rows)
-            if min_nonneg_solutions(others, c).is_empty():
-                keep.append(c)
-        return IntMatrix.from_cols(sorted(keep), rows=self._gens.rows)
 
     @property
     def gens(self) -> IntMatrix:
@@ -90,6 +84,14 @@ class AffineMonoid:
 
     def contains(self, b: IntVector) -> bool:
         return not self.is_element(b).is_empty()
+
+    def minimal(self, points) -> list:
+        """The sorted distinct points that no other of them divides (``q - p`` in the monoid)."""
+        points = sorted(set(points))
+        return [
+            q for q in points
+            if not any(p != q and self.contains(vec_sub(q, p)) for p in points)
+        ]
 
     def face(self, index: Face) -> IntMatrix:
         """The face as a submatrix of the generators."""
@@ -138,7 +140,7 @@ class AffineMonoid:
             raise ValueError(f"{face} is not a face")
         cols = [self._gens.col(j) for j in range(self._gens.cols) if j not in face]
         mat = IntMatrix.from_cols(cols, rows=self.dim)
-        return MonomialIdeal(self, mat)
+        return MonomialIdeal(self, mat, _trusted=True)
 
     def save(self, path: str) -> bool:
         from .archive import save

@@ -16,16 +16,17 @@ vanishes on it" keeps working.
 
 Everything else is derived from the facets: a face is an intersection of
 facet zero sets, its support vectors are the normals of the facets
-containing it, and the closure of a column set is the intersection of the
-facets containing it.  The private helpers below take an already
-enumerated ``(facets, equations)`` pair, so an ``AffineMonoid`` enumerates
-its facets once and derives its faces, supports and closures from them;
+containing it, the closure of a column set is the intersection of the
+facets containing it, and the cone is pointed iff every column on all of
+its facets is zero.  The private helpers below take an already enumerated
+``(facets, equations)`` pair, so an ``AffineMonoid`` enumerates its facets
+once and derives its pointedness, faces, supports and closures from them;
 each public function here enumerates the facets of its argument once.
 """
 
 from __future__ import annotations
 
-from .diophantine import IntMatrix, _facets_of_cone, hilbert_kernel, vec_is_zero
+from .diophantine import IntMatrix, _facets_of_cone, vec_is_zero
 
 Face = tuple  # tuple[int, ...] of column indices, strictly increasing
 
@@ -118,6 +119,11 @@ def _closure(facets: list, n: int, indices) -> Face:
     return tuple(sorted(current))
 
 
+def _pointed(A: IntMatrix, facets: list) -> bool:
+    """True iff every column on the least face (all the facets) is zero."""
+    return all(vec_is_zero(A.col(j)) for j in _closure(facets, A.cols, ()))
+
+
 def _support_rows(facets: list, equations: list, dim: int, face: Face) -> IntMatrix:
     """Sorted normals of the facets containing ``face``, plus ``+e/-e`` per equation."""
     wanted = frozenset() if face == BOTTOM else frozenset(face)
@@ -132,11 +138,10 @@ def _support_rows(facets: list, equations: list, dim: int, face: Face) -> IntMat
 def is_pointed(A: IntMatrix) -> bool:
     """True iff ``cone(A)`` contains no line.
 
-    Equivalent to: every nonnegative integer kernel element of A is
-    supported on zero columns only.
+    The least face of a cone is its lineality space, and it is generated by
+    the columns lying on it; so A is pointed iff every column on all facets
+    is zero.  Without facets the cone is a linear space and every column is
+    on its least face.
     """
-    zero_cols = {j for j in range(A.cols) if vec_is_zero(A.col(j))}
-    for h in hilbert_kernel(A):
-        if any(x > 0 and j not in zero_cols for j, x in enumerate(h)):
-            return False
-    return True
+    facets, _ = facet_data(A)
+    return _pointed(A, facets)

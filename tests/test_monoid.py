@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 import stdpairs.polyhedral as polyhedral
-from stdpairs.diophantine import IntMatrix
+from stdpairs import diophantine
+from stdpairs.diophantine import IntMatrix, hilbert_kernel, min_nonneg_solutions, vec_is_zero, vec_sub
 from stdpairs.monoid import AffineMonoid, NotPointedError
 from stdpairs.polyhedral import BOTTOM, face_closure, face_lattice, is_pointed, support_vectors_of_face
 
@@ -175,3 +176,211 @@ def test_hash_examples():
     d = AffineMonoid(IntMatrix.from_rows([[1]]))
     assert c.hash_string == d.hash_string
     assert AffineMonoid(IntMatrix.identity(2)) != a
+
+
+# ---------------------------------------------------------------------------
+# The monoid's order questions against the rules they replaced, kept verbatim:
+# pointedness from the kernel Hilbert basis, minimal generators from one
+# solve per column over the other columns, and the three antichain filters
+# that MonomialIdeal, minimal_holes and irreducible_component used to carry.
+
+
+def _reference_is_pointed(A: IntMatrix) -> bool:
+    zero_cols = {j for j in range(A.cols) if vec_is_zero(A.col(j))}
+    for h in hilbert_kernel(A):
+        if any(x > 0 and j not in zero_cols for j, x in enumerate(h)):
+            return False
+    return True
+
+
+def _reference_compute_mingens(gens: IntMatrix) -> IntMatrix:
+    cols = []
+    for c in gens.columns():
+        if not vec_is_zero(c) and c not in cols:
+            cols.append(c)
+    keep = []
+    for i, c in enumerate(cols):
+        others = IntMatrix.from_cols(cols[:i] + cols[i + 1:], rows=gens.rows)
+        if min_nonneg_solutions(others, c).is_empty():
+            keep.append(c)
+    return IntMatrix.from_cols(sorted(keep), rows=gens.rows)
+
+
+def _reference_minimalize(ambient, cols: list) -> list:
+    keep = []
+    for i, c in enumerate(cols):
+        others = cols[:i] + cols[i + 1:]
+        if not any(ambient.contains(vec_sub(c, h)) for h in others):
+            keep.append(c)
+    return sorted(keep)
+
+
+def _reference_minimal_holes_tail(monoid, candidates: list) -> tuple:
+    out: list = []
+    for q in candidates:
+        if not any(monoid.contains(vec_sub(q, p)) for p in candidates if p != q):
+            out.append(q)
+    return tuple(sorted(out))
+
+
+def _reference_component_keep(monoid, outside: list) -> list:
+    outside = sorted(outside)
+    keep = [
+        q for q in outside
+        if not any(p != q and monoid.contains(vec_sub(q, p)) for p in outside)
+    ]
+    return keep
+
+
+def _random_matrix(rng: random.Random) -> IntMatrix:
+    """Small matrices with the presentations that test the order questions:
+    d = 0, n = 0, lines, ``[A | -A]``, and zero, duplicate, 2c and c1 + c2
+    columns, in shuffled order."""
+    d = rng.choice([0, 1, 2, 2, 3, 3, 4])
+    n = rng.randint(0, 5)
+    low = rng.choice([0, 0, 0, -1, -2])
+    cols = [tuple(rng.randint(low, 3) for _ in range(d)) for _ in range(n)]
+    if cols and rng.random() < 0.1:
+        cols += [tuple(-x for x in c) for c in cols]
+    for _ in range(rng.randint(0, 3)):
+        extra = rng.randrange(4)
+        if extra == 0:
+            cols.append((0,) * d)
+        elif cols and extra == 1:
+            cols.append(rng.choice(cols))
+        elif cols and extra == 2:
+            cols.append(tuple(2 * x for x in rng.choice(cols)))
+        elif cols:
+            c1, c2 = rng.choice(cols), rng.choice(cols)
+            cols.append(tuple(x + y for x, y in zip(c1, c2)))
+    rng.shuffle(cols)
+    return IntMatrix.from_cols(cols, rows=d)
+
+
+def test_order_questions_match_reference_rules():
+    rng = random.Random(1511)
+    pointed = 0
+    for _ in range(1500):
+        A = _random_matrix(rng)
+        assert is_pointed(A) == _reference_is_pointed(A)
+        if not _reference_is_pointed(A):
+            with pytest.raises(NotPointedError):
+                AffineMonoid(A)
+            continue
+        pointed += 1
+        Q = AffineMonoid(A)
+        assert Q.faces == face_lattice(A)
+        for f in Q.faces:
+            if f != BOTTOM:
+                assert Q.supports[f] == support_vectors_of_face(A, f)
+        mingens = _reference_compute_mingens(A)
+        assert Q.mingens == mingens
+        assert Q.hash_string == "monoid " + mingens.to_token()
+    assert pointed > 1000
+
+
+def _random_points(rng: random.Random, Q: AffineMonoid) -> list:
+    """Monoid elements (sums of up to three columns), with repeats and some
+    vectors that are no elements at all."""
+    cols = Q.gens.columns()
+    points = []
+    for _ in range(rng.randint(0, 8)):
+        if cols and rng.random() < 0.8:
+            p = (0,) * Q.dim
+            for _ in range(rng.randint(1, 3)):
+                p = tuple(x + y for x, y in zip(p, rng.choice(cols)))
+        else:
+            p = tuple(rng.randint(-1, 4) for _ in range(Q.dim))
+        points.append(p)
+    if points and rng.random() < 0.3:
+        points.append(rng.choice(points))
+    return points
+
+
+def test_minimal_matches_the_three_antichain_filters():
+    rng = random.Random(1512)
+    checked = 0
+    while checked < 200:
+        A = _random_matrix(rng)
+        if not is_pointed(A) or A.rows == 0:
+            continue
+        Q = AffineMonoid(A)
+        checked += 1
+        for _ in range(3):
+            points = _random_points(rng, Q)
+            expected = sorted(set(points))
+            got = Q.minimal(points)
+            # MonomialIdeal: distinct nonzero generators in input order
+            cols = list(dict.fromkeys(p for p in points if not vec_is_zero(p)))
+            assert Q.minimal(cols) == _reference_minimalize(Q, cols)
+            # minimal_holes: sorted distinct candidates
+            assert tuple(got) == _reference_minimal_holes_tail(Q, expected)
+            # irreducible_component: the keep list, then the ideal's filter
+            keep = _reference_component_keep(Q, set(points))
+            assert got == keep == _reference_minimalize(Q, keep)
+
+
+def _presentations(rng: random.Random, A: IntMatrix) -> list:
+    """Presentations of the same monoid: permuted, a column duplicated, a
+    zero column added, a redundant generator (2c or c1 + c2) added."""
+    cols = A.columns()
+    out = []
+    perm = cols[:]
+    rng.shuffle(perm)
+    out.append(perm)
+    out.append(cols + [rng.choice(cols)])
+    out.append(cols + [(0,) * A.rows])
+    out.append(cols + [tuple(2 * x for x in rng.choice(cols))])
+    c1, c2 = rng.choice(cols), rng.choice(cols)
+    out.append(cols + [tuple(x + y for x, y in zip(c1, c2))])
+    return [IntMatrix.from_cols(c, rows=A.rows) for c in out]
+
+
+def test_order_answers_do_not_depend_on_presentation():
+    rng = random.Random(1513)
+    for _ in range(150):
+        A = _random_matrix(rng)
+        if A.cols == 0:
+            continue
+        pointed = is_pointed(A)
+        Q = AffineMonoid(A) if pointed else None
+        for B in _presentations(rng, A):
+            assert is_pointed(B) == pointed
+            if not pointed:
+                with pytest.raises(NotPointedError):
+                    AffineMonoid(B)
+                continue
+            R = AffineMonoid(B)
+            assert R.mingens == Q.mingens
+            assert R.hash_string == Q.hash_string
+            assert R == Q
+
+
+def test_cold_construction_solves_over_its_own_matrix_only():
+    rng = random.Random(1514)
+    for _ in range(60):
+        A = _random_matrix(rng)
+        if not is_pointed(A):
+            continue
+        diophantine._MATRIX_CACHE.clear()
+        AffineMonoid(A)
+        assert len(diophantine._MATRIX_CACHE) <= 1
+        assert all(key == A for key in diophantine._MATRIX_CACHE)
+    # pointedness is read from the facets, not from the kernel Hilbert basis
+    assert not hasattr(polyhedral, "hilbert_kernel")
+
+
+def test_prime_ideal_skips_the_membership_solves(monkeypatch):
+    Q = paper_monoid()
+    calls = []
+    original = AffineMonoid.is_element
+
+    def counting(self, b):
+        calls.append(b)
+        return original(self, b)
+
+    monkeypatch.setattr(AffineMonoid, "is_element", counting)
+    P = Q.prime_ideal(())
+    assert P.gens.columns() == [(1, 0), (2, 2)]
+    # only the antichain filter runs: one solve per ordered pair of generators
+    assert len(calls) == 2
