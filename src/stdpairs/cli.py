@@ -31,6 +31,8 @@ def parse_matrix_arg(text: str) -> IntMatrix:
     if len(header) != 2:
         raise ValueError('matrix argument must start with "rows cols;"')
     rows, cols = int(header[0]), int(header[1])
+    if rows < 0 or cols < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
     if len(chunks) != rows + 1:
         raise ValueError(f"expected {rows} rows in matrix argument")
     data = []

@@ -31,11 +31,21 @@ unimodular column echelon, ``_column_echelon``, every lattice step:
   nonzero element of that monoid), so the walk skips each coefficient
   whose partial solution already lies above some h in H on h's support.
 
-Easy instances short-circuit through a budgeted Contejean-Devie style
+Most systems the library asks about have no solution.  Before any tier
+runs, three exact certificates settle most of them with a few dot
+products over cached cone data: b is outside the span of M (a span
+equation is nonzero on it), outside ``cone(M)`` (a facet normal is
+negative on it, Farkas' lemma), or outside the lattice ``Z M`` (forward
+substitution on the echelon leaves a remainder; needed only when some
+echelon pivot exceeds 1).  The facets come from the double description
+below, once per matrix, or from the ``AffineMonoid`` over M, which has
+already enumerated them.
+
+Easy instances then short-circuit through a budgeted Contejean-Devie style
 completion seeded with the cached kernel basis; the triangulation pipeline
 takes over whenever the completion frontier grows past its budget, so the
-worst case stays predictable.  Kernel data and the answers for up to
-``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
+worst case stays predictable.  Cone data, kernel data and the answers for
+up to ``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
 ``_MATRIX_CACHE_CAP`` matrices.
 """
 
@@ -44,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
-from operator import add, le
+from operator import add, le, mul
 from typing import Iterable, Iterator, Sequence
 
 IntVector = tuple  # tuple[int, ...]; kept loose so plain tuples interoperate
@@ -246,18 +256,48 @@ def _combination(basis: list, y) -> IntVector:
 
 @dataclass
 class _MatrixData:
-    """Per-matrix cache: one column echelon reduction (particular solutions,
-    kernel lattice, echelon walk data), the box walk's per-level tests,
-    tier-1 completion data."""
+    """Per-matrix cache: the data the infeasibility certificates read (the
+    facet normals and span equations of ``cone(M)``, and whether ``Z M`` is
+    saturated), one column echelon reduction (particular solutions, kernel
+    lattice, echelon walk data), the box walk's per-level tests, tier-1
+    completion data.  The cone data is filled lazily by ``_facets_of_cone``,
+    or by ``store_cone`` from facets a caller (``AffineMonoid``) has already
+    enumerated, so each matrix's cone is enumerated once while its entry
+    stays in ``_MATRIX_CACHE``."""
 
     M: IntMatrix
     hilbert: tuple | None = None
     solutions: dict = field(default_factory=dict)
+    _cone: tuple | None = None
+    _saturated: bool | None = None
     _reduction: tuple | None = None
     _echelon: tuple | None = None
     _walk: list | None = None
     _prune: tuple | None = None
     _tier1: tuple | None = None
+
+    def cone(self):
+        """``(normals, equations)``: the primitive inner facet normals and
+        the span equations of ``cone(M)``, as tuples of row tuples."""
+        if self._cone is None:
+            self.store_cone(*_facets_of_cone(self.M.columns(), self.M.rows))
+        return self._cone
+
+    def store_cone(self, facets, equations) -> None:
+        """Keep the ``_facets_of_cone(M.columns(), M.rows)`` result a caller
+        has already computed."""
+        self._cone = (tuple(phi for phi, _ in facets), tuple(equations))
+
+    def saturated(self) -> bool:
+        """True when every pivot of the first r columns of ``reduction()``,
+        an echelon basis of ``Z M``, is 1.  Then each coordinate of a span
+        vector in that basis is read off at a pivot row without a division,
+        so ``Z M`` is ``span intersect Z^m`` and the span test decides
+        lattice membership."""
+        if self._saturated is None:
+            cols, pivots, r = self.reduction()
+            self._saturated = all(c[p] == 1 for c, p in zip(cols[:r], pivots))
+        return self._saturated
 
     def reduction(self):
         """``(columns, pivot rows, r)`` of one unimodular column echelon pass
@@ -904,7 +944,12 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     Empty exactly when the system has no nonnegative integer solution; for
     ``b = 0`` the unique minimal solution is the zero vector.
 
-    Three exact tiers, routed by work budgets:
+    A system that a certificate shows infeasible is answered empty before
+    any tier runs (``_infeasible``): b outside the span of M, outside
+    ``cone(M)``, or outside the lattice ``Z M``.  Past the certificates a
+    particular integer solution exists and the polyhedron
+    ``{x >= 0 : M x = b}`` is not empty.  Three exact tiers follow, routed
+    by work budgets:
 
     1. completion on the homogenized system ``[M | -b]``, seeded with the
        cached kernel basis and capped at 1 in the slack coordinate, which
@@ -938,7 +983,26 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     return result
 
 
+def _infeasible(data: _MatrixData, b: IntVector) -> bool:
+    """True when a certificate shows that ``M x = b`` has no nonnegative
+    integer solution.  All three are exact: b is outside the span when some
+    span equation e has ``e . b != 0``, outside ``cone(M)`` when some facet
+    normal phi has ``phi . b < 0`` (Farkas' lemma), and outside ``Z M`` when
+    it has no particular solution, which can happen only when ``Z M`` is
+    not saturated."""
+    normals, equations = data.cone()
+    for e in equations:
+        if sum(map(mul, e, b)):
+            return True
+    for phi in normals:
+        if sum(map(mul, phi, b)) < 0:
+            return True
+    return not data.saturated() and _particular_solution(data, b) is None
+
+
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
+    if _infeasible(data, b):
+        return SolutionSet.of(M.cols, [])
     columns, gram, seed = data.completion_data()
     slack = M.cols
     cross = [-vec_dot(c, b) for c in columns]  # c_l . (-b), the slack column's row
@@ -948,12 +1012,10 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
     if quick is not None:
         return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
 
+    # b passed the lattice test, so x0 exists, and the cone test, so the
+    # polyhedron is not empty and some ray has t > 0: bound is not None
     x0 = _particular_solution(data, b)
-    if x0 is None:
-        return SolutionSet.of(M.cols, [])
     basis, rays, bound = _homogenized_cone(data, x0)
-    if bound is None:
-        return SolutionSet.of(M.cols, [])  # no ray with t > 0: the polyhedron is empty
     points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET, above=data.hilbert)
     if points is not None:
         return SolutionSet.of(M.cols, points)

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
-from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_sub
+from .diophantine import (
+    IntMatrix,
+    IntVector,
+    SolutionSet,
+    _matrix_data,
+    min_nonneg_solutions,
+    vec,
+    vec_sub,
+)
 from .polyhedral import BOTTOM, Face, _closure, _lattice, _pointed, _support_rows, facet_data
 
 
@@ -16,10 +24,11 @@ class AffineMonoid:
     The facets of the cone are enumerated once, here.  Pointedness, which
     every algorithm built on top assumes, is read from them (non-pointed
     input is rejected), and so are the faces, their support vectors and
-    every later face closure.  The minimal generators come from solves over
-    A itself, the matrix that membership queries use later.  All of this
-    is computed eagerly; the object is immutable afterwards and safe to
-    share between threads.
+    every later face closure.  They are also stored with the solver's data
+    for A, whose infeasibility certificates test them.  The minimal
+    generators come from solves over A itself, the matrix that membership
+    queries use later.  All of this is computed eagerly; the object is
+    immutable afterwards and safe to share between threads.
     """
 
     def __init__(self, gens: IntMatrix):
@@ -35,6 +44,7 @@ class AffineMonoid:
             for f in self._faces
             if f != BOTTOM
         }
+        _matrix_data(gens).store_cone(self._facets, self._equations)
         # c = A e_j is a minimal generator iff each of its minimal
         # factorizations is a unit vector: no minimal one uses a zero
         # column, so any other writes c as a sum of other generators (and

@@ -1,3 +1,5 @@
+import pytest
+
 import stdpairs as sp
 from stdpairs.cli import main, parse_face_arg, parse_matrix_arg
 from stdpairs.diophantine import IntMatrix
@@ -16,6 +18,14 @@ def test_parse_matrix_arg():
     assert M.data == ((1, 2), (0, 2))
     assert parse_face_arg("0,1") == (0, 1)
     assert parse_face_arg("") == ()
+
+
+def test_negative_matrix_dimensions_are_rejected(capsys):
+    for text in ("-1 2", "2 -1; 1 2; 0 2", "-1 -1"):
+        with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+            parse_matrix_arg(text)
+    assert main(["monoid", "--matrix", "-1 2", "faces"]) == 2
+    assert "matrix dimensions must be nonnegative" in capsys.readouterr().err
 
 
 def test_monoid_faces_from_matrix(capsys):

@@ -1200,3 +1200,136 @@ def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
             assert list(min_nonneg_solutions(M, b)) == expected, (M, b, box_budget)
         assert tiers["tier3"] and (tiers["tier2"] or not box_budget), (box_budget, tiers)
     dio._MATRIX_CACHE.clear()
+
+
+def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b) -> SolutionSet:
+    """The uncached solve without the infeasibility certificates: every
+    system goes to tier 1, and tier 2 stops at a missing particular solution
+    or at a homogenized cone with no ray of height t > 0."""
+    import stdpairs.diophantine as dio
+
+    columns, gram, seed = data.completion_data()
+    slack = M.cols
+    cross = [-vec_dot(c, b) for c in columns]  # c_l . (-b), the slack column's row
+    hgram = [row + (g,) for row, g in zip(gram, cross)]
+    hgram.append(tuple(cross) + (vec_dot(b, b),))
+    quick = _completion(hgram, slack, seed, dio._CD_BUDGET)
+    if quick is not None:
+        return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
+
+    x0 = _particular_solution(data, b)
+    if x0 is None:
+        return SolutionSet.of(M.cols, [])
+    basis, rays, bound = _homogenized_cone(data, x0)
+    if bound is None:
+        return SolutionSet.of(M.cols, [])  # no ray with t > 0: the polyhedron is empty
+    points = _box_solutions(data, x0, bound, budget=dio._BOX_BUDGET, above=data.hilbert)
+    if points is not None:
+        return SolutionSet.of(M.cols, points)
+
+    hilbert = _hilbert_basis_geometric(basis, rays)
+    return SolutionSet.of(M.cols, [x[:slack] for x in hilbert if x[slack] == 1])
+
+
+def _certificate_systems(rng, count):
+    """Seeded ``(M, b)`` with b != 0, cycling through ``[A | -A]``; signed
+    matrices with a zero and a duplicate column; ``r x 0`` matrices; matrices
+    of rank below their row count (so b is often outside the span); ``D N``,
+    with N nonnegative over the unit vectors and D = diag(k, 1, ...) (rows
+    shuffled), whose cone is the orthant but whose lattice is not saturated;
+    and matrices with entries 3..7, whose small positive right-hand sides
+    are often in the cone and the lattice but not in the monoid."""
+    systems = []
+    while len(systems) < count:
+        kind = len(systems) % 6
+        r = rng.randint(1, 3)
+        if kind == 0:
+            a_cols = [tuple(rng.randint(0, 3) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+            M = IntMatrix.from_cols(a_cols + [tuple(-e for e in c) for c in a_cols], rows=r)
+        elif kind == 1:
+            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+            cols.insert(rng.randint(0, len(cols)), (0,) * r)
+            cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
+            M = IntMatrix.from_cols(cols, rows=r)
+        elif kind == 2:
+            M = IntMatrix.zero(r, 0)
+        elif kind == 3:
+            r = rng.randint(2, 3)
+            k, c = rng.randint(1, r - 1), rng.randint(1, 4)
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)]
+            right = [[rng.randint(0, 3) for _ in range(c)] for _ in range(k)]
+            M = IntMatrix.from_rows([[vec_dot(a, col) for col in zip(*right)] for a in left])
+        elif kind == 4:
+            cols = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+            cols += [tuple(rng.randint(0, 3) for _ in range(r)) for _ in range(rng.randint(0, 2))]
+            rng.shuffle(cols)
+            scale = rng.randint(2, 3)
+            rows = [[scale * x for x in row] if i == 0 else list(row) for i, row in enumerate(zip(*cols))]
+            rng.shuffle(rows)
+            M = IntMatrix.from_rows(rows)
+        else:
+            r = rng.randint(1, 2)
+            cols = [tuple(rng.randint(3, 7) for _ in range(r)) for _ in range(rng.randint(2, 4))]
+            M = IntMatrix.from_cols(cols, rows=r)
+        if kind == 5:
+            b = tuple(rng.randint(1, 12) for _ in range(r))
+        elif kind != 2 and rng.random() < 0.5:
+            b = M.mul(tuple(rng.randint(0, 2) for _ in range(M.cols)))
+            b = vec_add(b, tuple(rng.randint(-1, 1) for _ in range(r)))
+        else:
+            b = tuple(rng.randint(-2, 5) for _ in range(r))
+        if any(b):
+            systems.append((M, b))
+    return systems
+
+
+def test_infeasibility_certificates_are_exact(monkeypatch):
+    """The certificates settle only systems without a solution: every answer
+    equals the solver's without them, under the default budgets, with tier 1
+    off, and with tiers 1 and 2 off.  Where a particular solution exists,
+    the span-and-cone test holds exactly when the homogenized cone has no
+    ray with t > 0."""
+    import stdpairs.diophantine as dio
+
+    systems = _certificate_systems(random.Random(1212), 600)
+    kinds = dict.fromkeys(
+        ["pair_difference", "zero_and_duplicate_columns", "no_columns", "lower_dimensional_span",
+         "outside_span", "outside_cone", "outside_lattice_inside_cone", "unsettled_empty",
+         "cone_test_without_vertex", "cone_test_with_vertex"],
+        0,
+    )
+    for M, b in systems:
+        cols = M.columns()
+        data = _MatrixData(M)
+        normals, equations = data.cone()
+        rank = rational_rank(M)
+        in_span = rank == rational_rank(M.hstack(IntMatrix.from_cols([b], rows=M.rows)))
+        assert in_span == (not any(vec_dot(e, b) for e in equations)), (M, b)
+        in_cone = in_span and all(vec_dot(phi, b) >= 0 for phi in normals)
+        assert in_cone == bool(_reference_vertices(M, b)[1]), (M, b)
+        x0 = _particular_solution(data, b)
+        if x0 is not None:
+            bound = _homogenized_cone(data, x0)[2]
+            assert (not in_cone) == (bound is None), (M, b)
+            kinds["cone_test_without_vertex" if bound is None else "cone_test_with_vertex"] += 1
+        half = M.cols // 2
+        kinds["pair_difference"] += 0 < M.cols == 2 * half and cols[half:] == [tuple(-e for e in c) for c in cols[:half]]
+        kinds["zero_and_duplicate_columns"] += (0,) * M.rows in cols and len(set(cols)) < len(cols)
+        kinds["no_columns"] += M.cols == 0
+        kinds["lower_dimensional_span"] += 0 < rank < M.rows
+        kinds["outside_span"] += not in_span
+        kinds["outside_cone"] += in_span and not in_cone
+        kinds["outside_lattice_inside_cone"] += in_cone and x0 is None
+        settled = dio._infeasible(data, b)
+        assert settled == (not in_cone or x0 is None), (M, b)
+        kinds["unsettled_empty"] += not settled and not min_nonneg_solutions(M, b)
+    assert min(kinds.values()) >= 20, kinds
+
+    for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
+        for name, value in budgets.items():
+            monkeypatch.setattr(dio, name, value)
+        dio._MATRIX_CACHE.clear()
+        for M, b in systems:
+            expected = _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)
+            assert min_nonneg_solutions(M, b) == expected, (M, b, budgets)
+    dio._MATRIX_CACHE.clear()

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -57,6 +57,43 @@ def test_facets_enumerated_once_per_monoid(monkeypatch):
         for s in combinations(range(4), r):
             Q.face_closure(s)
     assert len(calls) == 1
+
+
+def test_one_double_description_per_matrix(monkeypatch):
+    """A cold monoid hands its facets to the solver's data for A, so solves
+    over A (inside, outside the span and outside the cone) enumerate
+    nothing more; an unseen solver matrix enumerates its cone once."""
+    calls = []
+    original = diophantine._facets_of_cone
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # polyhedral enumerates through its own name for the function
+    monkeypatch.setattr(diophantine, "_facets_of_cone", counting)
+    monkeypatch.setattr(polyhedral, "_facets_of_cone", counting)
+    rng = random.Random(1203)
+    monoids = 0
+    while monoids < 20:
+        A = _random_matrix(rng)
+        if A.rows == 0 or not is_pointed(A):
+            continue
+        monoids += 1
+        diophantine._MATRIX_CACHE.clear()
+        calls.clear()
+        Q = AffineMonoid(A)
+        for b in product(range(-1, 3), repeat=A.rows):
+            Q.contains(b)
+        assert len(calls) == 1, A
+    diophantine._MATRIX_CACHE.clear()
+    calls.clear()
+    M = IntMatrix.from_rows([[2, 0, -2], [0, 3, 3], [0, 0, 0]])
+    for b in product(range(-1, 4), repeat=3):
+        min_nonneg_solutions(M, b)
+    assert len(calls) == 1
+    assert calls[0] == (M.columns(), M.rows)
+    diophantine._MATRIX_CACHE.clear()
 
 
 def test_stored_face_data_matches_module_functions():
