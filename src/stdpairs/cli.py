@@ -45,10 +45,12 @@ def parse_matrix_arg(text: str) -> IntMatrix:
 
 
 def parse_face_arg(text: str):
+    """Face indices from comma-separated text, sorted and deduplicated, so
+    that any order or repetition names the same face."""
     text = text.strip()
     if text in ("", "()"):
         return ()
-    return tuple(int(t) for t in text.split(","))
+    return tuple(sorted({int(t) for t in text.split(",")}))
 
 
 def _load_monoid(args) -> AffineMonoid:

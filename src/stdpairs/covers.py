@@ -7,7 +7,9 @@ The pipeline:
    in ``b' + NG'`` pull back to a monomial ideal J in |G| variables (its
    generators are the u-parts of the minimal solutions of
    ``[G -G'] [u; v] = b' - b``); the standard pairs of J push forward to
-   the desired pairs.
+   the desired pairs.  ``poly_standard_pairs`` finds them by slicing J on
+   its last variable and recursing on the slices, so their cost follows
+   the number of pairs, not the volume of J's exponent box.
 2. ``principal_cover``: for a principal ideal, the pair difference of
    (0, A) and (b, A) is already the standard cover.
 3. ``cover_to_standard``: refine an arbitrary cover of std(I) to the
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import product
 
 from .diophantine import (
     IntMatrix,
@@ -146,48 +147,67 @@ class PolyMonomialIdeal:
 
 
 def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
-    """All standard pairs of a polynomial-ring monomial ideal.
+    """All standard pairs of a polynomial-ring monomial ideal, sorted.
 
-    Exhaustive at desk scale: for every admissible variable set V the
-    candidate bases live in the box bounded by the generator exponents
-    (a base reaching the bound off V is absorbed by a larger pair), and
-    properness reduces to comparison with the V-saturated generators.
+    The pairs come from a recursion on the last variable x_m, so the cost
+    follows the number of pairs rather than the exponent box.  Let D be the
+    largest exponent of x_m among the generators, and for each k let the
+    slice J_k = (J : x_m^k) with x_m = 1, an ideal in m - 1 variables.  The
+    slices grow with k and stop changing at k = D.  A pair (u, V) is proper
+    for J with x_m fixed at u_m = k exactly when (u without u_m, V) is
+    proper for J_k, and with x_m free exactly when it is proper for J_D.
+    Hence the standard pairs of J are
 
-    A candidate (u, V) is maximal iff no one-variable extension
-    (u with u_i = 0, V + {i}), i not in V, is a candidate.  If a candidate
-    (u', V') strictly contains (u, V), then V' is strictly larger than V;
-    for any i in V' \\ V the extension lies inside (u', V') (so it is
-    proper), its free set lies inside V' (so it is admissible), its base
-    stays in the box, and it contains (u, V).  So m set lookups per
-    candidate replace a comparison with every other candidate.
+    * ((u, 0), V + {m}) for each standard pair (u, V) of J_D, and
+    * ((u, k), V) for k < D and each standard pair (u, V) of J_k such
+      that x^u N^V meets J_D, i.e. some generator g of J_D has g_i <= u_i
+      for every i not in V.
+
+    A pair with x_m fixed can only be contained in pairs with x_m fixed at
+    the same value, which the slice's own pairs settle, or in pairs with
+    x_m free, which are the proper pairs of J_D.  It lies inside one of the
+    latter exactly when it is itself proper for J_D, i.e. when it misses
+    J_D; so the J_D test decides maximality.  Slices recur within one call
+    and are computed once (``_slice_pairs``).
     """
-    m = J.nvars
     if J.is_unit():
         raise ValueError("the unit ideal has no standard pairs")
-    if J.is_empty():
-        return (PolyStdPair((0,) * m, tuple(range(m))),)
-    bound = [max(e[i] for e in J.exponents) for i in range(m)]
-    candidates: set = set()
-    for mask in product((False, True), repeat=m):
-        free = tuple(i for i in range(m) if mask[i])
-        fset = set(free)
-        if any(all(e[i] == 0 for i in range(m) if i not in fset) for e in J.exponents):
-            continue  # a generator is supported inside V: no proper pair survives
-        saturated = minimal_elements(
-            tuple(0 if i in fset else e[i] for i in range(m)) for e in J.exponents
-        )
-        ranges = [range(1) if i in fset else range(bound[i]) for i in range(m)]
-        for u in product(*ranges):
-            if not any(vec_leq(s, u) for s in saturated):
-                candidates.add((u, free))
-    maximal = [
-        (u, free) for u, free in candidates
-        if not any(
-            (u[:i] + (0,) + u[i + 1:], tuple(sorted(free + (i,)))) in candidates
-            for i in range(m) if i not in free
-        )
-    ]
-    return tuple(PolyStdPair(u, free) for u, free in sorted(maximal))
+    pairs = _slice_pairs(J.nvars, J.exponents, {})
+    return tuple(PolyStdPair(u, free) for u, free in sorted(pairs))
+
+
+def _slice_pairs(m: int, gens: tuple, memo: dict) -> list:
+    """The standard pairs (u, free) of the ideal of N^m with the sorted
+    minimal generators ``gens``, by the recursion of ``poly_standard_pairs``.
+
+    Memoized in ``memo`` on (m, gens): m belongs to the key because the
+    empty ideal recurs in several dimensions.
+    """
+    key = (m, gens)
+    if key in memo:
+        return memo[key]
+    if not gens:
+        out = [((0,) * m, tuple(range(m)))]
+    elif not any(gens[0]):
+        out = []  # the unit ideal (its only minimal generator is 0)
+    else:
+        slices = []  # (k, generators of J_k) at each distinct exponent k of x_m
+        current: list = []
+        for k in sorted({g[-1] for g in gens}):
+            current = minimal_elements(current + [g[:-1] for g in gens if g[-1] == k])
+            slices.append((k, tuple(current)))
+        top = slices[-1][1]
+        out = [(u + (0,), free + (m - 1,)) for u, free in _slice_pairs(m - 1, top, memo)]
+        start, below = 0, ()  # J_j is the slice `below` for start <= j < k
+        for k, gens_k in slices:
+            kept = [
+                (u, free) for u, free in _slice_pairs(m - 1, below, memo)
+                if any(all(g[i] <= u[i] for i in range(m - 1) if i not in free) for g in top)
+            ]
+            out.extend((u + (j,), free) for j in range(start, k) for u, free in kept)
+            start, below = k, gens_k
+    memo[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

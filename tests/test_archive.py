@@ -71,7 +71,8 @@ def test_save_is_deterministic(tmp_path, paper_monoid):
     a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     save(I, a)
     save(I, b)
-    assert open(a).read() == open(b).read()
+    with open(a) as fa, open(b) as fb:
+        assert fa.read() == fb.read()
 
 
 def test_load_reports_line_numbers(tmp_path):
@@ -178,7 +179,8 @@ def test_verify_detects_tampered_cover(tmp_path, paper_monoid):
     sp.standard_cover(I)
     path = str(tmp_path / "ideal.txt")
     save(I, path)
-    text = open(path).read().replace("0;0 0", "0;6 0")
+    with open(path) as fh:
+        text = fh.read().replace("0;0 0", "0;6 0")
     with open(path, "w") as fh:
         fh.write(text)
     loaded = load(path)

@@ -73,6 +73,15 @@ def test_ideal_assoc_and_mult(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_face_indices_in_any_order(tmp_path, capsys):
+    assert parse_face_arg("3,2") == (2, 3)
+    assert parse_face_arg(" 2,3,3 ") == (2, 3)
+    path, _ = make_ideal_file(tmp_path)
+    for face in ("3,2", "2,3,3", "3,2,3,2"):
+        assert main(["--quiet", "ideal", path, "mult", "--face", face]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+
 def test_ideal_mult_requires_face(tmp_path, capsys):
     path, _ = make_ideal_file(tmp_path)
     assert main(["--quiet", "ideal", path, "mult"]) == 2

@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import product
 
@@ -17,7 +18,7 @@ from stdpairs.covers import (
     principal_cover,
     standard_cover,
 )
-from stdpairs.diophantine import IntMatrix
+from stdpairs.diophantine import IntMatrix, minimal_elements, vec_leq
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, is_proper
@@ -117,6 +118,174 @@ def test_poly_standard_pairs_equal_literal_maximal_pairs():
         J = PolyMonomialIdeal(m, gens)
         got = [(p.base, p.free) for p in poly_standard_pairs(J)]
         assert got == literal_maximal_pairs(J.exponents, m), gens
+
+
+# The box enumeration that computed poly_standard_pairs before the slice
+# recursion, kept verbatim as the reference the recursion must agree with.
+def _reference_poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
+    """All standard pairs of a polynomial-ring monomial ideal.
+
+    Exhaustive at desk scale: for every admissible variable set V the
+    candidate bases live in the box bounded by the generator exponents
+    (a base reaching the bound off V is absorbed by a larger pair), and
+    properness reduces to comparison with the V-saturated generators.
+
+    A candidate (u, V) is maximal iff no one-variable extension
+    (u with u_i = 0, V + {i}), i not in V, is a candidate.  If a candidate
+    (u', V') strictly contains (u, V), then V' is strictly larger than V;
+    for any i in V' \\ V the extension lies inside (u', V') (so it is
+    proper), its free set lies inside V' (so it is admissible), its base
+    stays in the box, and it contains (u, V).  So m set lookups per
+    candidate replace a comparison with every other candidate.
+    """
+    m = J.nvars
+    if J.is_unit():
+        raise ValueError("the unit ideal has no standard pairs")
+    if J.is_empty():
+        return (PolyStdPair((0,) * m, tuple(range(m))),)
+    bound = [max(e[i] for e in J.exponents) for i in range(m)]
+    candidates: set = set()
+    for mask in product((False, True), repeat=m):
+        free = tuple(i for i in range(m) if mask[i])
+        fset = set(free)
+        if any(all(e[i] == 0 for i in range(m) if i not in fset) for e in J.exponents):
+            continue  # a generator is supported inside V: no proper pair survives
+        saturated = minimal_elements(
+            tuple(0 if i in fset else e[i] for i in range(m)) for e in J.exponents
+        )
+        ranges = [range(1) if i in fset else range(bound[i]) for i in range(m)]
+        for u in product(*ranges):
+            if not any(vec_leq(s, u) for s in saturated):
+                candidates.add((u, free))
+    maximal = [
+        (u, free) for u, free in candidates
+        if not any(
+            (u[:i] + (0,) + u[i + 1:], tuple(sorted(free + (i,)))) in candidates
+            for i in range(m) if i not in free
+        )
+    ]
+    return tuple(PolyStdPair(u, free) for u, free in sorted(maximal))
+
+
+def _seeded_poly_ideals(count, seed):
+    """(nvars, generator list) for ``count`` seeded ideals, m = 0..6 and
+    exponents up to 9, cycling through five kinds: the empty ideal, an
+    unused variable, a pure power, duplicate and non-minimal generators,
+    and plain random generators.  The exponent box of each ideal is capped
+    so that the reference enumeration stays cheap."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(count):
+        kind = n % 5
+        m = rng.randint(0, 6) if kind == 0 else rng.randint(1 + (kind == 1), 6)
+        caps = [rng.randint(1, 9) for _ in range(m)]
+        while math.prod(c + 1 for c in caps) > 4000:
+            caps[caps.index(max(caps))] -= 1
+        if kind == 0:
+            out.append((m, []))
+            continue
+        if kind == 1:
+            caps[rng.randrange(m)] = 0
+        gens, size = [], rng.randint(1, 6)
+        while len(gens) < size:
+            g = tuple(rng.randint(0, c) for c in caps)
+            if any(g):
+                gens.append(g)
+        if kind == 2:
+            j = rng.randrange(m)
+            gens.append(tuple(rng.randint(1, caps[j]) if i == j else 0 for i in range(m)))
+        elif kind == 3:
+            g = rng.choice(gens)
+            gens += [g, tuple(min(c, x + rng.randint(0, 2)) for x, c in zip(g, caps))]
+            rng.shuffle(gens)
+        out.append((m, gens))
+    return out
+
+
+def test_poly_standard_pairs_equal_reference():
+    kinds = {"empty": 0, "unused variable": 0, "pure power": 0, "redundant": 0}
+    ideals = _seeded_poly_ideals(420, 20261018)
+    for m, gens in ideals:
+        J = PolyMonomialIdeal(m, gens)
+        assert poly_standard_pairs(J) == _reference_poly_standard_pairs(J), (m, gens)
+        exps = J.exponents
+        kinds["empty"] += not exps
+        kinds["unused variable"] += bool(exps) and any(
+            all(e[i] == 0 for e in exps) for i in range(m)
+        )
+        kinds["pure power"] += any(sum(x > 0 for x in e) == 1 for e in exps)
+        kinds["redundant"] += len(exps) < len(gens)
+    assert len(ideals) >= 400
+    assert {m for m, _ in ideals} == set(range(7))
+    assert max(x for _, gens in ideals for g in gens for x in g) == 9
+    assert all(n >= 20 for n in kinds.values()), kinds
+
+
+# The ideal that principal_cover pulls back for Q = [(1,4,4), (1,2,4), (3,4,0),
+# (4,0,3), (2,4,1)] (as columns) and I = ((31,38,35)).  Its exponent box
+# holds 24 x 23 x 36 x 9 x 34 bases per variable set, for 2,937 pairs.
+LARGE_BOX_IDEAL = [
+    (0, 0, 0, 7, 34), (0, 1, 0, 6, 29), (0, 3, 0, 5, 24), (0, 5, 0, 4, 19),
+    (0, 7, 0, 3, 14), (0, 9, 0, 2, 9), (0, 11, 4, 1, 4), (0, 13, 8, 0, 0),
+    (0, 15, 0, 1, 16), (0, 17, 1, 0, 11), (0, 19, 5, 0, 6), (0, 21, 0, 0, 23),
+    (0, 23, 0, 0, 18), (3, 0, 0, 5, 12), (3, 1, 0, 4, 7), (3, 3, 3, 3, 2),
+    (3, 5, 7, 2, 0), (3, 7, 11, 1, 0), (3, 9, 15, 0, 0), (10, 0, 0, 6, 5),
+    (10, 0, 2, 5, 0), (10, 0, 6, 4, 0), (10, 0, 10, 3, 0), (10, 1, 14, 2, 0),
+    (10, 3, 18, 1, 0), (10, 5, 22, 0, 0), (17, 0, 0, 8, 3), (17, 0, 1, 7, 0),
+    (17, 0, 21, 2, 0), (17, 0, 25, 1, 0), (17, 1, 29, 0, 0), (24, 0, 0, 9, 0),
+    (24, 0, 36, 0, 0),
+]
+
+
+def test_poly_standard_pairs_large_box():
+    J = PolyMonomialIdeal(5, LARGE_BOX_IDEAL)
+    assert len(J.exponents) == 33
+    pairs = [(p.base, p.free) for p in poly_standard_pairs(J)]
+    assert len(pairs) == 2937
+    assert pairs == sorted(set(pairs))
+
+    def proper(u, free):
+        return not any(
+            all(g[i] <= u[i] for i in range(5) if i not in free) for g in J.exponents
+        )
+
+    for u, free in pairs:
+        assert all(u[i] == 0 for i in free)
+        assert proper(u, free)
+        for i in range(5):  # maximal: no one-variable extension is proper
+            if i not in free:
+                assert not proper(u[:i] + (0,) + u[i + 1:], tuple(sorted(free + (i,))))
+    bases = {}  # free set -> bases of its pairs
+    for u, free in pairs:
+        bases.setdefault(free, set()).add(u)
+    bound = [max(e[i] for e in J.exponents) for i in range(5)]
+    rng = random.Random(31)
+    for _ in range(2000):
+        v = tuple(rng.randint(0, b) for b in bound)
+        assert v in J or any(
+            tuple(0 if i in free else v[i] for i in range(5)) in us
+            for free, us in bases.items()
+        ), v
+
+
+def test_poly_standard_pairs_runs_once_per_call(monkeypatch):
+    import stdpairs.covers as covers
+
+    calls = []
+    original = covers.poly_standard_pairs
+
+    def counting(J):
+        calls.append(J.nvars)
+        return original(J)
+
+    monkeypatch.setattr(covers, "poly_standard_pairs", counting)
+    J = PolyMonomialIdeal(4, [(1, 3, 1, 2), (1, 2, 2, 0), (0, 3, 2, 1), (2, 0, 3, 3)])
+    assert covers.poly_standard_pairs(J) == original(J)
+    assert calls == [4]
+    calls.clear()
+    Q = AffineMonoid(IntMatrix.from_cols([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]))
+    principal_cover(MonomialIdeal(Q, IntMatrix.from_cols([(3, 2, 5)])))
+    assert calls == [4]
 
 
 # ---------------------------------------------------------------------------
