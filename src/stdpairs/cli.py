@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the (cached) result object to this archive path")
-        p.add_argument("--loop-cap", type=int, default=1000, help="cover refinement iteration cap")
+        p.add_argument("--loop-cap", type=int, default=1000, help="cover refinement iteration cap, at least 1 (default 1000)")
         p.add_argument("--verify", action="store_true", help="re-check cached results on load")
 
     p_monoid = sub.add_parser("monoid", help="inspect an affine monoid")

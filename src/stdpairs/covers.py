@@ -349,8 +349,15 @@ def _prune_nested(cover: Cover) -> Cover:
     return Cover.from_pairs(keep)
 
 
+def _check_loop_cap(loop_cap: int) -> None:
+    if loop_cap < 1:
+        raise ValueError(f"loop cap must be at least 1, got {loop_cap}")
+
+
 def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """Refine a cover of std(I) to the standard cover (fixpoint of the two steps)."""
+    """Refine a cover of std(I) to the standard cover (fixpoint of the two
+    steps), within ``loop_cap >= 1`` refinement iterations."""
+    _check_loop_cap(loop_cap)
     current = Cover.from_pairs(
         ProperPair(p.base, p.face, I, skip_check=True) for p in cover.pairs()
     )
@@ -363,7 +370,9 @@ def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> C
 
 
 def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """The standard cover of a proper nonempty monomial ideal (memoized)."""
+    """The standard cover of a proper nonempty monomial ideal (memoized),
+    refining each generator fold within ``loop_cap >= 1`` iterations."""
+    _check_loop_cap(loop_cap)
     if I.is_empty():
         raise ValueError("the empty ideal has no standard cover")
     if "standard_cover" in I._cache:

@@ -44,8 +44,12 @@ already enumerated them.
 Easy instances then short-circuit through a budgeted Contejean-Devie style
 completion seeded with the cached kernel basis; the triangulation pipeline
 takes over whenever the completion frontier grows past its budget, so the
-worst case stays predictable.  Cone data, kernel data and the answers for
-up to ``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
+worst case stays predictable.  The kernel Hilbert basis itself (the seed
+above and the walk's prune) tries the two cheap tiers first, a short box
+walk and then the same completion with no slack cap, because they fail on
+opposite inputs; only then the full walk and the triangulation
+(``hilbert_kernel``).  Cone data, kernel data and the answers for up to
+``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
 ``_MATRIX_CACHE_CAP`` matrices.
 """
 
@@ -274,6 +278,7 @@ class _MatrixData:
     _echelon: tuple | None = None
     _walk: list | None = None
     _prune: tuple | None = None
+    _gram: list | None = None
     _tier1: tuple | None = None
 
     def cone(self):
@@ -370,14 +375,20 @@ class _MatrixData:
             self._prune = (above, plan)
         return self._prune[1]
 
+    def gram(self):
+        """The Gram matrix ``gram[l][j] = c_l . c_j`` of M's columns, as row
+        tuples: the system ``M x = 0`` in the form ``_completion`` reads."""
+        if self._gram is None:
+            cols = self.M.columns()
+            self._gram = [tuple(vec_dot(a, c) for c in cols) for a in cols]
+        return self._gram
+
     def completion_data(self):
         """Columns, their Gram matrix, and the tier-1 seed: the kernel basis
         padded with a zero slack coordinate, as a ``_coordinate_index``."""
         if self._tier1 is None:
-            cols = self.M.columns()
-            gram = [tuple(vec_dot(a, c) for c in cols) for a in cols]
             seed = [h + (0,) for h in hilbert_kernel(self.M)]
-            self._tier1 = (cols, gram, _coordinate_index(seed, self.M.cols + 1))
+            self._tier1 = (self.M.columns(), self.gram(), _coordinate_index(seed, self.M.cols + 1))
         return self._tier1
 
     def kernel_rays(self):
@@ -826,7 +837,7 @@ def _coordinate_index(vectors: Iterable[IntVector], ncols: int) -> list:
     return index
 
 
-def _completion(gram: list, cap_index: int, seed: list, budget: int):
+def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
     """Contejean-Devie completion: minimal nonzero solutions of a homogeneous system.
 
     The system ``sum_l x_l c_l = 0`` is given by the Gram matrix
@@ -837,6 +848,9 @@ def _completion(gram: list, cap_index: int, seed: list, budget: int):
     in coordinate ``cap_index``, and a new vector that dominates a known
     minimal solution is pruned.  ``seed`` is the ``_coordinate_index`` of
     already-known nonzero solutions (they prune but are not reported).
+    With ``cap_index=None`` no coordinate is capped: on the columns of M
+    with an empty seed, the result is exactly the Hilbert basis of
+    ``ker M intersect N^n``, the minimal nonzero solutions.
 
     Each node carries ``d = (v . c_l)_l`` and ``|v|^2`` instead of v: moving to
     ``x + e_j`` adds ``gram[j]`` to d and ``2 d_j + gram[j][j]`` to ``|v|^2``,
@@ -916,26 +930,46 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
 
     Every minimal element lies in a half-open parallelepiped of a
     triangulated simplicial subcone, hence below the componentwise sum of
-    all extreme rays.  The box below that sum is walked first, unpruned
-    (the basis is what it looks for), and its minimal nonzero points kept;
-    if it is too large, the parallelepipeds are enumerated directly.
-    Cached per matrix.
+    all extreme rays.  Four exact tiers follow, each stopping at its own
+    work budget; the first that finishes answers:
+
+    1. the box walk below that sum, unpruned (the basis is what it looks
+       for), keeping its minimal nonzero points, for ``_CD_BUDGET`` units;
+    2. completion on the Gram matrix of M's columns, with no slack cap and
+       no seed, for ``_CD_BUDGET`` nodes: it yields exactly the minimal
+       nonzero solutions;
+    3. the same box walk for ``_BOX_BUDGET`` units;
+    4. the triangulation, enumerating the parallelepipeds directly.
+
+    The two cheap tiers fail on opposite inputs.  The box of ``[A | -A]``
+    with one or two rows and six or more columns is huge, while completion
+    finds its basis in a few hundred nodes; completion explodes on systems
+    with three or more rows, whose box walk is short.  So the short walk
+    goes first, and a matrix that overflows it costs one completion before
+    the long walk.  Cached per matrix.
     """
     data = _matrix_data(M)
     if data.hilbert is None:
         basis = data.kernel_basis()
         rays = _kernel_cone_rays(basis, M.cols)
-        if not rays:
-            data.hilbert = ()
-        else:
-            bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
-            zero = (0,) * M.cols
-            points = _box_solutions(data, zero, bound, budget=_BOX_BUDGET)
-            if points is not None:
-                data.hilbert = tuple(minimal_elements(x for x in points if x != zero))
-            else:
-                data.hilbert = tuple(_hilbert_basis_geometric(basis, rays))
+        data.hilbert = tuple(_kernel_hilbert_basis(data, basis, rays) if rays else ())
     return SolutionSet.of(M.cols, data.hilbert)
+
+
+def _kernel_hilbert_basis(data: _MatrixData, basis: list, rays: list) -> list:
+    """The sorted Hilbert basis of ``ker M intersect N^n`` by the tiers of
+    ``hilbert_kernel``, given a nonempty list of its kernel cone rays."""
+    bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
+    zero = (0,) * data.M.cols
+    points = _box_solutions(data, zero, bound, budget=_CD_BUDGET)
+    if points is None:
+        found = _completion(data.gram(), None, _coordinate_index((), data.M.cols), _CD_BUDGET)
+        if found is not None:
+            return found
+        points = _box_solutions(data, zero, bound, budget=_BOX_BUDGET)
+        if points is None:
+            return _hilbert_basis_geometric(basis, rays)
+    return minimal_elements(x for x in points if x != zero)
 
 
 def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:

@@ -149,8 +149,23 @@ def test_domain_error_exit_code(tmp_path, capsys):
 
 
 def test_loop_cap_exit_code(tmp_path, capsys):
+    # this ideal's second generator fold needs more than one refinement
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+    path = str(tmp_path / "ideal.txt")
+    sp.save(sp.MonomialIdeal(Q, IntMatrix.from_rows([[2, 3], [1, 5]])), path)
+    assert main(["--quiet", "ideal", path, "cover", "--loop-cap", "1"]) == 3
+    assert "did not stabilize within 1 iterations" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["ideal", "cover"], ["export-m2"]])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_loop_cap_below_one_exit_code(tmp_path, capsys, command, cap):
     path, _ = make_ideal_file(tmp_path)
-    assert main(["--quiet", "ideal", path, "cover", "--loop-cap", "0"]) == 3
+    argv = ["--quiet", command[0], path, *command[1:], "--loop-cap", cap]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"loop cap must be at least 1, got {cap}" in err
+    assert "did not stabilize" not in err
 
 
 def test_progress_goes_to_stderr(tmp_path, capsys):

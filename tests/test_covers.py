@@ -445,7 +445,29 @@ def test_cover_to_standard_loop_cap(interior_monoid):
     I = MonomialIdeal(interior_monoid, IntMatrix.from_cols([(0, 2)]))
     bad = Cover.from_pairs([ProperPair((0, 0), (), I)])
     with pytest.raises(LoopCapExceeded):
-        cover_to_standard(bad, I, loop_cap=0)
+        cover_to_standard(bad, I, loop_cap=1)
+
+
+@pytest.mark.parametrize("loop_cap", [0, -3])
+def test_loop_cap_below_one_is_rejected_before_any_work(interior_monoid, monkeypatch, loop_cap):
+    """A cap below 1 is a ValueError, for principal ideals too (their cover
+    needs no refinement loop), and no cover work starts."""
+    import stdpairs.covers as covers
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("cover work started")
+
+    monkeypatch.setattr(covers, "principal_cover", no_work)
+    monkeypatch.setattr(covers, "czero_to_cone", no_work)
+    for gens in ([(0, 2)], [(0, 2), (2, 1)]):
+        I = MonomialIdeal(interior_monoid, IntMatrix.from_cols(gens))
+        with pytest.raises(ValueError, match="loop cap"):
+            standard_cover(I, loop_cap=loop_cap)
+        assert "standard_cover" not in I._cache
+    I = MonomialIdeal(interior_monoid, IntMatrix.from_cols([(0, 2)]))
+    bad = Cover.from_pairs([ProperPair((0, 0), (), I)])
+    with pytest.raises(ValueError, match="loop cap"):
+        cover_to_standard(bad, I, loop_cap=loop_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,12 @@ from stdpairs.diophantine import (
     _homogenized_cone,
     _integer_inverse,
     _kernel_cone_rays,
+    _matrix_data,
     _MatrixData,
     _box_solutions,
+    _BOX_BUDGET,
     _ceil_div,
+    _combination,
     _parallelepiped_points,
     _particular_solution,
     _saturated_span_basis,
@@ -272,7 +275,8 @@ def _homogenized_systems(rng, count):
 def test_completion_matches_reference():
     """Same list, or None on the same inputs, as the reference completion:
     kernel-basis and empty seeds, slack capped at 1, budgets 0..500 that
-    overflow at the start, in the middle or at the end of a level."""
+    overflow at the start, in the middle or at the end of a level; and on
+    M alone with no cap and no seed, where it finds the Hilbert basis."""
     rng = random.Random(5)
     overflowed = finished = 0
     for M, b in _homogenized_systems(rng, 40):
@@ -306,6 +310,11 @@ def test_completion_matches_reference():
             for budget in {0, ncols - 1, ncols, nodes - 2, nodes, *rng.sample(range(501), 5)}:
                 if 0 <= budget <= 500:
                     both(budget)
+        # hilbert_kernel's call: M's own columns, no slack cap, no seed
+        kernel_gram = [row[:slack] for row in gram[:slack]]
+        for budget in (0, M.cols, 50, 500):
+            expected = _reference_completion(M.columns(), M.rows, budget=budget)
+            assert _completion(kernel_gram, None, _coordinate_index([], M.cols), budget) == expected, (M, budget)
     assert overflowed and finished
 
 
@@ -1332,4 +1341,140 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
         for M, b in systems:
             expected = _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)
             assert min_nonneg_solutions(M, b) == expected, (M, b, budgets)
+    dio._MATRIX_CACHE.clear()
+
+
+def _reference_hilbert_kernel(M: IntMatrix) -> SolutionSet:
+    """Minimal nonzero elements (Hilbert basis) of ``{x in N^c : M x = 0}``.
+
+    Every minimal element lies in a half-open parallelepiped of a
+    triangulated simplicial subcone, hence below the componentwise sum of
+    all extreme rays.  The box below that sum is walked first, unpruned
+    (the basis is what it looks for), and its minimal nonzero points kept;
+    if it is too large, the parallelepipeds are enumerated directly.
+    Cached per matrix.
+    """
+    data = _matrix_data(M)
+    if data.hilbert is None:
+        basis = data.kernel_basis()
+        rays = _kernel_cone_rays(basis, M.cols)
+        if not rays:
+            data.hilbert = ()
+        else:
+            bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
+            zero = (0,) * M.cols
+            points = _box_solutions(data, zero, bound, budget=_BOX_BUDGET)
+            if points is not None:
+                data.hilbert = tuple(minimal_elements(x for x in points if x != zero))
+            else:
+                data.hilbert = tuple(_hilbert_basis_geometric(basis, rays))
+    return SolutionSet.of(M.cols, data.hilbert)
+
+
+def _kernel_matrices(rng, count):
+    """Seeded matrices with 1..3 rows and at most 8 columns, cycling through
+    ``[A | -A]`` (three in eight), ``[A | -B]`` (two in eight), signed
+    matrices with a zero and a duplicate column, ``r x 0`` and ``0 x c``
+    matrices, and matrices with a trivial kernel monoid (independent
+    columns, or an all-positive row)."""
+    matrices = []
+    while len(matrices) < count:
+        kind = len(matrices) % 8
+        r = rng.randint(1, 3)
+        if kind < 3:
+            a = [tuple(rng.randint(0, 4) for _ in range(r)) for _ in range(rng.randint(1, 4))]
+            M = IntMatrix.from_cols(a + [tuple(-e for e in c) for c in a], rows=r)
+        elif kind < 5:
+            k = rng.randint(1, 4)
+            a = [tuple(rng.randint(0, 4) for _ in range(r)) for _ in range(k)]
+            b = [tuple(-rng.randint(0, 4) for _ in range(r)) for _ in range(rng.randint(1, 9 - r - k))]
+            M = IntMatrix.from_cols(a + b, rows=r)
+        elif kind == 5:
+            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 5))]
+            cols.insert(rng.randint(0, len(cols)), (0,) * r)
+            cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
+            M = IntMatrix.from_cols(cols, rows=r)
+        elif kind == 6:
+            M = rng.choice([IntMatrix.zero(r, 0), IntMatrix.zero(0, rng.randint(0, 4))])
+        else:
+            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, r))]
+            cols += [tuple(rng.randint(1, 3) for _ in range(r)) for _ in range(rng.randint(0, 3))]
+            M = IntMatrix.from_cols(cols, rows=r)
+        matrices.append(M)
+    return matrices
+
+
+def test_hilbert_kernel_routes_agree_with_reference(monkeypatch):
+    """The four tiers of ``hilbert_kernel`` give the reference's basis, in
+    order, under the default budgets, with both cheap tiers off, and with
+    only the triangulation left; each tier answers at least 20 times, and
+    the triangulation alone agrees too.  The answering tier is the number
+    of tier calls made, since each runs only when the one before it
+    overflows."""
+    import stdpairs.diophantine as dio
+
+    matrices = _kernel_matrices(random.Random(15), 240)
+    expected = []
+    for M in matrices:
+        dio._MATRIX_CACHE.clear()
+        expected.append(list(_reference_hilbert_kernel(M)))
+    tiers = []
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            tiers.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dio, "_box_solutions", record("walk", dio._box_solutions))
+    monkeypatch.setattr(dio, "_completion", record("completion", dio._completion))
+    monkeypatch.setattr(dio, "_hilbert_basis_geometric", record("triangulation", _hilbert_basis_geometric))
+    order = ["walk", "completion", "walk", "triangulation"]
+    answered = [0] * 5
+    for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
+        for name, value in budgets.items():
+            monkeypatch.setattr(dio, name, value)
+        for M, basis in zip(matrices, expected):
+            dio._MATRIX_CACHE.clear()
+            tiers.clear()
+            assert list(hilbert_kernel(M)) == basis, (M, budgets)
+            assert tiers == order[: len(tiers)], (M, budgets, tiers)
+            assert bool(tiers) == bool(basis), (M, budgets, tiers)
+            answered[len(tiers)] += 1
+    dio._MATRIX_CACHE.clear()
+    assert min(answered[1:]) >= 20, answered
+    for M, basis in zip(matrices, expected):
+        kernel = integer_kernel_basis(M)
+        assert _hilbert_basis_geometric(kernel, _kernel_cone_rays(kernel, M.cols)) == basis, M
+
+
+def test_hilbert_kernel_answers_pair_differences_without_the_triangulation(monkeypatch):
+    """The ``[A | -A]`` matrices whose box walk overflowed into the
+    triangulation are answered by the cheap tiers, and a 3-row one whose
+    completion explodes is answered before completion runs."""
+    import stdpairs.diophantine as dio
+
+    def fail(*args, **kwargs):
+        raise AssertionError("tier should not run")
+
+    wide = [
+        ([[3, 4, 3, 2, -3, -4, -3, -2]], 36),
+        ([[1, 1, 4, 2, -1, -1, -4, -2], [4, 4, 1, 3, -4, -4, -1, -3]], 12),
+        ([[2, 4, 4, 4, -2, -4, -4, -4]], 16),
+    ]
+    tall = IntMatrix.from_rows([[4, 1, 1, 3, -4, -1, -1, -3], [3, 1, 1, 2, -3, -1, -1, -2], [4, 2, 1, 4, -4, -2, -1, -4]])
+    expected = {}
+    for M in [IntMatrix.from_rows(rows) for rows, _ in wide] + [tall]:
+        dio._MATRIX_CACHE.clear()
+        expected[M] = _reference_hilbert_kernel(M)
+    for rows, size in wide:
+        assert len(expected[IntMatrix.from_rows(rows)]) == size
+    dio._MATRIX_CACHE.clear()
+    monkeypatch.setattr(dio, "_hilbert_basis_geometric", fail)
+    for rows, _ in wide:
+        M = IntMatrix.from_rows(rows)
+        assert hilbert_kernel(M) == expected[M], rows
+    monkeypatch.setattr(dio, "_completion", fail)
+    assert hilbert_kernel(tall) == expected[tall]
     dio._MATRIX_CACHE.clear()
