@@ -99,8 +99,12 @@ def cmd_monoid(args) -> int:
 
 def cmd_ideal(args) -> int:
     ideal = _load_ideal(args)
+    if args.action == "mult" and args.face is None:
+        raise ValueError("mult requires --face")
+    if args.action == "cover" or not ideal.is_empty():
+        cover = standard_cover(ideal, loop_cap=args.loop_cap)  # memoized: every action reuses it
     if args.action == "cover":
-        print(standard_cover(ideal, loop_cap=args.loop_cap))
+        print(cover)
     elif args.action == "radical":
         print(ideal.radical())
     elif args.action == "assoc":
@@ -108,8 +112,6 @@ def cmd_ideal(args) -> int:
             print(f"{face}:")
             print(prime)
     elif args.action == "mult":
-        if args.face is None:
-            raise ValueError("mult requires --face")
         print(multiplicity(ideal, parse_face_arg(args.face)))
     elif args.action == "decompose":
         for W in irreducible_decomposition(ideal):
@@ -163,9 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, loop_cap=False):
         p.add_argument("--out", help="write the (cached) result object to this archive path")
-        p.add_argument("--loop-cap", type=int, default=1000, help="cover refinement iteration cap, at least 1 (default 1000)")
+        if loop_cap:
+            p.add_argument("--loop-cap", type=int, default=1000, help="cover refinement iteration cap, at least 1 (default 1000)")
         p.add_argument("--verify", action="store_true", help="re-check cached results on load")
 
     p_monoid = sub.add_parser("monoid", help="inspect an affine monoid")
@@ -179,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ideal.add_argument("file", help="archive file with MONOID and IDEAL sections")
     p_ideal.add_argument("action", choices=["cover", "radical", "assoc", "mult", "decompose"])
     p_ideal.add_argument("--face", help="face for mult, as comma-separated indices")
-    common(p_ideal)
+    common(p_ideal, loop_cap=True)
     p_ideal.set_defaults(func=cmd_ideal)
 
     p_pair = sub.add_parser("pair", help="pair operations")
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_m2 = sub.add_parser("export-m2", help="emit a Macaulay2 script for an ideal and its cover")
     p_m2.add_argument("file", help="archive file with MONOID and IDEAL sections")
-    common(p_m2)
+    common(p_m2, loop_cap=True)
     p_m2.set_defaults(func=cmd_export_m2)
 
     return parser

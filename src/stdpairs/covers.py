@@ -315,7 +315,11 @@ def czero_to_cone(cover: Cover, I: MonomialIdeal) -> Cover:
 
 
 def cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
-    """Expand every pair to all containing faces, keeping the proper ones."""
+    """Expand every pair to all containing faces, keeping the proper ones.
+
+    ``b + NF <= b + NG`` for index sets F <= G, so faces are tried from small
+    to large (the lattice is in ``face_sort_key`` order) and every superset
+    of one where the pair fails is skipped."""
     monoid = I.ambient
     faces = [f for f in monoid.faces if f != BOTTOM]
     out = []
@@ -323,12 +327,16 @@ def cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
         fset = set(face)
         targets = [g for g in faces if fset <= set(g)]
         if face not in monoid.faces:
-            targets.append(face)
+            targets.insert(0, face)
         for p in ps:
+            failed = []
             for g in targets:
-                candidate = ProperPair(p.base, g, I, skip_check=True)
-                if is_proper(candidate):
-                    out.append(candidate)
+                if not any(f <= set(g) for f in failed):
+                    candidate = ProperPair(p.base, g, I, skip_check=True)
+                    if is_proper(candidate):
+                        out.append(candidate)
+                    else:
+                        failed.append(set(g))
     return Cover.from_pairs(out)
 
 

@@ -160,23 +160,26 @@ class MonomialIdeal:
         return irreducible_decomposition(self)
 
     def radical(self) -> "MonomialIdeal":
-        """Intersection of the primes of the maximal faces of the standard cover."""
+        """Intersection of the primes of the maximal cover faces F_1..F_k.
+
+        NA meets cone(F) in NF, so an element lies in F's prime iff its
+        factorizations use a column off F.  The intersection is generated by
+        the column sums over the minimal sets meeting every A \\ F_i, grown
+        one complement at a time (Berge); the constructor minimalizes them.
+        """
         if "radical" in self._cache:
             return self._cache["radical"]
         if self.is_empty():
             self._cache["radical"] = self
             return self
-        faces = list(self.standard_cover().as_dict().keys())
-        maximal = [
-            f for f in faces
-            if not any(g != f and set(f) <= set(g) for g in faces)
-        ]
-        result = None
-        for f in maximal:
-            p = self._ambient.prime_ideal(tuple(f))
-            result = p if result is None else result.intersect(p)
-        if result is None:
-            result = self
+        A = self._ambient.gens
+        faces = [set(f) for f in self.standard_cover().as_dict()]
+        transversals = {frozenset()}
+        for edge in (set(range(A.cols)) - f for f in faces if not any(f < g for g in faces)):
+            grown = {t if t & edge else t | {j} for t in transversals for j in edge}
+            transversals = {t for t in grown if not any(s < t for s in grown)}
+        sums = [A.mul(tuple(int(j in t) for j in range(A.cols))) for t in transversals]
+        result = MonomialIdeal(self._ambient, IntMatrix.from_cols(sums, rows=A.rows), _trusted=True)
         self._cache["radical"] = result
         return result
 

@@ -3,9 +3,9 @@
 A proper pair ``(a, F)`` of an ideal ``I`` represents the translated
 submonoid ``a + NF`` inside the standard monomials of ``I``.  Pairs carry
 their ambient ideal; the checked constructor verifies membership of the
-base and disjointness of ``a + NF`` from ``I`` (one Diophantine solve per
-generator), while ``skip_check=True`` trusts the caller — that path is
-what the cover pipeline uses for pairs known proper by construction.
+base and disjointness of ``a + NF`` from ``I`` (``is_proper``: a lattice
+test on the top face, one solve per generator on the others), while
+``skip_check=True`` trusts the caller, as the cover pipeline does.
 
 Face fields are index tuples.  They normally name faces of the ambient
 monoid, but the machinery below is well-defined for any column index set,
@@ -15,6 +15,7 @@ which the cover-refinement loop exploits transiently.
 from __future__ import annotations
 
 from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_sub
+from .diophantine import _matrix_data, _particular_solution
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
 from .polyhedral import BOTTOM, Face
@@ -81,9 +82,14 @@ def is_proper(pair: ProperPair) -> bool:
 
     ``base + F u = g + A w`` solvable for some generator g is exactly an
     intersection with the ideal, so one infeasibility check per generator
-    suffices.
+    suffices.  The top face (F = A) needs no solve: ``u - w`` ranges over
+    Z^n, so the system is solvable iff ``base - g`` lies in the lattice ZA,
+    which holds every generator.  So the pair is proper iff the ideal is
+    empty or the base is off ZA, for any base (also a ``skip_check`` one).
     """
     monoid = pair.ideal.ambient
+    if set(pair.face) == set(range(monoid.gens.cols)):
+        return pair.ideal.is_empty() or _particular_solution(_matrix_data(monoid.gens), pair.base) is None
     system = pair.face_matrix().hstack(monoid.gens.neg())
     for g in pair.ideal.gens.columns():
         if min_nonneg_solutions(system, vec_sub(g, pair.base)):

@@ -115,3 +115,28 @@ def brute_poly_standard_pairs(exponents, nvars, box):
         (u, v) for u, v in proper
         if not any((u, v) != q and contains(q, (u, v)) for q in proper)
     )
+
+
+def seeded_instances(count, seed):
+    """``count`` seeded (dim, monoid columns, ideal generators) triples with
+    1-3 rows, 1-4 columns of entries up to 3 and 1-3 generators from the
+    monoid's box of height 1, cycling through four kinds: plain, with an
+    added zero column, with a column added twice, and with both."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 4
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        cols = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(n)]
+        if not any(map(any, cols)):
+            continue
+        if kind & 1:
+            cols.insert(rng.randint(0, len(cols)), (0,) * d)
+        if kind & 2:
+            cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
+        candidates = sorted(b for b in monoid_box(cols, 1) if any(b))
+        gens = [rng.choice(candidates) for _ in range(rng.randint(1, 3))]
+        out.append((d, cols, gens))
+    return out

@@ -157,7 +157,10 @@ def test_loop_cap_exit_code(tmp_path, capsys):
     assert "did not stabilize within 1 iterations" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["ideal", "cover"], ["export-m2"]])
+@pytest.mark.parametrize(
+    "command",
+    [["ideal", "cover"], ["export-m2"], ["ideal", "radical"], ["ideal", "assoc"], ["ideal", "decompose"]],
+)
 @pytest.mark.parametrize("cap", ["0", "-3"])
 def test_loop_cap_below_one_exit_code(tmp_path, capsys, command, cap):
     path, _ = make_ideal_file(tmp_path)
@@ -166,6 +169,25 @@ def test_loop_cap_below_one_exit_code(tmp_path, capsys, command, cap):
     err = capsys.readouterr().err
     assert f"loop cap must be at least 1, got {cap}" in err
     assert "did not stabilize" not in err
+
+
+@pytest.mark.parametrize("action", ["radical", "assoc", "decompose"])
+def test_loop_cap_reaches_every_cover_action(tmp_path, capsys, action):
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+    path = str(tmp_path / "ideal.txt")
+    sp.save(sp.MonomialIdeal(Q, IntMatrix.from_rows([[2, 3], [1, 5]])), path)
+    assert main(["--quiet", "ideal", path, action, "--loop-cap", "1"]) == 3
+    assert "did not stabilize within 1 iterations" in capsys.readouterr().err
+    assert main(["--quiet", "ideal", path, action, "--loop-cap", "2"]) == 0
+
+
+@pytest.mark.parametrize("command", [["monoid", "{}", "info"], ["pair", "divides", "{}", "{}"]])
+def test_loop_cap_rejected_where_no_cover_is_built(tmp_path, capsys, command):
+    path, _ = make_ideal_file(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["--quiet", *(c.format(path) for c in command), "--loop-cap", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --loop-cap 5" in capsys.readouterr().err
 
 
 def test_progress_goes_to_stderr(tmp_path, capsys):

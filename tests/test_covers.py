@@ -22,8 +22,10 @@ from stdpairs.diophantine import IntMatrix, minimal_elements, vec_leq
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, is_proper
+from stdpairs.polyhedral import BOTTOM
 
-from oracles import brute_poly_standard_pairs, ideal_members, monoid_box
+from oracles import brute_poly_standard_pairs, ideal_members, monoid_box, seeded_instances
+from test_acceptance import random_instances
 
 
 def cover_shape(cover):
@@ -425,6 +427,77 @@ def test_cone_to_ctwo_filters_properness(paper_monoid):
     assert (0, 0) in out.get((0,), [])
     assert (1,) not in out
     assert (0, 1) not in out
+
+
+def _reference_cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
+    """``cone_to_ctwo`` before monotonicity: every pair tested on every
+    containing face."""
+    monoid = I.ambient
+    faces = [f for f in monoid.faces if f != BOTTOM]
+    out = []
+    for face, ps in cover.entries:
+        fset = set(face)
+        targets = [g for g in faces if fset <= set(g)]
+        if face not in monoid.faces:
+            targets.append(face)
+        for p in ps:
+            for g in targets:
+                candidate = ProperPair(p.base, g, I, skip_check=True)
+                if is_proper(candidate):
+                    out.append(candidate)
+    return Cover.from_pairs(out)
+
+
+def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
+    import stdpairs.covers as covers
+    import stdpairs.pairs as pairs
+
+    inputs = []
+    original = covers.cone_to_ctwo
+
+    def recording(cover, I):
+        inputs.append((cover, I))
+        return original(cover, I)
+
+    monkeypatch.setattr(covers, "cone_to_ctwo", recording)
+    ideals = list(random_instances())
+    for d, cols, gens in seeded_instances(200, 20261022):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    for I in ideals:
+        standard_cover(I)
+    monkeypatch.undo()
+    # index sets that are not faces (the pipeline passes them only rarely):
+    # proper ones inside the facet y = 0, whose columns are 0, 1 and 4
+    Q = AffineMonoid(IntMatrix.from_cols([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (1, 0, 2)]))
+    J = MonomialIdeal(Q, IntMatrix.from_cols([(1, 1, 1), (0, 1, 2)]))
+    non_faces = [(4,), (0, 1), (0, 4), (1, 4)]
+    assert not set(non_faces) & set(Q.faces)
+    bases = [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 3)]
+    cover = Cover.from_pairs(ProperPair(b, f, J, skip_check=True) for f in non_faces for b in bases)
+    assert set(non_faces) <= set(cone_to_ctwo(cover, J).as_dict())
+    inputs.append((cover, J))
+
+    calls = []
+
+    def counting(pair):
+        calls.append(pair.face)
+        return pairs.is_proper(pair)
+
+    monkeypatch.setattr(covers, "is_proper", counting)
+    monkeypatch.setitem(globals(), "is_proper", counting)  # the reference's
+    pruned = unpruned = 0
+    for cover, I in inputs:
+        start = len(calls)
+        out = cone_to_ctwo(cover, I)
+        middle = len(calls)
+        expected = _reference_cone_to_ctwo(cover, I)
+        assert out == expected, (I, cover)
+        assert middle - start <= len(calls) - middle
+        pruned += middle - start
+        unpruned += len(calls) - middle
+    assert len(inputs) >= 40
+    assert pruned < unpruned
 
 
 def test_cover_to_standard_is_fixpoint_on_standard(interior_monoid):

@@ -4,7 +4,8 @@ from stdpairs.diophantine import IntMatrix
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 
-from oracles import ideal_members, monoid_box
+from oracles import ideal_members, monoid_box, seeded_instances
+from test_acceptance import random_instances
 
 
 @pytest.fixture
@@ -130,3 +131,79 @@ def test_equality_and_hash(Q):
     J = MonomialIdeal(Q, IntMatrix.from_cols([(4, 4)]))
     assert I == J and hash(I) == hash(J)
     assert I.hash_string == J.hash_string
+
+
+# ---------------------------------------------------------------------------
+# radical from minimal transversals
+
+def _reference_radical(I: MonomialIdeal) -> MonomialIdeal:
+    """``radical`` before the minimal transversals: the primes of the
+    maximal cover faces intersected one ``intersect`` at a time."""
+    faces = list(I.standard_cover().as_dict().keys())
+    maximal = [
+        f for f in faces
+        if not any(g != f and set(f) <= set(g) for g in faces)
+    ]
+    result = None
+    for f in maximal:
+        p = I.ambient.prime_ideal(tuple(f))
+        result = p if result is None else result.intersect(p)
+    if result is None:
+        result = I
+    return result
+
+
+def _maximal_face_count(I):
+    faces = [set(f) for f in I.standard_cover().as_dict()]
+    return sum(not any(f < g for g in faces) for f in faces)
+
+
+def test_radical_equals_reference_on_seeded_instances():
+    several = 0
+    for d, cols, gens in seeded_instances(60, 20261020):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        I = MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d))
+        rad = I.radical()
+        assert rad == _reference_radical(I), (cols, gens)
+        assert rad.gens == _reference_radical(I).gens
+        several += _maximal_face_count(I) > 1
+    assert several >= 10
+
+
+def test_radical_equals_reference_on_acceptance_instances():
+    for I in random_instances():
+        assert I.radical() == _reference_radical(I), I
+
+
+def test_radical_zero_and_duplicate_columns():
+    Q = AffineMonoid(IntMatrix.from_cols([(1, 0, 0), (0, 0, 0), (0, 1, 0), (1, 1, 1), (0, 1, 0)], rows=3))
+    for gens in ([(2, 2, 1)], [(1, 1, 0), (0, 3, 0)], [(3, 0, 0), (0, 2, 0), (2, 2, 1)]):
+        I = MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=3))
+        assert I.radical() == _reference_radical(I), gens
+
+
+def test_radical_of_a_cover_with_one_face():
+    N = AffineMonoid(IntMatrix.from_rows([[1]]))
+    I = MonomialIdeal(N, IntMatrix.from_rows([[3]]))
+    assert list(I.standard_cover().as_dict()) == [()]
+    assert I.radical().gens.columns() == [(1,)] == _reference_radical(I).gens.columns()
+    N2 = AffineMonoid(IntMatrix.identity(2))
+    J = MonomialIdeal(N2, IntMatrix.from_cols([(2, 0)]))
+    assert list(J.standard_cover().as_dict()) == [(1,)]
+    assert J.radical() == N2.prime_ideal((1,)) == _reference_radical(J)
+
+
+def test_radical_never_intersects(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("radical() called intersect")
+
+    instances = []
+    for d, cols, gens in seeded_instances(12, 20261021):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        I = MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d))
+        I.standard_cover()
+        instances.append(I)
+    assert any(_maximal_face_count(I) > 1 for I in instances)
+    monkeypatch.setattr(MonomialIdeal, "intersect", refuse)
+    for I in instances:
+        I.radical()

@@ -2,10 +2,17 @@ from itertools import product
 
 import pytest
 
-from stdpairs.diophantine import IntMatrix
+import stdpairs.covers as covers
+import stdpairs.diophantine as diophantine
+import stdpairs.pairs as pairs
+from stdpairs.diophantine import IntMatrix, min_nonneg_solutions, vec_sub
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, divides, intersect_pairs, is_proper
+from stdpairs.polyhedral import BOTTOM
+
+from oracles import seeded_instances
+from test_acceptance import random_instances
 
 
 @pytest.fixture
@@ -114,3 +121,124 @@ def test_pair_equality_ignores_skip_flag(I):
     a = ProperPair((2, 0), (0,), I)
     b = ProperPair((2, 0), (0,), I, skip_check=True)
     assert a == b and hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# properness on the top face from the lattice
+
+def _reference_is_proper(pair: ProperPair) -> bool:
+    """``is_proper`` before the top face was answered from the lattice: one
+    ``[F | -A]`` solve per generator on every face."""
+    monoid = pair.ideal.ambient
+    system = pair.face_matrix().hstack(monoid.gens.neg())
+    for g in pair.ideal.gens.columns():
+        if min_nonneg_solutions(system, vec_sub(g, pair.base)):
+            return False
+    return True
+
+
+def _every_face_and_base(I, bases):
+    """Every non-bottom face of I's monoid with every base, checks skipped."""
+    for face in I.ambient.faces:
+        if face != BOTTOM:
+            for b in bases:
+                yield ProperPair(b, face, I, skip_check=True)
+
+
+def test_is_proper_equals_reference_on_seeded_covers():
+    tested = top = 0
+    for d, cols, gens in seeded_instances(120, 20261019):
+        if len(cols) > 4:
+            continue  # the reference's top-face systems [A | -A] reach tier 3
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        I = MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d))
+        # cover bases and shifted copies, some of them off the monoid or off ZA
+        bases = {p.base for p in I.standard_cover().pairs()}
+        bases |= {tuple(x + (i == 0) for i, x in enumerate(b)) for b in list(bases)}
+        bases |= {tuple(x - 1 for x in b) for b in list(bases)}
+        for pair in _every_face_and_base(I, sorted(bases)):
+            assert is_proper(pair) == _reference_is_proper(pair), (cols, gens, pair.base, pair.face)
+            tested += 1
+            top += len(pair.face) == len(cols)
+    assert tested > 2000 and top > 500
+
+
+def test_is_proper_equals_reference_where_cone_to_ctwo_asks(monkeypatch):
+    """Every (base, face) that the unpruned expansion loop would test while
+    the acceptance instances build their covers."""
+    inputs = []
+    original = covers.cone_to_ctwo
+
+    def recording(cover, I):
+        inputs.append((cover, I))
+        return original(cover, I)
+
+    monkeypatch.setattr(covers, "cone_to_ctwo", recording)
+    for I in random_instances():
+        covers.standard_cover(I)
+    tested = set()
+    for cover, I in inputs:
+        faces = [f for f in I.ambient.faces if f != BOTTOM]
+        for face, ps in cover.entries:
+            targets = [g for g in faces if set(face) <= set(g)]
+            if face not in I.ambient.faces:
+                targets.append(face)
+            for p in ps:
+                for g in targets:
+                    if (p.base, g, I.hash_string) not in tested:
+                        tested.add((p.base, g, I.hash_string))
+                        pair = ProperPair(p.base, g, I, skip_check=True)
+                        assert is_proper(pair) == _reference_is_proper(pair), (I, p.base, g)
+    assert len(tested) > 250
+
+
+def test_is_proper_non_saturated_lattice():
+    # ZA = {(x, y) : x + y even} is not saturated in Z^2
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2)]))
+    top = (0, 1, 2)
+    assert top in Q.faces
+    off_lattice = ProperPair((1, 0), top, I, skip_check=True)
+    on_lattice = ProperPair((3, 1), top, I, skip_check=True)
+    assert is_proper(off_lattice) and _reference_is_proper(off_lattice)
+    assert not is_proper(on_lattice) and not _reference_is_proper(on_lattice)
+    box = [(x, y) for x in range(-1, 5) for y in range(-1, 5)]
+    for pair in _every_face_and_base(I, box):
+        assert is_proper(pair) == _reference_is_proper(pair), (pair.base, pair.face)
+
+
+def test_is_proper_zero_and_duplicate_columns():
+    Q = AffineMonoid(IntMatrix.from_cols([(1, 0), (0, 0), (1, 2), (1, 2), (0, 1)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 3), (3, 1)]))
+    assert (0, 1, 2, 3, 4) in Q.faces
+    box = [(x, y) for x in range(-1, 5) for y in range(-1, 5)]
+    for pair in _every_face_and_base(I, box):
+        assert is_proper(pair) == _reference_is_proper(pair), (pair.base, pair.face)
+
+
+def test_is_proper_empty_ideal_is_always_proper():
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
+    E = MonomialIdeal(Q, IntMatrix.zero(2, 0))
+    box = [(x, y) for x in range(-1, 4) for y in range(-1, 4)]
+    for pair in _every_face_and_base(E, box):
+        assert is_proper(pair) and _reference_is_proper(pair)
+
+
+def test_top_face_is_proper_makes_no_solve(monkeypatch):
+    calls = []
+    original = diophantine.min_nonneg_solutions
+
+    def counting(M, b):
+        calls.append(M)
+        return original(M, b)
+
+    monkeypatch.setattr(pairs, "min_nonneg_solutions", counting)
+    monkeypatch.setattr(diophantine, "min_nonneg_solutions", counting)
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2), (4, 0)]))
+    top = (0, 1, 2, 3)
+    for base in [(0, 0), (1, 1), (5, 3), (1, 0), (-3, 4)]:
+        assert is_proper(ProperPair(base, top, I, skip_check=True)) == (sum(base) % 2 == 1)
+    assert calls == []
+    assert is_proper(ProperPair((0, 0), (0,), I, skip_check=True)) is False
+    assert calls  # the counter sees the solves of the other faces
