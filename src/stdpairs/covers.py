@@ -349,11 +349,11 @@ def _pair_set_contains(big: ProperPair, small: ProperPair) -> bool:
 
 
 def _prune_nested(cover: Cover) -> Cover:
+    """Drop the pairs contained in another one.  Distinct pairs never contain
+    each other both ways: that forces F = G and ``a - b`` in NF and -NF,
+    which meet only in 0 in a pointed monoid."""
     pairs = cover.pairs()
-    keep = [
-        p for p in pairs
-        if not any(q is not p and _pair_set_contains(q, p) and not _pair_set_contains(p, q) for q in pairs)
-    ]
+    keep = [p for p in pairs if not any(q is not p and _pair_set_contains(q, p) for q in pairs)]
     return Cover.from_pairs(keep)
 
 

@@ -1,10 +1,11 @@
 """Overlap classes, associated primes, multiplicities, irreducible decomposition.
 
 Everything here is read off the standard cover.  Standard pairs over one
-face are grouped into overlap classes (connected components of the
-"translated submonoids intersect" graph); classes are ordered by lifting
-pair divisibility existentially, and the maximal classes carry the
-associated primes and one irreducible component each.
+face F are grouped into overlap classes, the cosets of the lattice ZF
+among their bases (two translates ``a + NF`` meet iff their bases differ
+by ZF); classes are ordered by lifting pair divisibility existentially,
+which the first pair of each class decides, and the maximal classes carry
+the associated primes and one irreducible component each.
 
 A component for a maximal class C over a face F is the ideal of monomials
 exceeding, on some facet containing F, the largest support value attained
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import IntMatrix, min_nonneg_solutions, vec_add, vec_dot, vec_sub
+from .diophantine import IntMatrix, lattice_residue, min_nonneg_solutions, vec_add, vec_dot, vec_sub
 from .ideal import MonomialIdeal
-from .pairs import ProperPair, divides, intersect_pairs
+from .pairs import ProperPair, divides
 from .polyhedral import Face, face_sort_key
 
 
@@ -50,29 +51,18 @@ def _cover_of(I: MonomialIdeal):
 
 
 def overlap_classes(I: MonomialIdeal) -> dict:
-    """Partition each face's standard pairs into overlap classes."""
+    """Partition each face's standard pairs into overlap classes, keyed by
+    their bases' residues mod ZF: (a, F) and (b, F) meet iff ``b - a = F w``
+    for an integer w (take ``u = w+``, ``v = w-`` in ``a + F u = b + F v``)."""
     if "overlap_classes" in I._cache:
         return I._cache["overlap_classes"]
     monoid = I.ambient
     result: dict = {}
     for face, ps in _cover_of(I).entries:
-        parent = list(range(len(ps)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i in range(len(ps)):
-            for j in range(i + 1, len(ps)):
-                if intersect_pairs(monoid, ps[i].base, face, ps[j].base, face):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
+        fsub = monoid.submatrix(face)
         blocks: dict = {}
-        for i in range(len(ps)):
-            blocks.setdefault(find(i), []).append(ps[i])
+        for p in ps:
+            blocks.setdefault(lattice_residue(fsub, p.base), []).append(p)
         classes = [
             OverlapClass(face, tuple(sorted(b, key=lambda p: p.base))) for b in blocks.values()
         ]
@@ -82,18 +72,22 @@ def overlap_classes(I: MonomialIdeal) -> dict:
 
 
 def _class_below(c: OverlapClass, d: OverlapClass) -> bool:
-    """Existential divisibility lift: some pair of c divides some pair of d."""
-    return any(divides(p, q).rows > 0 for p in c.pairs for q in d.pairs)
+    """Existential divisibility lift: some pair of c divides some pair of d.
+    For c over F and d over G that is F <= G and ``b - a`` in NA + ZG, a set
+    closed under adding ZG, which holds ZF: the first pairs decide it."""
+    return divides(c.pairs[0], d.pairs[0]).rows > 0
 
 
 def maximal_overlap_classes(I: MonomialIdeal) -> dict:
-    """Classes not strictly below any other class in the lifted order."""
+    """Classes not strictly below any other class in the lifted order.  No two
+    classes are below each other: that forces F = G and ``b - a`` a unit of
+    NA + ZF, and the units are ZF (NA meets cone(F) in NF)."""
     if "maximal_overlap_classes" in I._cache:
         return I._cache["maximal_overlap_classes"]
     classes = [c for cs in overlap_classes(I).values() for c in cs]
     result: dict = {}
     for c in classes:
-        if any(d is not c and _class_below(c, d) and not _class_below(d, c) for d in classes):
+        if any(d is not c and _class_below(c, d) for d in classes):
             continue
         result.setdefault(c.face, []).append(c)
     result = {
@@ -136,16 +130,6 @@ def multiplicity(I: MonomialIdeal, face_or_prime) -> int:
     return sum(len(ps) for f, ps in _cover_of(I).entries if f == face)
 
 
-def _in_closure(monoid, fsub: IntMatrix, bases, q) -> bool:
-    """Whether q divides into some translate a + NF of the class.
-
-    Solvability of ``q + A m = a + F f`` over nonnegative integers is one
-    Diophantine system per class base.
-    """
-    system = fsub.hstack(monoid.gens.neg())
-    return any(bool(min_nonneg_solutions(system, vec_sub(q, a))) for a in bases)
-
-
 def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) -> MonomialIdeal:
     """The irreducible component attached to a maximal overlap class.
 
@@ -165,8 +149,10 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     if face not in maximal or ov_class not in maximal[face]:
         raise ValueError("not a maximal overlap class of the ideal")
     monoid = I.ambient
-    fsub = monoid.submatrix(face)
     bases = ov_class.bases()
+    # q divides into a + NF iff a - q lies in NA + ZF, the same set for all
+    # bases of the class (they differ by ZF): the first base decides
+    system = monoid.submatrix(face).hstack(monoid.gens.neg())
     support = monoid.support_of(face)
     normals = [phi for phi in support.data]
     budgets = []
@@ -185,7 +171,7 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
 
     def dividing(q) -> bool:
         if q not in closure_known:
-            closure_known[q] = _in_closure(monoid, fsub, bases, q)
+            closure_known[q] = bool(min_nonneg_solutions(system, vec_sub(q, bases[0])))
         return closure_known[q]
 
     # Walk sums of off-face columns in the budget window.  A node outside

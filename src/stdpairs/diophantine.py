@@ -533,28 +533,33 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
     return out
 
 
-def _particular_solution(data: _MatrixData, b):
-    """Some integer solution of ``M x = b`` (sign unrestricted), or None.
-
-    Forward substitution on the columns of ``data.reduction()`` with a
-    pivot among M's rows: each pivot row fixes its column's coefficient
-    as an exact quotient of the residual, since later columns vanish
-    there.  A remainder, or a residual left once every pivot is used,
-    means there is no integer solution.
-    """
+def _lattice_reduce(data: _MatrixData, b) -> tuple:
+    """``(x, residue)`` with ``b = M x + residue``, by forward substitution
+    with floor quotients on the columns of ``data.reduction()`` with a pivot
+    among M's rows.  Later columns vanish on each pivot row, which keeps its
+    remainder modulo the positive pivot, so the residue is canonical modulo
+    ``Z M``: zero iff ``b`` lies in ``Z M``, equal for congruent vectors."""
     cols, pivots, r = data.reduction()
     m = data.M.rows
-    residual = list(b)
+    residue = list(b)
     x = [0] * data.M.cols
     for col, p in zip(cols[:r], pivots):
-        q, rem = divmod(residual[p], col[p])
-        if rem:
-            return None
-        residual = [a - q * c for a, c in zip(residual, col)]
+        q = residue[p] // col[p]
+        residue = [a - q * c for a, c in zip(residue, col)]
         x = [a + q * c for a, c in zip(x, col[m:])]
-    if any(residual):
-        return None
-    return tuple(x)
+    return tuple(x), tuple(residue)
+
+
+def lattice_residue(M: IntMatrix, b: IntVector) -> IntVector:
+    """The canonical representative of ``b`` modulo the lattice ``Z M``."""
+    return _lattice_reduce(_matrix_data(M), b)[1]
+
+
+def _particular_solution(data: _MatrixData, b):
+    """Some integer solution of ``M x = b`` (sign unrestricted), or None:
+    the quotients of ``_lattice_reduce`` when its residue is zero."""
+    x, residue = _lattice_reduce(data, b)
+    return None if any(residue) else x
 
 
 _MATRIX_CACHE: dict = {}

@@ -108,10 +108,9 @@ def divides(pair: ProperPair, other: ProperPair) -> IntMatrix:
     monoid = pair.ideal.ambient
     if monoid != other.ideal.ambient:
         raise ValueError("pairs live over different ambient monoids")
-    gsub = other.face_matrix()
     if not set(pair.face) <= set(other.face):
-        return IntMatrix.zero(0, monoid.gens.cols + gsub.cols)
-    system = monoid.gens.hstack(gsub.neg())
+        return IntMatrix.zero(0, monoid.gens.cols + len(other.face))
+    system = monoid.gens.hstack(other.face_matrix().neg())
     sols = min_nonneg_solutions(system, vec_sub(other.base, pair.base))
     return IntMatrix.from_rows(list(sols), cols=system.cols)
 

@@ -9,6 +9,8 @@ from stdpairs.covers import (
     LoopCapExceeded,
     PolyMonomialIdeal,
     PolyStdPair,
+    _pair_set_contains,
+    _prune_nested,
     cone_to_ctwo,
     cover_to_standard,
     czero_to_cone,
@@ -498,6 +500,46 @@ def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
         unpruned += len(calls) - middle
     assert len(inputs) >= 40
     assert pruned < unpruned
+
+
+def _reference_prune_nested(cover: Cover) -> Cover:
+    """``_prune_nested`` with the reverse containment test: drop a pair only
+    when it is strictly contained in another."""
+    pairs = cover.pairs()
+    keep = [
+        p for p in pairs
+        if not any(q is not p and _pair_set_contains(q, p) and not _pair_set_contains(p, q) for q in pairs)
+    ]
+    return Cover.from_pairs(keep)
+
+
+def test_prune_nested_equals_reference_with_strict_containment(monkeypatch):
+    """Distinct pairs never contain each other both ways, so dropping every
+    contained pair prunes the fixpoint covers of the pipeline exactly as
+    dropping the strictly contained ones does."""
+    import stdpairs.covers as covers
+
+    inputs = []
+    original = covers._prune_nested
+
+    def recording(cover):
+        inputs.append(cover)
+        return original(cover)
+
+    monkeypatch.setattr(covers, "_prune_nested", recording)
+    ideals = [I for i, I in enumerate(random_instances()) if i not in (10, 19)]
+    for d, cols, gens in seeded_instances(200, 20261022):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    for I in ideals:
+        standard_cover(I)
+    monkeypatch.undo()
+    dropped = 0
+    for cover in inputs:
+        out = _prune_nested(cover)
+        assert out == _reference_prune_nested(cover), cover
+        dropped += out != cover
+    assert len(inputs) >= 30 and dropped >= 15
 
 
 def test_cover_to_standard_is_fixpoint_on_standard(interior_monoid):

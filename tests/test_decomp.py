@@ -2,6 +2,7 @@ import pytest
 
 from stdpairs.decomp import (
     OverlapClass,
+    _cover_of,
     associated_primes,
     irreducible_component,
     irreducible_decomposition,
@@ -9,9 +10,23 @@ from stdpairs.decomp import (
     multiplicity,
     overlap_classes,
 )
-from stdpairs.diophantine import IntMatrix
+from stdpairs.diophantine import (
+    IntMatrix,
+    _matrix_data,
+    _particular_solution,
+    _saturated_span_basis,
+    min_nonneg_solutions,
+    vec_add,
+    vec_dot,
+    vec_sub,
+)
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
+from stdpairs.pairs import divides, intersect_pairs
+from stdpairs.polyhedral import face_sort_key
+
+from oracles import seeded_instances
+from test_acceptance import random_instances
 
 
 @pytest.fixture
@@ -227,3 +242,208 @@ def test_colon_witness_for_associated_faces(golden_ideal):
             if found:
                 break
         assert found, f"no colon witness for face {face}"
+
+
+# ---------------------------------------------------------------------------
+# the pairwise decomposition machinery, kept as references for the lattice
+# coset one (verbatim but for the memo in ``I._cache``)
+
+
+def _reference_overlap_classes(I: MonomialIdeal) -> dict:
+    """Union-find over one ``intersect_pairs`` solve per pair of pairs."""
+    monoid = I.ambient
+    result: dict = {}
+    for face, ps in _cover_of(I).entries:
+        parent = list(range(len(ps)))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i in range(len(ps)):
+            for j in range(i + 1, len(ps)):
+                if intersect_pairs(monoid, ps[i].base, face, ps[j].base, face):
+                    ri, rj = find(i), find(j)
+                    if ri != rj:
+                        parent[rj] = ri
+        blocks: dict = {}
+        for i in range(len(ps)):
+            blocks.setdefault(find(i), []).append(ps[i])
+        classes = [
+            OverlapClass(face, tuple(sorted(b, key=lambda p: p.base))) for b in blocks.values()
+        ]
+        result[face] = sorted(classes, key=lambda c: c.pairs[0].base)
+    return result
+
+
+def _reference_class_below(c: OverlapClass, d: OverlapClass) -> bool:
+    """Existential divisibility lift: some pair of c divides some pair of d."""
+    return any(divides(p, q).rows > 0 for p in c.pairs for q in d.pairs)
+
+
+def _reference_maximal_overlap_classes(I: MonomialIdeal) -> dict:
+    """Classes not strictly below any other class, tested on all pairs both ways."""
+    classes = [c for cs in _reference_overlap_classes(I).values() for c in cs]
+    result: dict = {}
+    for c in classes:
+        if any(
+            d is not c and _reference_class_below(c, d) and not _reference_class_below(d, c)
+            for d in classes
+        ):
+            continue
+        result.setdefault(c.face, []).append(c)
+    return {
+        f: sorted(result[f], key=lambda c: c.pairs[0].base)
+        for f in sorted(result, key=face_sort_key)
+    }
+
+
+def _reference_in_closure(monoid, fsub: IntMatrix, bases, q) -> bool:
+    """Whether q divides into some translate a + NF of the class, one
+    Diophantine system per class base."""
+    system = fsub.hstack(monoid.gens.neg())
+    return any(bool(min_nonneg_solutions(system, vec_sub(q, a))) for a in bases)
+
+
+def _reference_irreducible_component(I: MonomialIdeal, face, ov_class: OverlapClass) -> MonomialIdeal:
+    """The component of a maximal class, with the closure tested on every base."""
+    face = tuple(face)
+    maximal = maximal_overlap_classes(I)
+    if face not in maximal or ov_class not in maximal[face]:
+        raise ValueError("not a maximal overlap class of the ideal")
+    monoid = I.ambient
+    fsub = monoid.submatrix(face)
+    bases = ov_class.bases()
+    support = monoid.support_of(face)
+    normals = [phi for phi in support.data]
+    budgets = []
+    for phi in normals:
+        top = max(vec_dot(phi, b) for b in bases)
+        step = max((vec_dot(phi, c) for c in monoid.gens.columns()), default=0)
+        budgets.append(top + step)
+    off_face = [j for j in range(monoid.gens.cols) if j not in face]
+    off_cols = [monoid.gens.col(j) for j in off_face]
+    off_values = [[vec_dot(phi, c) for c in off_cols] for phi in normals]
+    extendable = [
+        k for k in range(len(off_cols)) if any(off_values[i][k] > 0 for i in range(len(normals)))
+    ]
+
+    closure_known: dict = {}
+
+    def dividing(q) -> bool:
+        if q not in closure_known:
+            closure_known[q] = _reference_in_closure(monoid, fsub, bases, q)
+        return closure_known[q]
+
+    outside: set = set()
+
+    def walk(idx: int, point, values):
+        if not dividing(point):
+            outside.add(point)
+            return
+        for pos in range(idx, len(extendable)):
+            k = extendable[pos]
+            nxt = [v + off_values[i][k] for i, v in enumerate(values)]
+            if all(v <= b for v, b in zip(nxt, budgets)):
+                walk(pos, vec_add(point, off_cols[k]), nxt)
+
+    walk(0, (0,) * monoid.dim, [0] * len(normals))
+    return MonomialIdeal(monoid, IntMatrix.from_cols(sorted(outside), rows=monoid.dim), _trusted=True)
+
+
+_NUMERICAL_SEMIGROUPS = [
+    ([(2,), (3,)], [(5,), (7,)]),
+    ([(3,), (5,), (7,)], [(9,), (10,)]),
+    ([(3,), (4,)], [(6,), (11,)]),
+    ([(4,), (6,), (9,)], [(12,), (13,)]),
+    ([(3,), (4,), (3,), (2,)], [(8,), (12,), (8,)]),
+]
+
+_NON_NORMAL_PLANE = [
+    ([(2, 0), (0, 2), (1, 1)], [(5, 3)]),
+    ([(2, 0), (0, 2), (1, 1)], [(3, 1), (2, 2)]),
+    ([(2, 0), (0, 0), (0, 2), (1, 1), (0, 2)], [(3, 1), (2, 4)]),
+    ([(3, 0), (0, 2), (1, 1)], [(4, 1), (3, 4)]),
+]
+
+
+def _reference_inputs() -> list:
+    """Ideals for the reference comparison: seeded instances (with zero and
+    duplicate columns), numerical semigroups, non-normal plane monoids and
+    the light acceptance instances (all but the slow 10 and 19)."""
+    triples = list(seeded_instances(240, 17))
+    triples += [(len(cols[0]), cols, gens) for cols, gens in _NUMERICAL_SEMIGROUPS + _NON_NORMAL_PLANE]
+    ideals = []
+    for d, cols, gens in triples:
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    ideals += [I for i, I in enumerate(random_instances()) if i not in (10, 19)]
+    return ideals
+
+
+def _lattice_saturated(fsub: IntMatrix) -> bool:
+    """Whether ZF is all of its span's integer points."""
+    data = _matrix_data(fsub)
+    return all(_particular_solution(data, v) is not None for v in _saturated_span_basis(fsub.columns(), fsub.rows))
+
+
+def test_decomposition_equals_pairwise_reference():
+    """Cosets of ZF, first-pair class order and first-base closure give the
+    pairwise machinery's classes, maximal classes and components."""
+    non_saturated = multi_pair = 0
+    for I in _reference_inputs():
+        classes = overlap_classes(I)
+        assert classes == _reference_overlap_classes(I), I
+        maximal = maximal_overlap_classes(I)
+        assert maximal == _reference_maximal_overlap_classes(I), I
+        for face, cs in maximal.items():
+            for c in cs:
+                assert irreducible_component(I, face, c) == _reference_irreducible_component(I, face, c), (I, face, c)
+        non_saturated += sum(not _lattice_saturated(I.ambient.submatrix(face)) for face in classes)
+        multi_pair += sum(len(c.pairs) > 1 for cs in classes.values() for c in cs)
+    assert non_saturated >= 20 and multi_pair >= 20
+
+
+def test_overlap_classes_make_no_solve(monkeypatch):
+    """Classes are keyed by lattice residues: no Diophantine solve."""
+    import stdpairs.decomp as decomp
+    import stdpairs.diophantine as diophantine
+    import stdpairs.pairs as pairs
+
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(5, 3)]))
+    I.standard_cover()
+    calls = []
+
+    def counting(M, b):
+        calls.append((M, b))
+        return diophantine.min_nonneg_solutions(M, b)
+
+    for module in (decomp, pairs):
+        monkeypatch.setattr(module, "min_nonneg_solutions", counting)
+    classes = overlap_classes(I)
+    assert any(len(c.pairs) > 1 for cs in classes.values() for c in cs)
+    assert calls == []
+
+
+def test_maximal_classes_test_each_class_pair_once(monkeypatch):
+    """At most one ``divides`` per ordered pair of classes, however many
+    pairs the classes hold."""
+    import stdpairs.decomp as decomp
+
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(5, 3)]))
+    classes = [c for cs in overlap_classes(I).values() for c in cs]
+    k = len(classes)
+    assert sum(len(c.pairs) > 1 for c in classes) >= 3
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return divides(p, q)
+
+    monkeypatch.setattr(decomp, "divides", counting)
+    maximal_overlap_classes(I)
+    assert 0 < len(calls) <= k * (k - 1)

@@ -33,6 +33,7 @@ from stdpairs.diophantine import (
     _saturated_span_basis,
     hilbert_kernel,
     integer_kernel_basis,
+    lattice_residue,
     min_nonneg_solutions,
     minimal_elements,
     primitive,
@@ -871,6 +872,41 @@ def test_column_echelon_matches_smith_reference():
         for col, p in zip(cols, pivots):
             assert col[p] > 0 and not any(col[:p]), M
     assert solvable >= 600 and unsolvable >= 500 and with_kernel >= 150
+
+
+def test_lattice_residue_is_canonical_mod_lattice():
+    """The residue of b modulo Z M is the same for b and b + M z, is zero
+    exactly when ``_particular_solution`` finds an integer solution, and
+    differs from b by a lattice vector; on r x 0 matrices, zero columns and
+    lattices not saturated in their span too."""
+    rng = random.Random(79)
+    matrices = _EDGE_MATRICES + [
+        IntMatrix.from_rows([[2, 0], [0, 2]]),
+        IntMatrix.from_rows([[2, 0, 1], [0, 0, 1]]),
+        IntMatrix.from_rows([[1, 1], [1, -1]]),
+        IntMatrix.from_cols([(2, 0)]),
+    ] + _random_int_matrices(rng, 300)
+    zero_cols = non_saturated = members = non_members = 0
+    for M in matrices:
+        data = _matrix_data(M)
+        cols = M.columns()
+        zero_cols += any(not any(c) for c in cols)
+        span = _saturated_span_basis(cols, M.rows)
+        non_saturated += any(_particular_solution(data, v) is None for v in span)
+        for _ in range(4):
+            b = tuple(rng.randint(-6, 6) for _ in range(M.rows))
+            residue = lattice_residue(M, b)
+            z = tuple(rng.randint(-3, 3) for _ in range(M.cols))
+            assert lattice_residue(M, vec_add(b, M.mul(z))) == residue, (M, b, z)
+            inside = _particular_solution(data, b) is not None
+            assert inside == (not any(residue)), (M, b, residue)
+            members += inside
+            non_members += not inside
+            x = _particular_solution(data, tuple(u - v for u, v in zip(b, residue)))
+            assert x is not None and M.mul(x) == tuple(u - v for u, v in zip(b, residue)), (M, b)
+    assert any(M.rows and not M.cols for M in matrices)
+    assert zero_cols >= 20 and non_saturated >= 20
+    assert members >= 100 and non_members >= 100
 
 
 def test_kernel_basis_entries_stay_small():

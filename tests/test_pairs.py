@@ -73,6 +73,20 @@ def test_divides_respects_face_containment(I):
     assert divides(wide, narrow).rows == 0  # infinite set cannot embed in a point
 
 
+def test_divides_over_non_nested_faces_builds_no_system(I, monkeypatch):
+    """Face containment is checked first: non-nested faces give an empty
+    witness of width ``A.cols + |G|`` without a face matrix or a solve."""
+    ray = ProperPair((2, 0), (0,), I)
+    other = ProperPair((0, 2), (1,), I, skip_check=True)
+    built = []
+    monkeypatch.setattr(ProperPair, "face_matrix", lambda self: built.append(self))
+    monkeypatch.setattr(pairs, "min_nonneg_solutions", lambda M, b: built.append(b))
+    for p, q in ((ray, other), (other, ray)):
+        witness = divides(p, q)
+        assert (witness.rows, witness.cols) == (0, I.ambient.gens.cols + len(q.face))
+    assert built == []
+
+
 def test_divides_reflexive_on_cover(I):
     for p in I.standard_cover().pairs():
         assert divides(p, p).rows > 0
