@@ -286,7 +286,7 @@ def verify(obj) -> None:
         return
     if isinstance(obj, Cover):
         for p in obj.pairs():
-            if p.ideal.ambient.is_element(p.base).is_empty():
+            if not p.ideal.ambient.contains(p.base):
                 raise ArchiveError(f"cover pair base {p.base} is outside the monoid")
         return
     if isinstance(obj, MonomialIdeal):

@@ -31,10 +31,12 @@ from dataclasses import dataclass
 from .diophantine import (
     IntMatrix,
     IntVector,
+    has_nonneg_solution,
     min_nonneg_solutions,
     minimal_elements,
     vec,
     vec_add,
+    vec_dot,
     vec_leq,
     vec_sub,
 )
@@ -258,7 +260,7 @@ def _resolve_face(monoid: AffineMonoid, cols: Face, base: IntVector, other: Prop
         return cols
     closure = monoid.face_closure(cols)
     system = monoid.submatrix(closure).hstack(other.face_matrix().neg())
-    if min_nonneg_solutions(system, vec_sub(other.base, base)).is_empty():
+    if not has_nonneg_solution(system, vec_sub(other.base, base)):
         return closure
     return cols
 
@@ -344,16 +346,27 @@ def _pair_set_contains(big: ProperPair, small: ProperPair) -> bool:
     """Set containment small.base + NF <= big.base + NG."""
     if not set(small.face) <= set(big.face):
         return False
-    diff = vec_sub(small.base, big.base)
-    return bool(min_nonneg_solutions(big.face_matrix(), diff))
+    return has_nonneg_solution(big.face_matrix(), vec_sub(small.base, big.base))
 
 
 def _prune_nested(cover: Cover) -> Cover:
-    """Drop the pairs contained in another one.  Distinct pairs never contain
-    each other both ways: that forces F = G and ``a - b`` in NF and -NF,
-    which meet only in 0 in a pointed monoid."""
+    """Drop the pairs contained in another one, asking only the pairs kept.
+
+    ``(a, F)`` lies in ``(b, G)`` iff F <= G and ``a - b`` is in NG.  With
+    w the sum of the facet normals, positive on every nonzero monoid
+    element, the pairs run by (-|F|, w . base): a pair containing another
+    comes first, by a larger face or, over the same face, by
+    ``w . (a - b) > 0``.  Containment is transitive, so a pair inside any
+    pair is inside an earlier kept one."""
     pairs = cover.pairs()
-    keep = [p for p in pairs if not any(q is not p and _pair_set_contains(q, p) for q in pairs)]
+    if not pairs:
+        return cover
+    monoid = pairs[0].ideal.ambient
+    w = tuple(map(sum, zip(*monoid.support_of(BOTTOM).data)))  # () without facets: w = 0
+    keep: list = []
+    for p in sorted(pairs, key=lambda p: (-len(p.face), vec_dot(w, p.base))):
+        if not any(_pair_set_contains(q, p) for q in keep):
+            keep.append(p)
     return Cover.from_pairs(keep)
 
 

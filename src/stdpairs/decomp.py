@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import IntMatrix, lattice_residue, min_nonneg_solutions, vec_add, vec_dot, vec_sub
+from .diophantine import IntMatrix, has_nonneg_solution, lattice_residue, vec_add, vec_dot, vec_sub
 from .ideal import MonomialIdeal
-from .pairs import ProperPair, divides
+from .pairs import ProperPair, is_divisor
 from .polyhedral import Face, face_sort_key
 
 
@@ -75,20 +75,34 @@ def _class_below(c: OverlapClass, d: OverlapClass) -> bool:
     """Existential divisibility lift: some pair of c divides some pair of d.
     For c over F and d over G that is F <= G and ``b - a`` in NA + ZG, a set
     closed under adding ZG, which holds ZF: the first pairs decide it."""
-    return divides(c.pairs[0], d.pairs[0]).rows > 0
+    return is_divisor(c.pairs[0], d.pairs[0])
 
 
 def maximal_overlap_classes(I: MonomialIdeal) -> dict:
     """Classes not strictly below any other class in the lifted order.  No two
     classes are below each other: that forces F = G and ``b - a`` a unit of
-    NA + ZF, and the units are ZF (NA meets cone(F) in NF)."""
+    NA + ZF, and the units are ZF (NA meets cone(F) in NF).
+
+    The classes run by (-|F|, -w_F . a), with w_F the sum of the normals of
+    the facets containing F, so a class comes after every class above it:
+    by a smaller face or, over the same face, because ``b - a`` in NA + ZF
+    and off ZF has ``w_F . (b - a) > 0`` (for the same reason).  The order
+    is transitive, so a class is maximal iff it is below no maximal class
+    found before it."""
     if "maximal_overlap_classes" in I._cache:
         return I._cache["maximal_overlap_classes"]
-    classes = [c for cs in overlap_classes(I).values() for c in cs]
+    monoid = I.ambient
+    weights = {f: tuple(map(sum, zip(*monoid.support_of(f).data))) for f in overlap_classes(I)}
+    classes = sorted(
+        (c for cs in overlap_classes(I).values() for c in cs),
+        key=lambda c: (-len(c.face), -vec_dot(weights[c.face], c.pairs[0].base)),
+    )
+    found: list = []
     result: dict = {}
     for c in classes:
-        if any(d is not c and _class_below(c, d) for d in classes):
+        if any(_class_below(c, d) for d in found):
             continue
+        found.append(c)
         result.setdefault(c.face, []).append(c)
     result = {
         f: sorted(result[f], key=lambda c: c.pairs[0].base)
@@ -171,7 +185,7 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
 
     def dividing(q) -> bool:
         if q not in closure_known:
-            closure_known[q] = bool(min_nonneg_solutions(system, vec_sub(q, bases[0])))
+            closure_known[q] = has_nonneg_solution(system, vec_sub(q, bases[0]))
         return closure_known[q]
 
     # Walk sums of off-face columns in the budget window.  A node outside

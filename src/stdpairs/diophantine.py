@@ -51,6 +51,10 @@ opposite inputs; only then the full walk and the triangulation
 (``hilbert_kernel``).  Cone data, kernel data and the answers for up to
 ``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
 ``_MATRIX_CACHE_CAP`` matrices.
+
+Most callers only ask whether a solution exists.  They call
+``has_nonneg_solution``, which runs the same certificates and the same
+completion but stops at the first solution it finds.
 """
 
 from __future__ import annotations
@@ -264,7 +268,9 @@ class _MatrixData:
     facet normals and span equations of ``cone(M)``, and whether ``Z M`` is
     saturated), one column echelon reduction (particular solutions, kernel
     lattice, echelon walk data), the box walk's per-level tests, tier-1
-    completion data.  The cone data is filled lazily by ``_facets_of_cone``,
+    completion data, the full answers per right-hand side (``solutions``)
+    and the right-hand sides ``has_nonneg_solution`` found solvable
+    (``feasible``).  The cone data is filled lazily by ``_facets_of_cone``,
     or by ``store_cone`` from facets a caller (``AffineMonoid``) has already
     enumerated, so each matrix's cone is enumerated once while its entry
     stays in ``_MATRIX_CACHE``."""
@@ -272,6 +278,7 @@ class _MatrixData:
     M: IntMatrix
     hilbert: tuple | None = None
     solutions: dict = field(default_factory=dict)
+    feasible: dict = field(default_factory=dict)
     _cone: tuple | None = None
     _saturated: bool | None = None
     _reduction: tuple | None = None
@@ -842,7 +849,7 @@ def _coordinate_index(vectors: Iterable[IntVector], ncols: int) -> list:
     return index
 
 
-def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
+def _completion(gram: list, cap_index: int | None, seed: list, budget: int, first: bool = False):
     """Contejean-Devie completion: minimal nonzero solutions of a homogeneous system.
 
     The system ``sum_l x_l c_l = 0`` is given by the Gram matrix
@@ -878,7 +885,9 @@ def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
     ``budget`` nodes are generated; the count only grows, so this is the
     same decision as counting to the end.  The caller then switches to the
     lattice-geometric solver, which has predictable cost.  Otherwise the
-    result is the sorted list of the solutions found.
+    result is the sorted list of the solutions found.  With ``first`` the
+    search returns ``[y]`` at the first solution y found with a nonzero
+    coordinate ``cap_index``: a yes to "is there one at height one?".
     """
     ncols = len(gram)
     if ncols > budget:
@@ -916,6 +925,8 @@ def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
                     if ysq:
                         nxt[y] = (tuple(map(add, d, g)), ysq)
                     else:
+                        if first and y[cap_index]:
+                            return [y]
                         found.append(y)
                         for i, v in enumerate(y):
                             if v:
@@ -1007,6 +1018,9 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     3. triangulation of the same rays with exact parallelepiped
        enumeration, whose candidate count is the sum of simplex
        determinants.
+
+    A caller that needs only whether a solution exists should call
+    ``has_nonneg_solution``, which stops at the first one.
     """
     b = vec(b)
     if len(b) != M.rows:
@@ -1020,6 +1034,48 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     result = _min_nonneg_uncached(M, data, b)
     _bounded_put(data.solutions, b, result, _SOLUTIONS_CAP)
     return result
+
+
+def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
+    """Whether ``M x = b`` has a nonnegative integer solution: the truth
+    value of ``min_nonneg_solutions(M, b)``, without enumerating every
+    minimal solution when one suffices.
+
+    A memoised full answer decides; then the infeasibility certificates.
+    Then tier 1 runs on the same homogenized system, but stops at its first
+    solution of height one.  A completion that ends without one is a full
+    answer, no solution, and is memoised like the certificates' "no".  A
+    "yes" is not a full answer: it goes to a separate per-matrix memo,
+    ``feasible``, bounded by ``_SOLUTIONS_CAP`` too, and never to
+    ``solutions``.  A completion that overflows ``_CD_BUDGET`` has visited
+    the same nodes as the full one would, so the solve goes on at tier 2
+    and memoises its full answer.
+    """
+    b = vec(b)
+    if len(b) != M.rows:
+        raise ValueError(f"right-hand side has dim {len(b)}, expected {M.rows}")
+    if vec_is_zero(b):
+        return True
+    data = _matrix_data(M)
+    cached = data.solutions.get(b)
+    if cached is not None:
+        return bool(cached)
+    if b in data.feasible:
+        return True
+    if _infeasible(data, b):
+        result = SolutionSet.of(M.cols, [])
+    else:
+        hgram, seed = _homogenized_gram(data, b)
+        found = _completion(hgram, M.cols, seed, _CD_BUDGET, first=True)
+        if found is None:
+            result = _geometric_solutions(M, data, b)
+        elif any(x[M.cols] for x in found):
+            _bounded_put(data.feasible, b, True, _SOLUTIONS_CAP)
+            return True
+        else:
+            result = SolutionSet.of(M.cols, [])
+    _bounded_put(data.solutions, b, result, _SOLUTIONS_CAP)
+    return bool(result)
 
 
 def _infeasible(data: _MatrixData, b: IntVector) -> bool:
@@ -1039,18 +1095,30 @@ def _infeasible(data: _MatrixData, b: IntVector) -> bool:
     return not data.saturated() and _particular_solution(data, b) is None
 
 
-def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    if _infeasible(data, b):
-        return SolutionSet.of(M.cols, [])
+def _homogenized_gram(data: _MatrixData, b: IntVector) -> tuple:
+    """The Gram matrix of the columns of ``[M | -b]`` and the tier-1 seed:
+    the homogenized system ``M x = t b`` as ``_completion`` reads it."""
     columns, gram, seed = data.completion_data()
-    slack = M.cols
     cross = [-vec_dot(c, b) for c in columns]  # c_l . (-b), the slack column's row
     hgram = [row + (g,) for row, g in zip(gram, cross)]
     hgram.append(tuple(cross) + (vec_dot(b, b),))
+    return hgram, seed
+
+
+def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
+    if _infeasible(data, b):
+        return SolutionSet.of(M.cols, [])
+    slack = M.cols
+    hgram, seed = _homogenized_gram(data, b)
     quick = _completion(hgram, slack, seed, _CD_BUDGET)
     if quick is not None:
         return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
+    return _geometric_solutions(M, data, b)
 
+
+def _geometric_solutions(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
+    """Tiers 2 and 3 of ``min_nonneg_solutions`` for a b that passed the
+    certificates."""
     # b passed the lattice test, so x0 exists, and the cone test, so the
     # polyhedron is not empty and some ray has t > 0: bound is not None
     x0 = _particular_solution(data, b)
@@ -1060,7 +1128,7 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
         return SolutionSet.of(M.cols, points)
 
     hilbert = _hilbert_basis_geometric(basis, rays)
-    return SolutionSet.of(M.cols, [x[:slack] for x in hilbert if x[slack] == 1])
+    return SolutionSet.of(M.cols, [x[:-1] for x in hilbert if x[-1] == 1])
 
 
 def _homogenized_cone(data: _MatrixData, x0) -> tuple:

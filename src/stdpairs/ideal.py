@@ -28,7 +28,7 @@ class MonomialIdeal:
             raise ValueError("zero generator: the unit ideal is not a proper monomial ideal")
         if not _trusted:
             for c in cols:
-                if ambient.is_element(c).is_empty():
+                if not ambient.contains(c):
                     raise ValueError(f"generator {c} is not an element of the ambient monoid")
         self._ambient = ambient
         self._gens = IntMatrix.from_cols(ambient.minimal(cols), rows=ambient.dim)
@@ -75,7 +75,7 @@ class MonomialIdeal:
         b = vec(b)
         if len(b) != self._ambient.dim:
             return False
-        if self._ambient.is_element(b).is_empty():
+        if not self._ambient.contains(b):
             return False
         return self.is_element(b) is None
 

@@ -7,6 +7,7 @@ from .diophantine import (
     IntVector,
     SolutionSet,
     _matrix_data,
+    has_nonneg_solution,
     min_nonneg_solutions,
     vec,
     vec_sub,
@@ -87,13 +88,17 @@ class AffineMonoid:
 
     def is_element(self, b: IntVector) -> SolutionSet:
         """Minimal factorizations of b over the generators; empty iff b is not in the monoid."""
+        return min_nonneg_solutions(self._gens, self._vector(b))
+
+    def contains(self, b: IntVector) -> bool:
+        """Whether b is in the monoid, without its factorizations."""
+        return has_nonneg_solution(self._gens, self._vector(b))
+
+    def _vector(self, b: IntVector) -> IntVector:
         b = vec(b)
         if len(b) != self.dim:
             raise ValueError(f"vector has dim {len(b)}, expected {self.dim}")
-        return min_nonneg_solutions(self._gens, b)
-
-    def contains(self, b: IntVector) -> bool:
-        return not self.is_element(b).is_empty()
+        return b
 
     def minimal(self, points) -> list:
         """The sorted distinct points that no other of them divides (``q - p`` in the monoid)."""

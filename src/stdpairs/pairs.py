@@ -4,8 +4,8 @@ A proper pair ``(a, F)`` of an ideal ``I`` represents the translated
 submonoid ``a + NF`` inside the standard monomials of ``I``.  Pairs carry
 their ambient ideal; the checked constructor verifies membership of the
 base and disjointness of ``a + NF`` from ``I`` (``is_proper``: a lattice
-test on the top face, one solve per generator on the others), while
-``skip_check=True`` trusts the caller, as the cover pipeline does.
+test on the top face, one existence check per generator on the others),
+while ``skip_check=True`` trusts the caller, as the cover pipeline does.
 
 Face fields are index tuples.  They normally name faces of the ambient
 monoid, but the machinery below is well-defined for any column index set,
@@ -15,7 +15,7 @@ which the cover-refinement loop exploits transiently.
 from __future__ import annotations
 
 from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_sub
-from .diophantine import _matrix_data, _particular_solution
+from .diophantine import _matrix_data, _particular_solution, has_nonneg_solution
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
 from .polyhedral import BOTTOM, Face
@@ -32,7 +32,7 @@ class ProperPair:
         if not skip_check:
             if self.face not in monoid.faces or self.face == BOTTOM:
                 raise ValueError(f"{self.face} is not a face of the ambient monoid")
-            if monoid.is_element(self.base).is_empty():
+            if not monoid.contains(self.base):
                 raise ValueError(f"base {self.base} is not an element of the ambient monoid")
             if not is_proper(self):
                 raise ValueError(f"({self.base}, {self.face}) is not a proper pair of the ideal")
@@ -58,7 +58,7 @@ class ProperPair:
         for std in self.ideal.standard_cover().pairs():
             if self == std:
                 return True
-            if divides(self, std).rows > 0 and divides(std, self).rows > 0:
+            if is_divisor(self, std) and is_divisor(std, self):
                 return True
         return False
 
@@ -81,7 +81,7 @@ def is_proper(pair: ProperPair) -> bool:
     """Whether ``base + NF`` misses the ideal entirely.
 
     ``base + F u = g + A w`` solvable for some generator g is exactly an
-    intersection with the ideal, so one infeasibility check per generator
+    intersection with the ideal, so one existence check per generator
     suffices.  The top face (F = A) needs no solve: ``u - w`` ranges over
     Z^n, so the system is solvable iff ``base - g`` lies in the lattice ZA,
     which holds every generator.  So the pair is proper iff the ideal is
@@ -92,7 +92,7 @@ def is_proper(pair: ProperPair) -> bool:
         return pair.ideal.is_empty() or _particular_solution(_matrix_data(monoid.gens), pair.base) is None
     system = pair.face_matrix().hstack(monoid.gens.neg())
     for g in pair.ideal.gens.columns():
-        if min_nonneg_solutions(system, vec_sub(g, pair.base)):
+        if has_nonneg_solution(system, vec_sub(g, pair.base)):
             return False
     return True
 
@@ -105,14 +105,28 @@ def divides(pair: ProperPair, other: ProperPair) -> IntMatrix:
     translate fits; divisibility forces face containment F <= G, which is
     prechecked so the system stays finite-dimensional.
     """
+    question = _divides_system(pair, other)
+    if question is None:
+        return IntMatrix.zero(0, pair.ideal.ambient.gens.cols + len(other.face))
+    system, rhs = question
+    return IntMatrix.from_rows(list(min_nonneg_solutions(system, rhs)), cols=system.cols)
+
+
+def is_divisor(pair: ProperPair, other: ProperPair) -> bool:
+    """Whether ``pair`` divides ``other``: ``divides`` as a yes/no question."""
+    question = _divides_system(pair, other)
+    return question is not None and has_nonneg_solution(*question)
+
+
+def _divides_system(pair: ProperPair, other: ProperPair):
+    """The system ``[A | -G]`` and right-hand side ``b - a`` of ``divides``,
+    or None when F is not inside G."""
     monoid = pair.ideal.ambient
     if monoid != other.ideal.ambient:
         raise ValueError("pairs live over different ambient monoids")
     if not set(pair.face) <= set(other.face):
-        return IntMatrix.zero(0, monoid.gens.cols + len(other.face))
-    system = monoid.gens.hstack(other.face_matrix().neg())
-    sols = min_nonneg_solutions(system, vec_sub(other.base, pair.base))
-    return IntMatrix.from_rows(list(sols), cols=system.cols)
+        return None
+    return monoid.gens.hstack(other.face_matrix().neg()), vec_sub(other.base, pair.base)
 
 
 def intersect_pairs(monoid: AffineMonoid, a: IntVector, face_a: Face, b: IntVector, face_b: Face) -> SolutionSet:

@@ -502,7 +502,7 @@ def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
     assert pruned < unpruned
 
 
-def _reference_prune_nested(cover: Cover) -> Cover:
+def _strict_prune_nested(cover: Cover) -> Cover:
     """``_prune_nested`` with the reverse containment test: drop a pair only
     when it is strictly contained in another."""
     pairs = cover.pairs()
@@ -537,9 +537,77 @@ def test_prune_nested_equals_reference_with_strict_containment(monkeypatch):
     dropped = 0
     for cover in inputs:
         out = _prune_nested(cover)
-        assert out == _reference_prune_nested(cover), cover
+        assert out == _strict_prune_nested(cover), cover
         dropped += out != cover
     assert len(inputs) >= 30 and dropped >= 15
+
+
+def _reference_prune_nested(cover: Cover) -> Cover:
+    """Drop the pairs contained in another one.  Distinct pairs never contain
+    each other both ways: that forces F = G and ``a - b`` in NF and -NF,
+    which meet only in 0 in a pointed monoid."""
+    pairs = cover.pairs()
+    keep = [p for p in pairs if not any(q is not p and _pair_set_contains(q, p) for q in pairs)]
+    return Cover.from_pairs(keep)
+
+
+def _fixpoint_covers(monkeypatch, ideals) -> list:
+    """The covers ``cover_to_standard`` prunes while covering ``ideals``."""
+    import stdpairs.covers as covers
+
+    inputs = []
+    original = covers._prune_nested
+
+    def recording(cover):
+        inputs.append(cover)
+        return original(cover)
+
+    monkeypatch.setattr(covers, "_prune_nested", recording)
+    for I in ideals:
+        standard_cover(I)
+    monkeypatch.undo()
+    return inputs
+
+
+def test_prune_nested_equals_all_pairs_reference(monkeypatch):
+    """Asking only the kept pairs, in the (-|F|, w . base) order, prunes every
+    fixpoint cover of the seeded instances (zero and duplicate columns
+    included) and of the acceptance instances as asking all pairs does."""
+    ideals = list(random_instances())
+    for d, cols, gens in seeded_instances(240, 17):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    inputs = _fixpoint_covers(monkeypatch, ideals)
+    dropped = 0
+    for cover in inputs:
+        out = _prune_nested(cover)
+        assert out == _reference_prune_nested(cover), cover
+        dropped += out != cover
+    assert len(inputs) >= 30 and dropped >= 10
+
+
+def test_prune_nested_asks_only_the_kept_pairs(monkeypatch):
+    """On acceptance instance 17 each prune asks at most N * (kept)
+    containment questions, for N pairs; asking all pairs needs more."""
+    import stdpairs.covers as covers
+
+    I = random_instances()[17]
+    inputs = _fixpoint_covers(monkeypatch, [I])
+    calls = []
+
+    def counting(big, small):
+        calls.append((big, small))
+        return _pair_set_contains(big, small)
+
+    monkeypatch.setattr(covers, "_pair_set_contains", counting)
+    asked = bound = 0
+    for cover in inputs:
+        del calls[:]
+        kept = len(_prune_nested(cover).pairs())
+        asked += len(calls)
+        bound += len(cover.pairs()) * kept
+        assert len(calls) <= len(cover.pairs()) * kept, (len(calls), len(cover.pairs()), kept)
+    assert 0 < asked <= bound
 
 
 def test_cover_to_standard_is_fixpoint_on_standard(interior_monoid):

@@ -22,7 +22,7 @@ from stdpairs.diophantine import (
 )
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
-from stdpairs.pairs import divides, intersect_pairs
+from stdpairs.pairs import divides, intersect_pairs, is_divisor
 from stdpairs.polyhedral import face_sort_key
 
 from oracles import seeded_instances
@@ -417,19 +417,23 @@ def test_overlap_classes_make_no_solve(monkeypatch):
     I.standard_cover()
     calls = []
 
-    def counting(M, b):
-        calls.append((M, b))
-        return diophantine.min_nonneg_solutions(M, b)
+    def counted(original):
+        def counting(M, b):
+            calls.append((M, b))
+            return original(M, b)
 
+        return counting
+
+    monkeypatch.setattr(pairs, "min_nonneg_solutions", counted(diophantine.min_nonneg_solutions))
     for module in (decomp, pairs):
-        monkeypatch.setattr(module, "min_nonneg_solutions", counting)
+        monkeypatch.setattr(module, "has_nonneg_solution", counted(diophantine.has_nonneg_solution))
     classes = overlap_classes(I)
     assert any(len(c.pairs) > 1 for cs in classes.values() for c in cs)
     assert calls == []
 
 
 def test_maximal_classes_test_each_class_pair_once(monkeypatch):
-    """At most one ``divides`` per ordered pair of classes, however many
+    """At most one ``is_divisor`` per ordered pair of classes, however many
     pairs the classes hold."""
     import stdpairs.decomp as decomp
 
@@ -442,8 +446,8 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
 
     def counting(p, q):
         calls.append((p, q))
-        return divides(p, q)
+        return is_divisor(p, q)
 
-    monkeypatch.setattr(decomp, "divides", counting)
+    monkeypatch.setattr(decomp, "is_divisor", counting)
     maximal_overlap_classes(I)
     assert 0 < len(calls) <= k * (k - 1)

@@ -1380,6 +1380,90 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     dio._MATRIX_CACHE.clear()
 
 
+def _existence_systems(rng, count):
+    """Seeded ``(M, b)`` for ``has_nonneg_solution``: the certificate
+    systems and b = 0 over some of their matrices."""
+    systems = _certificate_systems(rng, count)
+    return systems + [(M, (0,) * M.rows) for M, _ in systems[:30]]
+
+
+def _overflow_systems(rng, count):
+    """Seeded feasible ``(M, M u)``, u > 0, with M of 3 x 5 and 2 x 5 and
+    entries 3..9, on which the completion overflows its default budget
+    before its first solution."""
+    systems = []
+    for k in range(count):
+        r, high = (3, 7) if k % 2 else (2, 9)
+        M = IntMatrix.from_cols([tuple(rng.randint(3, high) for _ in range(r)) for _ in range(5)], rows=r)
+        systems.append((M, M.mul(tuple(rng.randint(1, 3) for _ in range(5)))))
+    return systems
+
+
+def test_has_nonneg_solution_is_the_truth_value_of_the_solve(monkeypatch):
+    """``has_nonneg_solution`` equals ``bool(min_nonneg_solutions)`` under
+    the default budgets, with tier 1 off, and with tiers 1 and 2 off.  Its
+    "yes" never enters the solution memo, whatever it stores there is the
+    full answer, and completions that overflow go on to tiers 2 and 3.  The
+    overflow systems are left out with tiers 1 and 2 off, where each takes
+    the triangulation seconds."""
+    import stdpairs.diophantine as dio
+
+    systems = _existence_systems(random.Random(1212), 600)  # the certificate test's systems
+    heavy = _overflow_systems(random.Random(1819), 30)
+    original = dio._completion
+    overflows = []
+
+    def completion(gram, cap_index, seed, budget, first=False):
+        found = original(gram, cap_index, seed, budget, first)
+        if first and found is None:
+            overflows.append(gram)
+        return found
+
+    monkeypatch.setattr(dio, "_completion", completion)
+    for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
+        for name, value in budgets.items():
+            monkeypatch.setattr(dio, name, value)
+        cases = systems if dio._BOX_BUDGET == 0 else systems + heavy
+        overflows.clear()
+        dio._MATRIX_CACHE.clear()
+        answers = []
+        for M, b in cases:
+            memo = dio._matrix_data(M).solutions
+            before, taken = b in memo, len(overflows)
+            answer = dio.has_nonneg_solution(M, b)
+            if answer and not before and len(overflows) == taken:
+                assert b not in memo, (M, b, budgets)
+            assert len(memo) <= dio._SOLUTIONS_CAP
+            answers.append((answer, memo.get(b)))
+        dio._MATRIX_CACHE.clear()
+        kinds = {"yes": 0, "no": 0, "zero_rhs": 0}
+        for (M, b), (answer, stored) in zip(cases, answers):
+            full = min_nonneg_solutions(M, b)
+            assert answer == bool(full), (M, b, budgets)
+            assert stored is None or stored == full, (M, b, budgets)
+            kinds["yes" if answer else "no"] += 1
+            kinds["zero_rhs"] += not any(b)
+        assert min(kinds.values()) >= 20 and len(overflows) >= 20, (kinds, len(overflows), budgets)
+    dio._MATRIX_CACHE.clear()
+
+
+def test_existence_memo_is_bounded(monkeypatch):
+    """The "no" answers ``has_nonneg_solution`` memoises stay within
+    ``_SOLUTIONS_CAP`` per matrix."""
+    import stdpairs.diophantine as dio
+
+    monkeypatch.setattr(dio, "_SOLUTIONS_CAP", 4)
+    dio._MATRIX_CACHE.clear()
+    M = IntMatrix.from_rows([[3, 5]])
+    memo = dio._matrix_data(M).solutions
+    for b in (1, 2, 4, 7, -1, -2):  # outside the monoid or the cone
+        assert not dio.has_nonneg_solution(M, (b,))
+        assert len(memo) <= 4
+    assert list(memo) == [(4,), (7,), (-1,), (-2,)]
+    assert dio.has_nonneg_solution(M, (8,)) and (8,) not in memo
+    dio._MATRIX_CACHE.clear()
+
+
 def _reference_hilbert_kernel(M: IntMatrix) -> SolutionSet:
     """Minimal nonzero elements (Hilbert basis) of ``{x in N^c : M x = 0}``.
 

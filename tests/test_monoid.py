@@ -410,13 +410,16 @@ def test_cold_construction_solves_over_its_own_matrix_only():
 def test_prime_ideal_skips_the_membership_solves(monkeypatch):
     Q = paper_monoid()
     calls = []
-    original = AffineMonoid.is_element
 
-    def counting(self, b):
-        calls.append(b)
-        return original(self, b)
+    def counted(original):
+        def counting(self, b):
+            calls.append(b)
+            return original(self, b)
 
-    monkeypatch.setattr(AffineMonoid, "is_element", counting)
+        return counting
+
+    for name in ("is_element", "contains"):
+        monkeypatch.setattr(AffineMonoid, name, counted(getattr(AffineMonoid, name)))
     P = Q.prime_ideal(())
     assert P.gens.columns() == [(1, 0), (2, 2)]
     # only the antichain filter runs: one solve per ordered pair of generators

@@ -240,14 +240,18 @@ def test_is_proper_empty_ideal_is_always_proper():
 
 def test_top_face_is_proper_makes_no_solve(monkeypatch):
     calls = []
-    original = diophantine.min_nonneg_solutions
 
-    def counting(M, b):
-        calls.append(M)
-        return original(M, b)
+    def counted(original):
+        def counting(M, b):
+            calls.append(M)
+            return original(M, b)
 
-    monkeypatch.setattr(pairs, "min_nonneg_solutions", counting)
-    monkeypatch.setattr(diophantine, "min_nonneg_solutions", counting)
+        return counting
+
+    for name in ("min_nonneg_solutions", "has_nonneg_solution"):
+        counting = counted(getattr(diophantine, name))
+        monkeypatch.setattr(pairs, name, counting)
+        monkeypatch.setattr(diophantine, name, counting)
     Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
     I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2), (4, 0)]))
     top = (0, 1, 2, 3)
