@@ -13,7 +13,8 @@ unimodular column echelon, ``_column_echelon``, every lattice step:
 
 * one echelon pass over ``[M; I]`` per matrix gives particular solutions
   of ``M x = b`` by forward substitution and a saturated basis of the
-  integer kernel lattice, already in the echelon form the box walk needs;
+  integer kernel lattice, already in the echelon form the box walk needs
+  (its x-rows visited with each column next to its negation);
 * the extreme rays of the nonnegative solution cone come from a
   fraction-free double description in kernel coordinates, the same engine
   that finds the facets of a cone as the extreme rays of its dual;
@@ -253,7 +254,7 @@ def minimal_elements(vectors: Iterable[IntVector]) -> list:
 
 def integer_kernel_basis(M: IntMatrix) -> list:
     """A saturated lattice basis of ``{x in Z^c : M x = 0}``, in column
-    echelon form (``_MatrixData.reduction``)."""
+    echelon form in the walk order (``_MatrixData.reduction``)."""
     return _MatrixData(M).kernel_basis()
 
 
@@ -290,9 +291,19 @@ class _MatrixData:
 
     def cone(self):
         """``(normals, equations)``: the primitive inner facet normals and
-        the span equations of ``cone(M)``, as tuples of row tuples."""
+        the span equations of ``cone(M)``, as tuples of row tuples.
+
+        When the negation of every column is a column too, as in the
+        ``[A | -A]`` of a principal cover, ``cone(M)`` is its linear span and
+        has no facets: the double description would find none, so only the
+        equations are computed."""
         if self._cone is None:
-            self.store_cone(*_facets_of_cone(self.M.columns(), self.M.rows))
+            cols = self.M.columns()
+            present = set(cols)
+            if all(tuple(-a for a in c) in present for c in cols):
+                self.store_cone([], rational_kernel_basis(self.M.transpose()))
+            else:
+                self.store_cone(*_facets_of_cone(cols, self.M.rows))
         return self._cone
 
     def store_cone(self, facets, equations) -> None:
@@ -315,15 +326,21 @@ class _MatrixData:
         """``(columns, pivot rows, r)`` of one unimodular column echelon pass
         over ``[M; I]``, whose column j is ``M[:, j]`` over ``e_j``.
 
-        The first r columns have their pivots among M's rows.  The others
-        are zero on M, so their tails (the rows of I) are a saturated basis
-        of ``ker_Z M``; the pass reduces them on those rows too, so the tails
-        are in column echelon form on the x-coordinates.
+        The pass visits M's rows first, then the rows of I in the walk order
+        of M's columns (``_walk_order``).  The first r columns have their
+        pivots among M's rows, so they do not depend on that order.  The
+        others are zero on M, so their tails (the rows of I) are a saturated
+        basis of ``ker_Z M``; the pass reduces them on those rows too, so the
+        tails are in column echelon form on the x-coordinates, in the walk
+        order.  Pivot rows are indices of ``[M; I]``, like everything the
+        walk reads.
         """
         if self._reduction is None:
             m, n = self.M.rows, self.M.cols
-            stacked = [self.M.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)]
-            cols, pivots = _column_echelon(stacked, m + n)
+            columns = self.M.columns()
+            stacked = [c + tuple(int(i == j) for i in range(n)) for j, c in enumerate(columns)]
+            order = list(range(m)) + [m + j for j in _walk_order(columns)]
+            cols, pivots = _column_echelon(stacked, m + n, order)
             self._reduction = (cols, pivots, sum(p < m for p in pivots))
         return self._reduction
 
@@ -398,30 +415,53 @@ class _MatrixData:
             self._tier1 = (self.M.columns(), self.gram(), _coordinate_index(seed, self.M.cols + 1))
         return self._tier1
 
-    def kernel_rays(self):
-        """Extreme rays of ``{x >= 0 : M x = 0}``, as sorted primitive x-vectors.
 
-        The kernel basis is saturated, so a primitive ray in its coordinates
-        maps to a primitive x-vector."""
-        basis = self.kernel_basis()
-        return sorted(_combination(basis, y) for y in _kernel_cone_rays(basis, self.M.cols))
+def _walk_order(columns: list) -> list:
+    """The order in which ``reduction`` visits the x-rows: each nonzero
+    column is followed by the first unused later column equal to its
+    negation, and every other column keeps its place.
+
+    A pair difference ``[G | -G']`` has the kernel vector ``(e_j, e_k)``
+    for every column j of G equal to column k of G'.  An echelon column
+    vanishes on the rows visited before its pivot, so a row is fixed once
+    the walk has fixed the columns whose pivots come no later than it.
+    With the two rows next to each other, the box walk settles such a
+    vector (prunes it, or cuts the range of its rows) early, instead of at
+    the last level.
+    """
+    waiting, partner = {}, {}  # waiting[v]: unpaired earlier columns equal to -v
+    for k, c in enumerate(columns):
+        if waiting.get(c):
+            partner[waiting[c].pop(0)] = k
+        elif any(c):
+            waiting.setdefault(tuple(-a for a in c), []).append(k)
+    paired = set(partner.values())
+    order = []
+    for j in range(len(columns)):
+        if j not in paired:
+            order.append(j)
+            if j in partner:
+                order.append(partner[j])
+    return order
 
 
-def _column_echelon(cols: list, dim: int) -> tuple:
+def _column_echelon(cols: list, dim: int, order: Sequence[int] | None = None) -> tuple:
     """Unimodular column operations to echelon form with positive pivots;
     returns (cols, pivot rows).
 
-    The pass goes row by row and changes only the columns from its current
-    lead on.  In each row it reduces them by the one of least absolute
-    value there, rounding quotients to the nearest integer, until one
-    column is left nonzero in that row: least-remainder Euclid steps keep
-    the entries small.
+    The pass visits the rows in ``order`` (all ``dim`` rows in index order
+    by default) and changes only the columns from its current lead on.  In
+    each row it reduces them by the one of least absolute value there,
+    rounding quotients to the nearest integer, until one column is left
+    nonzero in that row: least-remainder Euclid steps keep the entries
+    small.  So the pivots come in visiting order, and each column is zero
+    on every row visited before its pivot.
     """
     cols = [list(c) for c in cols]
     k = len(cols)
     pivots = []
     lead = 0
-    for row in range(dim):
+    for row in range(dim) if order is None else order:
         if lead == k:
             break
         while True:
@@ -463,6 +503,12 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
     ``x >= h`` for some such h, since then ``x - h`` is a smaller solution
     (in the box too), and ``x - y`` is a nonzero element of that monoid,
     so above some h, for any other solution ``y <= x``.
+
+    The walk is exact for any echelon basis of ``ker_Z M`` in any row
+    order: later columns vanish on the pivot row of column i, so that row
+    is final once level i fixes column i's coefficient, and each level's
+    range is finite.  The row order (``_walk_order``) only decides how
+    early the range cuts and the prune act.
 
     Budget: each visited node counts the span of its pivot row's range.
     Returns None when the count passes ``budget``.  Pruning only drops

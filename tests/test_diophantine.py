@@ -2,6 +2,7 @@ import ast
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import ceil, gcd
 from pathlib import Path
@@ -27,10 +28,12 @@ from stdpairs.diophantine import (
     _box_solutions,
     _BOX_BUDGET,
     _ceil_div,
+    _column_echelon,
     _combination,
     _parallelepiped_points,
     _particular_solution,
     _saturated_span_basis,
+    _walk_order,
     hilbert_kernel,
     integer_kernel_basis,
     lattice_residue,
@@ -44,7 +47,10 @@ from stdpairs.diophantine import (
     vec_leq,
 )
 
-from oracles import brute_hilbert, brute_min_solutions
+from stdpairs import AffineMonoid, MonomialIdeal, irreducible_decomposition
+
+from oracles import brute_hilbert, brute_min_solutions, seeded_instances
+from test_acceptance import random_instances
 
 
 def test_min_solutions_examples():
@@ -386,7 +392,8 @@ def _reference_cone_rays(rows: list, dim: int) -> list:
 
 
 def _reference_kernel_rays(M: IntMatrix) -> list:
-    """``_MatrixData.kernel_rays`` as it was over ``_reference_cone_rays``."""
+    """The kernel rays as ``_MatrixData.kernel_rays`` gave them over
+    ``_reference_cone_rays``."""
     basis = _MatrixData(M).kernel_basis()
     k = len(basis)
     c = M.cols
@@ -438,7 +445,8 @@ def _assert_rays_and_facets_match_reference(cols: list, dim: int) -> tuple:
     facets = _facets_of_cone(cols, dim)
     assert facets == _reference_facets_of_cone(cols, dim), (cols, dim)
     M = IntMatrix.from_cols(cols, rows=dim)
-    rays = _MatrixData(M).kernel_rays()
+    basis = _MatrixData(M).kernel_basis()
+    rays = sorted(_combination(basis, y) for y in _kernel_cone_rays(basis, M.cols))
     assert rays == _reference_kernel_rays(M), (cols, dim)
     return facets, rays
 
@@ -839,7 +847,8 @@ def test_column_echelon_matches_smith_reference():
     """The one column echelon pass over [M; I] gives particular solutions
     exactly when the Smith form says the system is solvable over Z, a
     kernel basis spanning the Smith kernel lattice, and kernel columns in
-    column echelon form with positive pivots (as the box walk needs)."""
+    column echelon form with positive pivots in the walk order of M's
+    columns (as the box walk needs)."""
     rng = random.Random(77)
     solvable = unsolvable = with_kernel = 0
     for M in _EDGE_MATRICES + _random_int_matrices(rng, 300):
@@ -868,9 +877,12 @@ def test_column_echelon_matches_smith_reference():
 
         cols, pivots, _ = data.echelon()
         assert cols == basis
-        assert all(p < q for p, q in zip(pivots, pivots[1:])), M
+        order = _walk_order(M.columns())
+        assert sorted(order) == list(range(M.cols)), M
+        place = {row: i for i, row in enumerate(order)}
+        assert all(place[p] < place[q] for p, q in zip(pivots, pivots[1:])), M
         for col, p in zip(cols, pivots):
-            assert col[p] > 0 and not any(col[:p]), M
+            assert col[p] > 0 and not any(col[row] for row in order[: place[p]]), M
     assert solvable >= 600 and unsolvable >= 500 and with_kernel >= 150
 
 
@@ -1598,3 +1610,228 @@ def test_hilbert_kernel_answers_pair_differences_without_the_triangulation(monke
     monkeypatch.setattr(dio, "_completion", fail)
     assert hilbert_kernel(tall) == expected[tall]
     dio._MATRIX_CACHE.clear()
+
+
+def _reference_walk_order(columns: list) -> list:
+    """The walk order by its definition: each nonzero column, unless an
+    earlier one took it, is followed by the first unused later column
+    equal to its negation."""
+    order = []
+    for j, c in enumerate(columns):
+        if j in order:
+            continue
+        order.append(j)
+        if any(c):
+            neg = tuple(-a for a in c)
+            order += [k for k in range(j + 1, len(columns)) if k not in order and columns[k] == neg][:1]
+    return order
+
+
+def test_walk_order_matches_its_definition():
+    """Examples (zero and unpaired columns keep their place, a matrix
+    without negated columns keeps index order), then seeded column lists
+    drawn from three random vectors with entries -1..1, so that repeats,
+    negations, zero columns and chains like a, -a, a, -a are common."""
+    a, b, z = (1, 2), (0, 3), (0, 0)
+    neg = lambda c: tuple(-x for x in c)
+    assert _walk_order([a, b, neg(a), neg(b)]) == [0, 2, 1, 3]
+    assert _walk_order([a, a, neg(a), neg(a)]) == [0, 2, 1, 3]
+    assert _walk_order([z, a, z, neg(b), neg(a), b]) == [0, 1, 4, 2, 3, 5]
+    assert _walk_order([neg(a), b, a, a]) == [0, 2, 1, 3]
+    assert _walk_order([a, b, (3, 1)]) == [0, 1, 2]
+    assert _walk_order([]) == []
+    rng = random.Random(191)
+    for _ in range(3000):
+        r = rng.randint(1, 2)
+        pool = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(3)]
+        cols = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
+        assert _walk_order(cols) == _reference_walk_order(cols), cols
+
+
+def _reference_reduction(M: IntMatrix) -> tuple:
+    """``_MatrixData.reduction`` as it was before the walk order: the one
+    echelon pass over ``[M; I]`` visits every row in index order."""
+    m, n = M.rows, M.cols
+    stacked = [M.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    cols, pivots = _column_echelon(stacked, m + n)
+    return cols, pivots, sum(p < m for p in pivots)
+
+
+def _index_order_data(M: IntMatrix) -> _MatrixData:
+    """Fresh solver data for M whose walk runs on the index-order echelon."""
+    data = _MatrixData(M)
+    data._reduction = _reference_reduction(M)
+    return data
+
+
+@lru_cache(maxsize=None)
+def _pipeline_systems() -> tuple:
+    """Every system ``(M, b)`` past the infeasibility certificates that the
+    covers and decompositions of ``seeded_instances(240, 17)`` and the 20
+    acceptance instances solve: the ``[G | -G']``, ``[F | -A]`` and
+    ``[A | -G]`` shapes, with the zero and duplicate columns of the seeded
+    monoids."""
+    import stdpairs.diophantine as dio
+
+    ideals = []
+    for d, cols, gens in seeded_instances(240, 17):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    ideals += random_instances()
+    seen = {}
+    certificates = dio._infeasible
+
+    def record(data, b):
+        infeasible = certificates(data, b)
+        if not infeasible:
+            seen.setdefault((data.M, b), None)
+        return infeasible
+
+    dio._MATRIX_CACHE.clear()
+    dio._infeasible = record
+    try:
+        for I in ideals:
+            irreducible_decomposition(I)
+    finally:
+        dio._infeasible = certificates
+        dio._MATRIX_CACHE.clear()
+    return tuple(seen)
+
+
+def test_box_walk_does_not_depend_on_the_row_order():
+    """The pruned walk over the walk-order echelon gives the same minimal
+    solutions as over the index-order one, on every solvable system of the
+    seeded and acceptance pipelines and on seeded walks with zero and
+    duplicate columns.  An index-order walk that overflows ``_BOX_BUDGET``
+    is not compared here (tier 3 answers it; see the next test)."""
+    walks = []
+    for M, b in _pipeline_systems():
+        data = _MatrixData(M)
+        x0 = _particular_solution(data, b)
+        walks.append((M, x0, _homogenized_cone(data, x0)[2]))
+    walks += [(M, x0, bound) for M, _, x0, bound in _box_walk_systems(random.Random(64), 120)]
+    compared = reordered = zero_column = duplicate_column = 0
+    for M, x0, bound in walks:
+        hilbert = hilbert_kernel(M).vectors
+        expected = _box_solutions(_index_order_data(M), x0, bound, _BOX_BUDGET, above=hilbert)
+        if expected is None:
+            continue
+        assert sorted(_box_solutions(_MatrixData(M), x0, bound, above=hilbert)) == sorted(expected), (M, x0, bound)
+        cols = M.columns()
+        compared += 1
+        reordered += _walk_order(cols) != list(range(M.cols))
+        zero_column += any(not any(c) for c in cols)
+        duplicate_column += len(set(cols)) < len(cols)
+    assert compared >= 2000 and reordered >= 800, (compared, reordered)
+    assert zero_column >= 100 and duplicate_column >= 100, (zero_column, duplicate_column)
+
+
+def test_min_nonneg_solutions_do_not_depend_on_the_row_order(monkeypatch):
+    """With tier 1 off, ``min_nonneg_solutions`` gives the same answers
+    when every matrix's echelon is taken in index order, on the pipeline
+    systems of at most 9 columns (the wider ones spend seconds in the
+    triangulation without tier 1) and on the seeded walk systems."""
+    import stdpairs.diophantine as dio
+
+    systems = [(M, b) for M, b in _pipeline_systems() if M.cols <= 9]
+    systems += [(M, b) for M, b, _, _ in _box_walk_systems(random.Random(65), 120)]
+    walk_order = dio._MatrixData.reduction
+
+    def index_order(self):
+        if self._reduction is None:
+            self._reduction = _reference_reduction(self.M)
+        return self._reduction
+
+    monkeypatch.setattr(dio, "_CD_BUDGET", 0)
+    answers = []
+    for reduction in (walk_order, index_order):
+        monkeypatch.setattr(dio._MatrixData, "reduction", reduction)
+        dio._MATRIX_CACHE.clear()
+        answers.append([min_nonneg_solutions(M, b) for M, b in systems])
+    dio._MATRIX_CACHE.clear()
+    assert len(systems) >= 2000
+    for (M, b), new, old in zip(systems, *answers):
+        assert new == old, (M, b)
+
+
+# The principal covers of the benchmark's ladder: the square cone and the
+# Veronese cone, each cover making one [A | -A] solve with b on the right.
+_SQUARE_CONE = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+_VERONESE = [(1, 0), (1, 1), (1, 2)]
+_PRINCIPAL_LADDER = [(_SQUARE_CONE, b) for b in [(4, 2, 5), (1, 3, 6), (4, 2, 6), (3, 1, 7), (5, 3, 7), (2, 2, 8)]]
+_PRINCIPAL_LADDER += [(_VERONESE, b) for b in [(9, 11), (10, 13), (12, 15), (13, 9)]]
+
+
+def test_principal_ladder_walks_a_tenth_of_the_index_order_units():
+    """On each ladder solve the walk-order echelon lets every level prune
+    its ``(e_j, e_j)`` kernel vector, so the pruned walk visits at most a
+    tenth of the units it visits in index order, with the same answer."""
+    for cols, b in _PRINCIPAL_LADDER:
+        A = IntMatrix.from_cols(cols)
+        M = A.hstack(A.neg())
+        data, old = _MatrixData(M), _index_order_data(M)
+        x0 = _particular_solution(data, b)
+        bound = _homogenized_cone(data, x0)[2]
+        hilbert = hilbert_kernel(M).vectors
+
+        def pruned(*args):
+            return _box_solutions(*args, above=hilbert)
+
+        units = _node_count(pruned, data, x0, bound, 10**6)
+        index_units = _node_count(pruned, old, x0, bound, 10**6)
+        assert 10 * units <= index_units, (b, units, index_units)
+        assert sorted(pruned(data, x0, bound)) == sorted(pruned(old, x0, bound)), b
+
+
+def _paired_matrices(rng, count):
+    """Seeded ``(M, paired)``: ``paired`` matrices hold the negation of each
+    of their columns, in shuffled order, cycling through plain pairs, pairs
+    with a zero column, pairs with a duplicate column, and pairs scaled by
+    2 (``Z M`` not saturated); every fifth matrix drops one column of a
+    pair, so that its cone has facets or lies in a smaller span."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 5
+        r = rng.randint(1, 3)
+        cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(1, 3))]
+        if kind == 3:
+            cols = [tuple(2 * a for a in c) for c in cols]
+        cols += [tuple(-a for a in c) for c in cols]
+        if kind == 1:
+            cols.append((0,) * r)
+        if kind == 2:
+            cols.append(rng.choice(cols))
+        rng.shuffle(cols)
+        if kind == 4:
+            cols.pop(rng.randrange(len(cols)))
+        present = set(cols)
+        out.append((IntMatrix.from_cols(cols, rows=r), all(tuple(-a for a in c) in present for c in cols)))
+    return out
+
+
+def test_cone_of_negation_pairs_skips_the_double_description(monkeypatch):
+    """When every column's negation is a column, ``_MatrixData.cone`` gives
+    exactly what the double description gives (no facets, the same span
+    equations) without running it; otherwise it runs it once."""
+    import stdpairs.diophantine as dio
+
+    calls = []
+
+    def counting(cols, dim):
+        calls.append(cols)
+        return _facets_of_cone(cols, dim)
+
+    monkeypatch.setattr(dio, "_facets_of_cone", counting)
+    kinds = {"paired": 0, "zero_column": 0, "non_saturated": 0, "with_facets": 0}
+    for M, paired in _paired_matrices(random.Random(19), 300):
+        facets, equations = _facets_of_cone(M.columns(), M.rows)
+        data = _MatrixData(M)
+        calls.clear()
+        assert data.cone() == (tuple(phi for phi, _ in facets), tuple(equations)), M
+        assert len(calls) == (not paired), M
+        assert not paired or not facets, M
+        kinds["paired"] += paired
+        kinds["zero_column"] += paired and (0,) * M.rows in M.columns()
+        kinds["non_saturated"] += paired and not data.saturated()
+        kinds["with_facets"] += bool(facets)
+    assert min(kinds.values()) >= 20, kinds
