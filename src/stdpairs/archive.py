@@ -133,9 +133,6 @@ class _Reader:
     def eof(self) -> bool:
         return self.pos >= len(self.lines)
 
-    def peek(self) -> str:
-        return self.lines[self.pos]
-
     def take(self, what: str) -> str:
         if self.eof():
             raise ArchiveError(f"line {len(self.lines) + 1}: unexpected end of file while reading {what}")

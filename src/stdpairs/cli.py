@@ -202,12 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(message)s",
-        force=True,
-    )
+    # progress goes to this call's stderr only: the handler leaves with main
+    log = logging.getLogger("stdpairs")
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.func(args)
     except LoopCapExceeded as exc:
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
     except (ArchiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -31,14 +31,12 @@ from dataclasses import dataclass
 from .diophantine import (
     IntMatrix,
     IntVector,
-    has_nonneg_solution,
     min_nonneg_solutions,
     minimal_elements,
     vec,
     vec_add,
     vec_dot,
     vec_leq,
-    vec_sub,
 )
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
@@ -228,10 +226,7 @@ def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
     g_idx, go_idx = pair.face, other.face
     if not set(g_idx) <= set(go_idx):
         raise ValueError("pair difference requires the first face inside the second")
-    gsub = monoid.submatrix(g_idx)
-    gosub = monoid.submatrix(go_idx)
-    system = gsub.hstack(gosub.neg())
-    sols = min_nonneg_solutions(system, vec_sub(other.base, pair.base))
+    sols = monoid.meet(pair.base, g_idx, other.base, go_idx)
     m = len(g_idx)
     u_parts = [s[:m] for s in sols]
     if any(all(x == 0 for x in u) for u in u_parts):
@@ -240,6 +235,7 @@ def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
         return Cover.from_pairs([ProperPair(pair.base, g_idx, pair.ideal, skip_check=True)])
     J = PolyMonomialIdeal(m, u_parts)
     out = []
+    gsub = monoid.submatrix(g_idx)
     for std in poly_standard_pairs(J):
         base = vec_add(pair.base, gsub.mul(std.base))
         cols = tuple(sorted(g_idx[i] for i in std.free))
@@ -259,8 +255,7 @@ def _resolve_face(monoid: AffineMonoid, cols: Face, base: IntVector, other: Prop
     if cols in monoid.faces:
         return cols
     closure = monoid.face_closure(cols)
-    system = monoid.submatrix(closure).hstack(other.face_matrix().neg())
-    if not has_nonneg_solution(system, vec_sub(other.base, base)):
+    if not monoid.meets(base, closure, other.base, other.face):
         return closure
     return cols
 
@@ -270,10 +265,8 @@ def principal_cover(I: MonomialIdeal) -> Cover:
     if not I.is_principal():
         raise ValueError("principal_cover requires a principal ideal")
     monoid = I.ambient
-    top = tuple(range(monoid.gens.cols))
-    zero = (0,) * monoid.dim
-    whole = ProperPair(zero, top, I, skip_check=True)
-    shifted = ProperPair(I.gens.col(0), top, I, skip_check=True)
+    whole = ProperPair((0,) * monoid.dim, monoid.top, I, skip_check=True)
+    shifted = ProperPair(I.gens.col(0), monoid.top, I, skip_check=True)
     return pair_difference(whole, shifted)
 
 
@@ -346,7 +339,7 @@ def _pair_set_contains(big: ProperPair, small: ProperPair) -> bool:
     """Set containment small.base + NF <= big.base + NG."""
     if not set(small.face) <= set(big.face):
         return False
-    return has_nonneg_solution(big.face_matrix(), vec_sub(small.base, big.base))
+    return big.ideal.ambient.meets(big.base, big.face, small.base, ())
 
 
 def _prune_nested(cover: Cover) -> Cover:
@@ -400,13 +393,12 @@ def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
         return I._cache["standard_cover"]
     monoid = I.ambient
     gens = I.gens.columns()
-    top = tuple(range(monoid.gens.cols))
     sub = MonomialIdeal(monoid, IntMatrix.from_cols(gens[:1], rows=monoid.dim), _trusted=True)
     cover = principal_cover(sub)
     log.info("Cover for 1 generator was calculated. %d generators are left.", len(gens) - 1)
     for i in range(1, len(gens)):
         sub = MonomialIdeal(monoid, IntMatrix.from_cols(gens[: i + 1], rows=monoid.dim), _trusted=True)
-        cutter = ProperPair(gens[i], top, sub, skip_check=True)
+        cutter = ProperPair(gens[i], monoid.top, sub, skip_check=True)
         pieces = []
         for p in cover.pairs():
             anchored = ProperPair(p.base, p.face, sub, skip_check=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import IntMatrix, has_nonneg_solution, lattice_residue, vec_add, vec_dot, vec_sub
+from .diophantine import IntMatrix, lattice_residue, vec_add, vec_dot
 from .ideal import MonomialIdeal
 from .pairs import ProperPair, is_divisor
 from .polyhedral import Face, face_sort_key
@@ -39,9 +39,7 @@ def _degenerate_cover(I: MonomialIdeal):
     """The cover {(0, top)} of the empty ideal (everything is standard)."""
     from .covers import Cover
 
-    top = tuple(range(I.ambient.gens.cols))
-    zero = (0,) * I.ambient.dim
-    return Cover.from_pairs([ProperPair(zero, top, I, skip_check=True)])
+    return Cover.from_pairs([ProperPair((0,) * I.ambient.dim, I.ambient.top, I, skip_check=True)])
 
 
 def _cover_of(I: MonomialIdeal):
@@ -164,9 +162,6 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
         raise ValueError("not a maximal overlap class of the ideal")
     monoid = I.ambient
     bases = ov_class.bases()
-    # q divides into a + NF iff a - q lies in NA + ZF, the same set for all
-    # bases of the class (they differ by ZF): the first base decides
-    system = monoid.submatrix(face).hstack(monoid.gens.neg())
     support = monoid.support_of(face)
     normals = [phi for phi in support.data]
     budgets = []
@@ -184,8 +179,10 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     closure_known: dict = {}
 
     def dividing(q) -> bool:
+        # q divides into a + NF iff a - q lies in NA + ZF, the same set for
+        # all bases of the class (they differ by ZF): the first base decides
         if q not in closure_known:
-            closure_known[q] = has_nonneg_solution(system, vec_sub(q, bases[0]))
+            closure_known[q] = monoid.meets(bases[0], face, q, monoid.top)
         return closure_known[q]
 
     # Walk sums of off-face columns in the budget window.  A node outside

@@ -206,8 +206,6 @@ class IntMatrix:
         for i, r in enumerate(self.data):
             body = " ".join(str(a).rjust(w) for a, w in zip(r, widths))
             lines.append(("[[" if i == 0 else " [") + body + ("]]" if i == self.rows - 1 else "]"))
-        if self.rows == 1:
-            return "[[" + " ".join(str(a) for a in self.data[0]) + "]]"
         return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ safe.
 
 from __future__ import annotations
 
-from .diophantine import IntMatrix, IntVector, min_nonneg_solutions, vec, vec_is_zero, vec_sub
+from .diophantine import IntMatrix, IntVector, vec, vec_is_zero
 from .monoid import AffineMonoid
 from .polyhedral import BOTTOM
 
@@ -62,7 +62,7 @@ class MonomialIdeal:
         if len(b) != self._ambient.dim:
             raise ValueError(f"vector has dim {len(b)}, expected {self._ambient.dim}")
         for g in self._gens.columns():
-            sols = min_nonneg_solutions(self._ambient.gens, vec_sub(b, g))
+            sols = self._ambient.meet(g, self._ambient.top, b, ())
             if sols:
                 return (sols.vectors[0], g)
         return None
@@ -90,12 +90,11 @@ class MonomialIdeal:
         self._require_same_ambient(other)
         if self.is_empty() or other.is_empty():
             return MonomialIdeal(self._ambient, IntMatrix.zero(self._ambient.dim, 0), _trusted=True)
-        A = self._ambient.gens
-        system = A.hstack(A.neg())
+        A, top = self._ambient.gens, self._ambient.top
         cols = []
         for g in self._gens.columns():
             for h in other._gens.columns():
-                for uv in min_nonneg_solutions(system, vec_sub(h, g)):
+                for uv in self._ambient.meet(g, top, h, top):
                     u = uv[: A.cols]
                     common = tuple(gi + wi for gi, wi in zip(g, A.mul(u)))
                     if common not in cols:

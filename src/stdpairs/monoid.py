@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-from .diophantine import (
-    IntMatrix,
-    IntVector,
-    SolutionSet,
-    _matrix_data,
-    has_nonneg_solution,
-    min_nonneg_solutions,
-    vec,
-    vec_sub,
-)
+from .diophantine import _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
+from .diophantine import has_nonneg_solution, min_nonneg_solutions, vec, vec_sub
 from .polyhedral import BOTTOM, Face, _closure, _lattice, _pointed, _support_rows, facet_data
 
 
@@ -28,8 +20,11 @@ class AffineMonoid:
     every later face closure.  They are also stored with the solver's data
     for A, whose infeasibility certificates test them.  The minimal
     generators come from solves over A itself, the matrix that membership
-    queries use later.  All of this is computed eagerly; the object is
-    immutable afterwards and safe to share between threads.
+    queries use later.  All of this is computed eagerly, except the systems
+    ``[A_F | -A_G]`` of the pair questions (``meet``): each is built on
+    first use into a memo bounded by ``_MATRIX_CACHE_CAP``, so first use
+    belongs on one thread; the object is otherwise immutable and safe to
+    share between threads.
     """
 
     def __init__(self, gens: IntMatrix):
@@ -40,6 +35,7 @@ class AffineMonoid:
         if not _pointed(gens, self._facets):
             raise NotPointedError("generating matrix spans a cone containing a line")
         self._faces = _lattice(self._facets, gens.cols)
+        self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
         self._supports = {
             f: _support_rows(self._facets, self._equations, gens.rows, f)
             for f in self._faces
@@ -70,6 +66,11 @@ class AffineMonoid:
     def faces(self) -> tuple:
         """All faces as column index tuples, BOTTOM included."""
         return self._faces
+
+    @property
+    def top(self) -> Face:
+        """The face of all columns, A itself."""
+        return self._faces[-1]
 
     @property
     def supports(self) -> dict:
@@ -114,11 +115,29 @@ class AffineMonoid:
             if index != BOTTOM:
                 raise ValueError(f"{index} is not a face")
             raise ValueError("the bottom face has no submatrix")
-        return self._gens.take_cols(list(index))
+        return self._system(index, ())
 
     def submatrix(self, indices) -> IntMatrix:
         """Columns at arbitrary index sets (used by the cover pipeline)."""
-        return self._gens.take_cols(list(indices))
+        return self._system(indices, ())
+
+    def _system(self, left, right) -> IntMatrix:
+        """``[A_left | -A_right]``, built once per pair of index tuples."""
+        key = (tuple(left), tuple(right))
+        system = self._systems.get(key)
+        if system is None:
+            system = self._gens.take_cols(key[0]).hstack(self._gens.take_cols(key[1]).neg())
+            _bounded_put(self._systems, key, system, _MATRIX_CACHE_CAP)
+        return system
+
+    def meet(self, a: IntVector, left, b: IntVector, right) -> SolutionSet:
+        """Minimal ``(u, v)`` with ``a + A_left u = b + A_right v``: empty iff
+        ``a + N left`` and ``b + N right`` are disjoint."""
+        return min_nonneg_solutions(self._system(left, right), vec_sub(b, a))
+
+    def meets(self, a: IntVector, left, b: IntVector, right) -> bool:
+        """Whether ``a + N left`` and ``b + N right`` meet: ``meet`` as a yes/no question."""
+        return has_nonneg_solution(self._system(left, right), vec_sub(b, a))
 
     def index_of_face(self, sub: IntMatrix) -> Face:
         """Inverse of :meth:`face`: the index tuple whose columns equal ``sub``'s."""

@@ -7,6 +7,9 @@ base and disjointness of ``a + NF`` from ``I`` (``is_proper``: a lattice
 test on the top face, one existence check per generator on the others),
 while ``skip_check=True`` trusts the caller, as the cover pipeline does.
 
+Each question here asks whether two translated face monoids meet; the
+ambient monoid's ``meet`` and ``meets`` answer it over ``[A_F | -A_G]``.
+
 Face fields are index tuples.  They normally name faces of the ambient
 monoid, but the machinery below is well-defined for any column index set,
 which the cover-refinement loop exploits transiently.
@@ -14,8 +17,7 @@ which the cover-refinement loop exploits transiently.
 
 from __future__ import annotations
 
-from .diophantine import IntMatrix, IntVector, SolutionSet, min_nonneg_solutions, vec, vec_sub
-from .diophantine import _matrix_data, _particular_solution, has_nonneg_solution
+from .diophantine import IntMatrix, IntVector, SolutionSet, _matrix_data, _particular_solution, vec
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
 from .polyhedral import BOTTOM, Face
@@ -51,7 +53,7 @@ class ProperPair:
 
     def is_element(self, b: IntVector) -> SolutionSet:
         """Minimal solutions of ``base + F x = b``; empty iff b lies outside the pair."""
-        return min_nonneg_solutions(self.face_matrix(), vec_sub(vec(b), self.base))
+        return self.ideal.ambient.meet(self.base, self.face, vec(b), ())
 
     def is_maximal(self) -> bool:
         """True iff the pair mutually divides (or equals) a standard pair of its ideal."""
@@ -88,13 +90,9 @@ def is_proper(pair: ProperPair) -> bool:
     empty or the base is off ZA, for any base (also a ``skip_check`` one).
     """
     monoid = pair.ideal.ambient
-    if set(pair.face) == set(range(monoid.gens.cols)):
+    if set(pair.face) == set(monoid.top):
         return pair.ideal.is_empty() or _particular_solution(_matrix_data(monoid.gens), pair.base) is None
-    system = pair.face_matrix().hstack(monoid.gens.neg())
-    for g in pair.ideal.gens.columns():
-        if has_nonneg_solution(system, vec_sub(g, pair.base)):
-            return False
-    return True
+    return not any(monoid.meets(pair.base, pair.face, g, monoid.top) for g in pair.ideal.gens.columns())
 
 
 def divides(pair: ProperPair, other: ProperPair) -> IntMatrix:
@@ -105,33 +103,24 @@ def divides(pair: ProperPair, other: ProperPair) -> IntMatrix:
     translate fits; divisibility forces face containment F <= G, which is
     prechecked so the system stays finite-dimensional.
     """
-    question = _divides_system(pair, other)
-    if question is None:
-        return IntMatrix.zero(0, pair.ideal.ambient.gens.cols + len(other.face))
-    system, rhs = question
-    return IntMatrix.from_rows(list(min_nonneg_solutions(system, rhs)), cols=system.cols)
+    monoid = pair.ideal.ambient
+    sols = monoid.meet(pair.base, monoid.top, other.base, other.face) if _nested(pair, other) else ()
+    return IntMatrix.from_rows(list(sols), cols=monoid.gens.cols + len(other.face))
 
 
 def is_divisor(pair: ProperPair, other: ProperPair) -> bool:
     """Whether ``pair`` divides ``other``: ``divides`` as a yes/no question."""
-    question = _divides_system(pair, other)
-    return question is not None and has_nonneg_solution(*question)
-
-
-def _divides_system(pair: ProperPair, other: ProperPair):
-    """The system ``[A | -G]`` and right-hand side ``b - a`` of ``divides``,
-    or None when F is not inside G."""
     monoid = pair.ideal.ambient
-    if monoid != other.ideal.ambient:
+    return _nested(pair, other) and monoid.meets(pair.base, monoid.top, other.base, other.face)
+
+
+def _nested(pair: ProperPair, other: ProperPair) -> bool:
+    """Whether F is inside G, for pairs over one ambient monoid."""
+    if pair.ideal.ambient != other.ideal.ambient:
         raise ValueError("pairs live over different ambient monoids")
-    if not set(pair.face) <= set(other.face):
-        return None
-    return monoid.gens.hstack(other.face_matrix().neg()), vec_sub(other.base, pair.base)
+    return set(pair.face) <= set(other.face)
 
 
 def intersect_pairs(monoid: AffineMonoid, a: IntVector, face_a: Face, b: IntVector, face_b: Face) -> SolutionSet:
     """Minimal ``[u; v]`` with ``a + F u = b + G v``; nonempty iff the pairs meet."""
-    fsub = monoid.submatrix(face_a)
-    gsub = monoid.submatrix(face_b)
-    system = fsub.hstack(gsub.neg())
-    return min_nonneg_solutions(system, vec_sub(vec(b), vec(a)))
+    return monoid.meet(vec(a), face_a, vec(b), face_b)

@@ -1,3 +1,5 @@
+import io
+
 import pytest
 
 import stdpairs as sp
@@ -195,3 +197,20 @@ def test_progress_goes_to_stderr(tmp_path, capsys):
     assert main(["ideal", path, "cover"]) == 0
     captured = capsys.readouterr()
     assert "generators are left" not in captured.out
+
+
+def test_progress_handler_leaves_with_main(tmp_path, capsys, monkeypatch):
+    """Progress goes to the stderr of the ``main`` call only: once that
+    stream is closed, a later cover logs no error; ``--quiet`` still
+    silences progress."""
+    path, I = make_ideal_file(tmp_path)
+    assert main(["--quiet", "ideal", path, "cover"]) == 0
+    assert "generators are left" not in capsys.readouterr().err
+    stream = io.StringIO()
+    monkeypatch.setattr("sys.stderr", stream)
+    assert main(["ideal", path, "cover"]) == 0
+    assert "generators are left" in stream.getvalue()
+    stream.close()
+    monkeypatch.undo()
+    sp.MonomialIdeal(I.ambient, I.gens).standard_cover()  # a fresh cache: the cover is rebuilt
+    assert "Logging error" not in capsys.readouterr().err

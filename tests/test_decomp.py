@@ -408,9 +408,8 @@ def test_decomposition_equals_pairwise_reference():
 
 def test_overlap_classes_make_no_solve(monkeypatch):
     """Classes are keyed by lattice residues: no Diophantine solve."""
-    import stdpairs.decomp as decomp
     import stdpairs.diophantine as diophantine
-    import stdpairs.pairs as pairs
+    import stdpairs.monoid as monoid
 
     Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
     I = MonomialIdeal(Q, IntMatrix.from_cols([(5, 3)]))
@@ -424,9 +423,9 @@ def test_overlap_classes_make_no_solve(monkeypatch):
 
         return counting
 
-    monkeypatch.setattr(pairs, "min_nonneg_solutions", counted(diophantine.min_nonneg_solutions))
-    for module in (decomp, pairs):
-        monkeypatch.setattr(module, "has_nonneg_solution", counted(diophantine.has_nonneg_solution))
+    # every pair question solves through the monoid's meet and meets
+    for name in ("min_nonneg_solutions", "has_nonneg_solution"):
+        monkeypatch.setattr(monoid, name, counted(getattr(diophantine, name)))
     classes = overlap_classes(I)
     assert any(len(c.pairs) > 1 for cs in classes.values() for c in cs)
     assert calls == []

@@ -221,6 +221,16 @@ def test_matrix_shapes_and_ops():
         IntMatrix(1, 2, ((1,),))
 
 
+def test_matrix_text_form():
+    """Columns are right-aligned to their widest entry; one row and empty
+    shapes print in the same bracket style."""
+    assert str(IntMatrix.from_rows([[1, -20, 3]])) == "[[1 -20 3]]"
+    assert str(IntMatrix.from_rows([[1, -20, 3], [10, 2, -3]])) == "[[ 1 -20  3]\n [10   2 -3]]"
+    assert str(IntMatrix.zero(0, 3)) == "[]"
+    assert str(IntMatrix.zero(1, 0)) == "[[]]"
+    assert str(IntMatrix.zero(2, 0)) == "[[]\n []]"
+
+
 def _reference_completion(columns: list, nrows: int, cap_index: int | None = None, seed: list | None = None, budget: int | None = None):
     """The tier-1 completion as it was before indexed pruning, Gram-tracked
     defects and the early budget exit: a literal copy kept as the reference."""

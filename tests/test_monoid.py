@@ -424,3 +424,86 @@ def test_prime_ideal_skips_the_membership_solves(monkeypatch):
     assert P.gens.columns() == [(1, 0), (2, 2)]
     # only the antichain filter runs: one solve per ordered pair of generators
     assert len(calls) == 2
+
+
+def _index_sets(n: int) -> list:
+    """Every subset of range(n) as a sorted tuple, the empty one included."""
+    return [c for k in range(n + 1) for c in combinations(range(n), k)]
+
+
+def _seeded_monoids():
+    from oracles import seeded_instances
+
+    # a zero and a repeated column, then seeded monoids that cycle through
+    # the plain, zero-column and repeated-column kinds
+    yield AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0), (1, 1)]))
+    for d, cols, _ in seeded_instances(12, 5):
+        yield AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+
+
+def test_system_matches_stacked_reference():
+    """``_system(F, G)`` is ``A_F`` beside ``-A_G`` for faces and non-faces
+    alike, ``right = ()`` is the plain submatrix, and a repeat is the memo."""
+    for Q in _seeded_monoids():
+        A = Q.gens
+        sets = _index_sets(A.cols)
+        assert all(f in sets for f in Q.faces if f != BOTTOM)
+        for F in sets:
+            assert Q.submatrix(F) == Q._system(F, ()) == A.take_cols(F)
+            for G in sets:
+                system = Q._system(F, G)
+                assert system == A.take_cols(F).hstack(A.take_cols(G).neg())
+                assert Q._system(list(F), G) is system
+        assert Q.submatrix(Q.top) is A
+
+
+def test_meet_solves_the_stacked_system():
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
+    A = Q.gens
+    for F, G in [((0,), (1,)), ((0, 2), Q.top), (Q.top, ()), ((), (2,))]:
+        system = A.take_cols(F).hstack(A.take_cols(G).neg())
+        for a, b in [((1, 1), (3, 1)), ((0, 0), (2, 2)), ((4, 0), (0, 0)), ((1, 0), (0, 1))]:
+            expected = min_nonneg_solutions(system, vec_sub(b, a))
+            assert Q.meet(a, F, b, G) == expected
+            assert Q.meets(a, F, b, G) == bool(expected)
+
+
+def test_cover_and_decomposition_build_each_system_once(monkeypatch):
+    """One standard cover and one irreducible decomposition, cold, build
+    every ``(F, G)`` system at most once."""
+    import stdpairs.monoid as monoid
+    from oracles import seeded_instances
+    from stdpairs.ideal import MonomialIdeal
+
+    instances = [(2, [(1, 1), (1, 2), (2, 0), (3, 0)], [(3, 2), (5, 1), (6, 1)])]
+    asked = 0
+    for d, cols, gens in instances + seeded_instances(12, 5):
+        built = []
+        original = monoid._bounded_put
+
+        def recording(cache, key, value, cap):
+            built.append(key)
+            original(cache, key, value, cap)
+
+        monkeypatch.setattr(monoid, "_bounded_put", recording)
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        I = MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d))
+        I.standard_cover()
+        I.irreducible_decomposition()
+        monkeypatch.undo()
+        assert len(built) < monoid._MATRIX_CACHE_CAP  # nothing was evicted and rebuilt
+        assert len(built) == len(set(built)), (cols, gens)
+        asked += any(G for _, G in built)  # pair questions, not only submatrices
+    assert asked >= 10
+
+
+def test_system_memo_respects_the_matrix_cache_cap(monkeypatch):
+    import stdpairs.monoid as monoid
+
+    monkeypatch.setattr(monoid, "_MATRIX_CACHE_CAP", 3)
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
+    A = Q.gens
+    for F in _index_sets(3):
+        for G in _index_sets(3):
+            assert Q._system(F, G) == A.take_cols(F).hstack(A.take_cols(G).neg())
+            assert len(Q._systems) <= 3

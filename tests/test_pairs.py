@@ -4,7 +4,7 @@ import pytest
 
 import stdpairs.covers as covers
 import stdpairs.diophantine as diophantine
-import stdpairs.pairs as pairs
+import stdpairs.monoid as monoid
 from stdpairs.diophantine import IntMatrix, min_nonneg_solutions, vec_sub
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
@@ -80,7 +80,8 @@ def test_divides_over_non_nested_faces_builds_no_system(I, monkeypatch):
     other = ProperPair((0, 2), (1,), I, skip_check=True)
     built = []
     monkeypatch.setattr(ProperPair, "face_matrix", lambda self: built.append(self))
-    monkeypatch.setattr(pairs, "min_nonneg_solutions", lambda M, b: built.append(b))
+    monkeypatch.setattr(AffineMonoid, "_system", lambda self, left, right: built.append((left, right)))
+    monkeypatch.setattr(monoid, "min_nonneg_solutions", lambda M, b: built.append(b))
     for p, q in ((ray, other), (other, ray)):
         witness = divides(p, q)
         assert (witness.rows, witness.cols) == (0, I.ambient.gens.cols + len(q.face))
@@ -239,6 +240,8 @@ def test_is_proper_empty_ideal_is_always_proper():
 
 
 def test_top_face_is_proper_makes_no_solve(monkeypatch):
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2), (4, 0)]))
     calls = []
 
     def counted(original):
@@ -250,10 +253,8 @@ def test_top_face_is_proper_makes_no_solve(monkeypatch):
 
     for name in ("min_nonneg_solutions", "has_nonneg_solution"):
         counting = counted(getattr(diophantine, name))
-        monkeypatch.setattr(pairs, name, counting)
+        monkeypatch.setattr(monoid, name, counting)
         monkeypatch.setattr(diophantine, name, counting)
-    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
-    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2), (4, 0)]))
     top = (0, 1, 2, 3)
     for base in [(0, 0), (1, 1), (5, 3), (1, 0), (-3, 4)]:
         assert is_proper(ProperPair(base, top, I, skip_check=True)) == (sum(base) % 2 == 1)
