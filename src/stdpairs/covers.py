@@ -12,8 +12,8 @@ The pipeline:
    the number of pairs, not the volume of J's exponent box.
 2. ``principal_cover``: for a principal ideal, the pair difference of
    (0, A) and (b, A) is already the standard cover.
-3. ``cover_to_standard``: refine an arbitrary cover of std(I) to the
-   standard cover by alternating two steps until a fixpoint: move each
+3. ``cover_to_standard``: refine a cover of std(I) by pairs over faces to
+   the standard cover by alternating two steps until a fixpoint: move each
    base down to the minimal monoid elements of its real-span slice
    (``czero_to_cone``), then re-expand each pair to every containing face
    that keeps it proper (``cone_to_ctwo``).  Nested pairs are pruned at
@@ -219,6 +219,27 @@ def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
     Requires G <= G' (as column sets) and a common ambient monoid.  Output
     pairs are anchored to ``pair``'s ambient ideal with checks skipped; the
     caller decides what properness means for them.
+
+    Each output pair is ``(b + A_G u, V)`` for a standard pair ``(u, V)`` of
+    the ideal ``J = {w : b + A_G w in b' + NG'}`` of N^|G|, and when G is a
+    face, V's columns form a face too.  Proof: let F be the smallest face
+    containing them (F <= G, as G is a face), and suppose F has a column k
+    outside V.
+
+    * V empty: F holds only zero columns, so freeing u_k moves no point, and
+      ``(u - u_k e_k, {k})`` is proper for J.
+    * V nonempty: ``p = sum_{j in V} a_j`` lies in the relative interior of
+      cone F, and NF has a conductor c with ``c + (ZF & cone F) <= NF``
+      (Bruns and Gubeladze, *Polytopes, Rings, and K-Theory*, ch. 2).  So
+      for every integer s, ``m p - s a_k`` is in NF once m is large.  If
+      ``u - u_k e_k + w + t e_k`` were in J for some w on V, then with
+      ``s = t - u_k`` so would be ``u + w + m 1_V``, which adds
+      ``m p - s a_k`` (in NF <= NG') to that point's image.  This would
+      contradict the properness of ``(u, V)``; so ``(u - u_k e_k, V + {k})``
+      is proper.
+
+    Either way a proper pair strictly contains ``(u, V)``, against its
+    maximality.  So V = F, and every output pair lies on a face.
     """
     monoid = pair.ideal.ambient
     if monoid != other.ideal.ambient:
@@ -231,33 +252,13 @@ def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
     u_parts = [s[:m] for s in sols]
     if any(all(x == 0 for x in u) for u in u_parts):
         return Cover.from_pairs([])  # base already swallowed: empty difference
-    if not u_parts:
-        return Cover.from_pairs([ProperPair(pair.base, g_idx, pair.ideal, skip_check=True)])
     J = PolyMonomialIdeal(m, u_parts)
     out = []
     gsub = monoid.submatrix(g_idx)
     for std in poly_standard_pairs(J):
         base = vec_add(pair.base, gsub.mul(std.base))
-        cols = tuple(sorted(g_idx[i] for i in std.free))
-        face = _resolve_face(monoid, cols, base, other)
-        out.append(ProperPair(base, face, pair.ideal, skip_check=True))
+        out.append(ProperPair(base, tuple(g_idx[i] for i in std.free), pair.ideal, skip_check=True))
     return Cover.from_pairs(out)
-
-
-def _resolve_face(monoid: AffineMonoid, cols: Face, base: IntVector, other: ProperPair):
-    """Map a combinatorial variable set to a face index tuple.
-
-    When the selected columns already form a face, use it.  Otherwise try
-    the smallest containing face, provided the enlarged pair stays disjoint
-    from the subtracted pair; failing that, keep the set-theoretic index
-    set and let the refinement loop sort it out.
-    """
-    if cols in monoid.faces:
-        return cols
-    closure = monoid.face_closure(cols)
-    if not monoid.meets(base, closure, other.base, other.face):
-        return closure
-    return cols
 
 
 def principal_cover(I: MonomialIdeal) -> Cover:
@@ -293,26 +294,21 @@ def minimal_holes(a: IntVector, face: Face, monoid: AffineMonoid) -> tuple:
 def czero_to_cone(cover: Cover, I: MonomialIdeal) -> Cover:
     """Replace each pair's base with the minimal holes of its slice.
 
-    Properness is not required at this stage.  Index sets that are not
-    faces keep their original pair alongside, since for them the moved
-    base need not absorb the original region.
+    Properness is not required at this stage.
     """
     monoid = I.ambient
     out = []
     for face, ps in cover.entries:
-        genuine = face in monoid.faces
         for p in ps:
             for b in minimal_holes(p.base, face, monoid):
                 out.append(ProperPair(b, face, I, skip_check=True))
-            if not genuine:
-                out.append(ProperPair(p.base, face, I, skip_check=True))
     return Cover.from_pairs(out)
 
 
 def cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
     """Expand every pair to all containing faces, keeping the proper ones.
 
-    ``b + NF <= b + NG`` for index sets F <= G, so faces are tried from small
+    ``b + NF <= b + NG`` for faces F <= G, so faces are tried from small
     to large (the lattice is in ``face_sort_key`` order) and every superset
     of one where the pair fails is skipped."""
     monoid = I.ambient
@@ -321,8 +317,6 @@ def cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
     for face, ps in cover.entries:
         fset = set(face)
         targets = [g for g in faces if fset <= set(g)]
-        if face not in monoid.faces:
-            targets.insert(0, face)
         for p in ps:
             failed = []
             for g in targets:

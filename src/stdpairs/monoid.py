@@ -118,7 +118,7 @@ class AffineMonoid:
         return self._system(index, ())
 
     def submatrix(self, indices) -> IntMatrix:
-        """Columns at arbitrary index sets (used by the cover pipeline)."""
+        """The columns at ``indices``, unchecked (``face`` checks for a face)."""
         return self._system(indices, ())
 
     def _system(self, left, right) -> IntMatrix:
@@ -133,11 +133,17 @@ class AffineMonoid:
     def meet(self, a: IntVector, left, b: IntVector, right) -> SolutionSet:
         """Minimal ``(u, v)`` with ``a + A_left u = b + A_right v``: empty iff
         ``a + N left`` and ``b + N right`` are disjoint."""
-        return min_nonneg_solutions(self._system(left, right), vec_sub(b, a))
+        return min_nonneg_solutions(self._system(left, right), self._difference(a, b))
 
     def meets(self, a: IntVector, left, b: IntVector, right) -> bool:
         """Whether ``a + N left`` and ``b + N right`` meet: ``meet`` as a yes/no question."""
-        return has_nonneg_solution(self._system(left, right), vec_sub(b, a))
+        return has_nonneg_solution(self._system(left, right), self._difference(a, b))
+
+    def _difference(self, a: IntVector, b: IntVector) -> IntVector:
+        """``b - a``, for points of length ``dim`` only (``vec_sub`` would zip)."""
+        if len(a) != self.dim or len(b) != self.dim:
+            raise ValueError(f"vectors have dims {len(a)} and {len(b)}, expected {self.dim}")
+        return vec_sub(b, a)
 
     def index_of_face(self, sub: IntMatrix) -> Face:
         """Inverse of :meth:`face`: the index tuple whose columns equal ``sub``'s."""

@@ -5,14 +5,13 @@ submonoid ``a + NF`` inside the standard monomials of ``I``.  Pairs carry
 their ambient ideal; the checked constructor verifies membership of the
 base and disjointness of ``a + NF`` from ``I`` (``is_proper``: a lattice
 test on the top face, one existence check per generator on the others),
-while ``skip_check=True`` trusts the caller, as the cover pipeline does.
+while ``skip_check=True`` trusts the caller for both, as the cover
+pipeline does.  Every pair lies on a face: its face field is the index
+tuple of a face of the ambient monoid other than BOTTOM, which every
+constructor checks, ``skip_check=True`` included.
 
 Each question here asks whether two translated face monoids meet; the
 ambient monoid's ``meet`` and ``meets`` answer it over ``[A_F | -A_G]``.
-
-Face fields are index tuples.  They normally name faces of the ambient
-monoid, but the machinery below is well-defined for any column index set,
-which the cover-refinement loop exploits transiently.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from .diophantine import IntMatrix, IntVector, SolutionSet, _matrix_data, _particular_solution, vec
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
-from .polyhedral import BOTTOM, Face
+from .polyhedral import Face
 
 
 class ProperPair:
@@ -31,9 +30,9 @@ class ProperPair:
         monoid = ideal.ambient
         if len(self.base) != monoid.dim:
             raise ValueError(f"base has dim {len(self.base)}, expected {monoid.dim}")
+        if self.face not in monoid._supports:  # keyed by every face but BOTTOM
+            raise ValueError(f"{self.face} is not a face of the ambient monoid")
         if not skip_check:
-            if self.face not in monoid.faces or self.face == BOTTOM:
-                raise ValueError(f"{self.face} is not a face of the ambient monoid")
             if not monoid.contains(self.base):
                 raise ValueError(f"base {self.base} is not an element of the ambient monoid")
             if not is_proper(self):
@@ -90,7 +89,7 @@ def is_proper(pair: ProperPair) -> bool:
     empty or the base is off ZA, for any base (also a ``skip_check`` one).
     """
     monoid = pair.ideal.ambient
-    if set(pair.face) == set(monoid.top):
+    if pair.face == monoid.top:
         return pair.ideal.is_empty() or _particular_solution(_matrix_data(monoid.gens), pair.base) is None
     return not any(monoid.meets(pair.base, pair.face, g, monoid.top) for g in pair.ideal.gens.columns())
 

@@ -99,6 +99,16 @@ def test_load_rejects_unknown_section(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("ideal", ["", "IDEAL\n1 1\n5\n"], ids=["cover", "ideal_cover"])
+def test_load_rejects_cover_pair_over_non_face(tmp_path, ideal):
+    """(0,) is not a face of N[2, 3], whose faces are () and (0, 1)."""
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n1 2\n2 3\n" + ideal + "COVER\n1\n0;2\n")
+    with pytest.raises(ValueError, match=r"\(0,\) is not a face"):
+        load(path)
+
+
 def test_zero_column_roundtrips(tmp_path, paper_monoid):
     """An r x 0 matrix is written as r blank rows, and a document that
     ends with one still loads."""

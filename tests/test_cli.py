@@ -124,6 +124,13 @@ def test_pair_divides_verify_rejects_base_outside_monoid(tmp_path, capsys):
     assert "base (1,) is outside the monoid" in capsys.readouterr().err
 
 
+def test_pair_divides_rejects_pair_over_non_face(tmp_path, capsys):
+    path = tmp_path / "non_face.txt"
+    path.write_text("STDPAIRS v1\nMONOID\n1 2\n2 3\nCOVER\n1\n0;2\n")
+    assert main(["pair", "divides", str(path), str(path)]) == 2
+    assert "(0,) is not a face" in capsys.readouterr().err
+
+
 def test_export_m2(tmp_path, capsys):
     Q = sp.AffineMonoid(IntMatrix.from_rows([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
     I = sp.MonomialIdeal(Q, IntMatrix.from_rows([[2, 2, 2], [0, 1, 2], [2, 2, 2]]))

@@ -26,7 +26,7 @@ from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, is_proper
 from stdpairs.polyhedral import BOTTOM
 
-from oracles import brute_poly_standard_pairs, ideal_members, monoid_box, seeded_instances
+from oracles import brute_poly_standard_pairs, ideal_members, monoid_box, reachable_set, seeded_instances
 from test_acceptance import random_instances
 
 
@@ -347,6 +347,51 @@ def test_pair_difference_box_partition(interior_monoid):
         assert in_diff == (b not in removed)
 
 
+def _face_pair_monoids():
+    """Column lists: seeded ones (zero and repeated columns among them),
+    numerical semigroups, a plane monoid whose facet y = 0 is the
+    non-normal <2, 3>, and the three-dimensional T3 with non-normal faces."""
+    cols = [cols for _, cols, _ in seeded_instances(16, 20261019)]
+    cols += [[(2,), (3,)], [(3,), (0,), (5,), (7,)], [(2, 0), (3, 0), (0, 1), (1, 1)]]
+    cols.append([(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)])
+    return cols
+
+
+def test_pair_difference_over_faces_covers_box_exactly_on_faces():
+    """For all faces G <= G' and small bases, every pair of
+    ``(b + NG) \\ (b' + NG')`` lies on a face, and the pairs cover exactly
+    that difference in the box b + [0, 3]^d (brute-force membership by
+    capped reachability: every column here is nonnegative)."""
+    differences = 0
+    for cols in _face_pair_monoids():
+        d = len(cols[0])
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        empty = MonomialIdeal(Q, IntMatrix.zero(d, 0))
+        faces = [f for f in Q.faces if f != BOTTOM]
+        bases = sorted(monoid_box(cols, 1), key=lambda b: (sum(b), b))[:3]
+        caps = tuple(max(b[i] for b in bases) + 3 for i in range(d))
+        reach = {f: reachable_set([cols[j] for j in f], caps) for f in faces}
+
+        def member(x, base, face):
+            y = tuple(p - q for p, q in zip(x, base))
+            return min(y) >= 0 and y in reach[face]
+
+        for G in faces:
+            for Gp in (f for f in faces if set(G) <= set(f)):
+                for b in bases:
+                    box = [tuple(map(sum, zip(b, t))) for t in product(range(4), repeat=d)]
+                    for bp in bases:
+                        diff = pair_difference(
+                            ProperPair(b, G, empty, skip_check=True), ProperPair(bp, Gp, empty, skip_check=True)
+                        ).pairs()
+                        differences += 1
+                        assert all(p.face in faces for p in diff)
+                        for x in box:
+                            covered = any(member(x, p.base, p.face) for p in diff)
+                            assert covered == (member(x, b, G) and not member(x, bp, Gp)), (cols, G, Gp, b, bp, x)
+    assert differences > 1000
+
+
 # ---------------------------------------------------------------------------
 # principal covers
 
@@ -440,8 +485,6 @@ def _reference_cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
     for face, ps in cover.entries:
         fset = set(face)
         targets = [g for g in faces if fset <= set(g)]
-        if face not in monoid.faces:
-            targets.append(face)
         for p in ps:
             for g in targets:
                 candidate = ProperPair(p.base, g, I, skip_check=True)
@@ -469,16 +512,15 @@ def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
     for I in ideals:
         standard_cover(I)
     monkeypatch.undo()
-    # index sets that are not faces (the pipeline passes them only rarely):
-    # proper ones inside the facet y = 0, whose columns are 0, 1 and 4
+    # index sets that are not faces, inside the facet y = 0 (columns 0, 1
+    # and 4), cannot even be made into pairs
     Q = AffineMonoid(IntMatrix.from_cols([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1), (1, 0, 2)]))
     J = MonomialIdeal(Q, IntMatrix.from_cols([(1, 1, 1), (0, 1, 2)]))
     non_faces = [(4,), (0, 1), (0, 4), (1, 4)]
     assert not set(non_faces) & set(Q.faces)
-    bases = [(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 3)]
-    cover = Cover.from_pairs(ProperPair(b, f, J, skip_check=True) for f in non_faces for b in bases)
-    assert set(non_faces) <= set(cone_to_ctwo(cover, J).as_dict())
-    inputs.append((cover, J))
+    for f in non_faces:
+        with pytest.raises(ValueError, match="not a face"):
+            ProperPair((0, 0, 0), f, J, skip_check=True)
 
     calls = []
 

@@ -468,6 +468,15 @@ def test_meet_solves_the_stacked_system():
             assert Q.meets(a, F, b, G) == bool(expected)
 
 
+def test_meet_rejects_points_of_another_length():
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
+    for a, b in [((1, 1), (3, 1, 0)), ((1, 1, 5), (3, 1)), ((1,), (3,)), ((), ())]:
+        with pytest.raises(ValueError, match="expected 2"):
+            Q.meet(a, (0,), b, Q.top)
+        with pytest.raises(ValueError, match="expected 2"):
+            Q.meets(a, (0,), b, Q.top)
+
+
 def test_cover_and_decomposition_build_each_system_once(monkeypatch):
     """One standard cover and one irreducible decomposition, cold, build
     every ``(F, G)`` system at most once."""

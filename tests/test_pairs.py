@@ -48,6 +48,30 @@ def test_skip_check_trusts_caller(I):
     assert not is_proper(P)
 
 
+def test_every_pair_names_a_face_unchecked_too():
+    """``skip_check=True`` skips membership and properness, never the face:
+    a non-face or BOTTOM raises."""
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2)]))
+    assert ProperPair((4, 4), (0, 3), I, skip_check=True).face == (0, 3)
+    for face in [(0,), (0, 1, 2), (4,), BOTTOM]:
+        assert face not in Q.faces or face == BOTTOM
+        for skip_check in (False, True):
+            with pytest.raises(ValueError, match="not a face"):
+                ProperPair((0, 0), face, I, skip_check=skip_check)
+
+
+def test_wrong_length_points_are_rejected(Q, I):
+    """A point of another length is an error, not a zip of its first
+    coordinates: ``(3, 0, 99)`` used to answer like ``(3, 0)``."""
+    P = ProperPair((2, 0), (0,), I)
+    assert list(P.is_element((3, 0))) == [(1,)]
+    with pytest.raises(ValueError, match="expected 2"):
+        P.is_element((3, 0, 99))
+    with pytest.raises(ValueError, match="expected 2"):
+        intersect_pairs(Q, (2, 0), (0,), (3, 0, 99), ())
+
+
 def test_base_outside_monoid_rejected(I):
     with pytest.raises(ValueError):
         ProperPair((1, 1), (0,), I)
@@ -259,5 +283,5 @@ def test_top_face_is_proper_makes_no_solve(monkeypatch):
     for base in [(0, 0), (1, 1), (5, 3), (1, 0), (-3, 4)]:
         assert is_proper(ProperPair(base, top, I, skip_check=True)) == (sum(base) % 2 == 1)
     assert calls == []
-    assert is_proper(ProperPair((0, 0), (0,), I, skip_check=True)) is False
+    assert is_proper(ProperPair((0, 0), (0, 3), I, skip_check=True)) is False  # (4, 0) is in I
     assert calls  # the counter sees the solves of the other faces
