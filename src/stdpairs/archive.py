@@ -169,21 +169,23 @@ class _Reader:
                 raise self.error(f"non-integer entry in {what}")
         return IntMatrix(rows, cols, tuple(data))
 
-    def take_face(self, text: str) -> Face:
+    def take_face(self, text: str, faces: dict) -> Face:
+        """The face written in ``text``, which must be a key of ``faces``."""
         text = text.strip()
-        if not text:
-            return ()
         try:
-            return tuple(int(t) for t in text.split(","))
+            face = tuple(int(t) for t in text.split(",")) if text else ()
         except ValueError:
             raise self.error(f"bad face {text!r}")
+        if face not in faces:
+            raise self.error(f"{face} is not a face of the monoid")
+        return face
 
-    def take_pair_line(self):
+    def take_pair_line(self, faces: dict):
         line = self.take("pair")
         if ";" not in line:
             raise self.error(f"expected 'face;base' pair line, got {line!r}")
         face_text, base_text = line.split(";", 1)
-        face = self.take_face(face_text)
+        face = self.take_face(face_text, faces)
         try:
             base = vec(base_text.split())
         except ValueError:
@@ -204,6 +206,7 @@ def load(path: str):
     if reader.eof() or reader.take("section").strip() != "MONOID":
         raise ArchiveError("line 2: expected MONOID section")
     monoid = AffineMonoid(reader.take_matrix("MONOID"))
+    faces = monoid.supports  # keyed by every face but BOTTOM
 
     ideal = None
     cover_data = None
@@ -216,7 +219,7 @@ def load(path: str):
             ideal = MonomialIdeal(monoid, reader.take_matrix("IDEAL"))
         elif section == "COVER":
             count = reader.take_int("COVER")
-            cover_data = [reader.take_pair_line() for _ in range(count)]
+            cover_data = [reader.take_pair_line(faces) for _ in range(count)]
         elif section == "OVERLAP":
             count = reader.take_int("OVERLAP")
             overlap_data = []
@@ -225,15 +228,15 @@ def load(path: str):
                 if ";" not in header:
                     raise reader.error("expected 'face;count' class header")
                 face_text, n_text = header.split(";", 1)
-                face = reader.take_face(face_text)
+                face = reader.take_face(face_text, faces)
                 try:
                     npairs = int(n_text)
                 except ValueError:
                     raise reader.error("bad class pair count")
-                overlap_data.append((face, [reader.take_pair_line() for _ in range(npairs)]))
+                overlap_data.append((face, [reader.take_pair_line(faces) for _ in range(npairs)]))
         elif section == "ASSOCIATED":
             count = reader.take_int("ASSOCIATED")
-            associated_faces = [reader.take_face(reader.take("ASSOCIATED")) for _ in range(count)]
+            associated_faces = [reader.take_face(reader.take("ASSOCIATED"), faces) for _ in range(count)]
         elif section == "DECOMPOSITION":
             count = reader.take_int("DECOMPOSITION")
             components = [reader.take_matrix("DECOMPOSITION") for _ in range(count)]

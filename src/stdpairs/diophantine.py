@@ -276,6 +276,7 @@ class _MatrixData:
 
     M: IntMatrix
     hilbert: tuple | None = None
+    walk_first: bool = False  # hilbert_kernel's short walk answered: full solves skip tier 1
     solutions: dict = field(default_factory=dict)
     feasible: dict = field(default_factory=dict)
     _cone: tuple | None = None
@@ -1006,7 +1007,9 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     finds its basis in a few hundred nodes; completion explodes on systems
     with three or more rows, whose box walk is short.  So the short walk
     goes first, and a matrix that overflows it costs one completion before
-    the long walk.  Cached per matrix.
+    the long walk.  Whether the short walk answered is kept as
+    ``walk_first``, which routes the matrix's full solves in
+    ``min_nonneg_solutions``.  Cached per matrix.
     """
     data = _matrix_data(M)
     if data.hilbert is None:
@@ -1022,6 +1025,7 @@ def _kernel_hilbert_basis(data: _MatrixData, basis: list, rays: list) -> list:
     bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
     zero = (0,) * data.M.cols
     points = _box_solutions(data, zero, bound, budget=_CD_BUDGET)
+    data.walk_first = points is not None
     if points is None:
         found = _completion(data.gram(), None, _coordinate_index((), data.M.cols), _CD_BUDGET)
         if found is not None:
@@ -1062,6 +1066,10 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     3. triangulation of the same rays with exact parallelepiped
        enumeration, whose candidate count is the sum of simplex
        determinants.
+
+    Tier 1 runs only where ``hilbert_kernel``'s short walk did not answer
+    (``_MatrixData.walk_first``): a matrix whose kernel box is that small
+    tends to have a short walk here too, while its completion can overflow.
 
     A caller that needs only whether a solution exists should call
     ``has_nonneg_solution``, which stops at the first one.
@@ -1152,11 +1160,14 @@ def _homogenized_gram(data: _MatrixData, b: IntVector) -> tuple:
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
     if _infeasible(data, b):
         return SolutionSet.of(M.cols, [])
-    slack = M.cols
-    hgram, seed = _homogenized_gram(data, b)
-    quick = _completion(hgram, slack, seed, _CD_BUDGET)
-    if quick is not None:
-        return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
+    if data.hilbert is None:
+        hilbert_kernel(M)
+    if not data.walk_first:
+        slack = M.cols
+        hgram, seed = _homogenized_gram(data, b)
+        quick = _completion(hgram, slack, seed, _CD_BUDGET)
+        if quick is not None:
+            return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
     return _geometric_solutions(M, data, b)
 
 

@@ -99,13 +99,28 @@ def test_load_rejects_unknown_section(tmp_path):
         load(path)
 
 
-@pytest.mark.parametrize("ideal", ["", "IDEAL\n1 1\n5\n"], ids=["cover", "ideal_cover"])
-def test_load_rejects_cover_pair_over_non_face(tmp_path, ideal):
-    """(0,) is not a face of N[2, 3], whose faces are () and (0, 1)."""
+_IDEAL = "IDEAL\n1 1\n5\n"
+
+
+@pytest.mark.parametrize(
+    "sections, bad_line",
+    [
+        ("COVER\n1\n0;2\n", 7),
+        (_IDEAL + "COVER\n1\n0;2\n", 10),
+        (_IDEAL + "OVERLAP\n1\n0;1\n0,1;5\n", 10),
+        (_IDEAL + "OVERLAP\n1\n0,1;2\n0,1;5\n0;5\n", 12),
+        (_IDEAL + "ASSOCIATED\n2\n0,1\n0\n", 11),
+    ],
+    ids=["cover", "ideal_cover", "overlap_class_header", "overlap_pair", "associated"],
+)
+def test_load_rejects_cover_pair_over_non_face(tmp_path, sections, bad_line):
+    """(0,) is not a face of N[2, 3], whose faces are () and (0, 1).  A
+    non-face in a COVER or OVERLAP pair line, an OVERLAP class header or an
+    ASSOCIATED line is an ``ArchiveError`` naming its line."""
     path = str(tmp_path / "bad.txt")
     with open(path, "w") as fh:
-        fh.write("STDPAIRS v1\nMONOID\n1 2\n2 3\n" + ideal + "COVER\n1\n0;2\n")
-    with pytest.raises(ValueError, match=r"\(0,\) is not a face"):
+        fh.write("STDPAIRS v1\nMONOID\n1 2\n2 3\n" + sections)
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: \(0,\) is not a face"):
         load(path)
 
 

@@ -128,7 +128,7 @@ def test_pair_divides_rejects_pair_over_non_face(tmp_path, capsys):
     path = tmp_path / "non_face.txt"
     path.write_text("STDPAIRS v1\nMONOID\n1 2\n2 3\nCOVER\n1\n0;2\n")
     assert main(["pair", "divides", str(path), str(path)]) == 2
-    assert "(0,) is not a face" in capsys.readouterr().err
+    assert "line 7: (0,) is not a face" in capsys.readouterr().err
 
 
 def test_export_m2(tmp_path, capsys):

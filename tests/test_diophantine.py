@@ -1298,6 +1298,16 @@ def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b) -> Soluti
     return SolutionSet.of(M.cols, [x[:slack] for x in hilbert if x[slack] == 1])
 
 
+def _recording(log: list, name: str, fn):
+    """``fn``, appending ``name`` to ``log`` on every call."""
+
+    def wrapper(*args, **kwargs):
+        log.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def _certificate_systems(rng, count):
     """Seeded ``(M, b)`` with b != 0, cycling through ``[A | -A]``; signed
     matrices with a zero and a duplicate column; ``r x 0`` matrices; matrices
@@ -1352,10 +1362,13 @@ def _certificate_systems(rng, count):
 
 def test_infeasibility_certificates_are_exact(monkeypatch):
     """The certificates settle only systems without a solution: every answer
-    equals the solver's without them, under the default budgets, with tier 1
-    off, and with tiers 1 and 2 off.  Where a particular solution exists,
-    the span-and-cone test holds exactly when the homogenized cone has no
-    ray with t > 0."""
+    equals the solver's without them, which always runs completion first,
+    under the default budgets, with tier 1 off, and with tiers 1 and 2 off.
+    Under the default budgets both routes of the full solve run at least 20
+    times: the walk first where ``hilbert_kernel``'s short walk answered,
+    completion first elsewhere.  Where a particular solution exists, the
+    span-and-cone test holds exactly when the homogenized cone has no ray
+    with t > 0."""
     import stdpairs.diophantine as dio
 
     systems = _certificate_systems(random.Random(1212), 600)
@@ -1392,14 +1405,23 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
         kinds["unsettled_empty"] += not settled and not min_nonneg_solutions(M, b)
     assert min(kinds.values()) >= 20, kinds
 
+    tiers = []
+    monkeypatch.setattr(dio, "_completion", _recording(tiers, "completion", dio._completion))
+    monkeypatch.setattr(dio, "_geometric_solutions", _recording(tiers, "walk", dio._geometric_solutions))
+    routes = {"walk": 0, "completion": 0}
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
         for name, value in budgets.items():
             monkeypatch.setattr(dio, name, value)
         dio._MATRIX_CACHE.clear()
         for M, b in systems:
             expected = _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)
+            tiers.clear()
             assert min_nonneg_solutions(M, b) == expected, (M, b, budgets)
+            if tiers and not budgets:
+                assert tiers[0] == ("walk" if dio._matrix_data(M).walk_first else "completion"), (M, b)
+                routes[tiers[0]] += 1
     dio._MATRIX_CACHE.clear()
+    assert min(routes.values()) >= 20, routes
 
 
 def _existence_systems(rng, count):
@@ -1561,17 +1583,9 @@ def test_hilbert_kernel_routes_agree_with_reference(monkeypatch):
         dio._MATRIX_CACHE.clear()
         expected.append(list(_reference_hilbert_kernel(M)))
     tiers = []
-
-    def record(name, fn):
-        def wrapper(*args, **kwargs):
-            tiers.append(name)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(dio, "_box_solutions", record("walk", dio._box_solutions))
-    monkeypatch.setattr(dio, "_completion", record("completion", dio._completion))
-    monkeypatch.setattr(dio, "_hilbert_basis_geometric", record("triangulation", _hilbert_basis_geometric))
+    monkeypatch.setattr(dio, "_box_solutions", _recording(tiers, "walk", dio._box_solutions))
+    monkeypatch.setattr(dio, "_completion", _recording(tiers, "completion", dio._completion))
+    monkeypatch.setattr(dio, "_hilbert_basis_geometric", _recording(tiers, "triangulation", _hilbert_basis_geometric))
     order = ["walk", "completion", "walk", "triangulation"]
     answered = [0] * 5
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
@@ -1791,6 +1805,55 @@ def test_principal_ladder_walks_a_tenth_of_the_index_order_units():
         index_units = _node_count(pruned, old, x0, bound, 10**6)
         assert 10 * units <= index_units, (b, units, index_units)
         assert sorted(pruned(data, x0, bound)) == sorted(pruned(old, x0, bound)), b
+
+
+def test_principal_ladder_full_solves_skip_completion(monkeypatch):
+    """``hilbert_kernel``'s short walk answers each ladder matrix, so its
+    full solve goes straight to the walk, with the completion-first
+    answer."""
+    import stdpairs.diophantine as dio
+
+    systems = []
+    for cols, b in _PRINCIPAL_LADDER:
+        A = IntMatrix.from_cols(cols)
+        M = A.hstack(A.neg())
+        dio._MATRIX_CACHE.clear()
+        systems.append((M, b, _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("tier 1 should not run")
+
+    for M, b, expected in systems:
+        dio._MATRIX_CACHE.clear()
+        hilbert_kernel(M)
+        assert dio._matrix_data(M).walk_first, b
+        with monkeypatch.context() as patch:
+            patch.setattr(dio, "_completion", fail)
+            assert min_nonneg_solutions(M, b) == expected, b
+    dio._MATRIX_CACHE.clear()
+
+
+def test_full_solves_run_completion_first_without_a_short_kernel_walk(monkeypatch):
+    """A one-row ``[A | -A]`` whose short kernel walk overflows, and a
+    pointed A without zero columns, whose kernel has no nonnegative ray and
+    so no short walk, keep completion as the first tier of a full solve."""
+    import stdpairs.diophantine as dio
+
+    wide = IntMatrix.from_rows([[3, 4, 3, 2, -3, -4, -3, -2]])
+    pointed = [(IntMatrix.from_cols(_SQUARE_CONE), (2, 2, 5)), (IntMatrix.from_cols(_VERONESE), (9, 11))]
+    systems = [(wide, (5,)), (wide, (1,))] + pointed
+    tiers = []
+    monkeypatch.setattr(dio, "_completion", _recording(tiers, "completion", dio._completion))
+    monkeypatch.setattr(dio, "_box_solutions", _recording(tiers, "walk", dio._box_solutions))
+    for M, b in systems:
+        dio._MATRIX_CACHE.clear()
+        expected = _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)
+        assert expected, (M, b)
+        assert not dio._matrix_data(M).walk_first, M
+        tiers.clear()
+        assert min_nonneg_solutions(M, b) == expected, (M, b)
+        assert tiers[0] == "completion", (M, b, tiers)
+    dio._MATRIX_CACHE.clear()
 
 
 def _paired_matrices(rng, count):
