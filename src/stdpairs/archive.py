@@ -34,8 +34,6 @@ from .polyhedral import Face, face_sort_key
 
 FORMAT_TAG = "STDPAIRS v1"
 
-SECTIONS = ("MONOID", "IDEAL", "COVER", "OVERLAP", "ASSOCIATED", "DECOMPOSITION")
-
 
 class ArchiveError(ValueError):
     """Malformed archive content; the message carries a line number."""

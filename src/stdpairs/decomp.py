@@ -7,11 +7,13 @@ by ZF); classes are ordered by lifting pair divisibility existentially,
 which the first pair of each class decides, and the maximal classes carry
 the associated primes and one irreducible component each.
 
-A component for a maximal class C over a face F is the ideal of monomials
-exceeding, on some facet containing F, the largest support value attained
-by the bases of C.  Its standard monomials are exactly the monoid elements
-capped by those thresholds, which specializes to the familiar corner
-ideals in the polynomial case.
+The component of a maximal class C over a face F is the ideal of monoid
+elements outside the downward closure of the class: its standard
+monomials are the q with ``a - q`` in NA + ZF, for a base a of C (all
+bases give the same set, since they differ by ZF).  In the polynomial case
+these are the familiar corner ideals.  Off normal monoids the closure is
+not cut out by support-value thresholds: a point can stay below every
+support value of a and still lie outside the closure.
 """
 
 from __future__ import annotations
@@ -151,30 +153,21 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
 
     A minimal generator cannot step down along a face column (the result
     would still avoid the closure), so every factorization of a minimal
-    generator uses off-face columns only, and each off-face column has a
-    positive value under some facet normal containing the face.  Since the
-    closure is capped by the class maxima under those normals, minimal
-    generators live in a finite window that can be enumerated exactly.
+    generator uses off-face columns only.  The walk below visits sums of
+    the distinct off-face columns from 0 and descends only from closure
+    points.  It is finite: let w be the sum of the facet normals containing
+    the face.  Each off-face column c lies off one of those facets, so
+    ``w(c) >= 1``; a closure point q has ``w(q) <= w(a)``, because
+    ``a - q`` is in NA + ZF, where w is nonnegative and zero on ZF.  So no
+    path has more than ``w(a) + 1`` steps.
     """
     face = tuple(face)
     maximal = maximal_overlap_classes(I)
     if face not in maximal or ov_class not in maximal[face]:
         raise ValueError("not a maximal overlap class of the ideal")
     monoid = I.ambient
-    bases = ov_class.bases()
-    support = monoid.support_of(face)
-    normals = [phi for phi in support.data]
-    budgets = []
-    for phi in normals:
-        top = max(vec_dot(phi, b) for b in bases)
-        step = max((vec_dot(phi, c) for c in monoid.gens.columns()), default=0)
-        budgets.append(top + step)
-    off_face = [j for j in range(monoid.gens.cols) if j not in face]
-    off_cols = [monoid.gens.col(j) for j in off_face]
-    off_values = [[vec_dot(phi, c) for c in off_cols] for phi in normals]
-    extendable = [
-        k for k in range(len(off_cols)) if any(off_values[i][k] > 0 for i in range(len(normals)))
-    ]
+    base = ov_class.pairs[0].base
+    off_cols = list(dict.fromkeys(monoid.gens.col(j) for j in range(monoid.gens.cols) if j not in face))
 
     closure_known: dict = {}
 
@@ -182,25 +175,22 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
         # q divides into a + NF iff a - q lies in NA + ZF, the same set for
         # all bases of the class (they differ by ZF): the first base decides
         if q not in closure_known:
-            closure_known[q] = monoid.meets(bases[0], face, q, monoid.top)
+            closure_known[q] = monoid.meets(base, face, q, monoid.top)
         return closure_known[q]
 
-    # Walk sums of off-face columns in the budget window.  A node outside
-    # the closure already lies in the component, so its descendants exceed
-    # it and cannot be minimal; record it and do not descend.
+    # A node outside the closure already lies in the component, so its
+    # descendants exceed it and cannot be minimal; record it and do not
+    # descend.
     outside: set = set()
 
-    def walk(idx: int, point, values):
+    def walk(idx: int, point):
         if not dividing(point):
             outside.add(point)
             return
-        for pos in range(idx, len(extendable)):
-            k = extendable[pos]
-            nxt = [v + off_values[i][k] for i, v in enumerate(values)]
-            if all(v <= b for v, b in zip(nxt, budgets)):
-                walk(pos, vec_add(point, off_cols[k]), nxt)
+        for k in range(idx, len(off_cols)):
+            walk(k, vec_add(point, off_cols[k]))
 
-    walk(0, (0,) * monoid.dim, [0] * len(normals))
+    walk(0, (0,) * monoid.dim)
     # the ideal keeps only the minimal ones (AffineMonoid.minimal)
     return MonomialIdeal(monoid, IntMatrix.from_cols(sorted(outside), rows=monoid.dim), _trusted=True)
 

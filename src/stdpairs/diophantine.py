@@ -46,9 +46,9 @@ Easy instances then short-circuit through a budgeted Contejean-Devie style
 completion seeded with the cached kernel basis; the triangulation pipeline
 takes over whenever the completion frontier grows past its budget, so the
 worst case stays predictable.  The kernel Hilbert basis itself (the seed
-above and the walk's prune) tries the two cheap tiers first, a short box
-walk and then the same completion with no slack cap, because they fail on
-opposite inputs; only then the full walk and the triangulation
+above and the walk's prune) has three tiers: the two cheap ones first, a
+short box walk and then the same completion with no slack cap, because
+they fail on opposite inputs; only then the triangulation
 (``hilbert_kernel``).  Cone data, kernel data and the answers for up to
 ``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
 ``_MATRIX_CACHE_CAP`` matrices.
@@ -991,23 +991,22 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
 
     Every minimal element lies in a half-open parallelepiped of a
     triangulated simplicial subcone, hence below the componentwise sum of
-    all extreme rays.  Four exact tiers follow, each stopping at its own
-    work budget; the first that finishes answers:
+    all extreme rays.  Three exact tiers follow; the first that finishes
+    answers:
 
     1. the box walk below that sum, unpruned (the basis is what it looks
        for), keeping its minimal nonzero points, for ``_CD_BUDGET`` units;
     2. completion on the Gram matrix of M's columns, with no slack cap and
        no seed, for ``_CD_BUDGET`` nodes: it yields exactly the minimal
        nonzero solutions;
-    3. the same box walk for ``_BOX_BUDGET`` units;
-    4. the triangulation, enumerating the parallelepipeds directly.
+    3. the triangulation, enumerating the parallelepipeds directly.
 
     The two cheap tiers fail on opposite inputs.  The box of ``[A | -A]``
     with one or two rows and six or more columns is huge, while completion
     finds its basis in a few hundred nodes; completion explodes on systems
     with three or more rows, whose box walk is short.  So the short walk
     goes first, and a matrix that overflows it costs one completion before
-    the long walk.  Whether the short walk answered is kept as
+    the triangulation.  Whether the short walk answered is kept as
     ``walk_first``, which routes the matrix's full solves in
     ``min_nonneg_solutions``.  Cached per matrix.
     """
@@ -1026,14 +1025,10 @@ def _kernel_hilbert_basis(data: _MatrixData, basis: list, rays: list) -> list:
     zero = (0,) * data.M.cols
     points = _box_solutions(data, zero, bound, budget=_CD_BUDGET)
     data.walk_first = points is not None
-    if points is None:
-        found = _completion(data.gram(), None, _coordinate_index((), data.M.cols), _CD_BUDGET)
-        if found is not None:
-            return found
-        points = _box_solutions(data, zero, bound, budget=_BOX_BUDGET)
-        if points is None:
-            return _hilbert_basis_geometric(basis, rays)
-    return minimal_elements(x for x in points if x != zero)
+    if points is not None:
+        return minimal_elements(x for x in points if x != zero)
+    found = _completion(data.gram(), None, _coordinate_index((), data.M.cols), _CD_BUDGET)
+    return found if found is not None else _hilbert_basis_geometric(basis, rays)
 
 
 def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:

@@ -450,3 +450,54 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
     monkeypatch.setattr(decomp, "is_divisor", counting)
     maximal_overlap_classes(I)
     assert 0 < len(calls) <= k * (k - 1)
+
+
+# The walls: a cold pipeline takes seconds on each.  T1's decomposition
+# and T3's cover are the slow parts.
+@pytest.mark.parametrize(
+    "cols, gens, cover_sha, decomposition_sha",
+    [
+        pytest.param(
+            [(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)],
+            "efa36ef5616f", "c325b4130093", id="T1",
+        ),
+        pytest.param(
+            [(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)],
+            "5a94ff0d9a46", "19d0342e47f9", id="T3",
+        ),
+    ],
+)
+def test_walls_golden(cols, gens, cover_sha, decomposition_sha):
+    """The covers and decomposition lists of the walls, pinned by
+    ``sha1(repr(x))[:12]``."""
+    import hashlib
+
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3))
+    digest = lambda x: hashlib.sha1(repr(x).encode()).hexdigest()[:12]
+    assert digest(I.standard_cover()) == cover_sha
+    assert digest(irreducible_decomposition(I)) == decomposition_sha
+
+
+def test_repeated_column_does_not_grow_the_component_walk(monkeypatch):
+    """A repeated off-face column adds no walk node: (8),(12),(8) over
+    (3),(4),(3),(2) visits no more points than over (3),(4),(2), and the
+    components agree.  Each walk child is one ``vec_add``."""
+    import stdpairs.decomp as decomp
+
+    calls = []
+    monkeypatch.setattr(decomp, "vec_add", lambda u, v: calls.append(u) or vec_add(u, v))
+
+    def walk_nodes(cols):
+        I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=1)), IntMatrix.from_cols([(8,), (12,), (8,)], rows=1))
+        calls.clear()
+        components = [
+            sorted(irreducible_component(I, f, c).gens.columns())
+            for f, cs in maximal_overlap_classes(I).items()
+            for c in cs
+        ]
+        return len(calls), components
+
+    repeated, repeated_components = walk_nodes([(3,), (4,), (3,), (2,)])
+    distinct, distinct_components = walk_nodes([(3,), (4,), (2,)])
+    assert repeated_components == distinct_components
+    assert 0 < repeated <= distinct
