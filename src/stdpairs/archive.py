@@ -156,6 +156,8 @@ class _Reader:
             rows, cols = int(header[0]), int(header[1])
         except ValueError:
             raise self.error(f"bad matrix header for {what}")
+        if rows < 0 or cols < 0:
+            raise self.error(f"negative matrix dimension for {what}")
         data = []
         for _ in range(rows):
             entries = self.take(what).split()

@@ -101,8 +101,7 @@ def cmd_ideal(args) -> int:
     ideal = _load_ideal(args)
     if args.action == "mult" and args.face is None:
         raise ValueError("mult requires --face")
-    if args.action == "cover" or not ideal.is_empty():
-        cover = standard_cover(ideal, loop_cap=args.loop_cap)  # memoized: every action reuses it
+    cover = standard_cover(ideal, loop_cap=args.loop_cap)  # memoized: every action reuses it
     if args.action == "cover":
         print(cover)
     elif args.action == "radical":

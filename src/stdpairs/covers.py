@@ -11,16 +11,18 @@ The pipeline:
    its last variable and recursing on the slices, so their cost follows
    the number of pairs, not the volume of J's exponent box.
 2. ``principal_cover``: for a principal ideal, the pair difference of
-   (0, A) and (b, A) is already the standard cover.
+   (0, A) and (b, A) is already the standard cover.  (0, A) alone is the
+   standard cover of the ideal with no generators.
 3. ``cover_to_standard``: refine a cover of std(I) by pairs over faces to
    the standard cover by alternating two steps until a fixpoint: move each
    base down to the minimal monoid elements of its real-span slice
    (``czero_to_cone``), then re-expand each pair to every containing face
    that keeps it proper (``cone_to_ctwo``).  Nested pairs are pruned at
    the fixpoint.
-4. ``standard_cover``: fold the ideal's generators one at a time,
-   differencing each standing pair against the new generator and
-   re-standardizing.
+4. ``standard_cover``: start from {(0, A)} and fold the generators in
+   one at a time: difference each standing pair against (g, A) for the
+   new generator g, then re-standardize.  The first cut is the principal
+   cover of step 2 and needs no refinement.
 """
 
 from __future__ import annotations
@@ -364,47 +366,44 @@ def _check_loop_cap(loop_cap: int) -> None:
 
 def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
     """Refine a cover of std(I) to the standard cover (fixpoint of the two
-    steps), within ``loop_cap >= 1`` refinement iterations."""
+    steps), within ``loop_cap >= 1`` refinement iterations.  The input
+    pairs may be anchored to any ideal over I's monoid; ``czero_to_cone``
+    anchors every pair it emits to I."""
     _check_loop_cap(loop_cap)
-    current = Cover.from_pairs(
-        ProperPair(p.base, p.face, I, skip_check=True) for p in cover.pairs()
-    )
+    current = cover
     for _ in range(loop_cap):
         refined = cone_to_ctwo(czero_to_cone(current, I), I)
         if refined == current:
-            return _prune_nested(current)
+            return _prune_nested(refined)
         current = refined
     raise LoopCapExceeded(f"cover refinement did not stabilize within {loop_cap} iterations")
 
 
 def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """The standard cover of a proper nonempty monomial ideal (memoized),
-    refining each generator fold within ``loop_cap >= 1`` iterations."""
+    """The standard cover of a proper monomial ideal (memoized), refining
+    each generator fold within ``loop_cap >= 1`` iterations.
+
+    Each fold after the first is refined over the ideal of the generators
+    cut so far; the last one over I itself, so every pair is anchored to I.
+    The ideal with no generators gets {(0, top)}."""
     _check_loop_cap(loop_cap)
-    if I.is_empty():
-        raise ValueError("the empty ideal has no standard cover")
     if "standard_cover" in I._cache:
         return I._cache["standard_cover"]
     monoid = I.ambient
     gens = I.gens.columns()
-    sub = MonomialIdeal(monoid, IntMatrix.from_cols(gens[:1], rows=monoid.dim), _trusted=True)
-    cover = principal_cover(sub)
-    log.info("Cover for 1 generator was calculated. %d generators are left.", len(gens) - 1)
-    for i in range(1, len(gens)):
-        sub = MonomialIdeal(monoid, IntMatrix.from_cols(gens[: i + 1], rows=monoid.dim), _trusted=True)
-        cutter = ProperPair(gens[i], monoid.top, sub, skip_check=True)
-        pieces = []
-        for p in cover.pairs():
-            anchored = ProperPair(p.base, p.face, sub, skip_check=True)
-            pieces.extend(pair_difference(anchored, cutter).pairs())
-        cover = cover_to_standard(Cover.from_pairs(pieces), sub, loop_cap=loop_cap)
+    cover = Cover.from_pairs([ProperPair((0,) * monoid.dim, monoid.top, I, skip_check=True)])
+    for i, g in enumerate(gens, 1):
+        cutter = ProperPair(g, monoid.top, I, skip_check=True)
+        cover = Cover.from_pairs(q for p in cover.pairs() for q in pair_difference(p, cutter).pairs())
+        if i > 1:
+            prefix = IntMatrix.from_cols(gens[:i], rows=monoid.dim)
+            sub = I if i == len(gens) else MonomialIdeal(monoid, prefix, _trusted=True)
+            cover = cover_to_standard(cover, sub, loop_cap=loop_cap)
         log.info(
-            "Cover for %d generators was calculated. %d generators are left.",
-            i + 1,
-            len(gens) - i - 1,
+            "Cover for %d generator%s was calculated. %d generators are left.",
+            i,
+            "s" if i > 1 else "",
+            len(gens) - i,
         )
-    result = Cover.from_pairs(
-        ProperPair(p.base, p.face, I, skip_check=True) for p in cover.pairs()
-    )
-    I._cache["standard_cover"] = result
-    return result
+    I._cache["standard_cover"] = cover
+    return cover

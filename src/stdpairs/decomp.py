@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .diophantine import IntMatrix, lattice_residue, vec_add, vec_dot
 from .ideal import MonomialIdeal
-from .pairs import ProperPair, is_divisor
+from .pairs import is_divisor
 from .polyhedral import Face, face_sort_key
 
 
@@ -37,19 +37,6 @@ class OverlapClass:
         return [p.base for p in self.pairs]
 
 
-def _degenerate_cover(I: MonomialIdeal):
-    """The cover {(0, top)} of the empty ideal (everything is standard)."""
-    from .covers import Cover
-
-    return Cover.from_pairs([ProperPair((0,) * I.ambient.dim, I.ambient.top, I, skip_check=True)])
-
-
-def _cover_of(I: MonomialIdeal):
-    if I.is_empty():
-        return _degenerate_cover(I)
-    return I.standard_cover()
-
-
 def overlap_classes(I: MonomialIdeal) -> dict:
     """Partition each face's standard pairs into overlap classes, keyed by
     their bases' residues mod ZF: (a, F) and (b, F) meet iff ``b - a = F w``
@@ -58,7 +45,7 @@ def overlap_classes(I: MonomialIdeal) -> dict:
         return I._cache["overlap_classes"]
     monoid = I.ambient
     result: dict = {}
-    for face, ps in _cover_of(I).entries:
+    for face, ps in I.standard_cover().entries:
         fsub = monoid.submatrix(face)
         blocks: dict = {}
         for p in ps:
@@ -141,7 +128,7 @@ def multiplicity(I: MonomialIdeal, face_or_prime) -> int:
         face = tuple(face_or_prime)
         if face not in associated_primes(I):
             raise ValueError(f"{face} is not an associated face of the ideal")
-    return sum(len(ps) for f, ps in _cover_of(I).entries if f == face)
+    return sum(len(ps) for f, ps in I.standard_cover().entries if f == face)
 
 
 def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) -> MonomialIdeal:
@@ -169,28 +156,24 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     base = ov_class.pairs[0].base
     off_cols = list(dict.fromkeys(monoid.gens.col(j) for j in range(monoid.gens.cols) if j not in face))
 
+    # q divides into a + NF iff a - q lies in NA + ZF, the same set for all
+    # bases of the class (they differ by ZF): the first base decides.
+    # Different column multisets can reach one point, so answers are kept.
     closure_known: dict = {}
-
-    def dividing(q) -> bool:
-        # q divides into a + NF iff a - q lies in NA + ZF, the same set for
-        # all bases of the class (they differ by ZF): the first base decides
-        if q not in closure_known:
-            closure_known[q] = monoid.meets(base, face, q, monoid.top)
-        return closure_known[q]
-
     # A node outside the closure already lies in the component, so its
     # descendants exceed it and cannot be minimal; record it and do not
-    # descend.
+    # descend.  The stack holds (first column index, point), with children
+    # pushed in reverse so that they are visited in column order.
     outside: set = set()
-
-    def walk(idx: int, point):
-        if not dividing(point):
+    stack = [(0, (0,) * monoid.dim)]
+    while stack:
+        idx, point = stack.pop()
+        if point not in closure_known:
+            closure_known[point] = monoid.meets(base, face, point, monoid.top)
+        if not closure_known[point]:
             outside.add(point)
-            return
-        for k in range(idx, len(off_cols)):
-            walk(k, vec_add(point, off_cols[k]))
-
-    walk(0, (0,) * monoid.dim)
+            continue
+        stack.extend((k, vec_add(point, off_cols[k])) for k in reversed(range(idx, len(off_cols))))
     # the ideal keeps only the minimal ones (AffineMonoid.minimal)
     return MonomialIdeal(monoid, IntMatrix.from_cols(sorted(outside), rows=monoid.dim), _trusted=True)
 
@@ -199,14 +182,11 @@ def irreducible_decomposition(I: MonomialIdeal) -> list:
     """One irreducible component per maximal overlap class; intersection is I."""
     if "irreducible_decomposition" in I._cache:
         return I._cache["irreducible_decomposition"]
-    if I.is_empty():
-        result = [I]
-    else:
-        result = [
-            irreducible_component(I, face, c)
-            for face, classes in maximal_overlap_classes(I).items()
-            for c in classes
-        ]
-        result.sort(key=lambda W: W.gens.to_token())
+    result = [
+        irreducible_component(I, face, c)
+        for face, classes in maximal_overlap_classes(I).items()
+        for c in classes
+    ]
+    result.sort(key=lambda W: W.gens.to_token())
     I._cache["irreducible_decomposition"] = result
     return result

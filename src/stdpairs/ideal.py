@@ -88,8 +88,6 @@ class MonomialIdeal:
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         """Intersection, via minimal common elements of pairs of principal ideals."""
         self._require_same_ambient(other)
-        if self.is_empty() or other.is_empty():
-            return MonomialIdeal(self._ambient, IntMatrix.zero(self._ambient.dim, 0), _trusted=True)
         A, top = self._ambient.gens, self._ambient.top
         cols = []
         for g in self._gens.columns():
@@ -168,9 +166,6 @@ class MonomialIdeal:
         """
         if "radical" in self._cache:
             return self._cache["radical"]
-        if self.is_empty():
-            self._cache["radical"] = self
-            return self
         A = self._ambient.gens
         faces = [set(f) for f in self.standard_cover().as_dict()]
         transversals = {frozenset()}

@@ -83,6 +83,15 @@ def test_load_reports_line_numbers(tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("header, bad_line", [("-1 2", 3), ("1 -2", 3), ("1 1\n5\nIDEAL\n1 -1", 6)])
+def test_load_rejects_negative_matrix_dimensions(tmp_path, header, bad_line):
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write(f"STDPAIRS v1\nMONOID\n{header}\n")
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: negative matrix dimension"):
+        load(path)
+
+
 def test_load_rejects_unknown_version(tmp_path):
     path = str(tmp_path / "bad.txt")
     with open(path, "w") as fh:

@@ -30,6 +30,23 @@ def test_negative_matrix_dimensions_are_rejected(capsys):
     assert "matrix dimensions must be nonnegative" in capsys.readouterr().err
 
 
+def test_negative_archive_dimension_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("STDPAIRS v1\nMONOID\n-1 2\n")
+    assert main(["monoid", str(path), "info"]) == 2
+    assert "line 3: negative matrix dimension" in capsys.readouterr().err
+
+
+def test_empty_ideal_cover_and_export(tmp_path, capsys):
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 2], [0, 2, 2]]))
+    path = str(tmp_path / "empty.txt")
+    sp.save(sp.MonomialIdeal(Q, IntMatrix.zero(2, 0)), path)
+    assert main(["--quiet", "ideal", path, "cover"]) == 0
+    assert capsys.readouterr().out.startswith("{(0, 1, 2): [([[0], [0]]^T,")
+    assert main(["--quiet", "export-m2", path]) == 0
+    assert "I = {};" in capsys.readouterr().out
+
+
 def test_monoid_faces_from_matrix(capsys):
     assert main(["monoid", "--matrix", "2 2; 1 2; 0 2", "faces"]) == 0
     out = capsys.readouterr().out

@@ -682,7 +682,7 @@ def test_loop_cap_below_one_is_rejected_before_any_work(interior_monoid, monkeyp
     def no_work(*args, **kwargs):
         raise AssertionError("cover work started")
 
-    monkeypatch.setattr(covers, "principal_cover", no_work)
+    monkeypatch.setattr(covers, "pair_difference", no_work)
     monkeypatch.setattr(covers, "czero_to_cone", no_work)
     for gens in ([(0, 2)], [(0, 2), (2, 1)]):
         I = MonomialIdeal(interior_monoid, IntMatrix.from_cols(gens))
@@ -723,10 +723,32 @@ def test_standard_cover_memoized(interior_monoid):
     assert standard_cover(I) is standard_cover(I)
 
 
-def test_standard_cover_empty_ideal_rejected(paper_monoid):
+def test_standard_cover_empty_ideal_is_the_top_pair(paper_monoid):
+    """With no generators every monomial is standard: the cover is {(0, top)}."""
     E = MonomialIdeal(paper_monoid, IntMatrix.zero(2, 0))
-    with pytest.raises(ValueError):
-        standard_cover(E)
+    cover = standard_cover(E)
+    assert cover_shape(cover) == {paper_monoid.top: [(0, 0)]}
+    assert all(p.ideal is E for p in cover.pairs())
+
+
+def test_cover_to_standard_anchors_its_output_to_the_ideal():
+    """Pairs anchored to another ideal come back anchored to I, whether the
+    first round already reaches the fixpoint (I's own standard cover) or
+    not (the principal cover of the first generator cut by the second).
+    The generator fold refines its last cut over I itself, so its pairs
+    are anchored to I too."""
+    Q = AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 1), (3, 5)]))
+    J = MonomialIdeal(Q, IntMatrix.from_cols([(2, 1)]))
+    assert all(p.ideal is I for p in standard_cover(I).pairs())
+    settled = Cover.from_pairs(ProperPair(p.base, p.face, J, skip_check=True) for p in standard_cover(I).pairs())
+    cutter = ProperPair((3, 5), Q.top, J, skip_check=True)
+    cut = Cover.from_pairs(q for p in principal_cover(J).pairs() for q in pair_difference(p, cutter).pairs())
+    assert cut != standard_cover(I)
+    for cover in (settled, cut):
+        refined = cover_to_standard(cover, I)
+        assert refined == standard_cover(I)
+        assert all(p.ideal is I for p in refined.pairs())
 
 
 def test_standard_cover_box_soundness_and_completeness(paper_monoid):

@@ -2,7 +2,6 @@ import pytest
 
 from stdpairs.decomp import (
     OverlapClass,
-    _cover_of,
     associated_primes,
     irreducible_component,
     irreducible_decomposition,
@@ -204,6 +203,46 @@ def test_empty_ideal_decomposition():
     assert associated_primes(E) == {(0, 1): E}
 
 
+def test_empty_ideal_goes_through_the_general_pipeline(tmp_path):
+    """The ideal with no generators has one standard pair, (0, top), and
+    every answer read off the cover follows from it; its cached results
+    survive an archive round trip that is verified."""
+    from stdpairs.archive import load, save, verify
+
+    Q = AffineMonoid(IntMatrix.from_rows([[1, 1, 2], [0, 2, 2]]))
+    E = MonomialIdeal(Q, IntMatrix.zero(2, 0))
+    (pair,) = E.standard_cover().pairs()
+    assert (pair.base, pair.face, pair.ideal) == ((0, 0), Q.top, E)
+    assert overlap_classes(E) == {Q.top: [OverlapClass(Q.top, (pair,))]}
+    assert associated_primes(E) == {Q.top: E}
+    assert multiplicity(E, Q.top) == multiplicity(E, E) == 1
+    assert irreducible_decomposition(E) == [E]
+    assert E.radical() == E
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(4, 4)]))
+    assert I.intersect(E) == E.intersect(I) == E.intersect(E) == E
+    path = str(tmp_path / "empty.txt")
+    save(E, path)
+    loaded = load(path)
+    assert loaded._cache["standard_cover"] == E.standard_cover()
+    verify(loaded)
+    assert irreducible_decomposition(loaded) == [E]
+
+
+def test_component_walk_does_not_recurse():
+    """The walk to the component generator of (x^1100) over N takes 1,100
+    steps, more than the default recursion limit of 1,000 frames."""
+    import sys
+
+    Q = AffineMonoid(IntMatrix.from_rows([[1]]))
+    I = MonomialIdeal(Q, IntMatrix.from_rows([[1100]]))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert irreducible_decomposition(I) == [I]
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def test_colon_witness_for_associated_faces(golden_ideal):
     """Each associated face admits a monomial whose colon ideal is the prime.
 
@@ -253,7 +292,7 @@ def _reference_overlap_classes(I: MonomialIdeal) -> dict:
     """Union-find over one ``intersect_pairs`` solve per pair of pairs."""
     monoid = I.ambient
     result: dict = {}
-    for face, ps in _cover_of(I).entries:
+    for face, ps in I.standard_cover().entries:
         parent = list(range(len(ps)))
 
         def find(i):
