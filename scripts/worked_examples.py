@@ -64,6 +64,17 @@ def main():
     print("Macaulay2 export:")
     print(sp.export_macaulay2(Is, cover))
 
+    header("A principal ideal over the Veronese cone")
+    Qv = sp.AffineMonoid(IntMatrix.from_cols([(1, 0), (1, 1), (1, 2)]))
+    Iv = sp.MonomialIdeal(Qv, IntMatrix.from_cols([(13, 9)]))
+    cover = sp.standard_cover(Iv)
+    show_cover(cover)
+    multiplicities = {face: sp.multiplicity(Iv, face) for face in sp.associated_primes(Iv)}
+    print("multiplicities:", multiplicities)
+    # (1,0) + (1,2) = 2 (1,1): no pair of the cover may lie inside another
+    assert len(cover.pairs()) == 26, len(cover.pairs())
+    assert multiplicities == {(0,): 9, (2,): 17}, multiplicities
+
     header("An irredundant irreducible decomposition")
     Qd = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 2, 3], [1, 2, 0, 0]]))
     Id = sp.MonomialIdeal(Qd, IntMatrix.from_rows([[3, 5, 6], [2, 1, 1]]))

@@ -11,8 +11,9 @@ The pipeline:
    its last variable and recursing on the slices, so their cost follows
    the number of pairs, not the volume of J's exponent box.
 2. ``principal_cover``: for a principal ideal, the pair difference of
-   (0, A) and (b, A) is already the standard cover.  (0, A) alone is the
-   standard cover of the ideal with no generators.
+   (0, A) and (b, A), less its nested pairs, is already the standard
+   cover.  (0, A) alone is the standard cover of the ideal with no
+   generators.
 3. ``cover_to_standard``: refine a cover of std(I) by pairs over faces to
    the standard cover by alternating two steps until a fixpoint: move each
    base down to the minimal monoid elements of its real-span slice
@@ -22,7 +23,11 @@ The pipeline:
 4. ``standard_cover``: start from {(0, A)} and fold the generators in
    one at a time: difference each standing pair against (g, A) for the
    new generator g, then re-standardize.  The first cut is the principal
-   cover of step 2 and needs no refinement.
+   cover of step 2 and needs only the prune.
+
+Every solve runs over the monoid's kept minimal generators
+(``AffineMonoid.kept_of``), so no cover depends on how the monoid's
+generators are written down.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ from dataclasses import dataclass
 from .diophantine import (
     IntMatrix,
     IntVector,
+    _lattice_reduce,
+    _matrix_data,
     min_nonneg_solutions,
     minimal_elements,
     vec,
@@ -170,7 +177,8 @@ def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
     x_m free, which are the proper pairs of J_D.  It lies inside one of the
     latter exactly when it is itself proper for J_D, i.e. when it misses
     J_D; so the J_D test decides maximality.  Slices recur within one call
-    and are computed once (``_slice_pairs``).
+    and are computed once (``_slice_pairs``), and so is each pair's J_D
+    test, as slices share pairs.
     """
     if J.is_unit():
         raise ValueError("the unit ideal has no standard pairs")
@@ -201,11 +209,14 @@ def _slice_pairs(m: int, gens: tuple, memo: dict) -> list:
         top = slices[-1][1]
         out = [(u + (0,), free + (m - 1,)) for u, free in _slice_pairs(m - 1, top, memo)]
         start, below = 0, ()  # J_j is the slice `below` for start <= j < k
+        meets: dict = {}  # (u, free) -> whether x^u N^free meets J_D
         for k, gens_k in slices:
-            kept = [
-                (u, free) for u, free in _slice_pairs(m - 1, below, memo)
-                if any(all(g[i] <= u[i] for i in range(m - 1) if i not in free) for g in top)
-            ]
+            kept = []
+            for u, free in _slice_pairs(m - 1, below, memo):
+                if (u, free) not in meets:
+                    meets[u, free] = any(all(g[i] <= u[i] for i in range(m - 1) if i not in free) for g in top)
+                if meets[u, free]:
+                    kept.append((u, free))
             out.extend((u + (j,), free) for j in range(start, k) for u, free in kept)
             start, below = k, gens_k
     memo[key] = out
@@ -216,32 +227,39 @@ def _slice_pairs(m: int, gens: tuple, memo: dict) -> list:
 # pair difference
 
 def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
-    """Pairs over faces of G covering ``(b + NG) \\ (b' + NG')``.
+    """Pairs over faces of G covering ``(b + NG) \\ (b' + NG')``, anchored
+    to ``pair``'s ambient ideal (``_difference``)."""
+    return _anchored(_difference(pair, other), pair.ideal)
 
-    Requires G <= G' (as column sets) and a common ambient monoid.  Output
-    pairs are anchored to ``pair``'s ambient ideal with checks skipped; the
-    caller decides what properness means for them.
 
-    Each output pair is ``(b + A_G u, V)`` for a standard pair ``(u, V)`` of
-    the ideal ``J = {w : b + A_G w in b' + NG'}`` of N^|G|, and when G is a
-    face, V's columns form a face too.  Proof: let F be the smallest face
-    containing them (F <= G, as G is a face), and suppose F has a column k
-    outside V.
+def _anchored(pairs, I: MonomialIdeal) -> Cover:
+    """The cover of the ``(base, face)`` tuples ``pairs``, anchored to I."""
+    return Cover.from_pairs(ProperPair(base, face, I, skip_check=True) for base, face in pairs)
 
-    * V empty: F holds only zero columns, so freeing u_k moves no point, and
-      ``(u - u_k e_k, {k})`` is proper for J.
-    * V nonempty: ``p = sum_{j in V} a_j`` lies in the relative interior of
-      cone F, and NF has a conductor c with ``c + (ZF & cone F) <= NF``
-      (Bruns and Gubeladze, *Polytopes, Rings, and K-Theory*, ch. 2).  So
-      for every integer s, ``m p - s a_k`` is in NF once m is large.  If
-      ``u - u_k e_k + w + t e_k`` were in J for some w on V, then with
-      ``s = t - u_k`` so would be ``u + w + m 1_V``, which adds
-      ``m p - s a_k`` (in NF <= NG') to that point's image.  This would
-      contradict the properness of ``(u, V)``; so ``(u - u_k e_k, V + {k})``
-      is proper.
 
-    Either way a proper pair strictly contains ``(u, V)``, against its
-    maximality.  So V = F, and every output pair lies on a face.
+def _difference(pair: ProperPair, other: ProperPair) -> list:
+    """``(base, face)`` tuples over faces of G covering ``(b + NG) \\ (b' + NG')``.
+
+    Requires G <= G' (as column sets) and a common ambient monoid.  The
+    caller decides what properness means for the output pairs.
+
+    The solve runs over the kept columns of both faces: ``b + NG`` is
+    ``b + N K`` for K the kept columns of G, and likewise for G'.  Each
+    output pair is ``(b + A_K u, F)`` for a standard pair ``(u, V)`` of the
+    ideal ``J = {w : b + A_K w in b' + NG'}`` of N^|K|, with F the smallest
+    face containing V's columns, and V is F's kept columns, so the pair
+    is ``b + A_K u + NF``.  Proof: F <= G, as G is a face; suppose F has a
+    kept column k outside V.  Then V is not empty, as the least face holds
+    only zero columns, none of them kept.  So ``p = sum_{j in V} a_j`` lies
+    in the relative interior of cone F, and NF has a conductor c with
+    ``c + (ZF & cone F) <= NF`` (Bruns and Gubeladze, *Polytopes, Rings,
+    and K-Theory*, ch. 2).  So for every integer s, ``m p - s a_k`` is in
+    NF once m is large.  If ``u - u_k e_k + w + t e_k`` were in J for some
+    w on V, then with ``s = t - u_k`` so would be ``u + w + m 1_V``, which
+    adds ``m p - s a_k`` (in NF <= NG') to that point's image.  This would
+    contradict the properness of ``(u, V)``; so ``(u - u_k e_k, V + {k})``
+    is proper, and it strictly contains ``(u, V)``, against its maximality.
+    So V is F's kept columns, and every output pair lies on a face.
     """
     monoid = pair.ideal.ambient
     if monoid != other.ideal.ambient:
@@ -249,28 +267,26 @@ def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
     g_idx, go_idx = pair.face, other.face
     if not set(g_idx) <= set(go_idx):
         raise ValueError("pair difference requires the first face inside the second")
-    sols = monoid.meet(pair.base, g_idx, other.base, go_idx)
-    m = len(g_idx)
+    kept = monoid.kept_of(g_idx)
+    sols = monoid.meet(pair.base, kept, other.base, monoid.kept_of(go_idx))
+    m = len(kept)
     u_parts = [s[:m] for s in sols]
     if any(all(x == 0 for x in u) for u in u_parts):
-        return Cover.from_pairs([])  # base already swallowed: empty difference
-    J = PolyMonomialIdeal(m, u_parts)
-    out = []
-    gsub = monoid.submatrix(g_idx)
-    for std in poly_standard_pairs(J):
-        base = vec_add(pair.base, gsub.mul(std.base))
-        out.append(ProperPair(base, tuple(g_idx[i] for i in std.free), pair.ideal, skip_check=True))
-    return Cover.from_pairs(out)
+        return []  # base already swallowed: empty difference
+    gsub = monoid.submatrix(kept)
+    stds = poly_standard_pairs(PolyMonomialIdeal(m, u_parts))
+    faces = {std.free: monoid.face_closure(kept[i] for i in std.free) for std in stds}
+    return [(vec_add(pair.base, gsub.mul(std.base)), faces[std.free]) for std in stds]
 
 
 def principal_cover(I: MonomialIdeal) -> Cover:
-    """The standard cover of a principal ideal, via one pair difference."""
+    """The standard cover of a principal ideal: one pair difference, pruned."""
     if not I.is_principal():
         raise ValueError("principal_cover requires a principal ideal")
     monoid = I.ambient
     whole = ProperPair((0,) * monoid.dim, monoid.top, I, skip_check=True)
     shifted = ProperPair(I.gens.col(0), monoid.top, I, skip_check=True)
-    return pair_difference(whole, shifted)
+    return _anchored(_prune_nested(monoid, _difference(whole, shifted)), I)
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +299,13 @@ def minimal_holes(a: IntVector, face: Face, monoid: AffineMonoid) -> tuple:
     the elements q of the monoid with ``q - a`` in the linear span of the
     face, minimal under ``q <= q'  iff  q' - q in the monoid``.  Membership
     in the slice is linear (the face's support vectors vanish on it), so
-    candidates come from one Diophantine solve.
+    candidates come from one Diophantine solve, over the kept columns.
     """
     a = vec(a)
     support = monoid.support_of(face)
-    system = support.matmul(monoid.gens)
-    rhs = support.mul(a)
-    sols = min_nonneg_solutions(system, rhs)
-    return tuple(monoid.minimal(monoid.gens.mul(x) for x in sols))
+    solver = monoid.submatrix(monoid.kept_of(monoid.top))
+    sols = min_nonneg_solutions(support.matmul(solver), support.mul(a))
+    return tuple(monoid.minimal(solver.mul(x) for x in sols))
 
 
 def czero_to_cone(cover: Cover, I: MonomialIdeal) -> Cover:
@@ -331,32 +346,41 @@ def cone_to_ctwo(cover: Cover, I: MonomialIdeal) -> Cover:
     return Cover.from_pairs(out)
 
 
-def _pair_set_contains(big: ProperPair, small: ProperPair) -> bool:
-    """Set containment small.base + NF <= big.base + NG."""
-    if not set(small.face) <= set(big.face):
-        return False
-    return big.ideal.ambient.meets(big.base, big.face, small.base, ())
-
-
-def _prune_nested(cover: Cover) -> Cover:
-    """Drop the pairs contained in another one, asking only the pairs kept.
+def _prune_nested(monoid: AffineMonoid, pairs: list) -> list:
+    """The ``(base, face)`` tuples of ``pairs`` contained in no other one,
+    asking only the pairs kept.
 
     ``(a, F)`` lies in ``(b, G)`` iff F <= G and ``a - b`` is in NG.  With
     w the sum of the facet normals, positive on every nonzero monoid
     element, the pairs run by (-|F|, w . base): a pair containing another
     comes first, by a larger face or, over the same face, by
     ``w . (a - b) > 0``.  Containment is transitive, so a pair inside any
-    pair is inside an earlier kept one."""
-    pairs = cover.pairs()
-    if not pairs:
-        return cover
-    monoid = pairs[0].ideal.ambient
+    pair is inside an earlier kept one.
+
+    The kept pairs over G are grouped by their bases' lattice coordinates
+    over G's kept columns A_K (``_lattice_reduce``: ``b = A_K x + r``).  A
+    pair can only lie in a kept pair with the same residue r, and then
+    ``a - b = A_K (x_a - x_b)``: ``x_b <= x_a`` proves it, and when A_K's
+    columns are linearly independent that is the only way to write
+    ``a - b``, so no solve is made.  Otherwise ``meets`` decides."""
     w = tuple(map(sum, zip(*monoid.support_of(BOTTOM).data)))  # () without facets: w = 0
+    lattices: dict = {}  # face -> (data of A_K, independent columns, residue -> [(kept base, x)])
+    for face in {face for _, face in pairs}:
+        data = _matrix_data(monoid.submatrix(monoid.kept_of(face)))
+        lattices[face] = (data, data.reduction()[2] == data.M.cols, {})
+    above = {f: [f] + [g for g in lattices if g != f and set(f) <= set(g)] for f in lattices}
     keep: list = []
-    for p in sorted(pairs, key=lambda p: (-len(p.face), vec_dot(w, p.base))):
-        if not any(_pair_set_contains(q, p) for q in keep):
-            keep.append(p)
-    return Cover.from_pairs(keep)
+    for base, face in sorted(pairs, key=lambda p: (-len(p[1]), vec_dot(w, p[0]))):
+        coords = [(g, *_lattice_reduce(lattices[g][0], base)) for g in above[face]]
+        if not any(
+            vec_leq(y, x) or not lattices[g][1] and monoid.meets(b, g, base, ())
+            for g, x, residue in coords
+            for b, y in lattices[g][2].get(residue, ())
+        ):
+            keep.append((base, face))
+            _, x, residue = coords[0]
+            lattices[face][2].setdefault(residue, []).append((base, x))
+    return keep
 
 
 def _check_loop_cap(loop_cap: int) -> None:
@@ -374,7 +398,7 @@ def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> C
     for _ in range(loop_cap):
         refined = cone_to_ctwo(czero_to_cone(current, I), I)
         if refined == current:
-            return _prune_nested(refined)
+            return _anchored(_prune_nested(I.ambient, [(p.base, p.face) for p in refined.pairs()]), I)
         current = refined
     raise LoopCapExceeded(f"cover refinement did not stabilize within {loop_cap} iterations")
 
@@ -391,14 +415,16 @@ def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
         return I._cache["standard_cover"]
     monoid = I.ambient
     gens = I.gens.columns()
-    cover = Cover.from_pairs([ProperPair((0,) * monoid.dim, monoid.top, I, skip_check=True)])
+    cover = _anchored([((0,) * monoid.dim, monoid.top)], I)
     for i, g in enumerate(gens, 1):
         cutter = ProperPair(g, monoid.top, I, skip_check=True)
-        cover = Cover.from_pairs(q for p in cover.pairs() for q in pair_difference(p, cutter).pairs())
-        if i > 1:
+        pieces = [q for p in cover.pairs() for q in _difference(p, cutter)]
+        if i == 1:
+            cover = _anchored(_prune_nested(monoid, pieces), I)
+        else:
             prefix = IntMatrix.from_cols(gens[:i], rows=monoid.dim)
             sub = I if i == len(gens) else MonomialIdeal(monoid, prefix, _trusted=True)
-            cover = cover_to_standard(cover, sub, loop_cap=loop_cap)
+            cover = cover_to_standard(_anchored(pieces, sub), sub, loop_cap=loop_cap)
         log.info(
             "Cover for %d generator%s was calculated. %d generators are left.",
             i,

@@ -46,7 +46,7 @@ def overlap_classes(I: MonomialIdeal) -> dict:
     monoid = I.ambient
     result: dict = {}
     for face, ps in I.standard_cover().entries:
-        fsub = monoid.submatrix(face)
+        fsub = monoid.submatrix(monoid.kept_of(face))  # Z F, from its kept columns
         blocks: dict = {}
         for p in ps:
             blocks.setdefault(lattice_residue(fsub, p.base), []).append(p)
@@ -141,12 +141,13 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     A minimal generator cannot step down along a face column (the result
     would still avoid the closure), so every factorization of a minimal
     generator uses off-face columns only.  The walk below visits sums of
-    the distinct off-face columns from 0 and descends only from closure
-    points.  It is finite: let w be the sum of the facet normals containing
-    the face.  Each off-face column c lies off one of those facets, so
-    ``w(c) >= 1``; a closure point q has ``w(q) <= w(a)``, because
-    ``a - q`` is in NA + ZF, where w is nonnegative and zero on ZF.  So no
-    path has more than ``w(a) + 1`` steps.
+    the kept off-face columns (``AffineMonoid.kept_of``) from 0 and
+    descends only from closure points.  It is finite: let w be the sum of
+    the facet normals containing the face.  Each off-face column c lies off
+    one of those facets, so ``w(c) >= 1``; a closure point q has
+    ``w(q) <= w(a)``, because ``a - q`` is in NA + ZF, where w is
+    nonnegative and zero on ZF.  So no path has more than ``w(a) + 1``
+    steps.
     """
     face = tuple(face)
     maximal = maximal_overlap_classes(I)
@@ -154,7 +155,7 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
         raise ValueError("not a maximal overlap class of the ideal")
     monoid = I.ambient
     base = ov_class.pairs[0].base
-    off_cols = list(dict.fromkeys(monoid.gens.col(j) for j in range(monoid.gens.cols) if j not in face))
+    off_cols = [monoid.gens.col(j) for j in monoid.kept_of(monoid.top) if j not in face]
 
     # q divides into a + NF iff a - q lies in NA + ZF, the same set for all
     # bases of the class (they differ by ZF): the first base decides.

@@ -63,35 +63,35 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import product
 from math import gcd
-from operator import add, le, mul
+from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 IntVector = tuple  # tuple[int, ...]; kept loose so plain tuples interoperate
 
 
 def vec(entries: Iterable[int]) -> IntVector:
-    return tuple(int(e) for e in entries)
+    return tuple(map(int, entries))
 
 
 def vec_add(u: IntVector, v: IntVector) -> IntVector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u: IntVector, v: IntVector) -> IntVector:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vec_dot(u: IntVector, v: IntVector) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_leq(u: IntVector, v: IntVector) -> bool:
     """Componentwise u <= v."""
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(le, u, v))
 
 
 def vec_is_zero(u: IntVector) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def primitive(v: IntVector) -> IntVector:
@@ -245,7 +245,7 @@ def minimal_elements(vectors: Iterable[IntVector]) -> list:
     vs = sorted(set(map(tuple, vectors)), key=lambda v: (sum(v), v))
     out: list = []
     for v in vs:
-        if not any(vec_leq(m, v) for m in out):
+        if not any(all(map(le, m, v)) for m in out):
             out.append(v)
     return sorted(out)
 
@@ -597,8 +597,13 @@ def _lattice_reduce(data: _MatrixData, b) -> tuple:
     x = [0] * data.M.cols
     for col, p in zip(cols[:r], pivots):
         q = residue[p] // col[p]
-        residue = [a - q * c for a, c in zip(residue, col)]
-        x = [a + q * c for a, c in zip(x, col[m:])]
+        if q:
+            for i, c in enumerate(col):  # residue -= q col[:m], x += q col[m:]
+                if c:
+                    if i < m:
+                        residue[i] -= q * c
+                    else:
+                        x[i - m] += q * c
     return tuple(x), tuple(residue)
 
 

@@ -18,13 +18,20 @@ class AffineMonoid:
     every algorithm built on top assumes, is read from them (non-pointed
     input is rejected), and so are the faces, their support vectors and
     every later face closure.  They are also stored with the solver's data
-    for A, whose infeasibility certificates test them.  The minimal
-    generators come from solves over A itself, the matrix that membership
-    queries use later.  All of this is computed eagerly, except the systems
-    ``[A_F | -A_G]`` of the pair questions (``meet``): each is built on
-    first use into a memo bounded by ``_MATRIX_CACHE_CAP``, so first use
-    belongs on one thread; the object is otherwise immutable and safe to
-    share between threads.
+    for A, and for ``A_kept`` (below) on first use, whose infeasibility
+    certificates test them.  The minimal generators come from solves over
+    A itself, the matrix that factorization queries use later.  All of
+    this is computed eagerly, except the systems ``[A_F | -A_G]`` of the
+    pair questions (``meet``): each is built on first use into a memo
+    bounded by ``_MATRIX_CACHE_CAP``, so first use belongs on one thread;
+    the object is otherwise immutable and safe to share between threads.
+
+    The caller index of one copy of each minimal generator is kept, in
+    increasing order.  Yes/no questions (``contains``, ``meets``) solve over
+    a face's kept columns only (``kept_of``), which gives the same answers:
+    a redundant column on a face is a sum of minimal generators on that
+    face, so ``N F = N (F & kept)`` for every face F.  Whatever returns
+    coordinates (``is_element``, ``meet``) keeps the caller's columns.
     """
 
     def __init__(self, gens: IntMatrix):
@@ -46,8 +53,12 @@ class AffineMonoid:
         # factorizations is a unit vector: no minimal one uses a zero
         # column, so any other writes c as a sum of other generators (and
         # a zero column's only one is 0)
-        keep = [c for c in set(gens.columns()) if all(sum(x) == 1 for x in self.is_element(c))]
-        self._mingens = IntMatrix.from_cols(sorted(keep), rows=gens.rows)
+        cols = gens.columns()
+        self._kept = tuple(
+            j for j, c in enumerate(cols) if cols.index(c) == j and all(sum(x) == 1 for x in self.is_element(c))
+        )
+        self._kept_faces = {f: tuple(j for j in f if j in self._kept) for f in self._faces}
+        self._mingens = IntMatrix.from_cols(sorted(cols[j] for j in self._kept), rows=gens.rows)
         self._hash_string = "monoid " + self._mingens.to_token()
 
     @property
@@ -57,6 +68,12 @@ class AffineMonoid:
     @property
     def mingens(self) -> IntMatrix:
         return self._mingens
+
+    def kept_of(self, indices: tuple) -> tuple:
+        """The kept columns of a face F, with ``N F = N kept_of(F)``; any
+        other index tuple comes back as it is."""
+        indices = tuple(indices)
+        return self._kept_faces.get(indices, indices)
 
     @property
     def dim(self) -> int:
@@ -92,8 +109,8 @@ class AffineMonoid:
         return min_nonneg_solutions(self._gens, self._vector(b))
 
     def contains(self, b: IntVector) -> bool:
-        """Whether b is in the monoid, without its factorizations."""
-        return has_nonneg_solution(self._gens, self._vector(b))
+        """Whether b is in the monoid, without its factorizations (over the kept columns)."""
+        return has_nonneg_solution(self._system(self._kept, ()), self._vector(b))
 
     def _vector(self, b: IntVector) -> IntVector:
         b = vec(b)
@@ -122,11 +139,14 @@ class AffineMonoid:
         return self._system(indices, ())
 
     def _system(self, left, right) -> IntMatrix:
-        """``[A_left | -A_right]``, built once per pair of index tuples."""
+        """``[A_left | -A_right]``, built once per pair of index tuples.
+        ``A_kept`` spans A's cone, so its solver data takes A's facets."""
         key = (tuple(left), tuple(right))
         system = self._systems.get(key)
         if system is None:
             system = self._gens.take_cols(key[0]).hstack(self._gens.take_cols(key[1]).neg())
+            if key == (self._kept, ()):
+                _matrix_data(system).store_cone(self._facets, self._equations)
             _bounded_put(self._systems, key, system, _MATRIX_CACHE_CAP)
         return system
 
@@ -136,8 +156,9 @@ class AffineMonoid:
         return min_nonneg_solutions(self._system(left, right), self._difference(a, b))
 
     def meets(self, a: IntVector, left, b: IntVector, right) -> bool:
-        """Whether ``a + N left`` and ``b + N right`` meet: ``meet`` as a yes/no question."""
-        return has_nonneg_solution(self._system(left, right), self._difference(a, b))
+        """Whether ``a + N left`` and ``b + N right`` meet: ``meet`` as a yes/no
+        question, over the kept columns of faces (``kept_of``)."""
+        return has_nonneg_solution(self._system(self.kept_of(left), self.kept_of(right)), self._difference(a, b))
 
     def _difference(self, a: IntVector, b: IntVector) -> IntVector:
         """``b - a``, for points of length ``dim`` only (``vec_sub`` would zip)."""

@@ -73,6 +73,29 @@ def reachable_set(cols, caps):
     return seen
 
 
+def nested_pairs(cols, pairs):
+    """The ``(small, big)`` among the cover pairs ``(base, face)`` with the
+    pair ``small = (a, F)`` inside ``big = (b, G)``: F <= G and ``a - b`` in
+    NG, with faces as column indices.  Empty iff no pair of the cover lies
+    inside another.  Requires nonnegative columns: NG is then searched
+    exactly in the box below the largest bases (``reachable_set``)."""
+    pairs = sorted(set(pairs))
+    caps = tuple(map(max, zip(*(base for base, _ in pairs))))
+    reach = {}
+    out = []
+    for small in pairs:
+        for big in pairs:
+            (a, F), (b, G) = small, big
+            d = tuple(x - y for x, y in zip(a, b))
+            if small == big or not set(F) <= set(G) or min(d) < 0:
+                continue
+            if G not in reach:
+                reach[G] = reachable_set([cols[j] for j in G], caps)
+            if d in reach[G]:
+                out.append((small, big))
+    return out
+
+
 def ideal_members(gens, cols, caps):
     """Capped-region members of the ideal generated by ``gens`` in the monoid."""
     reach = reachable_set(cols, caps)

@@ -9,7 +9,6 @@ from stdpairs.covers import (
     LoopCapExceeded,
     PolyMonomialIdeal,
     PolyStdPair,
-    _pair_set_contains,
     _prune_nested,
     cone_to_ctwo,
     cover_to_standard,
@@ -26,7 +25,7 @@ from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, is_proper
 from stdpairs.polyhedral import BOTTOM
 
-from oracles import brute_poly_standard_pairs, ideal_members, monoid_box, reachable_set, seeded_instances
+from oracles import brute_poly_standard_pairs, ideal_members, monoid_box, nested_pairs, reachable_set, seeded_instances
 from test_acceptance import random_instances
 
 
@@ -544,65 +543,34 @@ def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
     assert pruned < unpruned
 
 
-def _strict_prune_nested(cover: Cover) -> Cover:
+def _pair_set_contains(monoid: AffineMonoid, big, small) -> bool:
+    """Set containment a + NF <= b + NG for ``small = (a, F)`` and
+    ``big = (b, G)``, by one full solve over the caller's columns of G."""
+    (b, G), (a, F) = big, small
+    return set(F) <= set(G) and bool(monoid.meet(b, G, a, ()))
+
+
+def _strict_prune_nested(monoid: AffineMonoid, pairs) -> set:
     """``_prune_nested`` with the reverse containment test: drop a pair only
     when it is strictly contained in another."""
-    pairs = cover.pairs()
-    keep = [
+    pairs = set(pairs)
+    return {
         p for p in pairs
-        if not any(q is not p and _pair_set_contains(q, p) and not _pair_set_contains(p, q) for q in pairs)
-    ]
-    return Cover.from_pairs(keep)
+        if not any(q != p and _pair_set_contains(monoid, q, p) and not _pair_set_contains(monoid, p, q) for q in pairs)
+    }
 
 
-def test_prune_nested_equals_reference_with_strict_containment(monkeypatch):
-    """Distinct pairs never contain each other both ways, so dropping every
-    contained pair prunes the fixpoint covers of the pipeline exactly as
-    dropping the strictly contained ones does."""
+def _pruned_inputs(monkeypatch, ideals) -> list:
+    """The ``(monoid, pairs)`` that the pipeline prunes while covering
+    ``ideals``: each principal first cut and each fixpoint cover."""
     import stdpairs.covers as covers
 
     inputs = []
     original = covers._prune_nested
 
-    def recording(cover):
-        inputs.append(cover)
-        return original(cover)
-
-    monkeypatch.setattr(covers, "_prune_nested", recording)
-    ideals = [I for i, I in enumerate(random_instances()) if i not in (10, 19)]
-    for d, cols, gens in seeded_instances(200, 20261022):
-        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
-        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
-    for I in ideals:
-        standard_cover(I)
-    monkeypatch.undo()
-    dropped = 0
-    for cover in inputs:
-        out = _prune_nested(cover)
-        assert out == _strict_prune_nested(cover), cover
-        dropped += out != cover
-    assert len(inputs) >= 30 and dropped >= 15
-
-
-def _reference_prune_nested(cover: Cover) -> Cover:
-    """Drop the pairs contained in another one.  Distinct pairs never contain
-    each other both ways: that forces F = G and ``a - b`` in NF and -NF,
-    which meet only in 0 in a pointed monoid."""
-    pairs = cover.pairs()
-    keep = [p for p in pairs if not any(q is not p and _pair_set_contains(q, p) for q in pairs)]
-    return Cover.from_pairs(keep)
-
-
-def _fixpoint_covers(monkeypatch, ideals) -> list:
-    """The covers ``cover_to_standard`` prunes while covering ``ideals``."""
-    import stdpairs.covers as covers
-
-    inputs = []
-    original = covers._prune_nested
-
-    def recording(cover):
-        inputs.append(cover)
-        return original(cover)
+    def recording(monoid, pairs):
+        inputs.append((monoid, list(pairs)))
+        return original(monoid, pairs)
 
     monkeypatch.setattr(covers, "_prune_nested", recording)
     for I in ideals:
@@ -611,45 +579,76 @@ def _fixpoint_covers(monkeypatch, ideals) -> list:
     return inputs
 
 
+def test_prune_nested_equals_reference_with_strict_containment(monkeypatch):
+    """Distinct pairs never contain each other both ways, so dropping every
+    contained pair prunes the covers of the pipeline exactly as dropping the
+    strictly contained ones does."""
+    ideals = [I for i, I in enumerate(random_instances()) if i not in (10, 19)]
+    for d, cols, gens in seeded_instances(200, 20261022):
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    inputs = _pruned_inputs(monkeypatch, ideals)
+    dropped = 0
+    for monoid, pairs in inputs:
+        out = set(_prune_nested(monoid, pairs))
+        assert out == _strict_prune_nested(monoid, pairs), pairs
+        dropped += out != set(pairs)
+    assert len(inputs) >= 30 and dropped >= 15
+
+
+def _reference_prune_nested(monoid: AffineMonoid, pairs) -> set:
+    """Drop the pairs contained in another one.  Distinct pairs never contain
+    each other both ways: that forces F = G and ``a - b`` in NF and -NF,
+    which meet only in 0 in a pointed monoid."""
+    pairs = set(pairs)
+    return {p for p in pairs if not any(q != p and _pair_set_contains(monoid, q, p) for q in pairs)}
+
+
 def test_prune_nested_equals_all_pairs_reference(monkeypatch):
-    """Asking only the kept pairs, in the (-|F|, w . base) order, prunes every
-    fixpoint cover of the seeded instances (zero and duplicate columns
-    included) and of the acceptance instances as asking all pairs does."""
+    """Reading lattice coordinates and asking only the kept pairs, in the
+    (-|F|, w . base) order, prunes every cover the pipeline prunes on the
+    seeded instances (zero and duplicate columns included) and the
+    acceptance instances as asking all pairs does."""
     ideals = list(random_instances())
     for d, cols, gens in seeded_instances(240, 17):
         Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
         ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
-    inputs = _fixpoint_covers(monkeypatch, ideals)
+    inputs = _pruned_inputs(monkeypatch, ideals)
     dropped = 0
-    for cover in inputs:
-        out = _prune_nested(cover)
-        assert out == _reference_prune_nested(cover), cover
-        dropped += out != cover
+    for monoid, pairs in inputs:
+        out = set(_prune_nested(monoid, pairs))
+        assert out == _reference_prune_nested(monoid, pairs), pairs
+        dropped += out != set(pairs)
     assert len(inputs) >= 30 and dropped >= 10
 
 
 def test_prune_nested_asks_only_the_kept_pairs(monkeypatch):
-    """On acceptance instance 17 each prune asks at most N * (kept)
-    containment questions, for N pairs; asking all pairs needs more."""
+    """Each prune reads lattice coordinates: it reduces a base once per face
+    of the input that holds the pair's face, and it solves only against a
+    kept pair of the same residue, over a face whose kept columns are
+    linearly dependent, that the coordinates do not already show to hold
+    it: at most N * (kept) solves for N pairs.  No prune of acceptance
+    instance 17 solves; T1, over a non-simplicial cone, needs a solve."""
     import stdpairs.covers as covers
 
-    I = random_instances()[17]
-    inputs = _fixpoint_covers(monkeypatch, [I])
-    calls = []
-
-    def counting(big, small):
-        calls.append((big, small))
-        return _pair_set_contains(big, small)
-
-    monkeypatch.setattr(covers, "_pair_set_contains", counting)
-    asked = bound = 0
-    for cover in inputs:
-        del calls[:]
-        kept = len(_prune_nested(cover).pairs())
-        asked += len(calls)
-        bound += len(cover.pairs()) * kept
-        assert len(calls) <= len(cover.pairs()) * kept, (len(calls), len(cover.pairs()), kept)
-    assert 0 < asked <= bound
+    T1 = MonomialIdeal(
+        AffineMonoid(IntMatrix.from_cols([(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], rows=3)),
+        IntMatrix.from_cols([(18, 6, 10)], rows=3),
+    )
+    inputs = {"17": _pruned_inputs(monkeypatch, [random_instances()[17]]), "T1": _pruned_inputs(monkeypatch, [T1])}
+    reductions, solves = [], []
+    reduce, meets = covers._lattice_reduce, AffineMonoid.meets
+    monkeypatch.setattr(covers, "_lattice_reduce", lambda data, b: reductions.append(b) or reduce(data, b))
+    monkeypatch.setattr(AffineMonoid, "meets", lambda self, *args: solves.append(args) or meets(self, *args))
+    asked = dict.fromkeys(inputs, 0)
+    for name, prunes in inputs.items():
+        for monoid, pairs in prunes:
+            del reductions[:], solves[:]
+            kept = len(_prune_nested(monoid, pairs))
+            assert len(reductions) <= len(pairs) * len({face for _, face in pairs})
+            assert len(solves) <= len(pairs) * kept, (len(solves), len(pairs), kept)
+            asked[name] += len(solves)
+    assert asked == {"17": 0, "T1": asked["T1"]} and asked["T1"] > 0
 
 
 def test_cover_to_standard_is_fixpoint_on_standard(interior_monoid):
@@ -770,11 +769,13 @@ def test_standard_cover_box_soundness_and_completeness(paper_monoid):
 def test_standard_cover_quadratic_filter_regression():
     # instance 21 of random_instances(60, seed=1): a quadratic maximality
     # filter in poly_standard_pairs made this cover take minutes
+    # (113 pairs before the principal cover was pruned: 6 lay inside others)
     Q = AffineMonoid(IntMatrix.from_rows([[1, 0, 2, 4], [4, 3, 0, 3], [4, 1, 1, 4]]))
     I = MonomialIdeal(Q, IntMatrix.from_cols([(10, 17, 17)]))
     cover = standard_cover(I)
-    assert len(cover.pairs()) == 113
+    assert len(cover.pairs()) == 107
     cols = Q.gens.columns()
+    assert not nested_pairs(cols, [(p.base, p.face) for p in cover.pairs()])
     box = monoid_box(cols, 3)
     caps = [max(b[r] for b in box) for r in range(3)]
     members = ideal_members(I.gens.columns(), cols, caps)
@@ -784,3 +785,38 @@ def test_standard_cover_quadratic_filter_regression():
         if b in members:
             continue
         assert any(not p.is_element(b).is_empty() for p in cover.pairs())
+
+
+_SQUARE_CONE = [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+_VERONESE = [(1, 0), (1, 1), (1, 2)]
+_PRINCIPAL_LADDER = [(_SQUARE_CONE, b) for b in [(4, 2, 5), (1, 3, 6), (4, 2, 6), (3, 1, 7), (5, 3, 7), (2, 2, 8)]]
+_PRINCIPAL_LADDER += [(_VERONESE, b) for b in [(9, 11), (10, 13), (12, 15), (13, 9)]]
+
+
+def test_every_cover_is_maximal():
+    """No pair of a standard cover lies inside another (the box oracle
+    ``nested_pairs``), on the seeded instances, the acceptance instances and
+    the principal ladder over the square and Veronese cones."""
+    ideals = list(random_instances())
+    for d, cols, gens in seeded_instances(240, 17):
+        ideals.append(MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=d)), IntMatrix.from_cols(gens, rows=d)))
+    for cols, b in _PRINCIPAL_LADDER:
+        ideals.append(MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols)), IntMatrix.from_cols([b])))
+    for I in ideals:
+        pairs = [(p.base, p.face) for p in standard_cover(I).pairs()]
+        assert not nested_pairs(I.ambient.gens.columns(), pairs), I
+
+
+def test_principal_difference_holds_nested_pairs_the_prune_drops():
+    """The oracle sees nesting: over the Veronese cone the pair difference
+    of x^(9,11) has pairs inside others, as (1,0) + (1,2) = 2 (1,1), and
+    the principal cover is the difference less exactly those."""
+    import stdpairs.covers as covers
+
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(_VERONESE)), IntMatrix.from_cols([(9, 11)]))
+    whole = ProperPair((0, 0), I.ambient.top, I, skip_check=True)
+    shifted = ProperPair((9, 11), I.ambient.top, I, skip_check=True)
+    raw = covers._difference(whole, shifted)
+    nested = {small for small, _ in nested_pairs(_VERONESE, raw)}
+    assert len(nested) == len(raw) - 18 > 0
+    assert {(p.base, p.face) for p in principal_cover(I).pairs()} == set(raw) - nested

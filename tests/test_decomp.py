@@ -407,13 +407,23 @@ _NON_NORMAL_PLANE = [
     ([(3, 0), (0, 2), (1, 1)], [(4, 1), (3, 4)]),
 ]
 
+# Monoids with a non-normal ray, such as N{(2,0),(3,0)} on the x-axis next
+# to (1,2): pairs over that ray whose bases differ by a hole of the ray,
+# like (0,2) and (1,2), lie in one overlap class and not inside each other.
+_NON_NORMAL_RAY = [([(2, 0), (3, 0), (0, 1), (1, 2)], [(7, 5)])]
+_NON_NORMAL_FACES = _NON_NORMAL_RAY + [
+    ([(2, 0), (3, 0), (0, 1), (1, 2)], [(2, 11)]),
+    ([(2, 0), (5, 0), (0, 1), (1, 3)], [(2, 11)]),
+    ([(2, 0), (3, 0), (1, 1), (0, 2), (0, 3)], [(6, 5)]),
+]
+
 
 def _reference_inputs() -> list:
     """Ideals for the reference comparison: seeded instances (with zero and
     duplicate columns), numerical semigroups, non-normal plane monoids and
-    the light acceptance instances (all but the slow 10 and 19)."""
+    faces, and the light acceptance instances (all but the slow 10 and 19)."""
     triples = list(seeded_instances(240, 17))
-    triples += [(len(cols[0]), cols, gens) for cols, gens in _NUMERICAL_SEMIGROUPS + _NON_NORMAL_PLANE]
+    triples += [(len(cols[0]), cols, gens) for cols, gens in _NUMERICAL_SEMIGROUPS + _NON_NORMAL_PLANE + _NON_NORMAL_FACES]
     ideals = []
     for d, cols, gens in triples:
         Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
@@ -446,12 +456,13 @@ def test_decomposition_equals_pairwise_reference():
 
 
 def test_overlap_classes_make_no_solve(monkeypatch):
-    """Classes are keyed by lattice residues: no Diophantine solve."""
+    """Classes are keyed by lattice residues: no Diophantine solve, also for
+    classes of several pairs over a non-normal ray."""
     import stdpairs.diophantine as diophantine
     import stdpairs.monoid as monoid
 
-    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
-    I = MonomialIdeal(Q, IntMatrix.from_cols([(5, 3)]))
+    (cols, gens), = _NON_NORMAL_RAY
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols)), IntMatrix.from_cols(gens))
     I.standard_cover()
     calls = []
 
@@ -472,11 +483,11 @@ def test_overlap_classes_make_no_solve(monkeypatch):
 
 def test_maximal_classes_test_each_class_pair_once(monkeypatch):
     """At most one ``is_divisor`` per ordered pair of classes, however many
-    pairs the classes hold."""
+    pairs the classes hold (over a non-normal ray)."""
     import stdpairs.decomp as decomp
 
-    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1)]))
-    I = MonomialIdeal(Q, IntMatrix.from_cols([(5, 3)]))
+    (cols, gens), = _NON_NORMAL_RAY
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols)), IntMatrix.from_cols(gens))
     classes = [c for cs in overlap_classes(I).values() for c in cs]
     k = len(classes)
     assert sum(len(c.pairs) > 1 for c in classes) >= 3
@@ -498,7 +509,7 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
     [
         pytest.param(
             [(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)],
-            "efa36ef5616f", "c325b4130093", id="T1",
+            "bab6651896db", "c325b4130093", id="T1",
         ),
         pytest.param(
             [(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)],

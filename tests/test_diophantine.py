@@ -45,6 +45,7 @@ from stdpairs.diophantine import (
     vec_add,
     vec_dot,
     vec_leq,
+    vec_sub,
 )
 
 from stdpairs import AffineMonoid, MonomialIdeal, irreducible_decomposition
@@ -1693,8 +1694,11 @@ def _pipeline_systems() -> tuple:
     """Every system ``(M, b)`` past the infeasibility certificates that the
     covers and decompositions of ``seeded_instances(240, 17)`` and the 20
     acceptance instances solve: the ``[G | -G']``, ``[F | -A]`` and
-    ``[A | -G]`` shapes, with the zero and duplicate columns of the seeded
-    monoids."""
+    ``[A | -G]`` shapes over the monoids' kept columns.  Then the
+    ``[A_F | -A]`` systems of each standard pair ``(a, F)``, built directly
+    over the caller's columns, so that the zero and duplicate columns of the
+    seeded monoids are in them: with ``g - a`` for each generator g (its
+    properness) and ``b - a`` for each base b of the cover."""
     import stdpairs.diophantine as dio
 
     ideals = []
@@ -1718,7 +1722,16 @@ def _pipeline_systems() -> tuple:
             irreducible_decomposition(I)
     finally:
         dio._infeasible = certificates
-        dio._MATRIX_CACHE.clear()
+    for I in ideals:
+        A = I.ambient.gens
+        pairs = I.standard_cover().pairs()
+        for p in pairs:
+            M = A.take_cols(p.face).hstack(A.neg())
+            for g in I.gens.columns() + [q.base for q in pairs]:
+                b = vec_sub(g, p.base)
+                if not certificates(dio._matrix_data(M), b):
+                    seen.setdefault((M, b), None)
+    dio._MATRIX_CACHE.clear()
     return tuple(seen)
 
 
