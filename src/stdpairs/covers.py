@@ -280,13 +280,11 @@ def _difference(pair: ProperPair, other: ProperPair) -> list:
 
 
 def principal_cover(I: MonomialIdeal) -> Cover:
-    """The standard cover of a principal ideal: one pair difference, pruned."""
+    """The standard cover of a principal ideal: one pair difference, pruned
+    (the first and only cut of ``standard_cover``)."""
     if not I.is_principal():
         raise ValueError("principal_cover requires a principal ideal")
-    monoid = I.ambient
-    whole = ProperPair((0,) * monoid.dim, monoid.top, I, skip_check=True)
-    shifted = ProperPair(I.gens.col(0), monoid.top, I, skip_check=True)
-    return _anchored(_prune_nested(monoid, _difference(whole, shifted)), I)
+    return standard_cover(I)
 
 
 # ---------------------------------------------------------------------------
