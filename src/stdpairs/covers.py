@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import le
 
 from .diophantine import (
     IntMatrix,
@@ -210,11 +211,14 @@ def _slice_pairs(m: int, gens: tuple, memo: dict) -> list:
         out = [(u + (0,), free + (m - 1,)) for u, free in _slice_pairs(m - 1, top, memo)]
         start, below = 0, ()  # J_j is the slice `below` for start <= j < k
         meets: dict = {}  # (u, free) -> whether x^u N^free meets J_D
+        fixed: dict = {}  # free -> J_D's generators, zero on free (where u is zero too)
         for k, gens_k in slices:
             kept = []
             for u, free in _slice_pairs(m - 1, below, memo):
                 if (u, free) not in meets:
-                    meets[u, free] = any(all(g[i] <= u[i] for i in range(m - 1) if i not in free) for g in top)
+                    if free not in fixed:
+                        fixed[free] = [tuple(0 if i in free else x for i, x in enumerate(g)) for g in top]
+                    meets[u, free] = any(all(map(le, g, u)) for g in fixed[free])
                 if meets[u, free]:
                     kept.append((u, free))
             out.extend((u + (j,), free) for j in range(start, k) for u, free in kept)
@@ -275,7 +279,7 @@ def _difference(pair: ProperPair, other: ProperPair) -> list:
         return []  # base already swallowed: empty difference
     gsub = monoid.submatrix(kept)
     stds = poly_standard_pairs(PolyMonomialIdeal(m, u_parts))
-    faces = {std.free: monoid.face_closure(kept[i] for i in std.free) for std in stds}
+    faces = {free: monoid.face_closure(kept[i] for i in free) for free in {std.free for std in stds}}
     return [(vec_add(pair.base, gsub.mul(std.base)), faces[std.free]) for std in stds]
 
 
