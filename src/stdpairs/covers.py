@@ -420,13 +420,13 @@ def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
     cover = _anchored([((0,) * monoid.dim, monoid.top)], I)
     for i, g in enumerate(gens, 1):
         cutter = ProperPair(g, monoid.top, I, skip_check=True)
-        pieces = [q for p in cover.pairs() for q in _difference(p, cutter)]
+        pieces = [q for p in cover.pairs() for q in pair_difference(p, cutter).pairs()]
         if i == 1:
-            cover = _anchored(_prune_nested(monoid, pieces), I)
+            cover = _anchored(_prune_nested(monoid, [(q.base, q.face) for q in pieces]), I)
         else:
             prefix = IntMatrix.from_cols(gens[:i], rows=monoid.dim)
             sub = I if i == len(gens) else MonomialIdeal(monoid, prefix, _trusted=True)
-            cover = cover_to_standard(_anchored(pieces, sub), sub, loop_cap=loop_cap)
+            cover = cover_to_standard(Cover.from_pairs(pieces), sub, loop_cap=loop_cap)
         log.info(
             "Cover for %d generator%s was calculated. %d generators are left.",
             i,

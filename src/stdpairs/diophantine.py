@@ -245,7 +245,7 @@ def minimal_elements(vectors: Iterable[IntVector]) -> list:
     vs = sorted(set(map(tuple, vectors)), key=lambda v: (sum(v), v))
     out: list = []
     for v in vs:
-        if not any(all(map(le, m, v)) for m in out):
+        if not any(vec_leq(m, v) for m in out):
             out.append(v)
     return sorted(out)
 
@@ -597,13 +597,8 @@ def _lattice_reduce(data: _MatrixData, b) -> tuple:
     x = [0] * data.M.cols
     for col, p in zip(cols[:r], pivots):
         q = residue[p] // col[p]
-        if q:
-            for i, c in enumerate(col):  # residue -= q col[:m], x += q col[m:]
-                if c:
-                    if i < m:
-                        residue[i] -= q * c
-                    else:
-                        x[i - m] += q * c
+        residue = [a - q * c for a, c in zip(residue, col)]
+        x = [a + q * c for a, c in zip(x, col[m:])]
     return tuple(x), tuple(residue)
 
 

@@ -681,8 +681,8 @@ def test_loop_cap_below_one_is_rejected_before_any_work(interior_monoid, monkeyp
     def no_work(*args, **kwargs):
         raise AssertionError("cover work started")
 
-    monkeypatch.setattr(covers, "pair_difference", no_work)
-    monkeypatch.setattr(covers, "czero_to_cone", no_work)
+    for name in ("pair_difference", "_difference", "_prune_nested", "czero_to_cone"):
+        monkeypatch.setattr(covers, name, no_work)
     for gens in ([(0, 2)], [(0, 2), (2, 1)]):
         I = MonomialIdeal(interior_monoid, IntMatrix.from_cols(gens))
         with pytest.raises(ValueError, match="loop cap"):
