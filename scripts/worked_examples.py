@@ -3,7 +3,10 @@
 
 Prints face data, standard covers, associated primes, multiplicities, an
 irredundant irreducible decomposition, and a Macaulay2 export, end to end.
-Run as ``python scripts/worked_examples.py``.
+Run as ``python scripts/worked_examples.py``.  Its standard output is
+committed as ``scripts/worked_examples.out``, and CI compares the two, so
+a change of any answer shown here fails until that file is regenerated:
+``python scripts/worked_examples.py > scripts/worked_examples.out``.
 """
 
 import logging

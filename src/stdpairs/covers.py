@@ -300,14 +300,15 @@ def minimal_holes(a: IntVector, face: Face, monoid: AffineMonoid) -> tuple:
     These are the candidates for standard-pair bases absorbing ``(a, F)``:
     the elements q of the monoid with ``q - a`` in the linear span of the
     face, minimal under ``q <= q'  iff  q' - q in the monoid``.  Membership
-    in the slice is linear (the face's support vectors vanish on it), so
-    candidates come from one Diophantine solve, over the kept columns.
+    in the slice is linear (the face's support rows S_F vanish exactly on
+    span F), and a minimal q uses no column on F, so the candidates are
+    ``A_off u`` for the solutions u of ``B_F u = S_F a`` over the kept
+    off-face columns: the system of F's record (``AffineMonoid._record``)
+    that also answers F's membership questions.
     """
-    a = vec(a)
-    support = monoid.support_of(face)
-    solver = monoid.submatrix(monoid.kept_of(monoid.top))
-    sols = min_nonneg_solutions(support.matmul(solver), support.mul(a))
-    return tuple(monoid.minimal(solver.mul(x) for x in sols))
+    support, off, system, _ = monoid._record(face)
+    sols = min_nonneg_solutions(system, support.mul(vec(a)))
+    return tuple(monoid.minimal(off.mul(u) for u in sols))
 
 
 def czero_to_cone(cover: Cover, I: MonomialIdeal) -> Cover:

@@ -14,6 +14,12 @@ bases give the same set, since they differ by ZF).  In the polynomial case
 these are the familiar corner ideals.  Off normal monoids the closure is
 not cut out by support-value thresholds: a point can stay below every
 support value of a and still lie outside the closure.
+
+Both questions asked here, the class order (``is_divisor``) and the
+closure test, have the top face on one side, so the monoid answers them
+in the quotient by the lattice of the face (``AffineMonoid.meets``):
+membership in NA + ZF is a solve over the face's pointed off-face system
+``S_F A_off``, never over ``[A_F | -A]``.
 """
 
 from __future__ import annotations

@@ -315,7 +315,8 @@ class _MatrixData:
         an echelon basis of ``Z M``, is 1.  Then each coordinate of a span
         vector in that basis is read off at a pivot row without a division,
         so ``Z M`` is ``span intersect Z^m`` and the span test decides
-        lattice membership."""
+        lattice membership.  The test is sufficient, not exact: ``Z (3, 2)``
+        is saturated, yet its echelon pivot is 3."""
         if self._saturated is None:
             cols, pivots, r = self.reduction()
             self._saturated = all(c[p] == 1 for c, p in zip(cols[:r], pivots))
@@ -1153,7 +1154,8 @@ def _homogenized_gram(data: _MatrixData, b: IntVector) -> tuple:
 
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    if _infeasible(data, b):
+    # a column of M is solved by a unit vector: no certificate can refute it
+    if b not in zip(*M.data) and _infeasible(data, b):
         return SolutionSet.of(M.cols, [])
     if data.hilbert is None:
         hilbert_kernel(M)

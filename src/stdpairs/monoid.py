@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .diophantine import _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
+from .diophantine import _MatrixData, _particular_solution, _saturated_span_basis
 from .diophantine import has_nonneg_solution, min_nonneg_solutions, vec, vec_sub
 from .polyhedral import BOTTOM, Face, _closure, _lattice, _pointed, _support_rows, facet_data
 
@@ -21,10 +22,13 @@ class AffineMonoid:
     for A, and for ``A_kept`` (below) on first use, whose infeasibility
     certificates test them.  The minimal generators come from solves over
     A itself, the matrix that factorization queries use later.  All of
-    this is computed eagerly, except the systems ``[A_F | -A_G]`` of the
-    pair questions (``meet``): each is built on first use into a memo
-    bounded by ``_MATRIX_CACHE_CAP``, so first use belongs on one thread;
-    the object is otherwise immutable and safe to share between threads.
+    this is computed eagerly, except two memos filled on first use, so
+    first use belongs on one thread; the object is otherwise immutable and
+    safe to share between threads.  One holds the systems ``[A_F | -A_G]``
+    of ``meet`` and of the other questions of ``meets``, bounded by
+    ``_MATRIX_CACHE_CAP``; the other one record per face (``_record``),
+    for the yes/no questions with the top face on one side, which
+    ``meets`` answers in the quotient by ``Z F``.
 
     The caller index of one copy of each minimal generator is kept, in
     increasing order.  Yes/no questions (``contains``, ``meets``) solve over
@@ -43,6 +47,7 @@ class AffineMonoid:
             raise NotPointedError("generating matrix spans a cone containing a line")
         self._faces = _lattice(self._facets, gens.cols)
         self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
+        self._records: dict = {}  # face -> (S_F, A_off, B_F, lattice data or None): ``_record``
         self._supports = {
             f: _support_rows(self._facets, self._equations, gens.rows, f)
             for f in self._faces
@@ -157,8 +162,52 @@ class AffineMonoid:
 
     def meets(self, a: IntVector, left, b: IntVector, right) -> bool:
         """Whether ``a + N left`` and ``b + N right`` meet: ``meet`` as a yes/no
-        question, over the kept columns of faces (``kept_of``)."""
+        question, over the kept columns of faces (``kept_of``).
+
+        With the top face on one side and a face F on the other, they meet
+        iff the difference of the points (``a - b`` for F on the left)
+        lies in ``NA + ZF``, which F's record decides (``_in_quotient``);
+        every other question solves ``[A_left | -A_right]``."""
+        left, right = tuple(left), tuple(right)
+        if right == self.top and left in self._supports:
+            return self._in_quotient(self._difference(b, a), left)
+        if left == self.top and right in self._supports:
+            return self._in_quotient(self._difference(a, b), right)
         return has_nonneg_solution(self._system(self.kept_of(left), self.kept_of(right)), self._difference(a, b))
+
+    def _record(self, face: Face) -> tuple:
+        """``(S_F, A_off, B_F, lattice)`` for a face F, built once.
+
+        ``S_F`` is F's support rows, whose rational kernel is span F;
+        ``A_off`` the kept columns off F and ``B_F = S_F A_off``.  The rows
+        of ``S_F`` that are facet normals sum to a functional that is at
+        least 1 on every column of ``A_off``, so ``B_F`` is pointed: every
+        nonnegative solution of ``B_F u = y`` is minimal, and there are
+        finitely many.  ``lattice`` is the solver data of F's kept columns,
+        which span ``Z F``, or None when ``A_off`` has columns and ``Z F`` is
+        all of ``span F intersect Z^d`` (``_saturated``)."""
+        record = self._records.get(face)
+        if record is None:
+            support = self._supports[face]
+            off = self._gens.take_cols([j for j in self._kept if j not in face])
+            lattice = _matrix_data(self._gens.take_cols(self._kept_faces[face]))
+            if off.cols and _saturated(lattice):
+                lattice = None
+            record = self._records[face] = (support, off, support.matmul(off), lattice)
+        return record
+
+    def _in_quotient(self, x: IntVector, face: Face) -> bool:
+        """Whether x lies in ``NA + ZF = N A_off + ZF`` for a face F: some
+        ``u >= 0`` has ``B_F u = S_F x`` and ``x - A_off u`` in ``Z F``.
+        The first condition puts ``x - A_off u`` in span F; on a saturated
+        face that is the second, so one existence check decides.  Otherwise
+        every solution is tried, and the top face, with no off-face
+        columns, is the lattice test alone."""
+        support, off, system, lattice = self._record(face)
+        if lattice is None:
+            return has_nonneg_solution(system, support.mul(x))
+        sols = min_nonneg_solutions(system, support.mul(x)) if off.cols else ((),)
+        return any(_particular_solution(lattice, vec_sub(x, off.mul(u))) is not None for u in sols)
 
     def _difference(self, a: IntVector, b: IntVector) -> IntVector:
         """``b - a``, for points of length ``dim`` only (``vec_sub`` would zip)."""
@@ -216,3 +265,10 @@ class AffineMonoid:
 
     def __repr__(self) -> str:
         return f"An affine semigroup whose generating set is \n{self._gens}"
+
+
+def _saturated(data: _MatrixData) -> bool:
+    """Whether the lattice ``Z M`` is all of ``span M intersect Z^d``: each
+    vector of a basis of the latter lies in ``Z M``.  Exact, where
+    ``_MatrixData.saturated`` is only sufficient."""
+    return all(_particular_solution(data, v) is not None for v in _saturated_span_basis(data.M.columns(), data.M.rows))

@@ -3,20 +3,22 @@
 A proper pair ``(a, F)`` of an ideal ``I`` represents the translated
 submonoid ``a + NF`` inside the standard monomials of ``I``.  Pairs carry
 their ambient ideal; the checked constructor verifies membership of the
-base and disjointness of ``a + NF`` from ``I`` (``is_proper``: a lattice
-test on the top face, one existence check per generator on the others),
-while ``skip_check=True`` trusts the caller for both, as the cover
-pipeline does.  Every pair lies on a face: its face field is the index
-tuple of a face of the ambient monoid other than BOTTOM, which every
-constructor checks, ``skip_check=True`` included.
+base and disjointness of ``a + NF`` from ``I`` (``is_proper``: one
+question per generator), while ``skip_check=True`` trusts the caller for
+both, as the cover pipeline does.  Every pair lies on a face: its face
+field is the index tuple of a face of the ambient monoid other than
+BOTTOM, which every constructor checks, ``skip_check=True`` included.
 
-Each question here asks whether two translated face monoids meet; the
-ambient monoid's ``meet`` and ``meets`` answer it over ``[A_F | -A_G]``.
+Each question here asks whether two translated face monoids meet, through
+the ambient monoid's ``meet`` and ``meets``.  The yes/no ones have the top
+face on one side (``is_proper``, ``is_divisor``), which ``meets`` answers
+in the quotient by the other face's lattice, with no ``[A_F | -A]``
+system; ``divides`` and ``intersect_pairs`` solve ``[A_F | -A_G]``.
 """
 
 from __future__ import annotations
 
-from .diophantine import IntMatrix, IntVector, SolutionSet, _matrix_data, _particular_solution, vec
+from .diophantine import IntMatrix, IntVector, SolutionSet, vec
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
 from .polyhedral import Face
@@ -82,15 +84,13 @@ def is_proper(pair: ProperPair) -> bool:
     """Whether ``base + NF`` misses the ideal entirely.
 
     ``base + F u = g + A w`` solvable for some generator g is exactly an
-    intersection with the ideal, so one existence check per generator
-    suffices.  The top face (F = A) needs no solve: ``u - w`` ranges over
-    Z^n, so the system is solvable iff ``base - g`` lies in the lattice ZA,
-    which holds every generator.  So the pair is proper iff the ideal is
-    empty or the base is off ZA, for any base (also a ``skip_check`` one).
+    intersection with the ideal, so one question per generator suffices:
+    whether ``base - g`` lies in ``NA + ZF`` (``AffineMonoid.meets``).  On
+    the top face that is the lattice ZA, so no solve is made there.  An
+    empty ideal makes every pair proper, for any base (also a
+    ``skip_check`` one).
     """
     monoid = pair.ideal.ambient
-    if pair.face == monoid.top:
-        return pair.ideal.is_empty() or _particular_solution(_matrix_data(monoid.gens), pair.base) is None
     return not any(monoid.meets(pair.base, pair.face, g, monoid.top) for g in pair.ideal.gens.columns())
 
 

@@ -407,6 +407,30 @@ def test_cold_construction_solves_over_its_own_matrix_only():
     assert not hasattr(polyhedral, "hilbert_kernel")
 
 
+def test_construction_runs_no_certificate_on_its_own_columns(monkeypatch):
+    """A column of A is solved by a unit vector, so the minimal-generator
+    solves skip the infeasibility certificates; the generators do not
+    change, with zero and duplicate columns too."""
+    from oracles import seeded_instances
+
+    checked = []
+    original = diophantine._infeasible
+    monkeypatch.setattr(diophantine, "_infeasible", lambda data, b: checked.append(b) or original(data, b))
+    kinds = set()
+    for d, cols, _ in seeded_instances(40, 8):  # cycles through zero and duplicate columns
+        A = IntMatrix.from_cols(cols, rows=d)
+        diophantine._MATRIX_CACHE.clear()
+        Q = AffineMonoid(A)
+        assert checked == [], cols
+        assert Q.mingens == _reference_compute_mingens(A), cols
+        checked.clear()  # the reference's own solves
+        kinds.add((len(set(cols)) < len(cols), (0,) * d in cols))
+    assert len(kinds) == 4
+    diophantine._MATRIX_CACHE.clear()
+    assert AffineMonoid(IntMatrix.from_cols([(2,), (3,)])).is_element((5,))
+    assert checked == [(5,)]  # the wrapper sees the certificate checks of other solves
+
+
 def test_prime_ideal_skips_the_membership_solves(monkeypatch):
     Q = paper_monoid()
     calls = []
