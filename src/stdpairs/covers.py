@@ -18,12 +18,13 @@ The pipeline:
    the standard cover by alternating two steps until a fixpoint: move each
    base down to the minimal monoid elements of its real-span slice
    (``czero_to_cone``), then re-expand each pair to every containing face
-   that keeps it proper (``cone_to_ctwo``).  Nested pairs are pruned at
-   the fixpoint.
+   that keeps it proper (``cone_to_ctwo``).  The rounds can nest pairs
+   again, so nested pairs are pruned at the fixpoint too.
 4. ``standard_cover``: start from {(0, A)} and fold the generators in
    one at a time: difference each standing pair against (g, A) for the
-   new generator g, then re-standardize.  The first cut is the principal
-   cover of step 2 and needs only the prune.
+   new generator g and prune the nested pieces (``_prune_nested``), then
+   re-standardize.  The first cut is the principal cover of step 2 and
+   needs only the prune.
 
 Every solve runs over the monoid's kept minimal generators
 (``AffineMonoid.kept_of``), so no cover depends on how the monoid's
@@ -392,9 +393,10 @@ def _check_loop_cap(loop_cap: int) -> None:
 
 
 def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """Refine a cover of std(I) to the standard cover (fixpoint of the two
-    steps), within ``loop_cap >= 1`` refinement iterations.  The input
-    pairs may be anchored to any ideal over I's monoid; ``czero_to_cone``
+    """Refine a cover of std(I) by pairs over faces to the standard cover
+    (fixpoint of the two steps, then pruned), within ``loop_cap >= 1``
+    refinement iterations.  The input may hold nested pairs, and its pairs
+    may be anchored to any ideal over I's monoid; ``czero_to_cone``
     anchors every pair it emits to I."""
     _check_loop_cap(loop_cap)
     current = cover
@@ -410,9 +412,13 @@ def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
     """The standard cover of a proper monomial ideal (memoized), refining
     each generator fold within ``loop_cap >= 1`` iterations.
 
-    Each fold after the first is refined over the ideal of the generators
-    cut so far; the last one over I itself, so every pair is anchored to I.
-    The ideal with no generators gets {(0, top)}."""
+    Each fold cuts the standing cover against the new generator and
+    prunes the pieces.  A pair dropped lies inside one kept, so the pieces
+    still cover std of the generators cut so far; after the first fold they
+    are refined over the ideal of those generators, the last fold over I
+    itself, so every pair is anchored to I.  The standard cover is unique,
+    so the prune changes no answer; it only spares the refinement the
+    nested pieces.  The ideal with no generators gets {(0, top)}."""
     _check_loop_cap(loop_cap)
     if "standard_cover" in I._cache:
         return I._cache["standard_cover"]
@@ -421,13 +427,12 @@ def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
     cover = _anchored([((0,) * monoid.dim, monoid.top)], I)
     for i, g in enumerate(gens, 1):
         cutter = ProperPair(g, monoid.top, I, skip_check=True)
-        pieces = [q for p in cover.pairs() for q in pair_difference(p, cutter).pairs()]
-        if i == 1:
-            cover = _anchored(_prune_nested(monoid, [(q.base, q.face) for q in pieces]), I)
-        else:
+        pieces = [(q.base, q.face) for p in cover.pairs() for q in pair_difference(p, cutter).pairs()]
+        cover = _anchored(_prune_nested(monoid, pieces), I)
+        if i > 1:
             prefix = IntMatrix.from_cols(gens[:i], rows=monoid.dim)
             sub = I if i == len(gens) else MonomialIdeal(monoid, prefix, _trusted=True)
-            cover = cover_to_standard(Cover.from_pairs(pieces), sub, loop_cap=loop_cap)
+            cover = cover_to_standard(cover, sub, loop_cap=loop_cap)
         log.info(
             "Cover for %d generator%s was calculated. %d generators are left.",
             i,

@@ -162,17 +162,14 @@ class IntMatrix:
         """Matrix times column vector."""
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(r[j] * x[j] for j in range(self.cols)) for r in self.data)
+        return tuple(sum(map(mul, r, x)) for r in self.data)
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        ocols = other.cols
-        data = tuple(
-            tuple(sum(r[k] * other.data[k][j] for k in range(self.cols)) for j in range(ocols))
-            for r in self.data
-        )
-        return IntMatrix(self.rows, ocols, data)
+        cols = other.columns()
+        data = tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self.data)
+        return IntMatrix(self.rows, other.cols, data)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:

@@ -174,11 +174,17 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert main(["--quiet", "ideal", monoid_only, "cover"]) == 2
 
 
-def test_loop_cap_exit_code(tmp_path, capsys):
-    # this ideal's second generator fold needs more than one refinement
-    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+def two_round_ideal_file(tmp_path):
+    """An ideal one of whose generator folds needs two refinement rounds
+    even after its pieces are pruned."""
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[4, 1, 0, 2], [2, 4, 3, 4], [4, 2, 1, 3]]))
     path = str(tmp_path / "ideal.txt")
-    sp.save(sp.MonomialIdeal(Q, IntMatrix.from_rows([[2, 3], [1, 5]])), path)
+    sp.save(sp.MonomialIdeal(Q, IntMatrix.from_cols([(8, 17, 12), (7, 25, 14), (3, 14, 7)])), path)
+    return path
+
+
+def test_loop_cap_exit_code(tmp_path, capsys):
+    path = two_round_ideal_file(tmp_path)
     assert main(["--quiet", "ideal", path, "cover", "--loop-cap", "1"]) == 3
     assert "did not stabilize within 1 iterations" in capsys.readouterr().err
 
@@ -199,9 +205,7 @@ def test_loop_cap_below_one_exit_code(tmp_path, capsys, command, cap):
 
 @pytest.mark.parametrize("action", ["radical", "assoc", "decompose"])
 def test_loop_cap_reaches_every_cover_action(tmp_path, capsys, action):
-    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
-    path = str(tmp_path / "ideal.txt")
-    sp.save(sp.MonomialIdeal(Q, IntMatrix.from_rows([[2, 3], [1, 5]])), path)
+    path = two_round_ideal_file(tmp_path)
     assert main(["--quiet", "ideal", path, action, "--loop-cap", "1"]) == 3
     assert "did not stabilize within 1 iterations" in capsys.readouterr().err
     assert main(["--quiet", "ideal", path, action, "--loop-cap", "2"]) == 0

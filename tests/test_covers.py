@@ -9,6 +9,7 @@ from stdpairs.covers import (
     LoopCapExceeded,
     PolyMonomialIdeal,
     PolyStdPair,
+    _anchored,
     _prune_nested,
     cone_to_ctwo,
     cover_to_standard,
@@ -19,6 +20,7 @@ from stdpairs.covers import (
     principal_cover,
     standard_cover,
 )
+from stdpairs.decomp import irreducible_decomposition
 from stdpairs.diophantine import IntMatrix, minimal_elements, vec_leq
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
@@ -508,7 +510,11 @@ def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
     for d, cols, gens in seeded_instances(200, 20261022):
         Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
         ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
+    # the unpruned fold refines more pieces than the library's, which adds
+    # the rounds of its own two-round family
     for I in ideals:
+        _reference_standard_cover(I)
+    for I in _two_round_instances():
         standard_cover(I)
     monkeypatch.undo()
     # index sets that are not faces, inside the facet y = 0 (columns 0, 1
@@ -562,7 +568,7 @@ def _strict_prune_nested(monoid: AffineMonoid, pairs) -> set:
 
 def _pruned_inputs(monkeypatch, ideals) -> list:
     """The ``(monoid, pairs)`` that the pipeline prunes while covering
-    ``ideals``: each principal first cut and each fixpoint cover."""
+    ``ideals``: each fold's cut and each fixpoint cover."""
     import stdpairs.covers as covers
 
     inputs = []
@@ -820,3 +826,104 @@ def test_principal_difference_holds_nested_pairs_the_prune_drops():
     nested = {small for small, _ in nested_pairs(_VERONESE, raw)}
     assert len(nested) == len(raw) - 18 > 0
     assert {(p.base, p.face) for p in principal_cover(I).pairs()} == set(raw) - nested
+
+
+# ---------------------------------------------------------------------------
+# the generator fold against the unpruned one
+
+def _reference_standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
+    """``standard_cover`` before every fold pruned its pieces: the first cut,
+    pruned, is the cover, and each later cut goes to ``cover_to_standard``
+    unpruned, over the ideal of the generators cut so far.  Not memoized."""
+    monoid = I.ambient
+    gens = I.gens.columns()
+    cover = _anchored([((0,) * monoid.dim, monoid.top)], I)
+    for i, g in enumerate(gens, 1):
+        cutter = ProperPair(g, monoid.top, I, skip_check=True)
+        pieces = [q for p in cover.pairs() for q in pair_difference(p, cutter).pairs()]
+        if i == 1:
+            cover = _anchored(_prune_nested(monoid, [(q.base, q.face) for q in pieces]), I)
+        else:
+            prefix = IntMatrix.from_cols(gens[:i], rows=monoid.dim)
+            sub = I if i == len(gens) else MonomialIdeal(monoid, prefix, _trusted=True)
+            cover = cover_to_standard(Cover.from_pairs(pieces), sub, loop_cap=loop_cap)
+    return cover
+
+
+# The draws of ``_two_round_instances`` kept: those among the first 400
+# whose library cover needs two refinement rounds in some fold and whose
+# ``_reference_standard_cover`` took under 0.2 s (30 of the 400 need two
+# rounds, 13 more took over 2 s and were not tried to the end).
+_TWO_ROUND_DRAWS = (6, 32, 36, 94, 119, 142, 205, 210, 217, 224, 242, 273, 338, 362, 365)
+
+
+def _two_round_instances() -> list:
+    """Ideals over 3-row, 4-column monoids with entries 0..4, each with 2-4
+    generators drawn from the monoid's box of height 2 or 3 by
+    ``random.Random(1)``: the draws listed in ``_TWO_ROUND_DRAWS``."""
+    rng = random.Random(1)
+    out = []
+    for k in range(max(_TWO_ROUND_DRAWS) + 1):
+        cols = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(4)]
+        box = sorted(b for b in monoid_box(cols, rng.randint(2, 3)) if any(b))
+        gens = [rng.choice(box) for _ in range(rng.randint(2, 4))]
+        if k in _TWO_ROUND_DRAWS:
+            Q = AffineMonoid(IntMatrix.from_cols(cols, rows=3))
+            out.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=3)))
+    return out
+
+
+def _fold_check_ideals() -> list:
+    """The acceptance and seeded instances, T1, T3 and the two-round family."""
+    ideals = list(random_instances())
+    for d, cols, gens in seeded_instances(240, 17):
+        ideals.append(MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=d)), IntMatrix.from_cols(gens, rows=d)))
+    for cols, gens in [
+        ([(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)]),
+        ([(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)]),
+    ]:
+        ideals.append(MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3)))
+    return ideals + _two_round_instances()
+
+
+def test_two_round_family_needs_two_rounds():
+    """Every ideal of the family overflows a loop cap of 1 and fits in 2,
+    so it keeps the fixpoint loop of a pruned fold at work."""
+    for I in _two_round_instances():
+        with pytest.raises(LoopCapExceeded):
+            standard_cover(I, loop_cap=1)
+        standard_cover(I, loop_cap=2)
+
+
+def test_standard_cover_equals_unpruned_fold_reference():
+    """Pruning each fold's pieces before refining them changes no cover and
+    no decomposition: the prune drops only pairs inside kept ones, so the
+    refinement gets a cover of the same set, and the standard cover is
+    unique."""
+    for I in _fold_check_ideals():
+        J = MonomialIdeal(I.ambient, I.gens)  # a fresh copy: nothing memoized
+        J._cache["standard_cover"] = _reference_standard_cover(J)
+        assert repr(standard_cover(I)) == repr(J.standard_cover()), I
+        assert repr(irreducible_decomposition(I)) == repr(irreducible_decomposition(J)), I
+
+
+def test_cover_to_standard_gets_no_nested_pair(monkeypatch):
+    """Each fold after the first hands ``cover_to_standard`` its pruned
+    pieces: no pair of its input lies inside another (``nested_pairs``)."""
+    import stdpairs.covers as covers
+
+    inputs = []
+    original = covers.cover_to_standard
+
+    def recording(cover, I, loop_cap=1000):
+        inputs.append((I, cover))
+        return original(cover, I, loop_cap=loop_cap)
+
+    monkeypatch.setattr(covers, "cover_to_standard", recording)
+    for I in _fold_check_ideals():
+        standard_cover(I)
+    monkeypatch.undo()
+    for I, cover in inputs:
+        pairs = [(p.base, p.face) for p in cover.pairs()]
+        assert not nested_pairs(I.ambient.gens.columns(), pairs), (I, cover)
+    assert len(inputs) >= 50

@@ -222,6 +222,39 @@ def test_matrix_shapes_and_ops():
         IntMatrix(1, 2, ((1,),))
 
 
+def _reference_mul(A: IntMatrix, x) -> tuple:
+    """``IntMatrix.mul`` as an index loop over the columns."""
+    return tuple(sum(r[j] * x[j] for j in range(A.cols)) for r in A.data)
+
+
+def _reference_matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """``IntMatrix.matmul`` as an index loop over the inner dimension."""
+    data = tuple(tuple(sum(r[k] * B.data[k][j] for k in range(A.cols)) for j in range(B.cols)) for r in A.data)
+    return IntMatrix(A.rows, B.cols, data)
+
+
+def test_products_equal_index_loop_reference():
+    """Products over ``map(mul, ...)`` agree with the index loops on seeded
+    shapes, empty ones (0 x n, n x 0, 0 x 0) included, and reject
+    mismatched shapes."""
+    rng = random.Random(20261028)
+    entries = lambda r, c: IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)
+    shapes = [(0, 3), (3, 0), (0, 0)] + [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(60)]
+    for r, c in shapes:
+        A = entries(r, c)
+        x = tuple(rng.randint(-9, 9) for _ in range(c))
+        assert A.mul(x) == _reference_mul(A, x)
+        assert A.mul(list(x)) == _reference_mul(A, x)
+        for k in (0, 1, rng.randint(2, 5)):
+            B = entries(c, k)
+            assert A.matmul(B) == _reference_matmul(A, B)
+    assert IntMatrix.zero(2, 0).matmul(IntMatrix.zero(0, 3)) == IntMatrix.zero(2, 3)
+    with pytest.raises(ValueError, match="matrix-vector"):
+        entries(2, 3).mul((1, 2))
+    with pytest.raises(ValueError, match="matrix product"):
+        entries(2, 3).matmul(entries(2, 2))
+
+
 def test_matrix_text_form():
     """Columns are right-aligned to their widest entry; one row and empty
     shapes print in the same bracket style."""

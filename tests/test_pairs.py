@@ -13,6 +13,7 @@ from stdpairs.polyhedral import BOTTOM
 
 from oracles import seeded_instances
 from test_acceptance import random_instances
+from test_covers import _reference_standard_cover, _two_round_instances
 
 
 @pytest.fixture
@@ -204,7 +205,9 @@ def test_is_proper_equals_reference_on_seeded_covers():
 
 def test_is_proper_equals_reference_where_cone_to_ctwo_asks(monkeypatch):
     """Every (base, face) that the unpruned expansion loop would test while
-    the acceptance instances build their covers."""
+    the acceptance instances build their covers by the unpruned fold
+    (``_reference_standard_cover``), and while the two-round family builds
+    its covers by the library's fold."""
     inputs = []
     original = covers.cone_to_ctwo
 
@@ -214,6 +217,8 @@ def test_is_proper_equals_reference_where_cone_to_ctwo_asks(monkeypatch):
 
     monkeypatch.setattr(covers, "cone_to_ctwo", recording)
     for I in random_instances():
+        _reference_standard_cover(I)
+    for I in _two_round_instances():
         covers.standard_cover(I)
     tested = set()
     for cover, I in inputs:
