@@ -1,0 +1,100 @@
+"""Time the walls: the instances where a cold pipeline spends seconds.
+
+For each of T1, T3 and P31 a fresh process builds the standard cover, the
+maximal overlap classes and the irreducible components, in that order, and
+reports the seconds of each stage, the completions (calls to
+``diophantine._completion``, and how many of them overflowed their budget)
+made while building the components, and the cover and decomposition
+SHA-1s (``sha1(repr(x))[:12]``, as ``tests/test_decomp.py::test_walls_golden``
+pins them).  It checks nothing: compare the SHA-1s with the test.  Run from
+anywhere:
+
+    python scripts/walls.py          # T1, T3 and P31
+    python scripts/walls.py P31      # the named walls only
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# name -> (monoid columns, ideal generators), all in dimension 3
+WALLS = {
+    "T1": ([(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)]),
+    "T3": ([(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)]),
+    "P31": ([(1, 4, 4), (1, 2, 4), (3, 4, 0), (4, 0, 3), (2, 4, 1)], [(31, 38, 35)]),
+}
+
+
+def measure(name: str) -> dict:
+    """One wall, in this process: stage seconds, component completions, SHA-1s."""
+    import stdpairs.diophantine as diophantine
+    from stdpairs import AffineMonoid, IntMatrix, MonomialIdeal
+    from stdpairs.decomp import irreducible_decomposition, maximal_overlap_classes
+
+    completions = [0, 0]  # calls, overflows
+    completion = diophantine._completion
+
+    def counted(*args, **kwargs):
+        found = completion(*args, **kwargs)
+        completions[0] += 1
+        completions[1] += found is None
+        return found
+
+    cols, gens = WALLS[name]
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3))
+    digest = lambda x: hashlib.sha1(repr(x).encode()).hexdigest()[:12]
+    start = time.perf_counter()
+    cover = I.standard_cover()
+    covered = time.perf_counter()
+    maximal_overlap_classes(I)
+    classified = time.perf_counter()
+    diophantine._completion = counted
+    decomposition = irreducible_decomposition(I)
+    done = time.perf_counter()
+    diophantine._completion = completion
+    return {
+        "name": name,
+        "cover_s": round(covered - start, 3),
+        "classes_s": round(classified - covered, 3),
+        "components_s": round(done - classified, 3),
+        "component_completions": completions[0],
+        "component_overflows": completions[1],
+        "cover_sha": digest(cover),
+        "decomposition_sha": digest(decomposition),
+    }
+
+
+def main(argv: list) -> int:
+    if argv[:1] == ["--one"]:
+        print(json.dumps(measure(argv[1])))
+        return 0
+    names = argv or list(WALLS)
+    unknown = [n for n in names if n not in WALLS]
+    if unknown:
+        print(f"unknown walls {unknown}; known: {list(WALLS)}", file=sys.stderr)
+        return 2
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    print("name  cover_s  classes_s  components_s  completions (overflows)  cover / decomposition SHA-1")
+    for name in names:
+        out = subprocess.run(
+            [sys.executable, __file__, "--one", name], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        r = json.loads(out.splitlines()[-1])
+        print(
+            f"{name:<5} {r['cover_s']:>7.2f}  {r['classes_s']:>9.2f}  {r['components_s']:>12.2f}"
+            f"  {r['component_completions']:>11} ({r['component_overflows']})"
+            f"  {r['cover_sha']} / {r['decomposition_sha']}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

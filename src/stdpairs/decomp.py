@@ -15,18 +15,21 @@ these are the familiar corner ideals.  Off normal monoids the closure is
 not cut out by support-value thresholds: a point can stay below every
 support value of a and still lie outside the closure.
 
-Both questions asked here, the class order (``is_divisor``) and the
-closure test, have the top face on one side, so the monoid answers them
-in the quotient by the lattice of the face (``AffineMonoid.meets``):
-membership in NA + ZF is a solve over the face's pointed off-face system
-``S_F A_off``, never over ``[A_F | -A]``.
+The class order (``is_divisor``) has the top face on one side, so the
+monoid answers it in the quotient by the lattice of the face
+(``AffineMonoid.meets``): membership in NA + ZF is a solve over the face's
+pointed off-face system ``B_F = S_F A_off``, never over ``[A_F | -A]``.
+The component is one solve over the same system: the finitely many ways
+of writing a as ``A_off s`` plus a point of ZF
+(``AffineMonoid._quotient_solutions``) are the corners of the closure,
+and its generators come from those corners without a further question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import IntMatrix, lattice_residue, vec_add, vec_dot
+from .diophantine import IntMatrix, lattice_residue, minimal_elements, vec_dot
 from .ideal import MonomialIdeal
 from .pairs import is_divisor
 from .polyhedral import Face, face_sort_key
@@ -145,44 +148,33 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     ``a + NF`` over the class bases); the component is the complement.
 
     A minimal generator cannot step down along a face column (the result
-    would still avoid the closure), so every factorization of a minimal
-    generator uses off-face columns only.  The walk below visits sums of
-    the kept off-face columns (``AffineMonoid.kept_of``) from 0 and
-    descends only from closure points.  It is finite: let w be the sum of
-    the facet normals containing the face.  Each off-face column c lies off
-    one of those facets, so ``w(c) >= 1``; a closure point q has
-    ``w(q) <= w(a)``, because ``a - q`` is in NA + ZF, where w is
-    nonnegative and zero on ZF.  So no path has more than ``w(a) + 1``
-    steps.
+    would still avoid the closure, which is closed under adding ZF), so it
+    is ``A_off v`` for the kept off-face columns ``A_off``
+    (``AffineMonoid._record``).  Such a point lies in the closure iff
+    ``a - A_off v - A_off u`` is in ZF for some ``u >= 0``, that is iff
+    ``v <= s`` for one of the finitely many s that
+    ``AffineMonoid._quotient_solutions`` gives for the first base a
+    (``s = u + v``); this holds however the point is written.  So the
+    component's generators are among the images of the minimal v outside
+    every box ``[0, s]``, the generators of the Artinian monomial ideal
+    that intersects the ideals ``((s_k + 1) e_k : k)``, one corner per box.
     """
     face = tuple(face)
     maximal = maximal_overlap_classes(I)
     if face not in maximal or ov_class not in maximal[face]:
         raise ValueError("not a maximal overlap class of the ideal")
     monoid = I.ambient
-    base = ov_class.pairs[0].base
-    off_cols = [monoid.gens.col(j) for j in monoid.kept_of(monoid.top) if j not in face]
-
-    # q divides into a + NF iff a - q lies in NA + ZF, the same set for all
-    # bases of the class (they differ by ZF): the first base decides.
-    # Different column multisets can reach one point, so answers are kept.
-    closure_known: dict = {}
-    # A node outside the closure already lies in the component, so its
-    # descendants exceed it and cannot be minimal; record it and do not
-    # descend.  The stack holds (first column index, point), with children
-    # pushed in reverse so that they are visited in column order.
-    outside: set = set()
-    stack = [(0, (0,) * monoid.dim)]
-    while stack:
-        idx, point = stack.pop()
-        if point not in closure_known:
-            closure_known[point] = monoid.meets(base, face, point, monoid.top)
-        if not closure_known[point]:
-            outside.add(point)
-            continue
-        stack.extend((k, vec_add(point, off_cols[k])) for k in reversed(range(idx, len(off_cols))))
-    # the ideal keeps only the minimal ones (AffineMonoid.minimal)
-    return MonomialIdeal(monoid, IntMatrix.from_cols(sorted(outside), rows=monoid.dim), _trusted=True)
+    off = monoid._record(face)[1]
+    # the intersection of no box ideals is the unit ideal, generated by 0;
+    # each box replaces a generator g by its lcm with each (s_k + 1) e_k
+    corners = [(0,) * off.cols]
+    for s in monoid._quotient_solutions(ov_class.pairs[0].base, face):
+        corners = minimal_elements(
+            g[:k] + (max(g[k], s[k] + 1),) + g[k + 1:] for g in corners for k in range(len(s))
+        )
+    # the ideal keeps only the minimal images (AffineMonoid.minimal)
+    points = sorted({off.mul(v) for v in corners})
+    return MonomialIdeal(monoid, IntMatrix.from_cols(points, rows=monoid.dim), _trusted=True)
 
 
 def irreducible_decomposition(I: MonomialIdeal) -> list:

@@ -28,7 +28,9 @@ class AffineMonoid:
     of ``meet`` and of the other questions of ``meets``, bounded by
     ``_MATRIX_CACHE_CAP``; the other one record per face (``_record``),
     for the yes/no questions with the top face on one side, which
-    ``meets`` answers in the quotient by ``Z F``.
+    ``meets`` answers in the quotient by ``Z F``, and for the solutions in
+    that quotient that irreducible components are read from
+    (``_quotient_solutions``).
 
     The caller index of one copy of each minimal generator is kept, in
     increasing order.  Yes/no questions (``contains``, ``meets``) solve over
@@ -201,13 +203,23 @@ class AffineMonoid:
         ``u >= 0`` has ``B_F u = S_F x`` and ``x - A_off u`` in ``Z F``.
         The first condition puts ``x - A_off u`` in span F; on a saturated
         face that is the second, so one existence check decides.  Otherwise
-        every solution is tried, and the top face, with no off-face
-        columns, is the lattice test alone."""
-        support, off, system, lattice = self._record(face)
+        the question is whether ``_quotient_solutions`` has any: on the top
+        face its only one is ``()``, so the list is tested, not its members."""
+        support, _, system, lattice = self._record(face)
         if lattice is None:
             return has_nonneg_solution(system, support.mul(x))
-        sols = min_nonneg_solutions(system, support.mul(x)) if off.cols else ((),)
-        return any(_particular_solution(lattice, vec_sub(x, off.mul(u))) is not None for u in sols)
+        return bool(self._quotient_solutions(x, face))
+
+    def _quotient_solutions(self, x: IntVector, face: Face) -> list:
+        """Every ``u >= 0`` with ``B_F u = S_F x`` and ``x - A_off u`` in
+        ``Z F``: the ways of writing x as ``A_off u`` plus a point of ``Z F``.
+        One solve over the pointed ``B_F`` finds all of them (each is
+        minimal); on a non-saturated face each is then tested against the
+        lattice, and the top face, with no off-face columns, is the lattice
+        test alone."""
+        support, off, system, lattice = self._record(face)
+        sols = min_nonneg_solutions(system, support.mul(x)) if off.cols else [()]
+        return [u for u in sols if lattice is None or _particular_solution(lattice, vec_sub(x, off.mul(u))) is not None]
 
     def _difference(self, a: IntVector, b: IntVector) -> IntVector:
         """``b - a``, for points of length ``dim`` only (``vec_sub`` would zip)."""

@@ -15,6 +15,7 @@ from stdpairs.diophantine import (
     _particular_solution,
     _saturated_span_basis,
     min_nonneg_solutions,
+    minimal_elements,
     vec_add,
     vec_dot,
     vec_sub,
@@ -229,8 +230,8 @@ def test_empty_ideal_goes_through_the_general_pipeline(tmp_path):
 
 
 def test_component_walk_does_not_recurse():
-    """The walk to the component generator of (x^1100) over N takes 1,100
-    steps, more than the default recursion limit of 1,000 frames."""
+    """The component of (x^1100) over N, whose generator lies 1,100 steps
+    from 0, is built under a recursion limit of 1,000 frames."""
     import sys
 
     Q = AffineMonoid(IntMatrix.from_rows([[1]]))
@@ -502,8 +503,8 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
     assert 0 < len(calls) <= k * (k - 1)
 
 
-# The walls: a cold pipeline takes seconds on each.  T1's decomposition
-# and T3's cover are the slow parts.
+# The walls: a cold pipeline takes up to seconds on each, most of it in
+# the covers of T3 and P31 (scripts/walls.py times every stage).
 @pytest.mark.parametrize(
     "cols, gens, cover_sha, decomposition_sha",
     [
@@ -514,6 +515,10 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
         pytest.param(
             [(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)],
             "5a94ff0d9a46", "19d0342e47f9", id="T3",
+        ),
+        pytest.param(
+            [(1, 4, 4), (1, 2, 4), (3, 4, 0), (4, 0, 3), (2, 4, 1)], [(31, 38, 35)],
+            "abf840e2e808", "ea27308cf9d6", id="P31",
         ),
     ],
 )
@@ -529,15 +534,22 @@ def test_walls_golden(cols, gens, cover_sha, decomposition_sha):
 
 
 def test_repeated_column_does_not_grow_the_component_walk(monkeypatch):
-    """A repeated off-face column adds no walk node: (8),(12),(8) over
-    (3),(4),(3),(2) visits no more points than over (3),(4),(2), and the
-    components agree.  Each walk child is one ``vec_add``."""
+    """A repeated off-face column adds no corner candidate: (8),(12),(8) over
+    (3),(4),(3),(2) builds no more candidates than over (3),(4),(2), and the
+    components agree.  Each box hands its candidates to one
+    ``minimal_elements``."""
     import stdpairs.decomp as decomp
 
     calls = []
-    monkeypatch.setattr(decomp, "vec_add", lambda u, v: calls.append(u) or vec_add(u, v))
 
-    def walk_nodes(cols):
+    def counting(vectors):
+        vectors = list(vectors)
+        calls.append(len(vectors))
+        return minimal_elements(vectors)
+
+    monkeypatch.setattr(decomp, "minimal_elements", counting)
+
+    def candidates(cols):
         I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=1)), IntMatrix.from_cols([(8,), (12,), (8,)], rows=1))
         calls.clear()
         components = [
@@ -545,9 +557,53 @@ def test_repeated_column_does_not_grow_the_component_walk(monkeypatch):
             for f, cs in maximal_overlap_classes(I).items()
             for c in cs
         ]
-        return len(calls), components
+        return sum(calls), components
 
-    repeated, repeated_components = walk_nodes([(3,), (4,), (3,), (2,)])
-    distinct, distinct_components = walk_nodes([(3,), (4,), (2,)])
+    repeated, repeated_components = candidates([(3,), (4,), (3,), (2,)])
+    distinct, distinct_components = candidates([(3,), (4,), (2,)])
     assert repeated_components == distinct_components
     assert 0 < repeated <= distinct
+
+
+@pytest.mark.parametrize(
+    "cols, gens",
+    [
+        pytest.param([(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)], id="T1"),
+        pytest.param(*_NON_NORMAL_FACES[3], id="non-normal-rays"),
+        pytest.param(*_NON_NORMAL_PLANE[0], id="non-saturated-rays"),
+    ],
+)
+def test_component_is_one_solve_per_class(monkeypatch, cols, gens):
+    """Each maximal class makes one ``min_nonneg_solutions`` call on its face's
+    ``B_F`` (none when the face has no off-face column) and no existence
+    question on any ``B_F``.  On the rays of N{(2,0),(0,2),(1,1)}, whose
+    lattices are not saturated, each solution is tested without a solve."""
+    import stdpairs.diophantine as diophantine
+    import stdpairs.monoid as monoid
+
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=len(cols[0]))), IntMatrix.from_cols(gens, rows=len(cols[0])))
+    Q = I.ambient
+    maximal = maximal_overlap_classes(I)
+    records = {face: Q._record(face) for face in maximal}
+    calls = []
+
+    def counted(name):
+        original = getattr(diophantine, name)
+
+        def counting(M, b):
+            calls.append((name, M))
+            return original(M, b)
+
+        return counting
+
+    for name in ("min_nonneg_solutions", "has_nonneg_solution"):
+        monkeypatch.setattr(monoid, name, counted(name))
+    for face, cs in maximal.items():
+        _, off, system, _ = records[face]
+        for c in cs:
+            calls.clear()
+            irreducible_component(I, face, c)
+            assert sum(M is system for name, M in calls if name == "min_nonneg_solutions") == (1 if off.cols else 0)
+            assert not any(M is r[2] for name, M in calls if name == "has_nonneg_solution" for r in records.values())
+    if cols == _NON_NORMAL_PLANE[0][0]:
+        assert all(r[1].cols and r[3] is not None for r in records.values())
