@@ -1151,8 +1151,7 @@ def _homogenized_gram(data: _MatrixData, b: IntVector) -> tuple:
 
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    # a column of M is solved by a unit vector: no certificate can refute it
-    if b not in zip(*M.data) and _infeasible(data, b):
+    if _infeasible(data, b):
         return SolutionSet.of(M.cols, [])
     if data.hilbert is None:
         hilbert_kernel(M)

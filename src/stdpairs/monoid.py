@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from functools import partial
+from operator import le
+
 from .diophantine import _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
 from .diophantine import _MatrixData, _particular_solution, _saturated_span_basis
 from .diophantine import has_nonneg_solution, min_nonneg_solutions, vec, vec_sub
@@ -20,8 +23,10 @@ class AffineMonoid:
     input is rejected), and so are the faces, their support vectors and
     every later face closure.  They are also stored with the solver's data
     for A, and for ``A_kept`` (below) on first use, whose infeasibility
-    certificates test them.  The minimal generators come from solves over
-    A itself, the matrix that factorization queries use later.  All of
+    certificates test them.  The minimal generators are read with them
+    too (``_minimal``): a column c is dropped when ``c - d`` lies in NA
+    for another nonzero column d, which one existence question over A
+    decides, asked only where no facet is smaller on c than on d.  All of
     this is computed eagerly, except two memos filled on first use, so
     first use belongs on one thread; the object is otherwise immutable and
     safe to share between threads.  One holds the systems ``[A_F | -A_G]``
@@ -56,16 +61,14 @@ class AffineMonoid:
             if f != BOTTOM
         }
         _matrix_data(gens).store_cone(self._facets, self._equations)
-        # c = A e_j is a minimal generator iff each of its minimal
-        # factorizations is a unit vector: no minimal one uses a zero
-        # column, so any other writes c as a sum of other generators (and
-        # a zero column's only one is 0)
+        # a nonzero column c is a minimal generator iff c - d lies in NA for
+        # no other nonzero column d: in a pointed monoid c = d + y with
+        # y != 0 is a factorization, and any factorization has such a part d
         cols = gens.columns()
-        self._kept = tuple(
-            j for j, c in enumerate(cols) if cols.index(c) == j and all(sum(x) == 1 for x in self.is_element(c))
-        )
+        mingens = _minimal(set(cols) - {(0,) * gens.rows}, self.support_of(BOTTOM), partial(has_nonneg_solution, gens))
+        self._kept = tuple(sorted(map(cols.index, mingens)))
         self._kept_faces = {f: tuple(j for j in f if j in self._kept) for f in self._faces}
-        self._mingens = IntMatrix.from_cols(sorted(cols[j] for j in self._kept), rows=gens.rows)
+        self._mingens = IntMatrix.from_cols(mingens, rows=gens.rows)
         self._hash_string = "monoid " + self._mingens.to_token()
 
     @property
@@ -126,12 +129,10 @@ class AffineMonoid:
         return b
 
     def minimal(self, points) -> list:
-        """The sorted distinct points that no other of them divides (``q - p`` in the monoid)."""
-        points = sorted(set(points))
-        return [
-            q for q in points
-            if not any(p != q and self.contains(vec_sub(q, p)) for p in points)
-        ]
+        """The sorted distinct points that no other of them divides (``q - p``
+        in the monoid), by ``_minimal``: ``contains`` is asked only where
+        the facet values rule nothing out."""
+        return _minimal(points, self.support_of(BOTTOM), self.contains)
 
     def face(self, index: Face) -> IntMatrix:
         """The face as a submatrix of the generators."""
@@ -277,6 +278,20 @@ class AffineMonoid:
 
     def __repr__(self) -> str:
         return f"An affine semigroup whose generating set is \n{self._gens}"
+
+
+def _minimal(points, support: IntMatrix, contains) -> list:
+    """The sorted distinct points q with ``contains(q - p)`` false for every
+    other point p.  ``q - p`` lies in the cone, let alone in the monoid,
+    only if no support row (facet normal, or span equation with its
+    negative) is smaller on q than on p; ``contains`` decides the pairs
+    whose values pass that test."""
+    points = sorted(set(points))
+    values = [support.mul(p) for p in points]
+    return [
+        q for q, vq in zip(points, values)
+        if not any(p != q and all(map(le, vp, vq)) and contains(vec_sub(q, p)) for p, vp in zip(points, values))
+    ]
 
 
 def _saturated(data: _MatrixData) -> bool:

@@ -93,17 +93,9 @@ def support_vectors_of_face(A: IntMatrix, face: Face) -> IntMatrix:
 
 def _lattice(facets: list, n: int) -> tuple:
     """The face lattice of a cone on ``n`` columns with the given facets."""
-    top = frozenset(range(n))
-    family = {top}
-    changed = True
-    while changed:
-        changed = False
-        for _, zs in facets:
-            for s in list(family):
-                t = s & zs
-                if t not in family:
-                    family.add(t)
-                    changed = True
+    family = {frozenset(range(n))}
+    for _, zs in facets:  # after facet i the family is closed under facets 1..i
+        family |= {s & zs for s in family}
     faces = [tuple(sorted(s)) for s in family]
     faces.append(BOTTOM)
     return tuple(sorted(faces, key=face_sort_key))

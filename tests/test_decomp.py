@@ -23,7 +23,7 @@ from stdpairs.diophantine import (
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import divides, intersect_pairs, is_divisor
-from stdpairs.polyhedral import face_sort_key
+from stdpairs.polyhedral import face_sort_key, facet_normals
 
 from oracles import seeded_instances
 from test_acceptance import random_instances
@@ -607,3 +607,30 @@ def test_component_is_one_solve_per_class(monkeypatch, cols, gens):
             assert not any(M is r[2] for name, M in calls if name == "has_nonneg_solution" for r in records.values())
     if cols == _NON_NORMAL_PLANE[0][0]:
         assert all(r[1].cols and r[3] is not None for r in records.values())
+
+
+def test_component_minimal_asks_contains_only_on_dominated_pairs(monkeypatch):
+    """On T1's components the antichain filter asks ``contains`` only on
+    differences q - p of two of its points with no negative facet value,
+    8 of the 364 ordered pairs."""
+    import stdpairs.monoid as monoid
+
+    cols, gens = [(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)]
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3))
+    maximal = maximal_overlap_classes(I)
+    normals = facet_normals(I.ambient.gens)
+    asked, pairs = [], []
+    minimal = monoid._minimal
+
+    def recording(points, support, contains):
+        points = set(points)
+        pairs.extend((q, p) for q in points for p in points if p != q)
+        return minimal(points, support, lambda b: asked.append(b) or contains(b))
+
+    monkeypatch.setattr(monoid, "_minimal", recording)
+    for face, cs in maximal.items():
+        for c in cs:
+            irreducible_component(I, face, c)
+    differences = {vec_sub(q, p) for q, p in pairs}
+    assert all(b in differences and min(normals.mul(b)) >= 0 for b in asked)
+    assert (len(asked), len(pairs)) == (8, 364)

@@ -1,13 +1,22 @@
 import random
 from itertools import combinations, product
+from operator import eq
 
 import pytest
 
 import stdpairs.polyhedral as polyhedral
 from stdpairs import diophantine
-from stdpairs.diophantine import IntMatrix, hilbert_kernel, min_nonneg_solutions, vec_is_zero, vec_sub
+from stdpairs.diophantine import (
+    IntMatrix,
+    hilbert_kernel,
+    min_nonneg_solutions,
+    rational_rank,
+    vec_add,
+    vec_is_zero,
+    vec_sub,
+)
 from stdpairs.monoid import AffineMonoid, NotPointedError
-from stdpairs.polyhedral import BOTTOM, face_closure, face_lattice, is_pointed, support_vectors_of_face
+from stdpairs.polyhedral import BOTTOM, face_closure, face_lattice, facet_normals, is_pointed, support_vectors_of_face
 
 from oracles import monoid_box
 
@@ -357,6 +366,35 @@ def test_minimal_matches_the_three_antichain_filters():
             assert got == keep == _reference_minimalize(Q, keep)
 
 
+def test_minimal_matches_reference_where_facet_values_tie():
+    """Points that share a base and differ by columns of one face tie on
+    every facet through that face, so the facet values order only some of
+    them; the filter still keeps exactly the reference's points, on
+    lower-dimensional monoids too."""
+    rng = random.Random(1516)
+    checked = lower = ties = 0
+    while checked < 300:
+        A = _random_matrix(rng)
+        if not is_pointed(A) or A.rows == 0 or A.cols == 0:
+            continue
+        Q = AffineMonoid(A)
+        checked += 1
+        lower += rational_rank(A) < A.rows
+        normals = facet_normals(A)
+        face = rng.choice([f for f in Q.faces if f not in (BOTTOM, ())])
+        base = _random_points(rng, Q) or [(0,) * Q.dim]
+        points = []
+        for _ in range(rng.randint(1, 8)):
+            p = rng.choice(base)
+            for _ in range(rng.randint(0, 3)):
+                p = vec_add(p, A.col(rng.choice(face)))
+            points.append(p)
+        values = [normals.mul(p) for p in set(points)]
+        ties += any(u != v and any(map(eq, u, v)) for u in values for v in values)
+        assert Q.minimal(points) == _reference_component_keep(Q, set(points))
+    assert lower >= 30 and ties >= 100
+
+
 def _presentations(rng: random.Random, A: IntMatrix) -> list:
     """Presentations of the same monoid: permuted, a column duplicated, a
     zero column added, a redundant generator (2c or c1 + c2) added."""
@@ -407,28 +445,46 @@ def test_cold_construction_solves_over_its_own_matrix_only():
     assert not hasattr(polyhedral, "hilbert_kernel")
 
 
-def test_construction_runs_no_certificate_on_its_own_columns(monkeypatch):
-    """A column of A is solved by a unit vector, so the minimal-generator
-    solves skip the infeasibility certificates; the generators do not
-    change, with zero and duplicate columns too."""
+def test_construction_asks_existence_only_on_facet_dominated_differences(monkeypatch):
+    """Construction finds the minimal generators without a full solve: it
+    asks ``has_nonneg_solution`` only on differences c - d of two distinct
+    nonzero columns of A on which every facet value is nonnegative, and the
+    generators do not change, with zero and duplicate columns too."""
     from oracles import seeded_instances
 
-    checked = []
-    original = diophantine._infeasible
-    monkeypatch.setattr(diophantine, "_infeasible", lambda data, b: checked.append(b) or original(data, b))
+    import stdpairs.monoid as monoid
+
+    solves, asked, questions = [], [], 0
+    for module in (diophantine, monoid):
+        original = module.min_nonneg_solutions
+        monkeypatch.setattr(module, "min_nonneg_solutions", lambda M, b, f=original: solves.append(b) or f(M, b))
+    existence = monoid.has_nonneg_solution
+    monkeypatch.setattr(monoid, "has_nonneg_solution", lambda M, b: asked.append((M, b)) or existence(M, b))
     kinds = set()
     for d, cols, _ in seeded_instances(40, 8):  # cycles through zero and duplicate columns
         A = IntMatrix.from_cols(cols, rows=d)
         diophantine._MATRIX_CACHE.clear()
         Q = AffineMonoid(A)
-        assert checked == [], cols
+        assert solves == [], cols
+        normals = facet_normals(A)
+        nonzero = [c for c in cols if not vec_is_zero(c)]
+        differences = {vec_sub(c, e) for c in nonzero for e in nonzero if c != e}
+        for M, b in asked:
+            assert M == A and b in differences and min(normals.mul(b), default=0) >= 0, (cols, b)
+        questions += len(asked)
+        asked.clear()
         assert Q.mingens == _reference_compute_mingens(A), cols
-        checked.clear()  # the reference's own solves
+        solves.clear()  # the reference's own solves
         kinds.add((len(set(cols)) < len(cols), (0,) * d in cols))
-    assert len(kinds) == 4
+    assert len(kinds) == 4 and questions > 0
+    checked = []
+    original = diophantine._infeasible
+    monkeypatch.setattr(diophantine, "_infeasible", lambda data, b: checked.append(b) or original(data, b))
     diophantine._MATRIX_CACHE.clear()
-    assert AffineMonoid(IntMatrix.from_cols([(2,), (3,)])).is_element((5,))
-    assert checked == [(5,)]  # the wrapper sees the certificate checks of other solves
+    Q = AffineMonoid(IntMatrix.from_cols([(2,), (3,)]))
+    assert checked == [(1,)]  # construction's one existence question, on 3 - 2
+    assert Q.is_element((5,))
+    assert checked == [(1,), (5,)]  # the wrapper sees the certificate checks of other solves
 
 
 def test_prime_ideal_skips_the_membership_solves(monkeypatch):
@@ -446,8 +502,9 @@ def test_prime_ideal_skips_the_membership_solves(monkeypatch):
         monkeypatch.setattr(AffineMonoid, name, counted(getattr(AffineMonoid, name)))
     P = Q.prime_ideal(())
     assert P.gens.columns() == [(1, 0), (2, 2)]
-    # only the antichain filter runs: one solve per ordered pair of generators
-    assert len(calls) == 2
+    # only the antichain filter runs, and the facet values of (1, 0) and
+    # (2, 2) are incomparable, so it settles both ordered pairs unsolved
+    assert calls == []
 
 
 def _index_sets(n: int) -> list:
