@@ -2,12 +2,12 @@
 
 For each of T1, T3 and P31 a fresh process builds the standard cover, the
 maximal overlap classes and the irreducible components, in that order, and
-reports the seconds and the ``AffineMonoid.contains`` calls of each stage,
-the completions (calls to ``diophantine._completion``, and how many of them
-overflowed their budget) made while building the components, and the cover
-and decomposition SHA-1s (``sha1(repr(x))[:12]``, as
-``tests/test_decomp.py::test_walls_golden`` pins them).  It checks
-nothing: compare the SHA-1s with the test.  Run from anywhere:
+reports per stage the seconds, the ``AffineMonoid.contains`` calls and the
+completions (calls to ``diophantine._completion``, and how many of them
+overflowed their budget), and the cover and decomposition SHA-1s
+(``sha1(repr(x))[:12]``, as ``tests/test_decomp.py::test_walls_golden``
+pins them).  It checks nothing: compare the SHA-1s with the test.  Run
+from anywhere:
 
     python scripts/walls.py          # T1, T3 and P31
     python scripts/walls.py P31      # the named walls only
@@ -34,24 +34,24 @@ WALLS = {
 
 
 def measure(name: str) -> dict:
-    """One wall, in this process: stage seconds, contains calls, component completions, SHA-1s."""
+    """One wall, in this process: stage seconds, contains calls and completions, SHA-1s."""
     import stdpairs.diophantine as diophantine
     from stdpairs import AffineMonoid, IntMatrix, MonomialIdeal
     from stdpairs.decomp import irreducible_decomposition, maximal_overlap_classes
 
-    completions = [0, 0]  # calls, overflows
+    completions = []  # one entry per completion: (its stage, whether it overflowed), as for contains
     completion = diophantine._completion
 
     def counted(*args, **kwargs):
         found = completion(*args, **kwargs)
-        completions[0] += 1
-        completions[1] += found is None
+        completions.append((stage, found is None))
         return found
 
     asked = []  # one entry per contains call: the stage that asked it (the ideal's own are not reported)
     contains = AffineMonoid.contains
     AffineMonoid.contains = lambda self, b: asked.append(stage) or contains(self, b)
     stage = "ideal"
+    diophantine._completion = counted
     cols, gens = WALLS[name]
     I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3))
     digest = lambda x: hashlib.sha1(repr(x).encode()).hexdigest()[:12]
@@ -63,19 +63,19 @@ def measure(name: str) -> dict:
     maximal_overlap_classes(I)
     classified = time.perf_counter()
     stage = "components"
-    diophantine._completion = counted
     decomposition = irreducible_decomposition(I)
     done = time.perf_counter()
     diophantine._completion = completion
     AffineMonoid.contains = contains
+    stages = ("cover", "classes", "components")
     return {
         "name": name,
         "cover_s": round(covered - start, 3),
         "classes_s": round(classified - covered, 3),
         "components_s": round(done - classified, 3),
-        "contains": [asked.count(s) for s in ("cover", "classes", "components")],
-        "component_completions": completions[0],
-        "component_overflows": completions[1],
+        "contains": [asked.count(s) for s in stages],
+        "completions": [sum(s == t for t, _ in completions) for s in stages],
+        "overflows": [sum(s == t for t, o in completions if o) for s in stages],
         "cover_sha": digest(cover),
         "decomposition_sha": digest(decomposition),
     }
@@ -91,7 +91,7 @@ def main(argv: list) -> int:
         print(f"unknown walls {unknown}; known: {list(WALLS)}", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    print("name  cover_s  classes_s  components_s  contains per stage  completions (overflows)  cover / decomposition SHA-1")
+    print("name  cover_s  classes_s  components_s  contains per stage  completions per stage (overflows)  cover / decomposition SHA-1")
     for name in names:
         out = subprocess.run(
             [sys.executable, __file__, "--one", name], env=env, check=True, capture_output=True, text=True
@@ -100,7 +100,7 @@ def main(argv: list) -> int:
         print(
             f"{name:<5} {r['cover_s']:>7.2f}  {r['classes_s']:>9.2f}  {r['components_s']:>12.2f}"
             f"  {'/'.join(map(str, r['contains'])):>18}"
-            f"  {r['component_completions']:>11} ({r['component_overflows']})"
+            f"  {'/'.join(map(str, r['completions'])) + ' (' + '/'.join(map(str, r['overflows'])) + ')':>33}"
             f"  {r['cover_sha']} / {r['decomposition_sha']}"
         )
     return 0

@@ -42,20 +42,24 @@ echelon pivot exceeds 1).  The facets come from the double description
 below, once per matrix, or from the ``AffineMonoid`` over M, which has
 already enumerated them.
 
-Easy instances then short-circuit through a budgeted Contejean-Devie style
-completion seeded with the cached kernel basis; the triangulation pipeline
-takes over whenever the completion frontier grows past its budget, so the
-worst case stays predictable.  The kernel Hilbert basis itself (the seed
-above and the walk's prune) has three tiers: the two cheap ones first, a
-short box walk and then the same completion with no slack cap, because
-they fail on opposite inputs; only then the triangulation
-(``hilbert_kernel``).  Cone data, kernel data and the answers for up to
-``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
-``_MATRIX_CACHE_CAP`` matrices.
+Most systems the library solves are pointed: the sum w of the facet
+normals, a grading, is positive on every nonzero column, so ``w . b``
+bounds every solution and ``ker M`` holds no nonzero nonnegative vector
+off the zero columns.  One box walk in that graded box answers them, with
+no kernel Hilbert basis (``_MatrixData.graded_box``).  Other systems first
+try a budgeted Contejean-Devie style completion seeded with the cached
+kernel basis; the triangulation pipeline takes over whenever the
+completion frontier grows past its budget, so the worst case stays
+predictable.  The kernel Hilbert basis itself (the seed above and the
+walk's prune) has three tiers: the two cheap ones first, a short box walk
+and then the same completion with no slack cap, because they fail on
+opposite inputs; only then the triangulation (``hilbert_kernel``).  Cone
+data, kernel data and the answers for up to ``_SOLUTIONS_CAP`` right-hand
+sides are cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
 
 Most callers only ask whether a solution exists.  They call
-``has_nonneg_solution``, which runs the same certificates and the same
-completion but stops at the first solution it finds.
+``has_nonneg_solution``, which runs the same certificates and, on a
+pointed system, the same walk, stopping at the first solution it finds.
 """
 
 from __future__ import annotations
@@ -262,14 +266,16 @@ def _combination(basis: list, y) -> IntVector:
 class _MatrixData:
     """Per-matrix cache: the data the infeasibility certificates read (the
     facet normals and span equations of ``cone(M)``, and whether ``Z M`` is
-    saturated), one column echelon reduction (particular solutions, kernel
-    lattice, echelon walk data), the box walk's per-level tests, tier-1
-    completion data, the full answers per right-hand side (``solutions``)
-    and the right-hand sides ``has_nonneg_solution`` found solvable
-    (``feasible``).  The cone data is filled lazily by ``_facets_of_cone``,
-    or by ``store_cone`` from facets a caller (``AffineMonoid``) has already
-    enumerated, so each matrix's cone is enumerated once while its entry
-    stays in ``_MATRIX_CACHE``."""
+    saturated), the grading the normals give and whether the system is
+    pointed in it (``graded_box``), one column echelon reduction
+    (particular solutions, kernel lattice, echelon walk data), the box
+    walk's per-level tests, tier-1 completion data, the full answers per
+    right-hand side (``solutions``) and the right-hand sides
+    ``has_nonneg_solution`` found solvable (``feasible``).  The cone data
+    is filled lazily by ``_facets_of_cone``, or by ``store_cone`` from
+    facets a caller (``AffineMonoid``) has already enumerated, so each
+    matrix's cone is enumerated once while its entry stays in
+    ``_MATRIX_CACHE``."""
 
     M: IntMatrix
     hilbert: tuple | None = None
@@ -277,6 +283,7 @@ class _MatrixData:
     solutions: dict = field(default_factory=dict)
     feasible: dict = field(default_factory=dict)
     _cone: tuple | None = None
+    _grading: tuple | None = None
     _saturated: bool | None = None
     _reduction: tuple | None = None
     _echelon: tuple | None = None
@@ -306,6 +313,29 @@ class _MatrixData:
         """Keep the ``_facets_of_cone(M.columns(), M.rows)`` result a caller
         has already computed."""
         self._cone = (tuple(phi for phi, _ in facets), tuple(equations))
+
+    def graded_box(self, b):
+        """The box ``x_j <= floor(w . b / w . M_j)``, 0 on a zero column, of
+        a pointed system, or None when the system is not pointed.
+
+        The grading w is the sum of the facet normals of ``cone(M)``, and
+        the system is pointed when ``w . M_j > 0`` on every nonzero column.
+        Each normal is nonnegative on every column, so w is too.  So
+        ``w . b`` is the sum of the nonnegative ``x_j w . M_j`` for any
+        solution x, which puts every solution with its zero columns at 0 in
+        the box, and a nonnegative kernel vector is zero off the zero
+        columns.  A matrix holding a column and its negation, or a
+        nonnegative kernel vector off its zero columns, is not pointed.
+        The grading is computed once."""
+        if self._grading is None:
+            w = tuple(map(sum, zip(*self.cone()[0])))
+            cols = self.M.columns()
+            values = tuple(vec_dot(w, c) for c in cols)
+            self._grading = (w, values) if all(v > 0 or not any(c) for v, c in zip(values, cols)) else ()
+        if not self._grading:
+            return None
+        wb = vec_dot(self._grading[0], b)
+        return tuple(wb // v if v else 0 for v in self._grading[1])
 
     def saturated(self) -> bool:
         """True when every pivot of the first r columns of ``reduction()``,
@@ -486,9 +516,10 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, above=()):
+def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, above=(), first: bool = False):
     """Solutions ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound`` that
-    lie above no vector of ``above``.
+    lie above no vector of ``above``; with ``first``, only the first one the
+    walk reaches (a yes to "is there one?").
 
     The walk fixes one echelon coefficient per level.  Each level takes the
     coefficient range that keeps every row it determines in ``[0, bound]``
@@ -508,8 +539,9 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
     early the range cuts and the prune act.
 
     Budget: each visited node counts the span of its pivot row's range.
-    Returns None when the count passes ``budget``.  Pruning only drops
-    nodes, so a pruned walk overflows only where the unpruned one does.
+    Returns None when the count passes ``budget`` (with ``first``: before
+    a solution is reached).  Pruning only drops nodes, so a pruned walk
+    overflows only where the unpruned one does.
     """
     plan = data.walk_plan()
     prune = data.prune_plan(above)
@@ -521,7 +553,8 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
     visited = 0
 
     def rec(i: int, x: list) -> bool:
-        """Walk below x at level i; False once the budget is spent."""
+        """Walk below x at level i; False once the walk stops: the budget
+        is spent, or ``first`` has its solution."""
         nonlocal visited
         p, coeff, pos, neg, col = plan[i]
         lo = -(x[p] // coeff)
@@ -571,6 +604,8 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
                     nxt[r] += z * c
                 if i + 1 == k:
                     out.append(tuple(nxt))
+                    if first:
+                        return False
                 elif not rec(i + 1, nxt):
                     return False
             y = max(y, b + 1)
@@ -578,7 +613,7 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
 
     if k == 0:
         return [tuple(x0)]
-    if not rec(0, list(x0)):
+    if not rec(0, list(x0)) and not (first and out):
         return None
     return out
 
@@ -892,7 +927,7 @@ def _coordinate_index(vectors: Iterable[IntVector], ncols: int) -> list:
     return index
 
 
-def _completion(gram: list, cap_index: int | None, seed: list, budget: int, first: bool = False):
+def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
     """Contejean-Devie completion: minimal nonzero solutions of a homogeneous system.
 
     The system ``sum_l x_l c_l = 0`` is given by the Gram matrix
@@ -928,9 +963,7 @@ def _completion(gram: list, cap_index: int | None, seed: list, budget: int, firs
     ``budget`` nodes are generated; the count only grows, so this is the
     same decision as counting to the end.  The caller then switches to the
     lattice-geometric solver, which has predictable cost.  Otherwise the
-    result is the sorted list of the solutions found.  With ``first`` the
-    search returns ``[y]`` at the first solution y found with a nonzero
-    coordinate ``cap_index``: a yes to "is there one at height one?".
+    result is the sorted list of the solutions found.
     """
     ncols = len(gram)
     if ncols > budget:
@@ -968,8 +1001,6 @@ def _completion(gram: list, cap_index: int | None, seed: list, budget: int, firs
                     if ysq:
                         nxt[y] = (tuple(map(add, d, g)), ysq)
                     else:
-                        if first and y[cap_index]:
-                            return [y]
                         found.append(y)
                         for i, v in enumerate(y):
                             if v:
@@ -1039,8 +1070,18 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     any tier runs (``_infeasible``): b outside the span of M, outside
     ``cone(M)``, or outside the lattice ``Z M``.  Past the certificates a
     particular integer solution exists and the polyhedron
-    ``{x >= 0 : M x = b}`` is not empty.  Three exact tiers follow, routed
-    by work budgets:
+    ``{x >= 0 : M x = b}`` is not empty.
+
+    A pointed system (the grading w is positive on every nonzero column)
+    is answered by one box walk, unpruned, in the graded box
+    ``x_j <= floor(w . b / w . M_j)``, 0 on a zero column
+    (``_MatrixData.graded_box``).  Every minimal solution lies in that
+    box, since ``w . b`` is the sum of the nonnegative ``x_j w . M_j``,
+    and every solution in it is minimal: two of them differ by a kernel
+    vector that is zero on the zero columns, and a nonnegative one is zero
+    elsewhere too.  Only a walk that overflows ``_BOX_BUDGET`` goes on to tiers 2
+    and 3 below.  Every other system takes three exact tiers, routed by
+    work budgets:
 
     1. completion on the homogenized system ``[M | -b]``, seeded with the
        cached kernel basis and capped at 1 in the slack coordinate, which
@@ -1087,14 +1128,13 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
     minimal solution when one suffices.
 
     A memoised full answer decides; then the infeasibility certificates.
-    Then tier 1 runs on the same homogenized system, but stops at its first
-    solution of height one.  A completion that ends without one is a full
-    answer, no solution, and is memoised like the certificates' "no".  A
-    "yes" is not a full answer: it goes to a separate per-matrix memo,
-    ``feasible``, bounded by ``_SOLUTIONS_CAP`` too, and never to
-    ``solutions``.  A completion that overflows ``_CD_BUDGET`` has visited
-    the same nodes as the full one would, so the solve goes on at tier 2
-    and memoises its full answer.
+    On a pointed system the graded box walk then stops at its first
+    solution.  A walk that ends without one is a full answer, no solution,
+    and is memoised like the certificates' "no".  A "yes" is not a full
+    answer: it goes to a separate per-matrix memo, ``feasible``, bounded by
+    ``_SOLUTIONS_CAP`` too, and never to ``solutions``.  A system that is
+    not pointed, or whose walk overflows ``_BOX_BUDGET``, is answered by
+    the full solve, which memoises its answer.
     """
     b = vec(b)
     if len(b) != M.rows:
@@ -1107,20 +1147,18 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
         return bool(cached)
     if b in data.feasible:
         return True
-    if _infeasible(data, b):
-        result = SolutionSet.of(M.cols, [])
-    else:
-        hgram, seed = _homogenized_gram(data, b)
-        found = _completion(hgram, M.cols, seed, _CD_BUDGET, first=True)
+    if not _infeasible(data, b):
+        bound = data.graded_box(b)
+        if bound is None:
+            return bool(min_nonneg_solutions(M, b))
+        found = _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET, first=True)
         if found is None:
-            result = _geometric_solutions(M, data, b)
-        elif any(x[M.cols] for x in found):
+            return bool(min_nonneg_solutions(M, b))
+        if found:
             _bounded_put(data.feasible, b, True, _SOLUTIONS_CAP)
             return True
-        else:
-            result = SolutionSet.of(M.cols, [])
-    _bounded_put(data.solutions, b, result, _SOLUTIONS_CAP)
-    return bool(result)
+    _bounded_put(data.solutions, b, SolutionSet.of(M.cols, []), _SOLUTIONS_CAP)
+    return False
 
 
 def _infeasible(data: _MatrixData, b: IntVector) -> bool:
@@ -1153,9 +1191,14 @@ def _homogenized_gram(data: _MatrixData, b: IntVector) -> tuple:
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
     if _infeasible(data, b):
         return SolutionSet.of(M.cols, [])
+    bound = data.graded_box(b)
+    if bound is not None:
+        points = _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET)
+        if points is not None:
+            return SolutionSet.of(M.cols, points)
     if data.hilbert is None:
         hilbert_kernel(M)
-    if not data.walk_first:
+    if bound is None and not data.walk_first:
         slack = M.cols
         hgram, seed = _homogenized_gram(data, b)
         quick = _completion(hgram, slack, seed, _CD_BUDGET)
@@ -1166,7 +1209,7 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
 
 def _geometric_solutions(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
     """Tiers 2 and 3 of ``min_nonneg_solutions`` for a b that passed the
-    certificates."""
+    certificates, once ``hilbert_kernel(M)`` is cached."""
     # b passed the lattice test, so x0 exists, and the cone test, so the
     # polyhedron is not empty and some ray has t > 0: bound is not None
     x0 = _particular_solution(data, b)

@@ -34,6 +34,7 @@ from stdpairs.diophantine import (
     _particular_solution,
     _saturated_span_basis,
     _walk_order,
+    has_nonneg_solution,
     hilbert_kernel,
     integer_kernel_basis,
     lattice_residue,
@@ -1394,15 +1395,32 @@ def _certificate_systems(rng, count):
     return systems
 
 
+def _wide_pair_systems(rng, count):
+    """Seeded one-row ``[A | -A]`` with four columns in A of entries 2..5,
+    like the ``wide`` matrix below, and ``b = A (u - v)`` with u, v in 0..2:
+    not pointed, and with a kernel box that outgrows ``hilbert_kernel``'s
+    short walk."""
+    systems = []
+    while len(systems) < count:
+        a = [rng.randint(2, 5) for _ in range(4)]
+        M = IntMatrix.from_rows([a + [-e for e in a]])
+        b = (vec_dot(a, [rng.randint(0, 2) - rng.randint(0, 2) for _ in a]),)
+        if any(b):
+            systems.append((M, b))
+    return systems
+
+
 def test_infeasibility_certificates_are_exact(monkeypatch):
     """The certificates settle only systems without a solution: every answer
     equals the solver's without them, which always runs completion first,
     under the default budgets, with tier 1 off, and with tiers 1 and 2 off.
-    Under the default budgets both routes of the full solve run at least 20
-    times: the walk first where ``hilbert_kernel``'s short walk answered,
-    completion first elsewhere.  Where a particular solution exists, the
-    span-and-cone test holds exactly when the homogenized cone has no ray
-    with t > 0."""
+    Under the default budgets each of the three routes of the full solve
+    runs at least 20 times: the graded box walk alone on a pointed system,
+    tier 2's walk first where ``hilbert_kernel``'s short walk answered,
+    completion first elsewhere; seeded wide ``[A | -A]`` join the systems
+    there, since few of the others take the last route.  Where a particular
+    solution exists, the span-and-cone test holds exactly when the
+    homogenized cone has no ray with t > 0."""
     import stdpairs.diophantine as dio
 
     systems = _certificate_systems(random.Random(1212), 600)
@@ -1440,20 +1458,29 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     assert min(kinds.values()) >= 20, kinds
 
     tiers = []
-    monkeypatch.setattr(dio, "_completion", _recording(tiers, "completion", dio._completion))
-    monkeypatch.setattr(dio, "_geometric_solutions", _recording(tiers, "walk", dio._geometric_solutions))
-    routes = {"walk": 0, "completion": 0}
+    for name in ("_box_solutions", "_completion", "_geometric_solutions", "hilbert_kernel", "_homogenized_cone"):
+        monkeypatch.setattr(dio, name, _recording(tiers, name, getattr(dio, name)))
+    routes = {"pointed": 0, "walk_first": 0, "completion": 0}
+    wide = _wide_pair_systems(random.Random(1213), 30)
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
         for name, value in budgets.items():
             monkeypatch.setattr(dio, name, value)
         dio._MATRIX_CACHE.clear()
-        for M, b in systems:
-            expected = _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)
+        for M, b in systems if budgets else systems + wide:
+            data = dio._matrix_data(M)
+            expected = _reference_min_nonneg_uncached(M, data, b)
+            pointed = not dio._infeasible(data, b) and data.graded_box(b) is not None
+            if pointed:
+                dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
             tiers.clear()
             assert min_nonneg_solutions(M, b) == expected, (M, b, budgets)
-            if tiers and not budgets:
-                assert tiers[0] == ("walk" if dio._matrix_data(M).walk_first else "completion"), (M, b)
-                routes[tiers[0]] += 1
+            if pointed and not budgets:
+                assert tiers == ["_box_solutions"], (M, b, tiers)
+                routes["pointed"] += 1
+            elif tiers and not budgets:
+                first = [t for t in tiers if t in ("_completion", "_geometric_solutions")][0]
+                assert first == ("_geometric_solutions" if data.walk_first else "_completion"), (M, b)
+                routes["walk_first" if data.walk_first else "completion"] += 1
     dio._MATRIX_CACHE.clear()
     assert min(routes.values()) >= 20, routes
 
@@ -1467,8 +1494,8 @@ def _existence_systems(rng, count):
 
 def _overflow_systems(rng, count):
     """Seeded feasible ``(M, M u)``, u > 0, with M of 3 x 5 and 2 x 5 and
-    entries 3..9, on which the completion overflows its default budget
-    before its first solution."""
+    entries 3..9, all pointed, on which a completion seeded with the kernel
+    basis overflows its default budget before its first solution."""
     systems = []
     for k in range(count):
         r, high = (3, 7) if k % 2 else (2, 9)
@@ -1479,38 +1506,45 @@ def _overflow_systems(rng, count):
 
 def test_has_nonneg_solution_is_the_truth_value_of_the_solve(monkeypatch):
     """``has_nonneg_solution`` equals ``bool(min_nonneg_solutions)`` under
-    the default budgets, with tier 1 off, and with tiers 1 and 2 off.  Its
-    "yes" never enters the solution memo, whatever it stores there is the
-    full answer, and completions that overflow go on to tiers 2 and 3.  The
-    overflow systems are left out with tiers 1 and 2 off, where each takes
-    the triangulation seconds."""
+    the default budgets, with tier 1 off, and with tiers 1 and 2 off.  The
+    "yes" of a graded box walk that did not overflow never enters the
+    solution memo (at least 20 such), whatever is stored there is the full
+    answer, and the pointed overflow systems are answered with no
+    completion under the default budgets.  They are left out with tiers 1
+    and 2 off, where each takes the triangulation seconds."""
     import stdpairs.diophantine as dio
 
     systems = _existence_systems(random.Random(1212), 600)  # the certificate test's systems
     heavy = _overflow_systems(random.Random(1819), 30)
-    original = dio._completion
-    overflows = []
+    walks, completions = [], []
+    monkeypatch.setattr(dio, "_completion", _recording(completions, "completion", dio._completion))
+    box_walk = dio._box_solutions
 
-    def completion(gram, cap_index, seed, budget, first=False):
-        found = original(gram, cap_index, seed, budget, first)
-        if first and found is None:
-            overflows.append(gram)
+    def walk(*args, first=False, **kwargs):
+        found = box_walk(*args, first=first, **kwargs)
+        if first:
+            walks.append(found)
         return found
 
-    monkeypatch.setattr(dio, "_completion", completion)
+    monkeypatch.setattr(dio, "_box_solutions", walk)
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
         for name, value in budgets.items():
             monkeypatch.setattr(dio, name, value)
         cases = systems if dio._BOX_BUDGET == 0 else systems + heavy
-        overflows.clear()
         dio._MATRIX_CACHE.clear()
         answers = []
+        kept_out = 0
         for M, b in cases:
             memo = dio._matrix_data(M).solutions
-            before, taken = b in memo, len(overflows)
+            before = b in memo
+            walks.clear()
+            completions.clear()
             answer = dio.has_nonneg_solution(M, b)
-            if answer and not before and len(overflows) == taken:
+            if (M, b) in heavy and not budgets:
+                assert dio._matrix_data(M).graded_box(b) is not None and not completions, (M, b)
+            if answer and not before and walks and walks[0] is not None:
                 assert b not in memo, (M, b, budgets)
+                kept_out += 1
             assert len(memo) <= dio._SOLUTIONS_CAP
             answers.append((answer, memo.get(b)))
         dio._MATRIX_CACHE.clear()
@@ -1521,7 +1555,7 @@ def test_has_nonneg_solution_is_the_truth_value_of_the_solve(monkeypatch):
             assert stored is None or stored == full, (M, b, budgets)
             kinds["yes" if answer else "no"] += 1
             kinds["zero_rhs"] += not any(b)
-        assert min(kinds.values()) >= 20 and len(overflows) >= 20, (kinds, len(overflows), budgets)
+        assert min(kinds.values()) >= 20 and (kept_out >= 20 or dio._BOX_BUDGET == 0), (kinds, kept_out, budgets)
     dio._MATRIX_CACHE.clear()
 
 
@@ -1540,6 +1574,149 @@ def test_existence_memo_is_bounded(monkeypatch):
     assert list(memo) == [(4,), (7,), (-1,), (-2,)]
     assert dio.has_nonneg_solution(M, (8,)) and (8,) not in memo
     dio._MATRIX_CACHE.clear()
+
+
+def _reference_graded_box(M: IntMatrix, b) -> tuple:
+    """The graded box by its definition: w the sum of the reference facet
+    normals, ``floor(w . b / w . M_j)`` per nonzero column, 0 per zero one."""
+    facets, _ = _reference_facets_of_cone(M.columns(), M.rows)
+    w = [sum(col) for col in zip(*(phi for phi, _ in facets))]
+    return tuple(vec_dot(w, b) // vec_dot(w, c) if any(c) else 0 for c in M.columns())
+
+
+def _box_points(M: IntMatrix, b, box) -> list:
+    """Every x with ``0 <= x <= box`` and ``M x = b``, by numpy enumeration."""
+    import numpy as np
+
+    grid = np.indices(tuple(max(k + 1, 0) for k in box)).reshape(len(box), -1).T
+    rows = np.array(M.data, dtype=np.int64).reshape(M.rows, M.cols)
+    hits = grid[(grid @ rows.T == np.array(b, dtype=np.int64)).all(axis=1)]
+    return sorted(tuple(int(v) for v in x) for x in hits)
+
+
+@lru_cache(maxsize=None)
+def _pointed_matrices() -> dict:
+    """Seeded pointed matrices by kind: the generator matrices of
+    ``seeded_instances(240, 17)`` (plain, with a zero column, with a
+    duplicate column, with both) and of the 20 acceptance instances; their
+    kept columns ``A_kept``; every face's ``B_F`` with off-face columns; and
+    ``L N`` with N nonnegative of 2-4 rows, some columns zero or repeated,
+    and L of rank ``rows(N)`` with one to two rows more, so that the cone
+    spans a proper subspace."""
+    monoids = [AffineMonoid(IntMatrix.from_cols(cols, rows=d)) for d, cols, _ in seeded_instances(240, 17)]
+    monoids += [I.ambient for I in random_instances()]
+    kinds = {"generators": {}, "kept": {}, "faces": {}, "lower_dimensional": {}}
+    for Q in monoids:
+        kinds["generators"][Q.gens] = None
+        kinds["kept"][Q._system(Q._kept, ())] = None
+        for face in Q.supports:
+            _, off, B, _ = Q._record(face)
+            if off.cols:
+                kinds["faces"][B] = None
+    rng = random.Random(2034)
+    while len(kinds["lower_dimensional"]) < 120:
+        k = rng.randint(1, 3)
+        r = k + rng.randint(1, 2)
+        L = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(k)] for _ in range(r)])
+        cols = [tuple(rng.randint(0, 3) for _ in range(k)) for _ in range(rng.randint(1, 4))]
+        cols.insert(rng.randint(0, len(cols)), rng.choice([(0,) * k, rng.choice(cols)]))
+        if rational_rank(L) == k and any(map(any, cols)):
+            kinds["lower_dimensional"][L.matmul(IntMatrix.from_cols(cols, rows=k))] = None
+    return {kind: list(matrices) for kind, matrices in kinds.items()}
+
+
+def test_pointed_systems_are_answered_by_the_graded_walk_alone(monkeypatch):
+    """On seeded pointed systems, each matrix with a few right-hand sides
+    ``M u`` and ``M u + e``: the graded box is the one of its definition;
+    ``min_nonneg_solutions`` equals the completion-first reference and every
+    solution lies in the box; where the box has at most 20,000 points, the
+    answer is every solution in it (each one is minimal) by brute force;
+    ``has_nonneg_solution`` on a cold cache is its truth value; and no
+    kernel Hilbert basis, completion or homogenized cone is asked for
+    unless a walk overflowed."""
+    import stdpairs.diophantine as dio
+
+    asked, overflows = [], []
+    for name in ("hilbert_kernel", "_completion", "_homogenized_cone"):
+        monkeypatch.setattr(dio, name, _recording(asked, name, getattr(dio, name)))
+    box_walk = dio._box_solutions
+
+    def walk(*args, **kwargs):
+        found = box_walk(*args, **kwargs)
+        if found is None:
+            overflows.append(args)
+        return found
+
+    monkeypatch.setattr(dio, "_box_solutions", walk)
+    rng = random.Random(2035)
+    counts = {}
+    brute = feasible = 0
+    for kind, matrices in _pointed_matrices().items():
+        counts[kind] = 0
+        for M in matrices:
+            for _ in range(2):
+                u = tuple(rng.randint(0, 2) for _ in range(M.cols))
+                b = M.mul(u)
+                if rng.random() < 0.5:
+                    b = vec_add(b, tuple(int(i == rng.randrange(M.rows)) for i in range(M.rows)))
+                if not any(b):
+                    continue
+                dio._MATRIX_CACHE.clear()
+                asked.clear()
+                overflows.clear()
+                data = dio._matrix_data(M)
+                box = data.graded_box(b)
+                assert box == _reference_graded_box(M, b), (kind, M, b)
+                got = min_nonneg_solutions(M, b)
+                assert all(vec_leq(x, box) for x in got), (kind, M, b)
+                assert not asked or overflows, (kind, M, b, asked)
+                dio._MATRIX_CACHE.clear()
+                answer = has_nonneg_solution(M, b)
+                assert answer == bool(got), (kind, M, b)
+                assert not asked or overflows, (kind, M, b, asked)
+                assert got == _reference_min_nonneg_uncached(M, dio._matrix_data(M), b), (kind, M, b)
+                volume = 1
+                for k in box:
+                    volume *= max(k + 1, 0)
+                if volume <= 20000:
+                    assert list(got) == _box_points(M, b, box), (kind, M, b)
+                    brute += 1
+                counts[kind] += 1
+                feasible += answer
+    dio._MATRIX_CACHE.clear()
+    assert min(counts.values()) >= 100 and brute >= 1000 and feasible >= 500, (counts, brute, feasible)
+
+
+def test_pointed_classification():
+    """A matrix is pointed (``graded_box`` is not None) exactly when the
+    reference Hilbert basis of ``ker M intersect N^n`` holds only the unit
+    vectors of its zero columns, over the seeded kernel matrices and the
+    certificate systems' matrices.  Every seeded pointed matrix is pointed,
+    and with a column's negation, or the negation of a sum of two nonzero
+    columns (a nonnegative kernel vector), it is not."""
+    import stdpairs.diophantine as dio
+
+    matrices = _kernel_matrices(random.Random(15), 240)
+    matrices += [M for M, _ in _certificate_systems(random.Random(1212), 600)]
+    kinds = {"pointed": 0, "not_pointed": 0, "zero_column": 0}
+    for M in matrices:
+        dio._MATRIX_CACHE.clear()
+        units = {tuple(int(i == j) for i in range(M.cols)) for j, c in enumerate(M.columns()) if not any(c)}
+        pointed = set(_reference_hilbert_kernel(M)) <= units
+        assert (dio._matrix_data(M).graded_box((0,) * M.rows) is not None) == pointed, M
+        kinds["pointed" if pointed else "not_pointed"] += 1
+        kinds["zero_column"] += pointed and bool(units)
+    rng = random.Random(2036)
+    for kind, pointed_matrices in _pointed_matrices().items():
+        for M in pointed_matrices:
+            zero = (0,) * M.rows
+            assert _MatrixData(M).graded_box(zero) is not None, (kind, M)
+            nonzero = [c for c in M.columns() if any(c)]
+            c, d = rng.choice(nonzero), rng.choice(nonzero)
+            for extra in (tuple(-a for a in c), tuple(-a - e for a, e in zip(c, d))):
+                assert _MatrixData(M.hstack(IntMatrix.from_cols([extra], rows=M.rows))).graded_box(zero) is None, (kind, M, extra)
+    dio._MATRIX_CACHE.clear()
+    assert min(kinds.values()) >= 20, kinds
 
 
 def _reference_hilbert_kernel(M: IntMatrix) -> SolutionSet:
@@ -1880,10 +2057,15 @@ def test_principal_ladder_full_solves_skip_completion(monkeypatch):
 
 
 def test_full_solves_run_completion_first_without_a_short_kernel_walk(monkeypatch):
-    """A one-row ``[A | -A]`` whose short kernel walk overflows, and a
-    pointed A without zero columns, whose kernel has no nonnegative ray and
-    so no short walk, keep completion as the first tier of a full solve."""
+    """A one-row ``[A | -A]`` whose short kernel walk overflows keeps
+    completion as the first tier of a full solve.  A pointed A without
+    zero columns (the square cone, the Veronese cone), whose kernel has no
+    nonnegative ray and so no short walk, is answered by the graded box
+    walk alone: no completion, no kernel Hilbert basis."""
     import stdpairs.diophantine as dio
+
+    def fail(*args, **kwargs):
+        raise AssertionError("should not run on a pointed system")
 
     wide = IntMatrix.from_rows([[3, 4, 3, 2, -3, -4, -3, -2]])
     pointed = [(IntMatrix.from_cols(_SQUARE_CONE), (2, 2, 5)), (IntMatrix.from_cols(_VERONESE), (9, 11))]
@@ -1897,8 +2079,13 @@ def test_full_solves_run_completion_first_without_a_short_kernel_walk(monkeypatc
         assert expected, (M, b)
         assert not dio._matrix_data(M).walk_first, M
         tiers.clear()
-        assert min_nonneg_solutions(M, b) == expected, (M, b)
-        assert tiers[0] == "completion", (M, b, tiers)
+        with monkeypatch.context() as patch:
+            if M != wide:
+                dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
+                for name in ("_completion", "hilbert_kernel", "_homogenized_cone"):
+                    patch.setattr(dio, name, fail)
+            assert min_nonneg_solutions(M, b) == expected, (M, b)
+        assert tiers[0] == ("completion" if M == wide else "walk"), (M, b, tiers)
     dio._MATRIX_CACHE.clear()
 
 
