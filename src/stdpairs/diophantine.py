@@ -46,16 +46,16 @@ Most systems the library solves are pointed: the sum w of the facet
 normals, a grading, is positive on every nonzero column, so ``w . b``
 bounds every solution and ``ker M`` holds no nonzero nonnegative vector
 off the zero columns.  One box walk in that graded box answers them, with
-no kernel Hilbert basis (``_MatrixData.graded_box``).  Other systems first
-try a budgeted Contejean-Devie style completion seeded with the cached
-kernel basis; the triangulation pipeline takes over whenever the
-completion frontier grows past its budget, so the worst case stays
-predictable.  The kernel Hilbert basis itself (the seed above and the
-walk's prune) has three tiers: the two cheap ones first, a short box walk
-and then the same completion with no slack cap, because they fail on
-opposite inputs; only then the triangulation (``hilbert_kernel``).  Cone
-data, kernel data and the answers for up to ``_SOLUTIONS_CAP`` right-hand
-sides are cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
+no kernel Hilbert basis (``_MatrixData.graded_box``).  Every other system
+takes one route: the kernel Hilbert basis, then the box walk in the
+homogenized cone's box, pruned by that basis, and the triangulation only
+when the walk outgrows its budget, so the worst case stays predictable.
+The kernel Hilbert basis itself has three tiers: the two cheap ones first,
+a short box walk and then a budgeted Contejean-Devie completion, because
+they fail on opposite inputs; only then the triangulation
+(``hilbert_kernel``).  Cone data, kernel data and the answers for up to
+``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
+``_MATRIX_CACHE_CAP`` matrices.
 
 Most callers only ask whether a solution exists.  They call
 ``has_nonneg_solution``, which runs the same certificates and, on a
@@ -269,7 +269,8 @@ class _MatrixData:
     saturated), the grading the normals give and whether the system is
     pointed in it (``graded_box``), one column echelon reduction
     (particular solutions, kernel lattice, echelon walk data), the box
-    walk's per-level tests, tier-1 completion data, the full answers per
+    walk's per-level tests, the kernel Hilbert basis (``hilbert``, which
+    prunes the walk of a system that is not pointed), the full answers per
     right-hand side (``solutions``) and the right-hand sides
     ``has_nonneg_solution`` found solvable (``feasible``).  The cone data
     is filled lazily by ``_facets_of_cone``, or by ``store_cone`` from
@@ -279,7 +280,6 @@ class _MatrixData:
 
     M: IntMatrix
     hilbert: tuple | None = None
-    walk_first: bool = False  # hilbert_kernel's short walk answered: full solves skip tier 1
     solutions: dict = field(default_factory=dict)
     feasible: dict = field(default_factory=dict)
     _cone: tuple | None = None
@@ -289,8 +289,6 @@ class _MatrixData:
     _echelon: tuple | None = None
     _walk: list | None = None
     _prune: tuple | None = None
-    _gram: list | None = None
-    _tier1: tuple | None = None
 
     def cone(self):
         """``(normals, equations)``: the primitive inner facet normals and
@@ -425,22 +423,6 @@ class _MatrixData:
                 ))
             self._prune = (above, plan)
         return self._prune[1]
-
-    def gram(self):
-        """The Gram matrix ``gram[l][j] = c_l . c_j`` of M's columns, as row
-        tuples: the system ``M x = 0`` in the form ``_completion`` reads."""
-        if self._gram is None:
-            cols = self.M.columns()
-            self._gram = [tuple(vec_dot(a, c) for c in cols) for a in cols]
-        return self._gram
-
-    def completion_data(self):
-        """Columns, their Gram matrix, and the tier-1 seed: the kernel basis
-        padded with a zero slack coordinate, as a ``_coordinate_index``."""
-        if self._tier1 is None:
-            seed = [h + (0,) for h in hilbert_kernel(self.M)]
-            self._tier1 = (self.M.columns(), self.gram(), _coordinate_index(seed, self.M.cols + 1))
-        return self._tier1
 
 
 def _walk_order(columns: list) -> list:
@@ -917,30 +899,16 @@ def _hilbert_basis_geometric(basis: list, rays: list) -> list:
     return minimal_elements(_combination(basis, _combination(span, z)) for z in candidates)
 
 
-def _coordinate_index(vectors: Iterable[IntVector], ncols: int) -> list:
-    """``index[j][v]``: the tuple of given vectors whose coordinate j equals v, for v > 0."""
-    index: list = [{} for _ in range(ncols)]
-    for x in vectors:
-        for j, v in enumerate(x):
-            if v:
-                index[j][v] = index[j].get(v, ()) + (x,)
-    return index
-
-
-def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
-    """Contejean-Devie completion: minimal nonzero solutions of a homogeneous system.
+def _completion(gram: list, budget: int):
+    """Contejean-Devie completion: the minimal nonzero nonnegative solutions
+    of a homogeneous system, its Hilbert basis.
 
     The system ``sum_l x_l c_l = 0`` is given by the Gram matrix
     ``gram[l][j] = c_l . c_j`` of its columns.  The search runs breadth-first
     by 1-norm from the unit vectors.  A vector x whose defect
     ``v = sum_l x_l c_l`` is zero is a minimal solution and is not extended;
-    otherwise x extends to ``x + e_j`` only when ``v . c_j < 0``, never past 1
-    in coordinate ``cap_index``, and a new vector that dominates a known
-    minimal solution is pruned.  ``seed`` is the ``_coordinate_index`` of
-    already-known nonzero solutions (they prune but are not reported).
-    With ``cap_index=None`` no coordinate is capped: on the columns of M
-    with an empty seed, the result is exactly the Hilbert basis of
-    ``ker M intersect N^n``, the minimal nonzero solutions.
+    otherwise x extends to ``x + e_j`` only when ``v . c_j < 0``, and a new
+    vector that dominates a known minimal solution is pruned.
 
     Each node carries ``d = (v . c_l)_l`` and ``|v|^2`` instead of v: moving to
     ``x + e_j`` adds ``gram[j]`` to d and ``2 d_j + gram[j][j]`` to ``|v|^2``,
@@ -962,28 +930,27 @@ def _completion(gram: list, cap_index: int | None, seed: list, budget: int):
     count as generated nodes.  The result is None as soon as more than
     ``budget`` nodes are generated; the count only grows, so this is the
     same decision as counting to the end.  The caller then switches to the
-    lattice-geometric solver, which has predictable cost.  Otherwise the
-    result is the sorted list of the solutions found.
+    triangulation, which has predictable cost.  Otherwise the result is the
+    sorted list of the solutions found.
     """
     ncols = len(gram)
     if ncols > budget:
         return None
     found: list = []
-    index = [dict(col) for col in seed]  # the seed, then every solution found
+    index: list = [{} for _ in range(ncols)]  # index[j][v]: the solutions found with x_j = v > 0
     frontier: dict = {}
     for j in range(ncols):
         e = (0,) * j + (1,) + (0,) * (ncols - j - 1)
         if gram[j][j]:
             frontier[e] = (gram[j], gram[j][j])
-        elif e not in seed[j].get(1, ()):  # a zero column: e is a solution
+        else:  # a zero column: e is a solution, and no vector extends along it
             found.append(e)
-            index[j][1] = index[j].get(1, ()) + (e,)
     visited = ncols
     while frontier:
         nxt: dict = {}
         for x, (d, sq) in frontier.items():
             for j, dj in enumerate(d):
-                if dj >= 0 or (j == cap_index and x[j]):
+                if dj >= 0:
                     continue
                 yj = x[j] + 1
                 y = x[:j] + (yj,) + x[j + 1:]
@@ -1025,9 +992,9 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
 
     1. the box walk below that sum, unpruned (the basis is what it looks
        for), keeping its minimal nonzero points, for ``_CD_BUDGET`` units;
-    2. completion on the Gram matrix of M's columns, with no slack cap and
-       no seed, for ``_CD_BUDGET`` nodes: it yields exactly the minimal
-       nonzero solutions;
+    2. completion (``_completion``) on the Gram matrix of M's columns, for
+       ``_CD_BUDGET`` nodes: it yields exactly the minimal nonzero
+       solutions;
     3. the triangulation, enumerating the parallelepipeds directly.
 
     The two cheap tiers fail on opposite inputs.  The box of ``[A | -A]``
@@ -1035,9 +1002,7 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     finds its basis in a few hundred nodes; completion explodes on systems
     with three or more rows, whose box walk is short.  So the short walk
     goes first, and a matrix that overflows it costs one completion before
-    the triangulation.  Whether the short walk answered is kept as
-    ``walk_first``, which routes the matrix's full solves in
-    ``min_nonneg_solutions``.  Cached per matrix.
+    the triangulation.  Cached per matrix.
     """
     data = _matrix_data(M)
     if data.hilbert is None:
@@ -1053,10 +1018,10 @@ def _kernel_hilbert_basis(data: _MatrixData, basis: list, rays: list) -> list:
     bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
     zero = (0,) * data.M.cols
     points = _box_solutions(data, zero, bound, budget=_CD_BUDGET)
-    data.walk_first = points is not None
     if points is not None:
         return minimal_elements(x for x in points if x != zero)
-    found = _completion(data.gram(), None, _coordinate_index((), data.M.cols), _CD_BUDGET)
+    cols = data.M.columns()
+    found = _completion([tuple(vec_dot(a, c) for c in cols) for a in cols], _CD_BUDGET)
     return found if found is not None else _hilbert_basis_geometric(basis, rays)
 
 
@@ -1079,15 +1044,11 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     box, since ``w . b`` is the sum of the nonnegative ``x_j w . M_j``,
     and every solution in it is minimal: two of them differ by a kernel
     vector that is zero on the zero columns, and a nonnegative one is zero
-    elsewhere too.  Only a walk that overflows ``_BOX_BUDGET`` goes on to tiers 2
-    and 3 below.  Every other system takes three exact tiers, routed by
-    work budgets:
+    elsewhere too.  Only a walk that overflows ``_BOX_BUDGET`` goes on to the
+    route below.  Every other system takes the kernel Hilbert basis
+    (``hilbert_kernel``) and then two exact tiers, routed by a work budget:
 
-    1. completion on the homogenized system ``[M | -b]``, seeded with the
-       cached kernel basis and capped at 1 in the slack coordinate, which
-       gives up after ``_CD_BUDGET`` search nodes (fast when minimal
-       solutions are small);
-    2. lattice walk of the box below (sum of kernel rays) + (componentwise
+    1. lattice walk of the box below (sum of kernel rays) + (componentwise
        vertex ceiling), which bounds every minimal solution because a
        height-one point of the homogenized cone is a sub-one combination
        of kernel rays plus a convex combination of vertices, all of them
@@ -1097,13 +1058,9 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
        in H, because ``x - y`` is a nonzero element of ``ker M intersect
        N^n`` for any other solution ``y <= x``; it gives up after
        ``_BOX_BUDGET`` units of pivot-row range;
-    3. triangulation of the same rays with exact parallelepiped
+    2. triangulation of the same rays with exact parallelepiped
        enumeration, whose candidate count is the sum of simplex
        determinants.
-
-    Tier 1 runs only where ``hilbert_kernel``'s short walk did not answer
-    (``_MatrixData.walk_first``): a matrix whose kernel box is that small
-    tends to have a short walk here too, while its completion can overflow.
 
     A caller that needs only whether a solution exists should call
     ``has_nonneg_solution``, which stops at the first one.
@@ -1178,16 +1135,6 @@ def _infeasible(data: _MatrixData, b: IntVector) -> bool:
     return not data.saturated() and _particular_solution(data, b) is None
 
 
-def _homogenized_gram(data: _MatrixData, b: IntVector) -> tuple:
-    """The Gram matrix of the columns of ``[M | -b]`` and the tier-1 seed:
-    the homogenized system ``M x = t b`` as ``_completion`` reads it."""
-    columns, gram, seed = data.completion_data()
-    cross = [-vec_dot(c, b) for c in columns]  # c_l . (-b), the slack column's row
-    hgram = [row + (g,) for row, g in zip(gram, cross)]
-    hgram.append(tuple(cross) + (vec_dot(b, b),))
-    return hgram, seed
-
-
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
     if _infeasible(data, b):
         return SolutionSet.of(M.cols, [])
@@ -1198,18 +1145,12 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
             return SolutionSet.of(M.cols, points)
     if data.hilbert is None:
         hilbert_kernel(M)
-    if bound is None and not data.walk_first:
-        slack = M.cols
-        hgram, seed = _homogenized_gram(data, b)
-        quick = _completion(hgram, slack, seed, _CD_BUDGET)
-        if quick is not None:
-            return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
     return _geometric_solutions(M, data, b)
 
 
 def _geometric_solutions(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    """Tiers 2 and 3 of ``min_nonneg_solutions`` for a b that passed the
-    certificates, once ``hilbert_kernel(M)`` is cached."""
+    """The walk and the triangulation of ``min_nonneg_solutions`` for a b
+    that passed the certificates, once ``hilbert_kernel(M)`` is cached."""
     # b passed the lattice test, so x0 exists, and the cone test, so the
     # polyhedron is not empty and some ray has t > 0: bound is not None
     x0 = _particular_solution(data, b)

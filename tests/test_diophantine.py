@@ -15,7 +15,6 @@ from stdpairs.diophantine import (
     IntMatrix,
     SolutionSet,
     _completion,
-    _coordinate_index,
     _coords_in_basis,
     _extreme_rays_dd,
     _facets_of_cone,
@@ -325,31 +324,32 @@ def _homogenized_systems(rng, count):
 
 
 def test_completion_matches_reference():
-    """Same list, or None on the same inputs, as the reference completion:
-    kernel-basis and empty seeds, slack capped at 1, budgets 0..500 that
-    overflow at the start, in the middle or at the end of a level; and on
-    M alone with no cap and no seed, where it finds the Hilbert basis."""
+    """Same list, or None on the same inputs, as the reference completion,
+    on the columns of M and of ``[M | -b]``, each as a homogeneous system:
+    the least budget that suffices (the number of nodes generated), one
+    below it, and budgets 0..500 that overflow at the start, in the middle
+    or at the end of a level.  An answer is the Hilbert basis of the
+    system's kernel monoid."""
     rng = random.Random(5)
     overflowed = finished = 0
     for M, b in _homogenized_systems(rng, 40):
-        columns = M.columns() + [tuple(-e for e in b)]
-        ncols = len(columns)
-        gram = [tuple(vec_dot(p, q) for q in columns) for p in columns]
-        slack = M.cols
-        for seed in ([h + (0,) for h in hilbert_kernel(M)], []):
-            index = _coordinate_index(seed, ncols)
+        for columns in (M.columns(), M.columns() + [tuple(-e for e in b)]):
+            ncols = len(columns)
+            gram = [tuple(vec_dot(p, q) for q in columns) for p in columns]
 
             def both(budget):
-                expected = _reference_completion(columns, M.rows, cap_index=slack, seed=seed, budget=budget)
-                assert _completion(gram, slack, index, budget) == expected, (M, b, seed, budget)
+                expected = _reference_completion(columns, M.rows, budget=budget)
+                assert _completion(gram, budget) == expected, (columns, budget)
                 return expected
 
             # the least budget that suffices is the number of nodes generated
-            if both(500) is None:
+            answer = both(500)
+            if answer is None:
                 overflowed += 1
                 nodes = 501
             else:
                 finished += 1
+                assert answer == list(hilbert_kernel(IntMatrix.from_cols(columns, rows=M.rows))), columns
                 low, high = 0, 500
                 while low < high:
                     mid = (low + high) // 2
@@ -362,11 +362,6 @@ def test_completion_matches_reference():
             for budget in {0, ncols - 1, ncols, nodes - 2, nodes, *rng.sample(range(501), 5)}:
                 if 0 <= budget <= 500:
                     both(budget)
-        # hilbert_kernel's call: M's own columns, no slack cap, no seed
-        kernel_gram = [row[:slack] for row in gram[:slack]]
-        for budget in (0, M.cols, 50, 500):
-            expected = _reference_completion(M.columns(), M.rows, budget=budget)
-            assert _completion(kernel_gram, None, _coordinate_index([], M.cols), budget) == expected, (M, budget)
     assert overflowed and finished
 
 
@@ -1305,17 +1300,18 @@ def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
 
 
 def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b) -> SolutionSet:
-    """The uncached solve without the infeasibility certificates: every
-    system goes to tier 1, and tier 2 stops at a missing particular solution
-    or at a homogenized cone with no ray of height t > 0."""
+    """The uncached solve without the infeasibility certificates or the
+    graded walk: every system first goes to the completion of the
+    homogenized system ``[M | -b]``, seeded with the kernel Hilbert basis
+    and capped at 1 in the slack coordinate, then to the walk, which stops
+    at a missing particular solution or at a homogenized cone with no ray
+    of height t > 0, then to the triangulation."""
     import stdpairs.diophantine as dio
 
-    columns, gram, seed = data.completion_data()
     slack = M.cols
-    cross = [-vec_dot(c, b) for c in columns]  # c_l . (-b), the slack column's row
-    hgram = [row + (g,) for row, g in zip(gram, cross)]
-    hgram.append(tuple(cross) + (vec_dot(b, b),))
-    quick = _completion(hgram, slack, seed, dio._CD_BUDGET)
+    columns = M.columns() + [tuple(-e for e in b)]
+    seed = [h + (0,) for h in hilbert_kernel(M)]
+    quick = _reference_completion(columns, M.rows, cap_index=slack, seed=seed, budget=dio._CD_BUDGET)
     if quick is not None:
         return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
 
@@ -1413,12 +1409,13 @@ def _wide_pair_systems(rng, count):
 def test_infeasibility_certificates_are_exact(monkeypatch):
     """The certificates settle only systems without a solution: every answer
     equals the solver's without them, which always runs completion first,
-    under the default budgets, with tier 1 off, and with tiers 1 and 2 off.
-    Under the default budgets each of the three routes of the full solve
-    runs at least 20 times: the graded box walk alone on a pointed system,
-    tier 2's walk first where ``hilbert_kernel``'s short walk answered,
-    completion first elsewhere; seeded wide ``[A | -A]`` join the systems
-    there, since few of the others take the last route.  Where a particular
+    under the default budgets, with completion off, and with completion and
+    the walk's budget off.  Under the default budgets each of the two
+    routes of the full solve runs at least 20 times: the graded box walk
+    alone on a pointed system, and ``_geometric_solutions`` first, with no
+    completion once the kernel Hilbert basis is cached, on every other
+    system; seeded wide ``[A | -A]`` join the systems there, since their
+    kernel Hilbert basis comes from completion.  Where a particular
     solution exists, the span-and-cone test holds exactly when the
     homogenized cone has no ray with t > 0."""
     import stdpairs.diophantine as dio
@@ -1460,7 +1457,7 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     tiers = []
     for name in ("_box_solutions", "_completion", "_geometric_solutions", "hilbert_kernel", "_homogenized_cone"):
         monkeypatch.setattr(dio, name, _recording(tiers, name, getattr(dio, name)))
-    routes = {"pointed": 0, "walk_first": 0, "completion": 0}
+    routes = {"pointed": 0, "geometric": 0}
     wide = _wide_pair_systems(random.Random(1213), 30)
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
         for name, value in budgets.items():
@@ -1478,9 +1475,8 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
                 assert tiers == ["_box_solutions"], (M, b, tiers)
                 routes["pointed"] += 1
             elif tiers and not budgets:
-                first = [t for t in tiers if t in ("_completion", "_geometric_solutions")][0]
-                assert first == ("_geometric_solutions" if data.walk_first else "_completion"), (M, b)
-                routes["walk_first" if data.walk_first else "completion"] += 1
+                assert tiers[0] == "_geometric_solutions" and "_completion" not in tiers, (M, b, tiers)
+                routes["geometric"] += 1
     dio._MATRIX_CACHE.clear()
     assert min(routes.values()) >= 20, routes
 
@@ -1783,12 +1779,15 @@ def test_hilbert_kernel_routes_agree_with_reference(monkeypatch):
     """The three tiers of ``hilbert_kernel`` (walk, completion,
     triangulation) give the reference's basis, in order, under the default
     budgets and with both cheap tiers off; each tier answers at least 20
-    times, and the triangulation alone agrees too.  The answering tier is
-    the number of tier calls made, since each runs only when the one
-    before it overflows."""
+    times, and the triangulation alone agrees too.  Seeded wide one-row
+    ``[A | -A]``, whose short walk overflows, join the seeded kernel
+    matrices so that completion answers well above that floor.  The
+    answering tier is the number of tier calls made, since each runs only
+    when the one before it overflows."""
     import stdpairs.diophantine as dio
 
     matrices = _kernel_matrices(random.Random(15), 240)
+    matrices += [M for M, _ in _wide_pair_systems(random.Random(1783), 20)]
     expected = []
     for M in matrices:
         dio._MATRIX_CACHE.clear()
@@ -2031,9 +2030,9 @@ def test_principal_ladder_walks_a_tenth_of_the_index_order_units():
 
 
 def test_principal_ladder_full_solves_skip_completion(monkeypatch):
-    """``hilbert_kernel``'s short walk answers each ladder matrix, so its
+    """``hilbert_kernel``'s short walk answers each ladder matrix, and its
     full solve goes straight to the walk, with the completion-first
-    answer."""
+    answer: no completion runs."""
     import stdpairs.diophantine as dio
 
     systems = []
@@ -2048,24 +2047,24 @@ def test_principal_ladder_full_solves_skip_completion(monkeypatch):
 
     for M, b, expected in systems:
         dio._MATRIX_CACHE.clear()
-        hilbert_kernel(M)
-        assert dio._matrix_data(M).walk_first, b
         with monkeypatch.context() as patch:
             patch.setattr(dio, "_completion", fail)
+            hilbert_kernel(M)
             assert min_nonneg_solutions(M, b) == expected, b
     dio._MATRIX_CACHE.clear()
 
 
-def test_full_solves_run_completion_first_without_a_short_kernel_walk(monkeypatch):
-    """A one-row ``[A | -A]`` whose short kernel walk overflows keeps
-    completion as the first tier of a full solve.  A pointed A without
-    zero columns (the square cone, the Veronese cone), whose kernel has no
-    nonnegative ray and so no short walk, is answered by the graded box
-    walk alone: no completion, no kernel Hilbert basis."""
+def test_full_solves_run_no_completion_outside_the_kernel_basis(monkeypatch):
+    """A one-row ``[A | -A]`` whose short kernel walk overflows takes its
+    kernel Hilbert basis from completion, and its full solve then runs no
+    completion: the walk comes first.  A pointed A without zero columns
+    (the square cone, the Veronese cone), whose kernel has no nonnegative
+    ray and so no short walk, is answered by the graded box walk alone: no
+    completion, no kernel Hilbert basis."""
     import stdpairs.diophantine as dio
 
     def fail(*args, **kwargs):
-        raise AssertionError("should not run on a pointed system")
+        raise AssertionError("should not run")
 
     wide = IntMatrix.from_rows([[3, 4, 3, 2, -3, -4, -3, -2]])
     pointed = [(IntMatrix.from_cols(_SQUARE_CONE), (2, 2, 5)), (IntMatrix.from_cols(_VERONESE), (9, 11))]
@@ -2077,15 +2076,19 @@ def test_full_solves_run_completion_first_without_a_short_kernel_walk(monkeypatc
         dio._MATRIX_CACHE.clear()
         expected = _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)
         assert expected, (M, b)
-        assert not dio._matrix_data(M).walk_first, M
+        dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
         tiers.clear()
         with monkeypatch.context() as patch:
-            if M != wide:
-                dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
+            if M == wide:
+                hilbert_kernel(M)
+                assert tiers == ["walk", "completion"], (M, tiers)
+                tiers.clear()
+                patch.setattr(dio, "_completion", fail)
+            else:
                 for name in ("_completion", "hilbert_kernel", "_homogenized_cone"):
                     patch.setattr(dio, name, fail)
             assert min_nonneg_solutions(M, b) == expected, (M, b)
-        assert tiers[0] == ("completion" if M == wide else "walk"), (M, b, tiers)
+        assert tiers[0] == "walk", (M, b, tiers)
     dio._MATRIX_CACHE.clear()
 
 
