@@ -1,15 +1,17 @@
-"""Time the walls: the instances where a cold pipeline spends seconds.
+"""Time the walls: the instances where a cold pipeline spends seconds,
+and G8, a many-generator case whose cover takes a fraction of a second.
 
-For each of T1, T3 and P31 a fresh process builds the standard cover, the
-maximal overlap classes and the irreducible components, in that order, and
-reports per stage the seconds, the ``AffineMonoid.contains`` calls and the
-completions (calls to ``diophantine._completion``, and how many of them
-overflowed their budget), and the cover and decomposition SHA-1s
+For each of T1, T3, P31 and G8 a fresh process builds the standard cover,
+the maximal overlap classes and the irreducible components, in that
+order, and reports per stage the seconds, the ``AffineMonoid.contains``
+calls and the completions (calls to ``diophantine._completion``, and how
+many of them overflowed their budget), the cover's refinement rounds
+(calls to ``covers.cone_to_ctwo``), and the cover and decomposition SHA-1s
 (``sha1(repr(x))[:12]``, as ``tests/test_decomp.py::test_walls_golden``
 pins them).  It checks nothing: compare the SHA-1s with the test.  Run
 from anywhere:
 
-    python scripts/walls.py          # T1, T3 and P31
+    python scripts/walls.py          # T1, T3, P31 and G8
     python scripts/walls.py P31      # the named walls only
 """
 
@@ -30,11 +32,17 @@ WALLS = {
     "T1": ([(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)]),
     "T3": ([(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)]),
     "P31": ([(1, 4, 4), (1, 2, 4), (3, 4, 0), (4, 0, 3), (2, 4, 1)], [(31, 38, 35)]),
+    "G8": (
+        [(0, 3, 0), (1, 0, 3), (3, 2, 0), (2, 2, 1), (1, 1, 2)],
+        [(0, 9, 0), (1, 6, 3), (1, 7, 2), (3, 2, 4), (4, 2, 3), (4, 3, 2), (5, 4, 1), (6, 4, 0)],
+    ),
 }
 
 
 def measure(name: str) -> dict:
-    """One wall, in this process: stage seconds, contains calls and completions, SHA-1s."""
+    """One wall, in this process: stage seconds, contains calls, completions
+    and refinement rounds, SHA-1s."""
+    import stdpairs.covers as covers
     import stdpairs.diophantine as diophantine
     from stdpairs import AffineMonoid, IntMatrix, MonomialIdeal
     from stdpairs.decomp import irreducible_decomposition, maximal_overlap_classes
@@ -50,6 +58,9 @@ def measure(name: str) -> dict:
     asked = []  # one entry per contains call: the stage that asked it (the ideal's own are not reported)
     contains = AffineMonoid.contains
     AffineMonoid.contains = lambda self, b: asked.append(stage) or contains(self, b)
+    rounds = []  # one entry per refinement round: the stage that ran it
+    cone_to_ctwo = covers.cone_to_ctwo
+    covers.cone_to_ctwo = lambda cover, I: rounds.append(stage) or cone_to_ctwo(cover, I)
     stage = "ideal"
     diophantine._completion = counted
     cols, gens = WALLS[name]
@@ -67,6 +78,7 @@ def measure(name: str) -> dict:
     done = time.perf_counter()
     diophantine._completion = completion
     AffineMonoid.contains = contains
+    covers.cone_to_ctwo = cone_to_ctwo
     stages = ("cover", "classes", "components")
     return {
         "name": name,
@@ -76,6 +88,7 @@ def measure(name: str) -> dict:
         "contains": [asked.count(s) for s in stages],
         "completions": [sum(s == t for t, _ in completions) for s in stages],
         "overflows": [sum(s == t for t, o in completions if o) for s in stages],
+        "rounds": rounds.count("cover"),
         "cover_sha": digest(cover),
         "decomposition_sha": digest(decomposition),
     }
@@ -91,7 +104,10 @@ def main(argv: list) -> int:
         print(f"unknown walls {unknown}; known: {list(WALLS)}", file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    print("name  cover_s  classes_s  components_s  contains per stage  completions per stage (overflows)  cover / decomposition SHA-1")
+    print(
+        "name  cover_s  classes_s  components_s  contains per stage  completions per stage (overflows)"
+        "  cover rounds  cover / decomposition SHA-1"
+    )
     for name in names:
         out = subprocess.run(
             [sys.executable, __file__, "--one", name], env=env, check=True, capture_output=True, text=True
@@ -101,6 +117,7 @@ def main(argv: list) -> int:
             f"{name:<5} {r['cover_s']:>7.2f}  {r['classes_s']:>9.2f}  {r['components_s']:>12.2f}"
             f"  {'/'.join(map(str, r['contains'])):>18}"
             f"  {'/'.join(map(str, r['completions'])) + ' (' + '/'.join(map(str, r['overflows'])) + ')':>33}"
+            f"  {r['rounds']:>12}"
             f"  {r['cover_sha']} / {r['decomposition_sha']}"
         )
     return 0

@@ -99,14 +99,8 @@ def document_lines(target) -> list:
         return lines
     if isinstance(target, Cover):
         pairs = target.pairs()
-        if not pairs:
-            lines.append("MONOID")
-            lines.extend(_matrix_lines(IntMatrix.zero(0, 0)))
-            lines.extend(_cover_lines(target))
-            return lines
-        monoid = pairs[0].ideal.ambient
         lines.append("MONOID")
-        lines.extend(_matrix_lines(monoid.gens))
+        lines.extend(_matrix_lines(pairs[0].ideal.ambient.gens if pairs else IntMatrix.zero(0, 0)))
         lines.extend(_cover_lines(target))
         return lines
     raise ValueError(f"cannot save object of type {type(target).__name__}")
@@ -277,9 +271,21 @@ def load(path: str):
     return ideal
 
 
+# The cached results an archive stores, by cache key and section name.
+_STORED_SECTIONS = (
+    ("standard_cover", "COVER"),
+    ("overlap_classes", "OVERLAP"),
+    ("associated_primes", "ASSOCIATED"),
+    ("irreducible_decomposition", "DECOMPOSITION"),
+)
+
+
 def verify(obj) -> None:
-    """Re-check cached results attached to a loaded object; raises on mismatch."""
-    from .covers import standard_cover
+    """Re-check cached results attached to a loaded object; raises on mismatch.
+
+    For an ideal, every stored cover pair must be proper, and each stored
+    section must equal its recomputation by the ``MonomialIdeal`` method of
+    the same name, made after every cached result is dropped."""
     from .pairs import is_proper
 
     if isinstance(obj, AffineMonoid):
@@ -290,24 +296,15 @@ def verify(obj) -> None:
                 raise ArchiveError(f"cover pair base {p.base} is outside the monoid")
         return
     if isinstance(obj, MonomialIdeal):
-        cache = dict(obj._cache)
-        if "standard_cover" in cache:
-            stored = cache["standard_cover"]
-            for p in stored.pairs():
+        if "standard_cover" in obj._cache:
+            for p in obj._cache["standard_cover"].pairs():
                 if not is_proper(p):
                     raise ArchiveError(f"stored cover pair ({p.base}, {p.face}) is not proper")
-            obj._cache.pop("standard_cover")
-            recomputed = standard_cover(obj)
-            if recomputed != stored:
-                raise ArchiveError("stored standard cover disagrees with recomputation")
-        if "irreducible_decomposition" in cache:
-            comps = cache["irreducible_decomposition"]
-            if comps:
-                meet = comps[0]
-                for W in comps[1:]:
-                    meet = meet.intersect(W)
-                if meet != obj:
-                    raise ArchiveError("stored decomposition does not intersect to the ideal")
+        stored = {key: obj._cache[key] for key, _ in _STORED_SECTIONS if key in obj._cache}
+        obj._cache.clear()
+        for key, section in _STORED_SECTIONS:
+            if key in stored and getattr(obj, key)() != stored[key]:
+                raise ArchiveError(f"stored {section} section disagrees with recomputation")
         return
     raise ValueError(f"cannot verify object of type {type(obj).__name__}")
 
@@ -316,9 +313,7 @@ def verify(obj) -> None:
 # deduplication
 
 def _dedup_key(item) -> str:
-    if isinstance(item, (AffineMonoid, MonomialIdeal)):
-        return item.hash_string
-    if isinstance(item, ProperPair):
+    if isinstance(item, (AffineMonoid, MonomialIdeal, ProperPair)):
         return item.hash_string
     if isinstance(item, IntMatrix):
         return item.to_token()

@@ -20,11 +20,12 @@ The pipeline:
    (``czero_to_cone``), then re-expand each pair to every containing face
    that keeps it proper (``cone_to_ctwo``).  The rounds can nest pairs
    again, so nested pairs are pruned at the fixpoint too.
-4. ``standard_cover``: start from {(0, A)} and fold the generators in
-   one at a time: difference each standing pair against (g, A) for the
-   new generator g and prune the nested pieces (``_prune_nested``), then
-   re-standardize.  The first cut is the principal cover of step 2 and
-   needs only the prune.
+4. ``standard_cover``: start from {(0, A)} and cut the generators in
+   one at a time: difference each standing piece against (g, A) for the
+   new generator g and prune the nested pieces (``_prune_nested``).  The
+   pieces left after the last generator cover std(I), and one run of step
+   3 refines them to the standard cover.  A principal ideal's one cut is
+   the principal cover of step 2 and needs only the prune.
 
 Every solve runs over the monoid's kept minimal generators
 (``AffineMonoid.kept_of``), so no cover depends on how the monoid's
@@ -38,7 +39,6 @@ from dataclasses import dataclass
 from operator import le
 
 from .diophantine import (
-    IntMatrix,
     IntVector,
     _lattice_reduce,
     _matrix_data,
@@ -233,8 +233,15 @@ def _slice_pairs(m: int, gens: tuple, memo: dict) -> list:
 
 def pair_difference(pair: ProperPair, other: ProperPair) -> Cover:
     """Pairs over faces of G covering ``(b + NG) \\ (b' + NG')``, anchored
-    to ``pair``'s ambient ideal (``_difference``)."""
-    return _anchored(_difference(pair, other), pair.ideal)
+    to ``pair``'s ambient ideal (``_difference``).
+
+    Requires G <= G' (as column sets) and a common ambient monoid."""
+    monoid = pair.ideal.ambient
+    if monoid != other.ideal.ambient:
+        raise ValueError("pairs live over different ambient monoids")
+    if not set(pair.face) <= set(other.face):
+        raise ValueError("pair difference requires the first face inside the second")
+    return _anchored(_difference(monoid, pair.base, pair.face, other.base, other.face), pair.ideal)
 
 
 def _anchored(pairs, I: MonomialIdeal) -> Cover:
@@ -242,11 +249,13 @@ def _anchored(pairs, I: MonomialIdeal) -> Cover:
     return Cover.from_pairs(ProperPair(base, face, I, skip_check=True) for base, face in pairs)
 
 
-def _difference(pair: ProperPair, other: ProperPair) -> list:
-    """``(base, face)`` tuples over faces of G covering ``(b + NG) \\ (b' + NG')``.
+def _difference(monoid: AffineMonoid, base: IntVector, face: Face, other_base: IntVector, other_face: Face) -> list:
+    """``(base, face)`` tuples over faces of G covering ``(b + NG) \\ (b' + NG')``,
+    for ``(b, G) = (base, face)`` and ``(b', G') = (other_base, other_face)``
+    over ``monoid``.
 
-    Requires G <= G' (as column sets) and a common ambient monoid.  The
-    caller decides what properness means for the output pairs.
+    The caller ensures G <= G' (as column sets) and decides what
+    properness means for the output pairs.
 
     The solve runs over the kept columns of both faces: ``b + NG`` is
     ``b + N K`` for K the kept columns of G, and likewise for G'.  Each
@@ -266,14 +275,8 @@ def _difference(pair: ProperPair, other: ProperPair) -> list:
     is proper, and it strictly contains ``(u, V)``, against its maximality.
     So V is F's kept columns, and every output pair lies on a face.
     """
-    monoid = pair.ideal.ambient
-    if monoid != other.ideal.ambient:
-        raise ValueError("pairs live over different ambient monoids")
-    g_idx, go_idx = pair.face, other.face
-    if not set(g_idx) <= set(go_idx):
-        raise ValueError("pair difference requires the first face inside the second")
-    kept = monoid.kept_of(g_idx)
-    sols = monoid.meet(pair.base, kept, other.base, monoid.kept_of(go_idx))
+    kept = monoid.kept_of(face)
+    sols = monoid.meet(base, kept, other_base, monoid.kept_of(other_face))
     m = len(kept)
     u_parts = [s[:m] for s in sols]
     if any(all(x == 0 for x in u) for u in u_parts):
@@ -281,7 +284,7 @@ def _difference(pair: ProperPair, other: ProperPair) -> list:
     gsub = monoid.submatrix(kept)
     stds = poly_standard_pairs(PolyMonomialIdeal(m, u_parts))
     faces = {free: monoid.face_closure(kept[i] for i in free) for free in {std.free for std in stds}}
-    return [(vec_add(pair.base, gsub.mul(std.base)), faces[std.free]) for std in stds]
+    return [(vec_add(base, gsub.mul(std.base)), faces[std.free]) for std in stds]
 
 
 def principal_cover(I: MonomialIdeal) -> Cover:
@@ -393,11 +396,12 @@ def _check_loop_cap(loop_cap: int) -> None:
 
 
 def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """Refine a cover of std(I) by pairs over faces to the standard cover
-    (fixpoint of the two steps, then pruned), within ``loop_cap >= 1``
-    refinement iterations.  The input may hold nested pairs, and its pairs
-    may be anchored to any ideal over I's monoid; ``czero_to_cone``
-    anchors every pair it emits to I."""
+    """Refine a cover of std(I) by pairs over faces, such as the cut and
+    pruned pieces of ``standard_cover``, to the standard cover (fixpoint
+    of the two steps, then pruned), within ``loop_cap >= 1`` refinement
+    iterations.  The input may hold nested pairs, and its pairs may be
+    anchored to any ideal over I's monoid; ``czero_to_cone`` anchors every
+    pair it emits to I."""
     _check_loop_cap(loop_cap)
     current = cover
     for _ in range(loop_cap):
@@ -409,35 +413,33 @@ def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> C
 
 
 def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """The standard cover of a proper monomial ideal (memoized), refining
-    each generator fold within ``loop_cap >= 1`` iterations.
+    """The standard cover of a proper monomial ideal (memoized), refined
+    once within ``loop_cap >= 1`` iterations.
 
-    Each fold cuts the standing cover against the new generator and
-    prunes the pieces.  A pair dropped lies inside one kept, so the pieces
-    still cover std of the generators cut so far; after the first fold they
-    are refined over the ideal of those generators, the last fold over I
-    itself, so every pair is anchored to I.  The standard cover is unique,
-    so the prune changes no answer; it only spares the refinement the
-    nested pieces.  The ideal with no generators gets {(0, top)}."""
+    Each generator g cuts every standing piece against ``(g, top)``, and
+    the pieces are pruned.  A cut removes exactly ``g + NA`` and a pair
+    dropped lies inside one kept, so after the last generator the pieces
+    cover std(I) by pairs over faces, and one ``cover_to_standard`` over I
+    turns them into the standard cover, which is unique.  A principal
+    ideal's pruned cut is already standard and is not refined; the ideal
+    with no generators gets {(0, top)}."""
     _check_loop_cap(loop_cap)
     if "standard_cover" in I._cache:
         return I._cache["standard_cover"]
     monoid = I.ambient
     gens = I.gens.columns()
-    cover = _anchored([((0,) * monoid.dim, monoid.top)], I)
+    pieces = [((0,) * monoid.dim, monoid.top)]
     for i, g in enumerate(gens, 1):
-        cutter = ProperPair(g, monoid.top, I, skip_check=True)
-        pieces = [(q.base, q.face) for p in cover.pairs() for q in pair_difference(p, cutter).pairs()]
-        cover = _anchored(_prune_nested(monoid, pieces), I)
-        if i > 1:
-            prefix = IntMatrix.from_cols(gens[:i], rows=monoid.dim)
-            sub = I if i == len(gens) else MonomialIdeal(monoid, prefix, _trusted=True)
-            cover = cover_to_standard(cover, sub, loop_cap=loop_cap)
+        cuts = [q for base, face in pieces for q in _difference(monoid, base, face, g, monoid.top)]
+        pieces = _prune_nested(monoid, cuts)
         log.info(
             "Cover for %d generator%s was calculated. %d generators are left.",
             i,
             "s" if i > 1 else "",
             len(gens) - i,
         )
+    cover = _anchored(pieces, I)
+    if len(gens) > 1:
+        cover = cover_to_standard(cover, I, loop_cap=loop_cap)
     I._cache["standard_cover"] = cover
     return cover

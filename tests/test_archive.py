@@ -220,3 +220,38 @@ def test_verify_detects_tampered_cover(tmp_path, paper_monoid):
     loaded = load(path)
     with pytest.raises(ArchiveError):
         sp.verify(loaded)
+
+_GOLDEN_TAMPERS = {
+    # a proper pair dropped: the cover no longer covers std(I)
+    "COVER": ("COVER\n9\n;3 1\n;4 1\n;4 2\n;5 3\n", "COVER\n8\n;3 1\n;4 1\n;4 2\n"),
+    # one overlap class moved to another base over the same face
+    "OVERLAP": ("1;1\n1;3 3\n", "1;1\n1;4 4\n"),
+    # the zero face renamed to the top face
+    "ASSOCIATED": ("ASSOCIATED\n3\n\n", "ASSOCIATED\n3\n0,1,2,3\n"),
+    # the ideal itself added as a component: the components still intersect to I
+    "DECOMPOSITION": ("DECOMPOSITION\n3\n", "DECOMPOSITION\n4\n2 3\n3 5 6\n2 1 1\n"),
+}
+
+
+@pytest.mark.parametrize("section", sorted(_GOLDEN_TAMPERS))
+def test_verify_checks_every_stored_section(tmp_path, section):
+    """The golden-session ideal saved with all of its caches verifies, and
+    tampering any one stored section, in a way that still loads, makes
+    ``verify`` raise an ``ArchiveError`` naming that section."""
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 2, 3], [1, 2, 0, 0]]))
+    I = sp.MonomialIdeal(Q, IntMatrix.from_rows([[3, 5, 6], [2, 1, 1]]))
+    I.overlap_classes()
+    I.associated_primes()
+    I.irreducible_decomposition()
+    path = str(tmp_path / "golden.txt")
+    save(I, path)
+    sp.verify(load(path))
+    old, new = _GOLDEN_TAMPERS[section]
+    with open(path) as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+    loaded = load(path)
+    with pytest.raises(ArchiveError, match=f"stored {section} section"):
+        sp.verify(loaded)

@@ -175,8 +175,8 @@ def test_domain_error_exit_code(tmp_path, capsys):
 
 
 def two_round_ideal_file(tmp_path):
-    """An ideal one of whose generator folds needs two refinement rounds
-    even after its pieces are pruned."""
+    """An ideal whose cover refinement needs two rounds even though its
+    pieces are pruned."""
     Q = sp.AffineMonoid(IntMatrix.from_rows([[4, 1, 0, 2], [2, 4, 3, 4], [4, 2, 1, 3]]))
     path = str(tmp_path / "ideal.txt")
     sp.save(sp.MonomialIdeal(Q, IntMatrix.from_cols([(8, 17, 12), (7, 25, 14), (3, 14, 7)])), path)

@@ -740,8 +740,8 @@ def test_cover_to_standard_anchors_its_output_to_the_ideal():
     """Pairs anchored to another ideal come back anchored to I, whether the
     first round already reaches the fixpoint (I's own standard cover) or
     not (the principal cover of the first generator cut by the second).
-    The generator fold refines its last cut over I itself, so its pairs
-    are anchored to I too."""
+    The generator fold refines its pieces once, over I itself, so its
+    pairs are anchored to I too."""
     Q = AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
     I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 1), (3, 5)]))
     J = MonomialIdeal(Q, IntMatrix.from_cols([(2, 1)]))
@@ -820,9 +820,8 @@ def test_principal_difference_holds_nested_pairs_the_prune_drops():
     import stdpairs.covers as covers
 
     I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(_VERONESE)), IntMatrix.from_cols([(9, 11)]))
-    whole = ProperPair((0, 0), I.ambient.top, I, skip_check=True)
-    shifted = ProperPair((9, 11), I.ambient.top, I, skip_check=True)
-    raw = covers._difference(whole, shifted)
+    top = I.ambient.top
+    raw = covers._difference(I.ambient, (0, 0), top, (9, 11), top)
     nested = {small for small, _ in nested_pairs(_VERONESE, raw)}
     assert len(nested) == len(raw) - 18 > 0
     assert {(p.base, p.face) for p in principal_cover(I).pairs()} == set(raw) - nested
@@ -851,10 +850,13 @@ def _reference_standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
 
 
 # The draws of ``_two_round_instances`` kept: those among the first 400
-# whose library cover needs two refinement rounds in some fold and whose
-# ``_reference_standard_cover`` took under 0.2 s (30 of the 400 need two
-# rounds, 13 more took over 2 s and were not tried to the end).
-_TWO_ROUND_DRAWS = (6, 32, 36, 94, 119, 142, 205, 210, 217, 224, 242, 273, 338, 362, 365)
+# whose library cover needs two refinement rounds and whose
+# ``_reference_standard_cover`` took under 0.2 s (31 of the 400 need two
+# rounds and none needs more; 6 of the 31 took longer).
+_TWO_ROUND_DRAWS = (
+    6, 32, 36, 94, 114, 119, 142, 202, 205, 210, 217, 224, 225,
+    242, 273, 284, 306, 309, 328, 338, 342, 345, 347, 353, 360,
+)
 
 
 def _two_round_instances() -> list:
@@ -873,6 +875,25 @@ def _two_round_instances() -> list:
     return out
 
 
+def _many_generator_instances() -> list:
+    """The first 40 ideals with 4 or more minimal generators over 2-3 row,
+    3-5 column monoids with entries 0..3, drawn by ``random.Random(11)``:
+    each ideal samples 4-8 points of the monoid's box of height 3 whose
+    coordinates sum to t or t + 1, for t in 6..10."""
+    rng = random.Random(11)
+    out = []
+    while len(out) < 40:
+        d, n = rng.randint(2, 3), rng.randint(3, 5)
+        cols = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(n)]
+        t = rng.randint(6, 10)
+        layer = sorted(b for b in monoid_box(cols, 3) if t <= sum(b) <= t + 1)
+        gens = rng.sample(layer, min(len(layer), rng.randint(4, 8)))
+        I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=d)), IntMatrix.from_cols(gens, rows=d))
+        if I.gens.cols >= 4:
+            out.append(I)
+    return out
+
+
 def _fold_check_ideals() -> list:
     """The acceptance and seeded instances, T1, T3 and the two-round family."""
     ideals = list(random_instances())
@@ -888,7 +909,7 @@ def _fold_check_ideals() -> list:
 
 def test_two_round_family_needs_two_rounds():
     """Every ideal of the family overflows a loop cap of 1 and fits in 2,
-    so it keeps the fixpoint loop of a pruned fold at work."""
+    so it keeps the fixpoint loop of the one refinement at work."""
     for I in _two_round_instances():
         with pytest.raises(LoopCapExceeded):
             standard_cover(I, loop_cap=1)
@@ -896,20 +917,52 @@ def test_two_round_family_needs_two_rounds():
 
 
 def test_standard_cover_equals_unpruned_fold_reference():
-    """Pruning each fold's pieces before refining them changes no cover and
-    no decomposition: the prune drops only pairs inside kept ones, so the
-    refinement gets a cover of the same set, and the standard cover is
-    unique."""
-    for I in _fold_check_ideals():
+    """Cutting and pruning every generator and refining once changes no
+    cover and no decomposition against refining every fold: each cut
+    removes exactly its generator's translate and the prune drops only
+    pairs inside kept ones, so the one refinement gets a cover of std(I),
+    and the standard cover is unique."""
+    for I in _fold_check_ideals() + _many_generator_instances():
         J = MonomialIdeal(I.ambient, I.gens)  # a fresh copy: nothing memoized
         J._cache["standard_cover"] = _reference_standard_cover(J)
         assert repr(standard_cover(I)) == repr(J.standard_cover()), I
         assert repr(irreducible_decomposition(I)) == repr(irreducible_decomposition(J)), I
 
 
+def test_standard_cover_refines_once_and_builds_no_prefix_ideal(monkeypatch):
+    """``cover_to_standard`` runs once for an ideal with two or more
+    minimal generators and never for a principal or empty one, and no
+    ``MonomialIdeal`` is built while the cover is: the fold cuts and prunes
+    raw pieces and refines them over I itself."""
+    import stdpairs.covers as covers
+
+    refinements, built = [], []
+    original, init = covers.cover_to_standard, MonomialIdeal.__init__
+
+    def recording(cover, I, loop_cap=1000):
+        refinements.append(I)
+        return original(cover, I, loop_cap=loop_cap)
+
+    def building(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    ideals = _many_generator_instances()[:10] + _two_round_instances()
+    for cols, gens in [(_VERONESE, []), (_VERONESE, [(9, 11)]), (_SQUARE_CONE, [(4, 2, 5)])]:
+        ideals.append(MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols)), IntMatrix.from_cols(gens, rows=len(cols[0]))))
+    assert {I.gens.cols for I in ideals} >= {0, 1, 2, 3, 4}
+    monkeypatch.setattr(covers, "cover_to_standard", recording)
+    monkeypatch.setattr(MonomialIdeal, "__init__", building)
+    for I in ideals:
+        refinements.clear()
+        standard_cover(I)
+        assert refinements == ([I] if I.gens.cols > 1 else []), I
+        assert built == [], I
+
+
 def test_cover_to_standard_gets_no_nested_pair(monkeypatch):
-    """Each fold after the first hands ``cover_to_standard`` its pruned
-    pieces: no pair of its input lies inside another (``nested_pairs``)."""
+    """The fold hands ``cover_to_standard`` its pruned pieces: no pair of
+    its input lies inside another (``nested_pairs``)."""
     import stdpairs.covers as covers
 
     inputs = []

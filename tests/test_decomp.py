@@ -504,7 +504,8 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
 
 
 # The walls: a cold pipeline takes up to seconds on each, most of it in
-# the covers of T3 and P31 (scripts/walls.py times every stage).
+# the covers of T3 and P31, and G8, an ideal with 8 minimal generators
+# (scripts/walls.py times every stage).
 @pytest.mark.parametrize(
     "cols, gens, cover_sha, decomposition_sha",
     [
@@ -519,6 +520,11 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
         pytest.param(
             [(1, 4, 4), (1, 2, 4), (3, 4, 0), (4, 0, 3), (2, 4, 1)], [(31, 38, 35)],
             "abf840e2e808", "ea27308cf9d6", id="P31",
+        ),
+        pytest.param(
+            [(0, 3, 0), (1, 0, 3), (3, 2, 0), (2, 2, 1), (1, 1, 2)],
+            [(0, 9, 0), (1, 6, 3), (1, 7, 2), (3, 2, 4), (4, 2, 3), (4, 3, 2), (5, 4, 1), (6, 4, 0)],
+            "78cf361ea4c2", "c8b7bb5c85b0", id="G8",
         ),
     ],
 )
