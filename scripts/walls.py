@@ -1,7 +1,15 @@
 """Time the walls: the instances where a cold pipeline spends seconds,
 and G8, a many-generator case whose cover takes a fraction of a second.
 
-For each of T1, T3, P31 and G8 a fresh process builds the standard cover,
+T1, T3, P31 and G8 are 3-row monoids.  L1, L2 and L3 are principal ideals
+over 2-row monoids whose covers spend seconds to minutes in one
+triangulation (solver tier 3); their cover / decomposition SHA-1s are
+L3 ``9373a2425c61`` / ``96826435c5f3``, L2 ``25f9d5e316f9`` /
+``d70afd089f7f`` and L1 ``9ef9731e2045`` / ``6686e0fdcc9d``.  L3 (about
+15 s) runs by default; L2 and L1 (about two and three minutes) run only
+when named.
+
+For each wall a fresh process builds the standard cover,
 the maximal overlap classes and the irreducible components, in that
 order, and reports per stage the seconds, the ``AffineMonoid.contains``
 calls and the completions (calls to ``diophantine._completion``, and how
@@ -11,8 +19,8 @@ many of them overflowed their budget), the cover's refinement rounds
 pins them).  It checks nothing: compare the SHA-1s with the test.  Run
 from anywhere:
 
-    python scripts/walls.py          # T1, T3, P31 and G8
-    python scripts/walls.py P31      # the named walls only
+    python scripts/walls.py          # T1, T3, P31, G8 and L3
+    python scripts/walls.py P31 L1   # the named walls only
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# name -> (monoid columns, ideal generators), all in dimension 3
+# name -> (monoid columns, ideal generators)
 WALLS = {
     "T1": ([(2, 4, 4), (4, 0, 1), (4, 2, 2), (0, 0, 3), (3, 0, 2)], [(18, 6, 10)]),
     "T3": ([(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)], [(6, 15, 12), (2, 7, 6), (7, 17, 14)]),
@@ -36,7 +44,11 @@ WALLS = {
         [(0, 3, 0), (1, 0, 3), (3, 2, 0), (2, 2, 1), (1, 1, 2)],
         [(0, 9, 0), (1, 6, 3), (1, 7, 2), (3, 2, 4), (4, 2, 3), (4, 3, 2), (5, 4, 1), (6, 4, 0)],
     ),
+    "L3": ([(2, 1), (2, 9), (6, 7), (7, 8), (8, 7)], [(42, 47)]),
+    "L2": ([(1, 9), (2, 7), (3, 9), (5, 2), (5, 4)], [(17, 30)]),
+    "L1": ([(1, 3), (1, 9), (5, 5), (5, 8), (9, 0)], [(37, 39)]),
 }
+BY_NAME_ONLY = ("L2", "L1")  # minutes each
 
 
 def measure(name: str) -> dict:
@@ -64,7 +76,8 @@ def measure(name: str) -> dict:
     stage = "ideal"
     diophantine._completion = counted
     cols, gens = WALLS[name]
-    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3))
+    rows = len(cols[0])
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=rows)), IntMatrix.from_cols(gens, rows=rows))
     digest = lambda x: hashlib.sha1(repr(x).encode()).hexdigest()[:12]
     start = time.perf_counter()
     stage = "cover"
@@ -98,7 +111,7 @@ def main(argv: list) -> int:
     if argv[:1] == ["--one"]:
         print(json.dumps(measure(argv[1])))
         return 0
-    names = argv or list(WALLS)
+    names = argv or [n for n in WALLS if n not in BY_NAME_ONLY]
     unknown = [n for n in names if n not in WALLS]
     if unknown:
         print(f"unknown walls {unknown}; known: {list(WALLS)}", file=sys.stderr)

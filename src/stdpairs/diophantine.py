@@ -46,10 +46,15 @@ Most systems the library solves are pointed: the sum w of the facet
 normals, a grading, is positive on every nonzero column, so ``w . b``
 bounds every solution and ``ker M`` holds no nonzero nonnegative vector
 off the zero columns.  One box walk in that graded box answers them, with
-no kernel Hilbert basis (``_MatrixData.graded_box``).  Every other system
-takes one route: the kernel Hilbert basis, then the box walk in the
-homogenized cone's box, pruned by that basis, and the triangulation only
-when the walk outgrows its budget, so the worst case stays predictable.
+no kernel Hilbert basis (``_MatrixData.graded_box``).  A matrix holding
+a column and its negation, as a pair system ``[A_L | -A_R]`` does for
+each column on both sides, is answered on the merged matrix with one
+coordinate free in sign per such pair, by one box walk and a conformal
+filter, again with no kernel Hilbert basis (``_signed_solutions``).
+Every other system, and one whose walk overflows, takes one route: the
+kernel Hilbert basis, then the box walk in the homogenized cone's box,
+pruned by that basis, and the triangulation only when the walk outgrows
+its budget, so the worst case stays predictable.
 The kernel Hilbert basis itself has three tiers: the two cheap ones first,
 a short box walk and then a budgeted Contejean-Devie completion, because
 they fail on opposite inputs; only then the triangulation
@@ -65,7 +70,7 @@ pointed system, the same walk, stopping at the first solution it finds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import add, le, mul, sub
 from typing import Iterable, Iterator, Sequence
@@ -289,6 +294,7 @@ class _MatrixData:
     _echelon: tuple | None = None
     _walk: list | None = None
     _prune: tuple | None = None
+    _signed: tuple | None = None
 
     def cone(self):
         """``(normals, equations)``: the primitive inner facet normals and
@@ -404,6 +410,50 @@ class _MatrixData:
             self._walk = plan
         return self._walk
 
+    def signed(self):
+        """``(merged, pairs, rows, bases, slack)`` for a matrix with negation
+        pairs (``_negation_pairs``), ``()`` for one without.
+
+        ``merged`` is the solver data of M', M without the second column of
+        each pair, outside ``_MATRIX_CACHE``; ``pairs`` holds, per column of
+        M', its index in M and its partner's, or None for an unpaired column,
+        whose coordinate stays nonnegative.  ``rows`` are r independent rows
+        of M', r its rank, and ``bases`` the ``(B, d B^-1, d)`` of every
+        nonsingular block of M' on those rows and r columns B
+        (``_integer_inverse``).  ``slack`` is, per column, the sum of
+        ``|c_j|`` over the primitive circuits c of M' (one per support, up
+        to sign) whose unpaired entries share a sign: the circuits that lie
+        in some orthant the sign constraints allow.  Every circuit is the
+        kernel vector on a basis plus one more column."""
+        if self._signed is None:
+            cols = self.M.columns()
+            partner = _negation_pairs(cols)
+            self._signed = ()
+            if partner:
+                taken = set(partner.values())
+                pairs = [(j, partner.get(j)) for j in range(len(cols)) if j not in taken]
+                merged = [cols[j] for j, _ in pairs]
+                rows = _fraction_free_reduce([list(c) for c in merged], self.M.rows)[0]
+                sub = [tuple(c[i] for i in rows) for c in merged]
+                n, bases, circuits = len(merged), [], set()
+                for B in combinations(range(n), len(rows)):
+                    found = _integer_inverse(list(zip(*(sub[j] for j in B))))
+                    if found is None:
+                        continue
+                    inv, d = found
+                    bases.append((B, inv, d))
+                    for k in set(range(n)) - set(B):
+                        c = [0] * n
+                        c[k] = d
+                        for j, row in zip(B, inv):
+                            c[j] = -vec_dot(row, sub[k])
+                        c = primitive(c)
+                        if len({v > 0 for v, (_, q) in zip(c, pairs) if v and q is None}) < 2:
+                            circuits.add(max(c, tuple(-v for v in c)))
+                slack = tuple(sum(abs(c[j]) for c in circuits) for j in range(n))
+                self._signed = (_MatrixData(IntMatrix.from_cols(merged, rows=self.M.rows)), pairs, rows, bases, slack)
+        return self._signed
+
     def prune_plan(self, above):
         """The vectors h of ``above`` (nonzero kernel vectors) grouped by the
         walk level that determines the last row of their support: per level i,
@@ -425,10 +475,23 @@ class _MatrixData:
         return self._prune[1]
 
 
+def _negation_pairs(columns: list) -> dict:
+    """``partner[j] = k`` for each nonzero column j followed by a column k
+    equal to its negation: the first later one that no earlier column took.
+    A column is in at most one pair."""
+    waiting, partner = {}, {}  # waiting[v]: unpaired earlier columns equal to -v
+    for k, c in enumerate(columns):
+        if waiting.get(c):
+            partner[waiting[c].pop(0)] = k
+        elif any(c):
+            waiting.setdefault(tuple(-a for a in c), []).append(k)
+    return partner
+
+
 def _walk_order(columns: list) -> list:
-    """The order in which ``reduction`` visits the x-rows: each nonzero
-    column is followed by the first unused later column equal to its
-    negation, and every other column keeps its place.
+    """The order in which ``reduction`` visits the x-rows: each column j of
+    a negation pair (``_negation_pairs``) is followed by its partner, and
+    every other column keeps its place.
 
     A pair difference ``[G | -G']`` has the kernel vector ``(e_j, e_k)``
     for every column j of G equal to column k of G'.  An echelon column
@@ -436,14 +499,12 @@ def _walk_order(columns: list) -> list:
     the walk has fixed the columns whose pivots come no later than it.
     With the two rows next to each other, the box walk settles such a
     vector (prunes it, or cuts the range of its rows) early, instead of at
-    the last level.
+    the last level.  A full solve of a matrix with negation pairs walks
+    the merged matrix instead (``_signed_solutions``), so this order
+    serves ``hilbert_kernel`` on such matrices: called directly, or after
+    the signed walk overflowed.
     """
-    waiting, partner = {}, {}  # waiting[v]: unpaired earlier columns equal to -v
-    for k, c in enumerate(columns):
-        if waiting.get(c):
-            partner[waiting[c].pop(0)] = k
-        elif any(c):
-            waiting.setdefault(tuple(-a for a in c), []).append(k)
+    partner = _negation_pairs(columns)
     paired = set(partner.values())
     order = []
     for j in range(len(columns)):
@@ -1044,9 +1105,13 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     box, since ``w . b`` is the sum of the nonnegative ``x_j w . M_j``,
     and every solution in it is minimal: two of them differ by a kernel
     vector that is zero on the zero columns, and a nonnegative one is zero
-    elsewhere too.  Only a walk that overflows ``_BOX_BUDGET`` goes on to the
-    route below.  Every other system takes the kernel Hilbert basis
-    (``hilbert_kernel``) and then two exact tiers, routed by a work budget:
+    elsewhere too.  A matrix with negation pairs (``_negation_pairs``) is
+    answered on the merged matrix M', one column per pair and that
+    coordinate free in sign, by one unpruned box walk over ``ker M'`` and
+    a conformal-minimality filter (``_signed_solutions``).  Only a walk that
+    overflows ``_BOX_BUDGET`` goes on to the route below.  Every other
+    system takes the kernel Hilbert basis (``hilbert_kernel``) and then two
+    exact tiers, routed by a work budget:
 
     1. lattice walk of the box below (sum of kernel rays) + (componentwise
        vertex ceiling), which bounds every minimal solution because a
@@ -1141,11 +1206,54 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
     bound = data.graded_box(b)
     if bound is not None:
         points = _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET)
-        if points is not None:
-            return SolutionSet.of(M.cols, points)
+    else:
+        points = _signed_solutions(data, b) if data.signed() else None
+    if points is not None:
+        return SolutionSet.of(M.cols, points)
     if data.hilbert is None:
         hilbert_kernel(M)
     return _geometric_solutions(M, data, b)
+
+
+def _signed_solutions(data: _MatrixData, b: IntVector):
+    """The minimal solutions of ``M x = b``, for a b past the certificates
+    and a matrix with negation pairs, by one unpruned walk on the merged
+    matrix M' of ``_MatrixData.signed``; None when the walk overflows
+    ``_BOX_BUDGET``.
+
+    A pair's coordinate w_j of M' is free in sign, and stands for
+    ``(x_j, x_k) = (w_j+, w_j-)``.  No minimal x has both positive, since
+    ``e_j + e_k`` is a nonnegative kernel vector, and between such x,
+    ``x <= x'`` holds iff ``w`` is conformally below ``w'`` (same signs,
+    ``|w| <= |w'|``).  So the minimal elements of the walk's images are
+    the answer once the box holds every conformally minimal w.  It does:
+    in its orthant, w is a vertex of ``{w : M' w = b}`` there plus a sum
+    of conformal circuits with coefficients below 1 (a coefficient of 1 or
+    more would leave ``w - c``, conformally smaller), so ``|w_j|`` is at
+    most the largest ``ceil(|(B^-1 b)_j|)`` over the bases whose solution
+    keeps unpaired coordinates nonnegative, plus ``slack_j``.  The box is
+    closed under going conformally down, so the filter inside it is exact.
+    The walk runs on ``w`` shifted by the box on the free coordinates."""
+    merged, pairs, rows, bases, slack = data.signed()
+    rhs = [b[i] for i in rows]
+    ceilings = [0] * len(pairs)
+    for B, inv, d in bases:
+        y = [vec_dot(row, rhs) for row in inv]
+        if all(v >= 0 or pairs[j][1] is not None for j, v in zip(B, y)):
+            for j, v in zip(B, y):
+                ceilings[j] = max(ceilings[j], _ceil_div(abs(v), d))
+    box = vec_add(ceilings, slack)
+    low = tuple(k if partner is not None else 0 for k, (_, partner) in zip(box, pairs))
+    points = _box_solutions(merged, vec_add(_particular_solution(merged, b), low), vec_add(box, low), budget=_BOX_BUDGET)
+    if points is None:
+        return None
+    out = []
+    for p in points:
+        x = [0] * data.M.cols
+        for (j, k), v in zip(pairs, vec_sub(p, low)):
+            x[j if v >= 0 else k] = abs(v)
+        out.append(tuple(x))
+    return minimal_elements(out)
 
 
 def _geometric_solutions(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:

@@ -67,7 +67,7 @@ class AffineMonoid:
         cols = gens.columns()
         mingens = _minimal(set(cols) - {(0,) * gens.rows}, self.support_of(BOTTOM), partial(has_nonneg_solution, gens))
         self._kept = tuple(sorted(map(cols.index, mingens)))
-        self._kept_faces = {f: tuple(j for j in f if j in self._kept) for f in self._faces}
+        self._kept_faces = {f: tuple(j for j in f if j in self._kept) for f in self._faces if f != BOTTOM}
         self._mingens = IntMatrix.from_cols(mingens, rows=gens.rows)
         self._hash_string = "monoid " + self._mingens.to_token()
 
@@ -81,7 +81,7 @@ class AffineMonoid:
 
     def kept_of(self, indices: tuple) -> tuple:
         """The kept columns of a face F, with ``N F = N kept_of(F)``; any
-        other index tuple comes back as it is."""
+        other index tuple, BOTTOM's included, comes back as it is."""
         indices = tuple(indices)
         return self._kept_faces.get(indices, indices)
 
@@ -143,15 +143,21 @@ class AffineMonoid:
         return self._system(index, ())
 
     def submatrix(self, indices) -> IntMatrix:
-        """The columns at ``indices``, unchecked (``face`` checks for a face)."""
+        """The columns at ``indices``, which need not form a face (``face``
+        checks for one)."""
         return self._system(indices, ())
 
     def _system(self, left, right) -> IntMatrix:
         """``[A_left | -A_right]``, built once per pair of index tuples.
-        ``A_kept`` spans A's cone, so its solver data takes A's facets."""
+        ``A_kept`` spans A's cone, so its solver data takes A's facets.  An
+        index outside ``range(gens.cols)``, BOTTOM's ``-1`` included, is a
+        ``ValueError``."""
         key = (tuple(left), tuple(right))
         system = self._systems.get(key)
         if system is None:
+            for j in key[0] + key[1]:
+                if not 0 <= j < self._gens.cols:
+                    raise ValueError(f"column index {j} is not in range({self._gens.cols})")
             system = self._gens.take_cols(key[0]).hstack(self._gens.take_cols(key[1]).neg())
             if key == (self._kept, ()):
                 _matrix_data(system).store_cone(self._facets, self._equations)
@@ -160,7 +166,13 @@ class AffineMonoid:
 
     def meet(self, a: IntVector, left, b: IntVector, right) -> SolutionSet:
         """Minimal ``(u, v)`` with ``a + A_left u = b + A_right v``: empty iff
-        ``a + N left`` and ``b + N right`` are disjoint."""
+        ``a + N left`` and ``b + N right`` are disjoint.  A column index
+        outside ``range(gens.cols)`` is a ``ValueError``.
+
+        A column on both sides makes the system ``[A_left | -A_right]``
+        hold a column and its negation; the solver answers it on one
+        sign-free coordinate per such pair (``diophantine._signed_solutions``),
+        since no minimal ``(u, v)`` uses the column on both sides."""
         return min_nonneg_solutions(self._system(left, right), self._difference(a, b))
 
     def meets(self, a: IntVector, left, b: IntVector, right) -> bool:

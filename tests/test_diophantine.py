@@ -24,6 +24,7 @@ from stdpairs.diophantine import (
     _kernel_cone_rays,
     _matrix_data,
     _MatrixData,
+    _negation_pairs,
     _box_solutions,
     _BOX_BUDGET,
     _ceil_div,
@@ -1406,16 +1407,44 @@ def _wide_pair_systems(rng, count):
     return systems
 
 
+def _unpaired_systems(rng, count):
+    """Seeded ``(M, b)``, b != 0, over matrices that are not pointed and
+    have no negation pair, alternating the square cone's ``[A_F | -A_G]``
+    (F, G disjoint, with a kernel vector such as ``(1, 1, 1, 1)`` on
+    ``[A_{0,2} | -A_{1,3}]``) and mixed-sign matrices of 1-3 rows; b is
+    ``M u``, or ``M u`` plus a unit vector."""
+    systems = []
+    while len(systems) < count:
+        if len(systems) % 2:
+            r = rng.randint(1, 3)
+            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(3, 5))]
+        else:
+            order = rng.sample(range(4), 4)
+            cut = rng.randint(1, 3)
+            cols = [_SQUARE_CONE[j] for j in order[:cut]] + [tuple(-a for a in _SQUARE_CONE[j]) for j in order[cut:]]
+        M = IntMatrix.from_cols(cols, rows=len(cols[0]))
+        if _negation_pairs(cols) or _MatrixData(M).graded_box((0,) * M.rows) is not None:
+            continue
+        b = M.mul(tuple(rng.randint(0, 2) for _ in cols))
+        if rng.random() < 0.5:
+            b = vec_add(b, tuple(int(i == rng.randrange(M.rows)) for i in range(M.rows)))
+        if any(b):
+            systems.append((M, b))
+    return systems
+
+
 def test_infeasibility_certificates_are_exact(monkeypatch):
     """The certificates settle only systems without a solution: every answer
     equals the solver's without them, which always runs completion first,
     under the default budgets, with completion off, and with completion and
-    the walk's budget off.  Under the default budgets each of the two
+    the walk's budget off.  Under the default budgets each of the three
     routes of the full solve runs at least 20 times: the graded box walk
-    alone on a pointed system, and ``_geometric_solutions`` first, with no
-    completion once the kernel Hilbert basis is cached, on every other
-    system; seeded wide ``[A | -A]`` join the systems there, since their
-    kernel Hilbert basis comes from completion.  Where a particular
+    alone on a pointed system; the signed walk alone on a matrix with a
+    negation pair; and ``_geometric_solutions``, with no completion once
+    the kernel Hilbert basis is cached, on every other system, and after a
+    signed walk that overflowed.  Seeded wide ``[A | -A]``, whose kernel
+    Hilbert basis comes from completion, and seeded non-pointed matrices
+    without a negation pair join the systems there.  Where a particular
     solution exists, the span-and-cone test holds exactly when the
     homogenized cone has no ray with t > 0."""
     import stdpairs.diophantine as dio
@@ -1457,13 +1486,13 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     tiers = []
     for name in ("_box_solutions", "_completion", "_geometric_solutions", "hilbert_kernel", "_homogenized_cone"):
         monkeypatch.setattr(dio, name, _recording(tiers, name, getattr(dio, name)))
-    routes = {"pointed": 0, "geometric": 0}
-    wide = _wide_pair_systems(random.Random(1213), 30)
+    routes = {"pointed": 0, "signed": 0, "geometric": 0}
+    extra = _wide_pair_systems(random.Random(1213), 30) + _unpaired_systems(random.Random(1214), 40)
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
         for name, value in budgets.items():
             monkeypatch.setattr(dio, name, value)
         dio._MATRIX_CACHE.clear()
-        for M, b in systems if budgets else systems + wide:
+        for M, b in systems if budgets else systems + extra:
             data = dio._matrix_data(M)
             expected = _reference_min_nonneg_uncached(M, data, b)
             pointed = not dio._infeasible(data, b) and data.graded_box(b) is not None
@@ -1475,8 +1504,12 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
                 assert tiers == ["_box_solutions"], (M, b, tiers)
                 routes["pointed"] += 1
             elif tiers and not budgets:
-                assert tiers[0] == "_geometric_solutions" and "_completion" not in tiers, (M, b, tiers)
-                routes["geometric"] += 1
+                paired = bool(_negation_pairs(M.columns()))
+                if paired and tiers == ["_box_solutions"]:
+                    routes["signed"] += 1
+                else:
+                    assert tiers[paired:][:1] == ["_geometric_solutions"] and "_completion" not in tiers, (M, b, tiers)
+                    routes["geometric"] += 1
     dio._MATRIX_CACHE.clear()
     assert min(routes.values()) >= 20, routes
 
@@ -2144,3 +2177,155 @@ def test_cone_of_negation_pairs_skips_the_double_description(monkeypatch):
         kinds["non_saturated"] += paired and not data.saturated()
         kinds["with_facets"] += bool(facets)
     assert min(kinds.values()) >= 20, kinds
+
+
+def _reference_paired_solutions(M: IntMatrix, b) -> SolutionSet:
+    """The full solve of a matrix with negation pairs before the signed
+    walk: the certificates, then the kernel Hilbert basis and
+    ``_geometric_solutions`` (the homogenized walk pruned by that basis, or
+    the triangulation when the walk overflows)."""
+    import stdpairs.diophantine as dio
+
+    data = _MatrixData(M)
+    if dio._infeasible(data, b):
+        return SolutionSet.of(M.cols, [])
+    data.hilbert = hilbert_kernel(M).vectors
+    return dio._geometric_solutions(M, data, b)
+
+
+def _signed_systems(rng, count):
+    """Seeded ``(kind, M, b)``, b != 0, over matrices with a negation pair,
+    cycling through all-paired ``[A | -A]``, partly paired ``[A_K | -A]``
+    and ``[A_F | -A_G]`` (F and G overlapping), with A of entries 0..3;
+    then ``[A | -A]`` and ``[A_F | -A_G]`` with entries -3..3, at most
+    three columns in A, and a zero and a duplicate column inserted;
+    ``L N`` with ``N = [A_F | -A_G]`` and L of rank ``rows(N)`` with one
+    more row (a lower-dimensional span);
+    ``[A_F | -A_G]`` with the first row of A doubled (``Z M`` not
+    saturated); and ``[a, c, d | -a]`` with ``a = (1, 0)``, ``c = (*, g)``
+    and ``d = (*, h)`` for coprime g, h in 2..7, in shuffled order, whose
+    monoid is ``Z a + N c + N d``: it misses the points of lattice and cone
+    whose second entry is a gap of ``<g, h>``.  b is ``M u``, a vector near
+    it, or a small random one, so that some b lie outside the lattice and
+    some outside the cone, and for the last kind a random point with
+    second entry 0..12."""
+    systems = []
+    while len(systems) < count:
+        kind = len(systems) % 7
+        r = rng.randint(1, 3)
+        low = -3 if kind == 3 else 0
+        a = [tuple(rng.randint(low, 3) for _ in range(r)) for _ in range(rng.randint(1, 3 if kind == 3 else 4))]
+        if kind == 5:
+            a = [(2 * c[0],) + c[1:] for c in a]
+        some = lambda: [c for c in a if rng.random() < 0.6] or [rng.choice(a)]
+        left, right = (a, a) if kind == 0 or (kind == 3 and rng.random() < 0.5) else (some(), a if kind == 1 else some())
+        if kind == 6:
+            g, h = rng.choice([(g, h) for g in range(2, 8) for h in range(g + 1, 8) if gcd(g, h) == 1])
+            left, right = [(1, 0), (rng.randint(-3, 3), g), (rng.randint(-3, 3), h)], [(1, 0)]
+            rng.shuffle(left)
+            r = 2
+        cols = left + [tuple(-e for e in c) for c in right]
+        if kind == 3:
+            cols.insert(rng.randint(0, len(cols)), (0,) * r)
+            cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
+        M = IntMatrix.from_cols(cols, rows=r)
+        if kind == 4:
+            L = IntMatrix.from_rows([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r + 1)])
+            if rational_rank(L) < r:
+                continue
+            M = L.matmul(M)
+        if not _negation_pairs(M.columns()):
+            continue
+        b = M.mul(tuple(rng.randint(0, 2) for _ in range(M.cols)))
+        if kind == 6:
+            b = (rng.randint(-3, 3), rng.randint(0, 12))
+        elif rng.random() < 0.3:
+            b = vec_add(b, tuple(rng.randint(-1, 1) for _ in b))
+        elif rng.random() < 0.2:
+            b = tuple(rng.randint(-3, 5) for _ in b)
+        if any(b):
+            kinds = ["all_paired", "paired_with_all", "overlapping_faces", "zero_and_duplicate_columns",
+                     "lower_dimensional_span", "non_saturated", "gaps"]
+            systems.append((kinds[kind], M, b))
+    return systems
+
+
+def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
+    """On seeded matrices with negation pairs, ``min_nonneg_solutions`` and
+    ``has_nonneg_solution`` (each on a cold cache) agree with the route
+    through the kernel Hilbert basis.  Under the default budget the signed
+    walk answers every system past the certificates; with ``_BOX_BUDGET``
+    at 10, on the first 280 systems, at least 20 of its walks overflow into
+    that route.  Every kind of matrix and of right-hand side (solvable, and
+    outside the cone, outside the lattice, or past the certificates with no
+    solution) occurs at least 20 times."""
+    import stdpairs.diophantine as dio
+
+    signed, walks = dio._signed_solutions, []
+
+    def recording(data, b):
+        found = signed(data, b)
+        walks.append("walked" if found is not None else "overflowed")
+        return found
+
+    monkeypatch.setattr(dio, "_signed_solutions", recording)
+    systems = _signed_systems(random.Random(37), 840)
+    counts = dict.fromkeys(["solvable", "outside_cone", "outside_lattice", "unsolvable_past_certificates"], 0)
+    routes = {}
+    for budget, cases in ((dio._BOX_BUDGET, systems), (10, systems[:280])):
+        monkeypatch.setattr(dio, "_BOX_BUDGET", budget)
+        routes[budget] = {"walked": 0, "overflowed": 0}
+        for kind, M, b in cases:
+            dio._MATRIX_CACHE.clear()
+            expected = _reference_paired_solutions(M, b)
+            dio._MATRIX_CACHE.clear()
+            walks.clear()
+            assert min_nonneg_solutions(M, b) == expected, (kind, M, b, budget)
+            for route in walks:
+                routes[budget][route] += 1
+            dio._MATRIX_CACHE.clear()
+            assert has_nonneg_solution(M, b) == bool(expected), (kind, M, b, budget)
+            if budget != 10:
+                data = _MatrixData(M)
+                normals, equations = data.cone()
+                if any(vec_dot(e, b) for e in equations) or any(vec_dot(phi, b) < 0 for phi in normals):
+                    outcome = "outside_cone"
+                elif _particular_solution(data, b) is None:
+                    outcome = "outside_lattice"
+                else:
+                    outcome = "solvable" if expected else "unsolvable_past_certificates"
+                counts[outcome] += 1
+                counts[kind] = counts.get(kind, 0) + 1
+    dio._MATRIX_CACHE.clear()
+    assert len(counts) == 11 and min(counts.values()) >= 20, counts
+    default, low = routes.values()
+    assert default["overflowed"] == 0 and default["walked"] >= 500, routes
+    assert low["overflowed"] >= 20 and low["walked"] >= 20, routes
+
+
+def test_pipelines_compute_no_kernel_hilbert_basis(monkeypatch):
+    """The principal ladder's covers and the acceptance instances' covers,
+    decompositions and radicals ask for no kernel Hilbert basis, no
+    homogenized cone and no completion: each system they solve is pointed
+    or has negation pairs, and no signed walk overflows."""
+    import stdpairs.diophantine as dio
+
+    calls = []
+    for name in ("hilbert_kernel", "_homogenized_cone", "_completion"):
+        monkeypatch.setattr(dio, name, _recording(calls, name, getattr(dio, name)))
+    signed = []
+    monkeypatch.setattr(dio, "_signed_solutions", _recording(signed, "signed", dio._signed_solutions))
+    for cols, b in _PRINCIPAL_LADDER:
+        dio._MATRIX_CACHE.clear()
+        I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols)), IntMatrix.from_cols([b]))
+        assert I.standard_cover().pairs()
+    assert not calls and len(signed) >= 10, (calls, len(signed))
+    for I in random_instances():
+        dio._MATRIX_CACHE.clear()
+        I.standard_cover()
+        irreducible_decomposition(I)
+        I.radical()
+    dio._MATRIX_CACHE.clear()
+    assert not calls, calls
+    dio.hilbert_kernel(IntMatrix.from_rows([[1, -1]]))  # the recording itself works
+    assert calls == ["hilbert_kernel"]

@@ -549,6 +549,23 @@ def test_meet_solves_the_stacked_system():
             assert Q.meets(a, F, b, G) == bool(expected)
 
 
+def test_meet_rejects_column_indices_out_of_range():
+    """BOTTOM's label ``(-1,)`` does not read as the last column, and an index
+    past the last column is a ``ValueError`` too, naming the index."""
+    from stdpairs.pairs import intersect_pairs
+
+    Q = AffineMonoid(IntMatrix.from_cols([(1, 0), (1, 1), (1, 2)]))
+    for index in (-1, 5):
+        for left, right in [((index,), ()), ((0,), (1, index)), (Q.top, (index,))]:
+            with pytest.raises(ValueError, match=f"column index {index} "):
+                Q.meet((0, 0), left, (1, 2), right)
+            with pytest.raises(ValueError, match=f"column index {index} "):
+                Q.meets((0, 0), left, (1, 2), right)
+        with pytest.raises(ValueError, match=f"column index {index} "):
+            intersect_pairs(Q, (0, 0), (index,), (2, 4), ())
+    assert list(Q.meet((0, 0), (2,), (1, 2), ())) == [(1,)]
+
+
 def test_meet_rejects_points_of_another_length():
     Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (0, 0)]))
     for a, b in [((1, 1), (3, 1, 0)), ((1, 1, 5), (3, 1)), ((1,), (3,)), ((), ())]:
