@@ -12,9 +12,10 @@ when named.
 For each wall a fresh process builds the standard cover,
 the maximal overlap classes and the irreducible components, in that
 order, and reports per stage the seconds, the ``AffineMonoid.contains``
-calls and the completions (calls to ``diophantine._completion``, and how
-many of them overflowed their budget), the cover's refinement rounds
-(calls to ``covers.cone_to_ctwo``), and the cover and decomposition SHA-1s
+calls and the triangulations (calls to
+``diophantine._hilbert_basis_geometric``, the solver route that answers
+L1-L3), the cover's refinement rounds (calls to ``covers.cone_to_ctwo``),
+and the cover and decomposition SHA-1s
 (``sha1(repr(x))[:12]``, as ``tests/test_decomp.py::test_walls_golden``
 pins them).  It checks nothing: compare the SHA-1s with the test.  Run
 from anywhere:
@@ -52,20 +53,19 @@ BY_NAME_ONLY = ("L2", "L1")  # minutes each
 
 
 def measure(name: str) -> dict:
-    """One wall, in this process: stage seconds, contains calls, completions
-    and refinement rounds, SHA-1s."""
+    """One wall, in this process: stage seconds, contains calls,
+    triangulations and refinement rounds, SHA-1s."""
     import stdpairs.covers as covers
     import stdpairs.diophantine as diophantine
     from stdpairs import AffineMonoid, IntMatrix, MonomialIdeal
     from stdpairs.decomp import irreducible_decomposition, maximal_overlap_classes
 
-    completions = []  # one entry per completion: (its stage, whether it overflowed), as for contains
-    completion = diophantine._completion
+    triangulations = []  # one entry per triangulation: the stage that ran it
+    triangulation = diophantine._hilbert_basis_geometric
 
     def counted(*args, **kwargs):
-        found = completion(*args, **kwargs)
-        completions.append((stage, found is None))
-        return found
+        triangulations.append(stage)
+        return triangulation(*args, **kwargs)
 
     asked = []  # one entry per contains call: the stage that asked it (the ideal's own are not reported)
     contains = AffineMonoid.contains
@@ -74,7 +74,7 @@ def measure(name: str) -> dict:
     cone_to_ctwo = covers.cone_to_ctwo
     covers.cone_to_ctwo = lambda cover, I: rounds.append(stage) or cone_to_ctwo(cover, I)
     stage = "ideal"
-    diophantine._completion = counted
+    diophantine._hilbert_basis_geometric = counted
     cols, gens = WALLS[name]
     rows = len(cols[0])
     I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=rows)), IntMatrix.from_cols(gens, rows=rows))
@@ -89,7 +89,7 @@ def measure(name: str) -> dict:
     stage = "components"
     decomposition = irreducible_decomposition(I)
     done = time.perf_counter()
-    diophantine._completion = completion
+    diophantine._hilbert_basis_geometric = triangulation
     AffineMonoid.contains = contains
     covers.cone_to_ctwo = cone_to_ctwo
     stages = ("cover", "classes", "components")
@@ -99,8 +99,7 @@ def measure(name: str) -> dict:
         "classes_s": round(classified - covered, 3),
         "components_s": round(done - classified, 3),
         "contains": [asked.count(s) for s in stages],
-        "completions": [sum(s == t for t, _ in completions) for s in stages],
-        "overflows": [sum(s == t for t, o in completions if o) for s in stages],
+        "triangulations": [triangulations.count(s) for s in stages],
         "rounds": rounds.count("cover"),
         "cover_sha": digest(cover),
         "decomposition_sha": digest(decomposition),
@@ -118,7 +117,7 @@ def main(argv: list) -> int:
         return 2
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     print(
-        "name  cover_s  classes_s  components_s  contains per stage  completions per stage (overflows)"
+        "name  cover_s  classes_s  components_s  contains per stage  triangulations per stage"
         "  cover rounds  cover / decomposition SHA-1"
     )
     for name in names:
@@ -129,7 +128,7 @@ def main(argv: list) -> int:
         print(
             f"{name:<5} {r['cover_s']:>7.2f}  {r['classes_s']:>9.2f}  {r['components_s']:>12.2f}"
             f"  {'/'.join(map(str, r['contains'])):>18}"
-            f"  {'/'.join(map(str, r['completions'])) + ' (' + '/'.join(map(str, r['overflows'])) + ')':>33}"
+            f"  {'/'.join(map(str, r['triangulations'])):>24}"
             f"  {r['rounds']:>12}"
             f"  {r['cover_sha']} / {r['decomposition_sha']}"
         )

@@ -13,26 +13,16 @@ unimodular column echelon, ``_column_echelon``, every lattice step:
 
 * one echelon pass over ``[M; I]`` per matrix gives particular solutions
   of ``M x = b`` by forward substitution and a saturated basis of the
-  integer kernel lattice, already in the echelon form the box walk needs
-  (its x-rows visited with each column next to its negation);
-* the extreme rays of the nonnegative solution cone come from a
+  integer kernel lattice, already in the echelon form the box walk needs;
+* the extreme rays of a nonnegative solution cone come from a
   fraction-free double description in kernel coordinates, the same engine
   that finds the facets of a cone as the extreme rays of its dual;
-* a pulling triangulation of the rays reduces the Hilbert basis to the
+* a pulling triangulation of the rays reduces a Hilbert basis to the
   lattice points of finitely many half-open parallelepipeds, enumerated
   exactly via the residue classes of an echelon basis of each simplex's
-  lattice (a minimal lattice point has all simplex coefficients below one);
-* inhomogeneous systems are homogenized with one slack coordinate t: the
-  minimal solutions of ``M x = b`` are the height-one Hilbert basis
-  elements of the cone ``{(x, t) >= 0 : M x = t b}``, whose extreme rays
-  give both the box of the lattice walk and the triangulation;
-* the lattice walk yields the minimal solutions directly: a solution is
-  minimal iff it lies above no element of the Hilbert basis H of
-  ``ker M intersect N^n`` (another solution below it differs from it by a
-  nonzero element of that monoid), so the walk skips each coefficient
-  whose partial solution already lies above some h in H on h's support.
+  lattice (a minimal lattice point has all simplex coefficients below one).
 
-Most systems the library asks about have no solution.  Before any tier
+Most systems the library asks about have no solution.  Before any route
 runs, three exact certificates settle most of them with a few dot
 products over cached cone data: b is outside the span of M (a span
 equation is nonzero on it), outside ``cone(M)`` (a facet normal is
@@ -42,25 +32,31 @@ echelon pivot exceeds 1).  The facets come from the double description
 below, once per matrix, or from the ``AffineMonoid`` over M, which has
 already enumerated them.
 
-Most systems the library solves are pointed: the sum w of the facet
-normals, a grading, is positive on every nonzero column, so ``w . b``
-bounds every solution and ``ker M`` holds no nonzero nonnegative vector
-off the zero columns.  One box walk in that graded box answers them, with
-no kernel Hilbert basis (``_MatrixData.graded_box``).  A matrix holding
-a column and its negation, as a pair system ``[A_L | -A_R]`` does for
-each column on both sides, is answered on the merged matrix with one
-coordinate free in sign per such pair, by one box walk and a conformal
-filter, again with no kernel Hilbert basis (``_signed_solutions``).
-Every other system, and one whose walk overflows, takes one route: the
-kernel Hilbert basis, then the box walk in the homogenized cone's box,
-pruned by that basis, and the triangulation only when the walk outgrows
-its budget, so the worst case stays predictable.
-The kernel Hilbert basis itself has three tiers: the two cheap ones first,
-a short box walk and then a budgeted Contejean-Devie completion, because
-they fail on opposite inputs; only then the triangulation
-(``hilbert_kernel``).  Cone data, kernel data and the answers for up to
-``_SOLUTIONS_CAP`` right-hand sides are cached per matrix, for up to
-``_MATRIX_CACHE_CAP`` matrices.
+Past the certificates, three exact routes answer a full solve:
+
+* the graded walk.  Most systems the library solves are pointed: the sum
+  w of the facet normals, a grading, is positive on every nonzero column,
+  so ``w . b`` bounds every solution and every solution in that box is
+  minimal.  One box walk answers them (``_MatrixData.graded_box``);
+* the signed walk.  Every other system, and a pointed one whose walk
+  overflows, is walked once in the box of the vertices plus sub-unit
+  multiples of the circuits, and a minimality filter keeps the answer
+  (``_signed_solutions``).  A column and its negation, as a pair system
+  ``[A_L | -A_R]`` holds for each column on both sides, merge into one
+  coordinate free in sign; a matrix without such pairs is walked as it
+  is;
+* the triangulation.  A signed walk that outgrows its budget hands the
+  system to the triangulation of the homogenized cone
+  ``{(x, t) >= 0 : M x = t b}``, whose height-one Hilbert basis elements
+  are the minimal solutions (``_geometric_solutions``), so the worst
+  case stays predictable.
+
+The kernel Hilbert basis, ``hilbert_kernel``, is a public function that
+no solve calls.  It has three tiers: the two cheap ones first, a short
+box walk and then a budgeted Contejean-Devie completion, because they
+fail on opposite inputs; only then the triangulation.  Cone data, kernel
+data and the answers for up to ``_SOLUTIONS_CAP`` right-hand sides are
+cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
 
 Most callers only ask whether a solution exists.  They call
 ``has_nonneg_solution``, which runs the same certificates and, on a
@@ -258,7 +254,7 @@ def minimal_elements(vectors: Iterable[IntVector]) -> list:
 
 def integer_kernel_basis(M: IntMatrix) -> list:
     """A saturated lattice basis of ``{x in Z^c : M x = 0}``, in column
-    echelon form in the walk order (``_MatrixData.reduction``)."""
+    echelon form (``_MatrixData.reduction``)."""
     return _MatrixData(M).kernel_basis()
 
 
@@ -274,10 +270,11 @@ class _MatrixData:
     saturated), the grading the normals give and whether the system is
     pointed in it (``graded_box``), one column echelon reduction
     (particular solutions, kernel lattice, echelon walk data), the box
-    walk's per-level tests, the kernel Hilbert basis (``hilbert``, which
-    prunes the walk of a system that is not pointed), the full answers per
-    right-hand side (``solutions``) and the right-hand sides
-    ``has_nonneg_solution`` found solvable (``feasible``).  The cone data
+    walk's per-level tests, the signed walk's data (``signed``), the
+    kernel Hilbert basis (``hilbert``, filled by ``hilbert_kernel`` only),
+    the full answers per right-hand side (``solutions``) and the
+    right-hand sides ``has_nonneg_solution`` found solvable
+    (``feasible``).  The cone data
     is filled lazily by ``_facets_of_cone``, or by ``store_cone`` from
     facets a caller (``AffineMonoid``) has already enumerated, so each
     matrix's cone is enumerated once while its entry stays in
@@ -293,7 +290,6 @@ class _MatrixData:
     _reduction: tuple | None = None
     _echelon: tuple | None = None
     _walk: list | None = None
-    _prune: tuple | None = None
     _signed: tuple | None = None
 
     def cone(self):
@@ -357,21 +353,17 @@ class _MatrixData:
         """``(columns, pivot rows, r)`` of one unimodular column echelon pass
         over ``[M; I]``, whose column j is ``M[:, j]`` over ``e_j``.
 
-        The pass visits M's rows first, then the rows of I in the walk order
-        of M's columns (``_walk_order``).  The first r columns have their
-        pivots among M's rows, so they do not depend on that order.  The
-        others are zero on M, so their tails (the rows of I) are a saturated
-        basis of ``ker_Z M``; the pass reduces them on those rows too, so the
-        tails are in column echelon form on the x-coordinates, in the walk
-        order.  Pivot rows are indices of ``[M; I]``, like everything the
-        walk reads.
+        The pass visits the rows in index order, M's rows first.  The first
+        r columns have their pivots among M's rows.  The others are zero on
+        M, so their tails (the rows of I) are a saturated basis of
+        ``ker_Z M``; the pass reduces them on those rows too, so the tails
+        are in column echelon form on the x-coordinates.  Pivot rows are
+        indices of ``[M; I]``, like everything the walk reads.
         """
         if self._reduction is None:
             m, n = self.M.rows, self.M.cols
-            columns = self.M.columns()
-            stacked = [c + tuple(int(i == j) for i in range(n)) for j, c in enumerate(columns)]
-            order = list(range(m)) + [m + j for j in _walk_order(columns)]
-            cols, pivots = _column_echelon(stacked, m + n, order)
+            stacked = [c + tuple(int(i == j) for i in range(n)) for j, c in enumerate(self.M.columns())]
+            cols, pivots = _column_echelon(stacked, m + n)
             self._reduction = (cols, pivots, sum(p < m for p in pivots))
         return self._reduction
 
@@ -411,68 +403,50 @@ class _MatrixData:
         return self._walk
 
     def signed(self):
-        """``(merged, pairs, rows, bases, slack)`` for a matrix with negation
-        pairs (``_negation_pairs``), ``()`` for one without.
+        """``(merged, pairs, rows, bases, slack)``, the data of the signed
+        walk (``_signed_solutions``).
 
         ``merged`` is the solver data of M', M without the second column of
-        each pair, outside ``_MATRIX_CACHE``; ``pairs`` holds, per column of
-        M', its index in M and its partner's, or None for an unpaired column,
-        whose coordinate stays nonnegative.  ``rows`` are r independent rows
-        of M', r its rank, and ``bases`` the ``(B, d B^-1, d)`` of every
-        nonsingular block of M' on those rows and r columns B
-        (``_integer_inverse``).  ``slack`` is, per column, the sum of
-        ``|c_j|`` over the primitive circuits c of M' (one per support, up
-        to sign) whose unpaired entries share a sign: the circuits that lie
-        in some orthant the sign constraints allow.  Every circuit is the
-        kernel vector on a basis plus one more column."""
+        each negation pair (``_negation_pairs``), outside ``_MATRIX_CACHE``;
+        a matrix without pairs is its own M', and ``merged`` is this data.
+        ``pairs`` holds, per column of M', its index in M and its
+        partner's, or None for an unpaired column, whose coordinate stays
+        nonnegative.  ``rows`` are r independent rows of M', r its rank, and
+        ``bases`` the ``(B, d B^-1, d)`` of every nonsingular block of M' on
+        those rows and r columns B (``_integer_inverse``).  ``slack`` is,
+        per column, the sum of ``|c_j|`` over the primitive circuits c of M'
+        (one per support, up to sign) whose unpaired entries share a sign:
+        the circuits that lie in some orthant the sign constraints allow.
+        Without pairs these are the nonnegative circuits, the extreme rays
+        of ``ker M intersect N^n``.  Every circuit is the kernel vector on a
+        basis plus one more column."""
         if self._signed is None:
             cols = self.M.columns()
             partner = _negation_pairs(cols)
-            self._signed = ()
-            if partner:
-                taken = set(partner.values())
-                pairs = [(j, partner.get(j)) for j in range(len(cols)) if j not in taken]
-                merged = [cols[j] for j, _ in pairs]
-                rows = _fraction_free_reduce([list(c) for c in merged], self.M.rows)[0]
-                sub = [tuple(c[i] for i in rows) for c in merged]
-                n, bases, circuits = len(merged), [], set()
-                for B in combinations(range(n), len(rows)):
-                    found = _integer_inverse(list(zip(*(sub[j] for j in B))))
-                    if found is None:
-                        continue
-                    inv, d = found
-                    bases.append((B, inv, d))
-                    for k in set(range(n)) - set(B):
-                        c = [0] * n
-                        c[k] = d
-                        for j, row in zip(B, inv):
-                            c[j] = -vec_dot(row, sub[k])
-                        c = primitive(c)
-                        if len({v > 0 for v, (_, q) in zip(c, pairs) if v and q is None}) < 2:
-                            circuits.add(max(c, tuple(-v for v in c)))
-                slack = tuple(sum(abs(c[j]) for c in circuits) for j in range(n))
-                self._signed = (_MatrixData(IntMatrix.from_cols(merged, rows=self.M.rows)), pairs, rows, bases, slack)
+            taken = set(partner.values())
+            pairs = [(j, partner.get(j)) for j in range(len(cols)) if j not in taken]
+            merged = [cols[j] for j, _ in pairs]
+            rows = _fraction_free_reduce([list(c) for c in merged], self.M.rows)[0]
+            sub = [tuple(c[i] for i in rows) for c in merged]
+            n, bases, circuits = len(merged), [], set()
+            for B in combinations(range(n), len(rows)):
+                found = _integer_inverse(list(zip(*(sub[j] for j in B))))
+                if found is None:
+                    continue
+                inv, d = found
+                bases.append((B, inv, d))
+                for k in set(range(n)) - set(B):
+                    c = [0] * n
+                    c[k] = d
+                    for j, row in zip(B, inv):
+                        c[j] = -vec_dot(row, sub[k])
+                    c = primitive(c)
+                    if len({v > 0 for v, (_, q) in zip(c, pairs) if v and q is None}) < 2:
+                        circuits.add(max(c, tuple(-v for v in c)))
+            slack = tuple(sum(abs(c[j]) for c in circuits) for j in range(n))
+            data = _MatrixData(IntMatrix.from_cols(merged, rows=self.M.rows)) if partner else self
+            self._signed = (data, pairs, rows, bases, slack)
         return self._signed
-
-    def prune_plan(self, above):
-        """The vectors h of ``above`` (nonzero kernel vectors) grouped by the
-        walk level that determines the last row of their support: per level i,
-        ``(fixed, rows)`` with ``fixed`` the ``(row, h_row)`` fixed before it
-        and ``rows`` the ``(row, h_row, column i's entry)`` it determines.
-        Cached for the last ``above`` asked for."""
-        if self._prune is None or self._prune[0] is not above:
-            cols, _, determined = self.echelon()
-            level = {r: i for i, rows in enumerate(determined) for r in rows}
-            plan = [[] for _ in cols]
-            for h in above:
-                support = [r for r, v in enumerate(h) if v]
-                top = max(level[r] for r in support)
-                plan[top - 1].append((
-                    [(r, h[r]) for r in support if level[r] < top],
-                    [(r, h[r], cols[top - 1][r]) for r in support if level[r] == top],
-                ))
-            self._prune = (above, plan)
-        return self._prune[1]
 
 
 def _negation_pairs(columns: list) -> dict:
@@ -488,50 +462,22 @@ def _negation_pairs(columns: list) -> dict:
     return partner
 
 
-def _walk_order(columns: list) -> list:
-    """The order in which ``reduction`` visits the x-rows: each column j of
-    a negation pair (``_negation_pairs``) is followed by its partner, and
-    every other column keeps its place.
-
-    A pair difference ``[G | -G']`` has the kernel vector ``(e_j, e_k)``
-    for every column j of G equal to column k of G'.  An echelon column
-    vanishes on the rows visited before its pivot, so a row is fixed once
-    the walk has fixed the columns whose pivots come no later than it.
-    With the two rows next to each other, the box walk settles such a
-    vector (prunes it, or cuts the range of its rows) early, instead of at
-    the last level.  A full solve of a matrix with negation pairs walks
-    the merged matrix instead (``_signed_solutions``), so this order
-    serves ``hilbert_kernel`` on such matrices: called directly, or after
-    the signed walk overflowed.
-    """
-    partner = _negation_pairs(columns)
-    paired = set(partner.values())
-    order = []
-    for j in range(len(columns)):
-        if j not in paired:
-            order.append(j)
-            if j in partner:
-                order.append(partner[j])
-    return order
-
-
-def _column_echelon(cols: list, dim: int, order: Sequence[int] | None = None) -> tuple:
+def _column_echelon(cols: list, dim: int) -> tuple:
     """Unimodular column operations to echelon form with positive pivots;
     returns (cols, pivot rows).
 
-    The pass visits the rows in ``order`` (all ``dim`` rows in index order
-    by default) and changes only the columns from its current lead on.  In
-    each row it reduces them by the one of least absolute value there,
-    rounding quotients to the nearest integer, until one column is left
-    nonzero in that row: least-remainder Euclid steps keep the entries
-    small.  So the pivots come in visiting order, and each column is zero
-    on every row visited before its pivot.
+    The pass visits the ``dim`` rows in index order and changes only the
+    columns from its current lead on.  In each row it reduces them by the
+    one of least absolute value there, rounding quotients to the nearest
+    integer, until one column is left nonzero in that row: least-remainder
+    Euclid steps keep the entries small.  So the pivots increase, and each column is zero on every row
+    before its pivot.
     """
     cols = [list(c) for c in cols]
     k = len(cols)
     pivots = []
     lead = 0
-    for row in range(dim) if order is None else order:
+    for row in range(dim):
         if lead == k:
             break
         while True:
@@ -559,35 +505,22 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
-def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, above=(), first: bool = False):
-    """Solutions ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound`` that
-    lie above no vector of ``above``; with ``first``, only the first one the
-    walk reaches (a yes to "is there one?").
+def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, first: bool = False):
+    """Solutions ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound``;
+    with ``first``, only the first one the walk reaches (a yes to "is
+    there one?").
 
     The walk fixes one echelon coefficient per level.  Each level takes the
-    coefficient range that keeps every row it determines in ``[0, bound]``
-    and skips the coefficients whose child lies above some h in ``above``
-    on h's support, tested at the level that determines the last row of
-    that support; deeper levels never change those rows.  With ``above``
-    the Hilbert basis of ``ker M intersect N^n``, the walk yields exactly
-    the minimal solutions in the box: a solution x is not minimal iff
-    ``x >= h`` for some such h, since then ``x - h`` is a smaller solution
-    (in the box too), and ``x - y`` is a nonzero element of that monoid,
-    so above some h, for any other solution ``y <= x``.
-
-    The walk is exact for any echelon basis of ``ker_Z M`` in any row
-    order: later columns vanish on the pivot row of column i, so that row
-    is final once level i fixes column i's coefficient, and each level's
-    range is finite.  The row order (``_walk_order``) only decides how
-    early the range cuts and the prune act.
+    coefficient range that keeps every row it determines in ``[0, bound]``.
+    The walk is exact for any echelon basis of ``ker_Z M``: later columns
+    vanish on the pivot row of column i, so that row is final once level i
+    fixes column i's coefficient, and each level's range is finite.
 
     Budget: each visited node counts the span of its pivot row's range.
     Returns None when the count passes ``budget`` (with ``first``: before
-    a solution is reached).  Pruning only drops nodes, so a pruned walk
-    overflows only where the unpruned one does.
+    a solution is reached).
     """
     plan = data.walk_plan()
-    prune = data.prune_plan(above)
     for r in data.echelon()[2][0]:
         if not 0 <= x0[r] <= bound[r]:
             return []
@@ -623,35 +556,16 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, abov
                 hi = b
         if hi < lo:
             return True
-        skips = []
-        for fixed, rows in prune[i]:
-            for r, v in fixed:
-                if x[r] < v:
-                    break
-            else:
-                a, b = lo, hi
-                for r, v, c in rows:
-                    if c > 0:
-                        a = max(a, -((x[r] - v) // c))
-                    else:
-                        b = min(b, (x[r] - v) // -c)
-                if a <= b:
-                    skips.append((a, b))
-        skips.sort()
-        skips.append((hi + 1, hi))
-        y = lo
-        for a, b in skips:
-            for z in range(y, a):
-                nxt = x[:]
-                for r, c in col:
-                    nxt[r] += z * c
-                if i + 1 == k:
-                    out.append(tuple(nxt))
-                    if first:
-                        return False
-                elif not rec(i + 1, nxt):
+        for z in range(lo, hi + 1):
+            nxt = x[:]
+            for r, c in col:
+                nxt[r] += z * c
+            if i + 1 == k:
+                out.append(tuple(nxt))
+                if first:
                     return False
-            y = max(y, b + 1)
+            elif not rec(i + 1, nxt):
+                return False
         return True
 
     if k == 0:
@@ -1051,8 +965,8 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     all extreme rays.  Three exact tiers follow; the first that finishes
     answers:
 
-    1. the box walk below that sum, unpruned (the basis is what it looks
-       for), keeping its minimal nonzero points, for ``_CD_BUDGET`` units;
+    1. the box walk below that sum, keeping its minimal nonzero points,
+       for ``_CD_BUDGET`` units;
     2. completion (``_completion``) on the Gram matrix of M's columns, for
        ``_CD_BUDGET`` nodes: it yields exactly the minimal nonzero
        solutions;
@@ -1064,6 +978,10 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     with three or more rows, whose box walk is short.  So the short walk
     goes first, and a matrix that overflows it costs one completion before
     the triangulation.  Cached per matrix.
+
+    No solve calls it: ``min_nonneg_solutions`` answers every system by
+    the graded walk, the signed walk or the triangulation, none of which
+    needs this basis.
     """
     data = _matrix_data(M)
     if data.hilbert is None:
@@ -1098,34 +1016,28 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     particular integer solution exists and the polyhedron
     ``{x >= 0 : M x = b}`` is not empty.
 
-    A pointed system (the grading w is positive on every nonzero column)
-    is answered by one box walk, unpruned, in the graded box
-    ``x_j <= floor(w . b / w . M_j)``, 0 on a zero column
-    (``_MatrixData.graded_box``).  Every minimal solution lies in that
-    box, since ``w . b`` is the sum of the nonnegative ``x_j w . M_j``,
-    and every solution in it is minimal: two of them differ by a kernel
-    vector that is zero on the zero columns, and a nonnegative one is zero
-    elsewhere too.  A matrix with negation pairs (``_negation_pairs``) is
-    answered on the merged matrix M', one column per pair and that
-    coordinate free in sign, by one unpruned box walk over ``ker M'`` and
-    a conformal-minimality filter (``_signed_solutions``).  Only a walk that
-    overflows ``_BOX_BUDGET`` goes on to the route below.  Every other
-    system takes the kernel Hilbert basis (``hilbert_kernel``) and then two
-    exact tiers, routed by a work budget:
+    Past them, three exact routes answer:
 
-    1. lattice walk of the box below (sum of kernel rays) + (componentwise
-       vertex ceiling), which bounds every minimal solution because a
-       height-one point of the homogenized cone is a sub-one combination
-       of kernel rays plus a convex combination of vertices, all of them
-       rays of that cone (``_homogenized_cone``).  The walk is pruned by
-       the cached kernel Hilbert basis H and yields exactly the minimal
-       solutions: a solution x is not minimal iff ``x >= h`` for some h
-       in H, because ``x - y`` is a nonzero element of ``ker M intersect
-       N^n`` for any other solution ``y <= x``; it gives up after
-       ``_BOX_BUDGET`` units of pivot-row range;
-    2. triangulation of the same rays with exact parallelepiped
-       enumeration, whose candidate count is the sum of simplex
-       determinants.
+    1. a pointed system (the grading w is positive on every nonzero
+       column) is answered by one box walk in the graded box
+       ``x_j <= floor(w . b / w . M_j)``, 0 on a zero column
+       (``_MatrixData.graded_box``).  Every minimal solution lies in that
+       box, since ``w . b`` is the sum of the nonnegative ``x_j w . M_j``,
+       and every solution in it is minimal: two of them differ by a kernel
+       vector that is zero on the zero columns, and a nonnegative one is
+       zero elsewhere too;
+    2. a system that is not pointed, or whose graded walk overflows
+       ``_BOX_BUDGET``, takes the signed walk (``_signed_solutions``): one
+       box walk over ``ker M'`` in the box of the vertices plus the
+       circuits, and a minimality filter.  M' merges each negation pair
+       (``_negation_pairs``) into one coordinate free in sign; a matrix
+       without pairs is its own M';
+    3. a signed walk that overflows ``_BOX_BUDGET`` hands the system to
+       the triangulation of the homogenized cone with exact
+       parallelepiped enumeration (``_geometric_solutions``), whose
+       candidate count is the sum of simplex determinants.
+
+    No route calls the kernel Hilbert basis (``hilbert_kernel``).
 
     A caller that needs only whether a solution exists should call
     ``has_nonneg_solution``, which stops at the first one.
@@ -1204,22 +1116,18 @@ def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> Solut
     if _infeasible(data, b):
         return SolutionSet.of(M.cols, [])
     bound = data.graded_box(b)
-    if bound is not None:
-        points = _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET)
-    else:
-        points = _signed_solutions(data, b) if data.signed() else None
-    if points is not None:
-        return SolutionSet.of(M.cols, points)
-    if data.hilbert is None:
-        hilbert_kernel(M)
-    return _geometric_solutions(M, data, b)
+    points = None if bound is None else _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET)
+    if points is None:
+        points = _signed_solutions(data, b)
+    if points is None:
+        return _geometric_solutions(M, data, b)
+    return SolutionSet.of(M.cols, points)
 
 
 def _signed_solutions(data: _MatrixData, b: IntVector):
-    """The minimal solutions of ``M x = b``, for a b past the certificates
-    and a matrix with negation pairs, by one unpruned walk on the merged
-    matrix M' of ``_MatrixData.signed``; None when the walk overflows
-    ``_BOX_BUDGET``.
+    """The minimal solutions of ``M x = b``, for a b past the certificates,
+    by one walk on the merged matrix M' of ``_MatrixData.signed``; None
+    when the walk overflows ``_BOX_BUDGET``.
 
     A pair's coordinate w_j of M' is free in sign, and stands for
     ``(x_j, x_k) = (w_j+, w_j-)``.  No minimal x has both positive, since
@@ -1233,7 +1141,10 @@ def _signed_solutions(data: _MatrixData, b: IntVector):
     most the largest ``ceil(|(B^-1 b)_j|)`` over the bases whose solution
     keeps unpaired coordinates nonnegative, plus ``slack_j``.  The box is
     closed under going conformally down, so the filter inside it is exact.
-    The walk runs on ``w`` shifted by the box on the free coordinates."""
+    The walk runs on ``w`` shifted by the box on the free coordinates.
+    Without pairs, M' is M, the circuits are the extreme rays of
+    ``ker M intersect N^n``, the box is the vertices plus sub-unit
+    multiples of those rays, and the filter is plain minimality."""
     merged, pairs, rows, bases, slack = data.signed()
     rhs = [b[i] for i in rows]
     ceilings = [0] * len(pairs)
@@ -1257,44 +1168,19 @@ def _signed_solutions(data: _MatrixData, b: IntVector):
 
 
 def _geometric_solutions(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    """The walk and the triangulation of ``min_nonneg_solutions`` for a b
-    that passed the certificates, once ``hilbert_kernel(M)`` is cached."""
-    # b passed the lattice test, so x0 exists, and the cone test, so the
-    # polyhedron is not empty and some ray has t > 0: bound is not None
-    x0 = _particular_solution(data, b)
-    basis, rays, bound = _homogenized_cone(data, x0)
-    points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET, above=data.hilbert)
-    if points is not None:
-        return SolutionSet.of(M.cols, points)
+    """The triangulation route of ``min_nonneg_solutions`` for a b past the
+    certificates: the height-one Hilbert basis elements of the homogenized
+    cone ``{(x, t) >= 0 : M x = t b}``.
 
-    hilbert = _hilbert_basis_geometric(basis, rays)
-    return SolutionSet.of(M.cols, [x[:-1] for x in hilbert if x[-1] == 1])
-
-
-def _homogenized_cone(data: _MatrixData, x0) -> tuple:
-    """The rays of ``{(x, t) >= 0 : M x = t b}``, where ``M x0 = b``, and the
-    box of the lattice walk.
-
-    ``(x, t) - t (x0, 1)`` lies in ``ker_Z M x {0}``, so the kernel basis
-    padded with ``t = 0`` plus ``(x0, 1)`` is a basis of the saturated
-    integer kernel of ``[M | -b]``.  Returns it, the rays in its
-    coordinates, and the box, which is None when no ray has ``t > 0`` (the
-    polyhedron is empty).  The rays with ``t = 0`` are the kernel rays and
-    those with ``t > 0`` are ``(d v, d)`` for the vertices v, so coordinate
-    j is bounded by the sum of the kernel rays plus the largest
-    ``ceil(r_j / t)``.
+    b passed the lattice test, so some ``M x0 = b``, and ``(x, t) - t (x0,
+    1)`` lies in ``ker_Z M x {0}``: the kernel basis padded with ``t = 0``
+    plus ``(x0, 1)`` is a basis of the saturated integer kernel of
+    ``[M | -b]``, in whose coordinates ``_kernel_cone_rays`` finds the
+    cone's rays.
     """
-    basis = [h + (0,) for h in data.kernel_basis()] + [tuple(x0) + (1,)]
-    rays = _kernel_cone_rays(basis, len(basis[0]))
-    xt = [_combination(basis, y) for y in rays]
-    vertices = [r for r in xt if r[-1]]
-    if not vertices:
-        return basis, rays, None
-    bound = tuple(
-        sum(r[j] for r in xt if not r[-1]) + max(_ceil_div(r[j], r[-1]) for r in vertices)
-        for j in range(len(x0))
-    )
-    return basis, rays, bound
+    basis = [h + (0,) for h in data.kernel_basis()] + [tuple(_particular_solution(data, b)) + (1,)]
+    hilbert = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols + 1))
+    return SolutionSet.of(M.cols, [x[:-1] for x in hilbert if x[-1] == 1])
 
 
 def rational_rank(M: IntMatrix) -> int:

@@ -504,8 +504,9 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
 
 
 # The walls: a cold pipeline takes up to seconds on each, most of it in
-# the covers of T3 and P31, and G8, an ideal with 8 minimal generators
-# (scripts/walls.py times every stage).
+# the covers of T3 and P31, and G8, an ideal with 8 minimal generators;
+# L3, a principal ideal over a 2-row monoid, spends about ten seconds in
+# one triangulation (scripts/walls.py times every stage).
 @pytest.mark.parametrize(
     "cols, gens, cover_sha, decomposition_sha",
     [
@@ -526,6 +527,10 @@ def test_maximal_classes_test_each_class_pair_once(monkeypatch):
             [(0, 9, 0), (1, 6, 3), (1, 7, 2), (3, 2, 4), (4, 2, 3), (4, 3, 2), (5, 4, 1), (6, 4, 0)],
             "78cf361ea4c2", "c8b7bb5c85b0", id="G8",
         ),
+        pytest.param(
+            [(2, 1), (2, 9), (6, 7), (7, 8), (8, 7)], [(42, 47)],
+            "9373a2425c61", "96826435c5f3", id="L3",
+        ),
     ],
 )
 def test_walls_golden(cols, gens, cover_sha, decomposition_sha):
@@ -533,7 +538,8 @@ def test_walls_golden(cols, gens, cover_sha, decomposition_sha):
     ``sha1(repr(x))[:12]``."""
     import hashlib
 
-    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=3)), IntMatrix.from_cols(gens, rows=3))
+    rows = len(cols[0])
+    I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=rows)), IntMatrix.from_cols(gens, rows=rows))
     digest = lambda x: hashlib.sha1(repr(x).encode()).hexdigest()[:12]
     assert digest(I.standard_cover()) == cover_sha
     assert digest(irreducible_decomposition(I)) == decomposition_sha

@@ -19,7 +19,6 @@ from stdpairs.diophantine import (
     _extreme_rays_dd,
     _facets_of_cone,
     _hilbert_basis_geometric,
-    _homogenized_cone,
     _integer_inverse,
     _kernel_cone_rays,
     _matrix_data,
@@ -33,7 +32,6 @@ from stdpairs.diophantine import (
     _parallelepiped_points,
     _particular_solution,
     _saturated_span_basis,
-    _walk_order,
     has_nonneg_solution,
     hilbert_kernel,
     integer_kernel_basis,
@@ -888,8 +886,7 @@ def test_column_echelon_matches_smith_reference():
     """The one column echelon pass over [M; I] gives particular solutions
     exactly when the Smith form says the system is solvable over Z, a
     kernel basis spanning the Smith kernel lattice, and kernel columns in
-    column echelon form with positive pivots in the walk order of M's
-    columns (as the box walk needs)."""
+    column echelon form with positive pivots (as the box walk needs)."""
     rng = random.Random(77)
     solvable = unsolvable = with_kernel = 0
     for M in _EDGE_MATRICES + _random_int_matrices(rng, 300):
@@ -918,12 +915,9 @@ def test_column_echelon_matches_smith_reference():
 
         cols, pivots, _ = data.echelon()
         assert cols == basis
-        order = _walk_order(M.columns())
-        assert sorted(order) == list(range(M.cols)), M
-        place = {row: i for i, row in enumerate(order)}
-        assert all(place[p] < place[q] for p, q in zip(pivots, pivots[1:])), M
+        assert all(p < q for p, q in zip(pivots, pivots[1:])), M
         for col, p in zip(cols, pivots):
-            assert col[p] > 0 and not any(col[row] for row in order[: place[p]]), M
+            assert col[p] > 0 and not any(col[:p]), M
     assert solvable >= 600 and unsolvable >= 500 and with_kernel >= 150
 
 
@@ -997,11 +991,36 @@ def test_integer_inverse_matches_reference():
     assert singular >= 50 and len(squares) - singular >= 200
 
 
+def _homogenized_box(data: _MatrixData, x0) -> tuple:
+    """The rays of ``{(x, t) >= 0 : M x = t b}``, where ``M x0 = b``, and the
+    box of the homogenized walk that the references below take.
+
+    ``(x, t) - t (x0, 1)`` lies in ``ker_Z M x {0}``, so the kernel basis
+    padded with ``t = 0`` plus ``(x0, 1)`` is a basis of the saturated
+    integer kernel of ``[M | -b]``.  Returns it, the rays in its
+    coordinates, and the box, which is None when no ray has ``t > 0`` (the
+    polyhedron is empty).  The rays with ``t = 0`` are the kernel rays and
+    those with ``t > 0`` are ``(d v, d)`` for the vertices v, so coordinate
+    j of a minimal solution is bounded by the sum of the kernel rays plus
+    the largest ``ceil(r_j / t)``."""
+    basis = [h + (0,) for h in data.kernel_basis()] + [tuple(x0) + (1,)]
+    rays = _kernel_cone_rays(basis, len(basis[0]))
+    xt = [_combination(basis, y) for y in rays]
+    vertices = [r for r in xt if r[-1]]
+    if not vertices:
+        return basis, rays, None
+    bound = tuple(
+        sum(r[j] for r in xt if not r[-1]) + max(_ceil_div(r[j], r[-1]) for r in vertices)
+        for j in range(len(x0))
+    )
+    return basis, rays, bound
+
+
 def test_vertices_match_reference():
     """The rays with t > 0 of the homogenized cone give the same distinct
     vertices as the Fraction subset inverses, its rays with t = 0 are the
-    kernel rays, and the tier-2 box is the sum of the kernel rays plus the
-    componentwise vertex ceiling (None without a vertex)."""
+    kernel rays, and the homogenized box is the sum of the kernel rays plus
+    the componentwise vertex ceiling (None without a vertex)."""
     rng = random.Random(73)
     with_vertices = without = 0
     for M in _EDGE_MATRICES + _random_int_matrices(rng, 300, max_rows=4, max_cols=6):
@@ -1011,11 +1030,11 @@ def test_vertices_match_reference():
             _, expected = _reference_vertices(M, b)
             expected = sorted(set(map(tuple, expected)))
             x0 = _particular_solution(data, b)
-            if x0 is None:  # tier 2 stops before the cone; build it from another basis
+            if x0 is None:  # no (x0, 1) to pad with; build the cone from another basis
                 basis = integer_kernel_basis(M.hstack(IntMatrix.from_cols([[-x for x in b]], rows=M.rows)))
                 rays_y = _kernel_cone_rays(basis, M.cols + 1)
             else:
-                basis, rays_y, bound = _homogenized_cone(data, x0)
+                basis, rays_y, bound = _homogenized_box(data, x0)
             rays = [tuple(sum(y * v[j] for y, v in zip(ray, basis)) for j in range(M.cols + 1)) for ray in rays_y]
             got = sorted({tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays if r[-1]})
             assert got == expected, (M, b)
@@ -1173,8 +1192,8 @@ def _box_walk_systems(rng, count):
     ``[A | -A]`` systems; signed matrices with a zero column and a duplicate
     column; independent columns (a trivial kernel); and signed matrices
     whose particular solution is shifted by a kernel vector, mostly out of
-    the box.  The box is tier 2's box when there is one, else (and for every
-    fourth system) a random one."""
+    the box.  The box is the homogenized box when there is one, else (and
+    for every fourth system) a random one."""
     walks = []
     while len(walks) < count:
         kind = len(walks) % 4
@@ -1194,7 +1213,7 @@ def _box_walk_systems(rng, count):
         if kind == 3 and data.kernel_basis():
             shift = rng.choice((-4, 4))
             x0 = vec_add(x0, tuple(shift * e for e in data.kernel_basis()[0]))
-        bound = _homogenized_cone(data, x0)[2]
+        bound = _homogenized_box(data, x0)[2]
         if bound is None or len(walks) % 4 == 3:
             bound = tuple(rng.randint(0, 5) for _ in range(M.cols))
         walks.append((M, b, x0, bound))
@@ -1214,19 +1233,16 @@ def _node_count(walk, data, x0, bound, high: int) -> int:
     return low
 
 
-def test_box_walk_yields_the_minimal_box_solutions():
-    """The pruned walk is the minimal elements of the reference walk, for
-    any box; with nothing to prune it is the reference walk itself."""
+def test_box_walk_yields_every_box_solution():
+    """The walk yields exactly the reference walk's solutions, for any box:
+    every solution in it, minimal or not."""
     kinds = {"pair_difference": 0, "zero_column": 0, "trivial_kernel": 0, "x0_outside": 0}
     for n, (M, b, x0, bound) in enumerate(_box_walk_systems(random.Random(61), 240)):
         data = _MatrixData(M)
-        hilbert = hilbert_kernel(M).vectors
         every = _reference_box_solutions(data, x0, bound)
-        assert _box_solutions(data, x0, bound, above=()) == every, (M, x0, bound)
-        pruned = _box_solutions(data, x0, bound, above=hilbert)
-        assert sorted(pruned) == minimal_elements(every), (M, x0, bound)
-        assert all(M.mul(x) == b for x in pruned)
-        kinds["pair_difference"] += n % 4 == 0 and len(pruned) < len(every)
+        assert _box_solutions(data, x0, bound) == every, (M, x0, bound)
+        assert all(M.mul(x) == b for x in every)
+        kinds["pair_difference"] += n % 4 == 0 and len(minimal_elements(every)) < len(every)
         kinds["zero_column"] += n % 4 == 1 and any(x for x in every)
         kinds["trivial_kernel"] += not data.kernel_basis()
         kinds["x0_outside"] += not all(0 <= a <= c for a, c in zip(x0, bound))
@@ -1234,36 +1250,25 @@ def test_box_walk_yields_the_minimal_box_solutions():
 
 
 def test_box_walk_budget():
-    """Budgets from 0 up to the reference walk's node count: the unpruned
-    walk overflows exactly where the reference does, and the pruned walk
-    only where the reference does, else it yields the minimal solutions."""
-    saved = 0
+    """Budgets from 0 up to the reference walk's node count: the walk
+    overflows exactly where the reference does, and otherwise yields the
+    reference's solutions."""
+    overflowed = answered = 0
     for M, b, x0, bound in _box_walk_systems(random.Random(62), 80):
         data = _MatrixData(M)
-        hilbert = hilbert_kernel(M).vectors
-        expected = minimal_elements(_reference_box_solutions(data, x0, bound))
         nodes = _node_count(_reference_box_solutions, data, x0, bound, 10**6)
-        pruned_nodes = _node_count(
-            lambda *args: _box_solutions(*args, above=hilbert), data, x0, bound, nodes
-        )
-        assert pruned_nodes <= nodes
-        saved += pruned_nodes < nodes
         budgets = range(nodes + 1) if nodes <= 120 else {0, 1, nodes // 2, nodes - 1, nodes}
         for budget in budgets:
             reference = _reference_box_solutions(data, x0, bound, budget)
             assert _box_solutions(data, x0, bound, budget) == reference, (M, x0, bound, budget)
-            pruned = _box_solutions(data, x0, bound, budget, above=hilbert)
-            assert (pruned is None) == (budget < pruned_nodes)
-            if pruned is None:
-                assert reference is None, (M, x0, bound, budget)
-            else:
-                assert sorted(pruned) == expected, (M, x0, bound, budget)
-    assert saved
+            overflowed += reference is None
+            answered += reference is not None
+    assert overflowed >= 20 and answered >= 20, (overflowed, answered)
 
 
 def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
-    """With tier 1 off and the box budget at 0 or 30, tier 3 takes over
-    from the pruned walk and the answers stay the reference ones."""
+    """With the box budget at 0 or 30, the triangulation takes over from
+    the signed walk and the answers stay the reference ones."""
     import stdpairs.diophantine as dio
 
     rng = random.Random(63)
@@ -1273,14 +1278,14 @@ def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
         if any(b):
             data = _MatrixData(M)
             x0 = _particular_solution(data, b)
-            bound = _homogenized_cone(data, x0)[2]
+            bound = _homogenized_box(data, x0)[2]
             cases.append((M, b, minimal_elements(_reference_box_solutions(data, x0, bound))))
     tiers = {"tier2": 0, "tier3": 0}
     box_walk, triangulation = dio._box_solutions, dio._hilbert_basis_geometric
 
     def count_box_walk(*args, **kwargs):
         points = box_walk(*args, **kwargs)
-        tiers["tier2"] += points is not None and any(args[1])  # x0 != 0: not hilbert_kernel's walk
+        tiers["tier2"] += points is not None
         return points
 
     def count_triangulation(*args):
@@ -1289,7 +1294,6 @@ def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
 
     monkeypatch.setattr(dio, "_box_solutions", count_box_walk)
     monkeypatch.setattr(dio, "_hilbert_basis_geometric", count_triangulation)
-    monkeypatch.setattr(dio, "_CD_BUDGET", 0)
     for box_budget in (30, 0):
         monkeypatch.setattr(dio, "_BOX_BUDGET", box_budget)
         tiers.update(tier2=0, tier3=0)
@@ -1304,9 +1308,8 @@ def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b) -> Soluti
     """The uncached solve without the infeasibility certificates or the
     graded walk: every system first goes to the completion of the
     homogenized system ``[M | -b]``, seeded with the kernel Hilbert basis
-    and capped at 1 in the slack coordinate, then to the walk, which stops
-    at a missing particular solution or at a homogenized cone with no ray
-    of height t > 0, then to the triangulation."""
+    and capped at 1 in the slack coordinate, then, unless it has no
+    particular solution, to ``_reference_homogenized_walk``."""
     import stdpairs.diophantine as dio
 
     slack = M.cols
@@ -1319,15 +1322,27 @@ def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b) -> Soluti
     x0 = _particular_solution(data, b)
     if x0 is None:
         return SolutionSet.of(M.cols, [])
-    basis, rays, bound = _homogenized_cone(data, x0)
-    if bound is None:
-        return SolutionSet.of(M.cols, [])  # no ray with t > 0: the polyhedron is empty
-    points = _box_solutions(data, x0, bound, budget=dio._BOX_BUDGET, above=data.hilbert)
-    if points is not None:
-        return SolutionSet.of(M.cols, points)
+    return _reference_homogenized_walk(M, data, x0)
 
-    hilbert = _hilbert_basis_geometric(basis, rays)
-    return SolutionSet.of(M.cols, [x[:slack] for x in hilbert if x[slack] == 1])
+
+def _reference_homogenized_walk(M: IntMatrix, data: _MatrixData, x0) -> SolutionSet:
+    """The minimal solutions of ``M x = M x0`` through the kernel Hilbert
+    basis H: the walk of the homogenized box (``_homogenized_box``) keeps
+    the solutions that lie above no h in H, since a solution x is not
+    minimal iff ``x >= h`` for some h in H (``x - y`` is a nonzero element
+    of ``ker M intersect N^n`` for any other solution ``y <= x``).  A cone
+    with no ray of height t > 0 has no solution, and a walk past the
+    default ``_BOX_BUDGET`` gives way to the triangulation of the
+    homogenized cone."""
+    basis, rays, bound = _homogenized_box(data, x0)
+    if bound is None:
+        return SolutionSet.of(M.cols, [])
+    points = _box_solutions(data, x0, bound, budget=_BOX_BUDGET)
+    if points is None:
+        hilbert = _hilbert_basis_geometric(basis, rays)
+        return SolutionSet.of(M.cols, [x[:-1] for x in hilbert if x[-1] == 1])
+    H = hilbert_kernel(M).vectors
+    return SolutionSet.of(M.cols, [x for x in points if not any(vec_leq(h, x) for h in H)])
 
 
 def _recording(log: list, name: str, fn):
@@ -1408,16 +1423,23 @@ def _wide_pair_systems(rng, count):
 
 
 def _unpaired_systems(rng, count):
-    """Seeded ``(M, b)``, b != 0, over matrices that are not pointed and
-    have no negation pair, alternating the square cone's ``[A_F | -A_G]``
-    (F, G disjoint, with a kernel vector such as ``(1, 1, 1, 1)`` on
-    ``[A_{0,2} | -A_{1,3}]``) and mixed-sign matrices of 1-3 rows; b is
-    ``M u``, or ``M u`` plus a unit vector."""
+    """Seeded ``(kind, M, b)``, b != 0, over matrices that are not pointed
+    and have no negation pair, cycling through the square cone's
+    ``[A_F | -A_G]`` (F, G disjoint, with a kernel vector such as
+    ``(1, 1, 1, 1)`` on ``[A_{0,2} | -A_{1,3}]``), mixed-sign matrices of
+    1-3 rows and 3-5 columns, and mixed-sign matrices of 2-4 columns with a
+    zero and a duplicate column inserted; b is ``M u``, or ``M u`` plus a
+    unit vector."""
+    kinds = ["square_cone_faces", "mixed_sign", "zero_and_duplicate_columns"]
     systems = []
     while len(systems) < count:
-        if len(systems) % 2:
+        kind = len(systems) % 3
+        if kind:
             r = rng.randint(1, 3)
-            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(3, 5))]
+            cols = [tuple(rng.randint(-3, 3) for _ in range(r)) for _ in range(rng.randint(3, 5) - kind + 1)]
+            if kind == 2:
+                cols.insert(rng.randint(0, len(cols)), (0,) * r)
+                cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
         else:
             order = rng.sample(range(4), 4)
             cut = rng.randint(1, 3)
@@ -1429,7 +1451,7 @@ def _unpaired_systems(rng, count):
         if rng.random() < 0.5:
             b = vec_add(b, tuple(int(i == rng.randrange(M.rows)) for i in range(M.rows)))
         if any(b):
-            systems.append((M, b))
+            systems.append((kinds[kind], M, b))
     return systems
 
 
@@ -1437,16 +1459,15 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     """The certificates settle only systems without a solution: every answer
     equals the solver's without them, which always runs completion first,
     under the default budgets, with completion off, and with completion and
-    the walk's budget off.  Under the default budgets each of the three
-    routes of the full solve runs at least 20 times: the graded box walk
-    alone on a pointed system; the signed walk alone on a matrix with a
-    negation pair; and ``_geometric_solutions``, with no completion once
-    the kernel Hilbert basis is cached, on every other system, and after a
-    signed walk that overflowed.  Seeded wide ``[A | -A]``, whose kernel
-    Hilbert basis comes from completion, and seeded non-pointed matrices
-    without a negation pair join the systems there.  Where a particular
-    solution exists, the span-and-cone test holds exactly when the
-    homogenized cone has no ray with t > 0."""
+    the walk's budget off.  Each of the three routes of the full solve runs
+    at least 20 times: the graded walk alone on a pointed system; the
+    signed walk, on a system that is not pointed or after a graded walk
+    that overflowed; and the triangulation, after a signed walk that
+    overflowed.  No full solve calls ``hilbert_kernel`` or
+    ``_completion``.  Seeded wide ``[A | -A]`` and seeded non-pointed
+    matrices without a negation pair join the systems under the default
+    budgets.  Where a particular solution exists, the span-and-cone test
+    holds exactly when the homogenized cone has no ray with t > 0."""
     import stdpairs.diophantine as dio
 
     systems = _certificate_systems(random.Random(1212), 600)
@@ -1467,7 +1488,7 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
         assert in_cone == bool(_reference_vertices(M, b)[1]), (M, b)
         x0 = _particular_solution(data, b)
         if x0 is not None:
-            bound = _homogenized_cone(data, x0)[2]
+            bound = _homogenized_box(data, x0)[2]
             assert (not in_cone) == (bound is None), (M, b)
             kinds["cone_test_without_vertex" if bound is None else "cone_test_with_vertex"] += 1
         half = M.cols // 2
@@ -1484,10 +1505,11 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     assert min(kinds.values()) >= 20, kinds
 
     tiers = []
-    for name in ("_box_solutions", "_completion", "_geometric_solutions", "hilbert_kernel", "_homogenized_cone"):
+    for name in ("_box_solutions", "_signed_solutions", "_geometric_solutions", "_completion", "hilbert_kernel"):
         monkeypatch.setattr(dio, name, _recording(tiers, name, getattr(dio, name)))
-    routes = {"pointed": 0, "signed": 0, "geometric": 0}
-    extra = _wide_pair_systems(random.Random(1213), 30) + _unpaired_systems(random.Random(1214), 40)
+    routes = {"graded": 0, "signed": 0, "triangulation": 0}
+    signed = ["_signed_solutions", "_box_solutions"]
+    extra = _wide_pair_systems(random.Random(1213), 30) + [(M, b) for _, M, b in _unpaired_systems(random.Random(1214), 40)]
     for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
         for name, value in budgets.items():
             monkeypatch.setattr(dio, name, value)
@@ -1495,21 +1517,20 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
         for M, b in systems if budgets else systems + extra:
             data = dio._matrix_data(M)
             expected = _reference_min_nonneg_uncached(M, data, b)
-            pointed = not dio._infeasible(data, b) and data.graded_box(b) is not None
-            if pointed:
-                dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
+            settled = dio._infeasible(data, b)
+            graded = [] if settled or data.graded_box(b) is None else ["_box_solutions"]
+            dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
             tiers.clear()
             assert min_nonneg_solutions(M, b) == expected, (M, b, budgets)
-            if pointed and not budgets:
-                assert tiers == ["_box_solutions"], (M, b, tiers)
-                routes["pointed"] += 1
-            elif tiers and not budgets:
-                paired = bool(_negation_pairs(M.columns()))
-                if paired and tiers == ["_box_solutions"]:
-                    routes["signed"] += 1
-                else:
-                    assert tiers[paired:][:1] == ["_geometric_solutions"] and "_completion" not in tiers, (M, b, tiers)
-                    routes["geometric"] += 1
+            if settled:
+                assert not tiers, (M, b, tiers)
+            elif graded and tiers == graded:
+                routes["graded"] += 1
+            elif tiers == graded + signed:
+                routes["signed"] += 1
+            else:
+                assert tiers == graded + signed + ["_geometric_solutions"], (M, b, budgets, tiers)
+                routes["triangulation"] += 1
     dio._MATRIX_CACHE.clear()
     assert min(routes.values()) >= 20, routes
 
@@ -1661,12 +1682,12 @@ def test_pointed_systems_are_answered_by_the_graded_walk_alone(monkeypatch):
     solution lies in the box; where the box has at most 20,000 points, the
     answer is every solution in it (each one is minimal) by brute force;
     ``has_nonneg_solution`` on a cold cache is its truth value; and no
-    kernel Hilbert basis, completion or homogenized cone is asked for
-    unless a walk overflowed."""
+    kernel Hilbert basis, completion, signed walk or triangulation is asked
+    for unless a walk overflowed."""
     import stdpairs.diophantine as dio
 
     asked, overflows = [], []
-    for name in ("hilbert_kernel", "_completion", "_homogenized_cone"):
+    for name in ("hilbert_kernel", "_completion", "_signed_solutions", "_geometric_solutions"):
         monkeypatch.setattr(dio, name, _recording(asked, name, getattr(dio, name)))
     box_walk = dio._box_solutions
 
@@ -1879,55 +1900,58 @@ def test_hilbert_kernel_answers_pair_differences_without_the_triangulation(monke
     dio._MATRIX_CACHE.clear()
 
 
-def _reference_walk_order(columns: list) -> list:
-    """The walk order by its definition: each nonzero column, unless an
-    earlier one took it, is followed by the first unused later column
-    equal to its negation."""
-    order = []
+def _reference_negation_pairs(columns: list) -> dict:
+    """The negation pairs by their definition: each nonzero column, unless
+    an earlier one took it, takes the first later column not yet taken
+    that equals its negation."""
+    partner = {}
     for j, c in enumerate(columns):
-        if j in order:
+        if j in partner.values() or not any(c):
             continue
-        order.append(j)
-        if any(c):
-            neg = tuple(-a for a in c)
-            order += [k for k in range(j + 1, len(columns)) if k not in order and columns[k] == neg][:1]
-    return order
+        neg = tuple(-a for a in c)
+        taken = [k for k in range(j + 1, len(columns)) if k not in partner.values() and columns[k] == neg][:1]
+        partner.update((j, k) for k in taken)
+    return partner
 
 
-def test_walk_order_matches_its_definition():
-    """Examples (zero and unpaired columns keep their place, a matrix
-    without negated columns keeps index order), then seeded column lists
-    drawn from three random vectors with entries -1..1, so that repeats,
-    negations, zero columns and chains like a, -a, a, -a are common."""
+def test_negation_pairs_match_their_definition():
+    """Examples (zero and unpaired columns stay unpaired, a matrix without
+    negated columns has no pair), then seeded column lists drawn from three
+    random vectors with entries -1..1, so that repeats, negations, zero
+    columns and chains like a, -a, a, -a are common."""
     a, b, z = (1, 2), (0, 3), (0, 0)
     neg = lambda c: tuple(-x for x in c)
-    assert _walk_order([a, b, neg(a), neg(b)]) == [0, 2, 1, 3]
-    assert _walk_order([a, a, neg(a), neg(a)]) == [0, 2, 1, 3]
-    assert _walk_order([z, a, z, neg(b), neg(a), b]) == [0, 1, 4, 2, 3, 5]
-    assert _walk_order([neg(a), b, a, a]) == [0, 2, 1, 3]
-    assert _walk_order([a, b, (3, 1)]) == [0, 1, 2]
-    assert _walk_order([]) == []
+    assert _negation_pairs([a, b, neg(a), neg(b)]) == {0: 2, 1: 3}
+    assert _negation_pairs([a, a, neg(a), neg(a)]) == {0: 2, 1: 3}
+    assert _negation_pairs([z, a, z, neg(b), neg(a), b]) == {1: 4, 3: 5}
+    assert _negation_pairs([neg(a), b, a, a]) == {0: 2}
+    assert _negation_pairs([a, b, (3, 1)]) == {}
+    assert _negation_pairs([]) == {}
     rng = random.Random(191)
     for _ in range(3000):
         r = rng.randint(1, 2)
         pool = [tuple(rng.randint(-1, 1) for _ in range(r)) for _ in range(3)]
         cols = [rng.choice(pool) for _ in range(rng.randint(0, 9))]
-        assert _walk_order(cols) == _reference_walk_order(cols), cols
+        assert _negation_pairs(cols) == _reference_negation_pairs(cols), cols
 
 
-def _reference_reduction(M: IntMatrix) -> tuple:
-    """``_MatrixData.reduction`` as it was before the walk order: the one
-    echelon pass over ``[M; I]`` visits every row in index order."""
+def _reversed_reduction(M: IntMatrix) -> tuple:
+    """``_MatrixData.reduction`` with the rows of I visited in reverse
+    order: the echelon pass runs over ``[M; I]`` with I's rows reversed,
+    and the tails and pivot rows are read back in index order.  So each
+    kernel column vanishes on the x-rows after its pivot, not before it."""
     m, n = M.rows, M.cols
-    stacked = [M.col(j) + tuple(int(i == j) for i in range(n)) for j in range(n)]
+    stacked = [M.col(j) + tuple(int(n - 1 - i == j) for i in range(n)) for j in range(n)]
     cols, pivots = _column_echelon(stacked, m + n)
+    cols = [c[:m] + c[m:][::-1] for c in cols]
+    pivots = [p if p < m else 2 * m + n - 1 - p for p in pivots]
     return cols, pivots, sum(p < m for p in pivots)
 
 
-def _index_order_data(M: IntMatrix) -> _MatrixData:
-    """Fresh solver data for M whose walk runs on the index-order echelon."""
+def _reversed_order_data(M: IntMatrix) -> _MatrixData:
+    """Fresh solver data for M whose walk runs on the reversed-order echelon."""
     data = _MatrixData(M)
-    data._reduction = _reference_reduction(M)
+    data._reduction = _reversed_reduction(M)
     return data
 
 
@@ -1978,27 +2002,28 @@ def _pipeline_systems() -> tuple:
 
 
 def test_box_walk_does_not_depend_on_the_row_order():
-    """The pruned walk over the walk-order echelon gives the same minimal
-    solutions as over the index-order one, on every solvable system of the
-    seeded and acceptance pipelines and on seeded walks with zero and
-    duplicate columns.  An index-order walk that overflows ``_BOX_BUDGET``
-    is not compared here (tier 3 answers it; see the next test)."""
+    """The walk over the reversed-order echelon gives the same solutions
+    as over the index-order one, on every solvable system of the seeded and
+    acceptance pipelines (in the homogenized box) and on seeded walks with
+    zero and duplicate columns.  A walk that overflows ``_BOX_BUDGET`` is
+    not compared."""
     walks = []
     for M, b in _pipeline_systems():
         data = _MatrixData(M)
         x0 = _particular_solution(data, b)
-        walks.append((M, x0, _homogenized_cone(data, x0)[2]))
+        walks.append((M, x0, _homogenized_box(data, x0)[2]))
     walks += [(M, x0, bound) for M, _, x0, bound in _box_walk_systems(random.Random(64), 120)]
     compared = reordered = zero_column = duplicate_column = 0
     for M, x0, bound in walks:
-        hilbert = hilbert_kernel(M).vectors
-        expected = _box_solutions(_index_order_data(M), x0, bound, _BOX_BUDGET, above=hilbert)
-        if expected is None:
+        data, reversed_data = _MatrixData(M), _reversed_order_data(M)
+        expected = _box_solutions(data, x0, bound, _BOX_BUDGET)
+        got = _box_solutions(reversed_data, x0, bound, _BOX_BUDGET)
+        if expected is None or got is None:
             continue
-        assert sorted(_box_solutions(_MatrixData(M), x0, bound, above=hilbert)) == sorted(expected), (M, x0, bound)
+        assert sorted(got) == sorted(expected), (M, x0, bound)
         cols = M.columns()
         compared += 1
-        reordered += _walk_order(cols) != list(range(M.cols))
+        reordered += reversed_data.kernel_basis() != data.kernel_basis()
         zero_column += any(not any(c) for c in cols)
         duplicate_column += len(set(cols)) < len(cols)
     assert compared >= 2000 and reordered >= 800, (compared, reordered)
@@ -2006,24 +2031,22 @@ def test_box_walk_does_not_depend_on_the_row_order():
 
 
 def test_min_nonneg_solutions_do_not_depend_on_the_row_order(monkeypatch):
-    """With tier 1 off, ``min_nonneg_solutions`` gives the same answers
-    when every matrix's echelon is taken in index order, on the pipeline
-    systems of at most 9 columns (the wider ones spend seconds in the
-    triangulation without tier 1) and on the seeded walk systems."""
+    """``min_nonneg_solutions`` gives the same answers when every matrix's
+    echelon is taken in reversed order, on the pipeline systems of at most
+    9 columns and on the seeded walk systems."""
     import stdpairs.diophantine as dio
 
     systems = [(M, b) for M, b in _pipeline_systems() if M.cols <= 9]
     systems += [(M, b) for M, b, _, _ in _box_walk_systems(random.Random(65), 120)]
-    walk_order = dio._MatrixData.reduction
+    index_order = dio._MatrixData.reduction
 
-    def index_order(self):
+    def reversed_order(self):
         if self._reduction is None:
-            self._reduction = _reference_reduction(self.M)
+            self._reduction = _reversed_reduction(self.M)
         return self._reduction
 
-    monkeypatch.setattr(dio, "_CD_BUDGET", 0)
     answers = []
-    for reduction in (walk_order, index_order):
+    for reduction in (index_order, reversed_order):
         monkeypatch.setattr(dio._MatrixData, "reduction", reduction)
         dio._MATRIX_CACHE.clear()
         answers.append([min_nonneg_solutions(M, b) for M, b in systems])
@@ -2041,31 +2064,9 @@ _PRINCIPAL_LADDER = [(_SQUARE_CONE, b) for b in [(4, 2, 5), (1, 3, 6), (4, 2, 6)
 _PRINCIPAL_LADDER += [(_VERONESE, b) for b in [(9, 11), (10, 13), (12, 15), (13, 9)]]
 
 
-def test_principal_ladder_walks_a_tenth_of_the_index_order_units():
-    """On each ladder solve the walk-order echelon lets every level prune
-    its ``(e_j, e_j)`` kernel vector, so the pruned walk visits at most a
-    tenth of the units it visits in index order, with the same answer."""
-    for cols, b in _PRINCIPAL_LADDER:
-        A = IntMatrix.from_cols(cols)
-        M = A.hstack(A.neg())
-        data, old = _MatrixData(M), _index_order_data(M)
-        x0 = _particular_solution(data, b)
-        bound = _homogenized_cone(data, x0)[2]
-        hilbert = hilbert_kernel(M).vectors
-
-        def pruned(*args):
-            return _box_solutions(*args, above=hilbert)
-
-        units = _node_count(pruned, data, x0, bound, 10**6)
-        index_units = _node_count(pruned, old, x0, bound, 10**6)
-        assert 10 * units <= index_units, (b, units, index_units)
-        assert sorted(pruned(data, x0, bound)) == sorted(pruned(old, x0, bound)), b
-
-
 def test_principal_ladder_full_solves_skip_completion(monkeypatch):
-    """``hilbert_kernel``'s short walk answers each ladder matrix, and its
-    full solve goes straight to the walk, with the completion-first
-    answer: no completion runs."""
+    """Each ladder system's full solve calls neither ``hilbert_kernel`` nor
+    ``_completion``, and gives the completion-first answer."""
     import stdpairs.diophantine as dio
 
     systems = []
@@ -2076,24 +2077,25 @@ def test_principal_ladder_full_solves_skip_completion(monkeypatch):
         systems.append((M, b, _reference_min_nonneg_uncached(M, dio._matrix_data(M), b)))
 
     def fail(*args, **kwargs):
-        raise AssertionError("tier 1 should not run")
+        raise AssertionError("should not run")
 
     for M, b, expected in systems:
         dio._MATRIX_CACHE.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(dio, "_completion", fail)
-            hilbert_kernel(M)
+            for name in ("_completion", "hilbert_kernel"):
+                patch.setattr(dio, name, fail)
             assert min_nonneg_solutions(M, b) == expected, b
     dio._MATRIX_CACHE.clear()
 
 
 def test_full_solves_run_no_completion_outside_the_kernel_basis(monkeypatch):
     """A one-row ``[A | -A]`` whose short kernel walk overflows takes its
-    kernel Hilbert basis from completion, and its full solve then runs no
-    completion: the walk comes first.  A pointed A without zero columns
-    (the square cone, the Veronese cone), whose kernel has no nonnegative
-    ray and so no short walk, is answered by the graded box walk alone: no
-    completion, no kernel Hilbert basis."""
+    kernel Hilbert basis from completion, while its full solve runs no
+    completion and asks for no kernel Hilbert basis: the signed walk
+    answers it.  A pointed A without zero columns (the square cone, the
+    Veronese cone), whose kernel has no nonnegative ray and so no short
+    walk, is answered by the graded box walk alone: no completion, no
+    kernel Hilbert basis."""
     import stdpairs.diophantine as dio
 
     def fail(*args, **kwargs):
@@ -2116,9 +2118,10 @@ def test_full_solves_run_no_completion_outside_the_kernel_basis(monkeypatch):
                 hilbert_kernel(M)
                 assert tiers == ["walk", "completion"], (M, tiers)
                 tiers.clear()
-                patch.setattr(dio, "_completion", fail)
+                for name in ("_completion", "hilbert_kernel", "_geometric_solutions"):
+                    patch.setattr(dio, name, fail)
             else:
-                for name in ("_completion", "hilbert_kernel", "_homogenized_cone"):
+                for name in ("_completion", "hilbert_kernel", "_signed_solutions", "_geometric_solutions"):
                     patch.setattr(dio, name, fail)
             assert min_nonneg_solutions(M, b) == expected, (M, b)
         assert tiers[0] == "walk", (M, b, tiers)
@@ -2179,18 +2182,15 @@ def test_cone_of_negation_pairs_skips_the_double_description(monkeypatch):
     assert min(kinds.values()) >= 20, kinds
 
 
-def _reference_paired_solutions(M: IntMatrix, b) -> SolutionSet:
-    """The full solve of a matrix with negation pairs before the signed
-    walk: the certificates, then the kernel Hilbert basis and
-    ``_geometric_solutions`` (the homogenized walk pruned by that basis, or
-    the triangulation when the walk overflows)."""
+def _reference_kernel_basis_route(M: IntMatrix, b) -> SolutionSet:
+    """The full solve through the kernel Hilbert basis: the certificates,
+    then ``_reference_homogenized_walk``."""
     import stdpairs.diophantine as dio
 
     data = _MatrixData(M)
     if dio._infeasible(data, b):
         return SolutionSet.of(M.cols, [])
-    data.hilbert = hilbert_kernel(M).vectors
-    return dio._geometric_solutions(M, data, b)
+    return _reference_homogenized_walk(M, data, _particular_solution(data, b))
 
 
 def _signed_systems(rng, count):
@@ -2253,12 +2253,13 @@ def _signed_systems(rng, count):
 def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
     """On seeded matrices with negation pairs, ``min_nonneg_solutions`` and
     ``has_nonneg_solution`` (each on a cold cache) agree with the route
-    through the kernel Hilbert basis.  Under the default budget the signed
-    walk answers every system past the certificates; with ``_BOX_BUDGET``
-    at 10, on the first 280 systems, at least 20 of its walks overflow into
-    that route.  Every kind of matrix and of right-hand side (solvable, and
-    outside the cone, outside the lattice, or past the certificates with no
-    solution) occurs at least 20 times."""
+    through the kernel Hilbert basis (``_reference_kernel_basis_route``).
+    Under the default budget the signed walk answers every system past the
+    certificates; with ``_BOX_BUDGET`` at 10, on the first 280 systems, at
+    least 20 of its walks overflow into the triangulation.  Every kind of
+    matrix and of right-hand side (solvable, and outside the cone, outside
+    the lattice, or past the certificates with no solution) occurs at least
+    20 times."""
     import stdpairs.diophantine as dio
 
     signed, walks = dio._signed_solutions, []
@@ -2277,7 +2278,7 @@ def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
         routes[budget] = {"walked": 0, "overflowed": 0}
         for kind, M, b in cases:
             dio._MATRIX_CACHE.clear()
-            expected = _reference_paired_solutions(M, b)
+            expected = _reference_kernel_basis_route(M, b)
             dio._MATRIX_CACHE.clear()
             walks.clear()
             assert min_nonneg_solutions(M, b) == expected, (kind, M, b, budget)
@@ -2303,15 +2304,66 @@ def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
     assert low["overflowed"] >= 20 and low["walked"] >= 20, routes
 
 
+def test_unpaired_systems_that_are_not_pointed_take_the_signed_walk(monkeypatch):
+    """On seeded systems that are not pointed and have no negation pair,
+    with zero and duplicate columns among them, ``min_nonneg_solutions``
+    and ``has_nonneg_solution`` (each on a cold cache) agree with the
+    triangulation alone (``_BOX_BUDGET`` at 0): at the default budget,
+    where the signed walk answers at least 200 of them, and at a budget of
+    10, where at least 20 signed walks overflow into the triangulation.  No
+    solve calls ``hilbert_kernel`` or ``_completion``.  Each kind of
+    matrix occurs at least 20 times, with at least 20 solvable systems."""
+    import stdpairs.diophantine as dio
+
+    def fail(*args, **kwargs):
+        raise AssertionError("should not run")
+
+    for name in ("hilbert_kernel", "_completion"):
+        monkeypatch.setattr(dio, name, fail)
+    systems = _unpaired_systems(random.Random(1215), 240)
+    monkeypatch.setattr(dio, "_BOX_BUDGET", 0)
+    expected = []
+    for _, M, b in systems:
+        dio._MATRIX_CACHE.clear()
+        expected.append(min_nonneg_solutions(M, b))
+    signed, walks = dio._signed_solutions, []
+
+    def recording(data, b):
+        found = signed(data, b)
+        walks.append("walked" if found is not None else "overflowed")
+        return found
+
+    monkeypatch.setattr(dio, "_signed_solutions", recording)
+    counts, routes = {"solvable": 0}, {}
+    for budget in (_BOX_BUDGET, 10):
+        monkeypatch.setattr(dio, "_BOX_BUDGET", budget)
+        routes[budget] = {"walked": 0, "overflowed": 0}
+        for (kind, M, b), answer in zip(systems, expected):
+            dio._MATRIX_CACHE.clear()
+            walks.clear()
+            assert min_nonneg_solutions(M, b) == answer, (kind, M, b, budget)
+            for route in walks:
+                routes[budget][route] += 1
+            dio._MATRIX_CACHE.clear()
+            assert has_nonneg_solution(M, b) == bool(answer), (kind, M, b, budget)
+            if budget == 10:
+                counts[kind] = counts.get(kind, 0) + 1
+                counts["solvable"] += bool(answer)
+    dio._MATRIX_CACHE.clear()
+    assert len(counts) == 4 and min(counts.values()) >= 20, counts
+    default, low = routes.values()
+    assert default["walked"] >= 200, routes
+    assert low["overflowed"] >= 20 and low["walked"] >= 20, routes
+
+
 def test_pipelines_compute_no_kernel_hilbert_basis(monkeypatch):
     """The principal ladder's covers and the acceptance instances' covers,
     decompositions and radicals ask for no kernel Hilbert basis, no
-    homogenized cone and no completion: each system they solve is pointed
-    or has negation pairs, and no signed walk overflows."""
+    completion and no triangulation: no graded or signed walk overflows."""
     import stdpairs.diophantine as dio
 
     calls = []
-    for name in ("hilbert_kernel", "_homogenized_cone", "_completion"):
+    for name in ("hilbert_kernel", "_completion", "_geometric_solutions"):
         monkeypatch.setattr(dio, name, _recording(calls, name, getattr(dio, name)))
     signed = []
     monkeypatch.setattr(dio, "_signed_solutions", _recording(signed, "signed", dio._signed_solutions))
