@@ -14,8 +14,7 @@ the maximal overlap classes and the irreducible components, in that
 order, and reports per stage the seconds, the ``AffineMonoid.contains``
 calls and the triangulations (calls to
 ``diophantine._hilbert_basis_geometric``, the solver route that answers
-L1-L3), the cover's refinement rounds (calls to ``covers.cone_to_ctwo``),
-and the cover and decomposition SHA-1s
+L1-L3), and the cover and decomposition SHA-1s
 (``sha1(repr(x))[:12]``, as ``tests/test_decomp.py::test_walls_golden``
 pins them).  It checks nothing: compare the SHA-1s with the test.  Run
 from anywhere:
@@ -54,8 +53,7 @@ BY_NAME_ONLY = ("L2", "L1")  # minutes each
 
 def measure(name: str) -> dict:
     """One wall, in this process: stage seconds, contains calls,
-    triangulations and refinement rounds, SHA-1s."""
-    import stdpairs.covers as covers
+    triangulations, SHA-1s."""
     import stdpairs.diophantine as diophantine
     from stdpairs import AffineMonoid, IntMatrix, MonomialIdeal
     from stdpairs.decomp import irreducible_decomposition, maximal_overlap_classes
@@ -70,9 +68,6 @@ def measure(name: str) -> dict:
     asked = []  # one entry per contains call: the stage that asked it (the ideal's own are not reported)
     contains = AffineMonoid.contains
     AffineMonoid.contains = lambda self, b: asked.append(stage) or contains(self, b)
-    rounds = []  # one entry per refinement round: the stage that ran it
-    cone_to_ctwo = covers.cone_to_ctwo
-    covers.cone_to_ctwo = lambda cover, I: rounds.append(stage) or cone_to_ctwo(cover, I)
     stage = "ideal"
     diophantine._hilbert_basis_geometric = counted
     cols, gens = WALLS[name]
@@ -91,7 +86,6 @@ def measure(name: str) -> dict:
     done = time.perf_counter()
     diophantine._hilbert_basis_geometric = triangulation
     AffineMonoid.contains = contains
-    covers.cone_to_ctwo = cone_to_ctwo
     stages = ("cover", "classes", "components")
     return {
         "name": name,
@@ -100,7 +94,6 @@ def measure(name: str) -> dict:
         "components_s": round(done - classified, 3),
         "contains": [asked.count(s) for s in stages],
         "triangulations": [triangulations.count(s) for s in stages],
-        "rounds": rounds.count("cover"),
         "cover_sha": digest(cover),
         "decomposition_sha": digest(decomposition),
     }
@@ -118,7 +111,7 @@ def main(argv: list) -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     print(
         "name  cover_s  classes_s  components_s  contains per stage  triangulations per stage"
-        "  cover rounds  cover / decomposition SHA-1"
+        "  cover / decomposition SHA-1"
     )
     for name in names:
         out = subprocess.run(
@@ -129,7 +122,6 @@ def main(argv: list) -> int:
             f"{name:<5} {r['cover_s']:>7.2f}  {r['classes_s']:>9.2f}  {r['components_s']:>12.2f}"
             f"  {'/'.join(map(str, r['contains'])):>18}"
             f"  {'/'.join(map(str, r['triangulations'])):>24}"
-            f"  {r['rounds']:>12}"
             f"  {r['cover_sha']} / {r['decomposition_sha']}"
         )
     return 0

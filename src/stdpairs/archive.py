@@ -174,7 +174,7 @@ class _Reader:
             raise self.error(f"{face} is not a face of the monoid")
         return face
 
-    def take_pair_line(self, faces: dict):
+    def take_pair_line(self, faces: dict, dim: int):
         line = self.take("pair")
         if ";" not in line:
             raise self.error(f"expected 'face;base' pair line, got {line!r}")
@@ -184,6 +184,8 @@ class _Reader:
             base = vec(base_text.split())
         except ValueError:
             raise self.error("non-integer entry in pair base")
+        if len(base) != dim:
+            raise self.error(f"pair base has dim {len(base)}, expected {dim}")
         return face, base
 
 
@@ -213,7 +215,7 @@ def load(path: str):
             ideal = MonomialIdeal(monoid, reader.take_matrix("IDEAL"))
         elif section == "COVER":
             count = reader.take_int("COVER")
-            cover_data = [reader.take_pair_line(faces) for _ in range(count)]
+            cover_data = [reader.take_pair_line(faces, monoid.dim) for _ in range(count)]
         elif section == "OVERLAP":
             count = reader.take_int("OVERLAP")
             overlap_data = []
@@ -227,7 +229,7 @@ def load(path: str):
                     npairs = int(n_text)
                 except ValueError:
                     raise reader.error("bad class pair count")
-                overlap_data.append((face, [reader.take_pair_line(faces) for _ in range(npairs)]))
+                overlap_data.append((face, [reader.take_pair_line(faces, monoid.dim) for _ in range(npairs)]))
         elif section == "ASSOCIATED":
             count = reader.take_int("ASSOCIATED")
             associated_faces = [reader.take_face(reader.take("ASSOCIATED"), faces) for _ in range(count)]

@@ -7,7 +7,7 @@ Subcommands:
     stdpairs export-m2 FILE
 
 Results go to stdout; progress lines go to stderr (suppressed by --quiet).
-Exit codes: 0 success, 2 parse or domain error, 3 computation cap exceeded.
+Exit codes: 0 success, 2 parse or domain error.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import sys
 
 from .archive import ArchiveError, export_macaulay2, load, save, verify
-from .covers import Cover, LoopCapExceeded, standard_cover
+from .covers import Cover, standard_cover
 from .decomp import associated_primes, irreducible_decomposition, multiplicity
 from .diophantine import IntMatrix
 from .ideal import MonomialIdeal
@@ -101,7 +101,7 @@ def cmd_ideal(args) -> int:
     ideal = _load_ideal(args)
     if args.action == "mult" and args.face is None:
         raise ValueError("mult requires --face")
-    cover = standard_cover(ideal, loop_cap=args.loop_cap)  # memoized: every action reuses it
+    cover = standard_cover(ideal)  # memoized: every action reuses it
     if args.action == "cover":
         print(cover)
     elif args.action == "radical":
@@ -147,7 +147,7 @@ def cmd_pair(args) -> int:
 
 def cmd_export_m2(args) -> int:
     ideal = _load_ideal(args)
-    script = export_macaulay2(ideal, standard_cover(ideal, loop_cap=args.loop_cap))
+    script = export_macaulay2(ideal, standard_cover(ideal))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(script)
@@ -164,10 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, loop_cap=False):
+    def common(p):
         p.add_argument("--out", help="write the (cached) result object to this archive path")
-        if loop_cap:
-            p.add_argument("--loop-cap", type=int, default=1000, help="cover refinement iteration cap, at least 1 (default 1000)")
         p.add_argument("--verify", action="store_true", help="re-check cached results on load")
 
     p_monoid = sub.add_parser("monoid", help="inspect an affine monoid")
@@ -181,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ideal.add_argument("file", help="archive file with MONOID and IDEAL sections")
     p_ideal.add_argument("action", choices=["cover", "radical", "assoc", "mult", "decompose"])
     p_ideal.add_argument("--face", help="face for mult, as comma-separated indices")
-    common(p_ideal, loop_cap=True)
+    common(p_ideal)
     p_ideal.set_defaults(func=cmd_ideal)
 
     p_pair = sub.add_parser("pair", help="pair operations")
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_m2 = sub.add_parser("export-m2", help="emit a Macaulay2 script for an ideal and its cover")
     p_m2.add_argument("file", help="archive file with MONOID and IDEAL sections")
-    common(p_m2, loop_cap=True)
+    common(p_m2)
     p_m2.set_defaults(func=cmd_export_m2)
 
     return parser
@@ -210,9 +208,6 @@ def main(argv=None) -> int:
     log.setLevel(logging.WARNING if args.quiet else logging.INFO)
     try:
         return args.func(args)
-    except LoopCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (ArchiveError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

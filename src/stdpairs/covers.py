@@ -14,18 +14,21 @@ The pipeline:
    (0, A) and (b, A), less its nested pairs, is already the standard
    cover.  (0, A) alone is the standard cover of the ideal with no
    generators.
-3. ``cover_to_standard``: refine a cover of std(I) by pairs over faces to
-   the standard cover by alternating two steps until a fixpoint: move each
-   base down to the minimal monoid elements of its real-span slice
+3. ``standard_cover``: start from {(0, A)} and cut the generators in
+   one at a time: difference each standing piece against (g, A) for the
+   new generator g and prune the nested pieces (``_prune_nested``).  By
+   induction on the generators the pruned pieces are the standard cover
+   of the generators cut so far, so the pieces left after the last
+   generator are the standard cover of I.  A principal ideal's one cut is
+   the principal cover of step 2.
+4. ``cover_to_standard``: refine any cover of std(I) by pairs over faces
+   to the standard cover by alternating two steps until a fixpoint: move
+   each base down to the minimal monoid elements of its real-span slice
    (``czero_to_cone``), then re-expand each pair to every containing face
    that keeps it proper (``cone_to_ctwo``).  The rounds can nest pairs
    again, so nested pairs are pruned at the fixpoint too.
-4. ``standard_cover``: start from {(0, A)} and cut the generators in
-   one at a time: difference each standing piece against (g, A) for the
-   new generator g and prune the nested pieces (``_prune_nested``).  The
-   pieces left after the last generator cover std(I), and one run of step
-   3 refines them to the standard cover.  A principal ideal's one cut is
-   the principal cover of step 2 and needs only the prune.
+   ``standard_cover`` does not call it: it is an independent route to the
+   same answer.
 
 Every solve runs over the monoid's kept minimal generators
 (``AffineMonoid.kept_of``), so no cover depends on how the monoid's
@@ -390,19 +393,14 @@ def _prune_nested(monoid: AffineMonoid, pairs: list) -> list:
     return keep
 
 
-def _check_loop_cap(loop_cap: int) -> None:
-    if loop_cap < 1:
-        raise ValueError(f"loop cap must be at least 1, got {loop_cap}")
-
-
 def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """Refine a cover of std(I) by pairs over faces, such as the cut and
-    pruned pieces of ``standard_cover``, to the standard cover (fixpoint
-    of the two steps, then pruned), within ``loop_cap >= 1`` refinement
-    iterations.  The input may hold nested pairs, and its pairs may be
+    """Refine a cover of std(I) by pairs over faces to the standard cover
+    (fixpoint of the two steps, then pruned), within ``loop_cap >= 1``
+    refinement iterations.  The input may hold nested pairs, and its pairs may be
     anchored to any ideal over I's monoid; ``czero_to_cone`` anchors every
     pair it emits to I."""
-    _check_loop_cap(loop_cap)
+    if loop_cap < 1:
+        raise ValueError(f"loop cap must be at least 1, got {loop_cap}")
     current = cover
     for _ in range(loop_cap):
         refined = cone_to_ctwo(czero_to_cone(current, I), I)
@@ -412,18 +410,27 @@ def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> C
     raise LoopCapExceeded(f"cover refinement did not stabilize within {loop_cap} iterations")
 
 
-def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
-    """The standard cover of a proper monomial ideal (memoized), refined
-    once within ``loop_cap >= 1`` iterations.
+def standard_cover(I: MonomialIdeal) -> Cover:
+    """The standard cover of a proper monomial ideal (memoized): each
+    generator g cuts every standing piece against ``(g, top)`` and the
+    pieces are pruned.  The ideal with no generators gets {(0, top)}.
 
-    Each generator g cuts every standing piece against ``(g, top)``, and
-    the pieces are pruned.  A cut removes exactly ``g + NA`` and a pair
-    dropped lies inside one kept, so after the last generator the pieces
-    cover std(I) by pairs over faces, and one ``cover_to_standard`` over I
-    turns them into the standard cover, which is unique.  A principal
-    ideal's pruned cut is already standard and is not refined; the ideal
-    with no generators gets {(0, top)}."""
-    _check_loop_cap(loop_cap)
+    This is exact, by induction on the generators.  The pieces start as
+    the standard cover {(0, top)} of the ideal with no generators.  Let
+    them be the standard cover of the ideal I' of the earlier generators,
+    and let g cut them: a piece (b, G) gives the standard pairs of
+    ``J = {u : b + A_K u in g + NA}``, K the kept columns of G, pushed
+    forward (``_difference``).
+    * Every cut pair is proper for I: it lies in a piece, which misses I',
+      and it misses ``g + NA`` by the definition of J.
+    * Every standard pair (a, F) of I is a cut pair.  It is proper for I',
+      so it lies in some piece (b, G).  Its pull-back ``u0 + N^V``, with V
+      the kept columns of F, misses J, so it lies in one standard pair of
+      J.  Pushed forward, that pair is a cut pair that contains (a, F) and
+      is proper for I, so it equals (a, F).
+    * Every other cut pair lies strictly inside one of those standard
+      pairs, so ``_prune_nested`` drops it.
+    So the pruned cut is the standard cover of I' + (g)."""
     if "standard_cover" in I._cache:
         return I._cache["standard_cover"]
     monoid = I.ambient
@@ -439,7 +446,5 @@ def standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
             len(gens) - i,
         )
     cover = _anchored(pieces, I)
-    if len(gens) > 1:
-        cover = cover_to_standard(cover, I, loop_cap=loop_cap)
     I._cache["standard_cover"] = cover
     return cover

@@ -121,10 +121,10 @@ class MonomialIdeal:
 
     # derived algebra ------------------------------------------------------
 
-    def standard_cover(self, loop_cap: int = 1000):
+    def standard_cover(self):
         from .covers import standard_cover
 
-        return standard_cover(self, loop_cap=loop_cap)
+        return standard_cover(self)
 
     def overlap_classes(self):
         from .decomp import overlap_classes

@@ -133,6 +133,25 @@ def test_load_rejects_cover_pair_over_non_face(tmp_path, sections, bad_line):
         load(path)
 
 
+@pytest.mark.parametrize(
+    "sections, bad_line",
+    [
+        ("COVER\n1\n0;1 2 3\n", 8),
+        ("IDEAL\n2 1\n2\n1\nCOVER\n2\n0;0 0\n0;1\n", 13),
+        ("IDEAL\n2 1\n2\n1\nOVERLAP\n1\n0;2\n0;0 0\n0;1 0 0\n", 14),
+    ],
+    ids=["cover", "ideal_cover", "overlap_pair"],
+)
+def test_load_rejects_pair_base_of_wrong_length(tmp_path, sections, bad_line):
+    """A COVER or OVERLAP pair line whose base does not have the monoid's
+    dimension is an ``ArchiveError`` naming its line."""
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n2 3\n1 1 1\n0 1 2\n" + sections)
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: pair base has dim \d, expected 2"):
+        load(path)
+
+
 def test_zero_column_roundtrips(tmp_path, paper_monoid):
     """An r x 0 matrix is written as r blank rows, and a document that
     ends with one still loads."""

@@ -174,45 +174,13 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert main(["--quiet", "ideal", monoid_only, "cover"]) == 2
 
 
-def two_round_ideal_file(tmp_path):
-    """An ideal whose cover refinement needs two rounds even though its
-    pieces are pruned."""
-    Q = sp.AffineMonoid(IntMatrix.from_rows([[4, 1, 0, 2], [2, 4, 3, 4], [4, 2, 1, 3]]))
-    path = str(tmp_path / "ideal.txt")
-    sp.save(sp.MonomialIdeal(Q, IntMatrix.from_cols([(8, 17, 12), (7, 25, 14), (3, 14, 7)])), path)
-    return path
-
-
-def test_loop_cap_exit_code(tmp_path, capsys):
-    path = two_round_ideal_file(tmp_path)
-    assert main(["--quiet", "ideal", path, "cover", "--loop-cap", "1"]) == 3
-    assert "did not stabilize within 1 iterations" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "command",
-    [["ideal", "cover"], ["export-m2"], ["ideal", "radical"], ["ideal", "assoc"], ["ideal", "decompose"]],
+    [["monoid", "{}", "info"], ["pair", "divides", "{}", "{}"], ["ideal", "{}", "cover"], ["export-m2", "{}"]],
 )
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_loop_cap_below_one_exit_code(tmp_path, capsys, command, cap):
-    path, _ = make_ideal_file(tmp_path)
-    argv = ["--quiet", command[0], path, *command[1:], "--loop-cap", cap]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert f"loop cap must be at least 1, got {cap}" in err
-    assert "did not stabilize" not in err
-
-
-@pytest.mark.parametrize("action", ["radical", "assoc", "decompose"])
-def test_loop_cap_reaches_every_cover_action(tmp_path, capsys, action):
-    path = two_round_ideal_file(tmp_path)
-    assert main(["--quiet", "ideal", path, action, "--loop-cap", "1"]) == 3
-    assert "did not stabilize within 1 iterations" in capsys.readouterr().err
-    assert main(["--quiet", "ideal", path, action, "--loop-cap", "2"]) == 0
-
-
-@pytest.mark.parametrize("command", [["monoid", "{}", "info"], ["pair", "divides", "{}", "{}"]])
-def test_loop_cap_rejected_where_no_cover_is_built(tmp_path, capsys, command):
+def test_loop_cap_is_rejected_by_every_command(tmp_path, capsys, command):
+    """The cover has no refinement loop to cap: no subcommand takes
+    ``--loop-cap``, those that build a cover included."""
     path, _ = make_ideal_file(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["--quiet", *(c.format(path) for c in command), "--loop-cap", "5"])

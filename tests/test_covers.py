@@ -510,12 +510,12 @@ def test_cone_to_ctwo_equals_unpruned_reference_with_fewer_tests(monkeypatch):
     for d, cols, gens in seeded_instances(200, 20261022):
         Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
         ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
-    # the unpruned fold refines more pieces than the library's, which adds
-    # the rounds of its own two-round family
+    # the unpruned fold refines every later fold's pieces; refining the
+    # two-round family's standard covers again adds rounds of its own
     for I in ideals:
         _reference_standard_cover(I)
     for I in _two_round_instances():
-        standard_cover(I)
+        cover_to_standard(standard_cover(I), I)
     monkeypatch.undo()
     # index sets that are not faces, inside the facet y = 0 (columns 0, 1
     # and 4), cannot even be made into pairs
@@ -568,7 +568,7 @@ def _strict_prune_nested(monoid: AffineMonoid, pairs) -> set:
 
 def _pruned_inputs(monkeypatch, ideals) -> list:
     """The ``(monoid, pairs)`` that the pipeline prunes while covering
-    ``ideals``: each fold's cut and each fixpoint cover."""
+    ``ideals``: each fold's cut."""
     import stdpairs.covers as covers
 
     inputs = []
@@ -680,22 +680,17 @@ def test_cover_to_standard_loop_cap(interior_monoid):
 
 @pytest.mark.parametrize("loop_cap", [0, -3])
 def test_loop_cap_below_one_is_rejected_before_any_work(interior_monoid, monkeypatch, loop_cap):
-    """A cap below 1 is a ValueError, for principal ideals too (their cover
-    needs no refinement loop), and no cover work starts."""
+    """A cap below 1 is a ValueError, and no refinement work starts."""
     import stdpairs.covers as covers
+
+    I = MonomialIdeal(interior_monoid, IntMatrix.from_cols([(0, 2)]))
+    bad = Cover.from_pairs([ProperPair((0, 0), (), I)])
 
     def no_work(*args, **kwargs):
         raise AssertionError("cover work started")
 
     for name in ("pair_difference", "_difference", "_prune_nested", "czero_to_cone"):
         monkeypatch.setattr(covers, name, no_work)
-    for gens in ([(0, 2)], [(0, 2), (2, 1)]):
-        I = MonomialIdeal(interior_monoid, IntMatrix.from_cols(gens))
-        with pytest.raises(ValueError, match="loop cap"):
-            standard_cover(I, loop_cap=loop_cap)
-        assert "standard_cover" not in I._cache
-    I = MonomialIdeal(interior_monoid, IntMatrix.from_cols([(0, 2)]))
-    bad = Cover.from_pairs([ProperPair((0, 0), (), I)])
     with pytest.raises(ValueError, match="loop cap"):
         cover_to_standard(bad, I, loop_cap=loop_cap)
 
@@ -740,8 +735,7 @@ def test_cover_to_standard_anchors_its_output_to_the_ideal():
     """Pairs anchored to another ideal come back anchored to I, whether the
     first round already reaches the fixpoint (I's own standard cover) or
     not (the principal cover of the first generator cut by the second).
-    The generator fold refines its pieces once, over I itself, so its
-    pairs are anchored to I too."""
+    The generator fold anchors its pruned pieces to I itself."""
     Q = AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
     I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 1), (3, 5)]))
     J = MonomialIdeal(Q, IntMatrix.from_cols([(2, 1)]))
@@ -850,7 +844,7 @@ def _reference_standard_cover(I: MonomialIdeal, loop_cap: int = 1000) -> Cover:
 
 
 # The draws of ``_two_round_instances`` kept: those among the first 400
-# whose library cover needs two refinement rounds and whose
+# whose standard cover takes ``cover_to_standard`` two rounds and whose
 # ``_reference_standard_cover`` took under 0.2 s (31 of the 400 need two
 # rounds and none needs more; 6 of the 31 took longer).
 _TWO_ROUND_DRAWS = (
@@ -908,12 +902,13 @@ def _fold_check_ideals() -> list:
 
 
 def test_two_round_family_needs_two_rounds():
-    """Every ideal of the family overflows a loop cap of 1 and fits in 2,
-    so it keeps the fixpoint loop of the one refinement at work."""
+    """Refining the standard cover of every ideal of the family overflows a
+    loop cap of 1 and fits in 2, so it keeps the fixpoint loop of
+    ``cover_to_standard`` at work."""
     for I in _two_round_instances():
         with pytest.raises(LoopCapExceeded):
-            standard_cover(I, loop_cap=1)
-        standard_cover(I, loop_cap=2)
+            cover_to_standard(standard_cover(I), I, loop_cap=1)
+        assert cover_to_standard(standard_cover(I), I, loop_cap=2) == standard_cover(I)
 
 
 def test_standard_cover_equals_unpruned_fold_reference():
@@ -929,19 +924,18 @@ def test_standard_cover_equals_unpruned_fold_reference():
         assert repr(irreducible_decomposition(I)) == repr(irreducible_decomposition(J)), I
 
 
-def test_standard_cover_refines_once_and_builds_no_prefix_ideal(monkeypatch):
-    """``cover_to_standard`` runs once for an ideal with two or more
-    minimal generators and never for a principal or empty one, and no
-    ``MonomialIdeal`` is built while the cover is: the fold cuts and prunes
-    raw pieces and refines them over I itself."""
+def test_standard_cover_never_refines_and_builds_no_prefix_ideal(monkeypatch):
+    """The cut and pruned pieces are the cover: no refinement step
+    (``cover_to_standard``, ``czero_to_cone``, ``minimal_holes``,
+    ``cone_to_ctwo``) runs, for an ideal with any number of generators, and
+    no ``MonomialIdeal`` is built while the cover is."""
     import stdpairs.covers as covers
 
-    refinements, built = [], []
-    original, init = covers.cover_to_standard, MonomialIdeal.__init__
+    built = []
+    init = MonomialIdeal.__init__
 
-    def recording(cover, I, loop_cap=1000):
-        refinements.append(I)
-        return original(cover, I, loop_cap=loop_cap)
+    def refining(*args, **kwargs):
+        raise AssertionError("refinement step called")
 
     def building(self, *args, **kwargs):
         built.append(args)
@@ -951,32 +945,51 @@ def test_standard_cover_refines_once_and_builds_no_prefix_ideal(monkeypatch):
     for cols, gens in [(_VERONESE, []), (_VERONESE, [(9, 11)]), (_SQUARE_CONE, [(4, 2, 5)])]:
         ideals.append(MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols)), IntMatrix.from_cols(gens, rows=len(cols[0]))))
     assert {I.gens.cols for I in ideals} >= {0, 1, 2, 3, 4}
-    monkeypatch.setattr(covers, "cover_to_standard", recording)
+    for name in ("cover_to_standard", "czero_to_cone", "minimal_holes", "cone_to_ctwo"):
+        monkeypatch.setattr(covers, name, refining)
     monkeypatch.setattr(MonomialIdeal, "__init__", building)
     for I in ideals:
-        refinements.clear()
         standard_cover(I)
-        assert refinements == ([I] if I.gens.cols > 1 else []), I
         assert built == [], I
 
 
-def test_cover_to_standard_gets_no_nested_pair(monkeypatch):
-    """The fold hands ``cover_to_standard`` its pruned pieces: no pair of
-    its input lies inside another (``nested_pairs``)."""
-    import stdpairs.covers as covers
+def test_standard_cover_has_no_nested_pair():
+    """No pair of the fold's cover lies inside another (``nested_pairs``)."""
+    ideals = _fold_check_ideals()
+    for I in ideals:
+        pairs = [(p.base, p.face) for p in standard_cover(I).pairs()]
+        assert not nested_pairs(I.ambient.gens.columns(), pairs), I
+    assert len(ideals) >= 50
 
-    inputs = []
-    original = covers.cover_to_standard
 
-    def recording(cover, I, loop_cap=1000):
-        inputs.append((I, cover))
-        return original(cover, I, loop_cap=loop_cap)
+def _is_standard_pair(p: ProperPair) -> bool:
+    """Whether ``p`` is proper with no proper one-step enlargement: (a, G)
+    for a face G above F, or (a - c, F) for a kept column c of F with
+    a - c in the monoid.  That decides maximality, as properness is closed
+    under shrinking a pair: if (a, F) lies strictly inside a proper (b, G),
+    then either G is above F and (a, G) lies in (b, G), or G = F and
+    a - b is a nonzero sum of kept columns of F, one of them c, and
+    (a - c, F) lies in (b, F)."""
+    Q, I, a, F = p.ideal.ambient, p.ideal, p.base, p.face
+    if not (Q.contains(a) and is_proper(ProperPair(a, F, I, skip_check=True))):
+        return False
+    for G in Q.faces:
+        if G != BOTTOM and set(F) < set(G) and is_proper(ProperPair(a, G, I, skip_check=True)):
+            return False
+    cols = Q.gens.columns()
+    for c in Q.kept_of(F):
+        below = tuple(x - y for x, y in zip(a, cols[c]))
+        if Q.contains(below) and is_proper(ProperPair(below, F, I, skip_check=True)):
+            return False
+    return True
 
-    monkeypatch.setattr(covers, "cover_to_standard", recording)
-    for I in _fold_check_ideals():
-        standard_cover(I)
-    monkeypatch.undo()
-    for I, cover in inputs:
-        pairs = [(p.base, p.face) for p in cover.pairs()]
-        assert not nested_pairs(I.ambient.gens.columns(), pairs), (I, cover)
-    assert len(inputs) >= 50
+
+def test_standard_cover_pairs_are_maximal_proper_pairs():
+    """Every pair of ``standard_cover`` is a standard pair by the
+    definition, checked pair by pair with no call to ``cover_to_standard``."""
+    checked = 0
+    for I in _fold_check_ideals() + _many_generator_instances():
+        for p in standard_cover(I).pairs():
+            assert _is_standard_pair(p), (I, p.base, p.face)
+            checked += 1
+    assert checked > 1000

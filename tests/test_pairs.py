@@ -206,8 +206,8 @@ def test_is_proper_equals_reference_on_seeded_covers():
 def test_is_proper_equals_reference_where_cone_to_ctwo_asks(monkeypatch):
     """Every (base, face) that the unpruned expansion loop would test while
     the acceptance instances build their covers by the unpruned fold
-    (``_reference_standard_cover``), and while the two-round family builds
-    its covers by the library's fold."""
+    (``_reference_standard_cover``), and while the two-round family's
+    standard covers are refined again (``cover_to_standard``)."""
     inputs = []
     original = covers.cone_to_ctwo
 
@@ -219,7 +219,7 @@ def test_is_proper_equals_reference_where_cone_to_ctwo_asks(monkeypatch):
     for I in random_instances():
         _reference_standard_cover(I)
     for I in _two_round_instances():
-        covers.standard_cover(I)
+        covers.cover_to_standard(covers.standard_cover(I), I)
     tested = set()
     for cover, I in inputs:
         faces = [f for f in I.ambient.faces if f != BOTTOM]
