@@ -142,7 +142,9 @@ class _Reader:
         except ValueError:
             raise self.error(f"expected an integer count for {what}, got {line!r}")
 
-    def take_matrix(self, what: str) -> IntMatrix:
+    def take_matrix(self, what: str, dim: int | None = None) -> IntMatrix:
+        """A ``rows cols`` header and its rows; with ``dim``, a matrix with
+        columns must have ``dim`` rows, as ``MonomialIdeal`` asks."""
         header = self.take(what).split()
         if len(header) != 2:
             raise self.error(f"expected 'rows cols' header for {what}")
@@ -152,6 +154,8 @@ class _Reader:
             raise self.error(f"bad matrix header for {what}")
         if rows < 0 or cols < 0:
             raise self.error(f"negative matrix dimension for {what}")
+        if dim is not None and cols and rows != dim:
+            raise self.error(f"{what} generators have dim {rows}, ambient has {dim}")
         data = []
         for _ in range(rows):
             entries = self.take(what).split()
@@ -212,7 +216,7 @@ def load(path: str):
     while not reader.eof():
         section = reader.take("section").strip()
         if section == "IDEAL":
-            ideal = MonomialIdeal(monoid, reader.take_matrix("IDEAL"))
+            ideal = MonomialIdeal(monoid, reader.take_matrix("IDEAL", monoid.dim))
         elif section == "COVER":
             count = reader.take_int("COVER")
             cover_data = [reader.take_pair_line(faces, monoid.dim) for _ in range(count)]
@@ -235,7 +239,7 @@ def load(path: str):
             associated_faces = [reader.take_face(reader.take("ASSOCIATED"), faces) for _ in range(count)]
         elif section == "DECOMPOSITION":
             count = reader.take_int("DECOMPOSITION")
-            components = [reader.take_matrix("DECOMPOSITION") for _ in range(count)]
+            components = [reader.take_matrix("DECOMPOSITION", monoid.dim) for _ in range(count)]
         else:
             raise reader.error(f"unknown section {section!r}")
 

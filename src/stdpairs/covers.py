@@ -52,7 +52,7 @@ from .diophantine import (
     vec_dot,
     vec_leq,
 )
-from .ideal import MonomialIdeal
+from .ideal import MonomialIdeal, memoized
 from .monoid import AffineMonoid
 from .pairs import ProperPair, is_proper
 from .polyhedral import BOTTOM, Face, face_sort_key
@@ -410,6 +410,7 @@ def cover_to_standard(cover: Cover, I: MonomialIdeal, loop_cap: int = 1000) -> C
     raise LoopCapExceeded(f"cover refinement did not stabilize within {loop_cap} iterations")
 
 
+@memoized
 def standard_cover(I: MonomialIdeal) -> Cover:
     """The standard cover of a proper monomial ideal (memoized): each
     generator g cuts every standing piece against ``(g, top)`` and the
@@ -431,8 +432,6 @@ def standard_cover(I: MonomialIdeal) -> Cover:
     * Every other cut pair lies strictly inside one of those standard
       pairs, so ``_prune_nested`` drops it.
     So the pruned cut is the standard cover of I' + (g)."""
-    if "standard_cover" in I._cache:
-        return I._cache["standard_cover"]
     monoid = I.ambient
     gens = I.gens.columns()
     pieces = [((0,) * monoid.dim, monoid.top)]
@@ -445,6 +444,4 @@ def standard_cover(I: MonomialIdeal) -> Cover:
             "s" if i > 1 else "",
             len(gens) - i,
         )
-    cover = _anchored(pieces, I)
-    I._cache["standard_cover"] = cover
-    return cover
+    return _anchored(pieces, I)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diophantine import IntMatrix, lattice_residue, minimal_elements, vec_dot
-from .ideal import MonomialIdeal
+from .ideal import MonomialIdeal, memoized
 from .pairs import is_divisor
 from .polyhedral import Face, face_sort_key
 
@@ -46,12 +46,11 @@ class OverlapClass:
         return [p.base for p in self.pairs]
 
 
+@memoized
 def overlap_classes(I: MonomialIdeal) -> dict:
     """Partition each face's standard pairs into overlap classes, keyed by
     their bases' residues mod ZF: (a, F) and (b, F) meet iff ``b - a = F w``
     for an integer w (take ``u = w+``, ``v = w-`` in ``a + F u = b + F v``)."""
-    if "overlap_classes" in I._cache:
-        return I._cache["overlap_classes"]
     monoid = I.ambient
     result: dict = {}
     for face, ps in I.standard_cover().entries:
@@ -63,7 +62,6 @@ def overlap_classes(I: MonomialIdeal) -> dict:
             OverlapClass(face, tuple(sorted(b, key=lambda p: p.base))) for b in blocks.values()
         ]
         result[face] = sorted(classes, key=lambda c: c.pairs[0].base)
-    I._cache["overlap_classes"] = result
     return result
 
 
@@ -74,6 +72,7 @@ def _class_below(c: OverlapClass, d: OverlapClass) -> bool:
     return is_divisor(c.pairs[0], d.pairs[0])
 
 
+@memoized
 def maximal_overlap_classes(I: MonomialIdeal) -> dict:
     """Classes not strictly below any other class in the lifted order.  No two
     classes are below each other: that forces F = G and ``b - a`` a unit of
@@ -85,8 +84,6 @@ def maximal_overlap_classes(I: MonomialIdeal) -> dict:
     and off ZF has ``w_F . (b - a) > 0`` (for the same reason).  The order
     is transitive, so a class is maximal iff it is below no maximal class
     found before it."""
-    if "maximal_overlap_classes" in I._cache:
-        return I._cache["maximal_overlap_classes"]
     monoid = I.ambient
     weights = {f: tuple(map(sum, zip(*monoid.support_of(f).data))) for f in overlap_classes(I)}
     classes = sorted(
@@ -100,23 +97,16 @@ def maximal_overlap_classes(I: MonomialIdeal) -> dict:
             continue
         found.append(c)
         result.setdefault(c.face, []).append(c)
-    result = {
+    return {
         f: sorted(result[f], key=lambda c: c.pairs[0].base)
         for f in sorted(result, key=face_sort_key)
     }
-    I._cache["maximal_overlap_classes"] = result
-    return result
 
 
+@memoized
 def associated_primes(I: MonomialIdeal) -> dict:
     """Face -> prime ideal, for every face carrying a maximal overlap class."""
-    if "associated_primes" in I._cache:
-        return I._cache["associated_primes"]
-    result = {
-        face: I.ambient.prime_ideal(face) for face in maximal_overlap_classes(I)
-    }
-    I._cache["associated_primes"] = result
-    return result
+    return {face: I.ambient.prime_ideal(face) for face in maximal_overlap_classes(I)}
 
 
 def _face_of_prime(I: MonomialIdeal, prime: MonomialIdeal) -> Face:
@@ -177,15 +167,13 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     return MonomialIdeal(monoid, IntMatrix.from_cols(points, rows=monoid.dim), _trusted=True)
 
 
+@memoized
 def irreducible_decomposition(I: MonomialIdeal) -> list:
     """One irreducible component per maximal overlap class; intersection is I."""
-    if "irreducible_decomposition" in I._cache:
-        return I._cache["irreducible_decomposition"]
     result = [
         irreducible_component(I, face, c)
         for face, classes in maximal_overlap_classes(I).items()
         for c in classes
     ]
     result.sort(key=lambda W: W.gens.to_token())
-    I._cache["irreducible_decomposition"] = result
     return result

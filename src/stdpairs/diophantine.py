@@ -12,8 +12,9 @@ every rank, rational kernel, inverse and lattice coordinate, and one
 unimodular column echelon, ``_column_echelon``, every lattice step:
 
 * one echelon pass over ``[M; I]`` per matrix gives particular solutions
-  of ``M x = b`` by forward substitution and a saturated basis of the
-  integer kernel lattice, already in the echelon form the box walk needs;
+  of ``M x = b`` by forward substitution, the lattice test, and a
+  saturated basis of the integer kernel lattice, already in the echelon
+  form the box walk needs;
 * the extreme rays of a nonnegative solution cone come from a
   fraction-free double description in kernel coordinates, the same engine
   that finds the facets of a cone as the extreme rays of its dual;
@@ -23,14 +24,15 @@ unimodular column echelon, ``_column_echelon``, every lattice step:
   lattice (a minimal lattice point has all simplex coefficients below one).
 
 Most systems the library asks about have no solution.  Before any route
-runs, three exact certificates settle most of them with a few dot
-products over cached cone data: b is outside the span of M (a span
-equation is nonzero on it), outside ``cone(M)`` (a facet normal is
-negative on it, Farkas' lemma), or outside the lattice ``Z M`` (forward
-substitution on the echelon leaves a remainder; needed only when some
-echelon pivot exceeds 1).  The facets come from the double description
-below, once per matrix, or from the ``AffineMonoid`` over M, which has
-already enumerated them.
+runs, three exact certificates settle most of them (``_start``): b is
+outside the span of M (a span equation is nonzero on it), outside
+``cone(M)`` (a facet normal is negative on it, Farkas' lemma), or
+outside the lattice ``Z M`` (forward substitution on the echelon leaves
+a remainder).  The first two are a few dot products over cached cone
+data; the last one's quotients, a particular solution, are where the
+walks start.  The facets come from the double description below, once
+per matrix, or from the ``AffineMonoid`` over M, which has already
+enumerated them.
 
 Past the certificates, three exact routes answer a full solve:
 
@@ -59,8 +61,10 @@ data and the answers for up to ``_SOLUTIONS_CAP`` right-hand sides are
 cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
 
 Most callers only ask whether a solution exists.  They call
-``has_nonneg_solution``, which runs the same certificates and, on a
-pointed system, the same walk, stopping at the first solution it finds.
+``has_nonneg_solution``, which runs the same certificates and the same
+two walks on every system (``_walks``), each stopping at the first
+solution it finds; it asks for the full solve only when both walks
+overflow.
 """
 
 from __future__ import annotations
@@ -266,11 +270,11 @@ def _combination(basis: list, y) -> IntVector:
 @dataclass
 class _MatrixData:
     """Per-matrix cache: the data the infeasibility certificates read (the
-    facet normals and span equations of ``cone(M)``, and whether ``Z M`` is
-    saturated), the grading the normals give and whether the system is
-    pointed in it (``graded_box``), one column echelon reduction
-    (particular solutions, kernel lattice, echelon walk data), the box
-    walk's per-level tests, the signed walk's data (``signed``), the
+    facet normals and span equations of ``cone(M)``), the grading the
+    normals give and whether the system is pointed in it
+    (``graded_box``), one column echelon reduction (particular solutions
+    and the lattice test, the kernel lattice), the box walk's plan
+    (``walk_plan``), the signed walk's data (``signed``), the
     kernel Hilbert basis (``hilbert``, filled by ``hilbert_kernel`` only),
     the full answers per right-hand side (``solutions``) and the
     right-hand sides ``has_nonneg_solution`` found solvable
@@ -286,10 +290,8 @@ class _MatrixData:
     feasible: dict = field(default_factory=dict)
     _cone: tuple | None = None
     _grading: tuple | None = None
-    _saturated: bool | None = None
     _reduction: tuple | None = None
-    _echelon: tuple | None = None
-    _walk: list | None = None
+    _walk: tuple | None = None
     _signed: tuple | None = None
 
     def cone(self):
@@ -337,18 +339,6 @@ class _MatrixData:
         wb = vec_dot(self._grading[0], b)
         return tuple(wb // v if v else 0 for v in self._grading[1])
 
-    def saturated(self) -> bool:
-        """True when every pivot of the first r columns of ``reduction()``,
-        an echelon basis of ``Z M``, is 1.  Then each coordinate of a span
-        vector in that basis is read off at a pivot row without a division,
-        so ``Z M`` is ``span intersect Z^m`` and the span test decides
-        lattice membership.  The test is sufficient, not exact: ``Z (3, 2)``
-        is saturated, yet its echelon pivot is 3."""
-        if self._saturated is None:
-            cols, pivots, r = self.reduction()
-            self._saturated = all(c[p] == 1 for c, p in zip(cols[:r], pivots))
-        return self._saturated
-
     def reduction(self):
         """``(columns, pivot rows, r)`` of one unimodular column echelon pass
         over ``[M; I]``, whose column j is ``M[:, j]`` over ``e_j``.
@@ -368,38 +358,35 @@ class _MatrixData:
         return self._reduction
 
     def kernel_basis(self):
-        return self.echelon()[0]
-
-    def echelon(self):
-        """Echelon kernel columns, pivot rows, and per-level determined rows."""
-        if self._echelon is None:
-            m, n = self.M.rows, self.M.cols
-            full, full_pivots, r = self.reduction()
-            cols = [c[m:] for c in full[r:]]
-            pivots = [p - m for p in full_pivots[r:]]
-            level = [max((j + 1 for j, c in enumerate(cols) if c[row]), default=0) for row in range(n)]
-            determined = [[row for row in range(n) if level[row] == i] for i in range(len(cols) + 1)]
-            self._echelon = (cols, pivots, determined)
-        return self._echelon
+        """The tails of ``reduction()``'s last columns: an echelon basis of
+        ``ker_Z M``."""
+        full, _, r = self.reduction()
+        return [c[self.M.rows:] for c in full[r:]]
 
     def walk_plan(self):
-        """Per level i of the box walk: the pivot row of kernel column i and
-        its entry, the other rows the level determines split by the sign of
-        their entry (negative ones negated), and the column's nonzero
-        entries."""
+        """``(fixed, levels)`` for the box walk.  A row is determined at the
+        level of the last kernel column nonzero on it; ``fixed`` are the
+        rows no column touches, which the start point alone settles.  Per
+        level i: the pivot row of kernel column i and its entry, the other
+        rows the level determines split by the sign of their entry
+        (negative ones negated), and the column's nonzero entries."""
         if self._walk is None:
-            cols, pivots, determined = self.echelon()
-            plan = []
-            for i, (col, p) in enumerate(zip(cols, pivots)):
-                rows = [(r, col[r]) for r in determined[i + 1] if r != p]
-                plan.append((
+            m, n = self.M.rows, self.M.cols
+            cols = self.kernel_basis()
+            _, pivots, r = self.reduction()
+            level = [max((j + 1 for j, c in enumerate(cols) if c[row]), default=0) for row in range(n)]
+            levels = []
+            for i, (col, p) in enumerate(zip(cols, pivots[r:]), 1):
+                p -= m  # a row of x, not of [M; I]
+                rows = [(row, col[row]) for row in range(n) if level[row] == i and row != p]
+                levels.append((
                     p,
                     col[p],
-                    [(r, c) for r, c in rows if c > 0],
-                    [(r, -c) for r, c in rows if c < 0],
-                    [(r, c) for r, c in enumerate(col) if c],
+                    [(row, c) for row, c in rows if c > 0],
+                    [(row, -c) for row, c in rows if c < 0],
+                    [(row, c) for row, c in enumerate(col) if c],
                 ))
-            self._walk = plan
+            self._walk = ([row for row in range(n) if not level[row]], levels)
         return self._walk
 
     def signed(self):
@@ -520,8 +507,8 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, firs
     Returns None when the count passes ``budget`` (with ``first``: before
     a solution is reached).
     """
-    plan = data.walk_plan()
-    for r in data.echelon()[2][0]:
+    fixed, plan = data.walk_plan()
+    for r in fixed:
         if not 0 <= x0[r] <= bound[r]:
             return []
     k = len(plan)
@@ -1011,12 +998,13 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     ``b = 0`` the unique minimal solution is the zero vector.
 
     A system that a certificate shows infeasible is answered empty before
-    any tier runs (``_infeasible``): b outside the span of M, outside
-    ``cone(M)``, or outside the lattice ``Z M``.  Past the certificates a
-    particular integer solution exists and the polyhedron
-    ``{x >= 0 : M x = b}`` is not empty.
+    any route runs (``_start``): b outside the span of M, outside
+    ``cone(M)``, or outside the lattice ``Z M``.  Past the certificates
+    the polyhedron ``{x >= 0 : M x = b}`` is not empty, and the lattice
+    test has left a particular integer solution x0, where every route
+    starts.
 
-    Past them, three exact routes answer:
+    Past them, three exact routes answer; the first two are ``_walks``:
 
     1. a pointed system (the grading w is positive on every nonzero
        column) is answered by one box walk in the graded box
@@ -1040,7 +1028,8 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     No route calls the kernel Hilbert basis (``hilbert_kernel``).
 
     A caller that needs only whether a solution exists should call
-    ``has_nonneg_solution``, which stops at the first one.
+    ``has_nonneg_solution``, which takes the same walks and stops at the
+    first solution.
     """
     b = vec(b)
     if len(b) != M.rows:
@@ -1061,14 +1050,15 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
     value of ``min_nonneg_solutions(M, b)``, without enumerating every
     minimal solution when one suffices.
 
-    A memoised full answer decides; then the infeasibility certificates.
-    On a pointed system the graded box walk then stops at its first
-    solution.  A walk that ends without one is a full answer, no solution,
-    and is memoised like the certificates' "no".  A "yes" is not a full
-    answer: it goes to a separate per-matrix memo, ``feasible``, bounded by
-    ``_SOLUTIONS_CAP`` too, and never to ``solutions``.  A system that is
-    not pointed, or whose walk overflows ``_BOX_BUDGET``, is answered by
-    the full solve, which memoises its answer.
+    A memoised full answer decides; then the infeasibility certificates;
+    then, on every system, the walks of the full solve (``_walks``), each
+    stopping at the first solution it reaches.  A walk that ends without
+    one is a full answer, no solution, and is memoised like the
+    certificates' "no".  A "yes" is not a full answer: it goes to a
+    separate per-matrix memo, ``feasible``, bounded by ``_SOLUTIONS_CAP``
+    too, and never to ``solutions``.  Only when both walks overflow
+    ``_BOX_BUDGET`` is the question answered by the full solve, which
+    memoises its answer.
     """
     b = vec(b)
     if len(b) != M.rows:
@@ -1081,53 +1071,64 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
         return bool(cached)
     if b in data.feasible:
         return True
-    if not _infeasible(data, b):
-        bound = data.graded_box(b)
-        if bound is None:
-            return bool(min_nonneg_solutions(M, b))
-        found = _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET, first=True)
-        if found is None:
-            return bool(min_nonneg_solutions(M, b))
-        if found:
-            _bounded_put(data.feasible, b, True, _SOLUTIONS_CAP)
-            return True
+    x0 = _start(data, b)
+    found = [] if x0 is None else _walks(data, b, x0, first=True)
+    if found is None:
+        return bool(min_nonneg_solutions(M, b))
+    if found:
+        _bounded_put(data.feasible, b, True, _SOLUTIONS_CAP)
+        return True
     _bounded_put(data.solutions, b, SolutionSet.of(M.cols, []), _SOLUTIONS_CAP)
     return False
 
 
-def _infeasible(data: _MatrixData, b: IntVector) -> bool:
-    """True when a certificate shows that ``M x = b`` has no nonnegative
-    integer solution.  All three are exact: b is outside the span when some
-    span equation e has ``e . b != 0``, outside ``cone(M)`` when some facet
-    normal phi has ``phi . b < 0`` (Farkas' lemma), and outside ``Z M`` when
-    it has no particular solution, which can happen only when ``Z M`` is
-    not saturated."""
+def _start(data: _MatrixData, b: IntVector):
+    """An integer solution x0 of ``M x = b`` (sign unrestricted), where the
+    walks start, or None when a certificate shows that ``M x = b`` has no
+    nonnegative integer solution.  All three are exact: b is outside the
+    span when some span equation e has ``e . b != 0``, outside ``cone(M)``
+    when some facet normal phi has ``phi . b < 0`` (Farkas' lemma), and
+    outside ``Z M`` when it has no particular solution
+    (``_particular_solution``)."""
     normals, equations = data.cone()
     for e in equations:
         if sum(map(mul, e, b)):
-            return True
+            return None
     for phi in normals:
         if sum(map(mul, phi, b)) < 0:
-            return True
-    return not data.saturated() and _particular_solution(data, b) is None
+            return None
+    return _particular_solution(data, b)
 
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    if _infeasible(data, b):
+    x0 = _start(data, b)
+    if x0 is None:
         return SolutionSet.of(M.cols, [])
-    bound = data.graded_box(b)
-    points = None if bound is None else _box_solutions(data, _particular_solution(data, b), bound, budget=_BOX_BUDGET)
+    points = _walks(data, b, x0)
     if points is None:
-        points = _signed_solutions(data, b)
-    if points is None:
-        return _geometric_solutions(M, data, b)
+        return _geometric_solutions(M, data, x0)
     return SolutionSet.of(M.cols, points)
 
 
-def _signed_solutions(data: _MatrixData, b: IntVector):
+def _walks(data: _MatrixData, b: IntVector, x0, first: bool = False):
+    """The minimal solutions of ``M x = b`` from ``M x0 = b``: the graded
+    walk on a pointed system, then, when the system is not pointed or that
+    walk overflows ``_BOX_BUDGET``, the signed walk.  None when the signed
+    walk overflows too.  With ``first``, each walk stops at its first
+    solution, so the list holds at most one solution, not always minimal,
+    and is empty exactly when there is none."""
+    bound = data.graded_box(b)
+    points = None if bound is None else _box_solutions(data, x0, bound, budget=_BOX_BUDGET, first=first)
+    return _signed_solutions(data, b, first) if points is None else points
+
+
+def _signed_solutions(data: _MatrixData, b: IntVector, first: bool = False):
     """The minimal solutions of ``M x = b``, for a b past the certificates,
     by one walk on the merged matrix M' of ``_MatrixData.signed``; None
-    when the walk overflows ``_BOX_BUDGET``.
+    when the walk overflows ``_BOX_BUDGET``.  With ``first``, the walk's
+    first point alone, unfiltered: every point of the box maps to a
+    solution, and the box holds every minimal one, so it is empty exactly
+    when there is no solution.
 
     A pair's coordinate w_j of M' is free in sign, and stands for
     ``(x_j, x_k) = (w_j+, w_j-)``.  No minimal x has both positive, since
@@ -1155,7 +1156,7 @@ def _signed_solutions(data: _MatrixData, b: IntVector):
                 ceilings[j] = max(ceilings[j], _ceil_div(abs(v), d))
     box = vec_add(ceilings, slack)
     low = tuple(k if partner is not None else 0 for k, (_, partner) in zip(box, pairs))
-    points = _box_solutions(merged, vec_add(_particular_solution(merged, b), low), vec_add(box, low), budget=_BOX_BUDGET)
+    points = _box_solutions(merged, vec_add(_particular_solution(merged, b), low), vec_add(box, low), budget=_BOX_BUDGET, first=first)
     if points is None:
         return None
     out = []
@@ -1164,21 +1165,20 @@ def _signed_solutions(data: _MatrixData, b: IntVector):
         for (j, k), v in zip(pairs, vec_sub(p, low)):
             x[j if v >= 0 else k] = abs(v)
         out.append(tuple(x))
-    return minimal_elements(out)
+    return out if first else minimal_elements(out)
 
 
-def _geometric_solutions(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
-    """The triangulation route of ``min_nonneg_solutions`` for a b past the
-    certificates: the height-one Hilbert basis elements of the homogenized
-    cone ``{(x, t) >= 0 : M x = t b}``.
+def _geometric_solutions(M: IntMatrix, data: _MatrixData, x0) -> SolutionSet:
+    """The triangulation route of ``min_nonneg_solutions`` for ``b = M x0``
+    past the certificates: the height-one Hilbert basis elements of the
+    homogenized cone ``{(x, t) >= 0 : M x = t b}``.
 
-    b passed the lattice test, so some ``M x0 = b``, and ``(x, t) - t (x0,
-    1)`` lies in ``ker_Z M x {0}``: the kernel basis padded with ``t = 0``
-    plus ``(x0, 1)`` is a basis of the saturated integer kernel of
-    ``[M | -b]``, in whose coordinates ``_kernel_cone_rays`` finds the
-    cone's rays.
+    ``(x, t) - t (x0, 1)`` lies in ``ker_Z M x {0}``: the kernel basis
+    padded with ``t = 0`` plus ``(x0, 1)`` is a basis of the saturated
+    integer kernel of ``[M | -b]``, in whose coordinates
+    ``_kernel_cone_rays`` finds the cone's rays.
     """
-    basis = [h + (0,) for h in data.kernel_basis()] + [tuple(_particular_solution(data, b)) + (1,)]
+    basis = [h + (0,) for h in data.kernel_basis()] + [tuple(x0) + (1,)]
     hilbert = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols + 1))
     return SolutionSet.of(M.cols, [x[:-1] for x in hilbert if x[-1] == 1])
 

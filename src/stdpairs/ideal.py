@@ -10,9 +10,25 @@ safe.
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .diophantine import IntMatrix, IntVector, vec, vec_is_zero
 from .monoid import AffineMonoid
 from .polyhedral import BOTTOM
+
+
+def memoized(fn):
+    """Memoise ``fn(I)`` in ``I._cache`` under ``fn.__name__``, the key by
+    which ``archive`` saves, restores and verifies it."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def cached(I):
+        if name not in I._cache:
+            I._cache[name] = fn(I)
+        return I._cache[name]
+
+    return cached
 
 
 class MonomialIdeal:
@@ -156,6 +172,7 @@ class MonomialIdeal:
 
         return irreducible_decomposition(self)
 
+    @memoized
     def radical(self) -> "MonomialIdeal":
         """Intersection of the primes of the maximal cover faces F_1..F_k.
 
@@ -164,8 +181,6 @@ class MonomialIdeal:
         the column sums over the minimal sets meeting every A \\ F_i, grown
         one complement at a time (Berge); the constructor minimalizes them.
         """
-        if "radical" in self._cache:
-            return self._cache["radical"]
         A = self._ambient.gens
         faces = [set(f) for f in self.standard_cover().as_dict()]
         transversals = {frozenset()}
@@ -173,9 +188,7 @@ class MonomialIdeal:
             grown = {t if t & edge else t | {j} for t in transversals for j in edge}
             transversals = {t for t in grown if not any(s < t for s in grown)}
         sums = [A.mul(tuple(int(j in t) for j in range(A.cols))) for t in transversals]
-        result = MonomialIdeal(self._ambient, IntMatrix.from_cols(sums, rows=A.rows), _trusted=True)
-        self._cache["radical"] = result
-        return result
+        return MonomialIdeal(self._ambient, IntMatrix.from_cols(sums, rows=A.rows), _trusted=True)
 
     # predicates -----------------------------------------------------------
 

@@ -308,6 +308,5 @@ def _minimal(points, support: IntMatrix, contains) -> list:
 
 def _saturated(data: _MatrixData) -> bool:
     """Whether the lattice ``Z M`` is all of ``span M intersect Z^d``: each
-    vector of a basis of the latter lies in ``Z M``.  Exact, where
-    ``_MatrixData.saturated`` is only sufficient."""
+    vector of a basis of the latter lies in ``Z M``."""
     return all(_particular_solution(data, v) is not None for v in _saturated_span_basis(data.M.columns(), data.M.rows))

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import stdpairs as sp
@@ -150,6 +152,41 @@ def test_load_rejects_pair_base_of_wrong_length(tmp_path, sections, bad_line):
         fh.write("STDPAIRS v1\nMONOID\n2 3\n1 1 1\n0 1 2\n" + sections)
     with pytest.raises(ArchiveError, match=rf"^line {bad_line}: pair base has dim \d, expected 2"):
         load(path)
+
+
+@pytest.mark.parametrize(
+    "sections, bad_line",
+    [
+        ("IDEAL\n3 1\n2\n1\n1\n", 7),
+        ("IDEAL\n1 1\n2\n", 7),
+        ("IDEAL\n2 1\n2\n1\nDECOMPOSITION\n1\n3 1\n2\n1\n1\n", 12),
+    ],
+    ids=["ideal_three_rows", "ideal_one_row", "decomposition"],
+)
+def test_load_rejects_generators_of_wrong_dimension(tmp_path, capsys, sections, bad_line):
+    """An IDEAL or DECOMPOSITION matrix with columns whose row count is
+    not the monoid's dimension is an ``ArchiveError`` naming its header
+    line, through ``load`` and the CLI alike."""
+    from stdpairs.cli import main
+
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n2 3\n1 1 1\n0 1 2\n" + sections)
+    message = rf"line {bad_line}: \w+ generators have dim \d, ambient has 2"
+    with pytest.raises(ArchiveError, match="^" + message):
+        load(path)
+    assert main(["ideal", path, "cover"]) == 2
+    assert re.search("^error: " + message, capsys.readouterr().err)
+
+
+def test_load_accepts_an_ideal_without_generators_of_any_row_count(tmp_path):
+    """A matrix with no columns passes whatever its row count, as in
+    ``MonomialIdeal``: the empty ideal loads with the monoid's dimension."""
+    path = str(tmp_path / "empty.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n2 3\n1 1 1\n0 1 2\nIDEAL\n3 0\n\n\n\n")
+    ideal = load(path)
+    assert ideal.gens == IntMatrix.zero(2, 0)
 
 
 def test_zero_column_roundtrips(tmp_path, paper_monoid):

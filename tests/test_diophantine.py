@@ -48,6 +48,7 @@ from stdpairs.diophantine import (
 )
 
 from stdpairs import AffineMonoid, MonomialIdeal, irreducible_decomposition
+from stdpairs.monoid import _saturated
 
 from oracles import brute_hilbert, brute_min_solutions, seeded_instances
 from test_acceptance import random_instances
@@ -913,11 +914,13 @@ def test_column_echelon_matches_smith_reference():
             _coords_in_basis(basis, reference, M.cols)
             _coords_in_basis(reference, basis, M.cols)
 
-        cols, pivots, _ = data.echelon()
-        assert cols == basis
+        levels = data.walk_plan()[1]
+        pivots = [p for p, _, _, _, _ in levels]
+        assert len(levels) == len(basis), M
         assert all(p < q for p, q in zip(pivots, pivots[1:])), M
-        for col, p in zip(cols, pivots):
-            assert col[p] > 0 and not any(col[:p]), M
+        for col, (p, coeff, _, _, entries) in zip(basis, levels):
+            assert col[p] == coeff > 0 and not any(col[:p]), M
+            assert entries == [(r, c) for r, c in enumerate(col) if c], M
     assert solvable >= 600 and unsolvable >= 500 and with_kernel >= 150
 
 
@@ -1140,8 +1143,11 @@ def _reference_box_solutions(data: _MatrixData, x0, bound, budget: int | None = 
     """The box walk without the prune and the interval bounds: every
     solution ``x = x0 + (kernel lattice)`` with ``0 <= x <= bound``, or None
     when more than ``budget`` recursion nodes are visited."""
-    cols, pivots, determined = data.echelon()
+    cols = data.kernel_basis()
     k = len(cols)
+    pivots = [next(r for r, c in enumerate(col) if c) for col in cols]
+    level = [max((j + 1 for j, c in enumerate(cols) if c[row]), default=0) for row in range(data.M.cols)]
+    determined = [[row for row in range(data.M.cols) if level[row] == i] for i in range(k + 1)]
 
     for r in determined[0]:
         if not 0 <= x0[r] <= bound[r]:
@@ -1499,8 +1505,10 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
         kinds["outside_span"] += not in_span
         kinds["outside_cone"] += in_span and not in_cone
         kinds["outside_lattice_inside_cone"] += in_cone and x0 is None
-        settled = dio._infeasible(data, b)
+        start = dio._start(data, b)
+        settled = start is None
         assert settled == (not in_cone or x0 is None), (M, b)
+        assert settled or M.mul(start) == b, (M, b, start)
         kinds["unsettled_empty"] += not settled and not min_nonneg_solutions(M, b)
     assert min(kinds.values()) >= 20, kinds
 
@@ -1517,7 +1525,7 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
         for M, b in systems if budgets else systems + extra:
             data = dio._matrix_data(M)
             expected = _reference_min_nonneg_uncached(M, data, b)
-            settled = dio._infeasible(data, b)
+            settled = dio._start(data, b) is None
             graded = [] if settled or data.graded_box(b) is None else ["_box_solutions"]
             dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
             tiers.clear()
@@ -1973,21 +1981,21 @@ def _pipeline_systems() -> tuple:
         ideals.append(MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d)))
     ideals += random_instances()
     seen = {}
-    certificates = dio._infeasible
+    certificates = dio._start
 
     def record(data, b):
-        infeasible = certificates(data, b)
-        if not infeasible:
+        start = certificates(data, b)
+        if start is not None:
             seen.setdefault((data.M, b), None)
-        return infeasible
+        return start
 
     dio._MATRIX_CACHE.clear()
-    dio._infeasible = record
+    dio._start = record
     try:
         for I in ideals:
             irreducible_decomposition(I)
     finally:
-        dio._infeasible = certificates
+        dio._start = certificates
     for I in ideals:
         A = I.ambient.gens
         pairs = I.standard_cover().pairs()
@@ -1995,7 +2003,7 @@ def _pipeline_systems() -> tuple:
             M = A.take_cols(p.face).hstack(A.neg())
             for g in I.gens.columns() + [q.base for q in pairs]:
                 b = vec_sub(g, p.base)
-                if not certificates(dio._matrix_data(M), b):
+                if certificates(dio._matrix_data(M), b) is not None:
                     seen.setdefault((M, b), None)
     dio._MATRIX_CACHE.clear()
     return tuple(seen)
@@ -2177,7 +2185,7 @@ def test_cone_of_negation_pairs_skips_the_double_description(monkeypatch):
         assert not paired or not facets, M
         kinds["paired"] += paired
         kinds["zero_column"] += paired and (0,) * M.rows in M.columns()
-        kinds["non_saturated"] += paired and not data.saturated()
+        kinds["non_saturated"] += paired and not _saturated(data)
         kinds["with_facets"] += bool(facets)
     assert min(kinds.values()) >= 20, kinds
 
@@ -2188,9 +2196,10 @@ def _reference_kernel_basis_route(M: IntMatrix, b) -> SolutionSet:
     import stdpairs.diophantine as dio
 
     data = _MatrixData(M)
-    if dio._infeasible(data, b):
+    x0 = dio._start(data, b)
+    if x0 is None:
         return SolutionSet.of(M.cols, [])
-    return _reference_homogenized_walk(M, data, _particular_solution(data, b))
+    return _reference_homogenized_walk(M, data, x0)
 
 
 def _signed_systems(rng, count):
@@ -2264,8 +2273,8 @@ def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
 
     signed, walks = dio._signed_solutions, []
 
-    def recording(data, b):
-        found = signed(data, b)
+    def recording(data, b, first=False):
+        found = signed(data, b, first)
         walks.append("walked" if found is not None else "overflowed")
         return found
 
@@ -2328,8 +2337,8 @@ def test_unpaired_systems_that_are_not_pointed_take_the_signed_walk(monkeypatch)
         expected.append(min_nonneg_solutions(M, b))
     signed, walks = dio._signed_solutions, []
 
-    def recording(data, b):
-        found = signed(data, b)
+    def recording(data, b, first=False):
+        found = signed(data, b, first)
         walks.append("walked" if found is not None else "overflowed")
         return found
 
@@ -2354,6 +2363,87 @@ def test_unpaired_systems_that_are_not_pointed_take_the_signed_walk(monkeypatch)
     default, low = routes.values()
     assert default["walked"] >= 200, routes
     assert low["overflowed"] >= 20 and low["walked"] >= 20, routes
+
+
+def _existence_route_systems() -> list:
+    """Seeded ``(kind, M, b)``, b != 0: pointed systems, 30 matrices of
+    each kind of ``_pointed_matrices`` with ``M u`` or ``M u + e``; and
+    systems that are not pointed, with negation pairs (``_signed_systems``)
+    and without (``_unpaired_systems``)."""
+    rng = random.Random(2040)
+    systems = []
+    for matrices in _pointed_matrices().values():
+        for M in matrices[:30]:
+            b = M.mul(tuple(rng.randint(0, 2) for _ in range(M.cols)))
+            if rng.random() < 0.5:
+                b = vec_add(b, tuple(int(i == rng.randrange(M.rows)) for i in range(M.rows)))
+            if any(b):
+                systems.append(("pointed", M, b))
+    systems += [("paired", M, b) for _, M, b in _signed_systems(random.Random(2041), 280)]
+    systems += [("unpaired", M, b) for _, M, b in _unpaired_systems(random.Random(2042), 90)]
+    return systems
+
+
+def test_existence_takes_the_walks_of_the_full_solve(monkeypatch):
+    """On pointed systems and on systems that are not pointed, with and
+    without negation pairs: ``_start`` returns None exactly when b lies
+    outside the span, the cone or the lattice of M (by the reference
+    vertices and the Smith form), and otherwise an integer solution of
+    ``M x = b``.  ``has_nonneg_solution`` on a cold cache equals
+    ``bool(min_nonneg_solutions)`` at the default ``_BOX_BUDGET``, at 10
+    and at 0, and asks for the full solve (``_min_nonneg_uncached``) once
+    when its signed walk overflows, which means both walks did, and never
+    otherwise: at the default budget no system that is not pointed does."""
+    import stdpairs.diophantine as dio
+
+    systems = _existence_route_systems()
+    settled = []
+    for kind, M, b in systems:
+        start = dio._start(_MatrixData(M), b)
+        fires = not _reference_vertices(M, b)[1] or not _reference_smith_solvable(M, b)
+        assert (start is None) == fires, (kind, M, b, start)
+        assert start is None or M.mul(start) == b, (kind, M, b, start)
+        settled.append(fires)
+
+    expected = []
+    for _, M, b in systems:
+        dio._MATRIX_CACHE.clear()
+        expected.append(bool(min_nonneg_solutions(M, b)))
+    full, signed, overflows = [], dio._signed_solutions, []
+    monkeypatch.setattr(dio, "_min_nonneg_uncached", _recording(full, "full", dio._min_nonneg_uncached))
+
+    def recording(data, b, first=False):
+        found = signed(data, b, first)
+        overflows.append(found is None)
+        return found
+
+    monkeypatch.setattr(dio, "_signed_solutions", recording)
+    counts = {}
+    for budget in (_BOX_BUDGET, 10, 0):
+        monkeypatch.setattr(dio, "_BOX_BUDGET", budget)
+        for (kind, M, b), answer, fires in zip(systems, expected, settled):
+            dio._MATRIX_CACHE.clear()
+            full.clear()
+            overflows.clear()
+            assert has_nonneg_solution(M, b) == answer, (kind, M, b, budget)
+            both = overflows[:1] == [True]
+            assert full == (["full"] if both else []), (kind, M, b, budget, full)
+            assert budget != _BOX_BUDGET or kind == "pointed" or not full, (kind, M, b)
+            route = "certificate" if fires else "full solve" if both else "walks"
+            counts[kind, budget, route, answer] = counts.get((kind, budget, route, answer), 0) + 1
+    dio._MATRIX_CACHE.clear()
+
+    def total(kinds, budget, route, answer):
+        return sum(counts.get((kind, budget, route, answer), 0) for kind in kinds)
+
+    for kind in ("pointed", "paired", "unpaired"):
+        assert total([kind], _BOX_BUDGET, "walks", True) >= 20, counts
+        assert total([kind], 10, "walks", True) >= 20, counts
+        assert total([kind], 0, "full solve", True) >= 20, counts
+    kinds = ("pointed", "paired", "unpaired")
+    assert total(kinds, _BOX_BUDGET, "certificate", False) >= 50, counts
+    assert total(kinds, _BOX_BUDGET, "walks", False) >= 10, counts
+    assert total(["paired", "unpaired"], 10, "full solve", True) >= 20, counts
 
 
 def test_pipelines_compute_no_kernel_hilbert_basis(monkeypatch):

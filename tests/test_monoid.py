@@ -478,8 +478,8 @@ def test_construction_asks_existence_only_on_facet_dominated_differences(monkeyp
         kinds.add((len(set(cols)) < len(cols), (0,) * d in cols))
     assert len(kinds) == 4 and questions > 0
     checked = []
-    original = diophantine._infeasible
-    monkeypatch.setattr(diophantine, "_infeasible", lambda data, b: checked.append(b) or original(data, b))
+    original = diophantine._start
+    monkeypatch.setattr(diophantine, "_start", lambda data, b: checked.append(b) or original(data, b))
     diophantine._MATRIX_CACHE.clear()
     Q = AffineMonoid(IntMatrix.from_cols([(2,), (3,)]))
     assert checked == [(1,)]  # construction's one existence question, on 3 - 2
