@@ -63,8 +63,8 @@ cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
 Most callers only ask whether a solution exists.  They call
 ``has_nonneg_solution``, which runs the same certificates and the same
 two walks on every system (``_walks``), each stopping at the first
-solution it finds; it asks for the full solve only when both walks
-overflow.
+solution it finds; only when both walks overflow does it answer in
+full, by the triangulation from the same start point.
 """
 
 from __future__ import annotations
@@ -1057,8 +1057,8 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
     certificates' "no".  A "yes" is not a full answer: it goes to a
     separate per-matrix memo, ``feasible``, bounded by ``_SOLUTIONS_CAP``
     too, and never to ``solutions``.  Only when both walks overflow
-    ``_BOX_BUDGET`` is the question answered by the full solve, which
-    memoises its answer.
+    ``_BOX_BUDGET`` is the question answered in full, by the triangulation
+    from the same x0 (``_geometric_solutions``), and memoised.
     """
     b = vec(b)
     if len(b) != M.rows:
@@ -1074,12 +1074,12 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
     x0 = _start(data, b)
     found = [] if x0 is None else _walks(data, b, x0, first=True)
     if found is None:
-        return bool(min_nonneg_solutions(M, b))
-    if found:
+        found = _geometric_solutions(M, data, x0)
+    elif found:
         _bounded_put(data.feasible, b, True, _SOLUTIONS_CAP)
         return True
-    _bounded_put(data.solutions, b, SolutionSet.of(M.cols, []), _SOLUTIONS_CAP)
-    return False
+    _bounded_put(data.solutions, b, SolutionSet.of(M.cols, found), _SOLUTIONS_CAP)
+    return bool(found)
 
 
 def _start(data: _MatrixData, b: IntVector):
@@ -1102,12 +1102,8 @@ def _start(data: _MatrixData, b: IntVector):
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
     x0 = _start(data, b)
-    if x0 is None:
-        return SolutionSet.of(M.cols, [])
-    points = _walks(data, b, x0)
-    if points is None:
-        return _geometric_solutions(M, data, x0)
-    return SolutionSet.of(M.cols, points)
+    points = [] if x0 is None else _walks(data, b, x0)
+    return _geometric_solutions(M, data, x0) if points is None else SolutionSet.of(M.cols, points)
 
 
 def _walks(data: _MatrixData, b: IntVector, x0, first: bool = False):
@@ -1119,10 +1115,10 @@ def _walks(data: _MatrixData, b: IntVector, x0, first: bool = False):
     and is empty exactly when there is none."""
     bound = data.graded_box(b)
     points = None if bound is None else _box_solutions(data, x0, bound, budget=_BOX_BUDGET, first=first)
-    return _signed_solutions(data, b, first) if points is None else points
+    return _signed_solutions(data, b, x0, first) if points is None else points
 
 
-def _signed_solutions(data: _MatrixData, b: IntVector, first: bool = False):
+def _signed_solutions(data: _MatrixData, b: IntVector, x0, first: bool = False):
     """The minimal solutions of ``M x = b``, for a b past the certificates,
     by one walk on the merged matrix M' of ``_MatrixData.signed``; None
     when the walk overflows ``_BOX_BUDGET``.  With ``first``, the walk's
@@ -1142,7 +1138,8 @@ def _signed_solutions(data: _MatrixData, b: IntVector, first: bool = False):
     most the largest ``ceil(|(B^-1 b)_j|)`` over the bases whose solution
     keeps unpaired coordinates nonnegative, plus ``slack_j``.  The box is
     closed under going conformally down, so the filter inside it is exact.
-    The walk runs on ``w`` shifted by the box on the free coordinates.
+    The walk starts from ``x0`` mapped to M' (``w_j = x_j - x_k`` over
+    each pair), shifted by the box on the free coordinates.
     Without pairs, M' is M, the circuits are the extreme rays of
     ``ker M intersect N^n``, the box is the vertices plus sub-unit
     multiples of those rays, and the filter is plain minimality."""
@@ -1156,7 +1153,8 @@ def _signed_solutions(data: _MatrixData, b: IntVector, first: bool = False):
                 ceilings[j] = max(ceilings[j], _ceil_div(abs(v), d))
     box = vec_add(ceilings, slack)
     low = tuple(k if partner is not None else 0 for k, (_, partner) in zip(box, pairs))
-    points = _box_solutions(merged, vec_add(_particular_solution(merged, b), low), vec_add(box, low), budget=_BOX_BUDGET, first=first)
+    w0 = tuple(x0[j] - (0 if k is None else x0[k]) + s for (j, k), s in zip(pairs, low))
+    points = _box_solutions(merged, w0, vec_add(box, low), budget=_BOX_BUDGET, first=first)
     if points is None:
         return None
     out = []

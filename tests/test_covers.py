@@ -226,6 +226,66 @@ def test_poly_standard_pairs_equal_reference():
     assert all(n >= 20 for n in kinds.values()), kinds
 
 
+def test_poly_standard_pairs_permute_with_the_variables():
+    """Metamorphic: renaming J's variables by a permutation renames its
+    standard pairs by the same permutation, whichever variable the
+    recursion slices first.  Over the seeded ideals of
+    ``_seeded_poly_ideals`` with at least two variables, each under two
+    random permutations."""
+    rng = random.Random(4103)
+    checked = 0
+    for m, gens in _seeded_poly_ideals(300, 4104):
+        J = PolyMonomialIdeal(m, gens)
+        if m < 2 or J.is_unit():
+            continue
+        pairs = [(p.base, p.free) for p in poly_standard_pairs(J)]
+        for _ in range(2):
+            sigma = rng.sample(range(m), m)  # variable i of J is variable sigma[i] of the image
+
+            def rename(u):
+                out = [0] * m
+                for i, x in enumerate(u):
+                    out[sigma[i]] = x
+                return tuple(out)
+
+            image = PolyMonomialIdeal(m, [rename(g) for g in gens])
+            expected = sorted((rename(u), tuple(sorted(sigma[i] for i in free))) for u, free in pairs)
+            assert [(p.base, p.free) for p in poly_standard_pairs(image)] == expected, (m, gens, sigma)
+            checked += 1
+    assert checked >= 400, checked
+
+
+def test_poly_standard_pairs_equal_reference_off_the_last_variable():
+    """Seeded ideals in 2-5 variables whose largest exponent is not on the
+    last variable, many with two or more variables tied at the largest
+    exponent, agree with the box enumeration
+    (``_reference_poly_standard_pairs``)."""
+    rng = random.Random(4105)
+    tied = checked = 0
+    sizes = set()
+    while checked < 240:
+        m = rng.randint(2, 5)
+        caps = [rng.randint(1, 6) for _ in range(m)]
+        while math.prod(c + 1 for c in caps) > 3000:
+            caps[caps.index(max(caps))] -= 1
+        gens = [tuple(rng.randint(0, c) for c in caps) for _ in range(rng.randint(1, 6))]
+        if checked % 2 and m > 2:  # two more generators, tying two variables but the last at the largest cap
+            for i in rng.sample(range(m - 1), 2):
+                caps[i] = max(caps)
+                gens.append(tuple(caps[i] if k == i else rng.randint(0, c // 2) for k, c in enumerate(caps)))
+        J = PolyMonomialIdeal(m, [g for g in gens if any(g)])
+        if J.is_empty():
+            continue
+        top = [max(e[i] for e in J.exponents) for i in range(m)]
+        if top[-1] == max(top):
+            continue
+        assert poly_standard_pairs(J) == _reference_poly_standard_pairs(J), (m, J.exponents)
+        tied += top.count(max(top)) >= 2
+        sizes.add(m)
+        checked += 1
+    assert tied >= 60 and sizes == {2, 3, 4, 5}, (tied, sizes)
+
+
 # The ideal that principal_cover pulls back for Q = [(1,4,4), (1,2,4), (3,4,0),
 # (4,0,3), (2,4,1)] (as columns) and I = ((31,38,35)).  Its exponent box
 # holds 24 x 23 x 36 x 9 x 34 bases per variable set, for 2,937 pairs.

@@ -2273,8 +2273,8 @@ def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
 
     signed, walks = dio._signed_solutions, []
 
-    def recording(data, b, first=False):
-        found = signed(data, b, first)
+    def recording(data, b, x0, first=False):
+        found = signed(data, b, x0, first)
         walks.append("walked" if found is not None else "overflowed")
         return found
 
@@ -2337,8 +2337,8 @@ def test_unpaired_systems_that_are_not_pointed_take_the_signed_walk(monkeypatch)
         expected.append(min_nonneg_solutions(M, b))
     signed, walks = dio._signed_solutions, []
 
-    def recording(data, b, first=False):
-        found = signed(data, b, first)
+    def recording(data, b, x0, first=False):
+        found = signed(data, b, x0, first)
         walks.append("walked" if found is not None else "overflowed")
         return found
 
@@ -2391,9 +2391,12 @@ def test_existence_takes_the_walks_of_the_full_solve(monkeypatch):
     vertices and the Smith form), and otherwise an integer solution of
     ``M x = b``.  ``has_nonneg_solution`` on a cold cache equals
     ``bool(min_nonneg_solutions)`` at the default ``_BOX_BUDGET``, at 10
-    and at 0, and asks for the full solve (``_min_nonneg_uncached``) once
-    when its signed walk overflows, which means both walks did, and never
-    otherwise: at the default budget no system that is not pointed does."""
+    and at 0.  It walks the signed walk at most once, and answers in full
+    by the triangulation (``_geometric_solutions``) once when that walk
+    overflows, which means both walks did, and never otherwise: at the
+    default budget no system that is not pointed does.  That full answer
+    is memoised and equals ``min_nonneg_solutions``; the full solve
+    (``_min_nonneg_uncached``) never runs."""
     import stdpairs.diophantine as dio
 
     systems = _existence_route_systems()
@@ -2408,12 +2411,13 @@ def test_existence_takes_the_walks_of_the_full_solve(monkeypatch):
     expected = []
     for _, M, b in systems:
         dio._MATRIX_CACHE.clear()
-        expected.append(bool(min_nonneg_solutions(M, b)))
+        expected.append(min_nonneg_solutions(M, b))
     full, signed, overflows = [], dio._signed_solutions, []
-    monkeypatch.setattr(dio, "_min_nonneg_uncached", _recording(full, "full", dio._min_nonneg_uncached))
+    monkeypatch.setattr(dio, "_min_nonneg_uncached", _recording(full, "uncached", dio._min_nonneg_uncached))
+    monkeypatch.setattr(dio, "_geometric_solutions", _recording(full, "full", dio._geometric_solutions))
 
-    def recording(data, b, first=False):
-        found = signed(data, b, first)
+    def recording(data, b, x0, first=False):
+        found = signed(data, b, x0, first)
         overflows.append(found is None)
         return found
 
@@ -2425,12 +2429,15 @@ def test_existence_takes_the_walks_of_the_full_solve(monkeypatch):
             dio._MATRIX_CACHE.clear()
             full.clear()
             overflows.clear()
-            assert has_nonneg_solution(M, b) == answer, (kind, M, b, budget)
-            both = overflows[:1] == [True]
+            assert has_nonneg_solution(M, b) == bool(answer), (kind, M, b, budget)
+            assert len(overflows) <= 1, (kind, M, b, budget, overflows)
+            both = overflows == [True]
             assert full == (["full"] if both else []), (kind, M, b, budget, full)
+            assert not both or dio._matrix_data(M).solutions[b] == answer, (kind, M, b, budget)
             assert budget != _BOX_BUDGET or kind == "pointed" or not full, (kind, M, b)
             route = "certificate" if fires else "full solve" if both else "walks"
-            counts[kind, budget, route, answer] = counts.get((kind, budget, route, answer), 0) + 1
+            key = (kind, budget, route, bool(answer))
+            counts[key] = counts.get(key, 0) + 1
     dio._MATRIX_CACHE.clear()
 
     def total(kinds, budget, route, answer):
@@ -2444,6 +2451,76 @@ def test_existence_takes_the_walks_of_the_full_solve(monkeypatch):
     assert total(kinds, _BOX_BUDGET, "certificate", False) >= 50, counts
     assert total(kinds, _BOX_BUDGET, "walks", False) >= 10, counts
     assert total(["paired", "unpaired"], 10, "full solve", True) >= 20, counts
+
+
+def test_signed_walk_starts_from_the_certificates_solution(monkeypatch):
+    """On seeded systems that are not pointed, paired and unpaired, with
+    zero and duplicate columns among them, the signed walk starts from
+    ``_start``'s x0: ``min_nonneg_solutions`` and ``has_nonneg_solution``
+    (each on a cold cache) equal the triangulation alone (``_BOX_BUDGET``
+    at 0), and each runs the forward substitution (``_lattice_reduce``)
+    once when b lies in the cone, else never.  At least 100 signed walks
+    answer, at least 20 of them on a matrix with a zero and a duplicate
+    column."""
+    import stdpairs.diophantine as dio
+
+    systems = [(M, b) for _, M, b in _signed_systems(random.Random(4101), 140)]
+    systems += [(M, b) for _, M, b in _unpaired_systems(random.Random(4102), 60)]
+    monkeypatch.setattr(dio, "_BOX_BUDGET", 0)
+    expected = []
+    for M, b in systems:
+        dio._MATRIX_CACHE.clear()
+        expected.append(min_nonneg_solutions(M, b))
+    monkeypatch.setattr(dio, "_BOX_BUDGET", _BOX_BUDGET)
+    reductions, walks = [], []
+    monkeypatch.setattr(dio, "_lattice_reduce", _recording(reductions, "reduce", dio._lattice_reduce))
+    monkeypatch.setattr(dio, "_signed_solutions", _recording(walks, "signed", dio._signed_solutions))
+    walked = with_zero_and_duplicate = 0
+    for (M, b), answer in zip(systems, expected):
+        in_cone = bool(_reference_vertices(M, b)[1])
+        for solve in (min_nonneg_solutions, has_nonneg_solution):
+            dio._MATRIX_CACHE.clear()
+            reductions.clear()
+            walks.clear()
+            assert solve(M, b) == (answer if solve is min_nonneg_solutions else bool(answer)), (M, b)
+            assert len(reductions) == int(in_cone), (M, b, solve.__name__, reductions)
+        cols = M.columns()
+        walked += bool(walks)
+        with_zero_and_duplicate += bool(walks) and (0,) * M.rows in cols and len(set(cols)) < len(cols)
+    dio._MATRIX_CACHE.clear()
+    assert walked >= 100 and with_zero_and_duplicate >= 20, (walked, with_zero_and_duplicate)
+
+
+def test_existence_overflow_walks_once(monkeypatch):
+    """When both walks overflow, ``has_nonneg_solution`` answers from the
+    triangulation at once: with ``_BOX_BUDGET`` at 10 on ``[3, 4, 3, 2,
+    -3, -4, -3, -2] x = 5`` it walks one signed walk, which overflows, and
+    no full solve; its memoised full answer equals the unbudgeted
+    ``min_nonneg_solutions``, which then answers from the memo."""
+    import stdpairs.diophantine as dio
+
+    M, b = IntMatrix.from_rows([[3, 4, 3, 2, -3, -4, -3, -2]]), (5,)
+    dio._MATRIX_CACHE.clear()
+    expected = min_nonneg_solutions(M, b)
+    assert expected
+    dio._MATRIX_CACHE.clear()
+    signed, walks, full = dio._signed_solutions, [], []
+
+    def recording(data, b, x0, first=False):
+        found = signed(data, b, x0, first)
+        walks.append(found is None)
+        return found
+
+    monkeypatch.setattr(dio, "_signed_solutions", recording)
+    monkeypatch.setattr(dio, "_min_nonneg_uncached", _recording(full, "full", dio._min_nonneg_uncached))
+    monkeypatch.setattr(dio, "_BOX_BUDGET", 10)
+    assert has_nonneg_solution(M, b) is True
+    assert walks == [True] and full == [], (walks, full)
+    assert dio._matrix_data(M).solutions[b] == expected
+    walks.clear()
+    assert min_nonneg_solutions(M, b) == expected
+    assert walks == [] and full == [], (walks, full)
+    dio._MATRIX_CACHE.clear()
 
 
 def test_pipelines_compute_no_kernel_hilbert_basis(monkeypatch):
