@@ -10,13 +10,15 @@ followed by one line per row; faces are comma-separated column indices
     IDEAL           minimal generators of an ideal over that monoid
     COVER           pair count, then one pair line each
     OVERLAP         class count, then per class a ``face;count`` header
-                    and its pair lines
+                    (count at least 1) and its pair lines
     ASSOCIATED      face count, then one face line per associated face
     DECOMPOSITION   component count, then one generator matrix each
 
 A document with only MONOID loads to an AffineMonoid; MONOID+IDEAL (plus
 optional cached sections) to a MonomialIdeal; MONOID+COVER without IDEAL
-to a Cover whose pairs are anchored to the empty ideal.  Serialization is
+to a Cover whose pairs are anchored to the empty ideal.  Every count is
+nonnegative; a malformed line is an ``ArchiveError`` naming its line
+number.  Serialization is
 deterministic, so saving equal objects twice produces identical bytes.
 """
 
@@ -136,11 +138,18 @@ class _Reader:
         return ArchiveError(f"line {self.pos}: {message}")
 
     def take_int(self, what: str) -> int:
-        line = self.take(what).strip()
+        return self.count(self.take(what), what)
+
+    def count(self, text: str, what: str, least: int = 0) -> int:
+        """``text`` read as a count of at least ``least`` for ``what``."""
+        text = text.strip()
         try:
-            return int(line)
+            n = int(text)
         except ValueError:
-            raise self.error(f"expected an integer count for {what}, got {line!r}")
+            raise self.error(f"expected an integer count for {what}, got {text!r}")
+        if n < least:
+            raise self.error(f"count {n} for {what} is below {least}")
+        return n
 
     def take_matrix(self, what: str, dim: int | None = None) -> IntMatrix:
         """A ``rows cols`` header and its rows; with ``dim``, a matrix with
@@ -229,10 +238,7 @@ def load(path: str):
                     raise reader.error("expected 'face;count' class header")
                 face_text, n_text = header.split(";", 1)
                 face = reader.take_face(face_text, faces)
-                try:
-                    npairs = int(n_text)
-                except ValueError:
-                    raise reader.error("bad class pair count")
+                npairs = reader.count(n_text, "OVERLAP class pairs", 1)
                 overlap_data.append((face, [reader.take_pair_line(faces, monoid.dim) for _ in range(npairs)]))
         elif section == "ASSOCIATED":
             count = reader.take_int("ASSOCIATED")

@@ -45,7 +45,6 @@ from operator import itemgetter, le
 from .diophantine import (
     IntVector,
     _lattice_reduce,
-    _matrix_data,
     min_nonneg_solutions,
     minimal_elements,
     vec,
@@ -392,7 +391,8 @@ def _prune_nested(monoid: AffineMonoid, pairs: list) -> list:
     pair is inside an earlier kept one.
 
     The kept pairs over G are grouped by their bases' lattice coordinates
-    over G's kept columns A_K (``_lattice_reduce``: ``b = A_K x + r``).  A
+    over G's kept columns A_K, whose data G's record keeps
+    (``AffineMonoid.lattice_of``; ``_lattice_reduce``: ``b = A_K x + r``).  A
     pair can only lie in a kept pair with the same residue r, and then
     ``a - b = A_K (x_a - x_b)``: ``x_b <= x_a`` proves it, and when A_K's
     columns are linearly independent that is the only way to write
@@ -400,7 +400,7 @@ def _prune_nested(monoid: AffineMonoid, pairs: list) -> list:
     w = tuple(map(sum, zip(*monoid.support_of(BOTTOM).data)))  # () without facets: w = 0
     lattices: dict = {}  # face -> (data of A_K, independent columns, residue -> [(kept base, x)])
     for face in {face for _, face in pairs}:
-        data = _matrix_data(monoid.submatrix(monoid.kept_of(face)))
+        data = monoid.lattice_of(face)
         lattices[face] = (data, data.reduction()[2] == data.M.cols, {})
     above = {f: [f] + [g for g in lattices if g != f and set(f) <= set(g)] for f in lattices}
     keep: list = []

@@ -3,9 +3,11 @@
 Everything here is read off the standard cover.  Standard pairs over one
 face F are grouped into overlap classes, the cosets of the lattice ZF
 among their bases (two translates ``a + NF`` meet iff their bases differ
-by ZF); classes are ordered by lifting pair divisibility existentially,
-which the first pair of each class decides, and the maximal classes carry
-the associated primes and one irreducible component each.
+by ZF), by their residues modulo ZF, whose data the monoid keeps in F's
+record (``AffineMonoid.lattice_of``); classes are ordered by lifting pair
+divisibility existentially, which the first pair of each class decides,
+and the maximal classes carry the associated primes and one irreducible
+component each.
 
 The component of a maximal class C over a face F is the ideal of monoid
 elements outside the downward closure of the class: its standard
@@ -17,19 +19,20 @@ support value of a and still lie outside the closure.
 
 The class order (``is_divisor``) has the top face on one side, so the
 monoid answers it in the quotient by the lattice of the face
-(``AffineMonoid.meets``): membership in NA + ZF is a solve over the face's
-pointed off-face system ``B_F = S_F A_off``, never over ``[A_F | -A]``.
-The component is one solve over the same system: the finitely many ways
-of writing a as ``A_off s`` plus a point of ZF
-(``AffineMonoid._quotient_solutions``) are the corners of the closure,
-and its generators come from those corners without a further question.
+(``AffineMonoid.meets``): membership in NA + ZF asks whether one solve
+over the face's pointed off-face system ``B_F = S_F A_off`` has a solution
+u with ``a - b - A_off u`` in ZF, never a solve over ``[A_F | -A]``.  The
+component is the same solve: the finitely many ways of writing a as
+``A_off s`` plus a point of ZF (``AffineMonoid._quotient_solutions``) are
+the corners of the closure, and its generators come from those corners
+without a further question.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diophantine import IntMatrix, lattice_residue, minimal_elements, vec_dot
+from .diophantine import IntMatrix, _lattice_reduce, minimal_elements, vec_dot
 from .ideal import MonomialIdeal, memoized
 from .pairs import is_divisor
 from .polyhedral import Face, face_sort_key
@@ -54,10 +57,10 @@ def overlap_classes(I: MonomialIdeal) -> dict:
     monoid = I.ambient
     result: dict = {}
     for face, ps in I.standard_cover().entries:
-        fsub = monoid.submatrix(monoid.kept_of(face))  # Z F, from its kept columns
+        lattice = monoid.lattice_of(face)
         blocks: dict = {}
         for p in ps:
-            blocks.setdefault(lattice_residue(fsub, p.base), []).append(p)
+            blocks.setdefault(_lattice_reduce(lattice, p.base)[1], []).append(p)
         classes = [
             OverlapClass(face, tuple(sorted(b, key=lambda p: p.base))) for b in blocks.values()
         ]

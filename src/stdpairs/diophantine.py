@@ -272,17 +272,17 @@ class _MatrixData:
     """Per-matrix cache: the data the infeasibility certificates read (the
     facet normals and span equations of ``cone(M)``), the grading the
     normals give and whether the system is pointed in it
-    (``graded_box``), one column echelon reduction (particular solutions
-    and the lattice test, the kernel lattice), the box walk's plan
-    (``walk_plan``), the signed walk's data (``signed``), the
-    kernel Hilbert basis (``hilbert``, filled by ``hilbert_kernel`` only),
-    the full answers per right-hand side (``solutions``) and the
+    (``graded_box``), one column echelon reduction (particular solutions,
+    the lattice test and residues modulo ``Z M``, the kernel lattice), the
+    box walk's plan (``walk_plan``), the signed walk's data (``signed``),
+    the kernel Hilbert basis (``hilbert``, filled by ``hilbert_kernel``
+    only), the full answers per right-hand side (``solutions``) and the
     right-hand sides ``has_nonneg_solution`` found solvable
-    (``feasible``).  The cone data
-    is filled lazily by ``_facets_of_cone``, or by ``store_cone`` from
-    facets a caller (``AffineMonoid``) has already enumerated, so each
-    matrix's cone is enumerated once while its entry stays in
-    ``_MATRIX_CACHE``."""
+    (``feasible``).  The cone data is filled lazily by one double
+    description (``_facets_of_cone``) for every matrix, or by
+    ``store_cone`` from facets a caller (``AffineMonoid``) has already
+    enumerated, so each matrix's cone is enumerated once while its entry
+    stays in ``_MATRIX_CACHE``."""
 
     M: IntMatrix
     hilbert: tuple | None = None
@@ -296,19 +296,13 @@ class _MatrixData:
 
     def cone(self):
         """``(normals, equations)``: the primitive inner facet normals and
-        the span equations of ``cone(M)``, as tuples of row tuples.
-
-        When the negation of every column is a column too, as in the
+        the span equations of ``cone(M)``, as tuples of row tuples, by one
+        double description (``_facets_of_cone``) unless a caller stored
+        them.  When the negation of every column is a column too, as in the
         ``[A | -A]`` of a principal cover, ``cone(M)`` is its linear span and
-        has no facets: the double description would find none, so only the
-        equations are computed."""
+        the double description finds no facet."""
         if self._cone is None:
-            cols = self.M.columns()
-            present = set(cols)
-            if all(tuple(-a for a in c) in present for c in cols):
-                self.store_cone([], rational_kernel_basis(self.M.transpose()))
-            else:
-                self.store_cone(*_facets_of_cone(cols, self.M.rows))
+            self.store_cone(*_facets_of_cone(self.M.columns(), self.M.rows))
         return self._cone
 
     def store_cone(self, facets, equations) -> None:
@@ -577,11 +571,6 @@ def _lattice_reduce(data: _MatrixData, b) -> tuple:
         residue = [a - q * c for a, c in zip(residue, col)]
         x = [a + q * c for a, c in zip(x, col[m:])]
     return tuple(x), tuple(residue)
-
-
-def lattice_residue(M: IntMatrix, b: IntVector) -> IntVector:
-    """The canonical representative of ``b`` modulo the lattice ``Z M``."""
-    return _lattice_reduce(_matrix_data(M), b)[1]
 
 
 def _particular_solution(data: _MatrixData, b):

@@ -6,7 +6,7 @@ from functools import partial
 from operator import le
 
 from .diophantine import _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
-from .diophantine import _MatrixData, _particular_solution, _saturated_span_basis
+from .diophantine import _MatrixData, _particular_solution
 from .diophantine import has_nonneg_solution, min_nonneg_solutions, vec, vec_sub
 from .polyhedral import BOTTOM, Face, _closure, _lattice, _pointed, _support_rows, facet_data
 
@@ -31,11 +31,13 @@ class AffineMonoid:
     first use belongs on one thread; the object is otherwise immutable and
     safe to share between threads.  One holds the systems ``[A_F | -A_G]``
     of ``meet`` and of the other questions of ``meets``, bounded by
-    ``_MATRIX_CACHE_CAP``; the other one record per face (``_record``),
-    for the yes/no questions with the top face on one side, which
-    ``meets`` answers in the quotient by ``Z F``, and for the solutions in
-    that quotient that irreducible components are read from
-    (``_quotient_solutions``).
+    ``_MATRIX_CACHE_CAP``; the other one record per face (``_record``).
+    The record holds the solver data of the lattice ``Z F``, the one copy
+    that prunes and overlap classes read (``lattice_of``), and the off-face
+    system that, with a lattice test, answers the yes/no questions with
+    the top face on one side in the quotient by ``Z F`` (``meets``) and
+    gives the solutions in that quotient that irreducible components are
+    read from (``_quotient_solutions``).
 
     The caller index of one copy of each minimal generator is kept, in
     increasing order.  Yes/no questions (``contains``, ``meets``) solve over
@@ -54,7 +56,7 @@ class AffineMonoid:
             raise NotPointedError("generating matrix spans a cone containing a line")
         self._faces = _lattice(self._facets, gens.cols)
         self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
-        self._records: dict = {}  # face -> (S_F, A_off, B_F, lattice data or None): ``_record``
+        self._records: dict = {}  # face -> (S_F, A_off, B_F, lattice data of F): ``_record``
         self._supports = {
             f: _support_rows(self._facets, self._equations, gens.rows, f)
             for f in self._faces
@@ -181,13 +183,14 @@ class AffineMonoid:
 
         With the top face on one side and a face F on the other, they meet
         iff the difference of the points (``a - b`` for F on the left)
-        lies in ``NA + ZF``, which F's record decides (``_in_quotient``);
-        every other question solves ``[A_left | -A_right]``."""
+        lies in ``NA + ZF``, which holds iff ``_quotient_solutions`` over
+        F's record finds a solution; every other question solves
+        ``[A_left | -A_right]``."""
         left, right = tuple(left), tuple(right)
         if right == self.top and left in self._supports:
-            return self._in_quotient(self._difference(b, a), left)
+            return bool(self._quotient_solutions(self._difference(b, a), left))
         if left == self.top and right in self._supports:
-            return self._in_quotient(self._difference(a, b), right)
+            return bool(self._quotient_solutions(self._difference(a, b), right))
         return has_nonneg_solution(self._system(self.kept_of(left), self.kept_of(right)), self._difference(a, b))
 
     def _record(self, face: Face) -> tuple:
@@ -199,40 +202,32 @@ class AffineMonoid:
         least 1 on every column of ``A_off``, so ``B_F`` is pointed: every
         nonnegative solution of ``B_F u = y`` is minimal, and there are
         finitely many.  ``lattice`` is the solver data of F's kept columns,
-        which span ``Z F``, or None when ``A_off`` has columns and ``Z F`` is
-        all of ``span F intersect Z^d`` (``_saturated``)."""
+        which span ``Z F`` (``lattice_of``)."""
         record = self._records.get(face)
         if record is None:
             support = self._supports[face]
             off = self._gens.take_cols([j for j in self._kept if j not in face])
             lattice = _matrix_data(self._gens.take_cols(self._kept_faces[face]))
-            if off.cols and _saturated(lattice):
-                lattice = None
             record = self._records[face] = (support, off, support.matmul(off), lattice)
         return record
 
-    def _in_quotient(self, x: IntVector, face: Face) -> bool:
-        """Whether x lies in ``NA + ZF = N A_off + ZF`` for a face F: some
-        ``u >= 0`` has ``B_F u = S_F x`` and ``x - A_off u`` in ``Z F``.
-        The first condition puts ``x - A_off u`` in span F; on a saturated
-        face that is the second, so one existence check decides.  Otherwise
-        the question is whether ``_quotient_solutions`` has any: on the top
-        face its only one is ``()``, so the list is tested, not its members."""
-        support, _, system, lattice = self._record(face)
-        if lattice is None:
-            return has_nonneg_solution(system, support.mul(x))
-        return bool(self._quotient_solutions(x, face))
+    def lattice_of(self, face: Face) -> _MatrixData:
+        """The solver data of a face F's kept columns, which span ``Z F``,
+        from F's record: ``diophantine._lattice_reduce`` reads coordinates
+        and residues modulo ``Z F`` from it."""
+        return self._record(face)[3]
 
     def _quotient_solutions(self, x: IntVector, face: Face) -> list:
         """Every ``u >= 0`` with ``B_F u = S_F x`` and ``x - A_off u`` in
-        ``Z F``: the ways of writing x as ``A_off u`` plus a point of ``Z F``.
-        One solve over the pointed ``B_F`` finds all of them (each is
-        minimal); on a non-saturated face each is then tested against the
-        lattice, and the top face, with no off-face columns, is the lattice
-        test alone."""
+        ``Z F``: the ways of writing x as ``A_off u`` plus a point of ``Z F``,
+        so x lies in ``NA + ZF = N A_off + ZF`` iff there is one.  One solve
+        over the pointed ``B_F`` finds every candidate (each is minimal) and
+        puts ``x - A_off u`` in span F; each is then tested against the
+        lattice.  The top face, with no off-face columns, is the lattice
+        test alone, whose only candidate is ``()``."""
         support, off, system, lattice = self._record(face)
         sols = min_nonneg_solutions(system, support.mul(x)) if off.cols else [()]
-        return [u for u in sols if lattice is None or _particular_solution(lattice, vec_sub(x, off.mul(u))) is not None]
+        return [u for u in sols if _particular_solution(lattice, vec_sub(x, off.mul(u))) is not None]
 
     def _difference(self, a: IntVector, b: IntVector) -> IntVector:
         """``b - a``, for points of length ``dim`` only (``vec_sub`` would zip)."""
@@ -305,8 +300,3 @@ def _minimal(points, support: IntMatrix, contains) -> list:
         if not any(p != q and all(map(le, vp, vq)) and contains(vec_sub(q, p)) for p, vp in zip(points, values))
     ]
 
-
-def _saturated(data: _MatrixData) -> bool:
-    """Whether the lattice ``Z M`` is all of ``span M intersect Z^d``: each
-    vector of a basis of the latter lies in ``Z M``."""
-    return all(_particular_solution(data, v) is not None for v in _saturated_span_basis(data.M.columns(), data.M.rows))

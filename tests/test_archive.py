@@ -135,6 +135,30 @@ def test_load_rejects_cover_pair_over_non_face(tmp_path, sections, bad_line):
         load(path)
 
 
+_BAD_COUNTS = [
+    ("COVER\n-2\n", 6),
+    (_IDEAL + "COVER\n-1\n", 9),
+    (_IDEAL + "OVERLAP\n-1\n", 9),
+    (_IDEAL + "ASSOCIATED\n-3\n", 9),
+    (_IDEAL + "DECOMPOSITION\n-1\n", 9),
+    (_IDEAL + "OVERLAP\n1\n0,1;0\n", 10),
+    (_IDEAL + "OVERLAP\n1\n0,1;-3\n0,1;5\n", 10),
+]
+_BAD_COUNT_IDS = ["cover", "ideal_cover", "overlap", "associated", "decomposition", "empty_class", "negative_class"]
+
+
+@pytest.mark.parametrize("sections, bad_line", _BAD_COUNTS, ids=_BAD_COUNT_IDS)
+def test_load_rejects_negative_counts_and_empty_classes(tmp_path, sections, bad_line):
+    """A negative section count, or an OVERLAP class header counting no
+    pairs, is an ``ArchiveError`` naming its line, not an empty section
+    or an ``IndexError``."""
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n1 2\n2 3\n" + sections)
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: count -?\d+ for [\w ]+ is below [01]$"):
+        load(path)
+
+
 @pytest.mark.parametrize(
     "sections, bad_line",
     [

@@ -37,6 +37,28 @@ def test_negative_archive_dimension_exit_code(tmp_path, capsys):
     assert "line 3: negative matrix dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, bad_line",
+    [
+        ("COVER\n-2\n", 9),
+        ("OVERLAP\n-1\n", 9),
+        ("ASSOCIATED\n-3\n", 9),
+        ("DECOMPOSITION\n-1\n", 9),
+        ("OVERLAP\n1\n0,1;0\n", 10),
+        ("OVERLAP\n1\n0,1;-3\n", 10),
+    ],
+    ids=["cover", "overlap", "associated", "decomposition", "empty_class", "negative_class"],
+)
+def test_bad_archive_count_exit_code(tmp_path, capsys, section, bad_line):
+    """A negative count or an empty overlap class exits 2 naming its line;
+    ``assoc`` prints no stored answer."""
+    path = tmp_path / "bad.txt"
+    path.write_text("STDPAIRS v1\nMONOID\n1 2\n2 3\nIDEAL\n1 1\n5\n" + section)
+    assert main(["--quiet", "ideal", str(path), "assoc"]) == 2
+    captured = capsys.readouterr()
+    assert f"line {bad_line}: count" in captured.err and captured.out == ""
+
+
 def test_empty_ideal_cover_and_export(tmp_path, capsys):
     Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 2], [0, 2, 2]]))
     path = str(tmp_path / "empty.txt")

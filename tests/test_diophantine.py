@@ -21,6 +21,7 @@ from stdpairs.diophantine import (
     _hilbert_basis_geometric,
     _integer_inverse,
     _kernel_cone_rays,
+    _lattice_reduce,
     _matrix_data,
     _MatrixData,
     _negation_pairs,
@@ -35,7 +36,6 @@ from stdpairs.diophantine import (
     has_nonneg_solution,
     hilbert_kernel,
     integer_kernel_basis,
-    lattice_residue,
     min_nonneg_solutions,
     minimal_elements,
     primitive,
@@ -48,7 +48,6 @@ from stdpairs.diophantine import (
 )
 
 from stdpairs import AffineMonoid, MonomialIdeal, irreducible_decomposition
-from stdpairs.monoid import _saturated
 
 from oracles import brute_hilbert, brute_min_solutions, seeded_instances
 from test_acceptance import random_instances
@@ -924,11 +923,17 @@ def test_column_echelon_matches_smith_reference():
     assert solvable >= 600 and unsolvable >= 500 and with_kernel >= 150
 
 
+def _lattice_saturated(data: _MatrixData) -> bool:
+    """Whether ``Z M`` is all of ``span M intersect Z^d``: each vector of a
+    basis of the latter lies in ``Z M``."""
+    return all(_particular_solution(data, v) is not None for v in _saturated_span_basis(data.M.columns(), data.M.rows))
+
+
 def test_lattice_residue_is_canonical_mod_lattice():
-    """The residue of b modulo Z M is the same for b and b + M z, is zero
-    exactly when ``_particular_solution`` finds an integer solution, and
-    differs from b by a lattice vector; on r x 0 matrices, zero columns and
-    lattices not saturated in their span too."""
+    """The residue of b modulo Z M (``_lattice_reduce(...)[1]``) is the same
+    for b and b + M z, is zero exactly when ``_particular_solution`` finds
+    an integer solution, and differs from b by a lattice vector; on r x 0
+    matrices, zero columns and lattices not saturated in their span too."""
     rng = random.Random(79)
     matrices = _EDGE_MATRICES + [
         IntMatrix.from_rows([[2, 0], [0, 2]]),
@@ -941,13 +946,12 @@ def test_lattice_residue_is_canonical_mod_lattice():
         data = _matrix_data(M)
         cols = M.columns()
         zero_cols += any(not any(c) for c in cols)
-        span = _saturated_span_basis(cols, M.rows)
-        non_saturated += any(_particular_solution(data, v) is None for v in span)
+        non_saturated += not _lattice_saturated(data)
         for _ in range(4):
             b = tuple(rng.randint(-6, 6) for _ in range(M.rows))
-            residue = lattice_residue(M, b)
+            residue = _lattice_reduce(data, b)[1]
             z = tuple(rng.randint(-3, 3) for _ in range(M.cols))
-            assert lattice_residue(M, vec_add(b, M.mul(z))) == residue, (M, b, z)
+            assert _lattice_reduce(data, vec_add(b, M.mul(z)))[1] == residue, (M, b, z)
             inside = _particular_solution(data, b) is not None
             assert inside == (not any(residue)), (M, b, residue)
             members += inside
@@ -2162,10 +2166,10 @@ def _paired_matrices(rng, count):
     return out
 
 
-def test_cone_of_negation_pairs_skips_the_double_description(monkeypatch):
-    """When every column's negation is a column, ``_MatrixData.cone`` gives
-    exactly what the double description gives (no facets, the same span
-    equations) without running it; otherwise it runs it once."""
+def test_cone_of_negation_pairs_has_no_facets(monkeypatch):
+    """``_MatrixData.cone`` runs the double description once and gives
+    exactly its result; when every column's negation is a column, that is
+    no facet and the span equations."""
     import stdpairs.diophantine as dio
 
     calls = []
@@ -2181,11 +2185,11 @@ def test_cone_of_negation_pairs_skips_the_double_description(monkeypatch):
         data = _MatrixData(M)
         calls.clear()
         assert data.cone() == (tuple(phi for phi, _ in facets), tuple(equations)), M
-        assert len(calls) == (not paired), M
+        assert len(calls) == 1, M
         assert not paired or not facets, M
         kinds["paired"] += paired
         kinds["zero_column"] += paired and (0,) * M.rows in M.columns()
-        kinds["non_saturated"] += paired and not _saturated(data)
+        kinds["non_saturated"] += paired and not _lattice_saturated(data)
         kinds["with_facets"] += bool(facets)
     assert min(kinds.values()) >= 20, kinds
 
