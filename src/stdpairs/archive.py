@@ -176,8 +176,8 @@ class _Reader:
                 raise self.error(f"non-integer entry in {what}")
         return IntMatrix(rows, cols, tuple(data))
 
-    def take_face(self, text: str, faces: dict) -> Face:
-        """The face written in ``text``, which must be a key of ``faces``."""
+    def take_face(self, text: str, faces: frozenset) -> Face:
+        """The face written in ``text``, which must be in ``faces``."""
         text = text.strip()
         try:
             face = tuple(int(t) for t in text.split(",")) if text else ()
@@ -187,7 +187,7 @@ class _Reader:
             raise self.error(f"{face} is not a face of the monoid")
         return face
 
-    def take_pair_line(self, faces: dict, dim: int):
+    def take_pair_line(self, faces: frozenset, dim: int):
         line = self.take("pair")
         if ";" not in line:
             raise self.error(f"expected 'face;base' pair line, got {line!r}")
@@ -215,7 +215,7 @@ def load(path: str):
     if reader.eof() or reader.take("section").strip() != "MONOID":
         raise ArchiveError("line 2: expected MONOID section")
     monoid = AffineMonoid(reader.take_matrix("MONOID"))
-    faces = monoid.supports  # keyed by every face but BOTTOM
+    faces = monoid._face_set
 
     ideal = None
     cover_data = None

@@ -87,11 +87,8 @@ def cmd_monoid(args) -> int:
     elif args.action == "faces":
         print("[" + ", ".join(str(f) for f in monoid.faces) + "]")
     elif args.action == "supports":
-        for face in monoid.faces:
-            if face == (-1,):
-                continue
-            rows = monoid.supports[face].data
-            print(f"{face}: {list(map(list, rows))}")
+        for face, support in monoid.supports.items():
+            print(f"{face}: {list(map(list, support.data))}")
     if args.out:
         save(monoid, args.out)
     return 0

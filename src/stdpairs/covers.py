@@ -336,7 +336,7 @@ def minimal_holes(a: IntVector, face: Face, monoid: AffineMonoid) -> tuple:
     off-face columns: the system of F's record (``AffineMonoid._record``)
     that also answers F's membership questions.
     """
-    support, off, system, _ = monoid._record(face)
+    support, _, off, system, _ = monoid._record(face)
     sols = min_nonneg_solutions(system, support.mul(vec(a)))
     return tuple(monoid.minimal(off.mul(u) for u in sols))
 

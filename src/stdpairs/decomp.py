@@ -157,7 +157,7 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     if face not in maximal or ov_class not in maximal[face]:
         raise ValueError("not a maximal overlap class of the ideal")
     monoid = I.ambient
-    off = monoid._record(face)[1]
+    off = monoid._record(face)[2]
     # the intersection of no box ideals is the unit ideal, generated by 0;
     # each box replaces a generator g by its lcm with each (s_k + 1) e_k
     corners = [(0,) * off.cols]

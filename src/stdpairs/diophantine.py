@@ -8,13 +8,14 @@ minimal nonnegative integer solutions of a linear system ``M x = b``.
 The solver works lattice-geometrically, entirely over Python integers, so
 nothing overflows and nothing is rounded.  Two exact reductions carry it:
 one fraction-free (Bareiss) elimination, ``_fraction_free_reduce``, gives
-every rank, rational kernel, inverse and lattice coordinate, and one
-unimodular column echelon, ``_column_echelon``, every lattice step:
+every rank, rational kernel and inverse, and one unimodular column
+echelon, ``_column_echelon``, every lattice step:
 
 * one echelon pass over ``[M; I]`` per matrix gives particular solutions
-  of ``M x = b`` by forward substitution, the lattice test, and a
-  saturated basis of the integer kernel lattice, already in the echelon
-  form the box walk needs;
+  of ``M x = b`` by forward substitution (``_lattice_reduce``, the one
+  source of lattice coordinates), the lattice test, and a saturated basis
+  of the integer kernel lattice, already in the echelon form the box walk
+  needs;
 * the extreme rays of a nonnegative solution cone come from a
   fraction-free double description in kernel coordinates, the same engine
   that finds the facets of a cone as the extreme rays of its dual;
@@ -770,28 +771,6 @@ def _saturated_span_basis(cols: list, dim: int) -> list:
     return integer_kernel_basis(IntMatrix.from_rows(equations, cols=dim))
 
 
-def _coords_in_basis(basis: list, targets: list, dim: int) -> list:
-    """Exact integer coordinates of targets in a basis of independent vectors.
-
-    One fraction-free pass over the rows of ``[basis | targets]`` leaves
-    ``d [I | Z]`` above ``[0 | W]``: a target lies in the span iff its
-    column of W is zero, and its coordinates are then its column of Z.
-    """
-    k = len(basis)
-    work = [[v[r] for v in basis] + [t[r] for t in targets] for r in range(dim)]
-    _, d = _fraction_free_reduce(work, k)
-    top, rest = work[:k], work[k:]
-    out = []
-    for j, t in enumerate(targets, k):
-        if any(row[j] for row in rest):
-            raise ArithmeticError(f"{t} does not lie in the span of the basis")
-        z = [divmod(row[j], d) for row in top]
-        if any(rem for _, rem in z):
-            raise ArithmeticError(f"{t} has no integer coordinates in the basis")
-        out.append(tuple(q for q, _ in z))
-    return out
-
-
 def _parallelepiped_points(generators: list) -> list:
     """Lattice points in the half-open parallelepiped of a nonsingular basis.
 
@@ -834,7 +813,9 @@ def _hilbert_basis_geometric(basis: list, rays: list) -> list:
     the cone, not on the basis, and short rays keep the parallelepipeds
     small), and collect the lattice points of each maximal simplex's
     half-open parallelepiped.  Every minimal element appears among those
-    candidates and the rays.
+    candidates and the rays.  The rays' coordinates in the span's basis
+    are the quotients of ``_lattice_reduce``; a nonzero residue, a ray off
+    that lattice, is an ``ArithmeticError``.
     """
     if not rays:
         return []
@@ -842,7 +823,13 @@ def _hilbert_basis_geometric(basis: list, rays: list) -> list:
     rays = sorted(rays, key=lambda y: (sum(vectors[y]), vectors[y]))
     k = len(basis)
     span = _saturated_span_basis(rays, k)
-    rays_z = _coords_in_basis(span, rays, k)
+    data = _MatrixData(IntMatrix.from_cols(span, rows=k))
+    rays_z = []
+    for y in rays:
+        z, residue = _lattice_reduce(data, y)
+        if any(residue):
+            raise ArithmeticError(f"{y} does not lie in the lattice of the span basis")
+        rays_z.append(z)
     candidates = set(rays_z)
     for simplex in _pulling_triangulation(rays_z, len(span)):
         candidates.update(_parallelepiped_points([rays_z[i] for i in simplex]))

@@ -20,19 +20,23 @@ class AffineMonoid:
 
     The facets of the cone are enumerated once, here.  Pointedness, which
     every algorithm built on top assumes, is read from them (non-pointed
-    input is rejected), and so are the faces, their support vectors and
-    every later face closure.  They are also stored with the solver's data
-    for A, and for ``A_kept`` (below) on first use, whose infeasibility
-    certificates test them.  The minimal generators are read with them
-    too (``_minimal``): a column c is dropped when ``c - d`` lies in NA
-    for another nonzero column d, which one existence question over A
-    decides, asked only where no facet is smaller on c than on d.  All of
-    this is computed eagerly, except two memos filled on first use, so
-    first use belongs on one thread; the object is otherwise immutable and
-    safe to share between threads.  One holds the systems ``[A_F | -A_G]``
-    of ``meet`` and of the other questions of ``meets``, bounded by
-    ``_MATRIX_CACHE_CAP``; the other one record per face (``_record``).
-    The record holds the solver data of the lattice ``Z F``, the one copy
+    input is rejected), and so are the faces and every later face closure.
+    They are also stored with the solver's data for A, and for ``A_kept``
+    (below) on first use, whose infeasibility certificates test them.  The
+    minimal generators are read with them too (``_minimal``): a column c is
+    dropped when ``c - d`` lies in NA for another nonzero column d, which
+    one existence question over A decides, asked only where no facet is
+    smaller on c than on d; only BOTTOM's support, the rows of every facet,
+    is computed for that.  Every face label but BOTTOM's is in one set,
+    which every face check reads.
+
+    Two memos are filled on first use, so first use belongs on one thread;
+    the object is otherwise immutable and safe to share between threads.
+    One holds the systems ``[A_F | -A_G]`` of ``meet`` and of the other
+    questions of ``meets``, bounded by ``_MATRIX_CACHE_CAP``; the other
+    one record per face (``_record``), the only holder of a face's data:
+    its support vectors (``support_of``, ``supports``), its kept columns
+    (``kept_of``), the solver data of the lattice ``Z F``, the one copy
     that prunes and overlap classes read (``lattice_of``), and the off-face
     system that, with a lattice test, answers the yes/no questions with
     the top face on one side in the quotient by ``Z F`` (``meets``) and
@@ -55,21 +59,17 @@ class AffineMonoid:
         if not _pointed(gens, self._facets):
             raise NotPointedError("generating matrix spans a cone containing a line")
         self._faces = _lattice(self._facets, gens.cols)
+        self._face_set = frozenset(self._faces) - {BOTTOM}  # what every face check reads
         self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
-        self._records: dict = {}  # face -> (S_F, A_off, B_F, lattice data of F): ``_record``
-        self._supports = {
-            f: _support_rows(self._facets, self._equations, gens.rows, f)
-            for f in self._faces
-            if f != BOTTOM
-        }
+        self._records: dict = {}  # face -> (S_F, kept, A_off, B_F, lattice data of F): ``_record``
+        self._bottom_support = _support_rows(self._facets, self._equations, gens.rows, BOTTOM)
         _matrix_data(gens).store_cone(self._facets, self._equations)
         # a nonzero column c is a minimal generator iff c - d lies in NA for
         # no other nonzero column d: in a pointed monoid c = d + y with
         # y != 0 is a factorization, and any factorization has such a part d
         cols = gens.columns()
-        mingens = _minimal(set(cols) - {(0,) * gens.rows}, self.support_of(BOTTOM), partial(has_nonneg_solution, gens))
+        mingens = _minimal(set(cols) - {(0,) * gens.rows}, self._bottom_support, partial(has_nonneg_solution, gens))
         self._kept = tuple(sorted(map(cols.index, mingens)))
-        self._kept_faces = {f: tuple(j for j in f if j in self._kept) for f in self._faces if f != BOTTOM}
         self._mingens = IntMatrix.from_cols(mingens, rows=gens.rows)
         self._hash_string = "monoid " + self._mingens.to_token()
 
@@ -82,10 +82,10 @@ class AffineMonoid:
         return self._mingens
 
     def kept_of(self, indices: tuple) -> tuple:
-        """The kept columns of a face F, with ``N F = N kept_of(F)``; any
-        other index tuple, BOTTOM's included, comes back as it is."""
+        """The kept columns of a face F, with ``N F = N kept_of(F)``, from F's
+        record; any other index tuple, BOTTOM's included, comes back as it is."""
         indices = tuple(indices)
-        return self._kept_faces.get(indices, indices)
+        return self._record(indices)[1] if indices in self._face_set else indices
 
     @property
     def dim(self) -> int:
@@ -103,8 +103,9 @@ class AffineMonoid:
 
     @property
     def supports(self) -> dict:
-        """Face -> matrix of facet normals containing that face."""
-        return dict(self._supports)
+        """Face -> matrix of facet normals containing that face, for every
+        face but BOTTOM in lattice order; this fills every face's record."""
+        return {f: self._record(f)[0] for f in self._faces if f in self._face_set}
 
     @property
     def hash_string(self) -> str:
@@ -138,10 +139,10 @@ class AffineMonoid:
 
     def face(self, index: Face) -> IntMatrix:
         """The face as a submatrix of the generators."""
-        if index not in self._faces or index == BOTTOM:
-            if index != BOTTOM:
-                raise ValueError(f"{index} is not a face")
+        if index == BOTTOM:
             raise ValueError("the bottom face has no submatrix")
+        if index not in self._face_set:
+            raise ValueError(f"{index} is not a face")
         return self._system(index, ())
 
     def submatrix(self, indices) -> IntMatrix:
@@ -187,35 +188,41 @@ class AffineMonoid:
         F's record finds a solution; every other question solves
         ``[A_left | -A_right]``."""
         left, right = tuple(left), tuple(right)
-        if right == self.top and left in self._supports:
+        if right == self.top and left in self._face_set:
             return bool(self._quotient_solutions(self._difference(b, a), left))
-        if left == self.top and right in self._supports:
+        if left == self.top and right in self._face_set:
             return bool(self._quotient_solutions(self._difference(a, b), right))
         return has_nonneg_solution(self._system(self.kept_of(left), self.kept_of(right)), self._difference(a, b))
 
     def _record(self, face: Face) -> tuple:
-        """``(S_F, A_off, B_F, lattice)`` for a face F, built once.
+        """``(S_F, kept, A_off, B_F, lattice)`` for a face F other than
+        BOTTOM, built on first use; anything else is a ``ValueError``.
 
-        ``S_F`` is F's support rows, whose rational kernel is span F;
-        ``A_off`` the kept columns off F and ``B_F = S_F A_off``.  The rows
-        of ``S_F`` that are facet normals sum to a functional that is at
-        least 1 on every column of ``A_off``, so ``B_F`` is pointed: every
-        nonnegative solution of ``B_F u = y`` is minimal, and there are
-        finitely many.  ``lattice`` is the solver data of F's kept columns,
-        which span ``Z F`` (``lattice_of``)."""
+        ``S_F`` is F's support rows, the normals of the facets containing F
+        plus ``+e/-e`` per span equation, whose rational kernel is span F
+        (``support_of``); ``kept`` the kept columns on F (``kept_of``),
+        ``A_off`` those off F and ``B_F = S_F A_off``.  The rows of ``S_F``
+        that are facet normals sum to a functional that is at least 1 on
+        every column of ``A_off``, so ``B_F`` is pointed: every nonnegative
+        solution of ``B_F u = y`` is minimal, and there are finitely many.
+        ``lattice`` is the solver data of the columns ``kept``, which span
+        ``Z F`` (``lattice_of``)."""
         record = self._records.get(face)
         if record is None:
-            support = self._supports[face]
+            if face not in self._face_set:
+                raise ValueError(f"{face} is not a face")
+            support = _support_rows(self._facets, self._equations, self.dim, face)
+            kept = tuple(j for j in face if j in self._kept)
             off = self._gens.take_cols([j for j in self._kept if j not in face])
-            lattice = _matrix_data(self._gens.take_cols(self._kept_faces[face]))
-            record = self._records[face] = (support, off, support.matmul(off), lattice)
+            lattice = _matrix_data(self._gens.take_cols(kept))
+            record = self._records[face] = (support, kept, off, support.matmul(off), lattice)
         return record
 
     def lattice_of(self, face: Face) -> _MatrixData:
         """The solver data of a face F's kept columns, which span ``Z F``,
         from F's record: ``diophantine._lattice_reduce`` reads coordinates
         and residues modulo ``Z F`` from it."""
-        return self._record(face)[3]
+        return self._record(face)[4]
 
     def _quotient_solutions(self, x: IntVector, face: Face) -> list:
         """Every ``u >= 0`` with ``B_F u = S_F x`` and ``x - A_off u`` in
@@ -225,7 +232,7 @@ class AffineMonoid:
         puts ``x - A_off u`` in span F; each is then tested against the
         lattice.  The top face, with no off-face columns, is the lattice
         test alone, whose only candidate is ``()``."""
-        support, off, system, lattice = self._record(face)
+        support, _, off, system, lattice = self._record(face)
         sols = min_nonneg_solutions(system, support.mul(x)) if off.cols else [()]
         return [u for u in sols if _particular_solution(lattice, vec_sub(x, off.mul(u))) is not None]
 
@@ -243,22 +250,24 @@ class AffineMonoid:
             if c not in gcols:
                 raise ValueError("matrix columns are not generator columns")
         index = tuple(sorted(j for j, c in enumerate(gcols) if c in wanted))
-        if index not in self._faces:
+        if index not in self._face_set:
             raise ValueError("columns do not form a face")
         return index
 
     def face_closure(self, indices) -> Face:
+        """The smallest face containing the columns at ``indices``; an index
+        outside ``range(gens.cols)`` is a ``ValueError``."""
         return _closure(self._facets, self._gens.cols, indices)
 
     def support_of(self, indices) -> IntMatrix:
-        """Support vectors of the smallest face containing ``indices``."""
+        """Support vectors of the smallest face containing ``indices``, from
+        that face's record; BOTTOM's, the rows of every facet (the least
+        face's too), come from construction.  Any other index outside
+        ``range(gens.cols)`` is a ``ValueError`` (``face_closure``)."""
         indices = tuple(indices)
-        if indices in self._supports:
-            return self._supports[indices]
         if indices == BOTTOM:
-            # the least face lies on every facet, so it has BOTTOM's support
-            return self._supports[self._faces[1]]
-        return self._supports[self.face_closure(indices)]
+            return self._bottom_support
+        return self._record(self.face_closure(indices))[0]
 
     def prime_ideal(self, face: Face):
         """The prime ideal of monomials outside the given face."""
@@ -266,7 +275,7 @@ class AffineMonoid:
 
         if face == BOTTOM:
             raise ValueError("no prime ideal is attached to the bottom face")
-        if face not in self._faces:
+        if face not in self._face_set:
             raise ValueError(f"{face} is not a face")
         cols = [self._gens.col(j) for j in range(self._gens.cols) if j not in face]
         mat = IntMatrix.from_cols(cols, rows=self.dim)

@@ -32,7 +32,7 @@ class ProperPair:
         monoid = ideal.ambient
         if len(self.base) != monoid.dim:
             raise ValueError(f"base has dim {len(self.base)}, expected {monoid.dim}")
-        if self.face not in monoid._supports:  # keyed by every face but BOTTOM
+        if self.face not in monoid._face_set:
             raise ValueError(f"{self.face} is not a face of the ambient monoid")
         if not skip_check:
             if not monoid.contains(self.base):

@@ -73,7 +73,8 @@ def face_lattice(A: IntMatrix) -> tuple:
 
 
 def face_closure(A: IntMatrix, indices) -> Face:
-    """The smallest face of ``cone(A)`` whose column set contains ``indices``."""
+    """The smallest face of ``cone(A)`` whose column set contains ``indices``;
+    an index outside ``range(A.cols)`` is a ``ValueError``."""
     facets, _ = facet_data(A)
     return _closure(facets, A.cols, indices)
 
@@ -102,9 +103,14 @@ def _lattice(facets: list, n: int) -> tuple:
 
 
 def _closure(facets: list, n: int, indices) -> Face:
-    """The intersection of the facets containing ``indices`` (all ``n`` columns if none)."""
+    """The intersection of the facets containing ``indices`` (all ``n`` columns
+    if none).  An index outside ``range(n)``, BOTTOM's ``-1`` included, is a
+    ``ValueError``: no facet holds it, so it would read as the top face."""
     current = frozenset(range(n))
     target = frozenset(indices)
+    for j in target:
+        if not 0 <= j < n:
+            raise ValueError(f"column index {j} is not in range({n})")
     for _, zs in facets:
         if target <= zs:
             current &= zs

@@ -611,14 +611,14 @@ def test_component_is_one_solve_per_class(monkeypatch, cols, gens):
     for name in ("min_nonneg_solutions", "has_nonneg_solution"):
         monkeypatch.setattr(monoid, name, counted(name))
     for face, cs in maximal.items():
-        _, off, system, _ = records[face]
+        _, _, off, system, _ = records[face]
         for c in cs:
             calls.clear()
             irreducible_component(I, face, c)
             assert sum(M is system for name, M in calls if name == "min_nonneg_solutions") == (1 if off.cols else 0)
-            assert not any(M is r[2] for name, M in calls if name == "has_nonneg_solution" for r in records.values())
+            assert not any(M is r[3] for name, M in calls if name == "has_nonneg_solution" for r in records.values())
     if cols == _NON_NORMAL_PLANE[0][0]:
-        assert all(r[1].cols and r[3] is not None for r in records.values())
+        assert all(r[2].cols and r[4] is not None for r in records.values())
 
 
 def test_component_minimal_asks_contains_only_on_dominated_pairs(monkeypatch):

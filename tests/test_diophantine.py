@@ -1,6 +1,5 @@
 import ast
 import random
-import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -15,7 +14,6 @@ from stdpairs.diophantine import (
     IntMatrix,
     SolutionSet,
     _completion,
-    _coords_in_basis,
     _extreme_rays_dd,
     _facets_of_cone,
     _hilbert_basis_geometric,
@@ -60,9 +58,25 @@ def test_min_solutions_examples():
     assert list(min_nonneg_solutions(M, (1, 1))) == []
 
 
-def test_coords_in_basis_rejects_non_integer_coordinates():
+def _lattice_coords(basis: list, target, dim: int) -> tuple:
+    """``_lattice_reduce`` over the basis vectors as columns: the target's
+    coordinates and its residue, zero iff it lies in their lattice."""
+    return _lattice_reduce(_MatrixData(IntMatrix.from_cols(basis, rows=dim)), target)
+
+
+def _triangulate_over_span(monkeypatch, span: list, rays: list):
+    """``_hilbert_basis_geometric`` over the unit basis, reading the rays'
+    coordinates in ``span`` in place of their saturated span basis."""
+    import stdpairs.diophantine as dio
+
+    monkeypatch.setattr(dio, "_saturated_span_basis", lambda cols, dim: span)
+    return _hilbert_basis_geometric([tuple(int(i == j) for i in range(len(rays[0]))) for j in range(len(rays[0]))], rays)
+
+
+def test_coords_in_basis_rejects_non_integer_coordinates(monkeypatch):
+    assert _lattice_coords([(2,)], (1,), 1)[1] != (0,)
     with pytest.raises(ArithmeticError, match=r"\(1,\)"):
-        _coords_in_basis([(2,)], [(1,)], 1)
+        _triangulate_over_span(monkeypatch, [(2,)], [(1,)])
 
 
 def test_min_solutions_dimension_mismatch():
@@ -910,8 +924,8 @@ def test_column_echelon_matches_smith_reference():
         if basis:
             with_kernel += 1
             # each basis has integer coordinates in the other: the same lattice
-            _coords_in_basis(basis, reference, M.cols)
-            _coords_in_basis(reference, basis, M.cols)
+            _reference_coords_in_basis(basis, reference, M.cols)
+            _reference_coords_in_basis(reference, basis, M.cols)
 
         levels = data.walk_plan()[1]
         pivots = [p for p, _, _, _, _ in levels]
@@ -1062,8 +1076,9 @@ def test_vertices_match_reference():
 
 
 def test_coords_in_basis_matches_reference():
-    """Same coordinates for targets in the lattice, and an ArithmeticError
-    for targets off it, as the Fraction version; the saturated span basis
+    """Same coordinates (``_lattice_reduce``'s quotients, with a zero
+    residue) for targets in the lattice, and a nonzero residue for targets
+    off it, where the Fraction version raises; the saturated span basis
     spans the same lattice as the Smith-form one."""
     rng = random.Random(74)
     errors = 0
@@ -1078,24 +1093,28 @@ def test_coords_in_basis_matches_reference():
         _reference_coords_in_basis(span, reference_span, dim)
         _reference_coords_in_basis(reference_span, span, dim)
         targets = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(3)] + cols
+        zero = (0,) * dim
         for t in targets:
             try:
                 expected = _reference_coords_in_basis(reference_span, [t], dim)
             except ArithmeticError:
                 errors += 1
-                with pytest.raises(ArithmeticError, match=re.escape(str(t))):
-                    _coords_in_basis(reference_span, [t], dim)
+                assert _lattice_coords(reference_span, t, dim)[1] != zero, (reference_span, t)
             else:
-                assert _coords_in_basis(reference_span, [t], dim) == expected
-        assert _coords_in_basis(span, cols, dim) == _reference_coords_in_basis(span, cols, dim)
+                assert _lattice_coords(reference_span, t, dim) == (expected[0], zero)
+        expected = [(z, zero) for z in _reference_coords_in_basis(span, cols, dim)]
+        assert [_lattice_coords(span, c, dim) for c in cols] == expected
     assert errors >= 100
 
 
-def test_coords_in_basis_rejects_targets_outside_the_span():
-    with pytest.raises(ArithmeticError, match=r"\(0, 1\) does not lie in the span"):
-        _coords_in_basis([(1, 0)], [(3, 0), (0, 1)], 2)
-    with pytest.raises(ArithmeticError, match=r"\(1, 1, 0\) does not lie in the span"):
-        _coords_in_basis([(1, 0, 0), (0, 0, 2)], [(1, 1, 0)], 3)
+def test_coords_in_basis_rejects_targets_outside_the_span(monkeypatch):
+    assert _lattice_coords([(1, 0)], (3, 0), 2) == ((3,), (0, 0))
+    assert _lattice_coords([(1, 0)], (0, 1), 2)[1] != (0, 0)
+    assert _lattice_coords([(1, 0, 0), (0, 0, 2)], (1, 1, 0), 3)[1] != (0, 0, 0)
+    with pytest.raises(ArithmeticError, match=r"\(0, 1\) does not lie in the lattice"):
+        _triangulate_over_span(monkeypatch, [(1, 0)], [(3, 0), (0, 1)])
+    with pytest.raises(ArithmeticError, match=r"\(1, 1, 0\) does not lie in the lattice"):
+        _triangulate_over_span(monkeypatch, [(1, 0, 0), (0, 0, 2)], [(1, 1, 0)])
 
 
 def test_parallelepiped_points_match_reference():
@@ -1672,7 +1691,7 @@ def _pointed_matrices() -> dict:
         kinds["generators"][Q.gens] = None
         kinds["kept"][Q._system(Q._kept, ())] = None
         for face in Q.supports:
-            _, off, B, _ = Q._record(face)
+            _, _, off, B, _ = Q._record(face)
             if off.cols:
                 kinds["faces"][B] = None
     rng = random.Random(2034)

@@ -3,15 +3,18 @@ from one record per face (``AffineMonoid._record``), against the
 ``[A_F | -A]`` systems and the ``S_F A_kept`` holes they replaced."""
 
 import random
+import re
 from itertools import combinations
 from math import gcd
+
+import pytest
 
 from stdpairs.covers import minimal_holes
 from stdpairs.diophantine import IntMatrix, has_nonneg_solution, min_nonneg_solutions, vec_sub
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, is_divisor, is_proper
-from stdpairs.polyhedral import BOTTOM
+from stdpairs.polyhedral import BOTTOM, support_vectors_of_face
 
 from oracles import monoid_box, seeded_instances
 from test_pairs import _reference_is_proper
@@ -166,3 +169,107 @@ def _reference_saturated(cols: list, dim: int) -> bool:
     for m in minors[rank]:
         g = gcd(g, m)
     return g == 1
+
+
+# Redundant columns ((1, 1, 2) and (2, 1, 1) are sums of others) and cones
+# of less than full dimension (in the plane x + y = z, on one ray of Z^3).
+_RECORD_MONOIDS = [
+    [(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 1, 2), (2, 1, 1)],
+    [(1, 0, 1), (0, 1, 1), (1, 1, 2), (2, 1, 3), (0, 0, 0)],
+    [(2, 2, 0), (1, 1, 0), (3, 3, 0), (1, 1, 0)],
+]
+
+
+def _record_monoids():
+    """The monoids above and seeded ones, with zero and duplicate columns."""
+    for cols in _RECORD_MONOIDS:
+        yield AffineMonoid(IntMatrix.from_cols(cols, rows=3))
+    for d, cols, _ in seeded_instances(60, 43):
+        yield AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+
+
+def test_cold_construction_builds_one_support_and_no_record(monkeypatch):
+    """Construction computes BOTTOM's support rows and nothing per face; the
+    first ``supports`` fills one record per face but BOTTOM."""
+    import stdpairs.monoid as monoid
+
+    calls = []
+    original = monoid._support_rows
+
+    def counting(facets, equations, dim, face):
+        calls.append(face)
+        return original(facets, equations, dim, face)
+
+    monkeypatch.setattr(monoid, "_support_rows", counting)
+    for Q in _record_monoids():
+        assert calls == [BOTTOM] and Q._records == {}
+        calls.clear()
+        Q.supports
+        assert sorted(calls) == sorted(Q._records) == sorted(F for F in Q.faces if F != BOTTOM)
+        calls.clear()
+
+
+def test_face_records_match_their_definitions():
+    """Every record holds the support vectors of its face and the kept
+    columns on it, the first caller index of each minimal generator; BOTTOM
+    and index tuples that are not faces come back from ``kept_of`` as they
+    are, and ``support_of`` reads a non-face's closure."""
+    lower_dimensional = 0
+    for Q in _record_monoids():
+        A, cols = Q.gens, Q.gens.columns()
+        lower_dimensional += Q.support_of(Q.top).rows > 0  # span equations
+        kept = {cols.index(c) for c in Q.mingens.columns()}
+        faces = [F for F in Q.faces if F != BOTTOM]
+        supports = Q.supports
+        assert list(supports) == faces
+        for F in faces:
+            assert supports[F] == support_vectors_of_face(A, F) == Q.support_of(F)
+            assert Q.kept_of(F) == tuple(j for j in F if j in kept)
+        assert Q.support_of(BOTTOM) == support_vectors_of_face(A, BOTTOM)
+        assert Q.kept_of(BOTTOM) == BOTTOM
+        for r in range(A.cols + 1):
+            for s in combinations(range(A.cols), r):
+                if s not in supports:
+                    assert Q.kept_of(s) == s
+                    assert Q.support_of(s) == supports[Q.face_closure(s)]
+    assert lower_dimensional >= 2
+
+
+def test_face_checks_reject_bottom_and_non_faces(tmp_path):
+    """``ProperPair``, ``face()``, ``prime_ideal`` and ``archive.load`` reject
+    BOTTOM and index tuples that are not faces, with their messages, and
+    ``load`` builds no face record."""
+    from stdpairs.archive import ArchiveError, load
+
+    Q = AffineMonoid(IntMatrix.from_cols([(2, 0), (0, 2), (1, 1), (1, 0)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(2, 2)]))
+    assert (0, 1) not in Q.faces and (2,) not in Q.faces
+    for F in [BOTTOM, (0, 1), (2,), (0, 4)]:
+        with pytest.raises(ValueError, match=r"is not a face of the ambient monoid"):
+            ProperPair((0, 0), F, I, skip_check=True)
+        if F == BOTTOM:
+            with pytest.raises(ValueError, match="the bottom face has no submatrix"):
+                Q.face(F)
+            with pytest.raises(ValueError, match="no prime ideal is attached to the bottom face"):
+                Q.prime_ideal(F)
+        else:
+            with pytest.raises(ValueError, match=r"is not a face"):
+                Q.face(F)
+            with pytest.raises(ValueError, match=r"is not a face"):
+                Q.prime_ideal(F)
+    for F in [F for F in Q.faces if F != BOTTOM]:
+        assert ProperPair((0, 0), F, I, skip_check=True).face == F
+        assert Q.face(F) == Q.submatrix(F)
+    monoid_text = "STDPAIRS v1\nMONOID\n2 4\n2 0 1 1\n0 2 1 0\n"
+    for F in [BOTTOM, (0, 1), (2,), (0, 4)]:
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as fh:
+            fh.write(monoid_text + f"COVER\n1\n{','.join(map(str, F))};0 0\n")
+        with pytest.raises(ArchiveError, match="^line 8: " + re.escape(f"{F} is not a face of the monoid")):
+            load(path)
+    path = str(tmp_path / "good.txt")
+    with open(path, "w") as fh:
+        fh.write(monoid_text + "COVER\n2\n0,3;0 0\n;1 1\n")
+    cover = load(path)
+    assert sorted(p.face for p in cover.pairs()) == [(), (0, 3)]
+    assert cover.pairs()[0].ideal.ambient._records == {}

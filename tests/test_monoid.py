@@ -46,6 +46,28 @@ def test_support_of_bottom_is_zero_face_support():
     assert Q.support_of(BOTTOM) == support_vectors_of_face(A, BOTTOM)
 
 
+def test_closures_reject_column_indices_out_of_range():
+    """No facet holds a column index outside ``range(gens.cols)``, so its
+    closure would read as the top face: ``face_closure``, ``support_of``
+    and the module's ``face_closure`` raise instead, naming the index, and
+    ``support_of(BOTTOM)`` still gives the rows of every facet."""
+    A = IntMatrix.from_rows([[1, 2], [0, 2]])
+    Q = AffineMonoid(A)
+    for indices, bad in [((0, 99), 99), ((5,), 5), ((7,), 7), ((0, -1), -1), ((1, -3), -3)]:
+        message = rf"column index {bad} is not in range\(2\)"
+        with pytest.raises(ValueError, match=message):
+            Q.support_of(indices)
+        with pytest.raises(ValueError, match=message):
+            Q.face_closure(indices)
+        with pytest.raises(ValueError, match=message):
+            face_closure(A, indices)
+    with pytest.raises(ValueError, match=r"column index -1 is not in range\(2\)"):
+        Q.face_closure(BOTTOM)
+    assert Q.support_of(BOTTOM) == support_vectors_of_face(A, BOTTOM) == facet_normals(A)
+    assert Q.support_of((0,)) == support_vectors_of_face(A, (0,))
+    assert Q.face_closure(()) == () and Q.face_closure((0, 1)) == (0, 1)
+
+
 def test_facets_enumerated_once_per_monoid(monkeypatch):
     calls = []
     original = polyhedral._facets_of_cone
