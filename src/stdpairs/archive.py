@@ -6,20 +6,28 @@ followed by one line per row; faces are comma-separated column indices
 (empty for the zero face, ``-1`` for the bottom element); pair lines are
 ``face;base``.  Sections:
 
-    MONOID          generating matrix (required, always first)
+    MONOID          generating matrix
     IDEAL           minimal generators of an ideal over that monoid
     COVER           pair count, then one pair line each
     OVERLAP         class count, then per class a ``face;count`` header
-                    (count at least 1) and its pair lines
+                    (count at least 1) and its pair lines, each over
+                    the header's face
     ASSOCIATED      face count, then one face line per associated face
     DECOMPOSITION   component count, then one generator matrix each
 
-A document with only MONOID loads to an AffineMonoid; MONOID+IDEAL (plus
-optional cached sections) to a MonomialIdeal; MONOID+COVER without IDEAL
-to a Cover whose pairs are anchored to the empty ideal.  Every count is
-nonnegative; a malformed line is an ``ArchiveError`` naming its line
-number.  Serialization is
-deterministic, so saving equal objects twice produces identical bytes.
+A document is MONOID, then an optional IDEAL, then each cached section
+(COVER, OVERLAP, ASSOCIATED, DECOMPOSITION) at most once.  With only
+MONOID it loads to an AffineMonoid; with IDEAL to a MonomialIdeal whose
+cache holds the cached sections; without IDEAL it holds at most one
+COVER and loads to a Cover whose pairs are anchored to the empty ideal.
+Every count is nonnegative.  A malformed line, a pair off its class's
+face and a misplaced or repeated section are each an ``ArchiveError``
+naming its line number; so is a domain error (a non-pointed monoid, a
+zero generator, a generator outside the monoid), named by its section's
+header line.  Each cached section's text form lives in one ``_SECTIONS``
+entry, which ``document_lines``, ``load`` and ``verify`` all read.
+Serialization is deterministic, so saving equal objects twice produces
+identical bytes.
 """
 
 from __future__ import annotations
@@ -28,10 +36,10 @@ from typing import Iterable
 
 from .covers import Cover
 from .decomp import OverlapClass
-from .diophantine import IntMatrix, vec
+from .diophantine import IntMatrix
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
-from .pairs import ProperPair
+from .pairs import ProperPair, is_proper
 from .polyhedral import Face, face_sort_key
 
 FORMAT_TAG = "STDPAIRS v1"
@@ -42,13 +50,10 @@ class ArchiveError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# writing
+# writing: each cached section's lines after its name
 
 def _matrix_lines(M: IntMatrix) -> list:
-    lines = [f"{M.rows} {M.cols}"]
-    for r in M.data:
-        lines.append(" ".join(str(x) for x in r))
-    return lines
+    return [f"{M.rows} {M.cols}", *(" ".join(map(str, r)) for r in M.data)]
 
 
 def _face_text(face: Face) -> str:
@@ -59,61 +64,26 @@ def _pair_line(p: ProperPair) -> str:
     return _face_text(p.face) + ";" + " ".join(str(x) for x in p.base)
 
 
-def _cover_lines(cover: Cover) -> list:
+def _write_cover(cover: Cover) -> list:
     pairs = cover.pairs()
-    lines = ["COVER", str(len(pairs))]
-    lines.extend(_pair_line(p) for p in pairs)
+    return [str(len(pairs)), *map(_pair_line, pairs)]
+
+
+def _write_overlap(classes_by_face: dict) -> list:
+    classes = [c for cs in classes_by_face.values() for c in cs]
+    lines = [str(len(classes))]
+    for c in classes:
+        lines += [f"{_face_text(c.face)};{len(c.pairs)}", *map(_pair_line, c.pairs)]
     return lines
 
 
-def document_lines(target) -> list:
-    lines = [FORMAT_TAG]
-    if isinstance(target, AffineMonoid):
-        lines.append("MONOID")
-        lines.extend(_matrix_lines(target.gens))
-        return lines
-    if isinstance(target, MonomialIdeal):
-        lines.append("MONOID")
-        lines.extend(_matrix_lines(target.ambient.gens))
-        lines.append("IDEAL")
-        lines.extend(_matrix_lines(target.gens))
-        cache = target._cache
-        if "standard_cover" in cache:
-            lines.extend(_cover_lines(cache["standard_cover"]))
-        if "overlap_classes" in cache:
-            classes = [c for cs in cache["overlap_classes"].values() for c in cs]
-            lines.append("OVERLAP")
-            lines.append(str(len(classes)))
-            for c in classes:
-                lines.append(_face_text(c.face) + ";" + str(len(c.pairs)))
-                lines.extend(_pair_line(p) for p in c.pairs)
-        if "associated_primes" in cache:
-            faces = sorted(cache["associated_primes"], key=face_sort_key)
-            lines.append("ASSOCIATED")
-            lines.append(str(len(faces)))
-            lines.extend(_face_text(f) for f in faces)
-        if "irreducible_decomposition" in cache:
-            comps = cache["irreducible_decomposition"]
-            lines.append("DECOMPOSITION")
-            lines.append(str(len(comps)))
-            for W in comps:
-                lines.extend(_matrix_lines(W.gens))
-        return lines
-    if isinstance(target, Cover):
-        pairs = target.pairs()
-        lines.append("MONOID")
-        lines.extend(_matrix_lines(pairs[0].ideal.ambient.gens if pairs else IntMatrix.zero(0, 0)))
-        lines.extend(_cover_lines(target))
-        return lines
-    raise ValueError(f"cannot save object of type {type(target).__name__}")
+def _write_associated(primes: dict) -> list:
+    faces = sorted(primes, key=face_sort_key)
+    return [str(len(faces)), *map(_face_text, faces)]
 
 
-def save(target, path: str) -> bool:
-    """Write a monoid, ideal (with any cached results), or cover; returns True."""
-    text = "\n".join(document_lines(target)) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-    return True
+def _write_decomposition(components: list) -> list:
+    return [str(len(components)), *(line for W in components for line in _matrix_lines(W.gens))]
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +104,25 @@ class _Reader:
         self.pos += 1
         return line
 
+    def take_if(self, section: str) -> bool:
+        """Whether the next line is the header ``section``, which is then taken."""
+        if self.eof() or self.lines[self.pos].strip() != section:
+            return False
+        self.pos += 1
+        return True
+
     def error(self, message: str) -> ArchiveError:
         return ArchiveError(f"line {self.pos}: {message}")
+
+    def build(self, make):
+        """``make()``, a domain error in it named by the header line just taken."""
+        header = self.pos
+        try:
+            return make()
+        except ArchiveError:
+            raise
+        except ValueError as exc:
+            raise ArchiveError(f"line {header}: {exc}") from exc
 
     def take_int(self, what: str) -> int:
         return self.count(self.take(what), what)
@@ -154,13 +141,10 @@ class _Reader:
     def take_matrix(self, what: str, dim: int | None = None) -> IntMatrix:
         """A ``rows cols`` header and its rows; with ``dim``, a matrix with
         columns must have ``dim`` rows, as ``MonomialIdeal`` asks."""
-        header = self.take(what).split()
-        if len(header) != 2:
-            raise self.error(f"expected 'rows cols' header for {what}")
         try:
-            rows, cols = int(header[0]), int(header[1])
+            rows, cols = map(int, self.take(what).split())
         except ValueError:
-            raise self.error(f"bad matrix header for {what}")
+            raise self.error(f"expected 'rows cols' header for {what}")
         if rows < 0 or cols < 0:
             raise self.error(f"negative matrix dimension for {what}")
         if dim is not None and cols and rows != dim:
@@ -176,30 +160,96 @@ class _Reader:
                 raise self.error(f"non-integer entry in {what}")
         return IntMatrix(rows, cols, tuple(data))
 
-    def take_face(self, text: str, faces: frozenset) -> Face:
-        """The face written in ``text``, which must be in ``faces``."""
+    def take_face(self, text: str, monoid: AffineMonoid) -> Face:
+        """The face written in ``text``, which must be a face of ``monoid``."""
         text = text.strip()
         try:
             face = tuple(int(t) for t in text.split(",")) if text else ()
         except ValueError:
             raise self.error(f"bad face {text!r}")
-        if face not in faces:
+        if face not in monoid._face_set:
             raise self.error(f"{face} is not a face of the monoid")
         return face
 
-    def take_pair_line(self, faces: frozenset, dim: int):
+    def take_pair(self, ideal: MonomialIdeal, face: Face | None = None) -> ProperPair:
+        """A pair line read as an unchecked pair of ``ideal``; with ``face``,
+        the pair must lie over it, as an overlap class's pairs do."""
         line = self.take("pair")
-        if ";" not in line:
+        face_text, semi, base_text = line.partition(";")
+        if not semi:
             raise self.error(f"expected 'face;base' pair line, got {line!r}")
-        face_text, base_text = line.split(";", 1)
-        face = self.take_face(face_text, faces)
+        pair_face = self.take_face(face_text, ideal.ambient)
+        if face is not None and pair_face != face:
+            raise self.error(f"pair over {pair_face} in a class over {face}")
         try:
-            base = vec(base_text.split())
-        except ValueError:
-            raise self.error("non-integer entry in pair base")
-        if len(base) != dim:
-            raise self.error(f"pair base has dim {len(base)}, expected {dim}")
-        return face, base
+            return ProperPair(base_text.split(), pair_face, ideal, skip_check=True)
+        except ValueError as exc:  # a non-integer entry, or a base of another dimension
+            raise self.error(f"pair {exc}")
+
+
+def _read_cover(reader: _Reader, ideal: MonomialIdeal) -> Cover:
+    return Cover.from_pairs([reader.take_pair(ideal) for _ in range(reader.take_int("COVER"))])
+
+
+def _read_overlap(reader: _Reader, ideal: MonomialIdeal) -> dict:
+    classes: dict = {}
+    for _ in range(reader.take_int("OVERLAP")):
+        face_text, semi, n_text = reader.take("OVERLAP class").partition(";")
+        if not semi:
+            raise reader.error("expected 'face;count' class header")
+        face = reader.take_face(face_text, ideal.ambient)
+        npairs = reader.count(n_text, "OVERLAP class pairs", 1)
+        pairs = tuple(reader.take_pair(ideal, face) for _ in range(npairs))
+        classes.setdefault(face, []).append(OverlapClass(face, pairs))
+    return {f: sorted(classes[f], key=lambda c: c.pairs[0].base) for f in sorted(classes, key=face_sort_key)}
+
+
+def _read_associated(reader: _Reader, ideal: MonomialIdeal) -> dict:
+    monoid = ideal.ambient
+    faces = [reader.take_face(reader.take("ASSOCIATED"), monoid) for _ in range(reader.take_int("ASSOCIATED"))]
+    return {f: monoid.prime_ideal(f) for f in sorted(faces, key=face_sort_key)}
+
+
+def _read_decomposition(reader: _Reader, ideal: MonomialIdeal) -> list:
+    monoid = ideal.ambient
+    count = reader.take_int("DECOMPOSITION")
+    return [MonomialIdeal(monoid, reader.take_matrix("DECOMPOSITION", monoid.dim)) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# the cached sections: (cache key, section name, writer, reader), in the
+# order ``save`` writes them
+
+_SECTIONS = (
+    ("standard_cover", "COVER", _write_cover, _read_cover),
+    ("overlap_classes", "OVERLAP", _write_overlap, _read_overlap),
+    ("associated_primes", "ASSOCIATED", _write_associated, _read_associated),
+    ("irreducible_decomposition", "DECOMPOSITION", _write_decomposition, _read_decomposition),
+)
+
+
+def document_lines(target) -> list:
+    if isinstance(target, AffineMonoid):
+        return [FORMAT_TAG, "MONOID", *_matrix_lines(target.gens)]
+    if isinstance(target, Cover):
+        pairs = target.pairs()
+        gens = pairs[0].ideal.ambient.gens if pairs else IntMatrix.zero(0, 0)
+        return [FORMAT_TAG, "MONOID", *_matrix_lines(gens), "COVER", *_write_cover(target)]
+    if not isinstance(target, MonomialIdeal):
+        raise ValueError(f"cannot save object of type {type(target).__name__}")
+    lines = [FORMAT_TAG, "MONOID", *_matrix_lines(target.ambient.gens), "IDEAL", *_matrix_lines(target.gens)]
+    for key, name, write, _ in _SECTIONS:
+        if key in target._cache:
+            lines += [name, *write(target._cache[key])]
+    return lines
+
+
+def save(target, path: str) -> bool:
+    """Write a monoid, ideal (with any cached results), or cover; returns True."""
+    text = "\n".join(document_lines(target)) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
+    return True
 
 
 def load(path: str):
@@ -212,84 +262,24 @@ def load(path: str):
     tag = reader.take("format tag").strip()
     if tag != FORMAT_TAG:
         raise ArchiveError(f"line 1: unsupported format tag {tag!r} (expected {FORMAT_TAG!r})")
-    if reader.eof() or reader.take("section").strip() != "MONOID":
+    if not reader.take_if("MONOID"):
         raise ArchiveError("line 2: expected MONOID section")
-    monoid = AffineMonoid(reader.take_matrix("MONOID"))
-    faces = monoid._face_set
-
-    ideal = None
-    cover_data = None
-    overlap_data = None
-    associated_faces = None
-    components = None
+    monoid = reader.build(lambda: AffineMonoid(reader.take_matrix("MONOID")))
+    sections = {name: (key, read) for key, name, _, read in _SECTIONS}
+    if reader.take_if("IDEAL"):
+        ideal = reader.build(lambda: MonomialIdeal(monoid, reader.take_matrix("IDEAL", monoid.dim)))
+        cache, allowed = ideal._cache, set(sections)
+    else:  # a cover document, whose pairs anchor to the empty ideal
+        ideal = MonomialIdeal(monoid, IntMatrix.zero(monoid.dim, 0))
+        cache, allowed = {}, {"COVER"}
     while not reader.eof():
-        section = reader.take("section").strip()
-        if section == "IDEAL":
-            ideal = MonomialIdeal(monoid, reader.take_matrix("IDEAL", monoid.dim))
-        elif section == "COVER":
-            count = reader.take_int("COVER")
-            cover_data = [reader.take_pair_line(faces, monoid.dim) for _ in range(count)]
-        elif section == "OVERLAP":
-            count = reader.take_int("OVERLAP")
-            overlap_data = []
-            for _ in range(count):
-                header = reader.take("OVERLAP class")
-                if ";" not in header:
-                    raise reader.error("expected 'face;count' class header")
-                face_text, n_text = header.split(";", 1)
-                face = reader.take_face(face_text, faces)
-                npairs = reader.count(n_text, "OVERLAP class pairs", 1)
-                overlap_data.append((face, [reader.take_pair_line(faces, monoid.dim) for _ in range(npairs)]))
-        elif section == "ASSOCIATED":
-            count = reader.take_int("ASSOCIATED")
-            associated_faces = [reader.take_face(reader.take("ASSOCIATED"), faces) for _ in range(count)]
-        elif section == "DECOMPOSITION":
-            count = reader.take_int("DECOMPOSITION")
-            components = [reader.take_matrix("DECOMPOSITION", monoid.dim) for _ in range(count)]
-        else:
-            raise reader.error(f"unknown section {section!r}")
-
-    if ideal is None:
-        if cover_data is None:
-            return monoid
-        anchor = MonomialIdeal(monoid, IntMatrix.zero(monoid.dim, 0))
-        return Cover.from_pairs(
-            ProperPair(base, face, anchor, skip_check=True) for face, base in cover_data
-        )
-
-    if cover_data is not None:
-        ideal._cache["standard_cover"] = Cover.from_pairs(
-            ProperPair(base, face, ideal, skip_check=True) for face, base in cover_data
-        )
-    if overlap_data is not None:
-        classes: dict = {}
-        for face, pair_lines in overlap_data:
-            pairs = tuple(
-                ProperPair(base, pface, ideal, skip_check=True) for pface, base in pair_lines
-            )
-            classes.setdefault(face, []).append(OverlapClass(face, pairs))
-        ideal._cache["overlap_classes"] = {
-            f: sorted(classes[f], key=lambda c: c.pairs[0].base)
-            for f in sorted(classes, key=face_sort_key)
-        }
-    if associated_faces is not None:
-        ideal._cache["associated_primes"] = {
-            f: monoid.prime_ideal(f) for f in sorted(associated_faces, key=face_sort_key)
-        }
-    if components is not None:
-        ideal._cache["irreducible_decomposition"] = [
-            MonomialIdeal(monoid, M) for M in components
-        ]
-    return ideal
-
-
-# The cached results an archive stores, by cache key and section name.
-_STORED_SECTIONS = (
-    ("standard_cover", "COVER"),
-    ("overlap_classes", "OVERLAP"),
-    ("associated_primes", "ASSOCIATED"),
-    ("irreducible_decomposition", "DECOMPOSITION"),
-)
+        name = reader.take("section").strip()
+        if name not in allowed:
+            raise reader.error(f"section {name!r} is unknown, misplaced or repeated")
+        allowed.remove(name)
+        key, read = sections[name]
+        cache[key] = reader.build(lambda: read(reader, ideal))
+    return ideal if cache is ideal._cache else cache.get("standard_cover", monoid)
 
 
 def verify(obj) -> None:
@@ -298,8 +288,6 @@ def verify(obj) -> None:
     For an ideal, every stored cover pair must be proper, and each stored
     section must equal its recomputation by the ``MonomialIdeal`` method of
     the same name, made after every cached result is dropped."""
-    from .pairs import is_proper
-
     if isinstance(obj, AffineMonoid):
         return
     if isinstance(obj, Cover):
@@ -312,11 +300,11 @@ def verify(obj) -> None:
             for p in obj._cache["standard_cover"].pairs():
                 if not is_proper(p):
                     raise ArchiveError(f"stored cover pair ({p.base}, {p.face}) is not proper")
-        stored = {key: obj._cache[key] for key, _ in _STORED_SECTIONS if key in obj._cache}
+        stored = {key: obj._cache[key] for key, *_ in _SECTIONS if key in obj._cache}
         obj._cache.clear()
-        for key, section in _STORED_SECTIONS:
+        for key, name, _, _ in _SECTIONS:
             if key in stored and getattr(obj, key)() != stored[key]:
-                raise ArchiveError(f"stored {section} section disagrees with recomputation")
+                raise ArchiveError(f"stored {name} section disagrees with recomputation")
         return
     raise ValueError(f"cannot verify object of type {type(obj).__name__}")
 

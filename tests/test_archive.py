@@ -213,6 +213,126 @@ def test_load_accepts_an_ideal_without_generators_of_any_row_count(tmp_path):
     assert ideal.gens == IntMatrix.zero(2, 0)
 
 
+def _write(tmp_path, text):
+    path = str(tmp_path / "doc.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\n" + text)
+    return path
+
+
+def test_load_rejects_overlap_pair_off_its_class_face(tmp_path, capsys):
+    """Every pair line of an OVERLAP class lies over the class header's
+    face; a pair over another face is an ``ArchiveError`` naming its line,
+    not a class that later yields a wrong component."""
+    from stdpairs.cli import main
+
+    path = _write(tmp_path, "MONOID\n2 3\n1 1 1\n0 1 2\nIDEAL\n2 1\n3\n3\nOVERLAP\n1\n0;1\n2;1 0\n")
+    message = r"line 13: pair over \(2,\) in a class over \(0,\)"
+    with pytest.raises(ArchiveError, match="^" + message):
+        load(path)
+    assert main(["ideal", path, "decompose"]) == 2
+    assert re.search("^error: " + message, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "sections, name, bad_line",
+    [
+        ("ASSOCIATED\n1\n0,1\n", "ASSOCIATED", 5),
+        ("DECOMPOSITION\n0\n", "DECOMPOSITION", 5),
+        ("OVERLAP\n0\nCOVER\n0\n", "OVERLAP", 5),
+        ("COVER\n0\nIDEAL\n1 1\n5\n", "IDEAL", 7),
+        ("COVER\n1\n;0\nCOVER\n0\n", "COVER", 8),
+        (_IDEAL + "COVER\n0\nIDEAL\n1 1\n6\n", "IDEAL", 10),
+        (_IDEAL + "ASSOCIATED\n1\n0,1\nASSOCIATED\n0\n", "ASSOCIATED", 11),
+    ],
+    ids=[
+        "monoid_associated",
+        "monoid_decomposition",
+        "overlap_before_cover",
+        "ideal_after_cover",
+        "cover_document_two_covers",
+        "second_ideal",
+        "repeated_section",
+    ],
+)
+def test_load_rejects_misplaced_or_repeated_sections(tmp_path, sections, name, bad_line):
+    """A document is MONOID, an optional IDEAL, then each cached section at
+    most once, and without IDEAL at most one COVER.  A section out of that
+    order is an ``ArchiveError`` naming its line, not dropped, attached to
+    another ideal or overwriting the first copy."""
+    path = _write(tmp_path, "MONOID\n1 2\n2 3\n" + sections)
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: section '{name}' is unknown, misplaced or repeated$"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "text, bad_line, message",
+    [
+        ("MONOID\n2 3\n1 1 1\n0 1 2\nIDEAL\n2 1\n0\n1\n", 6, r"generator \(0, 1\) is not an element"),
+        ("MONOID\n2 3\n1 1 1\n0 1 2\nIDEAL\n2 1\n0\n0\n", 6, "zero generator"),
+        (
+            "MONOID\n2 3\n1 1 1\n0 1 2\nIDEAL\n2 1\n3\n3\nDECOMPOSITION\n1\n2 1\n0\n1\n",
+            10,
+            r"generator \(0, 1\) is not an element",
+        ),
+        ("MONOID\n1 2\n1 -1\n", 2, "containing a line"),
+    ],
+    ids=["ideal_outside", "zero_generator", "decomposition_outside", "not_pointed"],
+)
+def test_load_names_the_section_of_a_domain_error(tmp_path, capsys, text, bad_line, message):
+    """A section whose content the monoid or ideal constructor rejects is an
+    ``ArchiveError`` naming that section's header line, through ``load``
+    and the CLI alike."""
+    from stdpairs.cli import main
+
+    path = _write(tmp_path, text)
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: .*{message}"):
+        load(path)
+    assert main(["ideal", path, "cover"]) == 2
+    assert re.search(rf"^error: line {bad_line}: .*{message}", capsys.readouterr().err)
+
+
+_CACHE_KEYS = ("standard_cover", "overlap_classes", "associated_primes", "irreducible_decomposition")
+_ROUNDTRIP_IDEALS = {
+    "golden": ([[1, 1, 2, 3], [1, 2, 0, 0]], [[3, 5, 6], [2, 1, 1]]),
+    "zero_column": ([[1, 0, 1, 2], [0, 0, 1, 0]], [[2, 3], [1, 0]]),
+}
+
+
+@pytest.fixture(scope="module")
+def fully_cached():
+    """Each round-trip ideal with all four cached sections computed."""
+    ideals = {}
+    for label, (cols, gens) in _ROUNDTRIP_IDEALS.items():
+        I = sp.MonomialIdeal(sp.AffineMonoid(IntMatrix.from_rows(cols)), IntMatrix.from_rows(gens))
+        I.irreducible_decomposition()
+        I.associated_primes()
+        assert set(I._cache) >= set(_CACHE_KEYS)
+        ideals[label] = I
+    return ideals
+
+
+@pytest.mark.parametrize("mask", range(16))
+@pytest.mark.parametrize("label", sorted(_ROUNDTRIP_IDEALS))
+def test_every_combination_of_sections_roundtrips(tmp_path, fully_cached, label, mask):
+    """For each subset of the four cached sections, ``save`` -> ``load`` ->
+    ``save`` writes the same bytes, the loaded cache equals the saved one,
+    and ``verify`` passes."""
+    I = fully_cached[label]
+    stored = {key: I._cache[key] for bit, key in enumerate(_CACHE_KEYS) if mask >> bit & 1}
+    J = sp.MonomialIdeal(I.ambient, I.gens)
+    J._cache.update(stored)
+    first, again = str(tmp_path / "first.txt"), str(tmp_path / "again.txt")
+    save(J, first)
+    loaded = load(first)
+    save(loaded, again)
+    with open(first) as fa, open(again) as fb:
+        assert fa.read() == fb.read()
+    assert loaded == I
+    assert loaded._cache == stored
+    sp.verify(loaded)
+
+
 def test_zero_column_roundtrips(tmp_path, paper_monoid):
     """An r x 0 matrix is written as r blank rows, and a document that
     ends with one still loads."""
