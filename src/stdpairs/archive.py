@@ -21,7 +21,9 @@ MONOID it loads to an AffineMonoid; with IDEAL to a MonomialIdeal whose
 cache holds the cached sections; without IDEAL it holds at most one
 COVER and loads to a Cover whose pairs are anchored to the empty ideal.
 Every count is nonnegative.  A malformed line, a pair off its class's
-face and a misplaced or repeated section are each an ``ArchiveError``
+face, a misplaced or repeated section and a repeated item of a cached
+section (a COVER pair, a pair anywhere in OVERLAP, an ASSOCIATED face, a
+DECOMPOSITION component; ``_Reader.once``) are each an ``ArchiveError``
 naming its line number; so is a domain error (a non-pointed monoid, a
 zero generator, a generator outside the monoid), named by its section's
 header line.  Each cached section's text form lives in one ``_SECTIONS``
@@ -93,13 +95,14 @@ class _Reader:
     def __init__(self, lines: list):
         self.lines = lines
         self.pos = 0
+        self.seen: dict = {}  # item -> its first line, over the section ``build`` reads
 
     def eof(self) -> bool:
         return self.pos >= len(self.lines)
 
     def take(self, what: str) -> str:
         if self.eof():
-            raise ArchiveError(f"line {len(self.lines) + 1}: unexpected end of file while reading {what}")
+            raise ArchiveError(f"line {len(self.lines) + 1}: unexpected end of input while reading {what}")
         line = self.lines[self.pos]
         self.pos += 1
         return line
@@ -111,12 +114,23 @@ class _Reader:
         self.pos += 1
         return True
 
+    def once(self, take):
+        """``take()``, an item that its section has not read before; a
+        repeat is named by the line it starts on."""
+        line, item = self.pos + 1, take()
+        if item in self.seen:
+            raise ArchiveError(f"line {line}: repeats the item on line {self.seen[item]}")
+        self.seen[item] = line
+        return item
+
     def error(self, message: str) -> ArchiveError:
         return ArchiveError(f"line {self.pos}: {message}")
 
     def build(self, make):
-        """``make()``, a domain error in it named by the header line just taken."""
+        """``make()``, a domain error in it named by the header line just
+        taken; ``once`` checks its items against this call's alone."""
         header = self.pos
+        self.seen = {}
         try:
             return make()
         except ArchiveError:
@@ -188,7 +202,7 @@ class _Reader:
 
 
 def _read_cover(reader: _Reader, ideal: MonomialIdeal) -> Cover:
-    return Cover.from_pairs([reader.take_pair(ideal) for _ in range(reader.take_int("COVER"))])
+    return Cover.from_pairs([reader.once(lambda: reader.take_pair(ideal)) for _ in range(reader.take_int("COVER"))])
 
 
 def _read_overlap(reader: _Reader, ideal: MonomialIdeal) -> dict:
@@ -199,21 +213,22 @@ def _read_overlap(reader: _Reader, ideal: MonomialIdeal) -> dict:
             raise reader.error("expected 'face;count' class header")
         face = reader.take_face(face_text, ideal.ambient)
         npairs = reader.count(n_text, "OVERLAP class pairs", 1)
-        pairs = tuple(reader.take_pair(ideal, face) for _ in range(npairs))
+        pairs = tuple(reader.once(lambda: reader.take_pair(ideal, face)) for _ in range(npairs))
         classes.setdefault(face, []).append(OverlapClass(face, pairs))
     return {f: sorted(classes[f], key=lambda c: c.pairs[0].base) for f in sorted(classes, key=face_sort_key)}
 
 
 def _read_associated(reader: _Reader, ideal: MonomialIdeal) -> dict:
     monoid = ideal.ambient
-    faces = [reader.take_face(reader.take("ASSOCIATED"), monoid) for _ in range(reader.take_int("ASSOCIATED"))]
+    count = reader.take_int("ASSOCIATED")
+    faces = [reader.once(lambda: reader.take_face(reader.take("ASSOCIATED"), monoid)) for _ in range(count)]
     return {f: monoid.prime_ideal(f) for f in sorted(faces, key=face_sort_key)}
 
 
 def _read_decomposition(reader: _Reader, ideal: MonomialIdeal) -> list:
     monoid = ideal.ambient
     count = reader.take_int("DECOMPOSITION")
-    return [MonomialIdeal(monoid, reader.take_matrix("DECOMPOSITION", monoid.dim)) for _ in range(count)]
+    return [reader.once(lambda: MonomialIdeal(monoid, reader.take_matrix("DECOMPOSITION", monoid.dim))) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ Subcommands:
     stdpairs pair divides FILE1 FILE2
     stdpairs export-m2 FILE
 
+``--matrix`` is the archive's matrix text with ``;`` between its lines, and
+its errors name ``line N`` of that text, counting from 1.  Every archive a
+subcommand reads goes through one loader, and ``--verify`` re-checks each
+one's cached results, ``monoid FILE`` included.  ``--out`` writes an archive
+for ``monoid`` and ``ideal``, the witness matrix's one-line token for
+``pair divides`` and the Macaulay2 script for ``export-m2``.
+
 Results go to stdout; progress lines go to stderr (suppressed by --quiet).
 Exit codes: 0 success, 2 parse or domain error.
 """
@@ -16,7 +23,7 @@ import argparse
 import logging
 import sys
 
-from .archive import ArchiveError, export_macaulay2, load, save, verify
+from .archive import ArchiveError, _Reader, export_macaulay2, load, save, verify
 from .covers import Cover, standard_cover
 from .decomp import associated_primes, irreducible_decomposition, multiplicity
 from .diophantine import IntMatrix
@@ -25,23 +32,14 @@ from .monoid import AffineMonoid
 
 
 def parse_matrix_arg(text: str) -> IntMatrix:
-    """Parse "r c; e11 e12 ...; e21 e22 ..." into a matrix."""
-    chunks = [c.strip() for c in text.split(";")]
-    header = chunks[0].split()
-    if len(header) != 2:
-        raise ValueError('matrix argument must start with "rows cols;"')
-    rows, cols = int(header[0]), int(header[1])
-    if rows < 0 or cols < 0:
-        raise ValueError("matrix dimensions must be nonnegative")
-    if len(chunks) != rows + 1:
-        raise ValueError(f"expected {rows} rows in matrix argument")
-    data = []
-    for chunk in chunks[1:]:
-        entries = chunk.split()
-        if len(entries) != cols:
-            raise ValueError(f"expected {cols} entries per row in matrix argument")
-        data.append(tuple(int(x) for x in entries))
-    return IntMatrix(rows, cols, tuple(data))
+    """Read "r c; e11 e12 ...; e21 e22 ..." as the archive reads a matrix,
+    each ``;``-separated chunk one line."""
+    reader = _Reader([c.strip() for c in text.split(";")])
+    M = reader.take_matrix("--matrix")
+    if not reader.eof():
+        reader.take("--matrix")
+        raise reader.error("more lines than rows in --matrix")
+    return M
 
 
 def parse_face_arg(text: str):
@@ -53,30 +51,26 @@ def parse_face_arg(text: str):
     return tuple(sorted({int(t) for t in text.split(",")}))
 
 
-def _load_monoid(args) -> AffineMonoid:
-    if args.matrix:
-        return AffineMonoid(parse_matrix_arg(args.matrix))
-    if not args.file:
-        raise ValueError("provide an archive file or --matrix")
-    obj = load(args.file)
-    if not isinstance(obj, AffineMonoid):
-        if isinstance(obj, MonomialIdeal):
-            return obj.ambient
-        raise ValueError("file does not contain an affine monoid")
-    return obj
-
-
-def _load_ideal(args) -> MonomialIdeal:
-    obj = load(args.file)
-    if not isinstance(obj, MonomialIdeal):
-        raise ValueError("file does not contain a monomial ideal")
-    if args.verify:
+def _load(path: str, kind: type, check: bool):
+    """The ``kind`` object that archive ``path`` holds, an ideal's ambient
+    monoid serving as a monoid; with ``check``, the archive's cached
+    results are verified first."""
+    obj = load(path)
+    held = obj.ambient if kind is AffineMonoid and isinstance(obj, MonomialIdeal) else obj
+    if not isinstance(held, kind):
+        raise ValueError(f"{path} holds {type(obj).__name__}, not {kind.__name__}")
+    if check:
         verify(obj)
-    return obj
+    return held
 
 
 def cmd_monoid(args) -> int:
-    monoid = _load_monoid(args)
+    if args.matrix:
+        monoid = AffineMonoid(parse_matrix_arg(args.matrix))
+    elif args.file:
+        monoid = _load(args.file, AffineMonoid, args.verify)
+    else:
+        raise ValueError("provide an archive file or --matrix")
     if args.action == "info":
         print(monoid)
         print(f"pointed: {monoid.is_pointed()}")
@@ -95,7 +89,7 @@ def cmd_monoid(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    ideal = _load_ideal(args)
+    ideal = _load(args.file, MonomialIdeal, args.verify)
     if args.action == "mult" and args.face is None:
         raise ValueError("mult requires --face")
     cover = standard_cover(ideal)  # memoized: every action reuses it
@@ -122,20 +116,12 @@ def cmd_pair(args) -> int:
 
     covers = []
     for path in (args.file1, args.file2):
-        obj = load(path)
-        if not isinstance(obj, Cover):
-            raise ValueError(f"{path} does not contain a cover")
-        if args.verify:
-            verify(obj)
-        pairs = obj.pairs()
+        pairs = _load(path, Cover, args.verify).pairs()
         if len(pairs) != 1:
             raise ValueError(f"{path} must contain exactly one pair, found {len(pairs)}")
         covers.append(pairs[0])
     result = divides(covers[0], covers[1])
-    if result.rows == 0:
-        print("[]")
-    else:
-        print(result)
+    print(result)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(result.to_token() + "\n")
@@ -143,7 +129,7 @@ def cmd_pair(args) -> int:
 
 
 def cmd_export_m2(args) -> int:
-    ideal = _load_ideal(args)
+    ideal = _load(args.file, MonomialIdeal, args.verify)
     script = export_macaulay2(ideal, standard_cover(ideal))
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -162,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--out", help="write the (cached) result object to this archive path")
-        p.add_argument("--verify", action="store_true", help="re-check cached results on load")
+        p.add_argument("--out", help="write an archive (monoid, ideal), the witness matrix's one-line token"
+                       " (pair divides) or the Macaulay2 script (export-m2) to this path")
+        p.add_argument("--verify", action="store_true", help="re-check the cached results of every archive read")
 
     p_monoid = sub.add_parser("monoid", help="inspect an affine monoid")
     p_monoid.add_argument("file", nargs="?", help="archive file")

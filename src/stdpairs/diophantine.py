@@ -793,11 +793,11 @@ def _parallelepiped_points(generators: list) -> list:
     return sorted(points)
 
 
-def _kernel_cone_rays(basis: list, ncols: int) -> list:
+def _kernel_cone_rays(basis: list) -> list:
     """Extreme rays of ``{y : sum_i y_i basis_i >= 0}``, the nonnegative
-    kernel cone in the coordinates of a kernel basis of a matrix with
-    ``ncols`` columns.  Its constraints (one per column) have full column
-    rank because the basis is independent."""
+    kernel cone in the coordinates of a kernel basis.  Its constraints (one
+    per column of the basis vectors) have full column rank because the
+    basis is independent."""
     if not basis:
         return []
     return _extreme_rays_dd(list(zip(*basis)), len(basis))
@@ -949,22 +949,18 @@ def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     data = _matrix_data(M)
     if data.hilbert is None:
         basis = data.kernel_basis()
-        rays = _kernel_cone_rays(basis, M.cols)
-        data.hilbert = tuple(_kernel_hilbert_basis(data, basis, rays) if rays else ())
+        rays = _kernel_cone_rays(basis)
+        bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
+        zero = (0,) * M.cols
+        # without rays the kernel cone is {0}, whose Hilbert basis is empty
+        points = _box_solutions(data, zero, bound, budget=_CD_BUDGET) if rays else [zero]
+        if points is not None:
+            data.hilbert = tuple(minimal_elements(x for x in points if x != zero))
+        else:
+            cols = M.columns()
+            found = _completion([tuple(vec_dot(a, c) for c in cols) for a in cols], _CD_BUDGET)
+            data.hilbert = tuple(found if found is not None else _hilbert_basis_geometric(basis, rays))
     return SolutionSet.of(M.cols, data.hilbert)
-
-
-def _kernel_hilbert_basis(data: _MatrixData, basis: list, rays: list) -> list:
-    """The sorted Hilbert basis of ``ker M intersect N^n`` by the tiers of
-    ``hilbert_kernel``, given a nonempty list of its kernel cone rays."""
-    bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
-    zero = (0,) * data.M.cols
-    points = _box_solutions(data, zero, bound, budget=_CD_BUDGET)
-    if points is not None:
-        return minimal_elements(x for x in points if x != zero)
-    cols = data.M.columns()
-    found = _completion([tuple(vec_dot(a, c) for c in cols) for a in cols], _CD_BUDGET)
-    return found if found is not None else _hilbert_basis_geometric(basis, rays)
 
 
 def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
@@ -1153,7 +1149,7 @@ def _geometric_solutions(M: IntMatrix, data: _MatrixData, x0) -> SolutionSet:
     ``_kernel_cone_rays`` finds the cone's rays.
     """
     basis = [h + (0,) for h in data.kernel_basis()] + [tuple(x0) + (1,)]
-    hilbert = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols + 1))
+    hilbert = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis))
     return SolutionSet.of(M.cols, [x[:-1] for x in hilbert if x[-1] == 1])
 
 

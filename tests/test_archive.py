@@ -455,3 +455,74 @@ def test_verify_checks_every_stored_section(tmp_path, section):
     loaded = load(path)
     with pytest.raises(ArchiveError, match=f"stored {section} section"):
         sp.verify(loaded)
+
+
+@pytest.mark.parametrize(
+    "sections, bad_line, first_line",
+    [
+        (_IDEAL + "COVER\n3\n;1\n;1\n;1\n", 11, 10),
+        ("COVER\n2\n;1\n;1\n", 8, 7),
+        (_IDEAL + "OVERLAP\n1\n;2\n;1\n;1\n", 12, 11),
+        (_IDEAL + "OVERLAP\n2\n;1\n;1\n;1\n;1\n", 13, 11),
+        (_IDEAL + "ASSOCIATED\n2\n\n\n", 11, 10),
+        (_IDEAL + "DECOMPOSITION\n2\n1 1\n5\n1 1\n5\n", 12, 10),
+        (_IDEAL + "DECOMPOSITION\n2\n1 1\n5\n1 2\n5 5\n", 12, 10),
+    ],
+    ids=[
+        "cover",
+        "cover_document",
+        "overlap_class",
+        "overlap_two_classes",
+        "associated",
+        "decomposition",
+        "decomposition_same_ideal",
+    ],
+)
+def test_load_rejects_a_repeated_item(tmp_path, capsys, sections, bad_line, first_line):
+    """A cached section lists each pair, face or component once (OVERLAP
+    each pair once over all its classes); a repeat is an ``ArchiveError``
+    naming the line it starts on, not merged away or kept twice."""
+    from stdpairs.cli import main
+
+    path = _write(tmp_path, "MONOID\n1 2\n2 3\n" + sections)
+    message = f"line {bad_line}: repeats the item on line {first_line}"
+    with pytest.raises(ArchiveError, match=f"^{message}$"):
+        load(path)
+    assert main(["--quiet", "monoid", path, "info"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("MONOID\n1 2\n2 3\n" + _IDEAL + "COVER\nx\n", "line 9: expected an integer count for COVER, got 'x'"),
+        ("MONOID\n1 2\n2 3\n" + _IDEAL + "ASSOCIATED\n1\na\n", "line 10: bad face 'a'"),
+        ("MONOID\n1 2\n2 3\n" + _IDEAL + "COVER\n1\n1\n", "line 10: expected 'face;base' pair line, got '1'"),
+        ("MONOID\n1 2\n2 3\n" + _IDEAL + "OVERLAP\n1\n2\n", "line 10: expected 'face;count' class header"),
+        (_IDEAL + "MONOID\n1 2\n2 3\n", "line 2: expected MONOID section"),
+    ],
+    ids=["count", "face", "pair_line", "class_header", "second_line"],
+)
+def test_load_rejects_malformed_lines(tmp_path, text, message):
+    with pytest.raises(ArchiveError, match=f"^{re.escape(message)}$"):
+        load(_write(tmp_path, text))
+
+
+def test_verify_rejects_an_improper_stored_pair_and_passes_good_documents(tmp_path, paper_monoid):
+    """``verify`` raises on a stored cover pair whose base lies in the ideal,
+    and passes a cover document and a monoid that hold nothing wrong."""
+    I = sp.MonomialIdeal(paper_monoid, IntMatrix.from_cols([(4, 4)]))
+    cover = sp.standard_cover(I)
+    path = str(tmp_path / "ideal.txt")
+    save(I, path)
+    with open(path) as fh:
+        text = fh.read()
+    assert text.count("0;0 0\n") == 1
+    with open(path, "w") as fh:
+        fh.write(text.replace("0;0 0\n", "0;4 4\n"))
+    with pytest.raises(ArchiveError, match=r"stored cover pair \(\(4, 4\), \(0,\)\) is not proper"):
+        sp.verify(load(path))
+    save(cover, path)
+    assert sp.verify(load(path)) is None
+    save(paper_monoid, path)
+    assert sp.verify(load(path)) is None

@@ -24,10 +24,10 @@ def test_parse_matrix_arg():
 
 def test_negative_matrix_dimensions_are_rejected(capsys):
     for text in ("-1 2", "2 -1; 1 2; 0 2", "-1 -1"):
-        with pytest.raises(ValueError, match="matrix dimensions must be nonnegative"):
+        with pytest.raises(ValueError, match="line 1: negative matrix dimension for --matrix"):
             parse_matrix_arg(text)
     assert main(["monoid", "--matrix", "-1 2", "faces"]) == 2
-    assert "matrix dimensions must be nonnegative" in capsys.readouterr().err
+    assert "line 1: negative matrix dimension for --matrix" in capsys.readouterr().err
 
 
 def test_negative_archive_dimension_exit_code(tmp_path, capsys):
@@ -232,3 +232,93 @@ def test_progress_handler_leaves_with_main(tmp_path, capsys, monkeypatch):
     monkeypatch.undo()
     sp.MonomialIdeal(I.ambient, I.gens).standard_cover()  # a fresh cache: the cover is rebuilt
     assert "Logging error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2 2; 1 2; 0 x", "line 3: non-integer entry in --matrix"),
+        ("2 2; 1 2", "line 3: unexpected end of input while reading --matrix"),
+        ("2 2; 1 2; 0 2; 3 3", "line 4: more lines than rows in --matrix"),
+        ("2 2; 1; 0 2", "line 2: expected 2 entries in a row of --matrix"),
+        ("2; 1 2", "line 1: expected 'rows cols' header for --matrix"),
+    ],
+    ids=["entry", "missing_line", "extra_line", "short_row", "header"],
+)
+def test_malformed_matrix_argument_names_its_line(capsys, text, message):
+    """``--matrix`` is read as the archive reads a matrix, each ``;``-separated
+    chunk one line counted from 1."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse_matrix_arg(text)
+    assert main(["monoid", "--matrix", text, "faces"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_monoid_file_verify_checks_an_ideal_archive(tmp_path, capsys):
+    """``monoid FILE --verify`` re-checks the archive it reads, as ``ideal``
+    does: a stored cover that lost a pair (its count fixed to match) exits 2."""
+    path, I = make_ideal_file(tmp_path)
+    sp.standard_cover(I)
+    sp.save(I, path)
+    with open(path) as fh:
+        text = fh.read()
+    old = "COVER\n9\n;3 1\n;4 1\n;4 2\n;5 3\n"
+    assert text.count(old) == 1
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, "COVER\n8\n;3 1\n;4 1\n;4 2\n"))
+    assert main(["--quiet", "monoid", path, "info"]) == 0
+    capsys.readouterr()
+    for command in (["ideal", path, "cover"], ["monoid", path, "info"]):
+        assert main(["--quiet", *command, "--verify"]) == 2
+        assert capsys.readouterr().err == "error: stored COVER section disagrees with recomputation\n"
+
+
+def _archives(tmp_path):
+    """A monoid, an ideal and a one-pair cover document, saved."""
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 2], [0, 2]]))
+    I = sp.MonomialIdeal(Q, IntMatrix.from_cols([(4, 4)]))
+    paths = {kind: str(tmp_path / f"{kind}.txt") for kind in ("monoid", "ideal", "cover")}
+    sp.save(Q, paths["monoid"])
+    sp.save(I, paths["ideal"])
+    sp.save(sp.Cover.from_pairs([sp.ProperPair((2, 0), (0,), I)]), paths["cover"])
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, kind, held, wanted",
+    [
+        (["monoid", "{}", "info"], "cover", "Cover", "AffineMonoid"),
+        (["ideal", "{}", "cover"], "monoid", "AffineMonoid", "MonomialIdeal"),
+        (["ideal", "{}", "cover"], "cover", "Cover", "MonomialIdeal"),
+        (["export-m2", "{}"], "monoid", "AffineMonoid", "MonomialIdeal"),
+        (["pair", "divides", "{}", "{}"], "ideal", "MonomialIdeal", "Cover"),
+        (["pair", "divides", "{}", "{}"], "monoid", "AffineMonoid", "Cover"),
+    ],
+    ids=["monoid_cover", "ideal_monoid", "ideal_cover", "export_m2_monoid", "pair_ideal", "pair_monoid"],
+)
+def test_every_subcommand_names_a_file_of_the_wrong_kind(tmp_path, capsys, command, kind, held, wanted):
+    path = _archives(tmp_path)[kind]
+    assert main(["--quiet", *(c.format(path) for c in command)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path} holds {held}, not {wanted}\n" and captured.out == ""
+
+
+def test_pair_divides_names_a_cover_of_two_pairs(tmp_path, capsys):
+    one = _archives(tmp_path)["cover"]
+    two = str(tmp_path / "two.txt")
+    with open(two, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n2 2\n1 2\n0 2\nCOVER\n2\n0;2 0\n0;0 0\n")
+    assert main(["pair", "divides", one, two]) == 2
+    assert capsys.readouterr().err == f"error: {two} must contain exactly one pair, found 2\n"
+
+
+def test_pair_divides_prints_an_empty_witness(tmp_path, capsys):
+    """No translate of a pair over (0,) fits in a pair over (): the witness
+    matrix has no rows and prints as ``[]``."""
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 2], [0, 2]]))
+    I = sp.MonomialIdeal(Q, IntMatrix.from_cols([(4, 4)]))
+    f1, f2 = str(tmp_path / "p1.txt"), str(tmp_path / "p2.txt")
+    sp.save(sp.Cover.from_pairs([sp.ProperPair((2, 0), (0,), I)]), f1)
+    sp.save(sp.Cover.from_pairs([sp.ProperPair((0, 0), (), I)]), f2)
+    assert main(["pair", "divides", f1, f2]) == 0
+    assert capsys.readouterr().out == "[]\n"

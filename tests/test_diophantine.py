@@ -499,7 +499,7 @@ def _assert_rays_and_facets_match_reference(cols: list, dim: int) -> tuple:
     assert facets == _reference_facets_of_cone(cols, dim), (cols, dim)
     M = IntMatrix.from_cols(cols, rows=dim)
     basis = _MatrixData(M).kernel_basis()
-    rays = sorted(_combination(basis, y) for y in _kernel_cone_rays(basis, M.cols))
+    rays = sorted(_combination(basis, y) for y in _kernel_cone_rays(basis))
     assert rays == _reference_kernel_rays(M), (cols, dim)
     return facets, rays
 
@@ -1025,7 +1025,7 @@ def _homogenized_box(data: _MatrixData, x0) -> tuple:
     j of a minimal solution is bounded by the sum of the kernel rays plus
     the largest ``ceil(r_j / t)``."""
     basis = [h + (0,) for h in data.kernel_basis()] + [tuple(x0) + (1,)]
-    rays = _kernel_cone_rays(basis, len(basis[0]))
+    rays = _kernel_cone_rays(basis)
     xt = [_combination(basis, y) for y in rays]
     vertices = [r for r in xt if r[-1]]
     if not vertices:
@@ -1053,7 +1053,7 @@ def test_vertices_match_reference():
             x0 = _particular_solution(data, b)
             if x0 is None:  # no (x0, 1) to pad with; build the cone from another basis
                 basis = integer_kernel_basis(M.hstack(IntMatrix.from_cols([[-x for x in b]], rows=M.rows)))
-                rays_y = _kernel_cone_rays(basis, M.cols + 1)
+                rays_y = _kernel_cone_rays(basis)
             else:
                 basis, rays_y, bound = _homogenized_box(data, x0)
             rays = [tuple(sum(y * v[j] for y, v in zip(ray, basis)) for j in range(M.cols + 1)) for ray in rays_y]
@@ -1137,7 +1137,7 @@ def test_hilbert_basis_geometric_against_brute_force():
     nonempty = 0
     for M in matrices + [IntMatrix.from_rows([[2, -3]]), IntMatrix.from_rows([[1, 1, -2]])]:
         basis = _MatrixData(M).kernel_basis()
-        got = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis, M.cols))
+        got = _hilbert_basis_geometric(basis, _kernel_cone_rays(basis))
         rows = [list(row) for row in M.data]
         assert sorted(x for x in got if max(x) <= box) == brute_hilbert(rows, box), M
         nonempty += bool(got)
@@ -1813,7 +1813,7 @@ def _reference_hilbert_kernel(M: IntMatrix) -> SolutionSet:
     data = _matrix_data(M)
     if data.hilbert is None:
         basis = data.kernel_basis()
-        rays = _kernel_cone_rays(basis, M.cols)
+        rays = _kernel_cone_rays(basis)
         if not rays:
             data.hilbert = ()
         else:
@@ -1897,7 +1897,7 @@ def test_hilbert_kernel_routes_agree_with_reference(monkeypatch):
     assert min(answered[1:]) >= 20, answered
     for M, basis in zip(matrices, expected):
         kernel = integer_kernel_basis(M)
-        assert _hilbert_basis_geometric(kernel, _kernel_cone_rays(kernel, M.cols)) == basis, M
+        assert _hilbert_basis_geometric(kernel, _kernel_cone_rays(kernel)) == basis, M
 
 
 def test_hilbert_kernel_answers_pair_differences_without_the_triangulation(monkeypatch):
@@ -2571,3 +2571,9 @@ def test_pipelines_compute_no_kernel_hilbert_basis(monkeypatch):
     assert not calls, calls
     dio.hilbert_kernel(IntMatrix.from_rows([[1, -1]]))  # the recording itself works
     assert calls == ["hilbert_kernel"]
+
+
+def test_has_nonneg_solution_rejects_a_right_hand_side_of_wrong_length():
+    M = IntMatrix.from_rows([[1, 2], [0, 2]])
+    with pytest.raises(ValueError, match="right-hand side has dim 3, expected 2"):
+        has_nonneg_solution(M, (1, 2, 3))

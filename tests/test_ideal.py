@@ -207,3 +207,12 @@ def test_radical_never_intersects(monkeypatch):
     monkeypatch.setattr(MonomialIdeal, "intersect", refuse)
     for I in instances:
         I.radical()
+
+
+def test_generators_and_vectors_of_wrong_dimension_are_rejected():
+    Q = AffineMonoid(IntMatrix.from_rows([[1, 2], [0, 2]]))
+    with pytest.raises(ValueError, match="generators have dim 3, ambient has 2"):
+        MonomialIdeal(Q, IntMatrix.from_cols([(1, 1, 1)]))
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(4, 4)]))
+    with pytest.raises(ValueError, match="vector has dim 1, expected 2"):
+        I.is_element((4,))

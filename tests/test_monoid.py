@@ -636,3 +636,13 @@ def test_system_memo_respects_the_matrix_cache_cap(monkeypatch):
         for G in _index_sets(3):
             assert Q._system(F, G) == A.take_cols(F).hstack(A.take_cols(G).neg())
             assert len(Q._systems) <= 3
+
+
+def test_vector_of_wrong_length_and_record_of_a_non_face_are_rejected():
+    Q = AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))  # faces (), (0,), (2,), (0, 1, 2)
+    with pytest.raises(ValueError, match="vector has dim 3, expected 2"):
+        Q.contains((1, 1, 1))
+    with pytest.raises(ValueError, match=r"^\(1,\) is not a face$"):
+        Q._record((1,))
+    with pytest.raises(ValueError, match=r"^\(0, 1\) is not a face$"):
+        Q.lattice_of((0, 1))

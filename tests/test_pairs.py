@@ -290,3 +290,15 @@ def test_top_face_is_proper_makes_no_solve(monkeypatch):
     assert calls == []
     assert is_proper(ProperPair((0, 0), (0, 3), I, skip_check=True)) is False  # (4, 0) is in I
     assert calls  # the counter sees the solves of the other faces
+
+
+def test_divides_and_is_divisor_reject_pairs_over_two_monoids():
+    from stdpairs.pairs import is_divisor
+
+    P = AffineMonoid(IntMatrix.from_rows([[1, 2], [0, 2]]))
+    Q = AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+    p = ProperPair((0, 0), P.top, MonomialIdeal(P, IntMatrix.zero(2, 0)))
+    q = ProperPair((0, 0), Q.top, MonomialIdeal(Q, IntMatrix.zero(2, 0)))
+    for ask in (divides, is_divisor):
+        with pytest.raises(ValueError, match="pairs live over different ambient monoids"):
+            ask(p, q)
