@@ -8,13 +8,8 @@ decompositions, with a text archive format and a CLI (``stdpairs``).
 from .archive import ArchiveError, dedup, export_macaulay2, load, save, verify
 from .covers import (
     Cover,
-    LoopCapExceeded,
     PolyMonomialIdeal,
     PolyStdPair,
-    cone_to_ctwo,
-    cover_to_standard,
-    czero_to_cone,
-    minimal_holes,
     pair_difference,
     poly_standard_pairs,
     principal_cover,
@@ -32,7 +27,6 @@ from .decomp import (
 from .diophantine import (
     IntMatrix,
     SolutionSet,
-    hilbert_kernel,
     min_nonneg_solutions,
     rational_rank,
 )
@@ -55,7 +49,6 @@ __all__ = [
     "BOTTOM",
     "Cover",
     "IntMatrix",
-    "LoopCapExceeded",
     "MonomialIdeal",
     "NotPointedError",
     "OverlapClass",
@@ -64,15 +57,11 @@ __all__ = [
     "ProperPair",
     "SolutionSet",
     "associated_primes",
-    "cone_to_ctwo",
-    "cover_to_standard",
-    "czero_to_cone",
     "dedup",
     "divides",
     "export_macaulay2",
     "face_lattice",
     "facet_normals",
-    "hilbert_kernel",
     "intersect_pairs",
     "irreducible_component",
     "irreducible_decomposition",
@@ -81,7 +70,6 @@ __all__ = [
     "load",
     "maximal_overlap_classes",
     "min_nonneg_solutions",
-    "minimal_holes",
     "multiplicity",
     "overlap_classes",
     "pair_difference",

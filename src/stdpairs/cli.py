@@ -44,11 +44,18 @@ def parse_matrix_arg(text: str) -> IntMatrix:
 
 def parse_face_arg(text: str):
     """Face indices from comma-separated text, sorted and deduplicated, so
-    that any order or repetition names the same face."""
+    that any order or repetition names the same face; a token that is not
+    an integer is a ``ValueError`` naming ``--face`` and the token."""
     text = text.strip()
     if text in ("", "()"):
         return ()
-    return tuple(sorted({int(t) for t in text.split(",")}))
+    indices = set()
+    for token in text.split(","):
+        try:
+            indices.add(int(token))
+        except ValueError:
+            raise ValueError(f"--face: {token.strip()!r} is not an integer") from None
+    return tuple(sorted(indices))
 
 
 def _load(path: str, kind: type, check: bool):
@@ -65,12 +72,11 @@ def _load(path: str, kind: type, check: bool):
 
 
 def cmd_monoid(args) -> int:
-    if args.matrix:
-        monoid = AffineMonoid(parse_matrix_arg(args.matrix))
-    elif args.file:
-        monoid = _load(args.file, AffineMonoid, args.verify)
-    else:
+    if args.file is not None and args.matrix is not None:
+        raise ValueError(f"give the archive {args.file} or --matrix, not both")
+    if args.file is None and args.matrix is None:
         raise ValueError("provide an archive file or --matrix")
+    monoid = _load(args.file, AffineMonoid, args.verify) if args.matrix is None else AffineMonoid(parse_matrix_arg(args.matrix))
     if args.action == "info":
         print(monoid)
         print(f"pointed: {monoid.is_pointed()}")

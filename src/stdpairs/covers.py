@@ -29,7 +29,11 @@ The pipeline:
    that keeps it proper (``cone_to_ctwo``).  The rounds can nest pairs
    again, so nested pairs are pruned at the fixpoint too.
    ``standard_cover`` does not call it: it is an independent route to the
-   same answer.
+   same answer.  No pipeline runs this route and the package does not
+   export its names (``cover_to_standard``, ``czero_to_cone``,
+   ``cone_to_ctwo``, ``minimal_holes`` and the ``LoopCapExceeded`` that
+   ``cover_to_standard`` raises); they stay here because the benchmark's
+   layer tracer (``perfbench/layers.py``) wraps the four functions.
 
 Every solve runs over the monoid's kept minimal generators
 (``AffineMonoid.kept_of``), so no cover depends on how the monoid's

@@ -54,12 +54,13 @@ Past the certificates, three exact routes answer a full solve:
   are the minimal solutions (``_geometric_solutions``), so the worst
   case stays predictable.
 
-The kernel Hilbert basis, ``hilbert_kernel``, is a public function that
-no solve calls.  It has three tiers: the two cheap ones first, a short
-box walk and then a budgeted Contejean-Devie completion, because they
-fail on opposite inputs; only then the triangulation.  Cone data, kernel
-data and the answers for up to ``_SOLUTIONS_CAP`` right-hand sides are
-cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
+The kernel Hilbert basis, ``hilbert_kernel``, takes one route, the same
+triangulation over the kernel cone.  No solve calls it and the package
+does not export it; it and the Contejean-Devie completion
+(``_completion``), which nothing in the package calls, stay only because
+the benchmark's layer tracer (``perfbench/layers.py``) wraps them.  Cone
+data, kernel data and the answers for up to ``_SOLUTIONS_CAP`` right-hand
+sides are cached per matrix, for up to ``_MATRIX_CACHE_CAP`` matrices.
 
 Most callers only ask whether a solution exists.  They call
 ``has_nonneg_solution``, which runs the same certificates and the same
@@ -867,8 +868,7 @@ def _completion(gram: list, budget: int):
     Budget: the unit vectors and every new vector that survives pruning
     count as generated nodes.  The result is None as soon as more than
     ``budget`` nodes are generated; the count only grows, so this is the
-    same decision as counting to the end.  The caller then switches to the
-    triangulation, which has predictable cost.  Otherwise the result is the
+    same decision as counting to the end.  Otherwise the result is the
     sorted list of the solutions found.
     """
     ncols = len(gram)
@@ -914,52 +914,25 @@ def _completion(gram: list, budget: int):
     return sorted(found)
 
 
-_CD_BUDGET = 500
-
-
 _BOX_BUDGET = 20000
 
 
 def hilbert_kernel(M: IntMatrix) -> SolutionSet:
     """Minimal nonzero elements (Hilbert basis) of ``{x in N^c : M x = 0}``.
 
-    Every minimal element lies in a half-open parallelepiped of a
-    triangulated simplicial subcone, hence below the componentwise sum of
-    all extreme rays.  Three exact tiers follow; the first that finishes
-    answers:
+    One exact route, the pulling triangulation
+    (``_hilbert_basis_geometric``) of the nonnegative kernel cone over M's
+    saturated kernel basis, the two calls ``_geometric_solutions`` makes;
+    a cone without rays is {0}, whose basis is empty.  Cached per matrix.
 
-    1. the box walk below that sum, keeping its minimal nonzero points,
-       for ``_CD_BUDGET`` units;
-    2. completion (``_completion``) on the Gram matrix of M's columns, for
-       ``_CD_BUDGET`` nodes: it yields exactly the minimal nonzero
-       solutions;
-    3. the triangulation, enumerating the parallelepipeds directly.
-
-    The two cheap tiers fail on opposite inputs.  The box of ``[A | -A]``
-    with one or two rows and six or more columns is huge, while completion
-    finds its basis in a few hundred nodes; completion explodes on systems
-    with three or more rows, whose box walk is short.  So the short walk
-    goes first, and a matrix that overflows it costs one completion before
-    the triangulation.  Cached per matrix.
-
-    No solve calls it: ``min_nonneg_solutions`` answers every system by
-    the graded walk, the signed walk or the triangulation, none of which
-    needs this basis.
+    No solve calls it, and the package does not export it; it stays in
+    this module because the benchmark's layer tracer
+    (``perfbench/layers.py``) wraps it.
     """
     data = _matrix_data(M)
     if data.hilbert is None:
         basis = data.kernel_basis()
-        rays = _kernel_cone_rays(basis)
-        bound = tuple(map(sum, zip(*(_combination(basis, y) for y in rays))))
-        zero = (0,) * M.cols
-        # without rays the kernel cone is {0}, whose Hilbert basis is empty
-        points = _box_solutions(data, zero, bound, budget=_CD_BUDGET) if rays else [zero]
-        if points is not None:
-            data.hilbert = tuple(minimal_elements(x for x in points if x != zero))
-        else:
-            cols = M.columns()
-            found = _completion([tuple(vec_dot(a, c) for c in cols) for a in cols], _CD_BUDGET)
-            data.hilbert = tuple(found if found is not None else _hilbert_basis_geometric(basis, rays))
+        data.hilbert = tuple(_hilbert_basis_geometric(basis, _kernel_cone_rays(basis)))
     return SolutionSet.of(M.cols, data.hilbert)
 
 

@@ -36,10 +36,11 @@ class AffineMonoid:
     questions of ``meets``, bounded by ``_MATRIX_CACHE_CAP``; the other
     one record per face (``_record``), the only holder of a face's data:
     its support vectors (``support_of``, ``supports``), its kept columns
-    (``kept_of``), the solver data of the lattice ``Z F``, the one copy
-    that prunes and overlap classes read (``lattice_of``), and the off-face
-    system that, with a lattice test, answers the yes/no questions with
-    the top face on one side in the quotient by ``Z F`` (``meets``) and
+    (as ``kept_of`` reads them from the kept set, with no record), the
+    solver data of the lattice ``Z F``, the one copy that prunes and
+    overlap classes read (``lattice_of``), and the off-face system that,
+    with a lattice test, answers the yes/no questions with the top face
+    on one side in the quotient by ``Z F`` (``meets``) and
     gives the solutions in that quotient that irreducible components are
     read from (``_quotient_solutions``).
 
@@ -82,10 +83,11 @@ class AffineMonoid:
         return self._mingens
 
     def kept_of(self, indices: tuple) -> tuple:
-        """The kept columns of a face F, with ``N F = N kept_of(F)``, from F's
-        record; any other index tuple, BOTTOM's included, comes back as it is."""
+        """The kept columns of a face F, with ``N F = N kept_of(F)``: F's
+        columns in the monoid's kept set, read without building F's record;
+        any other index tuple, BOTTOM's included, comes back as it is."""
         indices = tuple(indices)
-        return self._record(indices)[1] if indices in self._face_set else indices
+        return tuple(j for j in indices if j in self._kept) if indices in self._face_set else indices
 
     @property
     def dim(self) -> int:
@@ -212,7 +214,7 @@ class AffineMonoid:
             if face not in self._face_set:
                 raise ValueError(f"{face} is not a face")
             support = _support_rows(self._facets, self._equations, self.dim, face)
-            kept = tuple(j for j in face if j in self._kept)
+            kept = self.kept_of(face)
             off = self._gens.take_cols([j for j in self._kept if j not in face])
             lattice = _matrix_data(self._gens.take_cols(kept))
             record = self._records[face] = (support, kept, off, support.matmul(off), lattice)

@@ -123,6 +123,30 @@ def test_face_indices_in_any_order(tmp_path, capsys):
         assert capsys.readouterr().out.strip() == "1"
 
 
+def test_a_non_integer_face_index_is_named(tmp_path, capsys):
+    """A ``--face`` token that is not an integer is named with ``--face``,
+    not by ``int()``'s own message."""
+    for text in ("a", "1,a", " 2, a ,3"):
+        with pytest.raises(ValueError, match="^--face: 'a' is not an integer$"):
+            parse_face_arg(text)
+    path, _ = make_ideal_file(tmp_path)
+    assert main(["--quiet", "ideal", path, "mult", "--face", "a"]) == 2
+    assert capsys.readouterr().err == "error: --face: 'a' is not an integer\n"
+
+
+def test_monoid_file_and_matrix_together_are_rejected(tmp_path, capsys):
+    """``monoid FILE ACTION --matrix M`` names both sources and exits 2,
+    whether or not FILE exists, instead of reading the matrix alone."""
+    path, _ = make_ideal_file(tmp_path)
+    for file in (path, str(tmp_path / "nonexistent.txt")):
+        assert main(["monoid", file, "faces", "--matrix", "1 1; 1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: give the archive {file} or --matrix, not both\n"
+    assert main(["monoid", "faces"]) == 2
+    assert capsys.readouterr().err == "error: provide an archive file or --matrix\n"
+
+
 def test_ideal_mult_requires_face(tmp_path, capsys):
     path, _ = make_ideal_file(tmp_path)
     assert main(["--quiet", "ideal", path, "mult"]) == 2

@@ -210,11 +210,8 @@ def test_solver_tiers_agree(monkeypatch):
         return out
 
     baseline = run()
-    monkeypatch.setattr(dio, "_CD_BUDGET", 0)
-    box_tier = run()
     monkeypatch.setattr(dio, "_BOX_BUDGET", 0)
     triangulation_tier = run()
-    assert box_tier == baseline
     assert triangulation_tier == baseline
 
 
@@ -1333,18 +1330,20 @@ def test_fallback_tiers_on_pair_difference_systems(monkeypatch):
     dio._MATRIX_CACHE.clear()
 
 
-def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b) -> SolutionSet:
+_REFERENCE_CD_BUDGET = 500
+
+
+def _reference_min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b, budget: int = _REFERENCE_CD_BUDGET) -> SolutionSet:
     """The uncached solve without the infeasibility certificates or the
     graded walk: every system first goes to the completion of the
     homogenized system ``[M | -b]``, seeded with the kernel Hilbert basis
-    and capped at 1 in the slack coordinate, then, unless it has no
-    particular solution, to ``_reference_homogenized_walk``."""
-    import stdpairs.diophantine as dio
-
+    and capped at 1 in the slack coordinate, for ``budget`` nodes, then,
+    unless it has no particular solution, to
+    ``_reference_homogenized_walk``."""
     slack = M.cols
     columns = M.columns() + [tuple(-e for e in b)]
     seed = [h + (0,) for h in hilbert_kernel(M)]
-    quick = _reference_completion(columns, M.rows, cap_index=slack, seed=seed, budget=dio._CD_BUDGET)
+    quick = _reference_completion(columns, M.rows, cap_index=slack, seed=seed, budget=budget)
     if quick is not None:
         return SolutionSet.of(M.cols, [x[:slack] for x in quick if x[slack] == 1])
 
@@ -1486,13 +1485,13 @@ def _unpaired_systems(rng, count):
 
 def test_infeasibility_certificates_are_exact(monkeypatch):
     """The certificates settle only systems without a solution: every answer
-    equals the solver's without them, which always runs completion first,
-    under the default budgets, with completion off, and with completion and
-    the walk's budget off.  Each of the three routes of the full solve runs
-    at least 20 times: the graded walk alone on a pointed system; the
-    signed walk, on a system that is not pointed or after a graded walk
-    that overflowed; and the triangulation, after a signed walk that
-    overflowed.  No full solve calls ``hilbert_kernel`` or
+    equals the reference solver's without them, which always runs
+    completion first, with the reference's completion budget at its
+    default and at 0, and with both that and the walk's budget at 0.  Each
+    of the three routes of the full solve runs at least 20 times: the
+    graded walk alone on a pointed system; the signed walk, on a system
+    that is not pointed or after a graded walk that overflowed; and the
+    triangulation, after a signed walk that overflowed.  No full solve calls ``hilbert_kernel`` or
     ``_completion``.  Seeded wide ``[A | -A]`` and seeded non-pointed
     matrices without a negation pair join the systems under the default
     budgets.  Where a particular solution exists, the span-and-cone test
@@ -1541,13 +1540,13 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     routes = {"graded": 0, "signed": 0, "triangulation": 0}
     signed = ["_signed_solutions", "_box_solutions"]
     extra = _wide_pair_systems(random.Random(1213), 30) + [(M, b) for _, M, b in _unpaired_systems(random.Random(1214), 40)]
-    for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
-        for name, value in budgets.items():
-            monkeypatch.setattr(dio, name, value)
+    for budgets in ((_REFERENCE_CD_BUDGET, _BOX_BUDGET), (0, _BOX_BUDGET), (0, 0)):
+        reference_budget, box_budget = budgets
+        monkeypatch.setattr(dio, "_BOX_BUDGET", box_budget)
         dio._MATRIX_CACHE.clear()
-        for M, b in systems if budgets else systems + extra:
+        for M, b in systems if reference_budget == 0 else systems + extra:
             data = dio._matrix_data(M)
-            expected = _reference_min_nonneg_uncached(M, data, b)
+            expected = _reference_min_nonneg_uncached(M, data, b, reference_budget)
             settled = dio._start(data, b) is None
             graded = [] if settled or data.graded_box(b) is None else ["_box_solutions"]
             dio._MATRIX_CACHE.clear()  # the reference filled the kernel data
@@ -1587,12 +1586,12 @@ def _overflow_systems(rng, count):
 
 def test_has_nonneg_solution_is_the_truth_value_of_the_solve(monkeypatch):
     """``has_nonneg_solution`` equals ``bool(min_nonneg_solutions)`` under
-    the default budgets, with tier 1 off, and with tiers 1 and 2 off.  The
+    the default walk budget and with the walk's budget at 0.  The
     "yes" of a graded box walk that did not overflow never enters the
     solution memo (at least 20 such), whatever is stored there is the full
     answer, and the pointed overflow systems are answered with no
-    completion under the default budgets.  They are left out with tiers 1
-    and 2 off, where each takes the triangulation seconds."""
+    completion under the default budget.  They are left out with the
+    walk's budget at 0, where each takes the triangulation seconds."""
     import stdpairs.diophantine as dio
 
     systems = _existence_systems(random.Random(1212), 600)  # the certificate test's systems
@@ -1608,7 +1607,7 @@ def test_has_nonneg_solution_is_the_truth_value_of_the_solve(monkeypatch):
         return found
 
     monkeypatch.setattr(dio, "_box_solutions", walk)
-    for budgets in ({}, {"_CD_BUDGET": 0}, {"_CD_BUDGET": 0, "_BOX_BUDGET": 0}):
+    for budgets in ({}, {"_BOX_BUDGET": 0}):
         for name, value in budgets.items():
             monkeypatch.setattr(dio, name, value)
         cases = systems if dio._BOX_BUDGET == 0 else systems + heavy
@@ -1861,14 +1860,12 @@ def _kernel_matrices(rng, count):
 
 
 def test_hilbert_kernel_routes_agree_with_reference(monkeypatch):
-    """The three tiers of ``hilbert_kernel`` (walk, completion,
-    triangulation) give the reference's basis, in order, under the default
-    budgets and with both cheap tiers off; each tier answers at least 20
-    times, and the triangulation alone agrees too.  Seeded wide one-row
-    ``[A | -A]``, whose short walk overflows, join the seeded kernel
-    matrices so that completion answers well above that floor.  The
-    answering tier is the number of tier calls made, since each runs only
-    when the one before it overflows."""
+    """``hilbert_kernel`` takes one route, the triangulation, once per
+    matrix, and calls neither the box walk nor completion; its basis is
+    the reference's (a box walk, then the triangulation) on the seeded
+    kernel matrices and on seeded wide one-row ``[A | -A]``, whose kernel
+    boxes are large.  The triangulation over ``integer_kernel_basis``
+    agrees too."""
     import stdpairs.diophantine as dio
 
     matrices = _kernel_matrices(random.Random(15), 240)
@@ -1881,33 +1878,26 @@ def test_hilbert_kernel_routes_agree_with_reference(monkeypatch):
     monkeypatch.setattr(dio, "_box_solutions", _recording(tiers, "walk", dio._box_solutions))
     monkeypatch.setattr(dio, "_completion", _recording(tiers, "completion", dio._completion))
     monkeypatch.setattr(dio, "_hilbert_basis_geometric", _recording(tiers, "triangulation", _hilbert_basis_geometric))
-    order = ["walk", "completion", "triangulation"]
-    answered = [0] * 4
-    for budgets in ({}, {"_CD_BUDGET": 0}):
-        for name, value in budgets.items():
-            monkeypatch.setattr(dio, name, value)
-        for M, basis in zip(matrices, expected):
-            dio._MATRIX_CACHE.clear()
-            tiers.clear()
-            assert list(hilbert_kernel(M)) == basis, (M, budgets)
-            assert tiers == order[: len(tiers)], (M, budgets, tiers)
-            assert bool(tiers) == bool(basis), (M, budgets, tiers)
-            answered[len(tiers)] += 1
+    for M, basis in zip(matrices, expected):
+        dio._MATRIX_CACHE.clear()
+        tiers.clear()
+        assert list(hilbert_kernel(M)) == basis, M
+        assert list(hilbert_kernel(M)) == basis, M  # from the memo
+        assert tiers == ["triangulation"], (M, tiers)
     dio._MATRIX_CACHE.clear()
-    assert min(answered[1:]) >= 20, answered
     for M, basis in zip(matrices, expected):
         kernel = integer_kernel_basis(M)
         assert _hilbert_basis_geometric(kernel, _kernel_cone_rays(kernel)) == basis, M
 
 
-def test_hilbert_kernel_answers_pair_differences_without_the_triangulation(monkeypatch):
-    """The ``[A | -A]`` matrices whose box walk overflowed into the
-    triangulation are answered by the cheap tiers, and a 3-row one whose
-    completion explodes is answered before completion runs."""
+def test_hilbert_kernel_answers_pair_differences_by_the_triangulation_alone(monkeypatch):
+    """The ``[A | -A]`` matrices whose box walk overflows, and a 3-row one
+    whose completion explodes, are answered by the triangulation with the
+    reference's bases, with neither the box walk nor completion run."""
     import stdpairs.diophantine as dio
 
     def fail(*args, **kwargs):
-        raise AssertionError("tier should not run")
+        raise AssertionError("should not run")
 
     wide = [
         ([[3, 4, 3, 2, -3, -4, -3, -2]], 36),
@@ -1922,12 +1912,10 @@ def test_hilbert_kernel_answers_pair_differences_without_the_triangulation(monke
     for rows, size in wide:
         assert len(expected[IntMatrix.from_rows(rows)]) == size
     dio._MATRIX_CACHE.clear()
-    monkeypatch.setattr(dio, "_hilbert_basis_geometric", fail)
-    for rows, _ in wide:
-        M = IntMatrix.from_rows(rows)
-        assert hilbert_kernel(M) == expected[M], rows
+    monkeypatch.setattr(dio, "_box_solutions", fail)
     monkeypatch.setattr(dio, "_completion", fail)
-    assert hilbert_kernel(tall) == expected[tall]
+    for M in expected:
+        assert hilbert_kernel(M) == expected[M], M
     dio._MATRIX_CACHE.clear()
 
 
@@ -2120,10 +2108,10 @@ def test_principal_ladder_full_solves_skip_completion(monkeypatch):
 
 
 def test_full_solves_run_no_completion_outside_the_kernel_basis(monkeypatch):
-    """A one-row ``[A | -A]`` whose short kernel walk overflows takes its
-    kernel Hilbert basis from completion, while its full solve runs no
-    completion and asks for no kernel Hilbert basis: the signed walk
-    answers it.  A pointed A without zero columns (the square cone, the
+    """A one-row ``[A | -A]`` whose box walk would overflow takes its
+    kernel Hilbert basis from the triangulation, with no walk and no
+    completion, while its full solve runs no completion and asks for no
+    kernel Hilbert basis: the signed walk answers it.  A pointed A without zero columns (the square cone, the
     Veronese cone), whose kernel has no nonnegative ray and so no short
     walk, is answered by the graded box walk alone: no completion, no
     kernel Hilbert basis."""
@@ -2147,8 +2135,7 @@ def test_full_solves_run_no_completion_outside_the_kernel_basis(monkeypatch):
         with monkeypatch.context() as patch:
             if M == wide:
                 hilbert_kernel(M)
-                assert tiers == ["walk", "completion"], (M, tiers)
-                tiers.clear()
+                assert tiers == [], (M, tiers)
                 for name in ("_completion", "hilbert_kernel", "_geometric_solutions"):
                     patch.setattr(dio, name, fail)
             else:

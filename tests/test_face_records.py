@@ -209,6 +209,18 @@ def test_cold_construction_builds_one_support_and_no_record(monkeypatch):
         calls.clear()
 
 
+def test_kept_of_builds_no_record():
+    """``kept_of`` reads a face's kept columns from the monoid's kept set:
+    on a fresh monoid, asking it for every face fills no record, and the
+    records filled later hold the same kept columns."""
+    for Q in _record_monoids():
+        kept = {F: Q.kept_of(F) for F in Q.faces}
+        assert Q._records == {}, Q.gens
+        for F in Q.faces:
+            if F != BOTTOM:
+                assert Q._record(F)[1] == kept[F], (Q.gens, F)
+
+
 def test_face_records_match_their_definitions():
     """Every record holds the support vectors of its face and the kept
     columns on it, the first caller index of each minimal generator; BOTTOM
