@@ -12,9 +12,14 @@ when named.
 For each wall a fresh process builds the standard cover,
 the maximal overlap classes and the irreducible components, in that
 order, and reports per stage the seconds, the ``AffineMonoid.contains``
-calls and the triangulations (calls to
+calls, the triangulations (calls to
 ``diophantine._hilbert_basis_geometric``, the solver route that answers
-L1-L3), and the cover and decomposition SHA-1s
+L1-L3), the solver-side double descriptions (calls to
+``diophantine._facets_of_cone``: the cones of solver matrices that no
+monoid's facets give, and the facets a triangulation enumerates; the
+monoid's own enumeration, made while it is built, goes through
+``polyhedral.facet_data`` and is not counted), and the cover and
+decomposition SHA-1s
 (``sha1(repr(x))[:12]``, as ``tests/test_decomp.py::test_walls_golden``
 pins them).  It checks nothing: compare the SHA-1s with the test.  Run
 from anywhere:
@@ -65,11 +70,19 @@ def measure(name: str) -> dict:
         triangulations.append(stage)
         return triangulation(*args, **kwargs)
 
+    enumerations = []  # one entry per solver-side double description: the stage that ran it
+    facets_of_cone = diophantine._facets_of_cone
+
+    def enumerated(*args, **kwargs):
+        enumerations.append(stage)
+        return facets_of_cone(*args, **kwargs)
+
     asked = []  # one entry per contains call: the stage that asked it (the ideal's own are not reported)
     contains = AffineMonoid.contains
     AffineMonoid.contains = lambda self, b: asked.append(stage) or contains(self, b)
     stage = "ideal"
     diophantine._hilbert_basis_geometric = counted
+    diophantine._facets_of_cone = enumerated
     cols, gens = WALLS[name]
     rows = len(cols[0])
     I = MonomialIdeal(AffineMonoid(IntMatrix.from_cols(cols, rows=rows)), IntMatrix.from_cols(gens, rows=rows))
@@ -85,6 +98,7 @@ def measure(name: str) -> dict:
     decomposition = irreducible_decomposition(I)
     done = time.perf_counter()
     diophantine._hilbert_basis_geometric = triangulation
+    diophantine._facets_of_cone = facets_of_cone
     AffineMonoid.contains = contains
     stages = ("cover", "classes", "components")
     return {
@@ -94,6 +108,7 @@ def measure(name: str) -> dict:
         "components_s": round(done - classified, 3),
         "contains": [asked.count(s) for s in stages],
         "triangulations": [triangulations.count(s) for s in stages],
+        "double_descriptions": [enumerations.count(s) for s in stages],
         "cover_sha": digest(cover),
         "decomposition_sha": digest(decomposition),
     }
@@ -111,7 +126,7 @@ def main(argv: list) -> int:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     print(
         "name  cover_s  classes_s  components_s  contains per stage  triangulations per stage"
-        "  cover / decomposition SHA-1"
+        "  double descriptions per stage  cover / decomposition SHA-1"
     )
     for name in names:
         out = subprocess.run(
@@ -122,6 +137,7 @@ def main(argv: list) -> int:
             f"{name:<5} {r['cover_s']:>7.2f}  {r['classes_s']:>9.2f}  {r['components_s']:>12.2f}"
             f"  {'/'.join(map(str, r['contains'])):>18}"
             f"  {'/'.join(map(str, r['triangulations'])):>24}"
+            f"  {'/'.join(map(str, r['double_descriptions'])):>29}"
             f"  {r['cover_sha']} / {r['decomposition_sha']}"
         )
     return 0

@@ -45,6 +45,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from operator import itemgetter, le
+from typing import NamedTuple
 
 from .diophantine import (
     IntVector,
@@ -121,9 +122,10 @@ class Cover:
 # ---------------------------------------------------------------------------
 # standard pairs in a polynomial ring
 
-@dataclass(frozen=True)
-class PolyStdPair:
-    """A pair (x^u, V) in N^m: base exponent u (zero on V) plus free variables V."""
+class PolyStdPair(NamedTuple):
+    """A pair (x^u, V) in N^m: base exponent u (zero on V) plus free
+    variables V.  A named tuple, so the many pairs a cut makes cost one
+    tuple each; pairs compare and sort as ``(base, free)``."""
 
     base: tuple
     free: tuple  # strictly increasing variable indices
@@ -210,7 +212,7 @@ def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
         to_slots, to_vars = itemgetter(*order), itemgetter(*place)
         sliced = _slice_pairs(m, tuple(sorted(map(to_slots, gens))), {})
         pairs = [(to_vars(u), tuple(sorted(map(order.__getitem__, free)))) for u, free in sliced]
-    return tuple(PolyStdPair(u, free) for u, free in sorted(pairs))
+    return tuple(map(PolyStdPair._make, sorted(pairs)))
 
 
 def _slice_pairs(m: int, gens: tuple, memo: dict) -> list:

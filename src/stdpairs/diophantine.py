@@ -32,8 +32,13 @@ outside the lattice ``Z M`` (forward substitution on the echelon leaves
 a remainder).  The first two are a few dot products over cached cone
 data; the last one's quotients, a particular solution, are where the
 walks start.  The facets come from the double description below, once
-per matrix, or from the ``AffineMonoid`` over M, which has already
-enumerated them.
+per matrix, or from an ``AffineMonoid``, which has already enumerated
+its own: they give the cones of its generator matrices and of its pair
+systems ``[A_L | -A_R]`` with every generator on one side.  A matrix
+with negation pairs takes the lattice test and its solution from its
+merged matrix M' (below), which generates the same lattice; for
+``[A | -A]`` M' is A, whose echelon the membership questions have
+already built.
 
 Past the certificates, three exact routes answer a full solve:
 
@@ -281,10 +286,14 @@ class _MatrixData:
     only), the full answers per right-hand side (``solutions``) and the
     right-hand sides ``has_nonneg_solution`` found solvable
     (``feasible``).  The cone data is filled lazily by one double
-    description (``_facets_of_cone``) for every matrix, or by
-    ``store_cone`` from facets a caller (``AffineMonoid``) has already
-    enumerated, so each matrix's cone is enumerated once while its entry
-    stays in ``_MATRIX_CACHE``."""
+    description (``_facets_of_cone``), or by ``store_cone`` from a caller
+    that knows it from facets it has already enumerated
+    (``AffineMonoid``, for its generator matrices and its pair systems
+    with every generator on one side), so each matrix's cone is
+    enumerated at most once while its entry stays in ``_MATRIX_CACHE``.
+    A matrix with negation pairs reads its lattice test and x0 from the
+    data of its merged matrix M' (``merged``), and builds its own
+    echelon only for the triangulation's kernel basis."""
 
     M: IntMatrix
     hilbert: tuple | None = None
@@ -293,24 +302,30 @@ class _MatrixData:
     _cone: tuple | None = None
     _grading: tuple | None = None
     _reduction: tuple | None = None
+    _steps: tuple | None = None
     _walk: tuple | None = None
+    _merged: tuple | None = None
     _signed: tuple | None = None
 
     def cone(self):
         """``(normals, equations)``: the primitive inner facet normals and
         the span equations of ``cone(M)``, as tuples of row tuples, by one
         double description (``_facets_of_cone``) unless a caller stored
-        them.  When the negation of every column is a column too, as in the
-        ``[A | -A]`` of a principal cover, ``cone(M)`` is its linear span and
-        the double description finds no facet."""
+        them.  The pair systems of an ``AffineMonoid`` with every generator
+        on one side, the ``[A | -A]`` of a principal cover among them, have
+        theirs stored when the monoid builds them; when the negation of
+        every column is a column too, ``cone(M)`` is its linear span and
+        has no facet."""
         if self._cone is None:
-            self.store_cone(*_facets_of_cone(self.M.columns(), self.M.rows))
+            facets, equations = _facets_of_cone(self.M.columns(), self.M.rows)
+            self.store_cone([phi for phi, _ in facets], equations)
         return self._cone
 
-    def store_cone(self, facets, equations) -> None:
-        """Keep the ``_facets_of_cone(M.columns(), M.rows)`` result a caller
-        has already computed."""
-        self._cone = (tuple(phi for phi, _ in facets), tuple(equations))
+    def store_cone(self, normals, equations) -> None:
+        """Keep the normals and equations of ``cone(M)`` that a caller
+        already knows, as ``_facets_of_cone(M.columns(), M.rows)`` gives
+        them: sorted normals, the canonical span equations."""
+        self._cone = (tuple(normals), tuple(equations))
 
     def graded_box(self, b):
         """The box ``x_j <= floor(w . b / w . M_j)``, 0 on a zero column, of
@@ -353,6 +368,17 @@ class _MatrixData:
             self._reduction = (cols, pivots, sum(p < m for p in pivots))
         return self._reduction
 
+    def steps(self):
+        """The forward substitution of ``_lattice_reduce``: per column of
+        ``reduction()`` with its pivot among M's rows, the pivot row, the
+        pivot, and the column's nonzero entries on M's rows and on I's
+        rows as ``(index, entry)`` pairs."""
+        if self._steps is None:
+            cols, pivots, r = self.reduction()
+            m, entries = self.M.rows, lambda v: [(i, a) for i, a in enumerate(v) if a]
+            self._steps = tuple((p, c[p], entries(c[:m]), entries(c[m:])) for c, p in zip(cols[:r], pivots))
+        return self._steps
+
     def kernel_basis(self):
         """The tails of ``reduction()``'s last columns: an echelon basis of
         ``ker_Z M``."""
@@ -385,30 +411,42 @@ class _MatrixData:
             self._walk = ([row for row in range(n) if not level[row]], levels)
         return self._walk
 
-    def signed(self):
-        """``(merged, pairs, rows, bases, slack)``, the data of the signed
-        walk (``_signed_solutions``).
+    def merged(self):
+        """``(merged, pairs)``: the solver data of M', M without the second
+        column of each negation pair (``_negation_pairs``), and per column
+        of M' its index in M and its partner's, or None for an unpaired
+        column, whose coordinate stays nonnegative.
 
-        ``merged`` is the solver data of M', M without the second column of
-        each negation pair (``_negation_pairs``), outside ``_MATRIX_CACHE``;
-        a matrix without pairs is its own M', and ``merged`` is this data.
-        ``pairs`` holds, per column of M', its index in M and its
-        partner's, or None for an unpaired column, whose coordinate stays
-        nonnegative.  ``rows`` are r independent rows of M', r its rank, and
-        ``bases`` the ``(B, d B^-1, d)`` of every nonsingular block of M' on
-        those rows and r columns B (``_integer_inverse``).  ``slack`` is,
-        per column, the sum of ``|c_j|`` over the primitive circuits c of M'
-        (one per support, up to sign) whose unpaired entries share a sign:
-        the circuits that lie in some orthant the sign constraints allow.
-        Without pairs these are the nonnegative circuits, the extreme rays
-        of ``ker M intersect N^n``.  Every circuit is the kernel vector on a
-        basis plus one more column."""
-        if self._signed is None:
+        A matrix without pairs is its own M', and ``merged`` is this data.
+        Otherwise ``merged`` is M''s entry in ``_MATRIX_CACHE`` when it has
+        one (for ``[A | -A]`` that is A's, whose echelon the membership
+        questions have already built), else private data that is never
+        inserted.  ``Z M = Z M'``, so ``_start`` reads the lattice test and
+        x0 from M'."""
+        if self._merged is None:
             cols = self.M.columns()
             partner = _negation_pairs(cols)
             taken = set(partner.values())
-            pairs = [(j, partner.get(j)) for j in range(len(cols)) if j not in taken]
-            merged = [cols[j] for j, _ in pairs]
+            pairs = tuple((j, partner.get(j)) for j in range(len(cols)) if j not in taken)
+            merged = IntMatrix.from_cols([cols[j] for j, _ in pairs], rows=self.M.rows) if partner else None
+            self._merged = ((_MATRIX_CACHE.get(merged) or _MatrixData(merged)) if partner else self, pairs)
+        return self._merged
+
+    def signed(self):
+        """``(merged, pairs, rows, bases, slack)``, the data of the signed
+        walk (``_signed_solutions``): ``merged`` and ``pairs`` as
+        ``merged()`` gives them.  ``rows`` are r independent rows of M', r
+        its rank, and ``bases`` the ``(B, d B^-1, d)`` of every nonsingular
+        block of M' on those rows and r columns B (``_integer_inverse``).
+        ``slack`` is, per column, the sum of ``|c_j|`` over the primitive
+        circuits c of M' (one per support, up to sign) whose unpaired
+        entries share a sign: the circuits that lie in some orthant the sign
+        constraints allow.  Without pairs these are the nonnegative
+        circuits, the extreme rays of ``ker M intersect N^n``.  Every
+        circuit is the kernel vector on a basis plus one more column."""
+        if self._signed is None:
+            data, pairs = self.merged()
+            merged = data.M.columns()
             rows = _fraction_free_reduce([list(c) for c in merged], self.M.rows)[0]
             sub = [tuple(c[i] for i in rows) for c in merged]
             n, bases, circuits = len(merged), [], set()
@@ -427,7 +465,6 @@ class _MatrixData:
                     if len({v > 0 for v, (_, q) in zip(c, pairs) if v and q is None}) < 2:
                         circuits.add(max(c, tuple(-v for v in c)))
             slack = tuple(sum(abs(c[j]) for c in circuits) for j in range(n))
-            data = _MatrixData(IntMatrix.from_cols(merged, rows=self.M.rows)) if partner else self
             self._signed = (data, pairs, rows, bases, slack)
         return self._signed
 
@@ -563,15 +600,18 @@ def _lattice_reduce(data: _MatrixData, b) -> tuple:
     with floor quotients on the columns of ``data.reduction()`` with a pivot
     among M's rows.  Later columns vanish on each pivot row, which keeps its
     remainder modulo the positive pivot, so the residue is canonical modulo
-    ``Z M``: zero iff ``b`` lies in ``Z M``, equal for congruent vectors."""
-    cols, pivots, r = data.reduction()
-    m = data.M.rows
+    ``Z M``: zero iff ``b`` lies in ``Z M``, equal for congruent vectors.
+    The columns are read as ``data.steps()``, and a zero quotient is
+    skipped."""
     residue = list(b)
     x = [0] * data.M.cols
-    for col, p in zip(cols[:r], pivots):
-        q = residue[p] // col[p]
-        residue = [a - q * c for a, c in zip(residue, col)]
-        x = [a + q * c for a, c in zip(x, col[m:])]
+    for p, pivot, on_m, on_x in data.steps():
+        q = residue[p] // pivot
+        if q:
+            for i, a in on_m:
+                residue[i] -= q * a
+            for i, a in on_x:
+                x[i] += q * a
     return tuple(x), tuple(residue)
 
 
@@ -1034,7 +1074,12 @@ def _start(data: _MatrixData, b: IntVector):
     span when some span equation e has ``e . b != 0``, outside ``cone(M)``
     when some facet normal phi has ``phi . b < 0`` (Farkas' lemma), and
     outside ``Z M`` when it has no particular solution
-    (``_particular_solution``)."""
+    (``_particular_solution``).
+
+    ``Z M = Z M'`` for the merged matrix M' of ``_MatrixData.merged``, so
+    the lattice test and its solution w are taken on M', and w expands to
+    x0 with ``(x_j, x_k) = (w_j+, w_j-)`` over each negation pair: M's own
+    echelon is built only if the triangulation needs its kernel basis."""
     normals, equations = data.cone()
     for e in equations:
         if sum(map(mul, e, b)):
@@ -1042,7 +1087,14 @@ def _start(data: _MatrixData, b: IntVector):
     for phi in normals:
         if sum(map(mul, phi, b)) < 0:
             return None
-    return _particular_solution(data, b)
+    merged, pairs = data.merged()
+    w = _particular_solution(merged, b)
+    if w is None or merged is data:
+        return w
+    x0 = [0] * data.M.cols
+    for (j, k), v in zip(pairs, w):
+        x0[j if k is None or v >= 0 else k] = v if k is None else abs(v)
+    return tuple(x0)
 
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:

@@ -21,8 +21,11 @@ class AffineMonoid:
     The facets of the cone are enumerated once, here.  Pointedness, which
     every algorithm built on top assumes, is read from them (non-pointed
     input is rejected), and so are the faces and every later face closure.
-    They are also stored with the solver's data for A, and for ``A_kept``
-    (below) on first use, whose infeasibility certificates test them.  The
+    They also give the solver's cone data, which its infeasibility
+    certificates test, for A and, when first built, for every system
+    ``[A_left | -A_right]`` with all kept columns (below) on one side,
+    ``A_kept`` and the ``[A_F | -A_kept]`` of a pair difference among
+    them (``_system``), so no such system runs a double description.  The
     minimal generators are read with them too (``_minimal``): a column c is
     dropped when ``c - d`` lies in NA for another nonzero column d, which
     one existence question over A decides, asked only where no facet is
@@ -64,7 +67,7 @@ class AffineMonoid:
         self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
         self._records: dict = {}  # face -> (S_F, kept, A_off, B_F, lattice data of F): ``_record``
         self._bottom_support = _support_rows(self._facets, self._equations, gens.rows, BOTTOM)
-        _matrix_data(gens).store_cone(self._facets, self._equations)
+        _matrix_data(gens).store_cone([phi for phi, _ in self._facets], self._equations)
         # a nonzero column c is a minimal generator iff c - d lies in NA for
         # no other nonzero column d: in a pointed monoid c = d + y with
         # y != 0 is a factorization, and any factorization has such a part d
@@ -153,10 +156,19 @@ class AffineMonoid:
         return self._system(indices, ())
 
     def _system(self, left, right) -> IntMatrix:
-        """``[A_left | -A_right]``, built once per pair of index tuples.
-        ``A_kept`` spans A's cone, so its solver data takes A's facets.  An
+        """``[A_left | -A_right]``, built once per pair of index tuples.  An
         index outside ``range(gens.cols)``, BOTTOM's ``-1`` included, is a
-        ``ValueError``."""
+        ``ValueError``.
+
+        When ``right`` holds every kept column, the system's cone is
+        ``lin(left) - cone(A)``, as every column of A lies in ``cone(A)``.
+        Its dual is minus the face of A's dual cone that vanishes on
+        ``left``, so its facet normals are ``-phi`` for A's facets phi
+        containing ``left``, and its span is A's (Bruns and Gubeladze,
+        *Polytopes, Rings, and K-Theory*, ch. 1); the solver data takes
+        them, with no double description.  When ``left`` holds every kept
+        column the normals are ``+phi`` for the facets containing
+        ``right``; ``A_kept`` itself takes all of A's facets."""
         key = (tuple(left), tuple(right))
         system = self._systems.get(key)
         if system is None:
@@ -164,8 +176,11 @@ class AffineMonoid:
                 if not 0 <= j < self._gens.cols:
                     raise ValueError(f"column index {j} is not in range({self._gens.cols})")
             system = self._gens.take_cols(key[0]).hstack(self._gens.take_cols(key[1]).neg())
-            if key == (self._kept, ()):
-                _matrix_data(system).store_cone(self._facets, self._equations)
+            for sign, whole, other in ((-1, key[1], key[0]), (1, key[0], key[1])):
+                if set(self._kept) <= set(whole):
+                    normals = sorted(tuple(sign * a for a in phi) for phi, zs in self._facets if zs.issuperset(other))
+                    _matrix_data(system).store_cone(normals, self._equations)
+                    break
             _bounded_put(self._systems, key, system, _MATRIX_CACHE_CAP)
         return system
 

@@ -18,6 +18,8 @@ system; ``divides`` and ``intersect_pairs`` solve ``[A_F | -A_G]``.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .diophantine import IntMatrix, IntVector, SolutionSet, vec
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
@@ -39,7 +41,12 @@ class ProperPair:
                 raise ValueError(f"base {self.base} is not an element of the ambient monoid")
             if not is_proper(self):
                 raise ValueError(f"({self.base}, {self.face}) is not a proper pair of the ideal")
-        self.hash_string = f"pair {self.base} {self.face} | {ideal.hash_string}"
+
+    @cached_property
+    def hash_string(self) -> str:
+        """The text equality and hashing compare, built on first use: the
+        cover pipeline makes many pairs that are never compared."""
+        return f"pair {self.base} {self.face} | {self.ideal.hash_string}"
 
     @property
     def monomial(self) -> IntVector:

@@ -333,6 +333,40 @@ def test_poly_standard_pairs_large_box():
         ), v
 
 
+def test_poly_std_pairs_keep_contains_and_sorted_output():
+    """``PolyStdPair`` keeps its fields and ``contains``, which agrees with
+    the definition (``b' + N^V'`` lies in ``b + N^V`` iff ``b'`` and each
+    ``b' + e_i``, i in V', do), and ``poly_standard_pairs`` returns its
+    pairs sorted by ``(base, free)`` on seeded ideals."""
+
+    def inside(point, pair):
+        return all(x == b or i in pair.free and x >= b for i, (x, b) in enumerate(zip(point, pair.base)))
+
+    def contained(small, big):
+        points = [small.base] + [tuple(x + (i == j) for i, x in enumerate(small.base)) for j in small.free]
+        return all(inside(p, big) for p in points)
+
+    p = PolyStdPair((1, 0, 0), (1, 2))
+    assert (p.base, p.free) == ((1, 0, 0), (1, 2)) and p == PolyStdPair(base=(1, 0, 0), free=(1, 2))
+    rng = random.Random(4805)
+    compared = held = 0
+    for _ in range(150):
+        m = rng.randint(1, 4)
+        J = PolyMonomialIdeal(m, [tuple(rng.randint(0, 3) for _ in range(m)) for _ in range(rng.randint(1, 4))])
+        if J.is_unit():
+            continue
+        out = poly_standard_pairs(J)
+        assert list(out) == sorted(out, key=lambda q: (q.base, q.free)), out
+        assert all(type(q) is PolyStdPair for q in out)
+        frees = [tuple(i for i in range(m) if rng.random() < 0.5) for _ in range(6)]
+        drawn = [PolyStdPair(tuple(0 if i in V else rng.randint(0, 2) for i in range(m)), V) for V in frees]
+        for a, b in product(list(out) + drawn, repeat=2):
+            assert a.contains(b) == contained(b, a), (a, b)
+            compared += 1
+            held += a != b and a.contains(b)
+    assert compared >= 2000 and held >= 100, (compared, held)
+
+
 def test_poly_standard_pairs_runs_once_per_call(monkeypatch):
     import stdpairs.covers as covers
 

@@ -2564,3 +2564,85 @@ def test_has_nonneg_solution_rejects_a_right_hand_side_of_wrong_length():
     M = IntMatrix.from_rows([[1, 2], [0, 2]])
     with pytest.raises(ValueError, match="right-hand side has dim 3, expected 2"):
         has_nonneg_solution(M, (1, 2, 3))
+
+
+def _reference_lattice_reduce(data: _MatrixData, b) -> tuple:
+    """``_lattice_reduce`` as list arithmetic over the whole columns of
+    ``data.reduction()``, with no precomputed steps."""
+    cols, pivots, r = data.reduction()
+    m = data.M.rows
+    residue = list(b)
+    x = [0] * data.M.cols
+    for col, p in zip(cols[:r], pivots):
+        q = residue[p] // col[p]
+        residue = [a - q * c for a, c in zip(residue, col)]
+        x = [a + q * c for a, c in zip(x, col[m:])]
+    return tuple(x), tuple(residue)
+
+
+def test_lattice_reduce_matches_the_list_reference():
+    """The stepwise forward substitution gives the reference's ``(x,
+    residue)`` on the edge matrices and seeded ones with negative entries,
+    zero rows and columns, rank 0 and full rank, for right-hand sides in
+    ``Z M`` and outside it."""
+    rng = random.Random(4803)
+    matrices = _EDGE_MATRICES + _random_int_matrices(rng, 300)
+    kinds = {"zero_row": 0, "zero_column": 0, "rank_0": 0, "full_rank": 0, "negative": 0}
+    for M in matrices:
+        data = _MatrixData(M)
+        r = data.reduction()[2]
+        kinds["zero_row"] += any(not any(row) for row in M.data)
+        kinds["zero_column"] += any(not any(c) for c in M.columns())
+        kinds["rank_0"] += r == 0
+        kinds["full_rank"] += r == min(M.rows, M.cols) > 0
+        kinds["negative"] += any(a < 0 for row in M.data for a in row)
+        for _ in range(6):
+            b = tuple(rng.randint(-9, 9) for _ in range(M.rows))
+            inside = M.mul(tuple(rng.randint(-3, 3) for _ in range(M.cols)))
+            for rhs in (b, inside):
+                assert _lattice_reduce(data, rhs) == _reference_lattice_reduce(data, rhs), (M, rhs)
+    assert min(kinds.values()) >= 10, kinds
+
+
+def test_principal_cover_reads_cone_and_lattice_from_the_monoid(monkeypatch):
+    """On a cleared solver cache, the principal cover of ``(3, 2, 5)`` over
+    the square cone runs one double description, the monoid's own, and
+    builds no echelon of a matrix with a negation pair: its ``[A | -A]``
+    cut takes its cone from the monoid's facets and its lattice test and
+    x0 from ``A_kept``'s cached data.  Solving a paired system adds one
+    entry to the solver cache, M's: M' is read from the cache when it is
+    there and is never inserted."""
+    import stdpairs.diophantine as dio
+    import stdpairs.polyhedral as polyhedral
+
+    enumerated, reduced = [], []
+
+    def counting(cols, dim):
+        enumerated.append(cols)
+        return _facets_of_cone(cols, dim)
+
+    reduction = dio._MatrixData.reduction
+
+    def recording(self):
+        reduced.append(self.M)
+        return reduction(self)
+
+    monkeypatch.setattr(dio, "_facets_of_cone", counting)
+    monkeypatch.setattr(polyhedral, "_facets_of_cone", counting)
+    monkeypatch.setattr(dio._MatrixData, "reduction", recording)
+    dio._MATRIX_CACHE.clear()
+    Q = AffineMonoid(IntMatrix.from_cols(_SQUARE_CONE))
+    assert MonomialIdeal(Q, IntMatrix.from_cols([(3, 2, 5)])).standard_cover().pairs()
+    assert enumerated == [Q.gens.columns()], enumerated
+    assert reduced and not any(_negation_pairs(M.columns()) for M in reduced), reduced
+    A = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3]])
+    M = A.hstack(A.neg())
+    for cached in (False, True):
+        dio._MATRIX_CACHE.clear()
+        if cached:
+            _matrix_data(A)
+        before = len(dio._MATRIX_CACHE)
+        assert min_nonneg_solutions(M, (3, -2)), cached
+        assert len(dio._MATRIX_CACHE) == before + 1 and M in dio._MATRIX_CACHE, cached
+        assert (dio._MATRIX_CACHE[M].merged()[0] is dio._MATRIX_CACHE.get(A)) == cached
+    dio._MATRIX_CACHE.clear()

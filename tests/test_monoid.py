@@ -18,7 +18,7 @@ from stdpairs.diophantine import (
 from stdpairs.monoid import AffineMonoid, NotPointedError
 from stdpairs.polyhedral import BOTTOM, face_closure, face_lattice, facet_normals, is_pointed, support_vectors_of_face
 
-from oracles import monoid_box
+from oracles import monoid_box, seeded_instances
 
 
 def paper_monoid():
@@ -646,3 +646,38 @@ def test_vector_of_wrong_length_and_record_of_a_non_face_are_rejected():
         Q._record((1,))
     with pytest.raises(ValueError, match=r"^\(0, 1\) is not a face$"):
         Q.lattice_of((0, 1))
+
+
+def test_pair_systems_with_the_top_on_one_side_take_the_monoids_facets():
+    """For every face F of seeded monoids with zero, duplicate and
+    redundant columns, the systems ``(F, top)``, ``(kept_of(F), kept)``,
+    ``(top, F)`` and ``(kept, kept_of(F))`` have their cone data stored
+    when ``_system`` returns, and it equals the double description's
+    normals and span equations."""
+    rng = random.Random(4801)
+    counts = {"systems": 0, "with_normals": 0, "with_equations": 0, "zero": 0, "duplicate": 0, "redundant": 0}
+    for n, (d, cols, _) in enumerate(seeded_instances(160, 4802)):
+        nonzero = sorted({c for c in cols if any(c)})
+        if n % 2 and len(nonzero) >= 2:
+            cols.insert(rng.randint(0, len(cols)), vec_add(*rng.sample(nonzero, 2)))
+        diophantine._MATRIX_CACHE.clear()  # A's own data is stored by the constructor
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        kept = Q.kept_of(Q.top)
+        for F in Q.faces:
+            if F == BOTTOM:
+                continue
+            for left, right in ((F, Q.top), (Q.kept_of(F), kept), (Q.top, F), (kept, Q.kept_of(F))):
+                M = Q._system(left, right)
+                data = diophantine._MATRIX_CACHE.get(M)
+                assert data is not None and data._cone is not None, (cols, left, right)
+                facets, equations = diophantine._facets_of_cone(M.columns(), M.rows)
+                assert sorted(data._cone[0]) == sorted(phi for phi, _ in facets), (cols, left, right)
+                assert sorted(data._cone[1]) == sorted(equations), (cols, left, right)
+                counts["systems"] += 1
+                counts["with_normals"] += bool(facets)
+                counts["with_equations"] += bool(equations)
+        counts["zero"] += (0,) * d in cols
+        counts["duplicate"] += len(set(cols)) < len(cols)
+        counts["redundant"] += len(kept) < len(set(cols) - {(0,) * d})
+    diophantine._MATRIX_CACHE.clear()
+    assert counts["systems"] >= 1000 and min(counts.values()) >= 40, counts

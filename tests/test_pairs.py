@@ -32,6 +32,17 @@ def test_construction_and_repr(I):
     assert repr(P) == "([[2], [0]]^T,[[1], [0]])"
 
 
+def test_hash_string_text(I):
+    """The text that equality and hashing compare, for a checked pair and a
+    trusted one, built on first use and kept."""
+    P = ProperPair((2, 0), (0,), I)
+    T = ProperPair([1, 0], [0, 1], I, skip_check=True)
+    assert P.hash_string == "pair (2, 0) (0,) | monoid 2 2 1 2 0 2 ideal 2 1 4 4"
+    assert T.hash_string == "pair (1, 0) (0, 1) | monoid 2 2 1 2 0 2 ideal 2 1 4 4"
+    assert P.hash_string is P.hash_string and hash(P) == hash(P.hash_string)
+    assert P == ProperPair((2, 0), (0,), I, skip_check=True) and P != T
+
+
 def test_zero_base_empty_face_is_proper(I):
     P = ProperPair((0, 0), (), I)
     assert is_proper(P)
