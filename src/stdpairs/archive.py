@@ -26,10 +26,13 @@ section (a COVER pair, a pair anywhere in OVERLAP, an ASSOCIATED face, a
 DECOMPOSITION component; ``_Reader.once``) are each an ``ArchiveError``
 naming its line number; so is a domain error (a non-pointed monoid, a
 zero generator, a generator outside the monoid), named by its section's
-header line.  Each cached section's text form lives in one ``_SECTIONS``
-entry, which ``document_lines``, ``load`` and ``verify`` all read.
-Serialization is deterministic, so saving equal objects twice produces
-identical bytes.
+header line.  A repeated pair is told by its ``(face, base)``, and a load
+builds one ``ProperPair`` per ``(face, base)``: an OVERLAP pair that
+COVER listed is COVER's object (``_Reader.take_pair``), and no pair's
+hash text is built.  Each cached section's text form lives in one
+``_SECTIONS`` entry, which ``document_lines``, ``load`` and ``verify``
+all read.  Serialization is deterministic, so saving equal objects twice
+produces identical bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import Iterable
 
 from .covers import Cover
 from .decomp import OverlapClass
-from .diophantine import IntMatrix
+from .diophantine import IntMatrix, vec
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
 from .pairs import ProperPair, is_proper
@@ -95,7 +98,8 @@ class _Reader:
     def __init__(self, lines: list):
         self.lines = lines
         self.pos = 0
-        self.seen: dict = {}  # item -> its first line, over the section ``build`` reads
+        self.seen: dict = {}  # item key -> its first line, over the section ``build`` reads
+        self.pairs: dict = {}  # (face, base) -> the pair built for it, over the whole load
 
     def eof(self) -> bool:
         return self.pos >= len(self.lines)
@@ -116,11 +120,14 @@ class _Reader:
 
     def once(self, take):
         """``take()``, an item that its section has not read before; a
-        repeat is named by the line it starts on."""
+        repeat is named by the line it starts on.  A pair is keyed by its
+        ``(face, base)``, which tells pairs of one ideal apart as their hash
+        text does, without building it."""
         line, item = self.pos + 1, take()
-        if item in self.seen:
-            raise ArchiveError(f"line {line}: repeats the item on line {self.seen[item]}")
-        self.seen[item] = line
+        key = (item.face, item.base) if isinstance(item, ProperPair) else item
+        if key in self.seen:
+            raise ArchiveError(f"line {line}: repeats the item on line {self.seen[key]}")
+        self.seen[key] = line
         return item
 
     def error(self, message: str) -> ArchiveError:
@@ -187,7 +194,10 @@ class _Reader:
 
     def take_pair(self, ideal: MonomialIdeal, face: Face | None = None) -> ProperPair:
         """A pair line read as an unchecked pair of ``ideal``; with ``face``,
-        the pair must lie over it, as an overlap class's pairs do."""
+        the pair must lie over it, as an overlap class's pairs do.  Each
+        line is parsed and checked, and a ``(face, base)`` that an earlier
+        section read (an OVERLAP pair of the COVER) resolves to the pair
+        built for it then, so a load builds one pair per ``(face, base)``."""
         line = self.take("pair")
         face_text, semi, base_text = line.partition(";")
         if not semi:
@@ -196,7 +206,11 @@ class _Reader:
         if face is not None and pair_face != face:
             raise self.error(f"pair over {pair_face} in a class over {face}")
         try:
-            return ProperPair(base_text.split(), pair_face, ideal, skip_check=True)
+            base = vec(base_text.split())
+            pair = self.pairs.get((pair_face, base))
+            if pair is None:
+                pair = self.pairs[pair_face, base] = ProperPair(base, pair_face, ideal, skip_check=True)
+            return pair
         except ValueError as exc:  # a non-integer entry, or a base of another dimension
             raise self.error(f"pair {exc}")
 

@@ -285,11 +285,15 @@ class _MatrixData:
     the kernel Hilbert basis (``hilbert``, filled by ``hilbert_kernel``
     only), the full answers per right-hand side (``solutions``) and the
     right-hand sides ``has_nonneg_solution`` found solvable
-    (``feasible``).  The cone data is filled lazily by one double
-    description (``_facets_of_cone``), or by ``store_cone`` from a caller
-    that knows it from facets it has already enumerated
-    (``AffineMonoid``, for its generator matrices and its pair systems
-    with every generator on one side), so each matrix's cone is
+    (``feasible``), and, for the generating matrix of a pointed
+    ``AffineMonoid``, the monoid's construction data (``monoid``: its
+    facets with their zero sets, span equations, faces, the face set,
+    BOTTOM's support rows, kept columns, minimal generators and hash
+    text), which every monoid of an equal matrix reads.  The cone data is
+    filled lazily by one double description (``_facets_of_cone``), or by
+    ``store_cone`` from a caller that knows it from facets it has already
+    enumerated (``AffineMonoid``, for its generator matrices and its pair
+    systems with every generator on one side), so each matrix's cone is
     enumerated at most once while its entry stays in ``_MATRIX_CACHE``.
     A matrix with negation pairs reads its lattice test and x0 from the
     data of its merged matrix M' (``merged``), and builds its own
@@ -299,6 +303,7 @@ class _MatrixData:
     hilbert: tuple | None = None
     solutions: dict = field(default_factory=dict)
     feasible: dict = field(default_factory=dict)
+    monoid: tuple | None = None
     _cone: tuple | None = None
     _grading: tuple | None = None
     _reduction: tuple | None = None

@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import partial
 from operator import le
 
-from .diophantine import _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
+from .diophantine import _MATRIX_CACHE, _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
 from .diophantine import _MatrixData, _particular_solution
 from .diophantine import has_nonneg_solution, min_nonneg_solutions, vec, vec_sub
 from .polyhedral import BOTTOM, Face, _closure, _lattice, _pointed, _support_rows, facet_data
@@ -18,7 +18,12 @@ class NotPointedError(ValueError):
 class AffineMonoid:
     """The monoid of all nonnegative integer combinations of the columns of A.
 
-    The facets of the cone are enumerated once, here.  Pointedness, which
+    The facets of the cone are enumerated once per generating matrix,
+    here: the first construction keeps what it derives below (facets, span
+    equations, faces, BOTTOM's support, kept columns, minimal generators,
+    hash text) in the matrix's entry of the solver cache
+    (``_MatrixData.monoid``), and every monoid of an equal matrix reads
+    it there while that entry is cached.  Pointedness, which
     every algorithm built on top assumes, is read from them (non-pointed
     input is rejected), and so are the faces and every later face closure.
     They also give the solver's cone data, which its infeasibility
@@ -59,23 +64,28 @@ class AffineMonoid:
         if not isinstance(gens, IntMatrix):
             gens = IntMatrix.from_rows(gens)
         self._gens = gens
-        self._facets, self._equations = facet_data(gens)
-        if not _pointed(gens, self._facets):
-            raise NotPointedError("generating matrix spans a cone containing a line")
-        self._faces = _lattice(self._facets, gens.cols)
-        self._face_set = frozenset(self._faces) - {BOTTOM}  # what every face check reads
+        data = _MATRIX_CACHE.get(gens)
+        if data is None or data.monoid is None:
+            facets, equations = facet_data(gens)
+            if not _pointed(gens, facets):
+                raise NotPointedError("generating matrix spans a cone containing a line")
+            faces = _lattice(facets, gens.cols)
+            bottom = _support_rows(facets, equations, gens.rows, BOTTOM)
+            data = _matrix_data(gens)
+            data.store_cone([phi for phi, _ in facets], equations)
+            # a nonzero column c is a minimal generator iff c - d lies in NA for
+            # no other nonzero column d: in a pointed monoid c = d + y with
+            # y != 0 is a factorization, and any factorization has such a part d
+            cols = gens.columns()
+            mingens = _minimal(set(cols) - {(0,) * gens.rows}, bottom, partial(has_nonneg_solution, gens))
+            kept = tuple(sorted(map(cols.index, mingens)))
+            mingens = IntMatrix.from_cols(mingens, rows=gens.rows)
+            hash_string = "monoid " + mingens.to_token()
+            data.monoid = (facets, equations, faces, frozenset(faces) - {BOTTOM}, bottom, kept, mingens, hash_string)
+        (self._facets, self._equations, self._faces, self._face_set,  # the face set: what every face check reads
+         self._bottom_support, self._kept, self._mingens, self._hash_string) = data.monoid
         self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
         self._records: dict = {}  # face -> (S_F, kept, A_off, B_F, lattice data of F): ``_record``
-        self._bottom_support = _support_rows(self._facets, self._equations, gens.rows, BOTTOM)
-        _matrix_data(gens).store_cone([phi for phi, _ in self._facets], self._equations)
-        # a nonzero column c is a minimal generator iff c - d lies in NA for
-        # no other nonzero column d: in a pointed monoid c = d + y with
-        # y != 0 is a factorization, and any factorization has such a part d
-        cols = gens.columns()
-        mingens = _minimal(set(cols) - {(0,) * gens.rows}, self._bottom_support, partial(has_nonneg_solution, gens))
-        self._kept = tuple(sorted(map(cols.index, mingens)))
-        self._mingens = IntMatrix.from_cols(mingens, rows=gens.rows)
-        self._hash_string = "monoid " + self._mingens.to_token()
 
     @property
     def gens(self) -> IntMatrix:

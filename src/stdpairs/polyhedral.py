@@ -19,8 +19,10 @@ facet zero sets, its support vectors are the normals of the facets
 containing it, the closure of a column set is the intersection of the
 facets containing it, and the cone is pointed iff every column on all of
 its facets is zero.  The private helpers below take an already enumerated
-``(facets, equations)`` pair, so an ``AffineMonoid`` enumerates its facets
-once and derives its pointedness, faces, supports and closures from them;
+``(facets, equations)`` pair, so an ``AffineMonoid`` derives its
+pointedness, faces, supports and closures from one enumeration, made by
+the first monoid of its generating matrix and kept in the matrix's solver
+cache entry (``diophantine._MatrixData.monoid``) for every equal one;
 each public function here enumerates the facets of its argument once.
 """
 

@@ -526,3 +526,61 @@ def test_verify_rejects_an_improper_stored_pair_and_passes_good_documents(tmp_pa
     assert sp.verify(load(path)) is None
     save(paper_monoid, path)
     assert sp.verify(load(path)) is None
+
+
+def _golden_ideal():
+    """The golden ideal with its cover, overlap classes and decomposition."""
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 2, 3], [1, 2, 0, 0]]))
+    I = sp.MonomialIdeal(Q, IntMatrix.from_rows([[3, 5, 6], [2, 1, 1]]))
+    I.irreducible_decomposition()
+    assert {"standard_cover", "overlap_classes", "irreducible_decomposition"} <= set(I._cache)
+    return I
+
+
+def _loaded_pairs(loaded) -> list:
+    cover = loaded._cache.get("standard_cover")
+    classes = loaded._cache.get("overlap_classes", {})
+    return (cover.pairs() if cover else []) + [p for cs in classes.values() for c in cs for p in c.pairs]
+
+
+def test_a_load_builds_one_pair_per_face_and_base(tmp_path):
+    """Every OVERLAP pair is the COVER pair of its (face, base), and no
+    loaded pair has built its hash text."""
+    path = str(tmp_path / "golden.txt")
+    save(_golden_ideal(), path)
+    loaded = load(path)
+    cover = {(p.face, p.base): p for p in loaded._cache["standard_cover"].pairs()}
+    overlap = [p for cs in loaded._cache["overlap_classes"].values() for c in cs for p in c.pairs]
+    assert len(overlap) == len(cover) and all(p is cover[p.face, p.base] for p in overlap)
+    assert not any("hash_string" in p.__dict__ for p in _loaded_pairs(loaded))
+
+
+def test_a_second_load_enumerates_no_facets(tmp_path, monkeypatch):
+    """The loaded monoid reads its construction data from the solver cache
+    entry of its matrix, which the first load left."""
+    import stdpairs.diophantine as diophantine
+    import stdpairs.polyhedral as polyhedral
+
+    path = str(tmp_path / "golden.txt")
+    save(_golden_ideal(), path)
+    first = load(path)
+    calls = []
+    for module in (polyhedral, diophantine):
+        original = module._facets_of_cone
+        monkeypatch.setattr(module, "_facets_of_cone", lambda *args, original=original: calls.append(args) or original(*args))
+    second = load(path)
+    assert calls == []
+    assert second == first and second._cache == first._cache
+
+
+def test_overlap_without_cover_loads_and_verifies(tmp_path):
+    """With no COVER to read them from, OVERLAP builds its own pairs."""
+    I = _golden_ideal()
+    J = sp.MonomialIdeal(I.ambient, I.gens)
+    J._cache["overlap_classes"] = I._cache["overlap_classes"]
+    path = str(tmp_path / "overlap.txt")
+    save(J, path)
+    loaded = load(path)
+    assert not any("hash_string" in p.__dict__ for p in _loaded_pairs(loaded))
+    assert set(loaded._cache) == {"overlap_classes"} and loaded._cache == J._cache
+    sp.verify(loaded)

@@ -10,9 +10,9 @@ from math import gcd
 import pytest
 
 from stdpairs.covers import minimal_holes
-from stdpairs.diophantine import IntMatrix, has_nonneg_solution, min_nonneg_solutions, vec_sub
+from stdpairs.diophantine import _MATRIX_CACHE, IntMatrix, has_nonneg_solution, min_nonneg_solutions, vec_sub
 from stdpairs.ideal import MonomialIdeal
-from stdpairs.monoid import AffineMonoid
+from stdpairs.monoid import AffineMonoid, NotPointedError
 from stdpairs.pairs import ProperPair, is_divisor, is_proper
 from stdpairs.polyhedral import BOTTOM, support_vectors_of_face
 
@@ -180,12 +180,17 @@ _RECORD_MONOIDS = [
 ]
 
 
-def _record_monoids():
-    """The monoids above and seeded ones, with zero and duplicate columns."""
+def _record_matrices():
+    """The matrices above and seeded ones, with zero and duplicate columns."""
     for cols in _RECORD_MONOIDS:
-        yield AffineMonoid(IntMatrix.from_cols(cols, rows=3))
+        yield IntMatrix.from_cols(cols, rows=3)
     for d, cols, _ in seeded_instances(60, 43):
-        yield AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        yield IntMatrix.from_cols(cols, rows=d)
+
+
+def _record_monoids():
+    """The monoids of ``_record_matrices``."""
+    return map(AffineMonoid, _record_matrices())
 
 
 def test_cold_construction_builds_one_support_and_no_record(monkeypatch):
@@ -201,11 +206,62 @@ def test_cold_construction_builds_one_support_and_no_record(monkeypatch):
         return original(facets, equations, dim, face)
 
     monkeypatch.setattr(monoid, "_support_rows", counting)
-    for Q in _record_monoids():
+    for A in _record_matrices():
+        _MATRIX_CACHE.clear()  # a cold construction: no earlier monoid of A left its data
+        Q = AffineMonoid(A)
         assert calls == [BOTTOM] and Q._records == {}
         calls.clear()
         Q.supports
         assert sorted(calls) == sorted(Q._records) == sorted(F for F in Q.faces if F != BOTTOM)
+        calls.clear()
+
+
+def test_equal_matrices_share_construction_data(monkeypatch):
+    """The first monoid of a matrix keeps its construction data in the
+    matrix's solver cache entry: a monoid of an equal matrix enumerates no
+    facets, computes no support rows and no minimal generators, answers
+    alike and starts with its own empty records.  Once the cache is
+    cleared the next construction enumerates again; a non-pointed matrix
+    keeps nothing and is rejected every time."""
+    import stdpairs.diophantine as diophantine
+    import stdpairs.monoid as monoid
+    import stdpairs.polyhedral as polyhedral
+
+    calls = []
+
+    def counting(label, original):
+        def wrapper(*args):
+            calls.append(label)
+            return original(*args)
+
+        return wrapper
+
+    for label, module, name in (
+        ("enumeration", polyhedral, "_facets_of_cone"),
+        ("solver enumeration", diophantine, "_facets_of_cone"),
+        ("support", monoid, "_support_rows"),
+        ("minimal", monoid, "_minimal"),
+    ):
+        monkeypatch.setattr(module, name, counting(label, getattr(module, name)))
+    for A in _record_matrices():
+        _MATRIX_CACHE.clear()
+        P = AffineMonoid(A)
+        P.supports
+        calls.clear()
+        Q = AffineMonoid(IntMatrix.from_rows(A.data, cols=A.cols))  # equal to A, another object
+        assert calls == [], A
+        assert (Q.faces, Q.mingens, Q.hash_string) == (P.faces, P.mingens, P.hash_string), A
+        assert [Q.kept_of(F) for F in Q.faces] == [P.kept_of(F) for F in P.faces], A
+        assert Q._records == {} and Q._records is not P._records and P._records
+        _MATRIX_CACHE.clear()
+        AffineMonoid(A)
+        assert calls.count("enumeration") == 1, A
+        calls.clear()
+    line = IntMatrix.from_rows([[1, -1, 0], [0, 0, 1]])
+    for _ in range(2):
+        with pytest.raises(NotPointedError):
+            AffineMonoid(line)
+        assert calls == ["enumeration"] and line not in _MATRIX_CACHE
         calls.clear()
 
 

@@ -77,6 +77,7 @@ def test_facets_enumerated_once_per_monoid(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(polyhedral, "_facets_of_cone", counting)
+    diophantine._MATRIX_CACHE.clear()  # a cold construction: no earlier monoid of the matrix left its data
     Q = AffineMonoid(IntMatrix.from_rows([[0, 1, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1]]))
     assert len(calls) == 1
     Q.faces
