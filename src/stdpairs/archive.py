@@ -41,7 +41,7 @@ from typing import Iterable
 
 from .covers import Cover
 from .decomp import OverlapClass
-from .diophantine import IntMatrix, vec
+from .diophantine import IntMatrix
 from .ideal import MonomialIdeal
 from .monoid import AffineMonoid
 from .pairs import ProperPair, is_proper
@@ -52,6 +52,15 @@ FORMAT_TAG = "STDPAIRS v1"
 
 class ArchiveError(ValueError):
     """Malformed archive content; the message carries a line number."""
+
+
+def _integer(token: str, what: str) -> int:
+    """``token`` read as an integer; any other token is a ``ValueError``
+    naming ``what`` and the token."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{what}: {token.strip()!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +215,7 @@ class _Reader:
         if face is not None and pair_face != face:
             raise self.error(f"pair over {pair_face} in a class over {face}")
         try:
-            base = vec(base_text.split())
+            base = tuple(_integer(token, "base") for token in base_text.split())
             pair = self.pairs.get((pair_face, base))
             if pair is None:
                 pair = self.pairs[pair_face, base] = ProperPair(base, pair_face, ideal, skip_check=True)

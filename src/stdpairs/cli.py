@@ -23,7 +23,7 @@ import argparse
 import logging
 import sys
 
-from .archive import ArchiveError, _Reader, export_macaulay2, load, save, verify
+from .archive import ArchiveError, _integer, _Reader, export_macaulay2, load, save, verify
 from .covers import Cover, standard_cover
 from .decomp import associated_primes, irreducible_decomposition, multiplicity
 from .diophantine import IntMatrix
@@ -49,13 +49,7 @@ def parse_face_arg(text: str):
     text = text.strip()
     if text in ("", "()"):
         return ()
-    indices = set()
-    for token in text.split(","):
-        try:
-            indices.add(int(token))
-        except ValueError:
-            raise ValueError(f"--face: {token.strip()!r} is not an integer") from None
-    return tuple(sorted(indices))
+    return tuple(sorted({_integer(token, "--face") for token in text.split(",")}))
 
 
 def _load(path: str, kind: type, check: bool):

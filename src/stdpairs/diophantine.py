@@ -38,7 +38,9 @@ systems ``[A_L | -A_R]`` with every generator on one side.  A matrix
 with negation pairs takes the lattice test and its solution from its
 merged matrix M' (below), which generates the same lattice; for
 ``[A | -A]`` M' is A, whose echelon the membership questions have
-already built.
+already built.  One map, ``_unmerge``, takes a point w of M' back to M,
+``(x_j, x_k) = (w_j+, w_j-)`` over each negation pair: the start point
+x0 and every point of the signed walk go through it.
 
 Past the certificates, three exact routes answer a full solve:
 
@@ -71,7 +73,9 @@ Most callers only ask whether a solution exists.  They call
 ``has_nonneg_solution``, which runs the same certificates and the same
 two walks on every system (``_walks``), each stopping at the first
 solution it finds; only when both walks overflow does it answer in
-full, by the triangulation from the same start point.
+full, by the triangulation from the same start point.  Both entries open
+the same way (``_memoised``): the right-hand side is checked, ``b = 0``
+answered, and a memoised full answer read.
 """
 
 from __future__ import annotations
@@ -79,14 +83,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import gcd
-from operator import add, le, mul, sub
+from operator import add, index, le, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 IntVector = tuple  # tuple[int, ...]; kept loose so plain tuples interoperate
 
 
 def vec(entries: Iterable[int]) -> IntVector:
-    return tuple(map(int, entries))
+    """The entries as a tuple of ints; an entry that is not an integer (a
+    float, a ``Fraction``, a string) is a ``TypeError``, never truncated."""
+    return tuple(map(index, entries))
 
 
 def vec_add(u: IntVector, v: IntVector) -> IntVector:
@@ -154,6 +160,8 @@ class IntMatrix:
         cols = [vec(c) for c in cols]
         if rows is None:
             rows = len(cols[0]) if cols else 0
+        if any(len(c) != rows for c in cols):
+            raise ValueError("ragged matrix column")
         data = tuple(tuple(c[i] for c in cols) for i in range(rows))
         return cls(rows, len(cols), data)
 
@@ -1021,18 +1029,11 @@ def min_nonneg_solutions(M: IntMatrix, b: IntVector) -> SolutionSet:
     ``has_nonneg_solution``, which takes the same walks and stops at the
     first solution.
     """
-    b = vec(b)
-    if len(b) != M.rows:
-        raise ValueError(f"right-hand side has dim {len(b)}, expected {M.rows}")
-    if vec_is_zero(b):
-        return SolutionSet.of(M.cols, [(0,) * M.cols])
-    data = _matrix_data(M)
-    cached = data.solutions.get(b)
-    if cached is not None:
-        return cached
-    result = _min_nonneg_uncached(M, data, b)
-    _bounded_put(data.solutions, b, result, _SOLUTIONS_CAP)
-    return result
+    b, data, answer = _memoised(M, b)
+    if answer is None:
+        answer = _min_nonneg_uncached(M, data, b)
+        _bounded_put(data.solutions, b, answer, _SOLUTIONS_CAP)
+    return answer
 
 
 def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
@@ -1050,15 +1051,9 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
     ``_BOX_BUDGET`` is the question answered in full, by the triangulation
     from the same x0 (``_geometric_solutions``), and memoised.
     """
-    b = vec(b)
-    if len(b) != M.rows:
-        raise ValueError(f"right-hand side has dim {len(b)}, expected {M.rows}")
-    if vec_is_zero(b):
-        return True
-    data = _matrix_data(M)
-    cached = data.solutions.get(b)
-    if cached is not None:
-        return bool(cached)
+    b, data, answer = _memoised(M, b)
+    if answer is not None:
+        return bool(answer)
     if b in data.feasible:
         return True
     x0 = _start(data, b)
@@ -1072,6 +1067,20 @@ def has_nonneg_solution(M: IntMatrix, b: IntVector) -> bool:
     return bool(found)
 
 
+def _memoised(M: IntMatrix, b: IntVector) -> tuple:
+    """``(b, data, answer)``, the opening both solver entries share: b as
+    a vector with one entry per row of M, M's cached data, and the memoised full
+    answer for b, or None.  ``b = 0`` is answered by the zero vector,
+    without looking M up."""
+    b = vec(b)
+    if len(b) != M.rows:
+        raise ValueError(f"right-hand side has dim {len(b)}, expected {M.rows}")
+    if vec_is_zero(b):
+        return b, None, SolutionSet(M.cols, ((0,) * M.cols,))
+    data = _matrix_data(M)
+    return b, data, data.solutions.get(b)
+
+
 def _start(data: _MatrixData, b: IntVector):
     """An integer solution x0 of ``M x = b`` (sign unrestricted), where the
     walks start, or None when a certificate shows that ``M x = b`` has no
@@ -1082,9 +1091,9 @@ def _start(data: _MatrixData, b: IntVector):
     (``_particular_solution``).
 
     ``Z M = Z M'`` for the merged matrix M' of ``_MatrixData.merged``, so
-    the lattice test and its solution w are taken on M', and w expands to
-    x0 with ``(x_j, x_k) = (w_j+, w_j-)`` over each negation pair: M's own
-    echelon is built only if the triangulation needs its kernel basis."""
+    the lattice test and its solution w are taken on M', and the one
+    M'-to-M map, ``_unmerge``, expands w to x0: M's own echelon is built
+    only if the triangulation needs its kernel basis."""
     normals, equations = data.cone()
     for e in equations:
         if sum(map(mul, e, b)):
@@ -1094,12 +1103,17 @@ def _start(data: _MatrixData, b: IntVector):
             return None
     merged, pairs = data.merged()
     w = _particular_solution(merged, b)
-    if w is None or merged is data:
-        return w
-    x0 = [0] * data.M.cols
+    return w if w is None or merged is data else _unmerge(pairs, w, data.M.cols)
+
+
+def _unmerge(pairs, w, n: int) -> IntVector:
+    """The map from a point w of the merged matrix M' back to M, for the
+    ``pairs`` of ``_MatrixData.merged``: ``(x_j, x_k) = (w_j+, w_j-)``
+    over each negation pair, ``x_j = w_j`` on an unpaired column."""
+    x = [0] * n
     for (j, k), v in zip(pairs, w):
-        x0[j if k is None or v >= 0 else k] = v if k is None else abs(v)
-    return tuple(x0)
+        x[j if k is None or v >= 0 else k] = v if k is None else abs(v)
+    return tuple(x)
 
 
 def _min_nonneg_uncached(M: IntMatrix, data: _MatrixData, b: IntVector) -> SolutionSet:
@@ -1141,7 +1155,9 @@ def _signed_solutions(data: _MatrixData, b: IntVector, x0, first: bool = False):
     keeps unpaired coordinates nonnegative, plus ``slack_j``.  The box is
     closed under going conformally down, so the filter inside it is exact.
     The walk starts from ``x0`` mapped to M' (``w_j = x_j - x_k`` over
-    each pair), shifted by the box on the free coordinates.
+    each pair), shifted by the box on the free coordinates, and each of
+    its points maps back to M by ``_unmerge``, the map ``_start`` uses for
+    x0.
     Without pairs, M' is M, the circuits are the extreme rays of
     ``ker M intersect N^n``, the box is the vertices plus sub-unit
     multiples of those rays, and the filter is plain minimality."""
@@ -1159,12 +1175,7 @@ def _signed_solutions(data: _MatrixData, b: IntVector, x0, first: bool = False):
     points = _box_solutions(merged, w0, vec_add(box, low), budget=_BOX_BUDGET, first=first)
     if points is None:
         return None
-    out = []
-    for p in points:
-        x = [0] * data.M.cols
-        for (j, k), v in zip(pairs, vec_sub(p, low)):
-            x[j if v >= 0 else k] = abs(v)
-        out.append(tuple(x))
+    out = [_unmerge(pairs, vec_sub(p, low), data.M.cols) for p in points]
     return out if first else minimal_elements(out)
 
 

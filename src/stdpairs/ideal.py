@@ -74,9 +74,7 @@ class MonomialIdeal:
         The witness is deterministic: first generator in canonical order,
         lexicographically least x.
         """
-        b = vec(b)
-        if len(b) != self._ambient.dim:
-            raise ValueError(f"vector has dim {len(b)}, expected {self._ambient.dim}")
+        b = self._ambient._vector(b)
         for g in self._gens.columns():
             sols = self._ambient.meet(g, self._ambient.top, b, ())
             if sols:

@@ -29,7 +29,7 @@ from .polyhedral import Face
 class ProperPair:
     def __init__(self, base: IntVector, face: Face, ideal: MonomialIdeal, skip_check: bool = False):
         self.base = vec(base)
-        self.face = tuple(int(j) for j in face)
+        self.face = vec(face)
         self.ideal = ideal
         monoid = ideal.ambient
         if len(self.base) != monoid.dim:

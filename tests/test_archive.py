@@ -179,6 +179,25 @@ def test_load_rejects_pair_base_of_wrong_length(tmp_path, sections, bad_line):
 
 
 @pytest.mark.parametrize(
+    "sections, bad_line, token",
+    [
+        ("COVER\n1\n0;1 1.5\n", 8, "1.5"),
+        ("IDEAL\n2 1\n2\n1\nCOVER\n2\n0;0 0\n0;x 1\n", 13, "x"),
+        ("IDEAL\n2 1\n2\n1\nOVERLAP\n1\n0;2\n0;0 0\n0;5/2 0\n", 14, "5/2"),
+    ],
+    ids=["cover", "ideal_cover", "overlap_pair"],
+)
+def test_load_rejects_non_integer_pair_base(tmp_path, sections, bad_line, token):
+    """A pair base entry that is not an integer is an ``ArchiveError``
+    naming its line and the token, as ``--face`` names its token."""
+    path = str(tmp_path / "bad.txt")
+    with open(path, "w") as fh:
+        fh.write("STDPAIRS v1\nMONOID\n2 3\n1 1 1\n0 1 2\n" + sections)
+    with pytest.raises(ArchiveError, match=rf"^line {bad_line}: pair base: '{re.escape(token)}' is not an integer$"):
+        load(path)
+
+
+@pytest.mark.parametrize(
     "sections, bad_line",
     [
         ("IDEAL\n3 1\n2\n1\n1\n", 7),

@@ -134,6 +134,15 @@ def test_a_non_integer_face_index_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == "error: --face: 'a' is not an integer\n"
 
 
+def test_a_non_integer_pair_base_is_named(tmp_path, capsys):
+    """A pair base token that is not an integer exits 2 naming its line and
+    the token, as ``--face`` does, not by ``int()``'s own message."""
+    path = tmp_path / "bad.txt"
+    path.write_text("STDPAIRS v1\nMONOID\n1 2\n2 3\nIDEAL\n1 1\n5\nCOVER\n1\n0,1;1.5\n")
+    assert main(["--quiet", "ideal", str(path), "assoc"]) == 2
+    assert capsys.readouterr().err == "error: line 10: pair base: '1.5' is not an integer\n"
+
+
 def test_monoid_file_and_matrix_together_are_rejected(tmp_path, capsys):
     """``monoid FILE ACTION --matrix M`` names both sources and exits 2,
     whether or not FILE exists, instead of reading the matrix alone."""

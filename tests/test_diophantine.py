@@ -45,7 +45,7 @@ from stdpairs.diophantine import (
     vec_sub,
 )
 
-from stdpairs import AffineMonoid, MonomialIdeal, irreducible_decomposition
+from stdpairs import AffineMonoid, MonomialIdeal, ProperPair, irreducible_decomposition
 
 from oracles import brute_hilbert, brute_min_solutions, seeded_instances
 from test_acceptance import random_instances
@@ -230,6 +230,51 @@ def test_matrix_shapes_and_ops():
     assert M.take_cols([1]).data == ((2,), (2,))
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
+
+
+def test_ragged_columns_are_rejected():
+    """A column of another length is a ``ValueError``, as a ragged row is
+    for ``from_rows``: not dropped entries, not an ``IndexError``."""
+    with pytest.raises(ValueError, match="ragged matrix column"):
+        IntMatrix.from_cols([[1, 2], [3, 4, 5]])
+    with pytest.raises(ValueError, match="ragged matrix column"):
+        IntMatrix.from_cols([[1, 2]], rows=3)
+    assert IntMatrix.from_cols([], rows=2) == IntMatrix(2, 0, ((), ()))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IntMatrix.from_rows([[1.7, 2]]),
+        lambda: IntMatrix.from_cols([(1, 2.0)]),
+        lambda: AffineMonoid([[1, 1], [0, 1]]).contains((2.9, 1.2)),
+        lambda: AffineMonoid([[1, 1], [0, 1]]).is_element((Fraction(5, 2), 1)),
+        lambda: MonomialIdeal(AffineMonoid([[1, 1], [0, 1]]), [[2.5], [1.9]]),
+        lambda: MonomialIdeal(AffineMonoid([[1, 1], [0, 1]]), [[2], [1]]).is_element(("2", "1")),
+        lambda: min_nonneg_solutions(IntMatrix.from_rows([[1, 2]]), (Fraction(4, 1),)),
+        lambda: has_nonneg_solution(IntMatrix.from_rows([[1, 2]]), (3.0,)),
+        lambda: ProperPair((2, 1), (0.9,), MonomialIdeal(AffineMonoid([[1, 1], [0, 1]]), [[2], [1]]), skip_check=True),
+    ],
+    ids=["from_rows", "from_cols", "contains", "monoid_is_element", "ideal", "ideal_is_element", "solve", "exists", "pair_face"],
+)
+def test_non_integer_entries_are_rejected(make):
+    """A float, ``Fraction`` or string entry is a ``TypeError``, never
+    truncated: ``(2.9, 1.2)`` is not read as the monoid's ``(2, 1)``, nor
+    is a generator ``(2.5, 1.9)`` read as ``(2, 1)``, nor a pair's face
+    ``(0.9,)`` as ``(0,)``; an integral ``Fraction(4, 1)`` or ``3.0`` is
+    not an ``int`` either."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        make()
+
+
+def test_integer_like_entries_are_read_as_ints():
+    """Bools and numpy integers are integers, and read as plain ``int``s."""
+    np = pytest.importorskip("numpy")
+    M = IntMatrix.from_rows(np.array([[1, 1], [0, 1]]))
+    assert M == IntMatrix.from_rows([[1, 1], [0, 1]])
+    assert all(type(a) is int for r in M.data for a in r)
+    assert min_nonneg_solutions(M, (np.int64(2), True)) == min_nonneg_solutions(M, (2, 1))
+    assert AffineMonoid([[True, 1], [False, 1]]).contains((np.int32(2), 1))
 
 
 def _reference_mul(A: IntMatrix, x) -> tuple:
