@@ -407,7 +407,7 @@ def _prune_nested(monoid: AffineMonoid, pairs: list) -> list:
     lattices: dict = {}  # face -> (data of A_K, independent columns, residue -> [(kept base, x)])
     for face in {face for _, face in pairs}:
         data = monoid.lattice_of(face)
-        lattices[face] = (data, data.reduction()[2] == data.M.cols, {})
+        lattices[face] = (data, data.reduction[2] == data.M.cols, {})
     above = {f: [f] + [g for g in lattices if g != f and set(f) <= set(g)] for f in lattices}
     keep: list = []
     for base, face in sorted(pairs, key=lambda p: (-len(p[1]), vec_dot(w, p[0]))):

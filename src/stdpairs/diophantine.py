@@ -81,6 +81,7 @@ answered, and a memoised full answer read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from math import gcd
 from operator import add, index, le, mul, sub
@@ -284,27 +285,31 @@ def _combination(basis: list, y) -> IntVector:
 
 @dataclass
 class _MatrixData:
-    """Per-matrix cache: the data the infeasibility certificates read (the
-    facet normals and span equations of ``cone(M)``), the grading the
-    normals give and whether the system is pointed in it
-    (``graded_box``), one column echelon reduction (particular solutions,
-    the lattice test and residues modulo ``Z M``, the kernel lattice), the
-    box walk's plan (``walk_plan``), the signed walk's data (``signed``),
-    the kernel Hilbert basis (``hilbert``, filled by ``hilbert_kernel``
-    only), the full answers per right-hand side (``solutions``) and the
-    right-hand sides ``has_nonneg_solution`` found solvable
-    (``feasible``), and, for the generating matrix of a pointed
-    ``AffineMonoid``, the monoid's construction data (``monoid``: its
-    facets with their zero sets, span equations, faces, the face set,
-    BOTTOM's support rows, kept columns, minimal generators and hash
-    text), which every monoid of an equal matrix reads.  The cone data is
-    filled lazily by one double description (``_facets_of_cone``), or by
-    ``store_cone`` from a caller that knows it from facets it has already
-    enumerated (``AffineMonoid``, for its generator matrices and its pair
-    systems with every generator on one side), so each matrix's cone is
-    enumerated at most once while its entry stays in ``_MATRIX_CACHE``.
-    A matrix with negation pairs reads its lattice test and x0 from the
-    data of its merged matrix M' (``merged``), and builds its own
+    """Per-matrix cache.  Five fields: ``M``; the kernel Hilbert basis
+    (``hilbert``, filled by ``hilbert_kernel`` only); the full answers per
+    right-hand side (``solutions``); the right-hand sides
+    ``has_nonneg_solution`` found solvable (``feasible``); and, for the
+    generating matrix of a pointed ``AffineMonoid``, the monoid's
+    construction data (``monoid``: its facets with their zero sets, span
+    equations, faces, the face set, BOTTOM's support rows, kept columns,
+    minimal generators and hash text), which every monoid of an equal
+    matrix reads.
+
+    Everything else is a cached property, computed on first read: the data
+    the infeasibility certificates read (``cone``: the facet normals and
+    span equations of ``cone(M)``), the grading the normals give and
+    whether the system is pointed in it (``_grading``, read by
+    ``graded_box``), one column echelon reduction (``reduction``:
+    particular solutions, the lattice test and residues modulo ``Z M``, the
+    kernel lattice) and its forward substitution (``steps``), the box
+    walk's plan (``walk_plan``), the merged matrix M' (``merged``) and the
+    signed walk's data (``signed``).  ``cone`` comes from one double
+    description (``_facets_of_cone``), or from ``store_cone`` for a caller
+    that knows it from facets it has already enumerated (``AffineMonoid``,
+    for its generator matrices and its pair systems with every generator
+    on one side), so each matrix's cone is enumerated at most once while
+    its entry stays in ``_MATRIX_CACHE``.  A matrix with negation pairs
+    reads its lattice test and x0 from the data of M', and builds its own
     echelon only for the triangulation's kernel basis."""
 
     M: IntMatrix
@@ -312,14 +317,8 @@ class _MatrixData:
     solutions: dict = field(default_factory=dict)
     feasible: dict = field(default_factory=dict)
     monoid: tuple | None = None
-    _cone: tuple | None = None
-    _grading: tuple | None = None
-    _reduction: tuple | None = None
-    _steps: tuple | None = None
-    _walk: tuple | None = None
-    _merged: tuple | None = None
-    _signed: tuple | None = None
 
+    @cached_property
     def cone(self):
         """``(normals, equations)``: the primitive inner facet normals and
         the span equations of ``cone(M)``, as tuples of row tuples, by one
@@ -329,16 +328,23 @@ class _MatrixData:
         theirs stored when the monoid builds them; when the negation of
         every column is a column too, ``cone(M)`` is its linear span and
         has no facet."""
-        if self._cone is None:
-            facets, equations = _facets_of_cone(self.M.columns(), self.M.rows)
-            self.store_cone([phi for phi, _ in facets], equations)
-        return self._cone
+        facets, equations = _facets_of_cone(self.M.columns(), self.M.rows)
+        return tuple(phi for phi, _ in facets), tuple(equations)
 
     def store_cone(self, normals, equations) -> None:
         """Keep the normals and equations of ``cone(M)`` that a caller
         already knows, as ``_facets_of_cone(M.columns(), M.rows)`` gives
         them: sorted normals, the canonical span equations."""
-        self._cone = (tuple(normals), tuple(equations))
+        self.cone = (tuple(normals), tuple(equations))
+
+    @cached_property
+    def _grading(self):
+        """``(w, w . M_j per column)`` for the sum w of the facet normals
+        when the system is pointed in it, else ``()``."""
+        w = tuple(map(sum, zip(*self.cone[0])))
+        cols = self.M.columns()
+        values = tuple(vec_dot(w, c) for c in cols)
+        return (w, values) if all(v > 0 or not any(c) for v, c in zip(values, cols)) else ()
 
     def graded_box(self, b):
         """The box ``x_j <= floor(w . b / w . M_j)``, 0 on a zero column, of
@@ -352,17 +358,13 @@ class _MatrixData:
         the box, and a nonnegative kernel vector is zero off the zero
         columns.  A matrix holding a column and its negation, or a
         nonnegative kernel vector off its zero columns, is not pointed.
-        The grading is computed once."""
-        if self._grading is None:
-            w = tuple(map(sum, zip(*self.cone()[0])))
-            cols = self.M.columns()
-            values = tuple(vec_dot(w, c) for c in cols)
-            self._grading = (w, values) if all(v > 0 or not any(c) for v, c in zip(values, cols)) else ()
+        The grading is computed once (``_grading``)."""
         if not self._grading:
             return None
         wb = vec_dot(self._grading[0], b)
         return tuple(wb // v if v else 0 for v in self._grading[1])
 
+    @cached_property
     def reduction(self):
         """``(columns, pivot rows, r)`` of one unimodular column echelon pass
         over ``[M; I]``, whose column j is ``M[:, j]`` over ``e_j``.
@@ -374,30 +376,28 @@ class _MatrixData:
         are in column echelon form on the x-coordinates.  Pivot rows are
         indices of ``[M; I]``, like everything the walk reads.
         """
-        if self._reduction is None:
-            m, n = self.M.rows, self.M.cols
-            stacked = [c + tuple(int(i == j) for i in range(n)) for j, c in enumerate(self.M.columns())]
-            cols, pivots = _column_echelon(stacked, m + n)
-            self._reduction = (cols, pivots, sum(p < m for p in pivots))
-        return self._reduction
+        m, n = self.M.rows, self.M.cols
+        stacked = [c + tuple(int(i == j) for i in range(n)) for j, c in enumerate(self.M.columns())]
+        cols, pivots = _column_echelon(stacked, m + n)
+        return cols, pivots, sum(p < m for p in pivots)
 
+    @cached_property
     def steps(self):
         """The forward substitution of ``_lattice_reduce``: per column of
-        ``reduction()`` with its pivot among M's rows, the pivot row, the
+        ``reduction`` with its pivot among M's rows, the pivot row, the
         pivot, and the column's nonzero entries on M's rows and on I's
         rows as ``(index, entry)`` pairs."""
-        if self._steps is None:
-            cols, pivots, r = self.reduction()
-            m, entries = self.M.rows, lambda v: [(i, a) for i, a in enumerate(v) if a]
-            self._steps = tuple((p, c[p], entries(c[:m]), entries(c[m:])) for c, p in zip(cols[:r], pivots))
-        return self._steps
+        cols, pivots, r = self.reduction
+        m, entries = self.M.rows, lambda v: [(i, a) for i, a in enumerate(v) if a]
+        return tuple((p, c[p], entries(c[:m]), entries(c[m:])) for c, p in zip(cols[:r], pivots))
 
     def kernel_basis(self):
-        """The tails of ``reduction()``'s last columns: an echelon basis of
+        """The tails of ``reduction``'s last columns: an echelon basis of
         ``ker_Z M``."""
-        full, _, r = self.reduction()
+        full, _, r = self.reduction
         return [c[self.M.rows:] for c in full[r:]]
 
+    @cached_property
     def walk_plan(self):
         """``(fixed, levels)`` for the box walk.  A row is determined at the
         level of the last kernel column nonzero on it; ``fixed`` are the
@@ -405,25 +405,24 @@ class _MatrixData:
         level i: the pivot row of kernel column i and its entry, the other
         rows the level determines split by the sign of their entry
         (negative ones negated), and the column's nonzero entries."""
-        if self._walk is None:
-            m, n = self.M.rows, self.M.cols
-            cols = self.kernel_basis()
-            _, pivots, r = self.reduction()
-            level = [max((j + 1 for j, c in enumerate(cols) if c[row]), default=0) for row in range(n)]
-            levels = []
-            for i, (col, p) in enumerate(zip(cols, pivots[r:]), 1):
-                p -= m  # a row of x, not of [M; I]
-                rows = [(row, col[row]) for row in range(n) if level[row] == i and row != p]
-                levels.append((
-                    p,
-                    col[p],
-                    [(row, c) for row, c in rows if c > 0],
-                    [(row, -c) for row, c in rows if c < 0],
-                    [(row, c) for row, c in enumerate(col) if c],
-                ))
-            self._walk = ([row for row in range(n) if not level[row]], levels)
-        return self._walk
+        m, n = self.M.rows, self.M.cols
+        cols = self.kernel_basis()
+        _, pivots, r = self.reduction
+        level = [max((j + 1 for j, c in enumerate(cols) if c[row]), default=0) for row in range(n)]
+        levels = []
+        for i, (col, p) in enumerate(zip(cols, pivots[r:]), 1):
+            p -= m  # a row of x, not of [M; I]
+            rows = [(row, col[row]) for row in range(n) if level[row] == i and row != p]
+            levels.append((
+                p,
+                col[p],
+                [(row, c) for row, c in rows if c > 0],
+                [(row, -c) for row, c in rows if c < 0],
+                [(row, c) for row, c in enumerate(col) if c],
+            ))
+        return [row for row in range(n) if not level[row]], levels
 
+    @cached_property
     def merged(self):
         """``(merged, pairs)``: the solver data of M', M without the second
         column of each negation pair (``_negation_pairs``), and per column
@@ -436,19 +435,18 @@ class _MatrixData:
         questions have already built), else private data that is never
         inserted.  ``Z M = Z M'``, so ``_start`` reads the lattice test and
         x0 from M'."""
-        if self._merged is None:
-            cols = self.M.columns()
-            partner = _negation_pairs(cols)
-            taken = set(partner.values())
-            pairs = tuple((j, partner.get(j)) for j in range(len(cols)) if j not in taken)
-            merged = IntMatrix.from_cols([cols[j] for j, _ in pairs], rows=self.M.rows) if partner else None
-            self._merged = ((_MATRIX_CACHE.get(merged) or _MatrixData(merged)) if partner else self, pairs)
-        return self._merged
+        cols = self.M.columns()
+        partner = _negation_pairs(cols)
+        taken = set(partner.values())
+        pairs = tuple((j, partner.get(j)) for j in range(len(cols)) if j not in taken)
+        merged = IntMatrix.from_cols([cols[j] for j, _ in pairs], rows=self.M.rows) if partner else None
+        return ((_MATRIX_CACHE.get(merged) or _MatrixData(merged)) if partner else self), pairs
 
+    @cached_property
     def signed(self):
         """``(merged, pairs, rows, bases, slack)``, the data of the signed
         walk (``_signed_solutions``): ``merged`` and ``pairs`` as
-        ``merged()`` gives them.  ``rows`` are r independent rows of M', r
+        ``merged`` gives them.  ``rows`` are r independent rows of M', r
         its rank, and ``bases`` the ``(B, d B^-1, d)`` of every nonsingular
         block of M' on those rows and r columns B (``_integer_inverse``).
         ``slack`` is, per column, the sum of ``|c_j|`` over the primitive
@@ -457,29 +455,27 @@ class _MatrixData:
         constraints allow.  Without pairs these are the nonnegative
         circuits, the extreme rays of ``ker M intersect N^n``.  Every
         circuit is the kernel vector on a basis plus one more column."""
-        if self._signed is None:
-            data, pairs = self.merged()
-            merged = data.M.columns()
-            rows = _fraction_free_reduce([list(c) for c in merged], self.M.rows)[0]
-            sub = [tuple(c[i] for i in rows) for c in merged]
-            n, bases, circuits = len(merged), [], set()
-            for B in combinations(range(n), len(rows)):
-                found = _integer_inverse(list(zip(*(sub[j] for j in B))))
-                if found is None:
-                    continue
-                inv, d = found
-                bases.append((B, inv, d))
-                for k in set(range(n)) - set(B):
-                    c = [0] * n
-                    c[k] = d
-                    for j, row in zip(B, inv):
-                        c[j] = -vec_dot(row, sub[k])
-                    c = primitive(c)
-                    if len({v > 0 for v, (_, q) in zip(c, pairs) if v and q is None}) < 2:
-                        circuits.add(max(c, tuple(-v for v in c)))
-            slack = tuple(sum(abs(c[j]) for c in circuits) for j in range(n))
-            self._signed = (data, pairs, rows, bases, slack)
-        return self._signed
+        data, pairs = self.merged
+        merged = data.M.columns()
+        rows = _fraction_free_reduce([list(c) for c in merged], self.M.rows)[0]
+        sub = [tuple(c[i] for i in rows) for c in merged]
+        n, bases, circuits = len(merged), [], set()
+        for B in combinations(range(n), len(rows)):
+            found = _integer_inverse(list(zip(*(sub[j] for j in B))))
+            if found is None:
+                continue
+            inv, d = found
+            bases.append((B, inv, d))
+            for k in set(range(n)) - set(B):
+                c = [0] * n
+                c[k] = d
+                for j, row in zip(B, inv):
+                    c[j] = -vec_dot(row, sub[k])
+                c = primitive(c)
+                if len({v > 0 for v, (_, q) in zip(c, pairs) if v and q is None}) < 2:
+                    circuits.add(max(c, tuple(-v for v in c)))
+        slack = tuple(sum(abs(c[j]) for c in circuits) for j in range(n))
+        return data, pairs, rows, bases, slack
 
 
 def _negation_pairs(columns: list) -> dict:
@@ -553,7 +549,7 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, firs
     Returns None when the count passes ``budget`` (with ``first``: before
     a solution is reached).
     """
-    fixed, plan = data.walk_plan()
+    fixed, plan = data.walk_plan
     for r in fixed:
         if not 0 <= x0[r] <= bound[r]:
             return []
@@ -610,15 +606,15 @@ def _box_solutions(data: _MatrixData, x0, bound, budget: int | None = None, firs
 
 def _lattice_reduce(data: _MatrixData, b) -> tuple:
     """``(x, residue)`` with ``b = M x + residue``, by forward substitution
-    with floor quotients on the columns of ``data.reduction()`` with a pivot
+    with floor quotients on the columns of ``data.reduction`` with a pivot
     among M's rows.  Later columns vanish on each pivot row, which keeps its
     remainder modulo the positive pivot, so the residue is canonical modulo
     ``Z M``: zero iff ``b`` lies in ``Z M``, equal for congruent vectors.
-    The columns are read as ``data.steps()``, and a zero quotient is
+    The columns are read as ``data.steps``, and a zero quotient is
     skipped."""
     residue = list(b)
     x = [0] * data.M.cols
-    for p, pivot, on_m, on_x in data.steps():
+    for p, pivot, on_m, on_x in data.steps:
         q = residue[p] // pivot
         if q:
             for i, a in on_m:
@@ -1094,14 +1090,14 @@ def _start(data: _MatrixData, b: IntVector):
     the lattice test and its solution w are taken on M', and the one
     M'-to-M map, ``_unmerge``, expands w to x0: M's own echelon is built
     only if the triangulation needs its kernel basis."""
-    normals, equations = data.cone()
+    normals, equations = data.cone
     for e in equations:
         if sum(map(mul, e, b)):
             return None
     for phi in normals:
         if sum(map(mul, phi, b)) < 0:
             return None
-    merged, pairs = data.merged()
+    merged, pairs = data.merged
     w = _particular_solution(merged, b)
     return w if w is None or merged is data else _unmerge(pairs, w, data.M.cols)
 
@@ -1161,7 +1157,7 @@ def _signed_solutions(data: _MatrixData, b: IntVector, x0, first: bool = False):
     Without pairs, M' is M, the circuits are the extreme rays of
     ``ker M intersect N^n``, the box is the vertices plus sub-unit
     multiples of those rays, and the filter is plain minimality."""
-    merged, pairs, rows, bases, slack = data.signed()
+    merged, pairs, rows, bases, slack = data.signed
     rhs = [b[i] for i in rows]
     ceilings = [0] * len(pairs)
     for B, inv, d in bases:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import wraps
 
-from .diophantine import IntMatrix, IntVector, vec, vec_is_zero
+from .diophantine import IntMatrix, IntVector, vec_is_zero
 from .monoid import AffineMonoid
 from .polyhedral import BOTTOM
 
@@ -86,9 +86,7 @@ class MonomialIdeal:
 
     def is_std_monomial(self, b: IntVector) -> bool:
         """True iff b lies in the monoid but not in the ideal."""
-        b = vec(b)
-        if len(b) != self._ambient.dim:
-            return False
+        b = self._ambient._vector(b)
         if not self._ambient.contains(b):
             return False
         return self.is_element(b) is None

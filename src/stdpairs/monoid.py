@@ -154,6 +154,7 @@ class AffineMonoid:
 
     def face(self, index: Face) -> IntMatrix:
         """The face as a submatrix of the generators."""
+        index = tuple(index)
         if index == BOTTOM:
             raise ValueError("the bottom face has no submatrix")
         if index not in self._face_set:
@@ -300,6 +301,7 @@ class AffineMonoid:
         """The prime ideal of monomials outside the given face."""
         from .ideal import MonomialIdeal
 
+        face = tuple(face)
         if face == BOTTOM:
             raise ValueError("no prime ideal is attached to the bottom face")
         if face not in self._face_set:

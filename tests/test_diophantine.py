@@ -969,7 +969,7 @@ def test_column_echelon_matches_smith_reference():
             _reference_coords_in_basis(basis, reference, M.cols)
             _reference_coords_in_basis(reference, basis, M.cols)
 
-        levels = data.walk_plan()[1]
+        levels = data.walk_plan[1]
         pivots = [p for p, _, _, _, _ in levels]
         assert len(levels) == len(basis), M
         assert all(p < q for p, q in zip(pivots, pivots[1:])), M
@@ -1553,7 +1553,7 @@ def test_infeasibility_certificates_are_exact(monkeypatch):
     for M, b in systems:
         cols = M.columns()
         data = _MatrixData(M)
-        normals, equations = data.cone()
+        normals, equations = data.cone
         rank = rational_rank(M)
         in_span = rank == rational_rank(M.hstack(IntMatrix.from_cols([b], rows=M.rows)))
         assert in_span == (not any(vec_dot(e, b) for e in equations)), (M, b)
@@ -2015,7 +2015,7 @@ def _reversed_reduction(M: IntMatrix) -> tuple:
 def _reversed_order_data(M: IntMatrix) -> _MatrixData:
     """Fresh solver data for M whose walk runs on the reversed-order echelon."""
     data = _MatrixData(M)
-    data._reduction = _reversed_reduction(M)
+    data.reduction = _reversed_reduction(M)
     return data
 
 
@@ -2102,13 +2102,8 @@ def test_min_nonneg_solutions_do_not_depend_on_the_row_order(monkeypatch):
 
     systems = [(M, b) for M, b in _pipeline_systems() if M.cols <= 9]
     systems += [(M, b) for M, b, _, _ in _box_walk_systems(random.Random(65), 120)]
-    index_order = dio._MatrixData.reduction
-
-    def reversed_order(self):
-        if self._reduction is None:
-            self._reduction = _reversed_reduction(self.M)
-        return self._reduction
-
+    index_order = property(dio._MatrixData.reduction.func)
+    reversed_order = property(lambda self: _reversed_reduction(self.M))
     answers = []
     for reduction in (index_order, reversed_order):
         monkeypatch.setattr(dio._MatrixData, "reduction", reduction)
@@ -2235,7 +2230,7 @@ def test_cone_of_negation_pairs_has_no_facets(monkeypatch):
         facets, equations = _facets_of_cone(M.columns(), M.rows)
         data = _MatrixData(M)
         calls.clear()
-        assert data.cone() == (tuple(phi for phi, _ in facets), tuple(equations)), M
+        assert data.cone == (tuple(phi for phi, _ in facets), tuple(equations)), M
         assert len(calls) == 1, M
         assert not paired or not facets, M
         kinds["paired"] += paired
@@ -2352,7 +2347,7 @@ def test_signed_walk_matches_the_kernel_basis_route(monkeypatch):
             assert has_nonneg_solution(M, b) == bool(expected), (kind, M, b, budget)
             if budget != 10:
                 data = _MatrixData(M)
-                normals, equations = data.cone()
+                normals, equations = data.cone
                 if any(vec_dot(e, b) for e in equations) or any(vec_dot(phi, b) < 0 for phi in normals):
                     outcome = "outside_cone"
                 elif _particular_solution(data, b) is None:
@@ -2613,8 +2608,8 @@ def test_has_nonneg_solution_rejects_a_right_hand_side_of_wrong_length():
 
 def _reference_lattice_reduce(data: _MatrixData, b) -> tuple:
     """``_lattice_reduce`` as list arithmetic over the whole columns of
-    ``data.reduction()``, with no precomputed steps."""
-    cols, pivots, r = data.reduction()
+    ``data.reduction``, with no precomputed steps."""
+    cols, pivots, r = data.reduction
     m = data.M.rows
     residue = list(b)
     x = [0] * data.M.cols
@@ -2635,7 +2630,7 @@ def test_lattice_reduce_matches_the_list_reference():
     kinds = {"zero_row": 0, "zero_column": 0, "rank_0": 0, "full_rank": 0, "negative": 0}
     for M in matrices:
         data = _MatrixData(M)
-        r = data.reduction()[2]
+        r = data.reduction[2]
         kinds["zero_row"] += any(not any(row) for row in M.data)
         kinds["zero_column"] += any(not any(c) for c in M.columns())
         kinds["rank_0"] += r == 0
@@ -2666,8 +2661,9 @@ def test_principal_cover_reads_cone_and_lattice_from_the_monoid(monkeypatch):
         enumerated.append(cols)
         return _facets_of_cone(cols, dim)
 
-    reduction = dio._MatrixData.reduction
+    reduction = dio._MatrixData.reduction.func
 
+    @property
     def recording(self):
         reduced.append(self.M)
         return reduction(self)
@@ -2689,5 +2685,70 @@ def test_principal_cover_reads_cone_and_lattice_from_the_monoid(monkeypatch):
         before = len(dio._MATRIX_CACHE)
         assert min_nonneg_solutions(M, (3, -2)), cached
         assert len(dio._MATRIX_CACHE) == before + 1 and M in dio._MATRIX_CACHE, cached
-        assert (dio._MATRIX_CACHE[M].merged()[0] is dio._MATRIX_CACHE.get(A)) == cached
+        assert (dio._MATRIX_CACHE[M].merged[0] is dio._MATRIX_CACHE.get(A)) == cached
     dio._MATRIX_CACHE.clear()
+
+
+def test_a_second_solve_of_a_matrix_rebuilds_none_of_its_data(monkeypatch):
+    """Once one right-hand side of a matrix is solved, solving others (a
+    full solve or an existence question) builds no echelon, runs no double
+    description and inverts no basis: every datum of the matrix is read
+    from its solver data.  Checked on a paired ``[A | -A]`` and on an
+    unpaired matrix that is not pointed, both answered by the signed walk.
+    A matrix given its cone by ``store_cone`` never runs the double
+    description.  The answers are those of a cold cache."""
+    import stdpairs.diophantine as dio
+
+    A = IntMatrix.from_rows([[1, 2, 0], [0, 1, 3]])
+    paired = A.hstack(A.neg())
+    unpaired = IntMatrix.from_rows([[1, -2, 0, 1], [0, 1, 1, -1]])  # (0, 1, 1, 2) is in its kernel
+    square = IntMatrix.from_cols(_SQUARE_CONE)
+    plane = [(3, -2), (1, 1), (0, 5), (-2, 3), (4, 0)]
+    rhs = {paired: plane, unpaired: plane, square: [(4, 2, 5), (1, 3, 6), (2, 0, 1), (1, 1, 0)]}
+    cold = {}
+    for M, bs in rhs.items():
+        for b in bs:
+            dio._MATRIX_CACHE.clear()
+            cold[M, b] = min_nonneg_solutions(M, b)
+    assert not _negation_pairs(unpaired.columns())
+    calls = dict.fromkeys(("_column_echelon", "_facets_of_cone", "_integer_inverse"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(dio, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(dio, name, counting)
+    for M in (paired, unpaired):
+        dio._MATRIX_CACHE.clear()
+        first, *others = rhs[M]
+        assert min_nonneg_solutions(M, first) == cold[M, first], M
+        data = dio._MATRIX_CACHE[M]
+        assert data.graded_box(first) is None, M
+        assert min(calls.values()) > 0, (M, calls)
+        built = dict(calls)
+        for b in others:
+            assert min_nonneg_solutions(M, b) == cold[M, b], (M, b)
+        for b in [(2, 7), (-5, -1)]:
+            assert has_nonneg_solution(M, b), (M, b)
+        assert len(data.solutions) == 5 and calls == built, (M, calls, built)
+    facets, equations = _facets_of_cone(square.columns(), square.rows)
+    dio._MATRIX_CACHE.clear()
+    dio._matrix_data(square).store_cone([phi for phi, _ in facets], equations)
+    calls["_facets_of_cone"] = 0
+    for b in rhs[square]:
+        assert min_nonneg_solutions(square, b) == cold[square, b], b
+        assert has_nonneg_solution(square, vec_add(b, (0, 0, 1))), b
+    assert calls["_facets_of_cone"] == 0 and calls["_column_echelon"] > 0, calls
+    dio._MATRIX_CACHE.clear()
+
+
+def test_the_matrix_data_has_five_fields_and_caches_the_rest():
+    """``_MatrixData``'s dataclass fields are the five values it is given
+    or fills per right-hand side; every lazy datum is a cached property."""
+    from dataclasses import fields
+    from functools import cached_property
+
+    assert [f.name for f in fields(_MatrixData)] == ["M", "hilbert", "solutions", "feasible", "monoid"]
+    for name in ("cone", "_grading", "reduction", "steps", "walk_plan", "merged", "signed"):
+        assert isinstance(vars(_MatrixData)[name], cached_property), name

@@ -48,6 +48,18 @@ def test_std_monomial(Q):
     assert not I.is_std_monomial((1, 1))  # outside the monoid
 
 
+def test_std_monomial_rejects_a_vector_of_the_wrong_length():
+    """A wrong length is a ``ValueError``, as in ``is_element`` and
+    ``contains``, not an answer."""
+    Q = AffineMonoid([[1, 1], [0, 1]])
+    I = MonomialIdeal(Q, IntMatrix.from_cols([(1, 1)]))
+    with pytest.raises(ValueError, match="vector has dim 3, expected 2"):
+        I.is_std_monomial((1, 2, 3))
+    with pytest.raises(ValueError, match="vector has dim 1, expected 2"):
+        I.is_std_monomial((1,))
+    assert I.is_std_monomial((1, 0)) and not I.is_std_monomial((2, 1))
+
+
 def test_intersection_paper_value(Q):
     I = MonomialIdeal(Q, IntMatrix.from_cols([(4, 4)]))
     J = MonomialIdeal(Q, IntMatrix.from_cols([(5, 0)]))

@@ -72,3 +72,38 @@ def test_the_package_exports_resolve_and_leave_out_the_unused_routes():
         assert hasattr(stdpairs, name), name
     dropped = {"LoopCapExceeded", "cone_to_ctwo", "cover_to_standard", "czero_to_cone", "minimal_holes", "hilbert_kernel"}
     assert dropped.isdisjoint(stdpairs.__all__)
+
+
+def _memo_guards(tree: ast.Module) -> list:
+    """``(line, attr)`` of each ``if self.<attr> is None:`` in a method, the
+    guard of a hand-written memo slot (``self`` is the method's first
+    argument, whatever its name)."""
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for method in cls.body:
+            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) or not method.args.args:
+                continue
+            me = method.args.args[0].arg
+            for guard in (node for node in ast.walk(method) if isinstance(node, ast.If)):
+                test = guard.test
+                if (
+                    isinstance(test, ast.Compare)
+                    and [type(op) for op in test.ops] == [ast.Is]
+                    and isinstance(test.left, ast.Attribute)
+                    and isinstance(test.left.value, ast.Name)
+                    and test.left.value.id == me
+                    and isinstance(test.comparators[0], ast.Constant)
+                    and test.comparators[0].value is None
+                ):
+                    found.append((guard.lineno, test.left.attr))
+    return found
+
+
+def test_no_method_memoises_behind_an_is_none_guard():
+    """Lazy per-object data is a ``functools.cached_property``, not a slot
+    filled behind ``if self.<attr> is None:``: the package keeps one memo
+    idiom."""
+    for path in MODULES:
+        assert _memo_guards(_tree(path)) == [], path.name
+    sample = "class C:\n    def f(this):\n        if this._x is None:\n            this._x = 1\n        return this._x\n"
+    assert _memo_guards(ast.parse(sample)) == [(3, "_x")]
