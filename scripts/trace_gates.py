@@ -60,6 +60,7 @@ WORKLOADS = {
                 ],
             ),
             ("construction", [("facet enumerations", "polyhedral.facet_data.calls")] + _CONSTRUCTION),
+            ("ideal constructions", [("MonomialIdeal calls", "ideal.MonomialIdeal.calls"), ("self_s", "ideal.MonomialIdeal.self_s")]),
         ],
     ),
     "monoids": ([], [("construction", _CONSTRUCTION)]),

@@ -29,7 +29,12 @@ zero generator, a generator outside the monoid), named by its section's
 header line.  A repeated pair is told by its ``(face, base)``, and a load
 builds one ``ProperPair`` per ``(face, base)``: an OVERLAP pair that
 COVER listed is COVER's object (``_Reader.take_pair``), and no pair's
-hash text is built.  Each cached section's text form lives in one
+hash text is built.  A load parses and checks each distinct face text
+once (``_Reader.faces``), reads each line of integers in one pass, and
+keeps an IDEAL or DECOMPOSITION matrix as read when its columns are
+already the sorted minimal generators, as ``save`` writes them
+(``MonomialIdeal``).  A byte that is not ASCII is an ``ArchiveError``
+naming its line.  Each cached section's text form lives in one
 ``_SECTIONS`` entry, which ``document_lines``, ``load`` and ``verify``
 all read.  Serialization is deterministic, so saving equal objects twice
 produces identical bytes.
@@ -61,6 +66,15 @@ def _integer(token: str, what: str) -> int:
         return int(token)
     except ValueError:
         raise ValueError(f"{what}: {token.strip()!r} is not an integer") from None
+
+
+def _integers(text: str, what: str) -> tuple:
+    """The space-separated integers of ``text``, read in one pass; a token
+    that is not an integer is ``_integer``'s ``ValueError`` for it."""
+    try:
+        return tuple(map(int, text.split()))
+    except ValueError:
+        return tuple(_integer(token, what) for token in text.split())
 
 
 # ---------------------------------------------------------------------------
@@ -109,12 +123,13 @@ class _Reader:
         self.pos = 0
         self.seen: dict = {}  # item key -> its first line, over the section ``build`` reads
         self.pairs: dict = {}  # (face, base) -> the pair built for it, over the whole load
+        self.faces: dict = {}  # face text -> the checked face it names, over the whole load
 
     def eof(self) -> bool:
         return self.pos >= len(self.lines)
 
     def take(self, what: str) -> str:
-        if self.eof():
+        if self.pos >= len(self.lines):
             raise ArchiveError(f"line {len(self.lines) + 1}: unexpected end of input while reading {what}")
         line = self.lines[self.pos]
         self.pos += 1
@@ -185,20 +200,25 @@ class _Reader:
             if len(entries) != cols:
                 raise self.error(f"expected {cols} entries in a row of {what}")
             try:
-                data.append(tuple(int(x) for x in entries))
+                data.append(tuple(map(int, entries)))
             except ValueError:
                 raise self.error(f"non-integer entry in {what}")
         return IntMatrix(rows, cols, tuple(data))
 
     def take_face(self, text: str, monoid: AffineMonoid) -> Face:
-        """The face written in ``text``, which must be a face of ``monoid``."""
-        text = text.strip()
-        try:
-            face = tuple(int(t) for t in text.split(",")) if text else ()
-        except ValueError:
-            raise self.error(f"bad face {text!r}")
-        if face not in monoid._face_set:
-            raise self.error(f"{face} is not a face of the monoid")
+        """The face written in ``text``, which must be a face of ``monoid``,
+        the one monoid of the load: each text is parsed and checked on its
+        first line only (``faces``), and a bad one on every line."""
+        face = self.faces.get(text)
+        if face is None:
+            stripped = text.strip()
+            try:
+                face = tuple(map(int, stripped.split(","))) if stripped else ()
+            except ValueError:
+                raise self.error(f"bad face {stripped!r}")
+            if face not in monoid._face_set:
+                raise self.error(f"{face} is not a face of the monoid")
+            self.faces[text] = face
         return face
 
     def take_pair(self, ideal: MonomialIdeal, face: Face | None = None) -> ProperPair:
@@ -215,7 +235,7 @@ class _Reader:
         if face is not None and pair_face != face:
             raise self.error(f"pair over {pair_face} in a class over {face}")
         try:
-            base = tuple(_integer(token, "base") for token in base_text.split())
+            base = _integers(base_text, "base")
             pair = self.pairs.get((pair_face, base))
             if pair is None:
                 pair = self.pairs[pair_face, base] = ProperPair(base, pair_face, ideal, skip_check=True)
@@ -292,8 +312,13 @@ def save(target, path: str) -> bool:
 
 def load(path: str):
     """Load an AffineMonoid, MonomialIdeal, or Cover from an archive file."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:  # ``exc.object`` is the whole file, read in one call
+        head = exc.object[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1  # as text mode counts lines
+        raise ArchiveError(f"line {line}: byte 0x{exc.object[exc.start]:02x} is not ASCII") from None
     if not lines[-1]:
         lines.pop()  # the final newline; blank lines before it are rows of r x 0 matrices
     reader = _Reader(lines)

@@ -181,13 +181,13 @@ class IntMatrix:
         return tuple(r[j] for r in self.data)
 
     def columns(self) -> list:
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.data)) if self.rows else [()] * self.cols
 
     def mul(self, x: IntVector) -> IntVector:
         """Matrix times column vector."""
         if len(x) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(map(mul, r, x)) for r in self.data)
+        return tuple([sum(map(mul, r, x)) for r in self.data])
 
     def matmul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -217,7 +217,7 @@ class IntMatrix:
 
     def to_token(self) -> str:
         """Canonical one-line text form, usable as a dictionary key."""
-        body = " ".join(str(a) for r in self.data for a in r)
+        body = " ".join([str(a) for r in self.data for a in r])
         return f"{self.rows} {self.cols} {body}".rstrip()
 
     def __str__(self) -> str:

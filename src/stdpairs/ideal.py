@@ -35,19 +35,29 @@ class MonomialIdeal:
     """A proper monomial ideal given by minimal generators inside an ambient monoid."""
 
     def __init__(self, ambient: AffineMonoid, gens: IntMatrix, *, _trusted: bool = False):
+        """The ideal of ``ambient`` generated by the columns of ``gens``.
+
+        Every generator is checked (nonzero; in the monoid unless
+        ``_trusted``) and the minimal ones are kept in sorted order.  When
+        those are the given columns in order, as in a saved archive, the
+        given matrix itself is kept, with no second copy built."""
         if not isinstance(gens, IntMatrix):
             gens = IntMatrix.from_rows(gens)
         if gens.rows != ambient.dim and gens.cols > 0:
             raise ValueError(f"generators have dim {gens.rows}, ambient has {ambient.dim}")
-        cols = list(dict.fromkeys(gens.columns()))
+        columns = gens.columns()
+        cols = list(dict.fromkeys(columns))
         if any(map(vec_is_zero, cols)):
             raise ValueError("zero generator: the unit ideal is not a proper monomial ideal")
         if not _trusted:
             for c in cols:
                 if not ambient.contains(c):
                     raise ValueError(f"generator {c} is not an element of the ambient monoid")
+        mingens = ambient.minimal(cols)
         self._ambient = ambient
-        self._gens = IntMatrix.from_cols(ambient.minimal(cols), rows=ambient.dim)
+        if mingens != columns or gens.rows != ambient.dim:
+            gens = IntMatrix.from_cols(mingens, rows=ambient.dim)
+        self._gens = gens
         self._hash_string = ambient.hash_string + " ideal " + self._gens.to_token()
         self._cache: dict = {}
 

@@ -330,8 +330,11 @@ def _minimal(points, support: IntMatrix, contains) -> list:
     other point p.  ``q - p`` lies in the cone, let alone in the monoid,
     only if no support row (facet normal, or span equation with its
     negative) is smaller on q than on p; ``contains`` decides the pairs
-    whose values pass that test."""
+    whose values pass that test.  Fewer than two distinct points are all
+    minimal and come back with no support value computed."""
     points = sorted(set(points))
+    if len(points) < 2:
+        return points
     values = [support.mul(p) for p in points]
     return [
         q for q, vq in zip(points, values)

@@ -603,3 +603,121 @@ def test_overlap_without_cover_loads_and_verifies(tmp_path):
     assert not any("hash_string" in p.__dict__ for p in _loaded_pairs(loaded))
     assert set(loaded._cache) == {"overlap_classes"} and loaded._cache == J._cache
     sp.verify(loaded)
+
+
+def test_a_load_of_minimal_matrices_builds_no_second_copy(tmp_path, monkeypatch):
+    """``save`` writes sorted minimal generators, so a load keeps each
+    IDEAL and DECOMPOSITION matrix as read: ``IntMatrix.from_cols`` is
+    never called."""
+    path = str(tmp_path / "golden.txt")
+    save(_golden_ideal(), path)
+    first = load(path)
+    calls = []
+    original = IntMatrix.from_cols.__func__
+    monkeypatch.setattr(IntMatrix, "from_cols", classmethod(lambda cls, *args, **kw: calls.append(args) or original(cls, *args, **kw)))
+    second = load(path)
+    assert calls == []
+    assert second == first and second._cache == first._cache
+
+
+def test_a_load_parses_each_face_text_once(tmp_path, monkeypatch):
+    """Each distinct face text of a document is parsed and checked once,
+    however many COVER, OVERLAP and ASSOCIATED lines repeat it."""
+    from stdpairs import archive
+
+    parsed = []
+
+    class Faces(dict):
+        def __setitem__(self, text, face):
+            parsed.append(text)
+            super().__setitem__(text, face)
+
+    class Reader(archive._Reader):
+        def __init__(self, lines):
+            super().__init__(lines)
+            self.faces = Faces()
+
+    I = _golden_ideal()
+    I.associated_primes()
+    path = str(tmp_path / "golden.txt")
+    save(I, path)
+    monkeypatch.setattr(archive, "_Reader", Reader)
+    loaded = load(path)
+    assert len(loaded._cache) == 4 and loaded._cache == {key: I._cache[key] for key in loaded._cache}
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    start = lines.index("ASSOCIATED") + 1
+    texts = [line.partition(";")[0] for line in lines if ";" in line]
+    texts += lines[start + 1 : start + 1 + int(lines[start])]
+    assert len(texts) > len(set(texts))
+    assert sorted(parsed) == sorted(set(texts))
+
+
+@pytest.mark.parametrize(
+    "sections, bad_line, message",
+    [
+        ("COVER\n2\n0,1;5\n1;5\n", 11, r"\(1,\) is not a face"),
+        ("COVER\n2\n0,1;5\n0,1,;5\n", 11, "bad face '0,1,'"),
+        ("COVER\n1\n0,1;5\nOVERLAP\n1\n0,1;2\n0,1;5\n0;5\n", 15, r"\(0,\) is not a face"),
+        ("ASSOCIATED\n2\n0,1\n0\n", 11, r"\(0,\) is not a face"),
+        ("COVER\n1\n0,1;5\nASSOCIATED\n2\n0,1\nx\n", 14, "bad face 'x'"),
+    ],
+    ids=["cover_non_face", "cover_bad_text", "overlap_pair", "associated", "associated_bad_text"],
+)
+def test_a_bad_face_after_a_good_one_names_its_own_line(tmp_path, sections, bad_line, message):
+    """A face text read after a good one is checked on its own line: only
+    texts that passed are remembered."""
+    path = _write(tmp_path, "MONOID\n1 2\n2 3\n" + _IDEAL + sections)
+    with pytest.raises(ArchiveError, match=f"^line {bad_line}: {message}"):
+        load(path)
+
+
+@pytest.mark.parametrize("section", ["IDEAL", "DECOMPOSITION"])
+def test_redundant_generators_load_minimal_and_save_minimal(tmp_path, section):
+    """Unsorted, repeated and redundant generators in an IDEAL or a
+    DECOMPOSITION matrix load to the constructor's sorted minimal
+    generators, which ``save`` then writes."""
+    Q = sp.AffineMonoid(IntMatrix.from_rows([[1, 1, 1], [0, 1, 2]]))
+    given = "2 4\n1 3 1 1\n1 3 0 1\n"
+    minimal = "2 2\n1 1\n0 1\n"
+    ideal = given if section == "IDEAL" else minimal
+    text = "MONOID\n2 3\n1 1 1\n0 1 2\nIDEAL\n" + ideal
+    if section == "DECOMPOSITION":
+        text += "DECOMPOSITION\n1\n" + given
+    loaded = load(_write(tmp_path, text))
+    got = loaded if section == "IDEAL" else loaded._cache["irreducible_decomposition"][0]
+    assert got.gens.columns() == [(1, 0), (1, 1)]
+    assert got == sp.MonomialIdeal(Q, IntMatrix.from_cols([(1, 1), (3, 3), (1, 0), (1, 1)]))
+    path = str(tmp_path / "saved.txt")
+    save(loaded, path)
+    with open(path) as fh:
+        saved = fh.read()
+    assert given not in saved and saved.count("\n" + minimal) == (1 if section == "IDEAL" else 2)
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        ("IDEAL\n1 2\n5 x\n", "line 7: non-integer entry in IDEAL"),
+        ("IDEAL\n1 2\n5 x 1\n", "line 7: expected 2 entries in a row of IDEAL"),
+        (_IDEAL + "DECOMPOSITION\n1\n1 1\n2.5\n", "line 11: non-integer entry in DECOMPOSITION"),
+    ],
+    ids=["ideal", "ideal_row_length_first", "decomposition"],
+)
+def test_a_non_integer_matrix_entry_keeps_its_message(tmp_path, sections, message):
+    """A row is read in one pass; a row of the wrong length is named
+    before a token that is not an integer."""
+    with pytest.raises(ArchiveError, match=f"^{re.escape(message)}$"):
+        load(_write(tmp_path, "MONOID\n1 2\n2 3\n" + sections))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_non_ascii_byte_is_an_archive_error_naming_its_line(tmp_path, newline):
+    """A byte outside ASCII is an ``ArchiveError`` naming the line that
+    holds it, lines counted as text mode reads them."""
+    path = str(tmp_path / "bad.txt")
+    with open(path, "wb") as fh:
+        fh.write(newline.join(["STDPAIRS v1", "MONOID", "1 2", "2 3", "IDEAL", "1 1", "5"]).encode("ascii"))
+        fh.write(newline.encode("ascii") + "0 1 é2\n".encode("utf-8"))
+    with pytest.raises(ArchiveError, match="^line 8: byte 0xc3 is not ASCII$"):
+        load(path)

@@ -355,3 +355,10 @@ def test_pair_divides_prints_an_empty_witness(tmp_path, capsys):
     sp.save(sp.Cover.from_pairs([sp.ProperPair((0, 0), (), I)]), f2)
     assert main(["pair", "divides", f1, f2]) == 0
     assert capsys.readouterr().out == "[]\n"
+
+
+def test_a_non_ascii_byte_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes("STDPAIRS v1\nMONOID\n1 2\n2 3\nIDEAL\n1 1\n5 é\n".encode("utf-8"))
+    assert main(["--quiet", "ideal", str(path), "cover"]) == 2
+    assert capsys.readouterr().err == "error: line 7: byte 0xc3 is not ASCII\n"

@@ -18,6 +18,23 @@ def test_generators_are_minimalized(Q):
     assert I.gens.columns() == [(4, 4)]
 
 
+def test_minimal_generators_are_kept_as_given(Q, monkeypatch):
+    """Generators that are already minimal, in sorted order, are the
+    ideal's generators as given, with the hash text they always had; no
+    second matrix is built."""
+    A = AffineMonoid(IntMatrix.from_rows([[1, 1, 2, 3], [1, 2, 0, 0]]))
+    M = IntMatrix.from_rows([[3, 5, 6], [2, 1, 1]])
+    calls = []
+    original = IntMatrix.from_cols.__func__
+    monkeypatch.setattr(IntMatrix, "from_cols", classmethod(lambda cls, *args, **kw: calls.append(args) or original(cls, *args, **kw)))
+    I = MonomialIdeal(A, M)
+    assert I.gens == M and I.gens is M and calls == []
+    assert I.hash_string == "monoid 2 4 1 1 2 3 1 2 0 0 ideal 2 3 3 5 6 2 1 1"
+    # a matrix with no columns and the wrong row count is rebuilt with the monoid's
+    assert MonomialIdeal(A, IntMatrix.zero(3, 0)).gens == IntMatrix.zero(2, 0)
+    assert len(calls) == 1
+
+
 def test_rejects_outside_generators(Q):
     with pytest.raises(ValueError):
         MonomialIdeal(Q, IntMatrix.from_cols([(1, 1)]))

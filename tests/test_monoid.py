@@ -435,6 +435,23 @@ def test_minimal_matches_reference_where_facet_values_tie():
     assert lower >= 30 and ties >= 100
 
 
+def test_minimal_of_fewer_than_two_points_asks_nothing():
+    """No point, or one point however often given, is minimal as it is:
+    ``_minimal`` computes no support value and asks no membership."""
+    from stdpairs.monoid import _minimal
+
+    class Support:
+        def mul(self, point):
+            raise AssertionError("support value computed")
+
+    def contains(point):
+        raise AssertionError("membership asked")
+
+    assert _minimal([], Support(), contains) == []
+    assert _minimal([(2, 3)], Support(), contains) == [(2, 3)]
+    assert _minimal([(2, 3), (2, 3)], Support(), contains) == [(2, 3)]
+
+
 def _presentations(rng: random.Random, A: IntMatrix) -> list:
     """Presentations of the same monoid: permuted, a column duplicated, a
     zero column added, a redundant generator (2c or c1 + c2) added."""
