@@ -45,7 +45,7 @@ WORKLOADS = {
             )
         ],
     ),
-    "ideals": (_SOLVER + _REFINEMENT, [_ROUTE]),
+    "ideals": (_SOLVER + _REFINEMENT, [_ROUTE, ("box walks", [("tier-2 calls", "diophantine.tier2.calls")])]),
     "session": (
         _SOLVER + _REFINEMENT,
         [

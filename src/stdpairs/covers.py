@@ -4,13 +4,18 @@ The pipeline:
 
 1. ``pair_difference(P, P')``: decompose ``(b + NG) \\ (b' + NG')`` into
    finitely many pairs over faces of G.  The points of ``b + NG`` landing
-   in ``b' + NG'`` pull back to a monomial ideal J in |G| variables (its
-   generators are the u-parts of the minimal solutions of
-   ``[G -G'] [u; v] = b' - b``); the standard pairs of J push forward to
-   the desired pairs.  ``poly_standard_pairs`` finds them by slicing J on
-   the variable with the largest exponent among its generators and
-   recursing on the slices, so their cost follows the number of pairs, not
-   the volume of J's exponent box; that pivot keeps the recursion small.
+   in ``b' + NG'`` pull back to a monomial ideal J with one variable per
+   kept column of G; the standard pairs of J push forward to the desired
+   pairs.  J's generators come from G's quotient by its lattice ZG, which
+   G's record holds (``_cut``): J is empty unless ``b - b'`` lies in span
+   G', and is then the cut against ``(b', top)``, one solve over G's
+   pointed off-face system plus, per solution, lattice coordinates when
+   G's kept columns are linearly independent, or else one ``[A_G | -A_G]``
+   solve.  ``poly_standard_pairs`` answers a principal J in closed form
+   and finds the pairs of any other by slicing J on the variable with the
+   largest exponent among its generators and recursing on the slices, so
+   their cost follows the number of pairs, not the volume of J's exponent
+   box; that pivot keeps the recursion small.
 2. ``principal_cover``: for a principal ideal, the pair difference of
    (0, A) and (b, A), less its nested pairs, is already the standard
    cover.  (0, A) alone is the standard cover of the ideal with no
@@ -56,6 +61,7 @@ from .diophantine import (
     vec_add,
     vec_dot,
     vec_leq,
+    vec_sub,
 )
 from .ideal import MonomialIdeal, memoized
 from .monoid import AffineMonoid
@@ -198,10 +204,20 @@ def poly_standard_pairs(J: PolyMonomialIdeal) -> tuple:
     Algebra 119, 1997), and slicing first where the exponents reach
     furthest leaves fewer distinct slices below.  The pairs are mapped
     back to J's own variables.
+
+    A principal ideal ``(x^w)`` needs no recursion: a point misses it iff
+    some ``u_i < w_i``, so its standard pairs are ``(j e_i, [m] - {i})``
+    for each i with ``w_i > 0`` and each ``j < w_i``.
     """
     if J.is_unit():
         raise ValueError("the unit ideal has no standard pairs")
     m, gens = J.nvars, J.exponents
+    if len(gens) == 1:
+        free = tuple(range(m))
+        return tuple(sorted(
+            PolyStdPair((0,) * i + (j,) + (0,) * (m - i - 1), free[:i] + free[i + 1:])
+            for i, w in enumerate(gens[0]) for j in range(w)
+        ))
     top = [*map(max, zip(*gens))] or [0] * m
     # slot p holds variable order[p]; the sort is stable, so ties keep index order
     order = sorted(range(m), key=top.__getitem__)
@@ -289,15 +305,14 @@ def _difference(monoid: AffineMonoid, base: IntVector, face: Face, other_base: I
     The caller ensures G <= G' (as column sets) and decides what
     properness means for the output pairs.
 
-    The solve runs over the kept columns of both faces: ``b + NG`` is
-    ``b + N K`` for K the kept columns of G, and likewise for G'.  Each
-    output pair is ``(b + A_K u, F)`` for a standard pair ``(u, V)`` of the
-    ideal ``J = {w : b + A_K w in b' + NG'}`` of N^|K|, with F the smallest
-    face containing V's columns, and V is F's kept columns, so the pair
-    is ``b + A_K u + NF``.  Proof: F <= G, as G is a face; suppose F has a
-    kept column k outside V.  Then V is not empty, as the least face holds
-    only zero columns, none of them kept.  So ``p = sum_{j in V} a_j`` lies
-    in the relative interior of cone F, and NF has a conductor c with
+    The cut runs over the kept columns K of G: ``b + NG`` is ``b + N K``.
+    Each output pair is ``(b + A_K u, F)`` for a standard pair ``(u, V)``
+    of the ideal ``J = {w : b + A_K w in b' + NG'}`` of N^|K|, with F the
+    smallest face containing V's columns, and V is F's kept columns, so the
+    pair is ``b + A_K u + NF``.  Proof: F <= G, as G is a face; suppose F
+    has a kept column k outside V.  Then V is not empty, as the least face
+    holds only zero columns, none of them kept.  So ``p = sum_{j in V} a_j``
+    lies in the relative interior of cone F, and NF has a conductor c with
     ``c + (ZF & cone F) <= NF`` (Bruns and Gubeladze, *Polytopes, Rings,
     and K-Theory*, ch. 2).  So for every integer s, ``m p - s a_k`` is in
     NF once m is large.  If ``u - u_k e_k + w + t e_k`` were in J for some
@@ -306,17 +321,51 @@ def _difference(monoid: AffineMonoid, base: IntVector, face: Face, other_base: I
     contradict the properness of ``(u, V)``; so ``(u - u_k e_k, V + {k})``
     is proper, and it strictly contains ``(u, V)``, against its maximality.
     So V is F's kept columns, and every output pair lies on a face.
+
+    J's generators come from G's quotient, not from a ``[A_K | -A_G']``
+    system (``_cut``).  With ``y = b - b'``, ``y + A_K w`` lies in span G'
+    iff y does, as ``A_K w`` lies in span G <= span G'; and
+    ``NA & span G' = NG'``, as G' is a face.  So J is empty when a support
+    row of G' (``AffineMonoid.support_of``, whose kernel is span G') is
+    nonzero on y, and the piece comes back unchanged; otherwise J is the
+    cut against ``(b', top)``, ``{w : y + A_K w in NA}``.
     """
     kept = monoid.kept_of(face)
-    sols = monoid.meet(base, kept, other_base, monoid.kept_of(other_face))
-    m = len(kept)
-    u_parts = [s[:m] for s in sols]
-    if any(all(x == 0 for x in u) for u in u_parts):
+    y = vec_sub(base, other_base)
+    u_parts = [] if any(monoid.support_of(other_face).mul(y)) else _cut(monoid, y, face, kept)
+    if any(not any(u) for u in u_parts):
         return []  # base already swallowed: empty difference
-    gsub = monoid.submatrix(kept)
-    stds = poly_standard_pairs(PolyMonomialIdeal(m, u_parts))
+    A_K = monoid.lattice_of(face).M
+    stds = poly_standard_pairs(PolyMonomialIdeal(len(kept), u_parts))
     faces = {free: monoid.face_closure(kept[i] for i in free) for free in {std.free for std in stds}}
-    return [(vec_add(base, gsub.mul(std.base)), faces[std.free]) for std in stds]
+    return [(vec_add(base, A_K.mul(std.base)), faces[std.free]) for std in stds]
+
+
+def _cut(monoid: AffineMonoid, y: IntVector, face: Face, kept: tuple) -> list:
+    """Generators of ``J = {w >= 0 : y + A_K w in NA}`` over the kept
+    columns K of the face G, from G's quotient.
+
+    NA is ``N A_off + N A_K``.  If ``y + A_K w = A_off u + A_K v`` with
+    ``u, v >= 0``, then ``S_G``, which vanishes on span G, gives
+    ``B_G u = S_G y``, and ``z = y - A_off u = A_K (v - w)`` lies in ZG:
+    u is the first entry of one of the ``(u, lam)`` that
+    ``AffineMonoid._quotient_solutions(y, G)`` lists, ``z = A_K lam``, and
+    ``z + A_K w`` lies in ``N A_K``.  The converse is plain, so J is the
+    union over those u of ``J_u = {w : z + A_K w in N A_K}``.  When
+    K's columns are linearly independent, as on every ray and every
+    simplicial face, lam is z's only coordinate vector and ``z + A_K w``
+    lies in ``N A_K`` iff ``lam + w >= 0``: J_u is generated by
+    ``max(0, -lam)``, and no solve is made.  Otherwise J_u's generators are
+    the w-parts of the minimal ``(w, v)`` with ``z + A_K w = A_K v``
+    (``AffineMonoid.meet``), the system ``[A_K | -A_K]`` whose merged
+    matrix is A_K, whose data G's record holds (``lattice_of``).  On the top
+    face, with no off-face column, that is the one system solved."""
+    lattice = monoid.lattice_of(face)
+    solutions = monoid._quotient_solutions(y, face)
+    if lattice.reduction[2] == lattice.M.cols:
+        return [tuple(max(0, -x) for x in lam) for _, lam in solutions]
+    zero = (0,) * monoid.dim
+    return [s[: len(kept)] for _, lam in solutions for s in monoid.meet(lattice.M.mul(lam), kept, zero, kept)]
 
 
 def principal_cover(I: MonomialIdeal) -> Cover:

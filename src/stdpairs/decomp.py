@@ -161,7 +161,7 @@ def irreducible_component(I: MonomialIdeal, face: Face, ov_class: OverlapClass) 
     # the intersection of no box ideals is the unit ideal, generated by 0;
     # each box replaces a generator g by its lcm with each (s_k + 1) e_k
     corners = [(0,) * off.cols]
-    for s in monoid._quotient_solutions(ov_class.pairs[0].base, face):
+    for s, _ in monoid._quotient_solutions(ov_class.pairs[0].base, face):
         corners = minimal_elements(
             g[:k] + (max(g[k], s[k] + 1),) + g[k + 1:] for g in corners for k in range(len(s))
         )

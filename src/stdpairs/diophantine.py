@@ -292,8 +292,8 @@ class _MatrixData:
     generating matrix of a pointed ``AffineMonoid``, the monoid's
     construction data (``monoid``: its facets with their zero sets, span
     equations, faces, the face set, BOTTOM's support rows, kept columns,
-    minimal generators and hash text), which every monoid of an equal
-    matrix reads.
+    minimal generators, hash text and the kept-column matrix), which every
+    monoid of an equal matrix reads.
 
     Everything else is a cached property, computed on first read: the data
     the infeasibility certificates read (``cone``: the facet normals and

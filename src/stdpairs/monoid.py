@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from operator import le
 
 from .diophantine import _MATRIX_CACHE, _MATRIX_CACHE_CAP, IntMatrix, IntVector, SolutionSet, _bounded_put, _matrix_data
@@ -21,16 +21,19 @@ class AffineMonoid:
     The facets of the cone are enumerated once per generating matrix,
     here: the first construction keeps what it derives below (facets, span
     equations, faces, BOTTOM's support, kept columns, minimal generators,
-    hash text) in the matrix's entry of the solver cache
+    hash text, the kept-column matrix ``A_kept``) in the matrix's entry of
+    the solver cache
     (``_MatrixData.monoid``), and every monoid of an equal matrix reads
     it there while that entry is cached.  Pointedness, which
     every algorithm built on top assumes, is read from them (non-pointed
     input is rejected), and so are the faces and every later face closure.
     They also give the solver's cone data, which its infeasibility
-    certificates test, for A and, when first built, for every system
-    ``[A_left | -A_right]`` with all kept columns (below) on one side,
-    ``A_kept`` and the ``[A_F | -A_kept]`` of a pair difference among
-    them (``_system``), so no such system runs a double description.  The
+    certificates test, for A, for ``A_kept``, whose solver entry
+    ``contains`` makes on first use (``_kept_system``), and, when first
+    built, for every system ``[A_left | -A_right]`` with all kept columns
+    (below) on one side (``_system``), the top face's ``[A_K | -A_K]`` of
+    a pair difference among them, so no such system runs a double
+    description.  The
     minimal generators are read with them too (``_minimal``): a column c is
     dropped when ``c - d`` lies in NA for another nonzero column d, which
     one existence question over A decides, asked only where no facet is
@@ -50,7 +53,8 @@ class AffineMonoid:
     with a lattice test, answers the yes/no questions with the top face
     on one side in the quotient by ``Z F`` (``meets``) and
     gives the solutions in that quotient that irreducible components are
-    read from (``_quotient_solutions``).
+    read from and pair differences cut their pieces in
+    (``_quotient_solutions``).
 
     The caller index of one copy of each minimal generator is kept, in
     increasing order.  Yes/no questions (``contains``, ``meets``) solve over
@@ -81,9 +85,10 @@ class AffineMonoid:
             kept = tuple(sorted(map(cols.index, mingens)))
             mingens = IntMatrix.from_cols(mingens, rows=gens.rows)
             hash_string = "monoid " + mingens.to_token()
-            data.monoid = (facets, equations, faces, frozenset(faces) - {BOTTOM}, bottom, kept, mingens, hash_string)
+            kept_gens = gens if len(kept) == gens.cols else gens.take_cols(kept)
+            data.monoid = (facets, equations, faces, frozenset(faces) - {BOTTOM}, bottom, kept, mingens, hash_string, kept_gens)
         (self._facets, self._equations, self._faces, self._face_set,  # the face set: what every face check reads
-         self._bottom_support, self._kept, self._mingens, self._hash_string) = data.monoid
+         self._bottom_support, self._kept, self._mingens, self._hash_string, self._kept_gens) = data.monoid
         self._systems = {(self.top, ()): gens}  # A itself: the key of the solver's data for A
         self._records: dict = {}  # face -> (S_F, kept, A_off, B_F, lattice data of F): ``_record``
 
@@ -137,8 +142,26 @@ class AffineMonoid:
         return min_nonneg_solutions(self._gens, self._vector(b))
 
     def contains(self, b: IntVector) -> bool:
-        """Whether b is in the monoid, without its factorizations (over the kept columns)."""
-        return has_nonneg_solution(self._system(self._kept, ()), self._vector(b))
+        """Whether b is in the monoid, without its factorizations (over the
+        kept columns).  The solver checks b's length; a wrong one is
+        reported in the monoid's words (``_vector``)."""
+        try:
+            return has_nonneg_solution(self._kept_system, b)
+        except ValueError:
+            self._vector(b)
+            raise
+
+    @cached_property
+    def _kept_system(self) -> IntMatrix:
+        """``A_kept``, the matrix ``contains`` solves over: the one the
+        construction data keeps, so a monoid of an equal matrix builds
+        none.  Its solver entry takes A's cone data when it is new, as
+        ``A_kept`` spans ``cone(A)``; the entry is made on first use, not
+        at construction, which solves over A alone."""
+        kept = self._kept_gens
+        if kept not in _MATRIX_CACHE:
+            _matrix_data(kept).store_cone([phi for phi, _ in self._facets], self._equations)
+        return kept
 
     def _vector(self, b: IntVector) -> IntVector:
         b = vec(b)
@@ -253,16 +276,20 @@ class AffineMonoid:
         return self._record(face)[4]
 
     def _quotient_solutions(self, x: IntVector, face: Face) -> list:
-        """Every ``u >= 0`` with ``B_F u = S_F x`` and ``x - A_off u`` in
-        ``Z F``: the ways of writing x as ``A_off u`` plus a point of ``Z F``,
-        so x lies in ``NA + ZF = N A_off + ZF`` iff there is one.  One solve
-        over the pointed ``B_F`` finds every candidate (each is minimal) and
-        puts ``x - A_off u`` in span F; each is then tested against the
-        lattice.  The top face, with no off-face columns, is the lattice
-        test alone, whose only candidate is ``()``."""
+        """``(u, lam)`` for every ``u >= 0`` with ``B_F u = S_F x`` and
+        ``x - A_off u`` in ``Z F``, with ``x - A_off u = A_K lam`` over F's
+        kept columns A_K: the ways of writing x as ``A_off u`` plus a point
+        of ``Z F``, so x lies in ``NA + ZF = N A_off + ZF`` iff there is
+        one.  One solve over the pointed ``B_F`` finds every candidate (each
+        is minimal) and puts ``x - A_off u`` in span F; each is then tested
+        against the lattice, whose reduction gives lam
+        (``_particular_solution``), unique when A_K's columns are linearly
+        independent.  The top face, with no off-face columns, is the
+        lattice test alone, whose only candidate is ``()``."""
         support, _, off, system, lattice = self._record(face)
         sols = min_nonneg_solutions(system, support.mul(x)) if off.cols else [()]
-        return [u for u in sols if _particular_solution(lattice, vec_sub(x, off.mul(u))) is not None]
+        found = [(u, _particular_solution(lattice, vec_sub(x, off.mul(u)))) for u in sols]
+        return [(u, lam) for u, lam in found if lam is not None]
 
     def _difference(self, a: IntVector, b: IntVector) -> IntVector:
         """``b - a``, for points of length ``dim`` only (``vec_sub`` would zip)."""

@@ -163,3 +163,33 @@ def seeded_instances(count, seed):
         gens = [rng.choice(candidates) for _ in range(rng.randint(1, 3))]
         out.append((d, cols, gens))
     return out
+
+
+def translate_points(cols, base, face, caps):
+    """The points of ``base + N{cols[j] : j in face}`` with every entry at
+    most ``caps``: capped reachability from zero, shifted.  Requires
+    nonnegative columns."""
+    if any(x > c for x, c in zip(base, caps)):
+        return set()
+    room = [c - x for x, c in zip(base, caps)]
+    return {tuple(x + y for x, y in zip(base, p)) for p in reachable_set([cols[j] for j in face], room)}
+
+
+def difference_points(cols, b, face, other_b, other_face, caps):
+    """The points of ``(b + NG) \\ (b' + NG')`` with every entry at most
+    ``caps``, for faces given as column index tuples, by exhaustive search.
+    Requires nonnegative columns."""
+    return translate_points(cols, b, face, caps) - translate_points(cols, other_b, other_face, caps)
+
+
+def cut_generators(cols, kept, y, box, members):
+    """The minimal w in ``[0, box]^|kept|`` with ``y + sum_j w_j cols[kept[j]]``
+    in ``members``, a capped set of monoid elements that holds every such
+    point: the generators of the cut ideal ``{w : y + A_K w in NA}`` that
+    lie in the box."""
+    found = []
+    for w in product(range(box + 1), repeat=len(kept)):
+        p = tuple(y[i] + sum(x * cols[j][i] for x, j in zip(w, kept)) for i in range(len(y)))
+        if p in members:
+            found.append(w)
+    return minimal_of(found)

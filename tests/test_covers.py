@@ -10,7 +10,10 @@ from stdpairs.covers import (
     PolyMonomialIdeal,
     PolyStdPair,
     _anchored,
+    _cut,
+    _difference,
     _prune_nested,
+    _slice_pairs,
     cone_to_ctwo,
     cover_to_standard,
     czero_to_cone,
@@ -21,13 +24,23 @@ from stdpairs.covers import (
     standard_cover,
 )
 from stdpairs.decomp import irreducible_decomposition
-from stdpairs.diophantine import IntMatrix, minimal_elements, vec_leq
+from stdpairs.diophantine import IntMatrix, minimal_elements, rational_rank, vec_leq
 from stdpairs.ideal import MonomialIdeal
 from stdpairs.monoid import AffineMonoid
 from stdpairs.pairs import ProperPair, is_proper
 from stdpairs.polyhedral import BOTTOM
 
-from oracles import brute_poly_standard_pairs, ideal_members, monoid_box, nested_pairs, reachable_set, seeded_instances
+from oracles import (
+    brute_poly_standard_pairs,
+    cut_generators,
+    difference_points,
+    ideal_members,
+    monoid_box,
+    nested_pairs,
+    reachable_set,
+    seeded_instances,
+    translate_points,
+)
 from test_acceptance import random_instances
 
 
@@ -286,6 +299,36 @@ def test_poly_standard_pairs_equal_reference_off_the_last_variable():
     assert tied >= 60 and sizes == {2, 3, 4, 5}, (tied, sizes)
 
 
+def test_poly_standard_pairs_of_principal_ideals_equal_the_recursion(monkeypatch):
+    """A principal ideal ``(x^w)`` is answered in closed form, with no
+    slice recursion; its pairs ``(j e_i, [m] - {i})``, ``j < w_i``, equal
+    the recursion's on the variables in index order (``_slice_pairs``) on
+    seeded w in 1-6 variables with zero, small and large exponents, and
+    the box enumeration (``_reference_poly_standard_pairs``) where the box
+    is small."""
+    import stdpairs.covers as covers
+
+    rng = random.Random(5313)
+    cases = [tuple(rng.choice((0, 0, 1, 2, rng.randint(3, 12))) for _ in range(rng.randint(1, 6))) for _ in range(700)]
+    cases = [w for w in cases if any(w)]
+    recursion = {w: tuple(sorted(PolyStdPair(u, free) for u, free in _slice_pairs(len(w), (w,), {}))) for w in cases}
+
+    def no_recursion(*args):
+        raise AssertionError("a principal ideal went through the slice recursion")
+
+    monkeypatch.setattr(covers, "_slice_pairs", no_recursion)
+    boxed = 0
+    for w in cases:
+        J = PolyMonomialIdeal(len(w), [w])
+        pairs = poly_standard_pairs(J)
+        assert pairs == recursion[w], w
+        if math.prod(x + 1 for x in w) <= 2000:
+            assert pairs == _reference_poly_standard_pairs(J), w
+            boxed += 1
+    assert len(cases) >= 600 and boxed >= 300, (len(cases), boxed)
+    assert {len(w) for w in cases} == set(range(1, 7))
+
+
 # The ideal that principal_cover pulls back for Q = [(1,4,4), (1,2,4), (3,4,0),
 # (4,0,3), (2,4,1)] (as columns) and I = ((31,38,35)).  Its exponent box
 # holds 24 x 23 x 36 x 9 x 34 bases per variable set, for 2,937 pairs.
@@ -485,6 +528,100 @@ def test_pair_difference_over_faces_covers_box_exactly_on_faces():
                             covered = any(member(x, p.base, p.face) for p in diff)
                             assert covered == (member(x, b, G) and not member(x, bp, Gp)), (cols, G, Gp, b, bp, x)
     assert differences > 1000
+
+
+def _difference_monoids(count, seed):
+    """Seeded nonnegative column lists with 1-3 rows: some in the plane
+    z = x + y or on the ray of (1, 2), so their cones are not full
+    dimensional, and some with a zero column, a column given twice or a
+    column that is the sum of two others added."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d, n = rng.randint(1, 3), rng.randint(1, 4)
+        cols = [tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(n)]
+        if d == 3 and len(out) % 5 == 0:
+            cols = [(x, y, x + y) for x, y, _ in cols]
+        elif d == 2 and len(out) % 5 == 1:
+            cols = [(k, 2 * k) for k, _ in cols]
+        if not any(map(any, cols)):
+            continue
+        if rng.random() < 0.3:
+            cols.insert(rng.randint(0, len(cols)), (0,) * d)
+        if rng.random() < 0.3:
+            cols.insert(rng.randint(0, len(cols)), rng.choice(cols))
+        if rng.random() < 0.3:
+            cols.append(tuple(map(sum, zip(rng.choice(cols), rng.choice(cols)))))
+        out.append(cols)
+    return out
+
+
+# Faces whose kept columns are linearly dependent: the ray of <2, 3> in the
+# plane, the facet z = 0 of the first cone, the ray of <2, 3> in space, T3.
+_DEPENDENT_FACE_MONOIDS = [
+    [(2, 0), (3, 0), (0, 1), (1, 1)],
+    [(2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 1)],
+    [(2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    [(1, 0, 2), (3, 3, 0), (0, 4, 4), (0, 3, 4), (2, 4, 2)],
+]
+
+
+def test_difference_equals_reference_over_nested_faces():
+    """Seeded ``_difference`` calls ``(b, G) \\ (b', G')`` over faces
+    G <= G' of monoids with zero, duplicate and redundant columns, some of
+    less than full dimension, and of monoids with faces below the top
+    whose kept columns are linearly dependent, against exhaustive search
+    (``oracles.difference_points``): the returned pairs lie over faces
+    inside G, and their points in a box are exactly the difference's.
+    The generators of the cut ideal ``J = {w : b - b' + A_K w in NA}``
+    that ``covers._cut`` reads from G's quotient are the minimal members
+    of J found by search (``oracles.cut_generators``) whenever they lie in
+    its box."""
+    counts = dict.fromkeys(("pairs", "G' below top", "outside span G'", "empty", "independent", "dependent", "cuts"), 0)
+    counts["dependent below top"] = 0
+    kinds = dict.fromkeys(("zero", "duplicate", "redundant", "not full"), 0)
+    rng = random.Random(5312)
+    for cols in _DEPENDENT_FACE_MONOIDS + _difference_monoids(70, 5311):
+        d = len(cols[0])
+        Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
+        kinds["zero"] += (0,) * d in cols
+        kinds["duplicate"] += len(set(cols)) < len(cols)
+        kinds["redundant"] += len(Q.kept_of(Q.top)) < len({c for c in cols if any(c)})
+        kinds["not full"] += rational_rank(Q.gens) < d
+        faces = [f for f in Q.faces if f != BOTTOM]
+        bases = sorted(monoid_box(cols, 1))
+        box = 2
+        caps = [max(b[i] for b in bases) + box * sum(c[i] for c in cols) for i in range(d)]
+        members = reachable_set(cols, caps)
+        if cols in _DEPENDENT_FACE_MONOIDS:  # each such face against each face above it, four times
+            below = [G for G in faces if G != Q.top and Q.lattice_of(G).reduction[2] < len(Q.kept_of(G))]
+            draws = [(G, Gp) for G in below for Gp in faces if set(G) <= set(Gp) for _ in range(4)]
+        else:
+            draws = []
+            for Gp in (rng.choice(faces) for _ in range(6)):  # G = G' half the time
+                draws.append((Gp if rng.random() < 0.5 else rng.choice([f for f in faces if set(f) <= set(Gp)]), Gp))
+        for G, Gp in draws:
+            b, bp = rng.choice(bases), rng.choice(bases)
+            out = _difference(Q, b, G, bp, Gp)
+            assert all(F in faces and set(F) <= set(G) for _, F in out)
+            near = [x + 3 for x in map(max, b, bp)]
+            covered = set().union(*(translate_points(cols, a, F, near) for a, F in out))
+            assert covered == difference_points(cols, b, G, bp, Gp, near), (cols, b, G, bp, Gp)
+            counts["pairs"] += 1
+            counts["G' below top"] += Gp != Q.top
+            y = tuple(x - z for x, z in zip(b, bp))
+            counts["outside span G'"] += any(Q.support_of(Gp).mul(y))
+            counts["empty"] += not out
+            kept = Q.kept_of(G)
+            independent = Q.lattice_of(G).reduction[2] == len(kept)
+            counts["independent" if independent else "dependent"] += 1
+            counts["dependent below top"] += not independent and G != Q.top
+            found = minimal_elements(_cut(Q, y, G, kept))
+            if all(x <= box for w in found for x in w):
+                assert found == cut_generators(cols, kept, y, box, members), (cols, y, G)
+                counts["cuts"] += 1
+    assert counts["pairs"] == 476 and min(counts.values()) >= 20, counts
+    assert min(kinds.values()) >= 10, kinds
 
 
 # ---------------------------------------------------------------------------
@@ -1016,6 +1153,32 @@ def test_standard_cover_equals_unpruned_fold_reference():
         J._cache["standard_cover"] = _reference_standard_cover(J)
         assert repr(standard_cover(I)) == repr(J.standard_cover()), I
         assert repr(irreducible_decomposition(I)) == repr(irreducible_decomposition(J)), I
+
+
+def test_cover_cuts_pieces_below_the_top_without_a_pair_system(monkeypatch):
+    """Acceptance instance 17 (three kept columns in the plane) has
+    linearly independent kept columns on every face but the top, so its
+    cover cuts the pieces over those faces from their quotients alone: the
+    only ``_system`` with a non-empty right side that the cover builds is
+    the top face's ``[A_K | -A_K]``, which the first generator's cut of
+    ``(0, top)`` solves."""
+    I = random_instances()[17]
+    Q = I.ambient
+    assert Q.gens.columns() == [(3, 2), (0, 1), (1, 4)] and I.gens.cols == 2
+    top = Q.kept_of(Q.top)
+    assert rational_rank(Q.gens) < len(top)
+    assert all(Q.lattice_of(F).reduction[2] == len(Q.kept_of(F)) for F in Q.faces if F not in (BOTTOM, Q.top))
+    built = []
+    original = AffineMonoid._system
+
+    def recording(self, left, right):
+        built.append((tuple(left), tuple(right)))
+        return original(self, left, right)
+
+    monkeypatch.setattr(AffineMonoid, "_system", recording)
+    cover = standard_cover(I)
+    assert {key for key in built if key[1]} == {(top, top)}
+    assert cover.entries and all(face != Q.top for face, _ in cover.entries)
 
 
 def test_standard_cover_never_refines_and_builds_no_prefix_ideal(monkeypatch):

@@ -265,6 +265,54 @@ def test_equal_matrices_share_construction_data(monkeypatch):
         calls.clear()
 
 
+def test_a_second_monoids_first_contains_builds_no_matrix_and_stores_no_cone(monkeypatch):
+    """The construction data keeps the kept-column matrix ``A_kept`` that
+    ``contains`` solves over.  The first monoid's first ``contains`` makes
+    its solver entry with A's cone data, without a double description; a
+    second monoid of an equal matrix then answers alike, and its first
+    ``contains`` builds no matrix and stores no cone.  A wrong length is
+    still a ``ValueError`` in the monoid's words."""
+    import stdpairs.diophantine as diophantine
+
+    built, stored, enumerated = [], [], []
+    post_init, store_cone, facets_of_cone = IntMatrix.__post_init__, diophantine._MatrixData.store_cone, diophantine._facets_of_cone
+
+    def building(self):
+        built.append(self.cols)
+        post_init(self)
+
+    def storing(self, normals, equations):
+        stored.append(self.M)
+        store_cone(self, normals, equations)
+
+    def enumerating(*args):
+        enumerated.append(args)
+        return facets_of_cone(*args)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", building)
+    monkeypatch.setattr(diophantine._MatrixData, "store_cone", storing)
+    monkeypatch.setattr(diophantine, "_facets_of_cone", enumerating)
+    redundant = 0
+    for A in _record_matrices():
+        _MATRIX_CACHE.clear()
+        P = AffineMonoid(A)
+        points = sorted(monoid_box(A.columns(), 1))
+        points += [tuple(x + 1 for x in p) for p in points[:3]]
+        kept = P.kept_of(P.top)
+        expected = [] if kept == P.top else [A.take_cols(kept)]
+        built.clear(), stored.clear()
+        answers = [P.contains(p) for p in points]
+        assert stored == expected and enumerated == [], A
+        redundant += bool(stored)
+        Q = AffineMonoid(IntMatrix.from_rows(A.data, cols=A.cols))  # equal to A, another object
+        built.clear(), stored.clear()
+        assert [Q.contains(p) for p in points] == answers, A
+        assert built == [] and stored == [] and enumerated == [], A
+        with pytest.raises(ValueError, match=f"vector has dim {A.rows + 1}, expected {A.rows}"):
+            Q.contains((1,) * (A.rows + 1))
+    assert redundant >= 10, redundant
+
+
 def test_kept_of_builds_no_record():
     """``kept_of`` reads a face's kept columns from the monoid's kept set:
     on a fresh monoid, asking it for every face fills no record, and the

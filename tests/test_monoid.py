@@ -634,22 +634,30 @@ def test_meet_rejects_points_of_another_length():
 
 def test_cover_and_decomposition_build_each_system_once(monkeypatch):
     """One standard cover and one irreducible decomposition, cold, build
-    every ``(F, G)`` system at most once."""
+    every ``(F, G)`` system and every face record at most once.  The cover
+    cuts each piece in its face's quotient, so most instances build the
+    record of a face other than the top."""
     import stdpairs.monoid as monoid
     from oracles import seeded_instances
     from stdpairs.ideal import MonomialIdeal
 
     instances = [(2, [(1, 1), (1, 2), (2, 0), (3, 0)], [(3, 2), (5, 1), (6, 1)])]
-    asked = 0
+    below_top = 0
     for d, cols, gens in instances + seeded_instances(12, 5):
         built = []
-        original = monoid._bounded_put
+        original, support_rows = monoid._bounded_put, monoid._support_rows
 
         def recording(cache, key, value, cap):
             built.append(key)
             original(cache, key, value, cap)
 
+        def recording_rows(facets, equations, dim, face):
+            if face != BOTTOM:  # BOTTOM's rows are construction data, not a record
+                built.append(("record", face))
+            return support_rows(facets, equations, dim, face)
+
         monkeypatch.setattr(monoid, "_bounded_put", recording)
+        monkeypatch.setattr(monoid, "_support_rows", recording_rows)
         Q = AffineMonoid(IntMatrix.from_cols(cols, rows=d))
         I = MonomialIdeal(Q, IntMatrix.from_cols(gens, rows=d))
         I.standard_cover()
@@ -657,8 +665,8 @@ def test_cover_and_decomposition_build_each_system_once(monkeypatch):
         monkeypatch.undo()
         assert len(built) < monoid._MATRIX_CACHE_CAP  # nothing was evicted and rebuilt
         assert len(built) == len(set(built)), (cols, gens)
-        asked += any(G for _, G in built)  # pair questions, not only submatrices
-    assert asked >= 10
+        below_top += any(key[0] == "record" and key[1] != Q.top for key in built)
+    assert below_top >= 10, below_top
 
 
 def test_system_memo_respects_the_matrix_cache_cap(monkeypatch):
