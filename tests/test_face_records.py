@@ -300,12 +300,14 @@ def test_a_second_monoids_first_contains_builds_no_matrix_and_stores_no_cone(mon
         points += [tuple(x + 1 for x in p) for p in points[:3]]
         kept = P.kept_of(P.top)
         expected = [] if kept == P.top else [A.take_cols(kept)]
-        built.clear(), stored.clear()
+        built.clear()
+        stored.clear()
         answers = [P.contains(p) for p in points]
         assert stored == expected and enumerated == [], A
         redundant += bool(stored)
         Q = AffineMonoid(IntMatrix.from_rows(A.data, cols=A.cols))  # equal to A, another object
-        built.clear(), stored.clear()
+        built.clear()
+        stored.clear()
         assert [Q.contains(p) for p in points] == answers, A
         assert built == [] and stored == [] and enumerated == [], A
         with pytest.raises(ValueError, match=f"vector has dim {A.rows + 1}, expected {A.rows}"):
